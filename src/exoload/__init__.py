@@ -24,7 +24,6 @@ from .dynamics import (
     decompose_torque,
     estimate_derivatives,
     inverse_dynamics,
-    laevo_torque,
     lumbar_effort_report,
     net_lumbar_series,
 )

@@ -23,11 +23,11 @@ import numpy as np
 from scipy.signal import butter, filtfilt
 
 from .errors import ValidationError
-from .geometry import quat_conjugate, quat_multiply, quat_normalize, quat_to_rotvec
+from .geometry import quat_rotvec_between
 from .skeleton import (
     JointConfiguration,
-    KinematicState,
     SkeletonModel,
+    TrajectoryKinematics,
     lumbar_flexion_index,
 )
 
@@ -38,6 +38,16 @@ GRAVITY_DEFAULT = 9.81  # m/s^2, downward
 LUMBAR_LOAD_SIGN = -1.0
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of (..., 3) arrays without its axis handling, which
+    dominates at the small sizes of the sweep."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
+
+
 def inverse_dynamics(
     model: SkeletonModel,
     q: JointConfiguration,
@@ -45,8 +55,8 @@ def inverse_dynamics(
     qdd: np.ndarray,
     gravity: float | np.ndarray = GRAVITY_DEFAULT,
 ) -> np.ndarray:
-    """Generalized forces of the free-floating model via a recursive
-    Newton-Euler sweep in world coordinates.
+    """Generalized forces of the free-floating model at one configuration:
+    the single-frame case of :func:`inverse_dynamics_series`.
 
     ``qd``/``qdd`` follow the 49-coordinate velocity layout. The first six
     outputs are the base wrench (world force, world torque about the base
@@ -57,87 +67,106 @@ def inverse_dynamics(
     nv = model.n_velocity
     if qd.shape != (nv,) or qdd.shape != (nv,):
         raise ValidationError(f"expected velocity/acceleration of shape ({nv},)")
+    kinematics = TrajectoryKinematics(model, [q])
+    return inverse_dynamics_series(kinematics, qd[None], qdd[None], gravity)[0]
+
+
+def inverse_dynamics_series(
+    kinematics: TrajectoryKinematics,
+    qd: np.ndarray,
+    qdd: np.ndarray,
+    gravity: float | np.ndarray = GRAVITY_DEFAULT,
+) -> np.ndarray:
+    """Generalized forces ``(T, n_velocity)`` of a whole trajectory via a
+    recursive Newton-Euler sweep in world coordinates (Featherstone 2008,
+    ch. 5). The sweeps run once over the links; every link quantity is a
+    ``(T, 3)`` array, so each cross product covers all frames at once.
+    """
+    model = kinematics.model
+    T, nv = kinematics.n_frames, model.n_velocity
+    qd = np.asarray(qd, dtype=float)
+    qdd = np.asarray(qdd, dtype=float)
+    if qd.shape != (T, nv) or qdd.shape != (T, nv):
+        raise ValidationError(f"expected velocity/acceleration of shape ({T}, {nv})")
     if np.isscalar(gravity):
         g_vec = np.array([0.0, 0.0, -float(gravity)])
     else:
         g_vec = np.asarray(gravity, dtype=float)
 
-    state = KinematicState(model, q)
     n = model.n_joint_dofs
     parent = model._dof_parent
+    position = kinematics.link_position
+    axes = kinematics.axis_world
+    x0 = kinematics.base_position
 
     # forward sweep: world kinematics of every link origin; the base linear
     # acceleration is offset by -g so gravity rides through the recursion
-    w = np.zeros((n, 3))
-    al = np.zeros((n, 3))
-    acc = np.zeros((n, 3))
-    w0, a0 = qd[3:6], qdd[3:6]
-    acc0 = qdd[0:3] - g_vec
-
-    axes = state.axis_world
+    w = np.empty((n, T, 3))
+    al = np.empty((n, T, 3))
+    acc = np.empty((n, T, 3))
+    w0, a0 = qd[:, 3:6], qdd[:, 3:6]
+    acc0 = qdd[:, 0:3] - g_vec
     for i in range(n):
         p = parent[i]
         if p < 0:
-            wp, alp, accp, xp = w0, a0, acc0, state.base_position
+            wp, alp, accp, xp = w0, a0, acc0, x0
         else:
-            wp, alp, accp, xp = w[p], al[p], acc[p], state.link_position[p]
-        r = state.link_position[i] - xp
+            wp, alp, accp, xp = w[p], al[p], acc[p], position[p]
+        r = position[i] - xp
         s = axes[i]
-        w[i] = wp + s * qd[6 + i]
-        al[i] = alp + s * qdd[6 + i] + np.cross(wp, s * qd[6 + i])
-        acc[i] = accp + np.cross(alp, r) + np.cross(wp, np.cross(wp, r))
+        s_rate = s * qd[:, 6 + i, None]
+        w[i] = wp + s_rate
+        al[i] = alp + s * qdd[:, 6 + i, None] + _cross(wp, s_rate)
+        acc[i] = accp + _cross(alp, r) + _cross(wp, _cross(wp, r))
 
-    # per-link inertial wrench about the link origin
-    f_acc = np.zeros((n, 3))
-    n_acc = np.zeros((n, 3))
-    f_base = np.zeros(3)
-    n_base = np.zeros(3)
-
-    def body_wrench(seg_index: int, link: int) -> None:
-        seg = model.segments[seg_index]
-        if seg.mass == 0.0:
-            return
-        if link < 0:
-            R, x = state.base_rotation, state.base_position
-            wi, ali, acci = w0, a0, acc0
-        else:
-            R, x = state.link_rotation[link], state.link_position[link]
-            wi, ali, acci = w[link], al[link], acc[link]
+    def body_wrench(seg, R, wi, ali, acci):
+        """Inertial force and moment about the link origin of one segment."""
         rc = R @ seg.com_offset
-        a_com = acci + np.cross(ali, rc) + np.cross(wi, np.cross(wi, rc))
+        a_com = acci + _cross(ali, rc) + _cross(wi, _cross(wi, rc))
         F = seg.mass * a_com
-        I_w = R @ seg.inertia @ R.T
-        N = I_w @ ali + np.cross(wi, I_w @ wi)
-        if link < 0:
-            nonlocal f_base, n_base
-            f_base = f_base + F
-            n_base = n_base + N + np.cross(rc, F)
-        else:
-            f_acc[link] += F
-            n_acc[link] += N + np.cross(rc, F)
+        I_w = R @ seg.inertia @ R.transpose(0, 2, 1)
+        N = (I_w @ ali[..., None])[..., 0] + _cross(wi, (I_w @ wi[..., None])[..., 0])
+        return F, N + _cross(rc, F)
 
-    base_index = model.segment_index[model.base_segment]
-    body_wrench(base_index, -1)
+    f = np.zeros((n, T, 3))
+    m = np.zeros((n, T, 3))
     for i in range(n):
         seg_index = model._dof_segment[i]
-        if seg_index >= 0:
-            body_wrench(seg_index, i)
+        if seg_index >= 0 and model.segments[seg_index].mass != 0.0:
+            f[i], m[i] = body_wrench(
+                model.segments[seg_index], kinematics.link_rotation[i], w[i], al[i], acc[i]
+            )
+    base = model.segments[model.segment_index[model.base_segment]]
+    if base.mass != 0.0:
+        f_base, m_base = body_wrench(base, kinematics.base_rotation, w0, a0, acc0)
+    else:
+        f_base, m_base = np.zeros((T, 3)), np.zeros((T, 3))
 
-    tau = np.zeros(nv)
+    # backward sweep: accumulate subtree wrenches onto the parents
+    tau = np.empty((T, nv))
     for i in range(n - 1, -1, -1):
-        tau[6 + i] = float(axes[i] @ n_acc[i])
+        tau[:, 6 + i] = np.einsum("tk,tk->t", axes[i], m[i])
         p = parent[i]
         if p < 0:
-            r = state.link_position[i] - state.base_position
-            f_base = f_base + f_acc[i]
-            n_base = n_base + n_acc[i] + np.cross(r, f_acc[i])
+            f_base = f_base + f[i]
+            m_base = m_base + m[i] + _cross(position[i] - x0, f[i])
         else:
-            r = state.link_position[i] - state.link_position[p]
-            f_acc[p] += f_acc[i]
-            n_acc[p] += n_acc[i] + np.cross(r, f_acc[i])
-    tau[0:3] = f_base
-    tau[3:6] = n_base
+            f[p] += f[i]
+            m[p] += m[i] + _cross(position[i] - position[p], f[i])
+    tau[:, 0:3] = f_base
+    tau[:, 3:6] = m_base
     return tau
+
+
+def time_derivative(X: np.ndarray, dt: float) -> np.ndarray:
+    """Derivative along axis 0 of a uniformly sampled series: central
+    differences in the interior, second-order one-sided stencils at the ends
+    (exact for quadratic profiles). Needs at least 3 samples."""
+    D = np.empty_like(X)
+    D[1:-1] = (X[2:] - X[:-2]) / (2.0 * dt)
+    D[0] = (-3.0 * X[0] + 4.0 * X[1] - X[2]) / (2.0 * dt)
+    D[-1] = (3.0 * X[-1] - 4.0 * X[-2] + X[-3]) / (2.0 * dt)
+    return D
 
 
 def estimate_derivatives(
@@ -148,10 +177,10 @@ def estimate_derivatives(
     """Generalized velocities and accelerations of a uniformly sampled joint
     trajectory.
 
-    Central differences in the interior, second-order one-sided stencils at
-    the boundaries (exact for quadratic profiles). Base angular velocity comes
-    from quaternion differences. Optional zero-phase low-pass smoothing is
-    applied to the position/angle channels before differencing.
+    Positions and angles go through :func:`time_derivative`. Base angular
+    velocity comes from quaternion differences over the same stencil span.
+    Optional zero-phase low-pass smoothing is applied to the position/angle
+    channels before differencing.
     """
     n = len(configurations)
     if n < 3:
@@ -172,32 +201,15 @@ def estimate_derivatives(
         P = filtfilt(num, den, P, axis=0, padlen=pad)
         A = filtfilt(num, den, A, axis=0, padlen=pad)
 
-    def diff_series(X: np.ndarray) -> np.ndarray:
-        D = np.empty_like(X)
-        D[1:-1] = (X[2:] - X[:-2]) / (2.0 * dt)
-        D[0] = (-3.0 * X[0] + 4.0 * X[1] - X[2]) / (2.0 * dt)
-        D[-1] = (3.0 * X[-1] - 4.0 * X[-2] + X[-3]) / (2.0 * dt)
-        return D
-
     nv = 6 + A.shape[1]
     U = np.zeros((n, nv))
-    U[:, 0:3] = diff_series(P)
-    U[:, 6:] = diff_series(A)
+    U[:, 0:3] = time_derivative(P, dt)
+    U[:, 6:] = time_derivative(A, dt)
+    U[1:-1, 3:6] = quat_rotvec_between(Q[:-2], Q[2:]) / (2.0 * dt)
+    U[0, 3:6] = quat_rotvec_between(Q[0], Q[1]) / dt
+    U[-1, 3:6] = quat_rotvec_between(Q[-2], Q[-1]) / dt
 
-    omega = np.zeros((n, 3))
-    for k in range(n):
-        if 0 < k < n - 1:
-            dq = quat_multiply(Q[k + 1], quat_conjugate(Q[k - 1]))
-            omega[k] = quat_to_rotvec(quat_normalize(dq)) / (2.0 * dt)
-        elif k == 0:
-            dq = quat_multiply(Q[1], quat_conjugate(Q[0]))
-            omega[k] = quat_to_rotvec(quat_normalize(dq)) / dt
-        else:
-            dq = quat_multiply(Q[-1], quat_conjugate(Q[-2]))
-            omega[k] = quat_to_rotvec(quat_normalize(dq)) / dt
-    U[:, 3:6] = omega
-
-    dU = diff_series(U)
+    dU = time_derivative(U, dt)
     return U, dU
 
 
@@ -264,11 +276,6 @@ class LaevoModel:
         if branch not in ("ascending", "descending"):
             raise ValidationError(f"unknown branch {branch!r}")
         self.branch = branch
-
-
-def laevo_torque(model_state: LaevoModel, theta_deg: float, theta_dot_deg_s: float) -> float:
-    """Functional alias for :meth:`LaevoModel.torque`."""
-    return model_state.torque(theta_deg, theta_dot_deg_s)
 
 
 def laevo_torque_series(
@@ -370,15 +377,17 @@ def net_lumbar_series(
     dt: float,
     gravity: float | np.ndarray = GRAVITY_DEFAULT,
     smooth_cutoff_hz: float | None = 5.0,
+    kinematics: TrajectoryKinematics | None = None,
 ) -> np.ndarray:
-    """Flexion-positive net L5/S1 sagittal torque of a joint trajectory."""
+    """Flexion-positive net L5/S1 sagittal torque of a joint trajectory.
+
+    ``kinematics`` lets a caller that already holds the trajectory's link
+    frames share them; they are computed here otherwise."""
     U, dU = estimate_derivatives(configurations, dt, smooth_cutoff_hz)
-    idx = 6 + lumbar_flexion_index(model)
-    out = np.empty(len(configurations))
-    for k, q in enumerate(configurations):
-        tau = inverse_dynamics(model, q, U[k], dU[k], gravity)
-        out[k] = LUMBAR_LOAD_SIGN * tau[idx]
-    return out
+    if kinematics is None:
+        kinematics = TrajectoryKinematics(model, configurations)
+    tau = inverse_dynamics_series(kinematics, U, dU, gravity)
+    return LUMBAR_LOAD_SIGN * tau[:, 6 + lumbar_flexion_index(model)]
 
 
 @dataclass(frozen=True)

@@ -79,8 +79,9 @@ def matrix_to_quat(R: np.ndarray) -> np.ndarray:
     return quat_normalize(q)
 
 
-def axis_angle_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation about a unit axis."""
+def axis_angle_matrix(axis: np.ndarray, angle: float | np.ndarray) -> np.ndarray:
+    """Rodrigues rotation about a unit axis. An array of angles of shape
+    ``(T,)`` gives the matrices stacked on the last axis, ``(3, 3, T)``."""
     x, y, z = axis
     c = np.cos(angle)
     s = np.sin(angle)
@@ -141,11 +142,20 @@ def quat_slerp(qa: np.ndarray, qb: np.ndarray, t: float) -> np.ndarray:
     return quat_normalize((np.sin((1.0 - t) * theta) / s) * qa + (np.sin(t * theta) / s) * qb)
 
 
-def skew(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+def quat_rotvec_between(q_from: np.ndarray, q_to: np.ndarray) -> np.ndarray:
+    """Rotation vectors ``(..., 3)`` of ``q_to * conj(q_from)`` for stacks of
+    quaternions ``(..., 4)``: the world-frame rotation carrying each
+    ``q_from`` onto ``q_to``, the batched form of
+    ``quat_to_rotvec(quat_multiply(q_to, quat_conjugate(q_from)))``."""
+    aw, av = q_from[..., 0], q_from[..., 1:]
+    bw, bv = q_to[..., 0], q_to[..., 1:]
+    w = bw * aw + np.sum(bv * av, axis=-1)
+    v = aw[..., None] * bv - bw[..., None] * av - np.cross(bv, av)
+    # unit norm and w >= 0 in one scale, so the angle lies in [0, pi]
+    norm = np.sqrt(w * w + np.sum(v * v, axis=-1))
+    scale = np.where(w < 0.0, -1.0, 1.0) / norm
+    w, v = w * scale, v * scale[..., None]
+    sin_half = np.sqrt(np.sum(v * v, axis=-1))
+    small = sin_half < 1e-12
+    factor = np.where(small, 2.0, 2.0 * np.arctan2(sin_half, w) / np.where(small, 1.0, sin_half))
+    return v * factor[..., None]

@@ -98,14 +98,33 @@ def _parse_float(text: str, path: str | Path, row: int, column: str) -> float:
         raise ValidationError(f"{path}: row {row}: column {column!r}: not a number: {text!r}") from None
 
 
+def _parse_table(path: str | Path, header: list[str], rows: list[list[str]]) -> np.ndarray:
+    """Cells of a CSV body as floats, one row per record. Every row must have
+    one cell per column and every value must be finite."""
+    data = np.empty((len(rows), len(header)))
+    for k, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValidationError(f"{path}: row {k + 2}: expected {len(header)} cells, got {len(row)}")
+        for j, cell in enumerate(row):
+            data[k, j] = _parse_float(cell, path, k + 2, header[j])
+    finite = np.isfinite(data)
+    if not finite.all():
+        k, j = np.argwhere(~finite)[0]
+        raise ValidationError(
+            f"{path}: row {k + 2}: column {header[j]!r}: non-finite value {rows[k][j]!r}"
+        )
+    return data
+
+
 def parse_motion_file(
     path: str | Path,
     sample_rate: float | None = None,
     aliases: Mapping[str, str] | None = None,
 ) -> CapturedTrajectory:
     """Read a captured trajectory. Non-unit quaternions within 1e-3 of unit
-    norm are renormalized; larger deviations, malformed headers and
-    non-monotone timestamps are rejected with the offending row named.
+    norm are renormalized; larger deviations, non-finite cells, malformed
+    headers and non-monotone timestamps are rejected with the offending row
+    named.
 
     ``aliases`` maps capture-file segment names onto canonical model names.
     ``sample_rate`` overrides the rate inferred from the median frame spacing.
@@ -128,30 +147,21 @@ def parse_motion_file(
     if not rows:
         raise ValidationError(f"{path}: no data rows")
 
+    data = _parse_table(path, header, rows)
     n = len(rows)
-    times = np.empty(n)
-    for k, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValidationError(f"{path}: row {k + 2}: expected {len(header)} cells, got {len(row)}")
-        times[k] = _parse_float(row[0], path, k + 2, "time_s")
-        if k > 0 and times[k] <= times[k - 1]:
-            raise ValidationError(f"{path}: row {k + 2}: timestamps must strictly increase")
+    times = data[:, 0].copy()
+    decreasing = np.nonzero(np.diff(times) <= 0.0)[0]
+    if decreasing.size:
+        raise ValidationError(f"{path}: row {decreasing[0] + 3}: timestamps must strictly increase")
 
     aliases = dict(aliases or {})
     segments: dict[str, SegmentTrack] = {}
     for seg, cols in groups.items():
-        pos = np.empty((n, 3))
-        quat = np.empty((n, 4))
-        for k, row in enumerate(rows):
-            pos[k] = [
-                _parse_float(row[cols[s]], path, k + 2, f"{seg}_{s}") for s in ("px", "py", "pz")
-            ]
-            quat[k] = [
-                _parse_float(row[cols[s]], path, k + 2, f"{seg}_{s}")
-                for s in ("qw", "qx", "qy", "qz")
-            ]
+        pos = data[:, [cols[s] for s in ("px", "py", "pz")]]
+        quat = data[:, [cols[s] for s in ("qw", "qx", "qy", "qz")]]
+        for k in range(n):
             norm = float(np.linalg.norm(quat[k]))
-            if abs(norm - 1.0) > QUAT_FILE_TOL:
+            if not abs(norm - 1.0) <= QUAT_FILE_TOL:
                 raise ValidationError(
                     f"{path}: row {k + 2}: segment {seg!r}: quaternion norm {norm:.6f} "
                     f"deviates from 1 by more than {QUAT_FILE_TOL}"
@@ -225,13 +235,7 @@ def read_signal_csv(path: str | Path) -> tuple[float, dict[str, np.ndarray]]:
         raise ValidationError(f"{path}: first column must be 'time_s'")
     if len(header) < 2:
         raise ValidationError(f"{path}: no signal channels")
-    n = len(rows)
-    data = np.empty((n, len(header)))
-    for k, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValidationError(f"{path}: row {k + 2}: expected {len(header)} cells")
-        for j, cell in enumerate(row):
-            data[k, j] = _parse_float(cell, path, k + 2, header[j])
+    data = _parse_table(path, header, rows)
     rate = _uniform_rate(data[:, 0], path)
     channels = {header[j]: data[:, j].copy() for j in range(1, len(header))}
     return rate, channels
@@ -323,16 +327,12 @@ def read_joint_trajectory(
     )
     if header != expected:
         raise ValidationError(f"{path}: joint trajectory header does not match the model layout")
-    times = np.empty(len(rows))
-    configurations = []
-    for k, row in enumerate(rows):
-        values = [_parse_float(c, path, k + 2, header[j]) for j, c in enumerate(row)]
-        times[k] = values[0]
-        configurations.append(
-            JointConfiguration(
-                base_position=np.array(values[1:4]),
-                base_orientation=np.array(values[4:8]),
-                joint_angles=np.array(values[8:]),
-            )
+    data = _parse_table(path, header, rows)
+    times = data[:, 0].copy()
+    configurations = [
+        JointConfiguration(
+            base_position=values[1:4], base_orientation=values[4:8], joint_angles=values[8:]
         )
+        for values in data
+    ]
     return times, configurations

@@ -33,6 +33,7 @@ from .dynamics import (
     load_exoskeleton_params,
     lumbar_effort_report,
     net_lumbar_series,
+    time_derivative,
 )
 from .errors import ExoloadError, ValidationError
 from .posture import (
@@ -52,7 +53,7 @@ from .retarget import (
     load_solver_settings,
     retarget_trajectory,
 )
-from .skeleton import KinematicState, SkeletonModel, build_model
+from .skeleton import SkeletonModel, TrajectoryKinematics, build_model
 from .surveys import (
     borg_summary,
     construct_scores,
@@ -301,17 +302,6 @@ def _whole_span_annotation(times: np.ndarray) -> TrialAnnotation:
     )
 
 
-def _diff(x: np.ndarray, dt: float) -> np.ndarray:
-    d = np.empty_like(x)
-    if len(x) < 3:
-        d[:] = 0.0 if len(x) < 2 else (x[1] - x[0]) / dt
-        return d
-    d[1:-1] = (x[2:] - x[:-2]) / (2.0 * dt)
-    d[0] = (-3.0 * x[0] + 4.0 * x[1] - x[2]) / (2.0 * dt)
-    d[-1] = (3.0 * x[-1] - 4.0 * x[-2] + x[-3]) / (2.0 * dt)
-    return d
-
-
 def build_session_model(config: SessionConfig, ledger: InputLedger | None = None) -> SkeletonModel:
     if config.coefficient_table_file is not None:
         if ledger is not None:
@@ -383,21 +373,18 @@ def run_motion_analysis(
         result = retarget_trajectory(model, captured, settings=settings)
     dt = 1.0 / captured.sample_rate
     with _stage("dynamics"):
+        kinematics = TrajectoryKinematics(model, result.configurations)
         tau_net = net_lumbar_series(
             model,
             result.configurations,
             dt,
             gravity=config.gravity,
             smooth_cutoff_hz=config.derivative_smoothing_hz,
+            kinematics=kinematics,
         )
     with _stage("back-flexion"):
-        theta = np.array(
-            [
-                thorax_flexion_deg(KinematicState(model, q).segment_pose("thorax").rotation)
-                for q in result.configurations
-            ]
-        )
-        theta_dot = _diff(theta, dt)
+        theta = np.array([thorax_flexion_deg(R) for R in kinematics.segment_rotation("thorax")])
+        theta_dot = time_derivative(theta, dt)
     with _stage("exoskeleton"):
         exo = session_exoskeleton(config, ledger)
         if exo is None:
@@ -537,10 +524,11 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
         with _stage("survey"):
             ledger.record(config.survey.responses_file)
             responses = eio.read_responses_file(config.survey.responses_file)
+            # schemas are frozen, so each questionnaire's is loaded once and shared
+            schemas = {qid: load_schema(qid) for qid in {r.questionnaire_id for r in responses}}
             by_questionnaire: dict[str, list] = {}
             for response in responses:
-                schema = load_schema(response.questionnaire_id)
-                report = validate(schema, response)
+                report = validate(schemas[response.questionnaire_id], response)
                 if not report.ok:
                     raise ValidationError(
                         f"response {response.respondent_id!r} questionnaire "
@@ -549,7 +537,7 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
                 by_questionnaire.setdefault(response.questionnaire_id, []).append(response)
             construct_rows = []
             for qid in sorted(by_questionnaire):
-                schema = load_schema(qid)
+                schema = schemas[qid]
                 if not schema.constructs:
                     continue
                 groups: dict[str, list] = {}
@@ -579,7 +567,7 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
 
             borg_rows = []
             for qid in sorted(by_questionnaire):
-                schema = load_schema(qid)
+                schema = schemas[qid]
                 if not any(i.kind == "borg_cr10" for i in schema.items):
                     continue
                 answered = [

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import InfeasibleBoundsError, SolverError
 
 _STEP_TOL = 1e-12
-_MULTIPLIER_TOL = 1e-10
 
 
 @dataclass
@@ -54,7 +53,11 @@ def solve_ls_qp(
     d: np.ndarray | None = None,
     x0: np.ndarray | None = None,
     max_iterations: int = 200,
+    tolerance: float = 1e-10,
 ) -> QPResult:
+    """Minimize the problem in the module docstring. A bound leaves the
+    working set only when its multiplier has the wrong sign by more than
+    ``tolerance``."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float)
     n = A.shape[1]
@@ -136,7 +139,7 @@ def solve_ls_qp(
             nu = np.zeros(0)
         resid = grad + (C.T @ nu if C.shape[0] else 0.0)
         release = None
-        worst = _MULTIPLIER_TOL
+        worst = tolerance
         for i in sorted(active_lo):
             # at a lower bound, a negative residual means the objective
             # improves by moving into the interior

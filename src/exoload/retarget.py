@@ -46,7 +46,7 @@ class SolverSettings:
     gain: float = DEFAULT_GAIN
     velocity_bound: float = 10.0  # rad/s and m/s, symmetric
     max_iterations: int = 200
-    tolerance: float = 1e-10
+    tolerance: float = 1e-10  # QP multiplier tolerance for releasing a bound
 
 
 def load_solver_settings(path: str | Path) -> SolverSettings:
@@ -283,22 +283,13 @@ def solve_frame(
         raise ValidationError("task stack has no level-1 tasks")
     J1 = np.vstack([J for J, _ in blocks[1]])
     v1 = np.concatenate([v for _, v in blocks[1]])
-    r1 = solve_ls_qp(J1, v1, settings.epsilon, lb, ub, max_iterations=settings.max_iterations)
+    options = {"max_iterations": settings.max_iterations, "tolerance": settings.tolerance}
+    r1 = solve_ls_qp(J1, v1, settings.epsilon, lb, ub, **options)
 
     if blocks[2]:
         J2 = np.vstack([J for J, _ in blocks[2]])
         v2 = np.concatenate([v for _, v in blocks[2]])
-        r2 = solve_ls_qp(
-            J2,
-            v2,
-            settings.epsilon,
-            lb,
-            ub,
-            C=J1,
-            d=J1 @ r1.x,
-            x0=r1.x,
-            max_iterations=settings.max_iterations,
-        )
+        r2 = solve_ls_qp(J2, v2, settings.epsilon, lb, ub, C=J1, d=J1 @ r1.x, x0=r1.x, **options)
         qdot = r2.x
         iterations = r1.iterations + r2.iterations
         saturated = sorted(set(r1.saturated) | set(r2.saturated))

@@ -24,7 +24,7 @@ construct single-hinge reductions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -106,7 +106,7 @@ class JointConfiguration:
         object.__setattr__(self, "base_orientation", np.asarray(self.base_orientation, dtype=float))
         object.__setattr__(self, "joint_angles", np.asarray(self.joint_angles, dtype=float))
         norm = float(np.linalg.norm(self.base_orientation))
-        if abs(norm - 1.0) > QUAT_NORM_TOL:
+        if not abs(norm - 1.0) <= QUAT_NORM_TOL:
             raise ValidationError(f"base orientation quaternion norm {norm!r} is not 1")
 
 
@@ -368,6 +368,52 @@ class KinematicState:
                 [self._point_jacobian_linear(pose.position, link), self._angular_jacobian(link)]
             )
         raise ValidationError(f"unknown task kind {task_kind!r}")
+
+
+class TrajectoryKinematics:
+    """World link frames of every configuration of a trajectory, from one
+    sweep over the links: ``link_rotation`` is (n_links, T, 3, 3),
+    ``link_position`` and ``axis_world`` are (n_links, T, 3), the base arrays
+    (T, 3[, 3]). Frame k equals ``KinematicState(model, configurations[k])``
+    bit for bit, since every product is the same matmul on the same operands.
+
+    Holds per-evaluation data only; the model stays immutable and shared."""
+
+    def __init__(self, model: SkeletonModel, configurations: Sequence[JointConfiguration]):
+        self.model = model
+        n = model.n_joint_dofs
+        if not configurations:
+            raise ValidationError("trajectory has no frames")
+        for k, q in enumerate(configurations):
+            if np.shape(q.joint_angles) != (n,):
+                raise ValidationError(
+                    f"frame {k}: expected {n} joint angles, got {np.shape(q.joint_angles)}"
+                )
+        angles = np.array([q.joint_angles for q in configurations], dtype=float)
+        self.n_frames = T = len(configurations)
+        self.base_position = np.array([q.base_position for q in configurations], dtype=float)
+        self.base_rotation = np.array([quat_to_matrix(q.base_orientation) for q in configurations])
+
+        self.link_rotation = np.zeros((n, T, 3, 3))
+        self.link_position = np.zeros((n, T, 3))
+        self.axis_world = np.zeros((n, T, 3))
+        for i in range(n):
+            p = model._dof_parent[i]
+            if p < 0:
+                R_p, x_p = self.base_rotation, self.base_position
+            else:
+                R_p, x_p = self.link_rotation[p], self.link_position[p]
+            self.link_position[i] = x_p + R_p @ model._dof_offset[i]
+            self.axis_world[i] = R_p @ model._dof_axis[i]
+            # (3, 3, T) -> contiguous (T, 3, 3), so matmul takes the same
+            # per-matrix BLAS path as the single-frame product
+            joint = np.moveaxis(axis_angle_matrix(model._dof_axis[i], angles[:, i]), -1, 0)
+            self.link_rotation[i] = R_p @ np.ascontiguousarray(joint)
+
+    def segment_rotation(self, name: str) -> np.ndarray:
+        """World-from-segment rotations of one segment, (T, 3, 3)."""
+        d = self.model._segment_dof[name]
+        return self.base_rotation if d < 0 else self.link_rotation[d]
 
 
 def forward_kinematics(

@@ -10,7 +10,9 @@ import numpy as np
 
 from exoload import io as eio
 from exoload.anthropometry import AnthropometricProfile
-from exoload.geometry import IDENTITY_QUAT
+from exoload.dynamics import GRAVITY_DEFAULT
+from exoload.errors import ValidationError
+from exoload.geometry import IDENTITY_QUAT, rotvec_to_quat
 from exoload.posture import AnnotationSegment, TrialAnnotation
 from exoload.retarget import CapturedTrajectory, SegmentTrack
 from exoload.skeleton import JointConfiguration, KinematicState, SkeletonModel, build_model
@@ -118,6 +120,21 @@ def sinusoid_trajectory(
     return out
 
 
+def moving_base_trajectory(
+    model: SkeletonModel, duration_s: float, sample_rate: float = 240.0
+) -> list[JointConfiguration]:
+    """The sinusoid trajectory on a base that translates, yaws and tilts, so
+    every base term of the dynamics is non-zero."""
+    out = []
+    for k, q in enumerate(sinusoid_trajectory(model, duration_s, sample_rate)):
+        t = k / sample_rate
+        shift = np.array([0.05 * np.sin(1.1 * t), 0.03 * t, 0.02 * np.sin(2.3 * t)])
+        tilt = np.array([0.15 * np.sin(0.9 * t), 0.1 * np.sin(1.7 * t), 0.4 * t])
+        base_orientation = rotvec_to_quat(tilt)
+        out.append(JointConfiguration(q.base_position + shift, base_orientation, q.joint_angles))
+    return out
+
+
 def bent_configuration(model: SkeletonModel) -> JointConfiguration:
     """Static flat-back 40 degree forward bend with arms raised straight
     forward (horizontal) and the gaze dropped, as held over a bed edge."""
@@ -182,3 +199,106 @@ def synthetic_ecg(
 
 def tracked_dof_indices(model: SkeletonModel) -> list[int]:
     return [i for i, name in enumerate(model.dof_names) if name not in UNTRACKED_DOFS]
+
+
+def reference_inverse_dynamics(
+    model: SkeletonModel,
+    q: JointConfiguration,
+    qd: np.ndarray,
+    qdd: np.ndarray,
+    gravity: float | np.ndarray = GRAVITY_DEFAULT,
+) -> np.ndarray:
+    """Generalized forces of the free-floating model via a recursive
+    Newton-Euler sweep in world coordinates, one frame at a time on single
+    3-vectors: the per-frame oracle for ``dynamics.inverse_dynamics_series``.
+
+    ``qd``/``qdd`` follow the 49-coordinate velocity layout. The first six
+    outputs are the base wrench (world force, world torque about the base
+    origin); the remainder are joint actuation torques, one per DoF.
+    """
+    qd = np.asarray(qd, dtype=float)
+    qdd = np.asarray(qdd, dtype=float)
+    nv = model.n_velocity
+    if qd.shape != (nv,) or qdd.shape != (nv,):
+        raise ValidationError(f"expected velocity/acceleration of shape ({nv},)")
+    if np.isscalar(gravity):
+        g_vec = np.array([0.0, 0.0, -float(gravity)])
+    else:
+        g_vec = np.asarray(gravity, dtype=float)
+
+    state = KinematicState(model, q)
+    n = model.n_joint_dofs
+    parent = model._dof_parent
+
+    # forward sweep: world kinematics of every link origin; the base linear
+    # acceleration is offset by -g so gravity rides through the recursion
+    w = np.zeros((n, 3))
+    al = np.zeros((n, 3))
+    acc = np.zeros((n, 3))
+    w0, a0 = qd[3:6], qdd[3:6]
+    acc0 = qdd[0:3] - g_vec
+
+    axes = state.axis_world
+    for i in range(n):
+        p = parent[i]
+        if p < 0:
+            wp, alp, accp, xp = w0, a0, acc0, state.base_position
+        else:
+            wp, alp, accp, xp = w[p], al[p], acc[p], state.link_position[p]
+        r = state.link_position[i] - xp
+        s = axes[i]
+        w[i] = wp + s * qd[6 + i]
+        al[i] = alp + s * qdd[6 + i] + np.cross(wp, s * qd[6 + i])
+        acc[i] = accp + np.cross(alp, r) + np.cross(wp, np.cross(wp, r))
+
+    # per-link inertial wrench about the link origin
+    f_acc = np.zeros((n, 3))
+    n_acc = np.zeros((n, 3))
+    f_base = np.zeros(3)
+    n_base = np.zeros(3)
+
+    def body_wrench(seg_index: int, link: int) -> None:
+        seg = model.segments[seg_index]
+        if seg.mass == 0.0:
+            return
+        if link < 0:
+            R, x = state.base_rotation, state.base_position
+            wi, ali, acci = w0, a0, acc0
+        else:
+            R, x = state.link_rotation[link], state.link_position[link]
+            wi, ali, acci = w[link], al[link], acc[link]
+        rc = R @ seg.com_offset
+        a_com = acci + np.cross(ali, rc) + np.cross(wi, np.cross(wi, rc))
+        F = seg.mass * a_com
+        I_w = R @ seg.inertia @ R.T
+        N = I_w @ ali + np.cross(wi, I_w @ wi)
+        if link < 0:
+            nonlocal f_base, n_base
+            f_base = f_base + F
+            n_base = n_base + N + np.cross(rc, F)
+        else:
+            f_acc[link] += F
+            n_acc[link] += N + np.cross(rc, F)
+
+    base_index = model.segment_index[model.base_segment]
+    body_wrench(base_index, -1)
+    for i in range(n):
+        seg_index = model._dof_segment[i]
+        if seg_index >= 0:
+            body_wrench(seg_index, i)
+
+    tau = np.zeros(nv)
+    for i in range(n - 1, -1, -1):
+        tau[6 + i] = float(axes[i] @ n_acc[i])
+        p = parent[i]
+        if p < 0:
+            r = state.link_position[i] - state.base_position
+            f_base = f_base + f_acc[i]
+            n_base = n_base + n_acc[i] + np.cross(r, f_acc[i])
+        else:
+            r = state.link_position[i] - state.link_position[p]
+            f_acc[p] += f_acc[i]
+            n_acc[p] += n_acc[i] + np.cross(r, f_acc[i])
+    tau[0:3] = f_base
+    tau[3:6] = n_base
+    return tau

@@ -156,6 +156,43 @@ def test_joint_trajectory_round_trip(tmp_path):
     assert np.array_equal(configurations[0].joint_angles, q.joint_angles)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_motion_non_finite_cell_names_row_and_column(tmp_path, cell):
+    header, rows = minimal_motion_rows(3)
+    rows[1][5] = cell  # pelvis_qx
+    path = tmp_path / "m.csv"
+    write_rows(path, header, rows)
+    with pytest.raises(ValidationError, match=r"m\.csv: row 3: column 'pelvis_qx': non-finite"):
+        eio.parse_motion_file(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "-inf"])
+def test_signal_non_finite_cell_names_row_and_column(tmp_path, cell):
+    rows = [[k / 1000.0, 1.0, 2.0] for k in range(4)]
+    rows[2][2] = cell
+    path = tmp_path / "emg.csv"
+    write_rows(path, ["time_s", "ESL_L", "ESL_R"], rows)
+    with pytest.raises(ValidationError, match=r"emg\.csv: row 4: column 'ESL_R': non-finite"):
+        eio.read_signal_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_joint_trajectory_non_finite_cell_names_row_and_column(tmp_path, cell):
+    model = default_model()
+    path = tmp_path / "joints.csv"
+    upright = model.upright_configuration()
+    eio.write_joint_trajectory(path, model, np.arange(3) / 240.0, [upright] * 3)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cells = lines[2].split(",")
+    cells[9] = cell  # the second joint angle
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    column = model.dof_names[1]
+    message = rf"joints\.csv: row 3: column '{column}': non-finite"
+    with pytest.raises(ValidationError, match=message):
+        eio.read_joint_trajectory(path, model)
+
+
 def test_float_round_trip_formatting(tmp_path):
     path = tmp_path / "x.csv"
     value = 0.1 + 0.2  # 0.30000000000000004

@@ -121,6 +121,20 @@ def test_pipeline_rerun_is_byte_identical(tmp_path):
         assert path.read_bytes() == snapshot[key], f"{key} differs between reruns"
 
 
+def test_back_flexion_equals_per_frame_thorax_angles(tmp_path):
+    from exoload.pipeline import run_motion_analysis
+    from exoload.posture import thorax_flexion_deg
+    from exoload.skeleton import KinematicState
+
+    config_path = write_bend_session(tmp_path, duration_s=0.5)
+    model, motion = run_motion_analysis(load_config(config_path))
+    expected = [
+        thorax_flexion_deg(KinematicState(model, q).segment_pose("thorax").rotation)
+        for q in motion.retarget.configurations
+    ]
+    assert np.array_equal(motion.torque.theta_deg, expected)
+
+
 def test_biosignal_and_survey_branches(tmp_path):
     fs_emg = 4370.0
     write_emg_csv(tmp_path / "baseline.csv", fs_emg, 1.5, {"ESL_L": 50.0, "ESL_R": 50.0, "TA": 30.0})
@@ -217,6 +231,19 @@ def test_cli_pipeline_and_exit_codes(tmp_path, capsys):
     }
     (tmp_path / "ecg_config.json").write_text(json.dumps(config))
     assert cli.main(["ecg", "--config", str(tmp_path / "ecg_config.json")]) == 3
+
+
+def test_cli_non_finite_motion_cell_exits_2_naming_the_file(tmp_path, capsys):
+    config_path = write_bend_session(tmp_path, duration_s=0.5, with_annotation=False)
+    motion = tmp_path / "motion.csv"
+    lines = motion.read_text(encoding="utf-8").splitlines()
+    cells = lines[5].split(",")
+    cells[1] = "nan"
+    lines[5] = ",".join(cells)
+    motion.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli.main(["pipeline", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "motion.csv: row 6" in err and "non-finite" in err
 
 
 def test_cli_stage_commands(tmp_path, capsys):

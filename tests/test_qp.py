@@ -94,3 +94,17 @@ def test_deterministic_bit_identical():
     r2 = solve_ls_qp(A.copy(), b.copy(), 1e-6, lb.copy(), ub.copy())
     assert np.array_equal(r1.x, r2.x)
     assert r1.iterations == r2.iterations
+
+
+def test_tolerance_sets_when_a_bound_is_released():
+    # coordinate 2 reaches its lower bound on the way to the optimum, then
+    # wants back into the interior with a multiplier of about 0.05-0.1
+    A = np.array([[1.1, 0.3, -0.5], [-1.3, -1.9, 0.0], [-0.8, -0.9, -0.2]])
+    b = np.array([-0.2, -6.8, 2.8])
+    lb, ub = -np.ones(3), np.ones(3)
+    default = solve_ls_qp(A, b, 1e-6, lb, ub)
+    loose = solve_ls_qp(A, b, 1e-6, lb, ub, tolerance=0.1)
+    assert default.active_lower == [] and default.active_upper == [1]
+    assert loose.active_lower == [2] and loose.active_upper == [1]
+    assert loose.x[2] == -1.0 < default.x[2]
+    assert objective(A, b, 1e-6, default.x) < objective(A, b, 1e-6, loose.x)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from helpers import moving_base_trajectory
+
 from exoload.anthropometry import AnthropometricProfile
 from exoload.errors import ValidationError
 from exoload.geometry import matrix_to_rotvec, quat_normalize, rotvec_to_quat
 from exoload.skeleton import (
     JointConfiguration,
     KinematicState,
+    TrajectoryKinematics,
     build_model,
     forward_kinematics,
     integrate_configuration,
@@ -238,6 +241,23 @@ def test_unknown_frame_rejected(model):
 def test_quaternion_norm_validation(model):
     with pytest.raises(ValidationError, match="quaternion norm"):
         JointConfiguration(np.zeros(3), np.array([1.0, 0.0, 0.0, 1e-3]), np.zeros(43))
+    with pytest.raises(ValidationError, match="quaternion norm"):
+        JointConfiguration(np.zeros(3), np.array([1.0, np.nan, 0.0, 0.0]), np.zeros(43))
+
+
+def test_trajectory_kinematics_equal_kinematic_state_bit_for_bit(model):
+    configurations = moving_base_trajectory(model, 1.0)
+    kinematics = TrajectoryKinematics(model, configurations)
+    assert kinematics.link_rotation.shape == (model.n_joint_dofs, 240, 3, 3)
+    for k, q in enumerate(configurations):
+        state = KinematicState(model, q)
+        assert np.array_equal(kinematics.base_rotation[k], state.base_rotation)
+        assert np.array_equal(kinematics.link_rotation[:, k], state.link_rotation)
+        assert np.array_equal(kinematics.link_position[:, k], state.link_position)
+        assert np.array_equal(kinematics.axis_world[:, k], state.axis_world)
+        assert np.array_equal(
+            kinematics.segment_rotation("thorax")[k], state.segment_pose("thorax").rotation
+        )
 
 
 def test_limit_flags_warn_not_fail(model):
