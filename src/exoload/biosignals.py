@@ -2,9 +2,10 @@
 statistics.
 
 EMG pipeline: rectify, moving RMS over a 100 ms centered window, then a causal
-4th-order Butterworth low-pass at 10 Hz (bilinear transform with cutoff
-prewarping, as scipy's ``butter`` implements). RMS statistics downstream
-exclude the first 0.5 s of settling.
+4th-order Butterworth low-pass at 10 Hz, designed by the bilinear transform
+with cutoff prewarping and run as a cascade of two second-order sections
+(:mod:`exoload.filters`). RMS statistics downstream exclude the first 0.5 s of
+settling.
 
 The heart-rate path uses an integration-and-adaptive-threshold R-peak detector
 (band-pass, derivative, squaring, moving integration, adaptive threshold with
@@ -17,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, lfilter, sosfilt
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_finite
+from .filters import butter_sos, sosfilt
 
 MUSCLE_CODES = ("ESL", "ESI", "TA", "BF", "RA", "RF", "GM", "TAL")
 
@@ -53,8 +54,9 @@ class EmgRecord:
         lengths = {len(v) for v in self.channels.values()}
         if len(lengths) > 1:
             raise ValidationError("EMG channels must have equal length")
-        for name in self.channels:
+        for name, samples in self.channels.items():
             validate_channel_code(name)
+            require_finite(samples, f"EMG channel {name!r}")
 
 
 @dataclass
@@ -65,6 +67,7 @@ class EcgRecord:
     def __post_init__(self) -> None:
         if self.sample_rate < 250.0:
             raise ValidationError("ECG sample rate must be at least 250 Hz")
+        require_finite(self.samples, "ECG samples")
 
 
 @dataclass
@@ -105,8 +108,7 @@ def emg_envelope(raw: np.ndarray, fs: float) -> np.ndarray:
             f"RMS window of {window} samples does not fit a signal of {raw.size} samples"
         )
     rms = np.sqrt(moving_mean_centered(raw * raw, window))
-    num, den = butter(EMG_LOWPASS_ORDER, EMG_LOWPASS_HZ, fs=fs)
-    return np.maximum(lfilter(num, den, rms), 0.0)
+    return np.maximum(sosfilt(butter_sos(EMG_LOWPASS_ORDER, EMG_LOWPASS_HZ, fs), rms), 0.0)
 
 
 def signal_rms(x: np.ndarray) -> float:
@@ -137,8 +139,7 @@ def detect_r_peaks(ecg: np.ndarray, fs: float) -> np.ndarray:
     if ecg.size / fs < 5.0:
         raise ValidationError("R-peak detection needs at least 5 s of signal")
 
-    sos = butter(2, ECG_BAND_HZ, btype="bandpass", fs=fs, output="sos")
-    band = sosfilt(sos, ecg - np.mean(ecg))
+    band = sosfilt(butter_sos(2, ECG_BAND_HZ, fs, "bandpass"), ecg - np.mean(ecg))
     deriv = np.gradient(band)
     squared = deriv * deriv
     window = max(1, int(round(ECG_INTEGRATION_S * fs)))

@@ -17,6 +17,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import io as eio
 from .errors import ExoloadError, NumericalError, ValidationError
 from .pipeline import (
@@ -210,6 +212,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        # a numerical failure no stage turned into a NumericalError
+        print(f"error: {args.command}: numerical failure: {exc!r}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ExoloadError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import butter, filtfilt
 
 from .errors import ValidationError
+from .filters import butter_sos, sosfiltfilt
 from .geometry import quat_rotvec_between
 from .skeleton import (
     JointConfiguration,
@@ -196,10 +196,10 @@ def estimate_derivatives(
         fs = 1.0 / dt
         if smooth_cutoff_hz <= 0.0 or smooth_cutoff_hz >= fs / 2.0:
             raise ValidationError("smoothing cutoff must lie in (0, fs/2)")
-        num, den = butter(2, smooth_cutoff_hz, fs=fs)
-        pad = min(3 * max(len(num), len(den)), n - 1)
-        P = filtfilt(num, den, P, axis=0, padlen=pad)
-        A = filtfilt(num, den, A, axis=0, padlen=pad)
+        sos = butter_sos(2, smooth_cutoff_hz, fs)
+        pad = min(9, n - 1)  # filtfilt's default, 3 * max(len(b), len(a)), for one biquad
+        P = sosfiltfilt(sos, P, pad)
+        A = sosfiltfilt(sos, A, pad)
 
     nv = 6 + A.shape[1]
     U = np.zeros((n, nv))

@@ -100,13 +100,21 @@ def _parse_float(text: str, path: str | Path, row: int, column: str) -> float:
 
 def _parse_table(path: str | Path, header: list[str], rows: list[list[str]]) -> np.ndarray:
     """Cells of a CSV body as floats, one row per record. Every row must have
-    one cell per column and every value must be finite."""
-    data = np.empty((len(rows), len(header)))
+    one cell per column and every value must be finite. The body converts in
+    one call, which accepts what ``float`` accepts; cell by cell runs only to
+    name the first cell that does not convert."""
     for k, row in enumerate(rows):
         if len(row) != len(header):
             raise ValidationError(f"{path}: row {k + 2}: expected {len(header)} cells, got {len(row)}")
-        for j, cell in enumerate(row):
-            data[k, j] = _parse_float(cell, path, k + 2, header[j])
+    try:
+        data = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    except ValueError:
+        data = np.array(
+            [
+                [_parse_float(cell, path, k + 2, header[j]) for j, cell in enumerate(row)]
+                for k, row in enumerate(rows)
+            ]
+        )
     finite = np.isfinite(data)
     if not finite.all():
         k, j = np.argwhere(~finite)[0]

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InfeasibleBoundsError, SolverError, ValidationError
+from .errors import InfeasibleBoundsError, SolverError, ValidationError, require_finite
 from .geometry import (
     orientation_error,
     quat_conjugate,
@@ -126,6 +126,7 @@ class CapturedTrajectory:
             raise ValidationError("trajectory has no frames")
         if self.sample_rate <= 0.0:
             raise ValidationError("sample rate must be positive")
+        require_finite(self.times, "trajectory timestamps")
         dt = np.diff(self.times)
         if np.any(dt <= 0.0):
             row = int(np.nonzero(dt <= 0.0)[0][0]) + 1
@@ -140,6 +141,8 @@ class CapturedTrajectory:
         for name, track in self.segments.items():
             if track.positions.shape != (n, 3) or track.quaternions.shape != (n, 4):
                 raise ValidationError(f"segment {name!r}: track shape mismatch")
+            require_finite(track.positions, f"segment {name!r}: positions")
+            require_finite(track.quaternions, f"segment {name!r}: quaternions")
             norms = np.linalg.norm(track.quaternions, axis=1)
             if np.max(np.abs(norms - 1.0)) > QUAT_TRACK_TOL:
                 raise ValidationError(f"segment {name!r}: non-unit quaternion in track")

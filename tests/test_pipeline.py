@@ -246,6 +246,17 @@ def test_cli_non_finite_motion_cell_exits_2_naming_the_file(tmp_path, capsys):
     assert "motion.csv: row 6" in err and "non-finite" in err
 
 
+def test_cli_stray_linalg_error_exits_3_naming_the_subcommand(tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr("exoload.retarget.solve_ls_qp", singular)
+    config_path = write_bend_session(tmp_path, duration_s=0.5, with_annotation=False)
+    assert cli.main(["retarget", "--config", str(config_path)]) == 3
+    err = capsys.readouterr().err
+    assert "retarget" in err and "SVD did not converge" in err
+
+
 def test_cli_stage_commands(tmp_path, capsys):
     config_path = write_bend_session(tmp_path, duration_s=0.5)
     assert cli.main(["retarget", "--config", str(config_path)]) == 0

@@ -192,6 +192,26 @@ def test_trajectory_invariants():
         CapturedTrajectory(240.0, good.times, {"pelvis": SegmentTrack(track.positions, bad_quat)})
 
 
+@pytest.mark.parametrize(
+    "field, where",
+    [
+        ("times", "trajectory timestamps"),
+        ("positions", "segment 'pelvis': positions"),
+        ("quaternions", "segment 'pelvis': quaternions"),
+    ],
+)
+def test_trajectory_rejects_non_finite_values(field, where):
+    model = default_model()
+    good = capture_from_configurations(model, [model.upright_configuration()] * 5, 240.0)
+    track = good.segments["pelvis"]
+    arrays = {"times": good.times, "positions": track.positions, "quaternions": track.quaternions}
+    arrays = {name: a.copy() for name, a in arrays.items()}
+    arrays[field][3] = np.nan
+    tracks = {"pelvis": SegmentTrack(arrays["positions"], arrays["quaternions"])}
+    with pytest.raises(ValidationError, match=f"{where}: non-finite value at index 3"):
+        CapturedTrajectory(240.0, arrays["times"], tracks)
+
+
 def test_resample_uniform_interpolates():
     model = default_model()
     q0 = model.upright_configuration()
