@@ -68,10 +68,11 @@ class AnthropometricProfile:
     coefficient_table_id: str = DEFAULT_TABLE_ID
 
     def __post_init__(self) -> None:
-        if self.height_m <= 0.0:
-            raise ValidationError(f"height must be positive, got {self.height_m}")
-        if self.mass_kg <= 0.0:
-            raise ValidationError(f"mass must be positive, got {self.mass_kg}")
+        # written so that NaN fails too
+        if not 0.0 < self.height_m < float("inf"):
+            raise ValidationError(f"height must be positive and finite, got {self.height_m}")
+        if not 0.0 < self.mass_kg < float("inf"):
+            raise ValidationError(f"mass must be positive and finite, got {self.mass_kg}")
 
 
 def parse_table(payload: dict) -> CoefficientTable:

@@ -84,13 +84,22 @@ class HeartRateSeries:
 
 
 def moving_mean_centered(x: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving mean with partial windows at the edges."""
+    """Centered moving mean with partial windows at the edges. Sample i
+    averages ``x[i - (window - 1) // 2 : i + window // 2 + 1]``, clipped to
+    the signal."""
     n = len(x)
+    before, after = (window - 1) // 2, window // 2
     csum = np.concatenate(([0.0], np.cumsum(x)))
-    idx = np.arange(n)
-    left = np.clip(idx - (window - 1) // 2, 0, n)
-    right = np.clip(idx + window // 2 + 1, 0, n)
-    return (csum[right] - csum[left]) / (right - left)
+    out = np.empty(n)
+    # full windows from slices of the cumulative sum
+    full = max(n + 1 - window, 0)
+    out[before : before + full] = (csum[window : window + full] - csum[:full]) / window
+    # partial windows at the two edges
+    edges = np.r_[0 : min(before, n), before + full : n]
+    left = np.maximum(edges - before, 0)
+    right = np.minimum(edges + after + 1, n)
+    out[edges] = (csum[right] - csum[left]) / (right - left)
+    return out
 
 
 def emg_envelope(raw: np.ndarray, fs: float) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .filters import butter_sos, sosfiltfilt
-from .geometry import quat_rotvec_between
+from .geometry import cross, quat_rotvec_between
 from .skeleton import (
     JointConfiguration,
     SkeletonModel,
@@ -36,16 +36,6 @@ GRAVITY_DEFAULT = 9.81  # m/s^2, downward
 # Reported lumbar load is the gravity/dynamics-countering demand, positive in
 # flexion; the raw actuation torque at the lumbar flexion DoF is its negative.
 LUMBAR_LOAD_SIGN = -1.0
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.cross`` of (..., 3) arrays without its axis handling, which
-    dominates at the small sizes of the sweep."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    return out
 
 
 def inverse_dynamics(
@@ -116,17 +106,17 @@ def inverse_dynamics_series(
         s = axes[i]
         s_rate = s * qd[:, 6 + i, None]
         w[i] = wp + s_rate
-        al[i] = alp + s * qdd[:, 6 + i, None] + _cross(wp, s_rate)
-        acc[i] = accp + _cross(alp, r) + _cross(wp, _cross(wp, r))
+        al[i] = alp + s * qdd[:, 6 + i, None] + cross(wp, s_rate)
+        acc[i] = accp + cross(alp, r) + cross(wp, cross(wp, r))
 
     def body_wrench(seg, R, wi, ali, acci):
         """Inertial force and moment about the link origin of one segment."""
         rc = R @ seg.com_offset
-        a_com = acci + _cross(ali, rc) + _cross(wi, _cross(wi, rc))
+        a_com = acci + cross(ali, rc) + cross(wi, cross(wi, rc))
         F = seg.mass * a_com
         I_w = R @ seg.inertia @ R.transpose(0, 2, 1)
-        N = (I_w @ ali[..., None])[..., 0] + _cross(wi, (I_w @ wi[..., None])[..., 0])
-        return F, N + _cross(rc, F)
+        N = (I_w @ ali[..., None])[..., 0] + cross(wi, (I_w @ wi[..., None])[..., 0])
+        return F, N + cross(rc, F)
 
     f = np.zeros((n, T, 3))
     m = np.zeros((n, T, 3))
@@ -149,10 +139,10 @@ def inverse_dynamics_series(
         p = parent[i]
         if p < 0:
             f_base = f_base + f[i]
-            m_base = m_base + m[i] + _cross(position[i] - x0, f[i])
+            m_base = m_base + m[i] + cross(position[i] - x0, f[i])
         else:
             f[p] += f[i]
-            m[p] += m[i] + _cross(position[i] - position[p], f[i])
+            m[p] += m[i] + cross(position[i] - position[p], f[i])
     tau[:, 0:3] = f_base
     tau[:, 3:6] = m_base
     return tau

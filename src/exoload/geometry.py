@@ -15,6 +15,16 @@ import numpy as np
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 
 
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of (..., 3) arrays without its axis handling, which
+    dominates at the small sizes of the kinematics and dynamics sweeps."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
+
+
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     n = float(np.linalg.norm(q))
     if n == 0.0:
@@ -35,19 +45,22 @@ def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = quat_normalize(q)
-    return np.array(
+    """Rotation matrix of a quaternion ``(4,)``, or the ``(T, 3, 3)`` stack
+    of a ``(T, 4)`` stack; each quaternion is normalized first."""
+    q = np.asarray(q, dtype=float)
+    norm = np.linalg.norm(q, axis=-1, keepdims=True)
+    if not norm.all():
+        raise ValueError("cannot normalize zero quaternion")
+    w, x, y, z = (q / norm).T
+    R = np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
             [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
+    return R if R.ndim == 2 else np.ascontiguousarray(R.transpose(2, 0, 1))
 
 
 def matrix_to_quat(R: np.ndarray) -> np.ndarray:
@@ -145,12 +158,11 @@ def quat_slerp(qa: np.ndarray, qb: np.ndarray, t: float) -> np.ndarray:
 def quat_rotvec_between(q_from: np.ndarray, q_to: np.ndarray) -> np.ndarray:
     """Rotation vectors ``(..., 3)`` of ``q_to * conj(q_from)`` for stacks of
     quaternions ``(..., 4)``: the world-frame rotation carrying each
-    ``q_from`` onto ``q_to``, the batched form of
-    ``quat_to_rotvec(quat_multiply(q_to, quat_conjugate(q_from)))``."""
+    ``q_from`` onto ``q_to``, with the angle in [0, pi]."""
     aw, av = q_from[..., 0], q_from[..., 1:]
     bw, bv = q_to[..., 0], q_to[..., 1:]
     w = bw * aw + np.sum(bv * av, axis=-1)
-    v = aw[..., None] * bv - bw[..., None] * av - np.cross(bv, av)
+    v = aw[..., None] * bv - bw[..., None] * av - cross(bv, av)
     # unit norm and w >= 0 in one scale, so the angle lies in [0, pi]
     norm = np.sqrt(w * w + np.sum(v * v, axis=-1))
     scale = np.where(w < 0.0, -1.0, 1.0) / norm

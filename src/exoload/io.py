@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -30,14 +31,19 @@ QUAT_FILE_TOL = 1e-3
 POSE_SUFFIXES = ("px", "py", "pz", "qw", "qx", "qy", "qz")
 
 
+@contextmanager
 def open_input(path: str | Path, mode: str = "r"):
-    """Open a user-supplied input, turning OS errors into validation errors."""
+    """Open a user-supplied input, turning OS errors, and text that is not
+    UTF-8, into validation errors."""
     try:
-        if "b" in mode:
-            return open(path, mode)
-        return open(path, mode, encoding="utf-8", newline="")
+        fh = open(path, mode) if "b" in mode else open(path, mode, encoding="utf-8", newline="")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def load_json_file(path: str | Path) -> object:

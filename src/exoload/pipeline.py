@@ -11,6 +11,7 @@ the manifest), stable orderings throughout.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 import numpy as np
@@ -130,6 +131,13 @@ def _resolve(base: Path, value: str | None) -> Path | None:
     return path if path.is_absolute() else (base / path)
 
 
+def _object(value: object, name: str) -> dict:
+    """``value`` itself if it is a JSON object, else a ``TypeError``."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} must be an object, got {type(value).__name__}")
+    return value
+
+
 def load_config(path: str | Path) -> SessionConfig:
     path = Path(path)
     try:
@@ -137,11 +145,12 @@ def load_config(path: str | Path) -> SessionConfig:
             payload = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     base = path.parent
     try:
-        prof = payload["profile"]
+        payload = _object(payload, "the config")
+        prof = _object(payload["profile"], "profile")
         profile = AnthropometricProfile(
             height_m=float(prof["height_m"]),
             mass_kg=float(prof["mass_kg"]),
@@ -149,23 +158,25 @@ def load_config(path: str | Path) -> SessionConfig:
         )
         emg = None
         if payload.get("emg") is not None:
-            raw = payload["emg"]
+            raw = _object(payload["emg"], "emg")
             emg = EmgConfig(
                 baseline_file=_resolve(base, raw["baseline_file"]),
-                trial_files={k: _resolve(base, v) for k, v in raw["trial_files"].items()},
+                trial_files={
+                    k: _resolve(base, v) for k, v in _object(raw["trial_files"], "trial_files").items()
+                },
                 sample_rate=raw.get("sample_rate"),
             )
         ecg = None
         if payload.get("ecg") is not None:
-            raw = payload["ecg"]
+            raw = _object(payload["ecg"], "ecg")
             ecg = EcgConfig(
-                files={k: _resolve(base, v) for k, v in raw["files"].items()},
+                files={k: _resolve(base, v) for k, v in _object(raw["files"], "files").items()},
                 channel=raw.get("channel"),
             )
         survey = None
         if payload.get("survey") is not None:
             survey = SurveyConfig(
-                responses_file=_resolve(base, payload["survey"]["responses_file"])
+                responses_file=_resolve(base, _object(payload["survey"], "survey")["responses_file"])
             )
         return SessionConfig(
             profile=profile,
@@ -185,7 +196,7 @@ def load_config(path: str | Path) -> SessionConfig:
             seed=int(payload.get("seed", 0)),
             config_path=path,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: malformed session config: {exc}") from exc
 
 
@@ -275,19 +286,13 @@ def emit_boxplot_data(
     return out
 
 
+@contextmanager
 def _stage(name: str):
     """Re-raise package errors with the pipeline stage named."""
-
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, ExoloadError):
-                raise type(exc)(f"stage {name}: {exc}") from exc
-            return False
-
-    return _Ctx()
+    try:
+        yield
+    except ExoloadError as exc:
+        raise type(exc)(f"stage {name}: {exc}") from exc
 
 
 def _summary_row(trial: str, label: str, channel: str, s: DistributionSummary) -> list:

@@ -36,8 +36,6 @@ class QPResult:
 
 
 def _null_space(C: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
-    if C.shape[0] == 0:
-        return np.eye(C.shape[1])
     u, s, vt = np.linalg.svd(C, full_matrices=True)
     rank = int(np.sum(s > rcond * (s[0] if s.size else 1.0)))
     return vt[rank:].T
@@ -73,7 +71,8 @@ def solve_ls_qp(
         C = np.atleast_2d(np.asarray(C, dtype=float))
         d = np.asarray(d, dtype=float)
 
-    P = A.T @ A + eps * np.eye(n)
+    P = A.T @ A
+    P.flat[:: n + 1] += eps
     g0 = -A.T @ b
 
     if x0 is None:
@@ -89,50 +88,54 @@ def solve_ls_qp(
     else:
         x = np.array(x0, dtype=float)
 
-    active_lo: set[int] = set()
-    active_up: set[int] = set()
+    active_lo = np.zeros(n, dtype=bool)
+    active_up = np.zeros(n, dtype=bool)
 
     for iteration in range(1, max_iterations + 1):
         grad = P @ x + g0
-        free = [i for i in range(n) if i not in active_lo and i not in active_up]
+        free = np.flatnonzero(~(active_lo | active_up))
+        # a slice while every coordinate is free: views instead of gathers
+        f = slice(None) if free.size == n else free
 
         # Newton step to the optimum of the current working set, restricted to
         # the free coordinates and the null space of the equality constraints
         p = np.zeros(n)
-        if free:
-            Cf = C[:, free] if C.shape[0] else np.zeros((0, len(free)))
-            Z = _null_space(Cf)
-            if Z.shape[1]:
-                Pf = P[np.ix_(free, free)]
-                y = np.linalg.solve(Z.T @ Pf @ Z, -Z.T @ grad[free])
-                p[free] = Z @ y
+        if free.size:
+            Pf = P[f][:, f]
+            if C.shape[0]:
+                Z = _null_space(C[:, f])
+                if Z.shape[1]:
+                    p[f] = Z @ np.linalg.solve(Z.T @ Pf @ Z, -Z.T @ grad[f])
+            else:
+                p[f] = np.linalg.solve(Pf, -grad[f])
 
         at_ws_optimum = np.max(np.abs(p)) <= _STEP_TOL * (1.0 + np.max(np.abs(x)))
         if not at_ws_optimum:
-            alpha = 1.0
-            blocker: tuple[str, int] | None = None
-            for i in free:
-                if p[i] > _STEP_TOL:
-                    a = (ub[i] - x[i]) / p[i]
-                    if a < alpha:
-                        alpha, blocker = a, ("up", i)
-                elif p[i] < -_STEP_TOL:
-                    a = (lb[i] - x[i]) / p[i]
-                    if a < alpha:
-                        alpha, blocker = a, ("lo", i)
+            # ratio test over the coordinates moving towards a bound (p is
+            # zero off the free set); argmin keeps the lowest index among
+            # equal ratios
+            up = p > _STEP_TOL
+            lo = p < -_STEP_TOL
+            ratio = np.full(n, np.inf)
+            ratio[up] = (ub[up] - x[up]) / p[up]
+            ratio[lo] = (lb[lo] - x[lo]) / p[lo]
+            idx = int(np.argmin(ratio))
+            alpha = min(ratio[idx], 1.0)
             x = x + max(alpha, 0.0) * p
-            if blocker is not None:
-                kind, idx = blocker
-                x[idx] = ub[idx] if kind == "up" else lb[idx]  # land exactly on the bound
-                (active_up if kind == "up" else active_lo).add(idx)
+            if ratio[idx] < 1.0:
+                x[idx] = ub[idx] if up[idx] else lb[idx]  # land exactly on the bound
+                (active_up if up[idx] else active_lo)[idx] = True
                 continue
-            # full Newton step on a quadratic lands on the working-set optimum
-            grad = P @ x + g0
+        # x is the working-set optimum (a full Newton step on a quadratic
+        # lands on it); with no bound in the working set it is the solution
+        if free.size == n:
+            return QPResult(x=x, iterations=iteration)
+        grad = P @ x + g0
 
         # multipliers: nu for equalities from free-coordinate stationarity,
         # bound multipliers from the residual gradient
-        if C.shape[0] and free:
-            nu = np.linalg.lstsq(C[:, free].T, -grad[free], rcond=None)[0]
+        if C.shape[0] and free.size:
+            nu = np.linalg.lstsq(C[:, f].T, -grad[f], rcond=None)[0]
         elif C.shape[0]:
             nu = np.linalg.lstsq(C.T, -grad, rcond=None)[0]
         else:
@@ -140,22 +143,22 @@ def solve_ls_qp(
         resid = grad + (C.T @ nu if C.shape[0] else 0.0)
         release = None
         worst = tolerance
-        for i in sorted(active_lo):
+        for i in np.flatnonzero(active_lo):
             # at a lower bound, a negative residual means the objective
             # improves by moving into the interior
             if resid[i] < -worst:
-                release, worst = ("lo", i), -resid[i]
-        for i in sorted(active_up):
+                release, worst = (active_lo, i), -resid[i]
+        for i in np.flatnonzero(active_up):
             if resid[i] > worst:
-                release, worst = ("up", i), resid[i]
+                release, worst = (active_up, i), resid[i]
         if release is None:
             return QPResult(
                 x=x,
                 iterations=iteration,
-                active_lower=sorted(active_lo),
-                active_upper=sorted(active_up),
+                active_lower=np.flatnonzero(active_lo).tolist(),
+                active_upper=np.flatnonzero(active_up).tolist(),
             )
-        kind, idx = release
-        (active_lo if kind == "lo" else active_up).discard(idx)
+        working, idx = release
+        working[idx] = False
 
     raise SolverError(f"active-set QP did not converge in {max_iterations} iterations")

@@ -14,19 +14,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .errors import InfeasibleBoundsError, SolverError, ValidationError, require_finite
-from .geometry import (
-    orientation_error,
-    quat_conjugate,
-    quat_multiply,
-    quat_normalize,
-    quat_slerp,
-    quat_to_matrix,
-    quat_to_rotvec,
-)
+from .geometry import orientation_error, quat_rotvec_between, quat_slerp, quat_to_matrix
 from .qp import solve_ls_qp
 from .skeleton import (
     JointConfiguration,
@@ -350,6 +343,27 @@ def _reference_tracks(
     return out
 
 
+def _frame_references(
+    tracks: dict[str, SegmentTrack], n: int, dt: float
+) -> Iterator[dict[str, Reference]]:
+    """The references of every task, frame by frame, from targets and
+    feedforward velocities computed for the whole trajectory at once. The
+    feedforward over the step that lands on frame k keeps the recovered
+    configuration aligned with the captured frame index."""
+    prev = np.maximum(np.arange(n) - 1, 0)
+    arrays = {
+        frame: (
+            track.positions,
+            quat_to_matrix(track.quaternions),
+            (track.positions - track.positions[prev]) / dt,
+            quat_rotvec_between(track.quaternions[prev], track.quaternions) / dt,
+        )
+        for frame, track in tracks.items()
+    }
+    for k in range(n):
+        yield {frame: Reference(p[k], R[k], v[k], w[k]) for frame, (p, R, v, w) in arrays.items()}
+
+
 def _estimate_com_track(model: SkeletonModel, captured: CapturedTrajectory) -> SegmentTrack:
     """Whole-body CoM estimated from the captured segment poses using the
     model's mass distribution (used when the capture provides no CoM track)."""
@@ -363,8 +377,7 @@ def _estimate_com_track(model: SkeletonModel, captured: CapturedTrajectory) -> S
     for name, mass in zip(names, masses):
         track = captured.segments[name]
         offs = model.segment(name).com_offset
-        for k in range(n):
-            com[k] += mass * (track.positions[k] + quat_to_matrix(track.quaternions[k]) @ offs)
+        com += mass * (track.positions + quat_to_matrix(track.quaternions) @ offs)
     com /= total
     quats = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (n, 1))
     return SegmentTrack(com, quats)
@@ -387,35 +400,20 @@ def retarget_trajectory(
         tasks = default_task_stack(settings.gain)
     captured = resample_uniform(captured)
     dt = 1.0 / captured.sample_rate
-    refs = _reference_tracks(model, captured, tasks)
+    n = captured.n_frames
+    references = _frame_references(_reference_tracks(model, captured, tasks), n, dt)
 
     q = initial if initial is not None else model.upright_configuration()
     limit_flags = model.check_limits(q)
     if limit_flags:
         warnings.warn(f"initial configuration outside joint limits: {limit_flags[:3]}...")
 
-    n = captured.n_frames
     configurations: list[JointConfiguration] = []
     diagnostics: list[FrameDiagnostics] = []
     pos_res = {t.frame: np.zeros(n) for t in tasks}
     ori_res = {t.frame: np.zeros(n) for t in tasks}
 
-    for k in range(n):
-        frame_refs: dict[str, Reference] = {}
-        for task in tasks:
-            track = refs[task.frame]
-            # feedforward over the step that lands on frame k keeps the
-            # recovered configuration aligned with the captured frame index
-            k_prev = max(k - 1, 0)
-            lin_ff = (track.positions[k] - track.positions[k_prev]) / dt
-            dq = quat_multiply(track.quaternions[k], quat_conjugate(track.quaternions[k_prev]))
-            ang_ff = quat_to_rotvec(quat_normalize(dq)) / dt
-            frame_refs[task.frame] = Reference(
-                position=track.positions[k],
-                rotation=quat_to_matrix(track.quaternions[k]),
-                linear_velocity=lin_ff,
-                angular_velocity=ang_ff,
-            )
+    for k, frame_refs in enumerate(references):
         try:
             sol = solve_frame(model, q, tasks, frame_refs, dt, settings)
         except InfeasibleBoundsError as exc:

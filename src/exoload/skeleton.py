@@ -33,6 +33,7 @@ from .errors import ValidationError
 from .geometry import (
     IDENTITY_QUAT,
     axis_angle_matrix,
+    cross,
     matrix_to_quat,
     quat_normalize,
     quat_to_matrix,
@@ -198,6 +199,14 @@ class SkeletonModel:
         if len(self.dof_index) != n:
             raise ValidationError("duplicate DoF names")
 
+        # parent links as ints, and [joint rotation | anchor offset | axis]
+        # of each link in its parent's frame, the rotation block left for
+        # each configuration to fill
+        self._link_parent = self._dof_parent.tolist()
+        self._link_local = np.zeros((n, 3, 5))
+        self._link_local[:, :, 3] = self._dof_offset
+        self._link_local[:, :, 4] = self._dof_axis
+
         # ancestor masks: dofs on the path base -> link i, inclusive
         self._ancestors = np.zeros((n, n), dtype=bool)
         for i in range(n):
@@ -221,6 +230,18 @@ class SkeletonModel:
                 raise ValidationError(f"segment {seg.name!r}: inertia must be positive definite")
         self.total_mass = float(sum(s.mass for s in self.segments))
         self._masses = np.array([s.mass for s in self.segments])
+        self._com_offsets = np.array([s.com_offset for s in self.segments], dtype=float)
+        # link carrying each segment (-1 = base), and the subtree of each
+        # link as segment-mass weights: row i holds m_s for every segment
+        # that link i moves, so subtree masses and mass-weighted subtree CoMs
+        # are one product each
+        self._segment_link = np.array([self._segment_dof[s.name] for s in self.segments])
+        carried = self._segment_link >= 0
+        self._subtree_weights = np.zeros((self.n_joint_dofs, len(self.segments)))
+        self._subtree_weights[:, carried] = (
+            self._ancestors[self._segment_link[carried]].T * self._masses[carried]
+        )
+        self._subtree_mass = self._subtree_weights.sum(axis=1)
 
     @property
     def dof_layout(self) -> dict[str, int]:
@@ -268,6 +289,13 @@ class SkeletonModel:
         return out
 
 
+def _base_linear_columns(J: np.ndarray, r: np.ndarray) -> None:
+    """Base columns of a linear Jacobian for the world offset ``r`` of the
+    point from the base origin: omega x r = -[r]x omega."""
+    J[:, 0:3] = np.eye(3)
+    J[:, 3:6] = np.array([[0.0, r[2], -r[1]], [-r[2], 0.0, r[0]], [r[1], -r[0], 0.0]])
+
+
 class KinematicState:
     """World link frames for one configuration; computed once and reused by
     pose, CoM and Jacobian queries."""
@@ -283,19 +311,22 @@ class KinematicState:
         self.base_rotation = quat_to_matrix(q.base_orientation)
 
         n = model.n_joint_dofs
-        self.link_rotation = np.zeros((n, 3, 3))
-        self.link_position = np.zeros((n, 3))
-        self.axis_world = np.zeros((n, 3))
-        for i in range(n):
-            p = model._dof_parent[i]
+        local = model._link_local.copy()
+        local[:, :, :3] = np.moveaxis(axis_angle_matrix(model._dof_axis.T, angles), -1, 0)
+        # one product per link carries its rotation, anchor and axis into
+        # the world frame
+        frames = np.empty((n, 3, 5))
+        self.link_position = np.empty((n, 3))
+        for i, p in enumerate(model._link_parent):
             if p < 0:
                 R_p, x_p = self.base_rotation, self.base_position
             else:
-                R_p, x_p = self.link_rotation[p], self.link_position[p]
-            self.link_position[i] = x_p + R_p @ model._dof_offset[i]
-            axis = R_p @ model._dof_axis[i]
-            self.axis_world[i] = axis
-            self.link_rotation[i] = R_p @ axis_angle_matrix(model._dof_axis[i], angles[i])
+                R_p, x_p = frames[p, :, :3], self.link_position[p]
+            np.matmul(R_p, local[i], out=frames[i])
+            np.add(x_p, frames[i, :, 3], out=self.link_position[i])
+        self.link_rotation = frames[:, :, :3]
+        self.axis_world = frames[:, :, 4]
+        self._coms: np.ndarray | None = None
 
     def segment_pose(self, name: str) -> Pose:
         d = self.model._segment_dof[name]
@@ -303,33 +334,31 @@ class KinematicState:
             return Pose(self.base_position.copy(), self.base_rotation.copy())
         return Pose(self.link_position[d].copy(), self.link_rotation[d].copy())
 
+    def segment_coms(self) -> np.ndarray:
+        """World CoM of every segment in model order, (n_segments, 3)."""
+        if self._coms is None:
+            model = self.model
+            rows = model._segment_link + 1  # row 0 is the base
+            rotation = np.concatenate((self.base_rotation[None], self.link_rotation))[rows]
+            position = np.concatenate((self.base_position[None], self.link_position))[rows]
+            self._coms = position + (rotation @ model._com_offsets[:, :, None])[:, :, 0]
+        return self._coms
+
     def segment_com_world(self, name: str) -> np.ndarray:
-        seg = self.model.segment(name)
-        pose = self.segment_pose(name)
-        return pose.position + pose.rotation @ seg.com_offset
+        return self.segment_coms()[self.model.segment_index[name]].copy()
 
     def com(self) -> np.ndarray:
-        total = np.zeros(3)
-        for seg in self.model.segments:
-            total += seg.mass * self.segment_com_world(seg.name)
-        return total / self.model.total_mass
+        return self.model._masses @ self.segment_coms() / self.model.total_mass
 
     def _point_jacobian_linear(self, point: np.ndarray, link: int) -> np.ndarray:
         """3 x n_velocity Jacobian of a world point rigidly attached to a link
         (link = -1 for the base)."""
         model = self.model
         J = np.zeros((3, model.n_velocity))
-        J[:, 0:3] = np.eye(3)
-        r = point - self.base_position
-        # omega x r = -[r]x omega
-        J[:, 3:6] = np.array(
-            [[0.0, r[2], -r[1]], [-r[2], 0.0, r[0]], [r[1], -r[0], 0.0]]
-        )
+        _base_linear_columns(J, point - self.base_position)
         if link >= 0:
             mask = model._ancestors[link]
-            axes = self.axis_world[mask]
-            arms = point - self.link_position[mask]
-            J[:, 6:][:, mask] = np.cross(axes, arms).T
+            J[:, 6:][:, mask] = cross(self.axis_world[mask], point - self.link_position[mask]).T
         return J
 
     def _angular_jacobian(self, link: int) -> np.ndarray:
@@ -342,12 +371,16 @@ class KinematicState:
         return J
 
     def com_jacobian(self) -> np.ndarray:
+        """Whole-body CoM Jacobian in one pass over the subtrees: joint column
+        i is axis_i x (sum of m_s c_s over the segments link i moves, minus
+        their mass times the link origin x_i) / M."""
         model = self.model
+        coms = self.segment_coms()
         J = np.zeros((3, model.n_velocity))
-        for seg in model.segments:
-            link = model._segment_dof[seg.name]
-            J += seg.mass * self._point_jacobian_linear(self.segment_com_world(seg.name), link)
-        return J / model.total_mass
+        _base_linear_columns(J, model._masses @ coms / model.total_mass - self.base_position)
+        moments = model._subtree_weights @ coms - model._subtree_mass[:, None] * self.link_position
+        J[:, 6:] = cross(self.axis_world, moments).T / model.total_mass
+        return J
 
     def jacobian(self, frame: str, task_kind: str = "both") -> np.ndarray:
         """World task Jacobian of a frame. Rows: linear velocity (position or
@@ -358,14 +391,14 @@ class KinematicState:
                 raise ValidationError("the CoM frame only supports position tasks")
             return self.com_jacobian()
         link = self.model._segment_dof[name]
-        pose = self.segment_pose(name)
+        origin = self.base_position if link < 0 else self.link_position[link]
         if task_kind == "position":
-            return self._point_jacobian_linear(pose.position, link)
+            return self._point_jacobian_linear(origin, link)
         if task_kind == "orientation":
             return self._angular_jacobian(link)
         if task_kind == "both":
             return np.vstack(
-                [self._point_jacobian_linear(pose.position, link), self._angular_jacobian(link)]
+                [self._point_jacobian_linear(origin, link), self._angular_jacobian(link)]
             )
         raise ValidationError(f"unknown task kind {task_kind!r}")
 
@@ -375,7 +408,8 @@ class TrajectoryKinematics:
     sweep over the links: ``link_rotation`` is (n_links, T, 3, 3),
     ``link_position`` and ``axis_world`` are (n_links, T, 3), the base arrays
     (T, 3[, 3]). Frame k equals ``KinematicState(model, configurations[k])``
-    bit for bit, since every product is the same matmul on the same operands.
+    bit for bit, since every product is the same (3, 3) @ (3, 5) matmul on
+    the same operands.
 
     Holds per-evaluation data only; the model stays immutable and shared."""
 
@@ -392,23 +426,22 @@ class TrajectoryKinematics:
         angles = np.array([q.joint_angles for q in configurations], dtype=float)
         self.n_frames = T = len(configurations)
         self.base_position = np.array([q.base_position for q in configurations], dtype=float)
-        self.base_rotation = np.array([quat_to_matrix(q.base_orientation) for q in configurations])
+        self.base_rotation = quat_to_matrix(np.array([q.base_orientation for q in configurations]))
 
-        self.link_rotation = np.zeros((n, T, 3, 3))
-        self.link_position = np.zeros((n, T, 3))
-        self.axis_world = np.zeros((n, T, 3))
-        for i in range(n):
-            p = model._dof_parent[i]
+        frames = np.empty((n, T, 3, 5))
+        self.link_position = np.empty((n, T, 3))
+        local = np.empty((T, 3, 5))
+        for i, p in enumerate(model._link_parent):
             if p < 0:
                 R_p, x_p = self.base_rotation, self.base_position
             else:
-                R_p, x_p = self.link_rotation[p], self.link_position[p]
-            self.link_position[i] = x_p + R_p @ model._dof_offset[i]
-            self.axis_world[i] = R_p @ model._dof_axis[i]
-            # (3, 3, T) -> contiguous (T, 3, 3), so matmul takes the same
-            # per-matrix BLAS path as the single-frame product
-            joint = np.moveaxis(axis_angle_matrix(model._dof_axis[i], angles[:, i]), -1, 0)
-            self.link_rotation[i] = R_p @ np.ascontiguousarray(joint)
+                R_p, x_p = frames[p, :, :, :3], self.link_position[p]
+            local[:] = model._link_local[i]
+            local[:, :, :3] = np.moveaxis(axis_angle_matrix(model._dof_axis[i], angles[:, i]), -1, 0)
+            np.matmul(R_p, local, out=frames[i])
+            np.add(x_p, frames[i, :, :, 3], out=self.link_position[i])
+        self.link_rotation = frames[..., :3]
+        self.axis_world = frames[..., 4]
 
     def segment_rotation(self, name: str) -> np.ndarray:
         """World-from-segment rotations of one segment, (T, 3, 3)."""

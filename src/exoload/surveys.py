@@ -329,7 +329,11 @@ def load_schema(questionnaire_id: str) -> QuestionnaireSchema:
 
 def parse_response(payload: dict) -> ResponseSet:
     try:
+        if not isinstance(payload, dict):
+            raise TypeError(f"expected an object, got {type(payload).__name__}")
         ctx = payload.get("context", {})
+        if not isinstance(ctx, dict):
+            raise TypeError(f"context must be an object, got {type(ctx).__name__}")
         return ResponseSet(
             respondent_id=str(payload["respondent_id"]),
             questionnaire_id=str(payload["questionnaire_id"]),
@@ -341,5 +345,5 @@ def parse_response(payload: dict) -> ResponseSet:
                 icu=bool(ctx.get("icu", False)),
             ),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed response record: {exc}") from exc

@@ -302,3 +302,38 @@ def reference_inverse_dynamics(
     tau[0:3] = f_base
     tau[3:6] = n_base
     return tau
+
+
+def reference_point_jacobian_linear(
+    state: KinematicState, point: np.ndarray, link: int
+) -> np.ndarray:
+    """3 x n_velocity Jacobian of a world point rigidly attached to a link
+    (link = -1 for the base), with ``np.cross``: the oracle for
+    ``KinematicState._point_jacobian_linear``."""
+    model = state.model
+    J = np.zeros((3, model.n_velocity))
+    J[:, 0:3] = np.eye(3)
+    r = point - state.base_position
+    # omega x r = -[r]x omega
+    J[:, 3:6] = np.array(
+        [[0.0, r[2], -r[1]], [-r[2], 0.0, r[0]], [r[1], -r[0], 0.0]]
+    )
+    if link >= 0:
+        mask = model._ancestors[link]
+        axes = state.axis_world[mask]
+        arms = point - state.link_position[mask]
+        J[:, 6:][:, mask] = np.cross(axes, arms).T
+    return J
+
+
+def reference_com_jacobian(state: KinematicState) -> np.ndarray:
+    """The CoM Jacobian as the mass-weighted sum of the 19 segment-CoM point
+    Jacobians: the oracle for ``KinematicState.com_jacobian``."""
+    model = state.model
+    J = np.zeros((3, model.n_velocity))
+    for seg in model.segments:
+        link = model._segment_dof[seg.name]
+        pose = state.segment_pose(seg.name)
+        com = pose.position + pose.rotation @ seg.com_offset
+        J += seg.mass * reference_point_jacobian_linear(state, com, link)
+    return J / model.total_mass

@@ -27,6 +27,12 @@ def test_profile_rejects_non_positive_dimensions():
         AnthropometricProfile(1.75, -1.0)
 
 
+@pytest.mark.parametrize("height, mass", [(float("nan"), 70.0), (float("inf"), 70.0), (1.75, float("nan"))])
+def test_profile_rejects_non_finite_dimensions(height, mass):
+    with pytest.raises(ValidationError, match="positive and finite"):
+        AnthropometricProfile(height, mass)
+
+
 def test_unknown_table_is_an_error():
     with pytest.raises(ValidationError, match="unknown coefficient table"):
         get_table("not-a-table")

@@ -14,6 +14,7 @@ from exoload.biosignals import (
     emg_envelope,
     heart_rate_stats,
     instantaneous_heart_rate,
+    moving_mean_centered,
     settle_samples,
     signal_rms,
     validate_channel_code,
@@ -195,3 +196,19 @@ def test_heart_rate_table_formatting_value():
     ann = TrialAnnotation("t", (AnnotationSegment("head", 0.0, 121.0),))
     stats = heart_rate_stats(beats, ann)
     assert f"{stats[0][1].median:.2f}" == "47.55"
+
+
+def gathered_moving_mean(x, window):
+    """The whole-channel gather form: one clipped window per sample."""
+    n = len(x)
+    csum = np.concatenate(([0.0], np.cumsum(x)))
+    idx = np.arange(n)
+    left = np.clip(idx - (window - 1) // 2, 0, n)
+    right = np.clip(idx + window // 2 + 1, 0, n)
+    return (csum[right] - csum[left]) / (right - left)
+
+
+@pytest.mark.parametrize("n, window", [(1000, 200), (1000, 201), (1000, 1), (1000, 2), (7, 7), (8, 8), (9, 3)])
+def test_moving_mean_equals_gather_form_bit_for_bit(n, window):
+    x = np.random.default_rng(n + window).normal(size=n) ** 2
+    assert moving_mean_centered(x, window).tobytes() == gathered_moving_mean(x, window).tobytes()

@@ -8,8 +8,8 @@ from helpers import synthetic_ecg, write_bend_session
 
 from exoload import cli
 from exoload import io as eio
-from exoload.errors import ValidationError
-from exoload.pipeline import emit_boxplot_data, load_config, run_pipeline
+from exoload.errors import NumericalError, ValidationError
+from exoload.pipeline import _stage, emit_boxplot_data, load_config, run_pipeline
 from exoload.posture import DistributionSummary
 
 
@@ -197,6 +197,18 @@ def test_stage_errors_name_the_stage(tmp_path):
     (tmp_path / "config.json").write_text(json.dumps(config))
     with pytest.raises(ValidationError, match="stage parse-motion"):
         run_pipeline(load_config(tmp_path / "config.json"))
+
+
+def test_stage_keeps_the_error_type_and_passes_other_errors():
+    with pytest.raises(NumericalError, match="^stage dynamics: singular") as info:
+        with _stage("dynamics"):
+            raise NumericalError("singular")
+    assert isinstance(info.value.__cause__, NumericalError)
+    with pytest.raises(KeyError):
+        with _stage("dynamics"):
+            raise KeyError("not a package error")
+    with _stage("dynamics"):
+        pass
 
 
 def test_emit_boxplot_data_order_and_round_trip(tmp_path):

@@ -108,3 +108,42 @@ def test_tolerance_sets_when_a_bound_is_released():
     assert loose.active_lower == [2] and loose.active_upper == [1]
     assert loose.x[2] == -1.0 < default.x[2]
     assert objective(A, b, 1e-6, default.x) < objective(A, b, 1e-6, loose.x)
+
+
+def fixed_problem(name):
+    if name == "tie":
+        # coordinates 0 and 1 reach their upper bounds at the same step
+        # length: the lower index enters the working set first
+        return dict(A=np.eye(3), b=np.array([3.0, 3.0, 0.5]), eps=1e-6, lb=-np.ones(3), ub=np.ones(3))
+    seed = int(name[len("seed"):])
+    rng = np.random.default_rng(seed)
+    n, m = 12, 9
+    A = rng.normal(size=(m, n))
+    b = 4.0 * rng.normal(size=m)
+    problem = dict(A=A, b=b, eps=1e-6, lb=-0.3 * np.ones(n), ub=0.3 * np.ones(n))
+    if seed >= 102:
+        C = rng.normal(size=(2, n))
+        x0 = np.clip(0.1 * rng.normal(size=n), -0.3, 0.3)
+        problem.update(C=C, d=C @ x0, x0=x0)
+    return problem
+
+
+@pytest.mark.parametrize(
+    "name, iterations, active_lower, active_upper",
+    [
+        ("tie", 3, [], [0, 1]),
+        ("seed100", 12, [3, 5, 10], [0, 1, 2, 4, 6, 8, 9, 11]),
+        ("seed101", 19, [4, 9, 10], [2, 5, 6, 7, 8]),
+        ("seed102", 14, [3, 6, 8, 10], [1, 5, 7, 9, 11]),
+        ("seed103", 12, [1, 3, 5, 8, 9], [2, 6, 7, 10]),
+    ],
+)
+def test_fixed_problems_keep_iterations_and_active_sets(name, iterations, active_lower, active_upper):
+    """Iteration counts and working sets of the list-based active-set loop
+    this solver replaced, on bounded problems with and without equality
+    constraints."""
+    r = solve_ls_qp(**fixed_problem(name))
+    assert r.iterations == iterations
+    assert r.active_lower == active_lower
+    assert r.active_upper == active_upper
+    assert all(type(i) is int for i in r.active_lower + r.active_upper)

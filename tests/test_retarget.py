@@ -4,18 +4,30 @@ import pytest
 from helpers import (
     capture_from_configurations,
     default_model,
+    moving_base_trajectory,
     sinusoid_trajectory,
     tracked_dof_indices,
 )
 
 from exoload.errors import ValidationError
-from exoload.geometry import IDENTITY_QUAT, quat_slerp, rotvec_to_quat
+from exoload.geometry import (
+    IDENTITY_QUAT,
+    quat_multiply,
+    quat_normalize,
+    quat_slerp,
+    quat_to_matrix,
+    quat_to_rotvec,
+    rotvec_to_quat,
+)
 from exoload.retarget import (
     CapturedTrajectory,
     Reference,
     SegmentTrack,
     SolverSettings,
     TaskSpec,
+    _estimate_com_track,
+    _frame_references,
+    _reference_tracks,
     default_task_stack,
     resample_uniform,
     retarget_trajectory,
@@ -175,6 +187,42 @@ def test_com_fallback_when_track_missing(model):
     captured = capture_from_configurations(model, [q0] * 10, 240.0, include_com=False)
     result = retarget_trajectory(model, captured)
     assert result.n_frames == 10
+
+
+def test_batched_com_fallback_matches_per_frame_loop(model):
+    configurations = moving_base_trajectory(model, 0.5)
+    captured = capture_from_configurations(model, configurations, 240.0, include_com=False)
+    names = [s.name for s in model.segments if s.name in captured.segments]
+    expected = np.zeros((captured.n_frames, 3))
+    for name in names:
+        segment, track = model.segment(name), captured.segments[name]
+        for k in range(captured.n_frames):
+            R = quat_to_matrix(track.quaternions[k])
+            expected[k] += segment.mass * (track.positions[k] + R @ segment.com_offset)
+    expected /= sum(model.segment(name).mass for name in names)
+    track = _estimate_com_track(model, captured)
+    assert np.max(np.abs(track.positions - expected)) <= 1e-12
+
+
+def test_trajectory_references_match_per_frame_formulas(model):
+    configurations = moving_base_trajectory(model, 0.5)
+    captured = capture_from_configurations(model, configurations, 240.0)
+    tasks = default_task_stack()
+    tracks = _reference_tracks(model, captured, tasks)
+    dt = 1.0 / 240.0
+    references = list(_frame_references(tracks, captured.n_frames, dt))
+    assert len(references) == captured.n_frames
+    for k, frame_refs in enumerate(references):
+        assert sorted(frame_refs) == sorted(t.frame for t in tasks)
+        for frame, ref in frame_refs.items():
+            track, prev = tracks[frame], max(k - 1, 0)
+            qa, qb = track.quaternions[prev], track.quaternions[k]
+            conj = qa * np.array([1.0, -1.0, -1.0, -1.0])
+            angular = quat_to_rotvec(quat_normalize(quat_multiply(qb, conj))) / dt
+            assert np.array_equal(ref.position, track.positions[k])
+            assert np.array_equal(ref.linear_velocity, (track.positions[k] - track.positions[prev]) / dt)
+            assert np.max(np.abs(ref.rotation - quat_to_matrix(qb))) <= 1e-15
+            assert np.max(np.abs(ref.angular_velocity - angular)) <= 1e-12
 
 
 def test_trajectory_invariants():

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import moving_base_trajectory
+from helpers import (
+    moving_base_trajectory,
+    reference_com_jacobian,
+    reference_point_jacobian_linear,
+)
 
 from exoload.anthropometry import AnthropometricProfile
 from exoload.errors import ValidationError
@@ -195,6 +199,37 @@ def test_com_jacobian_matches_finite_differences(model):
         assert np.max(np.abs(J[:, i] - (cp - cm) / (2 * h))) < 1e-6
     with pytest.raises(ValidationError):
         task_jacobian(model, q, "com", "both")
+
+
+def oracle_states(model):
+    """Random configurations with a rotated, displaced base, plus frames of a
+    translating, yawing and tilting base."""
+    rng = np.random.default_rng(77)
+    configurations = [random_configuration(model, rng) for _ in range(10)]
+    configurations += moving_base_trajectory(model, 1.0)[::40]
+    return [KinematicState(model, q) for q in configurations]
+
+
+def test_subtree_com_jacobian_matches_per_segment_sum(model):
+    for state in oracle_states(model):
+        assert np.max(np.abs(state.com_jacobian() - reference_com_jacobian(state))) <= 1e-12
+        segment_sum = sum(
+            seg.mass * (state.segment_pose(seg.name).position
+                        + state.segment_pose(seg.name).rotation @ seg.com_offset)
+            for seg in model.segments
+        ) / model.total_mass
+        assert np.max(np.abs(state.com() - segment_sum)) <= 1e-12
+
+
+def test_point_jacobian_matches_cross_oracle(model):
+    rng = np.random.default_rng(78)
+    for state in oracle_states(model):
+        for link in range(-1, model.n_joint_dofs):
+            origin = state.base_position if link < 0 else state.link_position[link]
+            for point in (origin, origin + rng.normal(scale=0.2, size=3)):
+                J = state._point_jacobian_linear(point, link)
+                oracle = reference_point_jacobian_linear(state, point, link)
+                assert np.max(np.abs(J - oracle)) <= 1e-12
 
 
 def test_jacobian_velocity_consistency(model):
