@@ -3,11 +3,12 @@
 A coefficient table maps each of the 19 canonical segments to fractions of
 body height (segment length), body mass (segment mass), segment length
 (CoM location along the segment axis) and segment length (radii of gyration).
-Tables are pluggable by id; one default table ships with the package.
+One table ships with the package (``get_table``); others load from a file.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -101,24 +102,15 @@ def load_table_file(path: str | Path) -> CoefficientTable:
     return parse_table(load_json_file(path))
 
 
-def _load_default() -> CoefficientTable:
+@functools.cache
+def _default_table() -> CoefficientTable:
     text = resources.files("exoload.data").joinpath("coefficients_default.json").read_text("utf-8")
     return parse_table(json.loads(text))
 
 
-_REGISTRY: dict[str, CoefficientTable] = {}
-
-
-def register_table(table: CoefficientTable) -> None:
-    _REGISTRY[table.table_id] = table
-
-
 def get_table(table_id: str) -> CoefficientTable:
-    if not _REGISTRY:
-        register_table(_load_default())
-    try:
-        return _REGISTRY[table_id]
-    except KeyError:
-        raise ValidationError(
-            f"unknown coefficient table {table_id!r}; registered: {sorted(_REGISTRY)}"
-        ) from None
+    """The bundled table; its id is the only one known."""
+    table = _default_table()
+    if table_id != table.table_id:
+        raise ValidationError(f"unknown coefficient table {table_id!r}; known: [{table.table_id!r}]")
+    return table

@@ -4,6 +4,8 @@ Subcommands mirror the analysis chain and compose through a shared JSON
 session config: ``retarget``, ``dynamics``, ``posture``, ``emg``, ``ecg``,
 ``survey``, ``report`` and the all-in-one ``pipeline``. Every subcommand takes
 ``--config`` (or the EXOLOAD_CONFIG environment variable) plus overrides.
+Every subcommand but ``report`` runs its branch of the config through
+``run_pipeline``, which writes every output file.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -21,13 +23,7 @@ import numpy as np
 
 from . import io as eio
 from .errors import ExoloadError, NumericalError, ValidationError
-from .pipeline import (
-    SessionConfig,
-    emit_boxplot_data,
-    load_config,
-    run_motion_analysis,
-    run_pipeline,
-)
+from .pipeline import SessionConfig, emit_boxplot_data, load_config, run_pipeline
 from .posture import DistributionSummary
 
 CONFIG_ENV_VAR = "EXOLOAD_CONFIG"
@@ -35,6 +31,18 @@ CONFIG_ENV_VAR = "EXOLOAD_CONFIG"
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+
+# the optional config branches, and the one each subcommand runs (None: all)
+BRANCHES = ("motion_file", "emg", "ecg", "survey")
+SUBCOMMAND_BRANCH = {
+    "pipeline": None,
+    "retarget": "motion_file",
+    "dynamics": "motion_file",
+    "posture": "motion_file",
+    "emg": "emg",
+    "ecg": "ecg",
+    "survey": "survey",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,9 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     add("pipeline", "run every configured analysis branch and emit the report bundle")
-    add("retarget", "replay the captured motion on the model; write joints.csv")
-    add("dynamics", "retarget plus inverse dynamics and torque decomposition")
-    add("posture", "back-flexion summaries and postural exposure fractions")
+    add("retarget", "replay the captured motion on the model; write the motion bundle")
+    add("dynamics", "retarget, inverse dynamics and torque decomposition; write the motion bundle")
+    add("posture", "back-flexion summaries and exposure fractions; write the motion bundle")
     add("emg", "EMG envelope changes against the baseline recording")
     add("ecg", "R-peak detection and heart-rate statistics")
     add("survey", "validate and score questionnaire responses")
@@ -93,60 +101,15 @@ def _load_session(args: argparse.Namespace) -> SessionConfig:
     return dataclasses.replace(config, **updates) if updates else config
 
 
-def _prune(config: SessionConfig, keep: set[str]) -> SessionConfig:
-    """Restrict a config to one branch so stage commands stay composable."""
-    updates = {}
-    if "motion" not in keep:
-        updates["motion_file"] = None
-    if "emg" not in keep:
-        updates["emg"] = None
-    if "ecg" not in keep:
-        updates["ecg"] = None
-    if "survey" not in keep:
-        updates["survey"] = None
-    return dataclasses.replace(config, **updates)
-
-
-def _require(config: SessionConfig, field: str) -> None:
-    if getattr(config, field) is None:
-        raise ValidationError(f"this subcommand needs {field!r} in the session config")
-
-
-def _cmd_pipeline(config: SessionConfig) -> None:
+def _cmd_analysis(config: SessionConfig, command: str) -> None:
+    """Run the subcommand's config branch (every branch for ``pipeline``)
+    through ``run_pipeline`` and list the files it wrote."""
+    branch = SUBCOMMAND_BRANCH[command]
+    if branch is not None:
+        if getattr(config, branch) is None:
+            raise ValidationError(f"this subcommand needs {branch!r} in the session config")
+        config = dataclasses.replace(config, **{b: None for b in BRANCHES if b != branch})
     bundle = run_pipeline(config)
-    for key in sorted(bundle.files):
-        print(f"{key}: {bundle.files[key]}")
-
-
-def _cmd_retarget(config: SessionConfig) -> None:
-    _require(config, "motion_file")
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    model, motion = run_motion_analysis(_prune(config, {"motion"}))
-    path = out_dir / "joints.csv"
-    eio.write_joint_trajectory(path, model, motion.times, motion.retarget.configurations)
-    skipped = sum(1 for d in motion.retarget.diagnostics if d.skipped)
-    print(f"joints: {path} ({motion.retarget.n_frames} frames, {skipped} skipped)")
-
-
-def _cmd_dynamics(config: SessionConfig) -> None:
-    _require(config, "motion_file")
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _, motion = run_motion_analysis(_prune(config, {"motion"}))
-    ts = motion.torque
-    path = out_dir / "torque_series.csv"
-    eio.write_csv(
-        path,
-        ["time_s", "theta_deg", "theta_dot_deg_s", "tau_net_nm", "tau_exo_nm", "tau_human_nm"],
-        zip(ts.times, ts.theta_deg, ts.theta_dot_deg_s, ts.tau_net, ts.tau_exo, ts.tau_human),
-    )
-    print(f"torque_series: {path}")
-
-
-def _run_branch(config: SessionConfig, keep: str, required_field: str) -> None:
-    _require(config, required_field)
-    bundle = run_pipeline(_prune(config, {keep}))
     for key in sorted(bundle.files):
         print(f"{key}: {bundle.files[key]}")
 
@@ -190,23 +153,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_session(args)
-        if args.command == "pipeline":
-            _cmd_pipeline(config)
-        elif args.command == "retarget":
-            _cmd_retarget(config)
-        elif args.command == "dynamics":
-            _cmd_dynamics(config)
-        elif args.command == "posture":
-            _require(config, "motion_file")
-            _cmd_pipeline(_prune(config, {"motion"}))
-        elif args.command == "emg":
-            _run_branch(config, "emg", "emg")
-        elif args.command == "ecg":
-            _run_branch(config, "ecg", "ecg")
-        elif args.command == "survey":
-            _run_branch(config, "survey", "survey")
-        elif args.command == "report":
+        if args.command == "report":
             _cmd_report(config)
+        else:
+            _cmd_analysis(config, args.command)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

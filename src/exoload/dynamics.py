@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, finite_number
 from .filters import butter_sos, sosfiltfilt
 from .geometry import cross, quat_rotvec_between
 from .skeleton import (
@@ -218,8 +218,6 @@ class LaevoModel:
     sequentially through a trial.
     """
 
-    k0: float = -80.0 / 3.0  # Nm
-    k1: float = 4.0 / 3.0  # Nm/deg
     k_loss: float = 10.0  # Nm
     theta_min: float = 20.0  # deg
     theta_max: float = 50.0  # deg
@@ -228,17 +226,22 @@ class LaevoModel:
     branch: str = "ascending"
 
     def __post_init__(self) -> None:
-        tol = 1e-9
-        if abs(self.k0 + self.k1 * self.theta_min) > tol:
-            raise ValidationError("spring must produce zero torque at the engagement angle")
-        if abs(self.k0 + self.k1 * self.theta_max - self.tau_max) > tol:
-            raise ValidationError("spring must reach tau_max at the top of the range")
         if self.k_loss < 0.0:
             raise ValidationError("k_loss must be non-negative")
         if not self.theta_min < self.theta_max:
             raise ValidationError("engagement range must be non-empty")
         if self.branch not in ("ascending", "descending"):
             raise ValidationError(f"unknown branch {self.branch!r}")
+
+    @property
+    def k1(self) -> float:
+        """Spring stiffness in Nm/deg: ``tau_max`` over the engagement range."""
+        return self.tau_max / (self.theta_max - self.theta_min)
+
+    @property
+    def k0(self) -> float:
+        """Spring offset in Nm: zero torque at ``theta_min``."""
+        return -self.k1 * self.theta_min
 
     def spring_torque(self, theta_deg: float, branch: str | None = None) -> float:
         """Unclamped branch torque. Evaluated in the endpoint-anchored form
@@ -279,20 +282,35 @@ def laevo_torque_series(
 
 
 def load_exoskeleton_params(path: str | Path) -> LaevoModel:
+    """Laevo parameters from a JSON object. ``k0`` and ``k1`` restate the
+    spring line and must pass through (theta_min, 0) and (theta_max, tau_max)
+    within 1e-9 Nm."""
     from .io import load_json_file  # local import: io depends on this module
 
     payload = load_json_file(path)
+    where = f"exoskeleton parameter file {path}"
     try:
-        return LaevoModel(
-            k0=float(payload["k0"]),
-            k1=float(payload["k1"]),
-            k_loss=float(payload["k_loss"]),
-            theta_min=float(payload["theta_min"]),
-            theta_max=float(payload["theta_max"]),
-            tau_max=float(payload["tau_max"]),
-        )
+        if not isinstance(payload, dict):
+            raise TypeError(f"expected an object, got {type(payload).__name__}")
+        values = {
+            name: finite_number(payload[name], name)
+            for name in ("k0", "k1", "k_loss", "theta_min", "theta_max", "tau_max")
+        }
     except KeyError as exc:
-        raise ValidationError(f"exoskeleton parameter file {path} missing field {exc}") from exc
+        raise ValidationError(f"{where} missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+    k0, k1 = values.pop("k0"), values.pop("k1")
+    try:
+        model = LaevoModel(**values)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+    tol = 1e-9
+    if abs(k0 + k1 * model.theta_min) > tol:
+        raise ValidationError(f"{where}: spring must produce zero torque at the engagement angle")
+    if abs(k0 + k1 * model.theta_max - model.tau_max) > tol:
+        raise ValidationError(f"{where}: spring must reach tau_max at the top of the range")
+    return model
 
 
 # -- torque series and decomposition ----------------------------------------

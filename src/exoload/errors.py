@@ -30,3 +30,18 @@ def require_finite(values, where: str) -> None:
     bad = ~np.isfinite(np.asarray(values, dtype=float))
     if bad.any():
         raise ValidationError(f"{where}: non-finite value at index {int(np.argwhere(bad)[0][0])}")
+
+
+def finite_number(value: object, name: str) -> float:
+    """A number read from a JSON file, as a float. Anything else, a bool or a
+    string included, or a non-finite number, is a ``TypeError`` naming
+    ``name``, which the file's reader turns into a ``ValidationError``
+    naming the file."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = float("inf")
+        if np.isfinite(number):
+            return number
+    raise TypeError(f"{name} must be a finite number, got {value!r}")

@@ -173,14 +173,18 @@ def parse_motion_file(
     for seg, cols in groups.items():
         pos = data[:, [cols[s] for s in ("px", "py", "pz")]]
         quat = data[:, [cols[s] for s in ("qw", "qx", "qy", "qz")]]
-        for k in range(n):
-            norm = float(np.linalg.norm(quat[k]))
-            if not abs(norm - 1.0) <= QUAT_FILE_TOL:
-                raise ValidationError(
-                    f"{path}: row {k + 2}: segment {seg!r}: quaternion norm {norm:.6f} "
-                    f"deviates from 1 by more than {QUAT_FILE_TOL}"
-                )
-            quat[k] /= norm
+        # one (1, 4) @ (4, 1) product per row of a C-ordered copy: bit for bit
+        # the per-row np.linalg.norm, which the column-ordered block is not
+        rowwise = np.ascontiguousarray(quat)
+        norm = np.sqrt((rowwise[:, None, :] @ rowwise[:, :, None])[:, 0, 0])
+        bad = np.nonzero(~(np.abs(norm - 1.0) <= QUAT_FILE_TOL))[0]
+        if bad.size:
+            k = bad[0]
+            raise ValidationError(
+                f"{path}: row {k + 2}: segment {seg!r}: quaternion norm {norm[k]:.6f} "
+                f"deviates from 1 by more than {QUAT_FILE_TOL}"
+            )
+        quat /= norm[:, None]
         segments[aliases.get(seg, seg)] = SegmentTrack(pos, quat)
 
     if sample_rate is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 import numpy as np
 
@@ -36,7 +36,7 @@ from .dynamics import (
     net_lumbar_series,
     time_derivative,
 )
-from .errors import ExoloadError, ValidationError
+from .errors import ExoloadError, ValidationError, finite_number
 from .posture import (
     POSTURE_THRESHOLDS_DEG,
     AnnotationSegment,
@@ -138,6 +138,10 @@ def _object(value: object, name: str) -> dict:
     return value
 
 
+def _optional_number(value: object, name: str) -> float | None:
+    return None if value is None else finite_number(value, name)
+
+
 def load_config(path: str | Path) -> SessionConfig:
     path = Path(path)
     try:
@@ -164,7 +168,7 @@ def load_config(path: str | Path) -> SessionConfig:
                 trial_files={
                     k: _resolve(base, v) for k, v in _object(raw["trial_files"], "trial_files").items()
                 },
-                sample_rate=raw.get("sample_rate"),
+                sample_rate=_optional_number(raw.get("sample_rate"), "emg.sample_rate"),
             )
         ecg = None
         if payload.get("ecg") is not None:
@@ -188,8 +192,10 @@ def load_config(path: str | Path) -> SessionConfig:
             exoskeleton=payload.get("exoskeleton", "none"),
             exoskeleton_params_file=_resolve(base, payload.get("exoskeleton_params_file")),
             solver_settings_file=_resolve(base, payload.get("solver_settings_file")),
-            derivative_smoothing_hz=payload.get("derivative_smoothing_hz", 5.0),
-            gravity=float(payload.get("gravity", GRAVITY_DEFAULT)),
+            derivative_smoothing_hz=_optional_number(
+                payload.get("derivative_smoothing_hz", 5.0), "derivative_smoothing_hz"
+            ),
+            gravity=finite_number(payload.get("gravity", GRAVITY_DEFAULT), "gravity"),
             emg=emg,
             ecg=ecg,
             survey=survey,
@@ -201,66 +207,49 @@ def load_config(path: str | Path) -> SessionConfig:
 
 
 def config_echo(config: SessionConfig) -> dict:
-    """Resolved configuration as recorded in the manifest."""
+    """Resolved configuration as recorded in the manifest: every field of
+    ``SessionConfig``, paths as strings."""
 
-    def s(p: Path | None) -> str | None:
-        return None if p is None else str(p)
+    def plain(value: object) -> object:
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        return str(value) if isinstance(value, Path) else value
 
-    return {
-        "profile": {
-            "height_m": config.profile.height_m,
-            "mass_kg": config.profile.mass_kg,
-            "coefficient_table": config.profile.coefficient_table_id,
-        },
-        "motion_file": s(config.motion_file),
-        "annotation_file": s(config.annotation_file),
-        "coefficient_table_file": s(config.coefficient_table_file),
-        "segment_aliases_file": s(config.segment_aliases_file),
-        "exoskeleton": config.exoskeleton,
-        "exoskeleton_params_file": s(config.exoskeleton_params_file),
-        "solver_settings_file": s(config.solver_settings_file),
-        "derivative_smoothing_hz": config.derivative_smoothing_hz,
-        "gravity": config.gravity,
-        "emg": None
-        if config.emg is None
-        else {
-            "baseline_file": s(config.emg.baseline_file),
-            "trial_files": {k: s(v) for k, v in config.emg.trial_files.items()},
-            "sample_rate": config.emg.sample_rate,
-        },
-        "ecg": None
-        if config.ecg is None
-        else {"files": {k: s(v) for k, v in config.ecg.files.items()}, "channel": config.ecg.channel},
-        "survey": None if config.survey is None else {"responses_file": s(config.survey.responses_file)},
-        "output_dir": s(config.output_dir),
-        "seed": config.seed,
-    }
+    return plain(asdict(config))
 
 
-class InputLedger:
-    """Hashes every input file the run consumes, for the manifest."""
-
-    def __init__(self) -> None:
-        self.hashes: dict[str, str] = {}
-
-    def record(self, path: Path | None) -> None:
-        if path is None:
-            return
-        self.hashes[str(path)] = eio.sha256_file(path)
+def input_files(config: SessionConfig) -> list[Path]:
+    """Every file a run of ``config`` reads, for the manifest. Optional
+    files count when they are set; a biosignal's metadata sidecar counts
+    when it exists."""
+    files = [config.config_path]
+    if config.motion_file is not None:
+        files += [
+            config.coefficient_table_file,
+            config.motion_file,
+            config.segment_aliases_file,
+            config.annotation_file,
+            config.solver_settings_file,
+        ]
+        if config.exoskeleton != "none":
+            files.append(config.exoskeleton_params_file)
+    signals = []
+    if config.emg is not None:
+        signals += [config.emg.baseline_file, *config.emg.trial_files.values()]
+    if config.ecg is not None:
+        signals += config.ecg.files.values()
+    for path in signals:
+        sidecar = eio.sidecar_path(path)
+        files += [path, sidecar] if sidecar.exists() else [path]
+    if config.survey is not None:
+        files.append(config.survey.responses_file)
+    return [path for path in files if path is not None]
 
 
 @dataclass
 class ReportBundle:
     output_dir: Path
     files: dict[str, Path] = field(default_factory=dict)
-    angle_summaries: list = field(default_factory=list)
-    torque_summaries: list = field(default_factory=list)
-    emg_changes: list = field(default_factory=list)
-    heart_rate: list = field(default_factory=list)
-    survey_constructs: list = field(default_factory=list)
-    survey_borg: list = field(default_factory=list)
-    boxplot_data: list = field(default_factory=list)
-    manifest: dict = field(default_factory=dict)
 
 
 def emit_boxplot_data(
@@ -307,39 +296,31 @@ def _whole_span_annotation(times: np.ndarray) -> TrialAnnotation:
     )
 
 
-def build_session_model(config: SessionConfig, ledger: InputLedger | None = None) -> SkeletonModel:
+def build_session_model(config: SessionConfig) -> SkeletonModel:
     if config.coefficient_table_file is not None:
-        if ledger is not None:
-            ledger.record(config.coefficient_table_file)
         table = load_table_file(config.coefficient_table_file)
     else:
         table = get_table(config.profile.coefficient_table_id)
     return build_model(config.profile, table)
 
 
-def session_solver_settings(config: SessionConfig, ledger: InputLedger | None = None) -> SolverSettings:
+def session_solver_settings(config: SessionConfig) -> SolverSettings:
     if config.solver_settings_file is not None:
-        if ledger is not None:
-            ledger.record(config.solver_settings_file)
         return load_solver_settings(config.solver_settings_file)
     return SolverSettings()
 
 
-def session_exoskeleton(config: SessionConfig, ledger: InputLedger | None = None) -> LaevoModel | None:
+def session_exoskeleton(config: SessionConfig) -> LaevoModel | None:
     if config.exoskeleton == "none":
         return None
     if config.exoskeleton_params_file is not None:
-        if ledger is not None:
-            ledger.record(config.exoskeleton_params_file)
         return load_exoskeleton_params(config.exoskeleton_params_file)
     return LaevoModel()
 
 
-def _segment_aliases(config: SessionConfig, ledger: InputLedger | None) -> dict[str, str]:
+def _segment_aliases(config: SessionConfig) -> dict[str, str]:
     if config.segment_aliases_file is None:
         return {}
-    if ledger is not None:
-        ledger.record(config.segment_aliases_file)
     payload = eio.load_json_file(config.segment_aliases_file)
     if not isinstance(payload, dict):
         raise ValidationError(f"{config.segment_aliases_file}: alias table must be an object")
@@ -354,27 +335,21 @@ class MotionResults:
     annotation: TrialAnnotation
 
 
-def run_motion_analysis(
-    config: SessionConfig, ledger: InputLedger | None = None
-) -> tuple[SkeletonModel, MotionResults]:
+def run_motion_analysis(config: SessionConfig) -> tuple[SkeletonModel, MotionResults]:
     """Retarget, differentiate, run inverse dynamics, apply the exoskeleton
     model and decompose the lumbar torque."""
     with _stage("model"):
-        model = build_session_model(config, ledger)
+        model = build_session_model(config)
     with _stage("parse-motion"):
-        if ledger is not None:
-            ledger.record(config.motion_file)
-        aliases = _segment_aliases(config, ledger)
+        aliases = _segment_aliases(config)
         captured = eio.parse_motion_file(config.motion_file, aliases=aliases)
     with _stage("parse-annotation"):
         if config.annotation_file is not None:
-            if ledger is not None:
-                ledger.record(config.annotation_file)
             annotation = eio.parse_annotation_file(config.annotation_file)
         else:
             annotation = _whole_span_annotation(captured.times)
     with _stage("retarget"):
-        settings = session_solver_settings(config, ledger)
+        settings = session_solver_settings(config)
         result = retarget_trajectory(model, captured, settings=settings)
     dt = 1.0 / captured.sample_rate
     with _stage("dynamics"):
@@ -391,7 +366,7 @@ def run_motion_analysis(
         theta = np.array([thorax_flexion_deg(R) for R in kinematics.segment_rotation("thorax")])
         theta_dot = time_derivative(theta, dt)
     with _stage("exoskeleton"):
-        exo = session_exoskeleton(config, ledger)
+        exo = session_exoskeleton(config)
         if exo is None:
             tau_exo = np.zeros_like(tau_net)
         else:
@@ -410,13 +385,11 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot create output directory {out_dir}: {exc}") from exc
-    ledger = InputLedger()
-    ledger.record(config.config_path)
     bundle = ReportBundle(output_dir=out_dir)
     boxplots: list[tuple[str, str, str, DistributionSummary]] = []
 
     if config.motion_file is not None:
-        model, motion = run_motion_analysis(config, ledger)
+        model, motion = run_motion_analysis(config)
         trial = motion.annotation.trial_id
         with _stage("write-joints"):
             path = out_dir / "joints.csv"
@@ -438,7 +411,6 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
                 motion.times, motion.torque.theta_deg, motion.annotation
             ):
                 s = summarize(values)
-                bundle.angle_summaries.append((trial, label, "back_flexion_deg", s))
                 rows.append(_summary_row(trial, label, "back_flexion_deg", s))
                 boxplots.append(("back_flexion", label, "back_flexion_deg", s))
                 profile = posture_profile(values)
@@ -460,7 +432,6 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
             report = lumbar_effort_report(motion.torque, motion.annotation)
             rows = []
             for row in report.rows:
-                bundle.torque_summaries.append((trial, row.label, row.channel, row.summary))
                 rows.append(_summary_row(trial, row.label, row.channel, row.summary))
                 boxplots.append(("lumbar_torque", row.label, row.channel, row.summary))
             path = out_dir / "torque_summaries.csv"
@@ -476,9 +447,6 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
 
     if config.emg is not None:
         with _stage("emg"):
-            ledger.record(config.emg.baseline_file)
-            if eio.sidecar_path(config.emg.baseline_file).exists():
-                ledger.record(eio.sidecar_path(config.emg.baseline_file))
             baseline = eio.read_emg_file(config.emg.baseline_file, config.emg.sample_rate)
             base_env = {
                 name: emg_envelope(samples, baseline.sample_rate)
@@ -486,11 +454,8 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
             }
             settle = settle_samples(baseline.sample_rate)
             rows = []
-            for label in config.emg.trial_files:
-                ledger.record(config.emg.trial_files[label])
-                if eio.sidecar_path(config.emg.trial_files[label]).exists():
-                    ledger.record(eio.sidecar_path(config.emg.trial_files[label]))
-                record = eio.read_emg_file(config.emg.trial_files[label], config.emg.sample_rate)
+            for label, file in config.emg.trial_files.items():
+                record = eio.read_emg_file(file, config.emg.sample_rate)
                 for name in sorted(set(base_env) | set(record.channels)):
                     if name not in record.channels or name not in base_env:
                         rows.append([label, name, "NA"])
@@ -499,7 +464,6 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
                     pct = emg_change_pct(env[settle:], base_env[name][settle:])
                     rows.append([label, name, pct])
                     boxplots.append(("emg_envelope", label, name, summarize(env[settle:])))
-            bundle.emg_changes = rows
             path = out_dir / "emg_changes.csv"
             eio.write_csv(path, ["label", "channel", "change_pct"], rows)
             bundle.files["emg_changes"] = path
@@ -508,9 +472,6 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
         with _stage("ecg"):
             rows = []
             for label, file in config.ecg.files.items():
-                ledger.record(file)
-                if eio.sidecar_path(file).exists():
-                    ledger.record(eio.sidecar_path(file))
                 record = eio.read_ecg_file(file, config.ecg.channel)
                 beats = detect_r_peaks(record.samples, record.sample_rate)
                 duration = len(record.samples) / record.sample_rate
@@ -518,7 +479,6 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
                     label, (AnnotationSegment("control", 0.0, duration + 1e-9),)
                 )
                 for _, s in heart_rate_stats(beats, annotation):
-                    bundle.heart_rate.append((label, s))
                     rows.append(_summary_row("session", label, "heart_rate_bpm", s))
                     boxplots.append(("heart_rate", label, "heart_rate_bpm", s))
             path = out_dir / "heart_rate.csv"
@@ -527,7 +487,6 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
 
     if config.survey is not None:
         with _stage("survey"):
-            ledger.record(config.survey.responses_file)
             responses = eio.read_responses_file(config.survey.responses_file)
             # schemas are frozen, so each questionnaire's is loaded once and shared
             schemas = {qid: load_schema(qid) for qid in {r.questionnaire_id for r in responses}}
@@ -550,7 +509,6 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
                     groups.setdefault(response.context.exoskeleton, []).append(response)
                 for exo_type in sorted(groups):
                     for score in construct_scores(schema, groups[exo_type], skip_empty=True):
-                        bundle.survey_constructs.append((qid, exo_type, score))
                         construct_rows.append(
                             [
                                 qid,
@@ -583,7 +541,6 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
                 if not answered:
                     continue
                 for s in borg_summary(schema, answered):
-                    bundle.survey_borg.append((qid, s))
                     borg_rows.append(
                         [
                             qid,
@@ -604,19 +561,21 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
             bundle.files["survey_borg"] = path
 
     with _stage("report"):
-        bundle.boxplot_data = emit_boxplot_data(boxplots)
         path = out_dir / "boxplot_data.json"
-        eio.write_json(path, bundle.boxplot_data)
+        eio.write_json(path, emit_boxplot_data(boxplots))
         bundle.files["boxplot_data"] = path
 
-        bundle.manifest = {
-            "package_version": PACKAGE_VERSION,
-            "seed": config.seed,
-            "config": config_echo(config),
-            "inputs": dict(sorted(ledger.hashes.items())),
-        }
+        inputs = sorted({str(path) for path in input_files(config)})
         path = out_dir / "manifest.json"
-        eio.write_json(path, bundle.manifest)
+        eio.write_json(
+            path,
+            {
+                "package_version": PACKAGE_VERSION,
+                "seed": config.seed,
+                "config": config_echo(config),
+                "inputs": {name: eio.sha256_file(name) for name in inputs},
+            },
+        )
         bundle.files["manifest"] = path
 
     return bundle

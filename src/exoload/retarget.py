@@ -18,7 +18,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import InfeasibleBoundsError, SolverError, ValidationError, require_finite
+from .errors import (
+    InfeasibleBoundsError,
+    SolverError,
+    ValidationError,
+    finite_number,
+    require_finite,
+)
 from .geometry import orientation_error, quat_rotvec_between, quat_slerp, quat_to_matrix
 from .qp import solve_ls_qp
 from .skeleton import (
@@ -47,7 +53,17 @@ def load_solver_settings(path: str | Path) -> SolverSettings:
 
     payload = load_json_file(path)
     try:
-        return SolverSettings(**payload)
+        if not isinstance(payload, dict):
+            raise TypeError(f"expected an object, got {type(payload).__name__}")
+        values = {}
+        for name, value in payload.items():
+            if name != "max_iterations":
+                values[name] = finite_number(value, name)
+            elif isinstance(value, int) and not isinstance(value, bool):
+                values[name] = value
+            else:
+                raise TypeError(f"max_iterations must be an integer, got {value!r}")
+        return SolverSettings(**values)
     except TypeError as exc:
         raise ValidationError(f"bad solver settings file {path}: {exc}") from exc
 

@@ -15,7 +15,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import ValidationError
@@ -310,12 +309,6 @@ def parse_schema(payload: dict) -> QuestionnaireSchema:
         )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed questionnaire schema: {exc}") from exc
-
-
-def load_schema_file(path: str | Path) -> QuestionnaireSchema:
-    from .io import load_json_file  # local import: io depends on this module
-
-    return parse_schema(load_json_file(path))
 
 
 def load_schema(questionnaire_id: str) -> QuestionnaireSchema:

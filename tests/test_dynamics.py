@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -237,7 +239,7 @@ def test_laevo_monotone_and_clamped(a, b):
 
 def test_laevo_invalid_parameters_rejected():
     with pytest.raises(ValidationError):
-        LaevoModel(k0=-20.0)  # breaks zero-at-engagement
+        LaevoModel(theta_min=50.0, theta_max=20.0)  # empty engagement range
     with pytest.raises(ValidationError):
         LaevoModel(k_loss=-1.0)
 
@@ -343,16 +345,33 @@ def test_net_lumbar_series_static_hold(model):
     assert np.max(np.abs(series - expected)) < 1e-9
 
 
-def test_bundled_exoskeleton_params_match_defaults():
-    from importlib import resources
+def test_laevo_spring_coefficients_are_derived():
+    default = LaevoModel()
+    assert default.k1 == pytest.approx(4.0 / 3.0, abs=1e-12)
+    assert default.k0 == pytest.approx(-80.0 / 3.0, abs=1e-12)
+    lv = LaevoModel(theta_min=10.0, theta_max=60.0, tau_max=25.0)
+    assert lv.k0 + lv.k1 * lv.theta_min == pytest.approx(0.0, abs=1e-12)
+    assert lv.k0 + lv.k1 * lv.theta_max == pytest.approx(lv.tau_max, abs=1e-12)
 
+
+def test_bundled_exoskeleton_params_match_defaults(tmp_path):
+    """A parameter file written from the ``LaevoModel`` defaults, the one
+    source of them, loads back as the defaults."""
     import json as _json
 
     from exoload.dynamics import load_exoskeleton_params
 
-    path = resources.files("exoload.data").joinpath("laevo_default.json")
-    lv = load_exoskeleton_params(str(path))
     default = LaevoModel()
+    path = tmp_path / "laevo.json"
+    path.write_text(
+        _json.dumps(
+            {
+                name: getattr(default, name)
+                for name in ("k0", "k1", "k_loss", "theta_min", "theta_max", "tau_max")
+            }
+        )
+    )
+    lv = load_exoskeleton_params(path)
     assert lv.k_loss == default.k_loss
     assert lv.theta_min == default.theta_min and lv.theta_max == default.theta_max
     assert lv.tau_max == default.tau_max
@@ -373,6 +392,39 @@ def test_exoskeleton_params_file_validation(tmp_path):
     missing.write_text(_json.dumps({"k0": -10.0}))
     with pytest.raises(ValidationError, match="missing field"):
         load_exoskeleton_params(missing)
+
+
+GOOD_LAEVO = {
+    "k0": -80.0 / 3.0,
+    "k1": 4.0 / 3.0,
+    "k_loss": 10.0,
+    "theta_min": 20.0,
+    "theta_max": 50.0,
+    "tau_max": 40.0,
+}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        json.dumps(dict(GOOD_LAEVO, k0="x")),
+        json.dumps(dict(GOOD_LAEVO, k_loss=True)),
+        json.dumps(dict(GOOD_LAEVO, tau_max="40")),
+        json.dumps(dict(GOOD_LAEVO, theta_max=float("nan"))),
+        json.dumps(dict(GOOD_LAEVO, theta_max=10**400)),
+        json.dumps(dict(GOOD_LAEVO, k_loss=-1.0)),
+        json.dumps(dict(GOOD_LAEVO, k1=4.0 / 3.0 + 1e-9)),
+    ],
+    ids=["list", "k0-string", "bool", "tau-string", "nan", "huge-int", "negative-loss", "k1-off-line"],
+)
+def test_malformed_exoskeleton_params_name_the_file(tmp_path, text):
+    from exoload.dynamics import load_exoskeleton_params
+
+    path = tmp_path / "exo.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match="exo.json"):
+        load_exoskeleton_params(path)
 
 
 def test_power_balance_under_motion(model):

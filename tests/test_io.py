@@ -43,6 +43,38 @@ def test_quaternion_renormalization_tolerance(tmp_path):
         eio.parse_motion_file(path2)
 
 
+def test_batched_quaternion_normalization_matches_per_row_loop(tmp_path):
+    """The normalized tracks equal the per-row ``np.linalg.norm`` loop the
+    reader used before, bit for bit; the first row out of tolerance is the
+    one named."""
+    rng = np.random.default_rng(5)
+    n = 400
+    header = ["time_s"]
+    rows = [[k / 240.0] for k in range(n)]
+    raw = {}
+    for seg in ("pelvis", "thorax", "head"):
+        header += [f"{seg}_{s}" for s in eio.POSE_SUFFIXES]
+        q = rng.standard_normal((n, 4))
+        q /= np.linalg.norm(q, axis=1)[:, None]
+        q *= 1.0 + rng.uniform(-9e-4, 9e-4, (n, 1))  # inside the 1e-3 band
+        raw[seg] = q
+        for k in range(n):
+            rows[k] += [0.1, -0.2, 1.0, *q[k]]
+    eio.write_csv(tmp_path / "m.csv", header, rows)
+    trajectory = eio.parse_motion_file(tmp_path / "m.csv")
+    for seg, q in raw.items():
+        expected = q.copy()
+        for k in range(n):
+            expected[k] /= float(np.linalg.norm(expected[k]))
+        assert np.array_equal(trajectory.segments[seg].quaternions, expected)
+
+    for k in (7, 12):
+        rows[k][4:8] = [1.01, 0.0, 0.0, 0.0]
+    eio.write_csv(tmp_path / "bad.csv", header, rows)
+    with pytest.raises(ValidationError, match="row 9: segment 'pelvis'"):
+        eio.parse_motion_file(tmp_path / "bad.csv")
+
+
 def test_decreasing_timestamps_name_the_row(tmp_path):
     header, rows = minimal_motion_rows(3)
     rows[2][0] = rows[1][0] - 0.001

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,6 +281,139 @@ def test_cli_stage_commands(tmp_path, capsys):
     assert cli.main(["report", "--config", str(config_path)]) == 0
     assert (tmp_path / "out" / "boxplot_data.json").exists()
     capsys.readouterr()
+
+
+def test_cli_motion_subcommands_write_the_same_bundle(tmp_path, capsys):
+    """retarget, dynamics, posture and pipeline all run the motion branch
+    through run_pipeline: on a motion-only config they write the same files,
+    byte for byte, and list them on stdout."""
+    config_path = write_bend_session(tmp_path, duration_s=0.5)
+    out = tmp_path / "out"
+    bundles = {}
+    for command in ("retarget", "dynamics", "posture", "pipeline"):
+        assert cli.main([command, "--config", str(config_path)]) == 0
+        listed = {line.split(":")[0] for line in capsys.readouterr().out.splitlines()}
+        bundles[command] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert listed == {name.rsplit(".", 1)[0] for name in bundles[command]}
+        for p in out.iterdir():
+            p.unlink()
+    assert {"joints.csv", "torque_series.csv", "manifest.json"} <= set(bundles["pipeline"])
+    for command in ("retarget", "dynamics", "posture"):
+        assert bundles[command] == bundles["pipeline"], command
+
+
+def write_every_input_session(tmp_path):
+    """A session config naming every kind of input file; returns the config
+    path and the files by kind."""
+    import shutil
+
+    config_path = write_bend_session(tmp_path, duration_s=0.25)
+    files = {
+        "config": config_path,
+        "motion": tmp_path / "motion.csv",
+        "annotation": tmp_path / "annotation.json",
+        "coefficients": tmp_path / "coefficients.json",
+        "aliases": tmp_path / "aliases.json",
+        "solver": tmp_path / "solver.json",
+        "exoskeleton": tmp_path / "laevo.json",
+        "emg_baseline": tmp_path / "baseline.csv",
+        "emg_baseline_sidecar": tmp_path / "baseline.csv.meta.json",
+        "emg_trial": tmp_path / "head.csv",
+        "ecg": tmp_path / "ecg.csv",
+        "ecg_sidecar": tmp_path / "ecg.csv.meta.json",
+        "responses": tmp_path / "responses.jsonl",
+    }
+    shutil.copy(Path(eio.__file__).parent / "data" / "coefficients_default.json", files["coefficients"])
+    files["aliases"].write_text(json.dumps({"hips": "pelvis"}))
+    files["solver"].write_text(json.dumps({"gain": 10.0}))
+    laevo = {"k_loss": 10.0, "theta_min": 20.0, "theta_max": 50.0, "tau_max": 40.0}
+    files["exoskeleton"].write_text(json.dumps(dict(laevo, k0=-80.0 / 3.0, k1=4.0 / 3.0)))
+    write_emg_csv(files["emg_baseline"], 2000.0, 1.5, {"ESL_L": 50.0})
+    files["emg_baseline_sidecar"].write_text(json.dumps({"units": "uV", "sample_rate": 2000.0}))
+    write_emg_csv(files["emg_trial"], 2000.0, 1.5, {"ESL_L": 40.0})  # no sidecar
+    write_ecg_csv(files["ecg"], 500.0, 10.0, 66.0)
+    files["ecg_sidecar"].write_text(json.dumps({"units": "mV"}))
+    write_responses(files["responses"])
+    config = json.loads(config_path.read_text())
+    config["profile"]["coefficient_table_file"] = "coefficients.json"
+    config.update(
+        {
+            "segment_aliases_file": "aliases.json",
+            "solver_settings_file": "solver.json",
+            "exoskeleton_params_file": "laevo.json",
+            "emg": {"baseline_file": "baseline.csv", "trial_files": {"head": "head.csv"}},
+            "ecg": {"files": {"head": "ecg.csv"}},
+            "survey": {"responses_file": "responses.jsonl"},
+        }
+    )
+    config_path.write_text(json.dumps(config))
+    return config, files
+
+
+@pytest.mark.parametrize("variant", ["laevo", "none", "no-motion"])
+def test_manifest_inputs_are_exactly_the_files_read(tmp_path, variant):
+    config, files = write_every_input_session(tmp_path)
+    expected = set(files)
+    if variant == "none":
+        config["exoskeleton"] = "none"
+        expected -= {"exoskeleton"}
+    if variant == "no-motion":
+        del config["motion_file"]
+        expected -= {"motion", "annotation", "coefficients", "aliases", "solver", "exoskeleton"}
+    files["config"].write_text(json.dumps(config))
+    bundle = run_pipeline(load_config(files["config"]))
+    manifest = json.loads(bundle.files["manifest"].read_text())
+    assert manifest["inputs"] == {str(files[kind]): eio.sha256_file(files[kind]) for kind in expected}
+    assert manifest["config"]["config_path"] == str(files["config"])
+    assert manifest["config"]["profile"]["coefficient_table_id"] == "default-v1"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("derivative_smoothing_hz", "5"),
+        ("derivative_smoothing_hz", True),
+        ("derivative_smoothing_hz", float("inf")),
+        ("gravity", "nan"),
+        ("gravity", float("nan")),
+        ("gravity", None),
+        ("emg.sample_rate", "2000"),
+        ("emg.sample_rate", False),
+        ("emg.sample_rate", [2000.0]),
+    ],
+)
+def test_config_numbers_are_checked_where_read(tmp_path, capsys, field, value):
+    config = {
+        "profile": {"height_m": 1.75, "mass_kg": 70.0},
+        "emg": {"baseline_file": "b.csv", "trial_files": {}},
+        "output_dir": "out",
+    }
+    if field == "emg.sample_rate":
+        config["emg"]["sample_rate"] = value
+    else:
+        config[field] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ValidationError, match=rf"config.json: .*{field} must be a finite number"):
+        load_config(path)
+    assert cli.main(["pipeline", "--config", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_config_numbers_accept_integers_and_null(tmp_path):
+    config = {
+        "profile": {"height_m": 1.75, "mass_kg": 70.0},
+        "derivative_smoothing_hz": None,
+        "gravity": 10,
+        "emg": {"baseline_file": "b.csv", "trial_files": {}, "sample_rate": 2000},
+        "output_dir": "out",
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    loaded = load_config(path)
+    assert loaded.derivative_smoothing_hz is None
+    assert type(loaded.gravity) is float and loaded.gravity == 10.0
+    assert type(loaded.emg.sample_rate) is float and loaded.emg.sample_rate == 2000.0
 
 
 def test_cli_requires_branch_config(tmp_path):

@@ -2,6 +2,7 @@
 ``ValidationError``, never another exception."""
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -42,9 +43,9 @@ def read(reader, content: bytes):
         path = Path(tmp) / "input"
         path.write_bytes(content)
         try:
-            reader(path)
+            return reader(path)
         except ValidationError:
-            pass
+            return None
 
 
 @st.composite
@@ -182,5 +183,12 @@ CONFIGS = st.fixed_dictionaries(
 @example(b'{"profile": {"height_m": 1.7, "mass_kg": 70}, "output_dir": "o", "seed": Infinity}')
 @example(b'{"profile": {"height_m": 1.7, "mass_kg": 70}, "output_dir": "o", "emg": {"baseline_file": "a", "trial_files": []}}')
 @example(b"\xff")
+@example(b'{"profile": {"height_m": 1.7, "mass_kg": 70}, "output_dir": "o", "derivative_smoothing_hz": "5"}')
 def test_load_config_parses_or_rejects(content):
-    read(load_config, content)
+    config = read(load_config, content)
+    if config is not None:  # the numbers that reach the stages are finite floats
+        numbers = [config.gravity, config.derivative_smoothing_hz]
+        if config.emg is not None:
+            numbers.append(config.emg.sample_rate)
+        assert all(v is None or (type(v) is float and math.isfinite(v)) for v in numbers)
+        assert config.gravity is not None

@@ -340,3 +340,16 @@ def test_solver_settings_file(tmp_path):
     bad.write_text(json.dumps({"epsilon": 1e-7, "unknown_knob": 1}))
     with pytest.raises(ValidationError):
         load_solver_settings(bad)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"gain": "10"}', '{"velocity_bound": true}', '{"epsilon": NaN}', '{"max_iterations": 2.5}', "[1]"],
+)
+def test_malformed_solver_settings_name_the_file(tmp_path, text):
+    from exoload.retarget import load_solver_settings
+
+    path = tmp_path / "solver.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match="solver.json"):
+        load_solver_settings(path)
