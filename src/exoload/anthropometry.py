@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import JsonFields, ValidationError
 
 DEFAULT_TABLE_ID = "default-v1"
 
@@ -76,36 +76,34 @@ class AnthropometricProfile:
             raise ValidationError(f"mass must be positive and finite, got {self.mass_kg}")
 
 
-def parse_table(payload: dict) -> CoefficientTable:
-    try:
-        table_id = payload["table_id"]
-        rows = payload["segments"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"coefficient table file missing field: {exc}") from exc
+def parse_table(payload: object, where: str | Path = "coefficient table") -> CoefficientTable:
+    """A coefficient table from its JSON object, with ``where`` naming the
+    source in error messages. Any field not read here but ``comment`` is an error."""
+    fields = JsonFields(payload, where)
+    fields.get("comment", str, "")
     segments = {}
-    for row in rows:
-        try:
-            segments[row["name"]] = SegmentCoefficients(
-                length_fraction=float(row["length_fraction"]),
-                mass_fraction=float(row["mass_fraction"]),
-                com_fraction=float(row["com_fraction"]),
-                gyration_fractions=tuple(float(g) for g in row["gyration_fractions"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed coefficient row {row!r}: {exc}") from exc
+    for row in fields.get_list("segments", dict):
+        segments[row.get("name", str)] = SegmentCoefficients(
+            length_fraction=row.get("length_fraction", float),
+            mass_fraction=row.get("mass_fraction", float),
+            com_fraction=row.get("com_fraction", float),
+            gyration_fractions=tuple(row.get_list("gyration_fractions", float)),
+        )
+    table_id = fields.get("table_id", str)
+    fields.reject_unread()
     return CoefficientTable(table_id=table_id, segments=segments)
 
 
 def load_table_file(path: str | Path) -> CoefficientTable:
     from .io import load_json_file  # local import: io depends on this module
 
-    return parse_table(load_json_file(path))
+    return parse_table(load_json_file(path), path)
 
 
 @functools.cache
 def _default_table() -> CoefficientTable:
     text = resources.files("exoload.data").joinpath("coefficients_default.json").read_text("utf-8")
-    return parse_table(json.loads(text))
+    return parse_table(json.loads(text), "coefficients_default.json")
 
 
 def get_table(table_id: str) -> CoefficientTable:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, finite_number
+from .errors import JsonFields, ValidationError
 from .filters import butter_sos, sosfiltfilt
 from .geometry import cross, quat_rotvec_between
 from .skeleton import (
@@ -287,29 +287,19 @@ def load_exoskeleton_params(path: str | Path) -> LaevoModel:
     within 1e-9 Nm."""
     from .io import load_json_file  # local import: io depends on this module
 
-    payload = load_json_file(path)
-    where = f"exoskeleton parameter file {path}"
-    try:
-        if not isinstance(payload, dict):
-            raise TypeError(f"expected an object, got {type(payload).__name__}")
-        values = {
-            name: finite_number(payload[name], name)
-            for name in ("k0", "k1", "k_loss", "theta_min", "theta_max", "tau_max")
-        }
-    except KeyError as exc:
-        raise ValidationError(f"{where} missing field {exc}") from exc
-    except TypeError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
-    k0, k1 = values.pop("k0"), values.pop("k1")
+    fields = JsonFields(load_json_file(path), path)
+    k0, k1 = fields.get("k0", float), fields.get("k1", float)
+    values = {name: fields.get(name, float) for name in ("k_loss", "theta_min", "theta_max", "tau_max")}
+    fields.reject_unread()
     try:
         model = LaevoModel(**values)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+    except ValidationError as exc:  # the model's own range checks, which name no file
+        raise ValidationError(f"{path}: {exc}") from exc
     tol = 1e-9
     if abs(k0 + k1 * model.theta_min) > tol:
-        raise ValidationError(f"{where}: spring must produce zero torque at the engagement angle")
+        raise ValidationError(f"{path}: spring must produce zero torque at the engagement angle")
     if abs(k0 + k1 * model.theta_max - model.tau_max) > tol:
-        raise ValidationError(f"{where}: spring must reach tau_max at the top of the range")
+        raise ValidationError(f"{path}: spring must reach tau_max at the top of the range")
     return model
 
 

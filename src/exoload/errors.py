@@ -1,6 +1,10 @@
 """Exception hierarchy. CLI exit codes: validation errors map to 2,
 numerical/solver failures to 3."""
 
+import reprlib
+import sys
+from pathlib import Path
+
 import numpy as np
 
 
@@ -32,16 +36,72 @@ def require_finite(values, where: str) -> None:
         raise ValidationError(f"{where}: non-finite value at index {int(np.argwhere(bad)[0][0])}")
 
 
-def finite_number(value: object, name: str) -> float:
-    """A number read from a JSON file, as a float. Anything else, a bool or a
-    string included, or a non-finite number, is a ``TypeError`` naming
-    ``name``, which the file's reader turns into a ``ValidationError``
-    naming the file."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an int beyond the float range
-            number = float("inf")
-        if np.isfinite(number):
-            return number
-    raise TypeError(f"{name} must be a finite number, got {value!r}")
+REQUIRED = object()  # the default of a field that must be present
+KIND_NAMES = {
+    float: "a finite number",
+    int: "an integer",
+    str: "a string",
+    bool: "true or false",
+    list: "a list",
+    dict: "an object",
+}
+
+
+class JsonFields:
+    """A decoded JSON object read one field at a time: the one place that
+    decides which JSON values a field accepts. A field read as ``float`` is a
+    finite number (never a bool), ``int`` an integer (never a bool), ``str``
+    a string, ``bool`` a JSON bool, ``list`` a list, and ``dict`` a nested
+    object, itself read as a ``JsonFields``. A rejection is a
+    ``ValidationError`` naming ``where`` and the dotted field, as in
+    ``config.json: profile.height_m must be a finite number, got True``."""
+
+    def __init__(self, value: object, where: str | Path, prefix: str = "") -> None:
+        if not isinstance(value, dict):
+            raise ValidationError(f"{where}: expected a JSON object, got {type(value).__name__}")
+        self.data, self.where, self.prefix = value, where, prefix
+        self.read: set[str] = set()
+        self.children: list[JsonFields] = []
+
+    def get(self, key: str, kind: type, default: object = REQUIRED, null: bool = False):
+        """Field ``key`` as ``kind``, or ``default`` when it is missing.
+        ``null`` reads as ``None`` where the default is ``None`` or ``null``
+        is set."""
+        self.read.add(key)
+        value = self.data.get(key, default)
+        if value is REQUIRED:
+            raise ValidationError(f"{self.where}: missing field {self.prefix}{key}")
+        if value is None and (null or default is None):
+            return None
+        return self._check(value, kind, self.prefix + key)
+
+    def get_list(self, key: str, kind: type, default: object = REQUIRED) -> list:
+        """Field ``key`` as a list whose every element is ``kind``."""
+        name = self.prefix + key
+        return [self._check(v, kind, f"{name}.{i}") for i, v in enumerate(self.get(key, list, default))]
+
+    def entries(self, kind: type) -> dict:
+        """Every field, each one ``kind``: the object read as a map."""
+        return {key: self.get(key, kind) for key in self.data}
+
+    def reject_unread(self) -> None:
+        """Reject a field no read asked for, here or in an object read from
+        here, so that a misspelled setting is an error, not a default."""
+        unknown = [self.prefix + key for key in self.data if key not in self.read]
+        if unknown:
+            raise ValidationError(f"{self.where}: unknown field(s) {', '.join(unknown)}")
+        for child in self.children:
+            child.reject_unread()
+
+    def _check(self, value: object, kind: type, name: str):
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, accepted) and (kind is bool or not isinstance(value, bool)):
+            if kind is float:
+                if abs(value) <= sys.float_info.max:  # neither NaN nor infinite
+                    return float(value)
+            elif kind is dict:
+                self.children.append(JsonFields(value, self.where, name + "."))
+                return self.children[-1]
+            else:
+                return value
+        raise ValidationError(f"{self.where}: {name} must be {KIND_NAMES[kind]}, got {reprlib.repr(value)}")

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import JsonFields, ValidationError
 from .posture import AnnotationSegment, TrialAnnotation
 from .retarget import CapturedTrajectory, SegmentTrack
 from .skeleton import JointConfiguration, SkeletonModel
@@ -130,18 +130,14 @@ def _parse_table(path: str | Path, header: list[str], rows: list[list[str]]) -> 
     return data
 
 
-def parse_motion_file(
-    path: str | Path,
-    sample_rate: float | None = None,
-    aliases: Mapping[str, str] | None = None,
-) -> CapturedTrajectory:
+def parse_motion_file(path: str | Path, aliases: Mapping[str, str] | None = None) -> CapturedTrajectory:
     """Read a captured trajectory. Non-unit quaternions within 1e-3 of unit
     norm are renormalized; larger deviations, non-finite cells, malformed
     headers and non-monotone timestamps are rejected with the offending row
     named.
 
     ``aliases`` maps capture-file segment names onto canonical model names.
-    ``sample_rate`` overrides the rate inferred from the median frame spacing.
+    The sample rate is the inverse of the median frame spacing.
     """
     header, rows = _read_csv_table(path)
     if not header or header[0] != "time_s":
@@ -187,10 +183,9 @@ def parse_motion_file(
         quat /= norm[:, None]
         segments[aliases.get(seg, seg)] = SegmentTrack(pos, quat)
 
-    if sample_rate is None:
-        if n < 2:
-            raise ValidationError(f"{path}: cannot infer the sample rate from one frame")
-        sample_rate = 1.0 / float(np.median(np.diff(times)))
+    if n < 2:
+        raise ValidationError(f"{path}: cannot infer the sample rate from one frame")
+    sample_rate = 1.0 / float(np.median(np.diff(times)))
     return CapturedTrajectory(sample_rate=sample_rate, times=times, segments=segments)
 
 
@@ -210,15 +205,12 @@ def write_motion_file(path: str | Path, trajectory: CapturedTrajectory) -> None:
 
 
 def parse_annotation_file(path: str | Path) -> TrialAnnotation:
-    payload = load_json_file(path)
-    try:
-        segments = tuple(
-            AnnotationSegment(label=s["label"], start=float(s["start"]), end=float(s["end"]))
-            for s in payload["segments"]
-        )
-        return TrialAnnotation(trial_id=str(payload["trial_id"]), segments=segments)
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"{path}: malformed annotation: {exc}") from exc
+    fields = JsonFields(load_json_file(path), path)
+    segments = tuple(
+        AnnotationSegment(label=s.get("label", str), start=s.get("start", float), end=s.get("end", float))
+        for s in fields.get_list("segments", dict)
+    )
+    return TrialAnnotation(trial_id=fields.get("trial_id", str), segments=segments)
 
 
 def write_annotation_file(path: str | Path, annotation: TrialAnnotation) -> None:
@@ -266,37 +258,37 @@ def sidecar_path(path: str | Path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
-def _read_sidecar(path: str | Path, expected_units: tuple[str, ...]) -> dict:
+def _sidecar_rate(path: str | Path, expected_units: tuple[str, ...]) -> float | None:
+    """The sample rate a biosignal's sidecar states, after checking its
+    units; ``None`` when there is no sidecar or it states no rate."""
     sc = sidecar_path(path)
     if not sc.exists():
-        return {}
-    payload = load_json_file(sc)
-    units = payload.get("units")
+        return None
+    fields = JsonFields(load_json_file(sc), sc)
+    units = fields.get("units", str, None)
     if units is not None and units not in expected_units:
         raise ValidationError(f"{sc}: units {units!r} not among {expected_units}")
-    return payload
+    return fields.get("sample_rate", float, None)
 
 
 def read_emg_file(path: str | Path, sample_rate: float | None = None):
     from .biosignals import EmgRecord
 
-    sidecar = _read_sidecar(path, ("uV", "µV"))
+    sidecar_rate = _sidecar_rate(path, ("uV", "µV"))
     rate, channels = read_signal_csv(path)
-    rate = sample_rate or sidecar.get("sample_rate") or rate
-    return EmgRecord(sample_rate=rate, channels=channels)
+    return EmgRecord(sample_rate=sample_rate or sidecar_rate or rate, channels=channels)
 
 
-def read_ecg_file(path: str | Path, channel: str | None = None, sample_rate: float | None = None):
+def read_ecg_file(path: str | Path, channel: str | None = None):
     from .biosignals import EcgRecord
 
-    sidecar = _read_sidecar(path, ("mV",))
+    sidecar_rate = _sidecar_rate(path, ("mV",))
     rate, channels = read_signal_csv(path)
     if channel is None:
         channel = next(iter(channels))
     if channel not in channels:
         raise ValidationError(f"{path}: no channel {channel!r}; available: {sorted(channels)}")
-    rate = sample_rate or sidecar.get("sample_rate") or rate
-    return EcgRecord(sample_rate=rate, samples=channels[channel])
+    return EcgRecord(sample_rate=sidecar_rate or rate, samples=channels[channel])
 
 
 def read_responses_file(path: str | Path) -> list:
@@ -313,7 +305,7 @@ def read_responses_file(path: str | Path) -> list:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-            out.append(parse_response(payload))
+            out.append(parse_response(payload, f"{path}: line {lineno}"))
     if not out:
         raise ValidationError(f"{path}: no responses")
     return out

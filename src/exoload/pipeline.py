@@ -10,14 +10,13 @@ the manifest), stable orderings throughout.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 import numpy as np
 
 from . import io as eio
-from .anthropometry import AnthropometricProfile, get_table, load_table_file
+from .anthropometry import DEFAULT_TABLE_ID, AnthropometricProfile, get_table, load_table_file
 from .biosignals import (
     detect_r_peaks,
     emg_change_pct,
@@ -36,7 +35,7 @@ from .dynamics import (
     net_lumbar_series,
     time_derivative,
 )
-from .errors import ExoloadError, ValidationError, finite_number
+from .errors import REQUIRED, ExoloadError, JsonFields, ValidationError
 from .posture import (
     POSTURE_THRESHOLDS_DEG,
     AnnotationSegment,
@@ -124,86 +123,55 @@ class SessionConfig:
             raise ValidationError(f"unknown exoskeleton model {self.exoskeleton!r}")
 
 
-def _resolve(base: Path, value: str | None) -> Path | None:
-    if value is None:
-        return None
-    path = Path(value)
-    return path if path.is_absolute() else (base / path)
-
-
-def _object(value: object, name: str) -> dict:
-    """``value`` itself if it is a JSON object, else a ``TypeError``."""
-    if not isinstance(value, dict):
-        raise TypeError(f"{name} must be an object, got {type(value).__name__}")
-    return value
-
-
-def _optional_number(value: object, name: str) -> float | None:
-    return None if value is None else finite_number(value, name)
-
-
 def load_config(path: str | Path) -> SessionConfig:
+    """A session config file. Paths in it are relative to its directory, and
+    a field it does not define, at any level, is an error."""
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    base = path.parent
-    try:
-        payload = _object(payload, "the config")
-        prof = _object(payload["profile"], "profile")
-        profile = AnthropometricProfile(
-            height_m=float(prof["height_m"]),
-            mass_kg=float(prof["mass_kg"]),
-            coefficient_table_id=prof.get("coefficient_table", "default-v1"),
+    top = JsonFields(eio.load_json_file(path), path)
+
+    def file(fields: JsonFields, key: str, default: object = None) -> Path | None:
+        name = fields.get(key, str, default)
+        return None if name is None else path.parent / name
+
+    def files(fields: JsonFields, key: str) -> dict[str, Path]:
+        return {label: path.parent / name for label, name in fields.get(key, dict).entries(str).items()}
+
+    emg = ecg = survey = None
+    if (raw := top.get("emg", dict, None)) is not None:
+        emg = EmgConfig(
+            baseline_file=file(raw, "baseline_file", REQUIRED),
+            trial_files=files(raw, "trial_files"),
+            sample_rate=raw.get("sample_rate", float, None),
         )
-        emg = None
-        if payload.get("emg") is not None:
-            raw = _object(payload["emg"], "emg")
-            emg = EmgConfig(
-                baseline_file=_resolve(base, raw["baseline_file"]),
-                trial_files={
-                    k: _resolve(base, v) for k, v in _object(raw["trial_files"], "trial_files").items()
-                },
-                sample_rate=_optional_number(raw.get("sample_rate"), "emg.sample_rate"),
-            )
-        ecg = None
-        if payload.get("ecg") is not None:
-            raw = _object(payload["ecg"], "ecg")
-            ecg = EcgConfig(
-                files={k: _resolve(base, v) for k, v in _object(raw["files"], "files").items()},
-                channel=raw.get("channel"),
-            )
-        survey = None
-        if payload.get("survey") is not None:
-            survey = SurveyConfig(
-                responses_file=_resolve(base, _object(payload["survey"], "survey")["responses_file"])
-            )
-        return SessionConfig(
-            profile=profile,
-            output_dir=_resolve(base, payload["output_dir"]),
-            motion_file=_resolve(base, payload.get("motion_file")),
-            annotation_file=_resolve(base, payload.get("annotation_file")),
-            coefficient_table_file=_resolve(base, prof.get("coefficient_table_file")),
-            segment_aliases_file=_resolve(base, payload.get("segment_aliases_file")),
-            exoskeleton=payload.get("exoskeleton", "none"),
-            exoskeleton_params_file=_resolve(base, payload.get("exoskeleton_params_file")),
-            solver_settings_file=_resolve(base, payload.get("solver_settings_file")),
-            derivative_smoothing_hz=_optional_number(
-                payload.get("derivative_smoothing_hz", 5.0), "derivative_smoothing_hz"
-            ),
-            gravity=finite_number(payload.get("gravity", GRAVITY_DEFAULT), "gravity"),
-            emg=emg,
-            ecg=ecg,
-            survey=survey,
-            seed=int(payload.get("seed", 0)),
-            config_path=path,
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{path}: malformed session config: {exc}") from exc
+    if (raw := top.get("ecg", dict, None)) is not None:
+        ecg = EcgConfig(files=files(raw, "files"), channel=raw.get("channel", str, None))
+    if (raw := top.get("survey", dict, None)) is not None:
+        survey = SurveyConfig(responses_file=file(raw, "responses_file", REQUIRED))
+    prof = top.get("profile", dict)
+    config = SessionConfig(
+        profile=AnthropometricProfile(
+            height_m=prof.get("height_m", float),
+            mass_kg=prof.get("mass_kg", float),
+            coefficient_table_id=prof.get("coefficient_table", str, DEFAULT_TABLE_ID),
+        ),
+        output_dir=file(top, "output_dir", REQUIRED),
+        motion_file=file(top, "motion_file"),
+        annotation_file=file(top, "annotation_file"),
+        coefficient_table_file=file(prof, "coefficient_table_file"),
+        segment_aliases_file=file(top, "segment_aliases_file"),
+        exoskeleton=top.get("exoskeleton", str, "none"),
+        exoskeleton_params_file=file(top, "exoskeleton_params_file"),
+        solver_settings_file=file(top, "solver_settings_file"),
+        derivative_smoothing_hz=top.get("derivative_smoothing_hz", float, 5.0, null=True),
+        gravity=top.get("gravity", float, GRAVITY_DEFAULT),
+        emg=emg,
+        ecg=ecg,
+        survey=survey,
+        seed=top.get("seed", int, 0),
+        config_path=path,
+    )
+    top.reject_unread()
+    return config
 
 
 def config_echo(config: SessionConfig) -> dict:
@@ -322,9 +290,7 @@ def _segment_aliases(config: SessionConfig) -> dict[str, str]:
     if config.segment_aliases_file is None:
         return {}
     payload = eio.load_json_file(config.segment_aliases_file)
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{config.segment_aliases_file}: alias table must be an object")
-    return {str(k): str(v) for k, v in payload.items()}
+    return JsonFields(payload, config.segment_aliases_file).entries(str)
 
 
 @dataclass

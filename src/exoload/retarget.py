@@ -12,7 +12,7 @@ with a finite-difference feedforward of the reference trajectory.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -21,8 +21,8 @@ import numpy as np
 from .errors import (
     InfeasibleBoundsError,
     SolverError,
+    JsonFields,
     ValidationError,
-    finite_number,
     require_finite,
 )
 from .geometry import orientation_error, quat_rotvec_between, quat_slerp, quat_to_matrix
@@ -49,23 +49,23 @@ class SolverSettings:
 
 
 def load_solver_settings(path: str | Path) -> SolverSettings:
+    """Solver settings from a JSON object. A field left out keeps its default
+    and an unknown field is an error; ``tolerance`` must not be negative and
+    the other settings must be positive."""
     from .io import load_json_file  # local import: io depends on this module
 
-    payload = load_json_file(path)
-    try:
-        if not isinstance(payload, dict):
-            raise TypeError(f"expected an object, got {type(payload).__name__}")
-        values = {}
-        for name, value in payload.items():
-            if name != "max_iterations":
-                values[name] = finite_number(value, name)
-            elif isinstance(value, int) and not isinstance(value, bool):
-                values[name] = value
-            else:
-                raise TypeError(f"max_iterations must be an integer, got {value!r}")
-        return SolverSettings(**values)
-    except TypeError as exc:
-        raise ValidationError(f"bad solver settings file {path}: {exc}") from exc
+    raw = JsonFields(load_json_file(path), path)
+    # each field has the JSON type of its default: max_iterations an integer, the rest numbers
+    settings = SolverSettings(
+        **{f.name: raw.get(f.name, type(f.default), f.default) for f in fields(SolverSettings)}
+    )
+    raw.reject_unread()
+    for name in ("epsilon", "gain", "velocity_bound", "max_iterations"):
+        if getattr(settings, name) <= 0:
+            raise ValidationError(f"{path}: {name} must be positive, got {getattr(settings, name)!r}")
+    if settings.tolerance < 0.0:
+        raise ValidationError(f"{path}: tolerance must not be negative, got {settings.tolerance!r}")
+    return settings
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,6 @@ class CapturedTrajectory:
     sample_rate: float
     times: np.ndarray  # (n,)
     segments: dict[str, SegmentTrack]
-    subject_profile: object | None = None
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -187,12 +186,7 @@ def resample_uniform(captured: CapturedTrajectory) -> CapturedTrajectory:
         for k in range(n):
             quats[k] = quat_slerp(track.quaternions[idx[k]], track.quaternions[idx[k] + 1], w[k])
         segments[name] = SegmentTrack(pos, quats)
-    return CapturedTrajectory(
-        sample_rate=captured.sample_rate,
-        times=grid,
-        segments=segments,
-        subject_profile=captured.subject_profile,
-    )
+    return CapturedTrajectory(sample_rate=captured.sample_rate, times=grid, segments=segments)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Mapping
 
-from .errors import ValidationError
+from .errors import JsonFields, ValidationError
 
 QUESTIONNAIRE_IDS = ("A", "B", "C", "D", "E")
 ANSWER_KINDS = ("likert5_A", "likert5_B", "borg_cr10", "numeric", "free_text", "choice")
@@ -284,31 +284,26 @@ def format_mean_stdev(mean: float, stdev: float) -> str:
 # -- schema loading ----------------------------------------------------------
 
 
-def parse_schema(payload: dict) -> QuestionnaireSchema:
-    try:
-        items = tuple(
-            Item(
-                item_id=str(row["id"]),
-                text_key=row["text_key"],
-                kind=row["kind"],
-                reverse=bool(row.get("reverse", False)),
-                icu_only=bool(row.get("icu_only", False)),
-                choices=tuple(row.get("choices", ())),
-            )
-            for row in payload["items"]
+def parse_schema(payload: object, where: str = "questionnaire schema") -> QuestionnaireSchema:
+    fields = JsonFields(payload, where)
+    items = tuple(
+        Item(
+            item_id=row.get("id", str),
+            text_key=row.get("text_key", str),
+            kind=row.get("kind", str),
+            reverse=row.get("reverse", bool, False),
+            icu_only=row.get("icu_only", bool, False),
+            choices=tuple(row.get_list("choices", str, [])),
         )
-        constructs = {
-            name: tuple(str(m) for m in members)
-            for name, members in payload.get("constructs", {}).items()
-        }
-        return QuestionnaireSchema(
-            schema_id=payload["id"],
-            title=payload.get("title", ""),
-            items=items,
-            constructs=constructs,
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed questionnaire schema: {exc}") from exc
+        for row in fields.get_list("items", dict)
+    )
+    constructs = fields.get("constructs", dict, {})
+    return QuestionnaireSchema(
+        schema_id=fields.get("id", str),
+        title=fields.get("title", str, ""),
+        items=items,
+        constructs={name: tuple(constructs.get_list(name, str)) for name in constructs.data},
+    )
 
 
 def load_schema(questionnaire_id: str) -> QuestionnaireSchema:
@@ -317,26 +312,22 @@ def load_schema(questionnaire_id: str) -> QuestionnaireSchema:
         raise ValidationError(f"unknown questionnaire id {questionnaire_id!r}")
     name = f"questionnaire_{questionnaire_id.lower()}.json"
     text = resources.files("exoload.data").joinpath(name).read_text("utf-8")
-    return parse_schema(json.loads(text))
+    return parse_schema(json.loads(text), name)
 
 
-def parse_response(payload: dict) -> ResponseSet:
-    try:
-        if not isinstance(payload, dict):
-            raise TypeError(f"expected an object, got {type(payload).__name__}")
-        ctx = payload.get("context", {})
-        if not isinstance(ctx, dict):
-            raise TypeError(f"context must be an object, got {type(ctx).__name__}")
-        return ResponseSet(
-            respondent_id=str(payload["respondent_id"]),
-            questionnaire_id=str(payload["questionnaire_id"]),
-            answers=dict(payload["answers"]),
-            context=ResponseContext(
-                exoskeleton=ctx.get("exoskeleton", "none"),
-                position=ctx.get("position"),
-                pp_index=ctx.get("pp_index"),
-                icu=bool(ctx.get("icu", False)),
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed response record: {exc}") from exc
+def parse_response(payload: object, where: str = "response record") -> ResponseSet:
+    """One response record. ``where`` names it in error messages, such as
+    the file and line it came from."""
+    fields = JsonFields(payload, where)
+    context = fields.get("context", dict, {})
+    return ResponseSet(
+        respondent_id=fields.get("respondent_id", str),
+        questionnaire_id=fields.get("questionnaire_id", str),
+        answers=fields.get("answers", dict).data,
+        context=ResponseContext(
+            exoskeleton=context.get("exoskeleton", str, "none"),
+            position=context.get("position", str, None),
+            pp_index=context.get("pp_index", int, None),
+            icu=context.get("icu", bool, False),
+        ),
+    )

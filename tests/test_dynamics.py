@@ -415,8 +415,19 @@ GOOD_LAEVO = {
         json.dumps(dict(GOOD_LAEVO, theta_max=10**400)),
         json.dumps(dict(GOOD_LAEVO, k_loss=-1.0)),
         json.dumps(dict(GOOD_LAEVO, k1=4.0 / 3.0 + 1e-9)),
+        json.dumps(dict(GOOD_LAEVO, k2=1.0)),
     ],
-    ids=["list", "k0-string", "bool", "tau-string", "nan", "huge-int", "negative-loss", "k1-off-line"],
+    ids=[
+        "list",
+        "k0-string",
+        "bool",
+        "tau-string",
+        "nan",
+        "huge-int",
+        "negative-loss",
+        "k1-off-line",
+        "unknown-field",
+    ],
 )
 def test_malformed_exoskeleton_params_name_the_file(tmp_path, text):
     from exoload.dynamics import load_exoskeleton_params

@@ -416,6 +416,84 @@ def test_config_numbers_accept_integers_and_null(tmp_path):
     assert type(loaded.emg.sample_rate) is float and loaded.emg.sample_rate == 2000.0
 
 
+def with_field(*keys, value):
+    """An edit of a decoded JSON document that sets the field at ``keys``."""
+
+    def edit(payload):
+        target = payload
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return payload
+
+    return edit
+
+
+def icu_text_with_icu_only_answer(payload):
+    payload["context"]["icu"] = "false"
+    payload["answers"]["maneuvers_today"] = 3
+    return payload
+
+
+# one edit of one input file of a valid session: (input, edit, field named)
+BAD_INPUT_EDITS = {
+    "sidecar-rate-string": ("emg_baseline_sidecar", with_field("sample_rate", value="2000"), "sample_rate"),
+    "sidecar-list": ("emg_baseline_sidecar", lambda payload: [1], "JSON object"),
+    "annotation-start-text": ("annotation", with_field("segments", 0, "start", value="abc"), "segments.0.start"),
+    "annotation-start-bool": ("annotation", with_field("segments", 0, "start", value=True), "segments.0.start"),
+    "table-segments-number": ("coefficients", with_field("segments", value=5), "segments"),
+    "table-com-string": (
+        "coefficients",
+        with_field("segments", 0, "com_fraction", value="0.5"),
+        "segments.0.com_fraction",
+    ),
+    "solver-epsilon": ("solver", with_field("epsilon", value=-1), "epsilon"),
+    "solver-iterations": ("solver", with_field("max_iterations", value=0), "max_iterations"),
+    "solver-velocity-bound": ("solver", with_field("velocity_bound", value=-1), "velocity_bound"),
+    "height-bool": ("config", with_field("profile", "height_m", value=True), "profile.height_m"),
+    "mass-string": ("config", with_field("profile", "mass_kg", value="70"), "profile.mass_kg"),
+    "seed-string": ("config", with_field("seed", value="5"), "seed"),
+    "seed-float": ("config", with_field("seed", value=1.9), "seed"),
+    "exoskeleton-typo": ("config", with_field("exoskelton", value="laevo"), "exoskelton"),
+    "alias-number": ("aliases", with_field("hips", value=5), "hips"),
+    "response-icu-text": ("responses", icu_text_with_icu_only_answer, "context.icu"),
+}
+
+
+@pytest.mark.parametrize("kind, edit, field", BAD_INPUT_EDITS.values(), ids=list(BAD_INPUT_EDITS))
+def test_one_bad_field_exits_2_naming_file_and_field(tmp_path, capsys, kind, edit, field):
+    _, files = write_every_input_session(tmp_path)
+    path = files[kind]
+    if kind == "responses":  # JSON lines: the edit applies to the last record
+        lines = path.read_text().split("\n")
+        lines[-1] = json.dumps(edit(json.loads(lines[-1])))
+        path.write_text("\n".join(lines))
+    else:
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    assert cli.main(["pipeline", "--config", str(files["config"])]) == 2
+    err = capsys.readouterr().err
+    assert path.name in err and field in err
+
+
+@pytest.mark.parametrize("level", ["", "profile", "emg", "ecg", "survey"])
+def test_config_rejects_unknown_fields(tmp_path, level):
+    config = {
+        "profile": {"height_m": 1.75, "mass_kg": 70.0},
+        "emg": {"baseline_file": "b.csv", "trial_files": {}},
+        "ecg": {"files": {}},
+        "survey": {"responses_file": "r.jsonl"},
+        "output_dir": "out",
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    load_config(path)
+    (config[level] if level else config)["extra"] = 1
+    path.write_text(json.dumps(config))
+    name = f"{level}.extra" if level else "extra"
+    with pytest.raises(ValidationError, match=rf"config\.json: unknown field\(s\) {name}$"):
+        load_config(path)
+
+
 def test_cli_requires_branch_config(tmp_path):
     config_path = write_bend_session(tmp_path, duration_s=0.5)
     assert cli.main(["emg", "--config", str(config_path)]) == 2

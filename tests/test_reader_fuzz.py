@@ -10,8 +10,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from exoload import io as eio
+from exoload.anthropometry import AnthropometricProfile, load_table_file
+from exoload.dynamics import load_exoskeleton_params
 from exoload.errors import ValidationError
-from exoload.pipeline import load_config
+from exoload.pipeline import SessionConfig, _segment_aliases, load_config
+from exoload.retarget import load_solver_settings
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -184,6 +187,8 @@ CONFIGS = st.fixed_dictionaries(
 @example(b'{"profile": {"height_m": 1.7, "mass_kg": 70}, "output_dir": "o", "emg": {"baseline_file": "a", "trial_files": []}}')
 @example(b"\xff")
 @example(b'{"profile": {"height_m": 1.7, "mass_kg": 70}, "output_dir": "o", "derivative_smoothing_hz": "5"}')
+@example(b'{"profile": {"height_m": true, "mass_kg": 70}, "output_dir": "o"}')
+@example(b'{"profile": {"height_m": 1.7, "mass_kg": 70}, "output_dir": "o", "seed": "5"}')
 def test_load_config_parses_or_rejects(content):
     config = read(load_config, content)
     if config is not None:  # the numbers that reach the stages are finite floats
@@ -192,3 +197,150 @@ def test_load_config_parses_or_rejects(content):
             numbers.append(config.emg.sample_rate)
         assert all(v is None or (type(v) is float and math.isfinite(v)) for v in numbers)
         assert config.gravity is not None
+        # and each checked field came from a payload value of its JSON type
+        payload = json.loads(content)
+        assert type(payload.get("seed", 0)) is int and config.seed == payload.get("seed", 0)
+        for name in ("height_m", "mass_kg"):
+            value = payload["profile"][name]
+            assert type(value) in (int, float) and getattr(config.profile, name) == value
+        assert type(payload.get("exoskeleton", "none")) is str
+
+
+def json_files(documents):
+    return st.one_of(documents.map(lambda d: json.dumps(d).encode("utf-8")), raw_files())
+
+
+NUMBERS = st.one_of(st.floats(-1.0, 100.0), st.integers(-2, 300), JSON_VALUES)
+ANNOTATIONS = st.fixed_dictionaries(
+    {},
+    optional={
+        "trial_id": st.one_of(st.text(max_size=4), JSON_VALUES),
+        "segments": st.one_of(
+            st.lists(
+                st.one_of(
+                    st.fixed_dictionaries(
+                        {},
+                        optional={
+                            "label": st.one_of(st.sampled_from(["PS", "control"]), JSON_VALUES),
+                            "start": NUMBERS,
+                            "end": NUMBERS,
+                        },
+                    ),
+                    JSON_VALUES,
+                ),
+                max_size=3,
+            ),
+            JSON_VALUES,
+        ),
+    },
+)
+
+
+@FUZZ
+@given(json_files(st.one_of(ANNOTATIONS, JSON_VALUES)))
+@example(b'{"trial_id": "t", "segments": [{"label": "PS", "start": "abc", "end": 1.0}]}')
+def test_parse_annotation_file_parses_or_rejects(content):
+    annotation = read(eio.parse_annotation_file, content)
+    if annotation is not None:
+        assert type(annotation.trial_id) is str
+        assert all(type(s.start) is float and type(s.end) is float for s in annotation.segments)
+
+
+SOLVER_SETTINGS = st.dictionaries(
+    st.sampled_from(["epsilon", "gain", "velocity_bound", "max_iterations", "tolerance", "other"]),
+    NUMBERS,
+    max_size=4,
+)
+
+
+@FUZZ
+@given(json_files(st.one_of(SOLVER_SETTINGS, JSON_VALUES)))
+@example(b'{"velocity_bound": -1}')
+def test_load_solver_settings_parses_or_rejects(content):
+    settings = read(load_solver_settings, content)
+    if settings is not None:
+        for value in (settings.epsilon, settings.gain, settings.velocity_bound):
+            assert type(value) is float and 0.0 < value < math.inf
+        assert type(settings.tolerance) is float and 0.0 <= settings.tolerance < math.inf
+        assert type(settings.max_iterations) is int and settings.max_iterations >= 1
+
+
+LAEVO_NAMES = ["k0", "k1", "k_loss", "theta_min", "theta_max", "tau_max"]
+EXOSKELETON_PARAMS = st.one_of(
+    st.dictionaries(st.sampled_from(LAEVO_NAMES + ["k2"]), NUMBERS, max_size=7),
+    st.fixed_dictionaries({name: NUMBERS for name in LAEVO_NAMES}),
+)
+
+
+@FUZZ
+@given(json_files(st.one_of(EXOSKELETON_PARAMS, JSON_VALUES)))
+@example(b'{"k0": 0, "k1": 1, "k_loss": 0, "theta_min": 0, "theta_max": 1, "tau_max": 1, "k2": 1}')
+def test_load_exoskeleton_params_parses_or_rejects(content):
+    if read(load_exoskeleton_params, content) is not None:
+        payload = json.loads(content)
+        assert set(payload) == set(LAEVO_NAMES)
+        assert all(type(payload[name]) in (int, float) for name in LAEVO_NAMES)
+
+
+TABLE_ROWS = st.fixed_dictionaries(
+    {},
+    optional={
+        "name": st.one_of(st.sampled_from(["pelvis", "thorax"]), JSON_VALUES),
+        "length_fraction": NUMBERS,
+        "mass_fraction": NUMBERS,
+        "com_fraction": NUMBERS,
+        "gyration_fractions": st.one_of(st.lists(NUMBERS, max_size=4), JSON_VALUES),
+    },
+)
+TABLES = st.fixed_dictionaries(
+    {},
+    optional={
+        "table_id": JSON_VALUES,
+        "comment": JSON_VALUES,
+        "segments": st.one_of(st.lists(st.one_of(TABLE_ROWS, JSON_VALUES), max_size=3), JSON_VALUES),
+    },
+)
+
+
+@FUZZ
+@given(json_files(st.one_of(TABLES, JSON_VALUES)))
+@example(b'{"table_id": "x", "segments": 5}')
+def test_load_table_file_parses_or_rejects(content):
+    read(load_table_file, content)
+
+
+SIDECARS = st.fixed_dictionaries(
+    {},
+    optional={"units": st.one_of(st.sampled_from(["uV", "mV"]), JSON_VALUES), "sample_rate": NUMBERS},
+)
+
+
+@FUZZ
+@given(json_files(st.one_of(SIDECARS, JSON_VALUES)))
+@example(b"[1]")
+@example(b'{"sample_rate": "2000"}')
+def test_read_emg_file_with_sidecar_parses_or_rejects(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "emg.csv"
+        path.write_text("time_s,ESL_L\n" + "".join(f"{k / 1000.0!r},1.0\n" for k in range(20)))
+        eio.sidecar_path(path).write_bytes(content)
+        try:
+            record = eio.read_emg_file(path)
+        except ValidationError:
+            return
+    assert type(record.sample_rate) is float and 0.0 < record.sample_rate < math.inf
+
+
+@FUZZ
+@given(json_files(st.one_of(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=3), JSON_VALUES)))
+@example(b'{"hips": 5}')
+def test_segment_aliases_parse_or_reject(content):
+    def aliases(path):
+        config = SessionConfig(
+            AnthropometricProfile(1.75, 70.0), output_dir=path.parent, segment_aliases_file=path
+        )
+        return _segment_aliases(config)
+
+    table = read(aliases, content)
+    if table is not None:  # the table as written: every value a JSON string
+        assert table == json.loads(content) and all(type(v) is str for v in table.values())

@@ -344,7 +344,15 @@ def test_solver_settings_file(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ['{"gain": "10"}', '{"velocity_bound": true}', '{"epsilon": NaN}', '{"max_iterations": 2.5}', "[1]"],
+    [
+        '{"gain": "10"}',
+        '{"velocity_bound": true}',
+        '{"epsilon": NaN}',
+        '{"max_iterations": 2.5}',
+        "[1]",
+        '{"gain": 0}',
+        '{"tolerance": -1e-12}',
+    ],
 )
 def test_malformed_solver_settings_name_the_file(tmp_path, text):
     from exoload.retarget import load_solver_settings
