@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -86,48 +87,86 @@ def write_json(path: str | Path, payload: object) -> None:
         fh.write("\n")
 
 
-def _read_csv_table(path: str | Path) -> tuple[list[str], list[list[str]]]:
+def _read_header(reader, path: str | Path) -> list[str]:
+    header = next(reader, None)
+    if header is None:
+        raise ValidationError(f"{path}: empty file")
+    return [h.strip() for h in header]
+
+
+def _records(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header and every non-blank record of a CSV file as ``csv`` splits
+    them, each record with the file line it starts on."""
     with open_input(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
-    return [h.strip() for h in header], rows
+        header = _read_header(reader, path)
+        records, line = [], reader.line_num
+        for row in reader:
+            if row:
+                records.append((line + 1, row))
+            line = reader.line_num
+    return header, records
 
 
-def _parse_float(text: str, path: str | Path, row: int, column: str) -> float:
+def _record(path: str | Path, k: int) -> tuple[int, list[str]]:
+    """Data row ``k`` as ``(file line, cells)``, blank lines counted: for
+    error messages only, as it reads the file again."""
+    return _records(path)[1][k]
+
+
+def _parse_float(text: str, path: str | Path, line: int, column: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ValidationError(f"{path}: row {row}: column {column!r}: not a number: {text!r}") from None
+        raise ValidationError(f"{path}: row {line}: column {column!r}: not a number: {text!r}") from None
 
 
-def _parse_table(path: str | Path, header: list[str], rows: list[list[str]]) -> np.ndarray:
-    """Cells of a CSV body as floats, one row per record. Every row must have
-    one cell per column and every value must be finite. The body converts in
-    one call, which accepts what ``float`` accepts; cell by cell runs only to
-    name the first cell that does not convert."""
-    for k, row in enumerate(rows):
+def _parse_cells(path: str | Path) -> np.ndarray:
+    """A CSV body cell by cell, split by ``csv`` and converted by ``float``:
+    the path of a body the bulk pass refuses. It names the first record with
+    the wrong cell count or the first cell that is not a number, or accepts
+    what ``float`` accepts and numpy does not, such as ``1_0``."""
+    header, records = _records(path)
+    for line, row in records:
         if len(row) != len(header):
-            raise ValidationError(f"{path}: row {k + 2}: expected {len(header)} cells, got {len(row)}")
-    try:
-        data = np.array(rows, dtype=float).reshape(len(rows), len(header))
-    except ValueError:
-        data = np.array(
-            [
-                [_parse_float(cell, path, k + 2, header[j]) for j, cell in enumerate(row)]
-                for k, row in enumerate(rows)
-            ]
-        )
+            raise ValidationError(f"{path}: row {line}: expected {len(header)} cells, got {len(row)}")
+    cells = [
+        [_parse_float(cell, path, line, header[j]) for j, cell in enumerate(row)] for line, row in records
+    ]
+    return np.array(cells, dtype=float).reshape(len(records), len(header))
+
+
+def _read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """The header and body of a numeric CSV file: one data row per non-blank
+    record, one cell per column, every value finite. Errors name the file
+    line. The body converts in one C pass (``np.loadtxt``), which gives the
+    doubles ``float`` gives; a body it refuses goes through ``_parse_cells``."""
+    with open_input(path) as fh:
+        header = _read_header(csv.reader(fh), path)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty body
+                data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, dtype=float, ndmin=2)
+        except UnicodeDecodeError:  # a ValueError, but open_input names the file
+            raise
+        except ValueError:  # a ragged record or a cell numpy does not convert
+            data = None
+    if data is None or data.shape[1] != len(header):
+        data = _parse_cells(path)
     finite = np.isfinite(data)
     if not finite.all():
         k, j = np.argwhere(~finite)[0]
-        raise ValidationError(
-            f"{path}: row {k + 2}: column {header[j]!r}: non-finite value {rows[k][j]!r}"
-        )
-    return data
+        line, row = _record(path, k)
+        raise ValidationError(f"{path}: row {line}: column {header[j]!r}: non-finite value {row[j]!r}")
+    return header, data
+
+
+def _check_increasing(times: np.ndarray, path: str | Path) -> None:
+    """Reject the first timestamp that does not exceed the one before it."""
+    bad = np.nonzero(np.diff(times) <= 0.0)[0]
+    if bad.size:
+        line = _record(path, bad[0] + 1)[0]
+        raise ValidationError(f"{path}: row {line}: timestamps must strictly increase")
 
 
 def parse_motion_file(path: str | Path, aliases: Mapping[str, str] | None = None) -> CapturedTrajectory:
@@ -139,7 +178,7 @@ def parse_motion_file(path: str | Path, aliases: Mapping[str, str] | None = None
     ``aliases`` maps capture-file segment names onto canonical model names.
     The sample rate is the inverse of the median frame spacing.
     """
-    header, rows = _read_csv_table(path)
+    header, data = _read_table(path)
     if not header or header[0] != "time_s":
         raise ValidationError(f"{path}: first column must be 'time_s', got {header[:1]}")
     groups: dict[str, dict[str, int]] = {}
@@ -154,15 +193,11 @@ def parse_motion_file(path: str | Path, aliases: Mapping[str, str] | None = None
         missing = [s for s in POSE_SUFFIXES if s not in cols]
         if missing:
             raise ValidationError(f"{path}: segment {seg!r} lacks columns {missing}")
-    if not rows:
+    n = len(data)
+    if not n:
         raise ValidationError(f"{path}: no data rows")
-
-    data = _parse_table(path, header, rows)
-    n = len(rows)
     times = data[:, 0].copy()
-    decreasing = np.nonzero(np.diff(times) <= 0.0)[0]
-    if decreasing.size:
-        raise ValidationError(f"{path}: row {decreasing[0] + 3}: timestamps must strictly increase")
+    _check_increasing(times, path)
 
     aliases = dict(aliases or {})
     segments: dict[str, SegmentTrack] = {}
@@ -177,7 +212,7 @@ def parse_motion_file(path: str | Path, aliases: Mapping[str, str] | None = None
         if bad.size:
             k = bad[0]
             raise ValidationError(
-                f"{path}: row {k + 2}: segment {seg!r}: quaternion norm {norm[k]:.6f} "
+                f"{path}: row {_record(path, k)[0]}: segment {seg!r}: quaternion norm {norm[k]:.6f} "
                 f"deviates from 1 by more than {QUAT_FILE_TOL}"
             )
         quat /= norm[:, None]
@@ -206,11 +241,13 @@ def write_motion_file(path: str | Path, trajectory: CapturedTrajectory) -> None:
 
 def parse_annotation_file(path: str | Path) -> TrialAnnotation:
     fields = JsonFields(load_json_file(path), path)
-    segments = tuple(
-        AnnotationSegment(label=s.get("label", str), start=s.get("start", float), end=s.get("end", float))
-        for s in fields.get_list("segments", dict)
-    )
-    return TrialAnnotation(trial_id=fields.get("trial_id", str), segments=segments)
+    segments = []
+    for s in fields.get_list("segments", dict):
+        label, start, end = s.get("label", str), s.get("start", float), s.get("end", float)
+        if not start < end:
+            raise ValidationError(f"{path}: {s.prefix}start {start!r} must precede end {end!r}")
+        segments.append(AnnotationSegment(label, start, end))
+    return TrialAnnotation(trial_id=fields.get("trial_id", str), segments=tuple(segments))
 
 
 def write_annotation_file(path: str | Path, annotation: TrialAnnotation) -> None:
@@ -228,10 +265,8 @@ def write_annotation_file(path: str | Path, annotation: TrialAnnotation) -> None
 def _uniform_rate(times: np.ndarray, path: str | Path) -> float:
     if len(times) < 2:
         raise ValidationError(f"{path}: need at least two samples")
+    _check_increasing(times, path)
     dt = np.diff(times)
-    if np.any(dt <= 0):
-        row = int(np.nonzero(dt <= 0)[0][0]) + 2
-        raise ValidationError(f"{path}: row {row}: timestamps must strictly increase")
     nominal = float(np.median(dt))
     if np.max(np.abs(dt - nominal)) > 0.01 * nominal:
         raise ValidationError(f"{path}: sample spacing is not uniform")
@@ -240,12 +275,11 @@ def _uniform_rate(times: np.ndarray, path: str | Path) -> float:
 
 def read_signal_csv(path: str | Path) -> tuple[float, dict[str, np.ndarray]]:
     """Generic biosignal CSV: ``time_s`` plus one column per channel."""
-    header, rows = _read_csv_table(path)
+    header, data = _read_table(path)
     if not header or header[0] != "time_s":
         raise ValidationError(f"{path}: first column must be 'time_s'")
     if len(header) < 2:
         raise ValidationError(f"{path}: no signal channels")
-    data = _parse_table(path, header, rows)
     rate = _uniform_rate(data[:, 0], path)
     channels = {header[j]: data[:, j].copy() for j in range(1, len(header))}
     return rate, channels
@@ -268,7 +302,7 @@ def _sidecar_rate(path: str | Path, expected_units: tuple[str, ...]) -> float | 
     units = fields.get("units", str, None)
     if units is not None and units not in expected_units:
         raise ValidationError(f"{sc}: units {units!r} not among {expected_units}")
-    return fields.get("sample_rate", float, None)
+    return fields.get("sample_rate", float, None, positive=True)
 
 
 def read_emg_file(path: str | Path, sample_rate: float | None = None):
@@ -276,7 +310,9 @@ def read_emg_file(path: str | Path, sample_rate: float | None = None):
 
     sidecar_rate = _sidecar_rate(path, ("uV", "µV"))
     rate, channels = read_signal_csv(path)
-    return EmgRecord(sample_rate=sample_rate or sidecar_rate or rate, channels=channels)
+    # the session config's rate, else the sidecar's, else the file's spacing
+    rate = next(r for r in (sample_rate, sidecar_rate, rate) if r is not None)
+    return EmgRecord(sample_rate=rate, channels=channels)
 
 
 def read_ecg_file(path: str | Path, channel: str | None = None):
@@ -288,7 +324,8 @@ def read_ecg_file(path: str | Path, channel: str | None = None):
         channel = next(iter(channels))
     if channel not in channels:
         raise ValidationError(f"{path}: no channel {channel!r}; available: {sorted(channels)}")
-    return EcgRecord(sample_rate=sidecar_rate or rate, samples=channels[channel])
+    rate = rate if sidecar_rate is None else sidecar_rate
+    return EcgRecord(sample_rate=rate, samples=channels[channel])
 
 
 def read_responses_file(path: str | Path) -> list:
@@ -330,14 +367,13 @@ def write_joint_trajectory(
 def read_joint_trajectory(
     path: str | Path, model: SkeletonModel
 ) -> tuple[np.ndarray, list[JointConfiguration]]:
-    header, rows = _read_csv_table(path)
+    header, data = _read_table(path)
     expected = (
         ["time_s", "base_px", "base_py", "base_pz", "base_qw", "base_qx", "base_qy", "base_qz"]
         + list(model.dof_names)
     )
     if header != expected:
         raise ValidationError(f"{path}: joint trajectory header does not match the model layout")
-    data = _parse_table(path, header, rows)
     times = data[:, 0].copy()
     configurations = [
         JointConfiguration(

@@ -141,7 +141,7 @@ def load_config(path: str | Path) -> SessionConfig:
         emg = EmgConfig(
             baseline_file=file(raw, "baseline_file", REQUIRED),
             trial_files=files(raw, "trial_files"),
-            sample_rate=raw.get("sample_rate", float, None),
+            sample_rate=raw.get("sample_rate", float, None, positive=True),
         )
     if (raw := top.get("ecg", dict, None)) is not None:
         ecg = EcgConfig(files=files(raw, "files"), channel=raw.get("channel", str, None))
@@ -150,8 +150,8 @@ def load_config(path: str | Path) -> SessionConfig:
     prof = top.get("profile", dict)
     config = SessionConfig(
         profile=AnthropometricProfile(
-            height_m=prof.get("height_m", float),
-            mass_kg=prof.get("mass_kg", float),
+            height_m=prof.get("height_m", float, positive=True),
+            mass_kg=prof.get("mass_kg", float, positive=True),
             coefficient_table_id=prof.get("coefficient_table", str, DEFAULT_TABLE_ID),
         ),
         output_dir=file(top, "output_dir", REQUIRED),
@@ -162,7 +162,9 @@ def load_config(path: str | Path) -> SessionConfig:
         exoskeleton=top.get("exoskeleton", str, "none"),
         exoskeleton_params_file=file(top, "exoskeleton_params_file"),
         solver_settings_file=file(top, "solver_settings_file"),
-        derivative_smoothing_hz=top.get("derivative_smoothing_hz", float, 5.0, null=True),
+        derivative_smoothing_hz=top.get(
+            "derivative_smoothing_hz", float, 5.0, null=True, positive=True
+        ),
         gravity=top.get("gravity", float, GRAVITY_DEFAULT),
         emg=emg,
         ecg=ecg,

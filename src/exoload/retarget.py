@@ -57,12 +57,12 @@ def load_solver_settings(path: str | Path) -> SolverSettings:
     raw = JsonFields(load_json_file(path), path)
     # each field has the JSON type of its default: max_iterations an integer, the rest numbers
     settings = SolverSettings(
-        **{f.name: raw.get(f.name, type(f.default), f.default) for f in fields(SolverSettings)}
+        **{
+            f.name: raw.get(f.name, type(f.default), f.default, positive=f.name != "tolerance")
+            for f in fields(SolverSettings)
+        }
     )
     raw.reject_unread()
-    for name in ("epsilon", "gain", "velocity_bound", "max_iterations"):
-        if getattr(settings, name) <= 0:
-            raise ValidationError(f"{path}: {name} must be positive, got {getattr(settings, name)!r}")
     if settings.tolerance < 0.0:
         raise ValidationError(f"{path}: tolerance must not be negative, got {settings.tolerance!r}")
     return settings

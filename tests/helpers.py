@@ -3,6 +3,7 @@ session fixtures. Everything is seeded and deterministic."""
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -199,6 +200,39 @@ def synthetic_ecg(
 
 def tracked_dof_indices(model: SkeletonModel) -> list[int]:
     return [i for i, name in enumerate(model.dof_names) if name not in UNTRACKED_DOFS]
+
+
+def reference_read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """A numeric CSV file as the readers parsed it before the bulk C pass:
+    every cell a Python string from ``csv.reader``, one ``np.array`` call over
+    the rows, and ``float`` cell by cell when that call refuses. The oracle of
+    ``io._read_table``; it raises ``ValidationError`` on every body it
+    rejects (its row numbers count data records, not file lines)."""
+    with eio.open_input(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError(f"{path}: empty file") from None
+        rows = [row for row in reader if row]
+    header = [h.strip() for h in header]
+    for k, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValidationError(f"{path}: row {k + 2}: expected {len(header)} cells, got {len(row)}")
+
+    def cell(text: str, k: int, j: int) -> float:
+        try:
+            return float(text)
+        except ValueError:
+            raise ValidationError(f"{path}: row {k + 2}: column {header[j]!r}: not a number") from None
+
+    try:
+        data = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    except ValueError:
+        data = np.array([[cell(c, k, j) for j, c in enumerate(row)] for k, row in enumerate(rows)])
+    if not np.isfinite(data).all():
+        raise ValidationError(f"{path}: non-finite value")
+    return header, data
 
 
 def reference_inverse_dynamics(

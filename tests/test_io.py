@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -262,3 +263,86 @@ def test_biosignal_sidecar_metadata(tmp_path):
     (tmp_path / "ecg.csv.meta.json").write_text(json.dumps({"units": "mV"}))
     record = eio.read_ecg_file(ecg_path)
     assert record.sample_rate == pytest.approx(500.0)
+
+
+def test_rows_are_file_lines_after_blank_lines(tmp_path):
+    """Every CSV error names the file line, blank lines counted."""
+    cases = {
+        "time_s,a\n0,1\n\n\n0.001,2\n0.002,x\n": "row 6: column 'a': not a number: 'x'",
+        "time_s,a\n0,1\n\n\n0.001,nan\n": "row 5: column 'a': non-finite value 'nan'",
+        "time_s,a\n\n0,1\n\r\n0.001,2,3\n": "row 5: expected 2 cells, got 3",
+        "time_s,a\n0,1\n\n0.001,2\n\n\n0.001,3\n": "row 7: timestamps must strictly increase",
+    }
+    for k, (text, message) in enumerate(cases.items()):
+        path = tmp_path / f"s{k}.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError, match=rf"s{k}\.csv: {message}"):
+            eio.read_signal_csv(path)
+
+    header, rows = minimal_motion_rows(4)
+    lines = [",".join(header)] + [",".join(str(v) for v in row) for row in rows]
+    # data rows 0..3 sit on file lines 2, 5, 6 and 7
+    for k, edit, message in [
+        (1, lambda cells: cells[:4] + ["1.01"] + cells[5:], "row 5: segment 'pelvis': quaternion norm"),
+        (3, lambda cells: ["0.0"] + cells[1:], "row 7: timestamps must strictly increase"),
+    ]:
+        edited = lines.copy()
+        edited[k + 1] = ",".join(edit(edited[k + 1].split(",")))
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(edited[:2] + ["", ""] + edited[2:]) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=rf"m\.csv: {message}"):
+            eio.parse_motion_file(path)
+
+
+def test_valid_files_never_take_the_per_cell_path(tmp_path, monkeypatch):
+    """A valid signal or motion file converts in the one bulk pass."""
+
+    def refuse(path):
+        raise AssertionError(f"{path} went down the per-cell path")
+
+    model = default_model()
+    captured = capture_from_configurations(model, [model.upright_configuration()] * 5, 240.0)
+    eio.write_motion_file(tmp_path / "m.csv", captured)
+    rng = np.random.default_rng(3)
+    signal = np.column_stack([np.arange(50) / 1000.0, rng.standard_normal((50, 3))])
+    eio.write_csv(tmp_path / "emg.csv", ["time_s", "ESL_L", "ESL_R", "RA"], signal)
+    monkeypatch.setattr(eio, "_parse_cells", refuse)
+    assert eio.parse_motion_file(tmp_path / "m.csv").n_frames == 5
+    rate, channels = eio.read_signal_csv(tmp_path / "emg.csv")
+    assert list(channels) == ["ESL_L", "ESL_R", "RA"]
+    assert np.array_equal(channels["RA"], signal[:, 3])
+
+
+def test_bulk_reader_keeps_the_empty_body_and_encoding_errors(tmp_path):
+    path = tmp_path / "emg.csv"
+    path.write_text("time_s,ESL_L\n\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's empty-input warning must not leak
+        with pytest.raises(ValidationError, match="need at least two samples"):
+            eio.read_signal_csv(path)
+    # a bad byte far past the header decodes inside the bulk pass
+    body = "".join(f"{k / 1000.0!r},1.0\n" for k in range(5000))
+    path.write_bytes(b"time_s,ESL_L\n" + body.encode() + b"5.0,\xff\n")
+    with pytest.raises(ValidationError, match="not UTF-8"):
+        eio.read_signal_csv(path)
+
+
+def test_biosignal_rate_of_zero_is_rejected_not_skipped(tmp_path):
+    path = tmp_path / "emg.csv"
+    write_rows(path, ["time_s", "ESL_L"], [[k / 1000.0, 1.0] for k in range(50)])
+    sidecar = tmp_path / "emg.csv.meta.json"
+    for value in (0, -5.0):
+        sidecar.write_text(json.dumps({"units": "uV", "sample_rate": value}))
+        with pytest.raises(ValidationError, match=r"emg\.csv\.meta\.json: sample_rate must be positive"):
+            eio.read_emg_file(path)
+    sidecar.write_text(json.dumps({"units": "uV", "sample_rate": 4370.0}))
+    assert eio.read_emg_file(path, sample_rate=2000.0).sample_rate == 2000.0
+
+
+def test_annotation_segment_must_start_before_it_ends(tmp_path):
+    path = tmp_path / "annotation.json"
+    segments = [{"label": "PS", "start": 0.0, "end": 1.0}, {"label": "SP", "start": 2.0, "end": 2.0}]
+    path.write_text(json.dumps({"trial_id": "t", "segments": segments}))
+    message = r"annotation\.json: segments\.1\.start 2\.0 must precede end 2\.0"
+    with pytest.raises(ValidationError, match=message):
+        eio.parse_annotation_file(path)

@@ -457,6 +457,22 @@ BAD_INPUT_EDITS = {
     "exoskeleton-typo": ("config", with_field("exoskelton", value="laevo"), "exoskelton"),
     "alias-number": ("aliases", with_field("hips", value=5), "hips"),
     "response-icu-text": ("responses", icu_text_with_icu_only_answer, "context.icu"),
+    # range checks where the value is read
+    "sidecar-rate-zero": ("emg_baseline_sidecar", with_field("sample_rate", value=0), "sample_rate"),
+    "ecg-sidecar-rate-negative": ("ecg_sidecar", with_field("sample_rate", value=-500.0), "sample_rate"),
+    "emg-rate-zero": ("config", with_field("emg", "sample_rate", value=0), "emg.sample_rate"),
+    "height-negative": ("config", with_field("profile", "height_m", value=-1), "profile.height_m"),
+    "mass-zero": ("config", with_field("profile", "mass_kg", value=0.0), "profile.mass_kg"),
+    "smoothing-negative": (
+        "config",
+        with_field("derivative_smoothing_hz", value=-3),
+        "derivative_smoothing_hz",
+    ),
+    "annotation-start-after-end": (
+        "annotation",
+        with_field("segments", 0, "start", value=9.0),
+        "segments.0.start",
+    ),
 }
 
 

@@ -1,11 +1,14 @@
 """Property tests of the file readers: every input either parses or raises
-``ValidationError``, never another exception."""
+``ValidationError``, never another exception; and the bulk numeric CSV reader
+returns what its per-cell oracle returns."""
 
 import json
 import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
+from helpers import reference_read_table
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -86,6 +89,55 @@ def test_parse_motion_file_parses_or_rejects(content):
 @example(b"time_s,ch1\n0,\xff\n")
 def test_read_signal_csv_parses_or_rejects(content):
     read(eio.read_signal_csv, content)
+
+
+NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),  # shortest round-trip form
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["1_0", "nan", "-inf", "+inf", "1e309", "-0", ".5", "1.", "+2", "1e-320", "0x1", "١٢"]),
+    st.sampled_from(["", " ", "abc", "1 2", "1,5", "\xa0", "1\x00"]),
+)
+TABLE_CELLS = st.one_of(
+    NUMBER_TEXT,
+    NUMBER_TEXT.map(lambda t: f'"{t}"'),  # quoted
+    st.tuples(  # padded
+        st.sampled_from([" ", "\t", "  ", "\xa0", "\x0c"]), NUMBER_TEXT, st.sampled_from(["", " ", "\t"])
+    ).map("".join),
+)
+
+
+@st.composite
+def numeric_tables(draw):
+    """The text of a numeric CSV file: a header, rows of mostly one cell per
+    column, LF or CRLF line ends, blank or blank-looking lines between rows,
+    and a final line end or none."""
+    width = draw(st.integers(1, 4))
+    lines = [",".join(["time_s"] + [f"c{j}" for j in range(1, width)])]
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\r"])))
+        size = draw(st.sampled_from([width] * 8 + [width - 1, width + 1]))
+        lines.append(",".join(draw(st.lists(TABLE_CELLS, min_size=size, max_size=size))))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    end = newline if draw(st.booleans()) else ""
+    return (newline.join(lines) + end).encode("utf-8")
+
+
+@FUZZ
+@given(numeric_tables())
+@example(b"time_s,a\n0,1_0\n1,2")
+@example(b"time_s,a\r\n0, 1 \r\n\r\n\"1\",inf\r\n")
+@example(b"time_s\n \n1\n")
+@example(b"time_s,a\n")
+def test_bulk_table_reader_equals_the_per_cell_oracle(content):
+    """``io._read_table`` returns the oracle's header and, bit for bit, its
+    array, or both reject the file."""
+    new, old = read(eio._read_table, content), read(reference_read_table, content)
+    assert (new is None) == (old is None)
+    if new is not None:
+        assert new[0] == old[0]
+        assert new[1].shape == old[1].shape
+        assert np.array_equal(new[1].view(np.int64), old[1].view(np.int64))
 
 
 RESPONSE_RECORDS = st.one_of(
@@ -196,6 +248,9 @@ def test_load_config_parses_or_rejects(content):
         if config.emg is not None:
             numbers.append(config.emg.sample_rate)
         assert all(v is None or (type(v) is float and math.isfinite(v)) for v in numbers)
+        # the rates, the cutoff and the body size are positive where they are read
+        positive = numbers[1:] + [config.profile.height_m, config.profile.mass_kg]
+        assert all(v is None or v > 0 for v in positive)
         assert config.gravity is not None
         # and each checked field came from a payload value of its JSON type
         payload = json.loads(content)
@@ -244,6 +299,7 @@ def test_parse_annotation_file_parses_or_rejects(content):
     if annotation is not None:
         assert type(annotation.trial_id) is str
         assert all(type(s.start) is float and type(s.end) is float for s in annotation.segments)
+        assert all(s.start < s.end for s in annotation.segments)
 
 
 SOLVER_SETTINGS = st.dictionaries(
