@@ -274,11 +274,30 @@ class LaevoModel:
 def laevo_torque_series(
     model_state: LaevoModel, theta_deg: np.ndarray, theta_dot_deg_s: np.ndarray
 ) -> np.ndarray:
+    """``LaevoModel.torque`` of every sample in order, without stepping one
+    sample at a time: the branch at a sample follows the sign of the last
+    rate outside +/-``rate_tolerance`` up to it, and the model's current
+    branch before the first such rate. The model is left on the branch of
+    the last sample stepped; a non-finite angle stops the series there."""
     theta_deg = np.asarray(theta_deg, dtype=float)
     theta_dot_deg_s = np.asarray(theta_dot_deg_s, dtype=float)
     if theta_deg.shape != theta_dot_deg_s.shape:
         raise ValidationError("angle and rate series must have equal length")
-    return np.array([model_state.torque(t, td) for t, td in zip(theta_deg, theta_dot_deg_s)])
+    finite = np.isfinite(theta_deg)
+    n = len(theta_deg) if finite.all() else int(np.argmin(finite))
+    rate, tol = theta_dot_deg_s[:n], model_state.rate_tolerance
+    decisive = (rate > tol) | (rate < -tol)
+    # index of the last decisive rate at or before each sample, -1 for none
+    last = np.maximum.accumulate(np.where(decisive, np.arange(n), -1))
+    held = model_state.branch == "descending"
+    descending = np.where(last >= 0, rate[last] < -tol, held)
+    if n:
+        model_state.branch = "descending" if descending[-1] else "ascending"
+    if n < len(theta_deg):
+        raise ValidationError("flexion angle must be finite")
+    tau = model_state.spring_torque(theta_deg, "ascending")
+    tau = np.where(descending, tau - model_state.k_loss, tau)
+    return np.minimum(np.maximum(tau, 0.0), model_state.tau_max)
 
 
 def load_exoskeleton_params(path: str | Path) -> LaevoModel:

@@ -26,10 +26,13 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
-    n = float(np.linalg.norm(q))
-    if n == 0.0:
+    """A quaternion ``(4,)``, or each of a ``(..., 4)`` stack, divided by its
+    norm."""
+    q = np.asarray(q, dtype=float)
+    norm = vector_norms(q)
+    if not norm.all():
         raise ValueError("cannot normalize zero quaternion")
-    return np.asarray(q, dtype=float) / n
+    return q / norm[..., None]
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -63,33 +66,59 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     return R if R.ndim == 2 else np.ascontiguousarray(R.transpose(2, 0, 1))
 
 
+def vector_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a ``(..., n)`` stack. Each row goes
+    through the same BLAS dot as ``np.linalg.norm`` of that row alone, so
+    the norms equal one-row calls bit for bit."""
+    return np.sqrt(_row_dots(a, a))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+# Shepperd branches after the positive-trace one: the dominant diagonal
+# entry, then the other two in index order
+_SHEPPERD_AXES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+# entries of a row-major flattened rotation: (R21, R02, R10), (R12, R20, R01)
+# and the diagonal
+_SKEW_PLUS = np.array([7, 2, 3])
+_SKEW_MINUS = np.array([5, 6, 1])
+_DIAGONAL = np.array([0, 4, 8])
+
+
 def matrix_to_quat(R: np.ndarray) -> np.ndarray:
-    """Shepperd's method; returns a unit quaternion with non-negative w."""
+    """Shepperd's method; returns a unit quaternion with non-negative w, for
+    one rotation ``(3, 3)`` or each of a ``(..., 3, 3)`` stack. A matrix
+    with positive trace takes the trace branch; otherwise the branch of its
+    largest diagonal entry, ties going to the lower index."""
     R = np.asarray(R, dtype=float)
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
-    if tr > 0.0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
-        )
-    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
-        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
-        )
-    elif R[1, 1] >= R[2, 2]:
-        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array(
-            [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
-        )
-    else:
-        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array(
-            [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
-        )
-    if q[0] < 0.0:
-        q = -q
-    return quat_normalize(q)
+    M = R.reshape(-1, 3, 3)
+    flat = M.reshape(-1, 9)
+    # (R21 - R12, R02 - R20, R10 - R01): the w-row numerators
+    d = flat[:, _SKEW_PLUS] - flat[:, _SKEW_MINUS]
+    diag = flat[:, _DIAGONAL]
+    tr = diag[:, 0] + diag[:, 1] + diag[:, 2]
+    q = np.empty((len(M), 4))
+    trace = tr > 0.0
+    # a slice while every trace is positive: views instead of gathers
+    sel = slice(None) if trace.all() else trace
+    s = np.sqrt(tr[sel] + 1.0) * 2.0
+    q[sel, 0] = 0.25 * s
+    q[sel, 1:] = d[sel] / s[:, None]
+    if sel is trace:
+        x_top = (diag[:, 0] >= diag[:, 1]) & (diag[:, 0] >= diag[:, 2])
+        dominant = np.where(x_top, 0, np.where(diag[:, 1] >= diag[:, 2], 1, 2))
+        for a, b, c in _SHEPPERD_AXES:
+            sel = ~trace & (dominant == a)
+            m = M[sel]
+            s = np.sqrt(1.0 + m[:, a, a] - m[:, b, b] - m[:, c, c]) * 2.0
+            q[sel, 0] = d[sel, a] / s
+            q[sel, 1 + a] = 0.25 * s
+            q[sel, 1 + b] = (m[:, a, b] + m[:, b, a]) / s
+            q[sel, 1 + c] = (m[:, a, c] + m[:, c, a]) / s
+        q[q[:, 0] < 0.0] *= -1.0  # the trace branch has w > 0
+    return quat_normalize(q).reshape(R.shape[:-2] + (4,))
 
 
 def axis_angle_matrix(axis: np.ndarray, angle: float | np.ndarray) -> np.ndarray:
@@ -120,39 +149,48 @@ def rotvec_to_quat(rv: np.ndarray) -> np.ndarray:
 
 
 def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = quat_normalize(q)
-    if w < 0.0:
-        w, x, y, z = -w, -x, -y, -z
-    sin_half = np.sqrt(x * x + y * y + z * z)
-    if sin_half < 1e-12:
-        return 2.0 * np.array([x, y, z])
-    angle = 2.0 * np.arctan2(sin_half, w)
-    return np.array([x, y, z]) * (angle / sin_half)
+    """Rotation vector of a quaternion ``(4,)``, or of each of a ``(..., 4)``
+    stack, with the angle in [0, pi]; each quaternion is normalized first."""
+    q = quat_normalize(q)
+    w, v = q[..., 0], q[..., 1:]
+    v = np.where(w[..., None] < 0.0, -v, v)
+    vv = v * v
+    sin_half = np.sqrt(vv[..., 0] + vv[..., 1] + vv[..., 2])
+    small = sin_half < 1e-12
+    angle = 2.0 * np.arctan2(sin_half, np.abs(w))
+    factor = np.where(small, 2.0, angle / np.where(small, 1.0, sin_half))
+    return v * factor[..., None]
 
 
 def matrix_to_rotvec(R: np.ndarray) -> np.ndarray:
+    """Rotation vector of a rotation ``(3, 3)`` or of each of a
+    ``(..., 3, 3)`` stack."""
     return quat_to_rotvec(matrix_to_quat(R))
 
 
 def orientation_error(R_ref: np.ndarray, R_cur: np.ndarray) -> np.ndarray:
     """Axis-angle of ``R_ref @ R_cur.T``, i.e. the world-frame rotation that
-    carries the current orientation onto the reference. Singularity-free for
-    errors below pi."""
-    return matrix_to_rotvec(R_ref @ R_cur.T)
+    carries the current orientation onto the reference, for one pair of
+    ``(3, 3)`` rotations or matching ``(..., 3, 3)`` stacks. Singularity-free
+    for errors below pi."""
+    return matrix_to_rotvec(R_ref @ np.swapaxes(R_cur, -1, -2))
 
 
-def quat_slerp(qa: np.ndarray, qb: np.ndarray, t: float) -> np.ndarray:
-    qa = quat_normalize(qa)
-    qb = quat_normalize(qb)
-    dot = float(np.dot(qa, qb))
-    if dot < 0.0:
-        qb = -qb
-        dot = -dot
-    if dot > 1.0 - 1e-10:
-        return quat_normalize(qa + t * (qb - qa))
+def quat_slerp(qa: np.ndarray, qb: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """Spherical interpolation from ``qa`` to ``qb`` along the shorter arc,
+    for one pair ``(4,)`` and a fraction ``t``, or for ``(..., 4)`` stacks
+    with fractions ``(...)``. Nearly parallel pairs interpolate linearly."""
+    qa, qb = quat_normalize(qa), quat_normalize(qb)
+    t = np.asarray(t, dtype=float)[..., None]
+    dot = _row_dots(qa, qb)
+    flip = dot < 0.0
+    qb = np.where(flip[..., None], -qb, qb)
+    dot = np.where(flip, -dot, dot)[..., None]
+    near = dot > 1.0 - 1e-10
     theta = np.arccos(np.clip(dot, -1.0, 1.0))
-    s = np.sin(theta)
-    return quat_normalize((np.sin((1.0 - t) * theta) / s) * qa + (np.sin(t * theta) / s) * qb)
+    s = np.where(near, 1.0, np.sin(theta))
+    arc = (np.sin((1.0 - t) * theta) / s) * qa + (np.sin(t * theta) / s) * qb
+    return quat_normalize(np.where(near, qa + t * (qb - qa), arc))
 
 
 def quat_rotvec_between(q_from: np.ndarray, q_to: np.ndarray) -> np.ndarray:

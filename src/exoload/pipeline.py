@@ -18,6 +18,7 @@ import numpy as np
 from . import io as eio
 from .anthropometry import DEFAULT_TABLE_ID, AnthropometricProfile, get_table, load_table_file
 from .biosignals import (
+    EMG_LOWPASS_HZ,
     detect_r_peaks,
     emg_change_pct,
     emg_envelope,
@@ -143,6 +144,11 @@ def load_config(path: str | Path) -> SessionConfig:
             trial_files=files(raw, "trial_files"),
             sample_rate=raw.get("sample_rate", float, None, positive=True),
         )
+        if emg.sample_rate is not None and emg.sample_rate <= 2.0 * EMG_LOWPASS_HZ:
+            raise ValidationError(
+                f"{path}: emg.sample_rate must exceed twice the {EMG_LOWPASS_HZ:g} Hz EMG "
+                f"envelope cutoff, got {emg.sample_rate!r}"
+            )
     if (raw := top.get("ecg", dict, None)) is not None:
         ecg = EcgConfig(files=files(raw, "files"), channel=raw.get("channel", str, None))
     if (raw := top.get("survey", dict, None)) is not None:
@@ -311,6 +317,12 @@ def run_motion_analysis(config: SessionConfig) -> tuple[SkeletonModel, MotionRes
     with _stage("parse-motion"):
         aliases = _segment_aliases(config)
         captured = eio.parse_motion_file(config.motion_file, aliases=aliases)
+    cutoff = config.derivative_smoothing_hz
+    if cutoff is not None and cutoff >= captured.sample_rate / 2.0:
+        raise ValidationError(
+            f"{config.config_path}: derivative_smoothing_hz must lie below half the "
+            f"{captured.sample_rate:g} Hz sample rate of {config.motion_file}, got {cutoff!r}"
+        )
     with _stage("parse-annotation"):
         if config.annotation_file is not None:
             annotation = eio.parse_annotation_file(config.annotation_file)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +25,14 @@ from .errors import (
     ValidationError,
     require_finite,
 )
-from .geometry import orientation_error, quat_rotvec_between, quat_slerp, quat_to_matrix
+from .geometry import (
+    cross,
+    orientation_error,
+    quat_rotvec_between,
+    quat_slerp,
+    quat_to_matrix,
+    vector_norms,
+)
 from .qp import solve_ls_qp
 from .skeleton import (
     JointConfiguration,
@@ -182,9 +189,7 @@ def resample_uniform(captured: CapturedTrajectory) -> CapturedTrajectory:
     segments = {}
     for name, track in captured.segments.items():
         pos = track.positions[idx] * (1.0 - w[:, None]) + track.positions[idx + 1] * w[:, None]
-        quats = np.empty((n, 4))
-        for k in range(n):
-            quats[k] = quat_slerp(track.quaternions[idx[k]], track.quaternions[idx[k] + 1], w[k])
+        quats = quat_slerp(track.quaternions[idx], track.quaternions[idx + 1], w)
         segments[name] = SegmentTrack(pos, quats)
     return CapturedTrajectory(sample_rate=captured.sample_rate, times=grid, segments=segments)
 
@@ -217,34 +222,213 @@ class FrameSolution:
     diagnostics: FrameDiagnostics
 
 
-def _task_rows(
-    state: KinematicState, task: TaskSpec, ref: Reference
-) -> tuple[np.ndarray, np.ndarray, float | None, float | None]:
-    """Jacobian rows and velocity reference for one task, plus the current
-    pose errors (position m, orientation rad)."""
-    J = state.jacobian(task.frame, task.kind)
-    rows_pos = task.kind in ("position", "both")
-    rows_ori = task.kind in ("orientation", "both")
-    v = np.zeros(J.shape[0])
-    pos_err = ori_err = None
-    r = 0
-    if rows_pos:
+# base angular columns of a point row are -[r]x for the point's offset r from
+# the base origin: six off-diagonal (row, column) entries, each +/- one
+# component of r
+_SKEW_ROW = np.array([0, 0, 1, 1, 2, 2])
+_SKEW_COL = np.array([1, 2, 0, 2, 0, 1])
+_SKEW_SRC = np.array([2, 1, 2, 0, 1, 0])
+_SKEW_SIGN = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
+
+
+def _joint_cells(
+    model: SkeletonModel, blocks: np.ndarray, links: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The (task, ancestor link) pairs of tasks riding on ``links`` (-1, the
+    base, has none), and the flat Jacobian index of each pair's joint
+    column in the three rows of the task's block."""
+    task, link = np.nonzero(model._ancestors[links] & (links >= 0)[:, None])
+    at = (3 * blocks[task, None] + np.arange(3)) * model.n_velocity + 6 + link[:, None]
+    return (task, link), at.ravel()
+
+
+@dataclass(frozen=True)
+class _ReferenceArrays:
+    """Targets and feedforward velocities of a plan's tasks, frame by frame:
+    positions and linear velocities ``(T, position tasks, 3)``, rotations
+    ``(T, orientation tasks, 3, 3)`` and angular velocities
+    ``(T, orientation tasks, 3)``, tasks in the plan's order."""
+
+    positions: np.ndarray
+    linear_velocities: np.ndarray
+    rotations: np.ndarray
+    angular_velocities: np.ndarray
+
+
+class _RowPlan:
+    """Where the rows of every task of a stack go, built once per (model,
+    task stack). Tasks run level 1 first, in stack order within a level;
+    each takes a 3-row block for its position, then one for its
+    orientation, so level 1 owns the first ``n_level1_rows`` rows and the
+    level Jacobians are slices of one array. ``position_tasks`` and
+    ``orientation_tasks`` are the stack indices of the tasks with those
+    rows, in plan order, which the reference arrays follow."""
+
+    def __init__(self, model: SkeletonModel, tasks: list[TaskSpec]):
+        self.model, self.tasks = model, tasks
+        order = sorted(range(len(tasks)), key=lambda i: tasks[i].priority)
+        if not order or tasks[order[0]].priority != 1:
+            raise ValidationError("task stack has no level-1 tasks")
+        pos_tasks, pos_links, pos_blocks, ori_tasks, ori_links, ori_blocks = [], [], [], [], [], []
+        is_com = []
+        for i in order:
+            task = tasks[i]
+            name = model.resolve_frame(task.frame)
+            if name == "com" and task.kind != "position":
+                raise ValidationError("the CoM frame only supports position tasks")
+            # link -1 is the base; a CoM task's link is a placeholder
+            link = -1 if name == "com" else model._segment_dof[name]
+            if task.kind in ("position", "both"):
+                is_com.append(name == "com")
+                pos_tasks.append(i)
+                pos_links.append(link)
+                pos_blocks.append(len(pos_blocks) + len(ori_blocks))
+            if task.kind in ("orientation", "both"):
+                ori_tasks.append(i)
+                ori_links.append(link)
+                ori_blocks.append(len(pos_blocks) + len(ori_blocks))
+            if task.priority == 1:
+                self.n_level1_rows = 3 * (len(pos_blocks) + len(ori_blocks))
+        self.n_rows = 3 * (len(pos_blocks) + len(ori_blocks))
+        self.position_tasks = np.array(pos_tasks, dtype=int)
+        self.orientation_tasks = np.array(ori_tasks, dtype=int)
+        self._pos_blocks = np.array(pos_blocks, dtype=int)
+        self._ori_blocks = np.array(ori_blocks, dtype=int)
+        # rows into [base; links] frame arrays
+        self._pos_frames = np.array(pos_links, dtype=int) + 1
+        self._ori_frames = np.array(ori_links, dtype=int) + 1
+        is_com = np.array(is_com, dtype=bool)
+        self._com, self._points = np.flatnonzero(is_com), np.flatnonzero(~is_com)
+        self._pos_gain = np.array([tasks[i].feedback_gain for i in pos_tasks]).reshape(-1, 1)
+        self._ori_gain = np.array([tasks[i].feedback_gain for i in ori_tasks]).reshape(-1, 1)
+
+        # constant entries: the identity blocks of the base columns; every
+        # other entry is zero or written each frame at the flat indices below
+        nv = model.n_velocity
+        self._template = np.zeros((self.n_rows, nv))
+        blocks = self._template.reshape(-1, 3, nv)
+        point_blocks = self._pos_blocks[self._points]
+        blocks[point_blocks, :, 0:3] = np.eye(3)
+        blocks[self._ori_blocks, :, 3:6] = np.eye(3)
+        self._skew_at = ((3 * point_blocks[:, None] + _SKEW_ROW) * nv + 3 + _SKEW_COL).ravel()
+        self._point_pairs, self._point_at = _joint_cells(
+            model, point_blocks, self._pos_frames[self._points] - 1
+        )
+        (_, self._ori_pair_links), self._ori_at = _joint_cells(
+            model, self._ori_blocks, self._ori_frames - 1
+        )
+
+    def rows(
+        self, state: KinematicState, refs: _ReferenceArrays, k: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Task Jacobian ``(n_rows, n_velocity)`` and velocity references
+        ``(n_rows,)`` for reference frame ``k``, plus the pose errors of the
+        position tasks (m) and orientation tasks (rad), in one pass over the
+        whole stack."""
+        nv = self.model.n_velocity
+        J = self._template.copy()
+        flat = J.reshape(-1)
+        v = np.empty((self.n_rows // 3, 3))
+        current = np.concatenate((state.base_position[None], state.link_position))[self._pos_frames]
+        if self._com.size:
+            current[self._com] = state.com()
+            J.reshape(-1, 3, nv)[self._pos_blocks[self._com]] = state.com_jacobian()
+        points = current[self._points]
+        flat[self._skew_at] = ((points - state.base_position)[:, _SKEW_SRC] * _SKEW_SIGN).ravel()
+        task, link = self._point_pairs
+        arms = points[task] - state.link_position[link]
+        flat[self._point_at] = cross(state.axis_world[link], arms).ravel()
+        flat[self._ori_at] = state.axis_world[self._ori_pair_links].ravel()
+
+        pos_err = refs.positions[k] - current
+        v[self._pos_blocks] = self._pos_gain * pos_err + refs.linear_velocities[k]
+        rotations = np.concatenate((state.base_rotation[None], state.link_rotation))
+        ori_err = orientation_error(refs.rotations[k], rotations[self._ori_frames])
+        v[self._ori_blocks] = self._ori_gain * ori_err + refs.angular_velocities[k]
+        return J, v.reshape(-1), vector_norms(pos_err), vector_norms(ori_err)
+
+
+class _Step(NamedTuple):
+    velocity: np.ndarray
+    next_configuration: JointConfiguration
+    position_error: np.ndarray  # m, per position task in plan order
+    orientation_error: np.ndarray  # rad, per orientation task in plan order
+    level1_residual: float
+    diagnostics: FrameDiagnostics
+
+
+def _solve_step(
+    plan: _RowPlan,
+    q_current: JointConfiguration,
+    refs: _ReferenceArrays,
+    k: int,
+    dt: float,
+    settings: SolverSettings,
+) -> _Step:
+    """One hierarchical velocity-QP step towards reference frame ``k``: the
+    per-frame step of both ``solve_frame`` and ``retarget_trajectory``."""
+    state = KinematicState(plan.model, q_current)
+    J, v, pos_err, ori_err = plan.rows(state, refs, k)
+    m1 = plan.n_level1_rows
+    J1, v1 = J[:m1], v[:m1]
+
+    n = plan.model.n_velocity
+    bound = settings.velocity_bound
+    lb, ub = -np.full(n, bound), np.full(n, bound)
+    options = {"max_iterations": settings.max_iterations, "tolerance": settings.tolerance}
+    r1 = solve_ls_qp(J1, v1, settings.epsilon, lb, ub, **options)
+
+    if plan.n_rows > m1:
+        J2, v2 = J[m1:], v[m1:]
+        r2 = solve_ls_qp(
+            J2, v2, settings.epsilon, lb, ub, C=J1, d=J1 @ r1.x, x0=r1.x, **options
+        )
+        qdot = r2.x
+        iterations = r1.iterations + r2.iterations
+        saturated = sorted(set(r1.saturated) | set(r2.saturated))
+    else:
+        qdot = r1.x
+        iterations = r1.iterations
+        saturated = r1.saturated
+
+    return _Step(
+        velocity=qdot,
+        next_configuration=integrate_configuration(plan.model, q_current, qdot, dt),
+        position_error=pos_err,
+        orientation_error=ori_err,
+        level1_residual=float(np.linalg.norm(J1 @ qdot - v1)),
+        diagnostics=FrameDiagnostics(iterations=iterations, active_constraints=saturated),
+    )
+
+
+def _frame_reference_arrays(plan: _RowPlan, references: dict[str, Reference]) -> _ReferenceArrays:
+    """One frame of reference arrays from per-task ``Reference`` objects."""
+
+    def reference(i: int) -> Reference:
+        frame = plan.tasks[i].frame
+        try:
+            return references[frame]
+        except KeyError:
+            raise ValidationError(f"no reference supplied for task frame {frame!r}") from None
+
+    pos = [reference(i) for i in plan.position_tasks]
+    ori = [reference(i) for i in plan.orientation_tasks]
+    for i, ref in zip(plan.position_tasks, pos):
         if ref.position is None:
-            raise ValidationError(f"task {task.frame!r}: reference lacks a position")
-        name = state.model.resolve_frame(task.frame)
-        current = state.com() if name == "com" else state.segment_pose(name).position
-        err = ref.position - current
-        v[r : r + 3] = task.feedback_gain * err + ref.linear_velocity
-        pos_err = float(np.linalg.norm(err))
-        r += 3
-    if rows_ori:
+            raise ValidationError(f"task {plan.tasks[i].frame!r}: reference lacks a position")
+    for i, ref in zip(plan.orientation_tasks, ori):
         if ref.rotation is None:
-            raise ValidationError(f"task {task.frame!r}: reference lacks an orientation")
-        name = state.model.resolve_frame(task.frame)
-        err = orientation_error(ref.rotation, state.segment_pose(name).rotation)
-        v[r : r + 3] = task.feedback_gain * err + ref.angular_velocity
-        ori_err = float(np.linalg.norm(err))
-    return J, v, pos_err, ori_err
+            raise ValidationError(f"task {plan.tasks[i].frame!r}: reference lacks an orientation")
+
+    def frame(values: list, shape: tuple[int, ...]) -> np.ndarray:
+        return np.array(values, dtype=float).reshape((1, -1) + shape)
+
+    return _ReferenceArrays(
+        frame([r.position for r in pos], (3,)),
+        frame([r.linear_velocity for r in pos], (3,)),
+        frame([r.rotation for r in ori], (3, 3)),
+        frame([r.angular_velocity for r in ori], (3,)),
+    )
 
 
 def solve_frame(
@@ -264,53 +448,19 @@ def solve_frame(
     """
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
-    state = KinematicState(model, q_current)
-
-    blocks: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {1: [], 2: []}
-    pos_errors: dict[str, float] = {}
-    ori_errors: dict[str, float] = {}
-    for task in tasks:
-        try:
-            ref = references[task.frame]
-        except KeyError:
-            raise ValidationError(f"no reference supplied for task frame {task.frame!r}") from None
-        J, v, pe, oe = _task_rows(state, task, ref)
-        blocks[task.priority].append((J, v))
-        if pe is not None:
-            pos_errors[task.frame] = pe
-        if oe is not None:
-            ori_errors[task.frame] = oe
-
-    n = model.n_velocity
-    bound = settings.velocity_bound
-    lb, ub = -np.full(n, bound), np.full(n, bound)
-
-    if not blocks[1]:
-        raise ValidationError("task stack has no level-1 tasks")
-    J1 = np.vstack([J for J, _ in blocks[1]])
-    v1 = np.concatenate([v for _, v in blocks[1]])
-    options = {"max_iterations": settings.max_iterations, "tolerance": settings.tolerance}
-    r1 = solve_ls_qp(J1, v1, settings.epsilon, lb, ub, **options)
-
-    if blocks[2]:
-        J2 = np.vstack([J for J, _ in blocks[2]])
-        v2 = np.concatenate([v for _, v in blocks[2]])
-        r2 = solve_ls_qp(J2, v2, settings.epsilon, lb, ub, C=J1, d=J1 @ r1.x, x0=r1.x, **options)
-        qdot = r2.x
-        iterations = r1.iterations + r2.iterations
-        saturated = sorted(set(r1.saturated) | set(r2.saturated))
-    else:
-        qdot = r1.x
-        iterations = r1.iterations
-        saturated = r1.saturated
-
+    plan = _RowPlan(model, tasks)
+    step = _solve_step(plan, q_current, _frame_reference_arrays(plan, references), 0, dt, settings)
     return FrameSolution(
-        velocity=qdot,
-        next_configuration=integrate_configuration(model, q_current, qdot, dt),
-        position_error=pos_errors,
-        orientation_error=ori_errors,
-        level1_residual=float(np.linalg.norm(J1 @ qdot - v1)),
-        diagnostics=FrameDiagnostics(iterations=iterations, active_constraints=saturated),
+        velocity=step.velocity,
+        next_configuration=step.next_configuration,
+        position_error={
+            tasks[i].frame: float(e) for i, e in zip(plan.position_tasks, step.position_error)
+        },
+        orientation_error={
+            tasks[i].frame: float(e) for i, e in zip(plan.orientation_tasks, step.orientation_error)
+        },
+        level1_residual=step.level1_residual,
+        diagnostics=step.diagnostics,
     )
 
 
@@ -353,25 +503,26 @@ def _reference_tracks(
     return out
 
 
-def _frame_references(
-    tracks: dict[str, SegmentTrack], n: int, dt: float
-) -> Iterator[dict[str, Reference]]:
-    """The references of every task, frame by frame, from targets and
-    feedforward velocities computed for the whole trajectory at once. The
-    feedforward over the step that lands on frame k keeps the recovered
-    configuration aligned with the captured frame index."""
+def _trajectory_references(
+    plan: _RowPlan, tracks: dict[str, SegmentTrack], n: int, dt: float
+) -> _ReferenceArrays:
+    """The reference arrays of every frame, computed for the whole
+    trajectory at once. The feedforward over the step that lands on frame k
+    keeps the recovered configuration aligned with the captured frame
+    index."""
     prev = np.maximum(np.arange(n) - 1, 0)
-    arrays = {
-        frame: (
-            track.positions,
-            quat_to_matrix(track.quaternions),
-            (track.positions - track.positions[prev]) / dt,
-            quat_rotvec_between(track.quaternions[prev], track.quaternions) / dt,
-        )
-        for frame, track in tracks.items()
-    }
-    for k in range(n):
-        yield {frame: Reference(p[k], R[k], v[k], w[k]) for frame, (p, R, v, w) in arrays.items()}
+    pos = [tracks[plan.tasks[i].frame] for i in plan.position_tasks]
+    ori = [tracks[plan.tasks[i].frame] for i in plan.orientation_tasks]
+
+    def stack(arrays: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+        return np.stack(arrays, axis=1) if arrays else np.zeros((n, 0) + shape)
+
+    return _ReferenceArrays(
+        stack([t.positions for t in pos], (3,)),
+        stack([(t.positions - t.positions[prev]) / dt for t in pos], (3,)),
+        stack([quat_to_matrix(t.quaternions) for t in ori], (3, 3)),
+        stack([quat_rotvec_between(t.quaternions[prev], t.quaternions) / dt for t in ori], (3,)),
+    )
 
 
 def _estimate_com_track(model: SkeletonModel, captured: CapturedTrajectory) -> SegmentTrack:
@@ -408,10 +559,11 @@ def retarget_trajectory(
     """
     if tasks is None:
         tasks = default_task_stack(settings.gain)
+    plan = _RowPlan(model, tasks)
     captured = resample_uniform(captured)
     dt = 1.0 / captured.sample_rate
     n = captured.n_frames
-    references = _frame_references(_reference_tracks(model, captured, tasks), n, dt)
+    references = _trajectory_references(plan, _reference_tracks(model, captured, tasks), n, dt)
 
     q = initial if initial is not None else model.upright_configuration()
     limit_flags = model.check_limits(q)
@@ -420,29 +572,28 @@ def retarget_trajectory(
 
     configurations: list[JointConfiguration] = []
     diagnostics: list[FrameDiagnostics] = []
-    pos_res = {t.frame: np.zeros(n) for t in tasks}
-    ori_res = {t.frame: np.zeros(n) for t in tasks}
+    pos_res = np.zeros((len(tasks), n))
+    ori_res = np.zeros((len(tasks), n))
 
-    for k, frame_refs in enumerate(references):
+    for k in range(n):
         try:
-            sol = solve_frame(model, q, tasks, frame_refs, dt, settings)
+            step = _solve_step(plan, q, references, k, dt, settings)
         except InfeasibleBoundsError as exc:
             diagnostics.append(FrameDiagnostics(skipped=True, message=str(exc)))
             configurations.append(q)
             continue
         except SolverError as exc:
             raise SolverError(f"frame {k}: {exc}") from exc
-        for task in tasks:
-            pos_res[task.frame][k] = sol.position_error.get(task.frame, 0.0)
-            ori_res[task.frame][k] = sol.orientation_error.get(task.frame, 0.0)
-        diagnostics.append(sol.diagnostics)
-        q = sol.next_configuration
+        pos_res[plan.position_tasks, k] = step.position_error
+        ori_res[plan.orientation_tasks, k] = step.orientation_error
+        diagnostics.append(step.diagnostics)
+        q = step.next_configuration
         configurations.append(q)
 
     return RetargetResult(
         times=captured.times.copy(),
         configurations=configurations,
-        position_residuals=pos_res,
-        orientation_residuals=ori_res,
+        position_residuals={task.frame: pos_res[i] for i, task in enumerate(tasks)},
+        orientation_residuals={task.frame: ori_res[i] for i, task in enumerate(tasks)},
         diagnostics=diagnostics,
     )

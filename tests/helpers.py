@@ -12,11 +12,33 @@ import numpy as np
 from exoload import io as eio
 from exoload.anthropometry import AnthropometricProfile
 from exoload.dynamics import GRAVITY_DEFAULT
-from exoload.errors import ValidationError
-from exoload.geometry import IDENTITY_QUAT, rotvec_to_quat
+from exoload.errors import InfeasibleBoundsError, ValidationError
+from exoload.geometry import (
+    IDENTITY_QUAT,
+    orientation_error,
+    quat_normalize,
+    quat_rotvec_between,
+    quat_to_matrix,
+    rotvec_to_quat,
+)
 from exoload.posture import AnnotationSegment, TrialAnnotation
-from exoload.retarget import CapturedTrajectory, SegmentTrack
-from exoload.skeleton import JointConfiguration, KinematicState, SkeletonModel, build_model
+from exoload.qp import solve_ls_qp
+from exoload.retarget import (
+    CapturedTrajectory,
+    FrameDiagnostics,
+    Reference,
+    SegmentTrack,
+    SolverSettings,
+    TaskSpec,
+    _reference_tracks,
+)
+from exoload.skeleton import (
+    JointConfiguration,
+    KinematicState,
+    SkeletonModel,
+    build_model,
+    integrate_configuration,
+)
 
 # segments a capture file carries for the default task stack
 CAPTURE_SEGMENTS = [
@@ -371,3 +393,153 @@ def reference_com_jacobian(state: KinematicState) -> np.ndarray:
         com = pose.position + pose.rotation @ seg.com_offset
         J += seg.mass * reference_point_jacobian_linear(state, com, link)
     return J / model.total_mass
+
+
+def reference_matrix_to_quat(R: np.ndarray) -> np.ndarray:
+    """Shepperd's method on one (3, 3) rotation with scalar branches: the
+    oracle for the stacked ``geometry.matrix_to_quat``."""
+    R = np.asarray(R, dtype=float)
+    tr = R[0, 0] + R[1, 1] + R[2, 2]
+    if tr > 0.0:
+        s = np.sqrt(tr + 1.0) * 2.0
+        q = np.array(
+            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
+        )
+    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
+        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
+        q = np.array(
+            [(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s]
+        )
+    elif R[1, 1] >= R[2, 2]:
+        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
+        q = np.array(
+            [(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s]
+        )
+    else:
+        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
+        q = np.array(
+            [(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s]
+        )
+    if q[0] < 0.0:
+        q = -q
+    return quat_normalize(q)
+
+
+def reference_matrix_to_rotvec(R: np.ndarray) -> np.ndarray:
+    """Rotation vector of one (3, 3) rotation through scalar steps: the
+    oracle for the stacked ``geometry.matrix_to_rotvec``."""
+    w, x, y, z = quat_normalize(reference_matrix_to_quat(R))
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    sin_half = np.sqrt(x * x + y * y + z * z)
+    if sin_half < 1e-12:
+        return 2.0 * np.array([x, y, z])
+    angle = 2.0 * np.arctan2(sin_half, w)
+    return np.array([x, y, z]) * (angle / sin_half)
+
+
+def reference_quat_slerp(qa: np.ndarray, qb: np.ndarray, t: float) -> np.ndarray:
+    """Slerp of one quaternion pair with scalar branches: the per-frame
+    oracle for ``resample_uniform``."""
+    qa = quat_normalize(qa)
+    qb = quat_normalize(qb)
+    dot = float(np.dot(qa, qb))
+    if dot < 0.0:
+        qb = -qb
+        dot = -dot
+    if dot > 1.0 - 1e-10:
+        return quat_normalize(qa + t * (qb - qa))
+    theta = np.arccos(np.clip(dot, -1.0, 1.0))
+    s = np.sin(theta)
+    return quat_normalize((np.sin((1.0 - t) * theta) / s) * qa + (np.sin(t * theta) / s) * qb)
+
+
+def reference_task_rows(
+    state: KinematicState, tasks: list[TaskSpec], references: dict[str, Reference]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[str, float], dict[str, float]]:
+    """Level Jacobians and velocity references assembled one task at a time
+    from ``KinematicState.jacobian`` and ``orientation_error``, stacked per
+    level in stack order: ``(J1, v1, J2, v2, position errors, orientation
+    errors)``. The oracle for the retargeter's one-pass row plan."""
+    model = state.model
+    blocks: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {1: [], 2: []}
+    pos_errors: dict[str, float] = {}
+    ori_errors: dict[str, float] = {}
+    for task in tasks:
+        ref = references[task.frame]
+        J = state.jacobian(task.frame, task.kind)
+        name = model.resolve_frame(task.frame)
+        v = np.zeros(J.shape[0])
+        r = 0
+        if task.kind in ("position", "both"):
+            current = state.com() if name == "com" else state.segment_pose(name).position
+            err = ref.position - current
+            v[r : r + 3] = task.feedback_gain * err + ref.linear_velocity
+            pos_errors[task.frame] = float(np.linalg.norm(err))
+            r += 3
+        if task.kind in ("orientation", "both"):
+            err = orientation_error(ref.rotation, state.segment_pose(name).rotation)
+            v[r : r + 3] = task.feedback_gain * err + ref.angular_velocity
+            ori_errors[task.frame] = float(np.linalg.norm(err))
+        blocks[task.priority].append((J, v))
+
+    def level(p: int) -> tuple[np.ndarray, np.ndarray]:
+        if not blocks[p]:
+            return np.zeros((0, model.n_velocity)), np.zeros(0)
+        return np.vstack([J for J, _ in blocks[p]]), np.concatenate([v for _, v in blocks[p]])
+
+    return (*level(1), *level(2), pos_errors, ori_errors)
+
+
+def reference_frame_references(
+    model: SkeletonModel, captured: CapturedTrajectory, tasks: list[TaskSpec]
+) -> list[dict[str, Reference]]:
+    """Per-frame ``Reference`` objects of every task, feedforward over the
+    step landing on each frame."""
+    tracks = _reference_tracks(model, captured, tasks)
+    dt = 1.0 / captured.sample_rate
+    prev = np.maximum(np.arange(captured.n_frames) - 1, 0)
+    arrays = {
+        frame: (
+            track.positions,
+            quat_to_matrix(track.quaternions),
+            (track.positions - track.positions[prev]) / dt,
+            quat_rotvec_between(track.quaternions[prev], track.quaternions) / dt,
+        )
+        for frame, track in tracks.items()
+    }
+    return [
+        {frame: Reference(p[k], R[k], v[k], w[k]) for frame, (p, R, v, w) in arrays.items()}
+        for k in range(captured.n_frames)
+    ]
+
+
+def reference_retarget(
+    model: SkeletonModel,
+    captured: CapturedTrajectory,
+    tasks: list[TaskSpec],
+    settings: SolverSettings,
+) -> tuple[list[JointConfiguration], list[FrameDiagnostics]]:
+    """The two-level velocity-QP loop over a uniform capture, for a stack
+    with tasks on both levels, driven by the per-task row assembly of
+    ``reference_task_rows``."""
+    dt = 1.0 / captured.sample_rate
+    n = model.n_velocity
+    lb, ub = -np.full(n, settings.velocity_bound), np.full(n, settings.velocity_bound)
+    options = {"max_iterations": settings.max_iterations, "tolerance": settings.tolerance}
+    q = model.upright_configuration()
+    configurations, diagnostics = [], []
+    for refs in reference_frame_references(model, captured, tasks):
+        J1, v1, J2, v2, _, _ = reference_task_rows(KinematicState(model, q), tasks, refs)
+        try:
+            r1 = solve_ls_qp(J1, v1, settings.epsilon, lb, ub, **options)
+            r2 = solve_ls_qp(J2, v2, settings.epsilon, lb, ub, C=J1, d=J1 @ r1.x, x0=r1.x, **options)
+        except InfeasibleBoundsError as exc:
+            diagnostics.append(FrameDiagnostics(skipped=True, message=str(exc)))
+            configurations.append(q)
+            continue
+        saturated = sorted(set(r1.saturated) | set(r2.saturated))
+        diagnostics.append(FrameDiagnostics(r1.iterations + r2.iterations, saturated))
+        q = integrate_configuration(model, q, r2.x, dt)
+        configurations.append(q)
+    return configurations, diagnostics

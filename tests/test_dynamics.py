@@ -254,6 +254,41 @@ def test_laevo_series_is_sequential():
     assert np.allclose(out, np.clip(asc + desc, 0.0, 40.0))
 
 
+def per_sample_laevo(model: LaevoModel, theta: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    return np.array([model.torque(t, td) for t, td in zip(theta, rate)])
+
+
+@pytest.mark.parametrize("start", ["ascending", "descending"])
+def test_laevo_series_equals_per_sample_stepping(start):
+    """Rates inside, on and outside the tolerance, runs that hold the branch
+    from the start, and NaN rates: the array pass gives the per-sample
+    torques bit for bit and leaves the model on the same branch."""
+    rng = np.random.default_rng(8)
+    n = 400
+    theta = rng.uniform(10.0, 60.0, n)
+    tol = LaevoModel().rate_tolerance
+    rate = rng.choice([-30.0, -tol, -0.5 * tol, 0.0, 0.5 * tol, tol, 30.0, np.nan], n)
+    rate[:25] = rng.choice([-tol, 0.0, tol], 25)  # the starting branch holds
+    for tail in ([], [0.0, 0.0], [-5.0, np.nan]):
+        angles, rates = np.append(theta, [30.0] * len(tail)), np.append(rate, tail)
+        vectorized, stepped = LaevoModel(branch=start), LaevoModel(branch=start)
+        out = laevo_torque_series(vectorized, angles, rates)
+        assert np.array_equal(out, per_sample_laevo(stepped, angles, rates))
+        assert vectorized.branch == stepped.branch
+    assert laevo_torque_series(LaevoModel(), np.zeros(0), np.zeros(0)).shape == (0,)
+
+
+def test_laevo_series_rejects_a_non_finite_angle_like_stepping():
+    theta = np.array([30.0, 40.0, 45.0, np.inf, 35.0])
+    rate = np.array([1.0, -1.0, -1.0, 1.0, 1.0])
+    vectorized, stepped = LaevoModel(), LaevoModel()
+    with pytest.raises(ValidationError, match="flexion angle must be finite"):
+        laevo_torque_series(vectorized, theta, rate)
+    with pytest.raises(ValidationError, match="flexion angle must be finite"):
+        per_sample_laevo(stepped, theta, rate)
+    assert vectorized.branch == stepped.branch == "descending"
+
+
 # -- decomposition ------------------------------------------------------------
 
 

@@ -1,0 +1,67 @@
+import numpy as np
+
+from helpers import reference_matrix_to_quat, reference_matrix_to_rotvec
+
+from exoload.geometry import (
+    axis_angle_matrix,
+    matrix_to_quat,
+    matrix_to_rotvec,
+    orientation_error,
+    quat_to_matrix,
+)
+
+
+def shepperd_branch_rotations() -> np.ndarray:
+    """Rotations that take every Shepperd branch: positive trace, each
+    dominant diagonal entry, diagonal ties, and angles within 1e-6 of pi."""
+    rng = np.random.default_rng(11)
+    out = [np.eye(3)] + [quat_to_matrix(rng.normal(size=4)) for _ in range(40)]
+    for axis in np.eye(3):  # a half turn about an axis makes that diagonal entry dominant
+        for gap in (0.0, 1e-7, 5e-7, 1e-6):
+            out.append(axis_angle_matrix(axis, np.pi - gap))
+    for axis in ([1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]):
+        out.append(axis_angle_matrix(np.array(axis) / np.linalg.norm(axis), np.pi))  # ties
+    out.append(axis_angle_matrix(np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0), np.pi - 1e-6))
+    return np.array(out)
+
+
+def branch(R: np.ndarray) -> int:
+    if np.trace(R) > 0.0:
+        return 0
+    if R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
+        return 1
+    return 2 if R[1, 1] >= R[2, 2] else 3
+
+
+def test_rotation_stack_covers_every_branch():
+    R = shepperd_branch_rotations()
+    assert {branch(r) for r in R} == {0, 1, 2, 3}
+    diag = R[:, (0, 1, 2), (0, 1, 2)]
+    ties = (diag[:, 0] == diag[:, 1]) | (diag[:, 1] == diag[:, 2]) | (diag[:, 0] == diag[:, 2])
+    assert (ties & (np.trace(R, axis1=1, axis2=2) <= 0.0)).any()
+
+
+def test_stacked_rotation_helpers_equal_single_calls():
+    R = shepperd_branch_rotations()
+    quats, rotvecs = matrix_to_quat(R), matrix_to_rotvec(R)
+    assert quats.shape == (len(R), 4) and rotvecs.shape == (len(R), 3)
+    for k, r in enumerate(R):
+        assert np.array_equal(quats[k], matrix_to_quat(r))
+        assert np.array_equal(rotvecs[k], matrix_to_rotvec(r))
+    # extra leading axes keep their shape
+    assert np.array_equal(matrix_to_quat(R[:6].reshape(2, 3, 3, 3)), quats[:6].reshape(2, 3, 4))
+
+
+def test_single_rotation_calls_keep_the_scalar_shepperd_bits():
+    for r in shepperd_branch_rotations():
+        assert np.array_equal(matrix_to_quat(r), reference_matrix_to_quat(r))
+        assert np.array_equal(matrix_to_rotvec(r), reference_matrix_to_rotvec(r))
+
+
+def test_stacked_orientation_errors_equal_pairwise_calls():
+    R = shepperd_branch_rotations()
+    errors = orientation_error(R[1:], R[:-1])
+    for k in range(len(R) - 1):
+        assert np.array_equal(errors[k], orientation_error(R[k + 1], R[k]))
+    angles = np.linalg.norm(matrix_to_rotvec(R), axis=1)
+    assert np.max(angles) <= np.pi + 1e-12 and np.max(angles) >= np.pi - 1e-6

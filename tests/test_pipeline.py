@@ -491,6 +491,26 @@ def test_one_bad_field_exits_2_naming_file_and_field(tmp_path, capsys, kind, edi
     assert path.name in err and field in err
 
 
+@pytest.mark.parametrize(
+    "keys, value, named",
+    [
+        (("emg", "sample_rate"), 5.0, ["emg.sample_rate", "5.0"]),
+        (("derivative_smoothing_hz",), 500, ["derivative_smoothing_hz", "500", "240 Hz", "motion.csv"]),
+    ],
+)
+def test_cross_input_ranges_exit_2_naming_the_config_field(tmp_path, capsys, keys, value, named):
+    """Values that pass their own type and sign checks but not the range
+    another input sets: the EMG rate against the envelope cutoff, the
+    smoothing cutoff against the motion file's rate."""
+    config, files = write_every_input_session(tmp_path)
+    files["config"].write_text(json.dumps(with_field(*keys, value=value)(config)))
+    assert cli.main(["pipeline", "--config", str(files["config"])]) == 2
+    err = capsys.readouterr().err
+    assert "config.json" in err
+    for text in named:
+        assert text in err
+
+
 @pytest.mark.parametrize("level", ["", "profile", "emg", "ecg", "survey"])
 def test_config_rejects_unknown_fields(tmp_path, level):
     config = {

@@ -5,6 +5,10 @@ from helpers import (
     capture_from_configurations,
     default_model,
     moving_base_trajectory,
+    reference_frame_references,
+    reference_quat_slerp,
+    reference_retarget,
+    reference_task_rows,
     sinusoid_trajectory,
     tracked_dof_indices,
 )
@@ -25,9 +29,10 @@ from exoload.retarget import (
     SegmentTrack,
     SolverSettings,
     TaskSpec,
+    _RowPlan,
     _estimate_com_track,
-    _frame_references,
     _reference_tracks,
+    _trajectory_references,
     default_task_stack,
     resample_uniform,
     retarget_trajectory,
@@ -210,19 +215,144 @@ def test_trajectory_references_match_per_frame_formulas(model):
     tasks = default_task_stack()
     tracks = _reference_tracks(model, captured, tasks)
     dt = 1.0 / 240.0
-    references = list(_frame_references(tracks, captured.n_frames, dt))
-    assert len(references) == captured.n_frames
-    for k, frame_refs in enumerate(references):
-        assert sorted(frame_refs) == sorted(t.frame for t in tasks)
-        for frame, ref in frame_refs.items():
-            track, prev = tracks[frame], max(k - 1, 0)
+    n = captured.n_frames
+    plan = _RowPlan(model, tasks)
+    refs = _trajectory_references(plan, tracks, n, dt)
+    assert refs.positions.shape == refs.linear_velocities.shape == (n, len(plan.position_tasks), 3)
+    assert refs.rotations.shape == (n, len(plan.orientation_tasks), 3, 3)
+    assert refs.angular_velocities.shape == (n, len(plan.orientation_tasks), 3)
+    covered = set(plan.position_tasks) | set(plan.orientation_tasks)
+    assert covered == set(range(len(tasks)))
+    for k in range(n):
+        prev = max(k - 1, 0)
+        for j, i in enumerate(plan.position_tasks):
+            track = tracks[tasks[i].frame]
+            assert np.array_equal(refs.positions[k, j], track.positions[k])
+            velocity = (track.positions[k] - track.positions[prev]) / dt
+            assert np.array_equal(refs.linear_velocities[k, j], velocity)
+        for j, i in enumerate(plan.orientation_tasks):
+            track = tracks[tasks[i].frame]
             qa, qb = track.quaternions[prev], track.quaternions[k]
             conj = qa * np.array([1.0, -1.0, -1.0, -1.0])
             angular = quat_to_rotvec(quat_normalize(quat_multiply(qb, conj))) / dt
-            assert np.array_equal(ref.position, track.positions[k])
-            assert np.array_equal(ref.linear_velocity, (track.positions[k] - track.positions[prev]) / dt)
-            assert np.max(np.abs(ref.rotation - quat_to_matrix(qb))) <= 1e-15
-            assert np.max(np.abs(ref.angular_velocity - angular)) <= 1e-12
+            assert np.max(np.abs(refs.rotations[k, j] - quat_to_matrix(qb))) <= 1e-15
+            assert np.max(np.abs(refs.angular_velocities[k, j] - angular)) <= 1e-12
+
+
+# level-2 first, an orientation-only task, a position task on the base
+# segment, a CoM task, a held task and a landmark alias with its own gain
+CUSTOM_STACK = [
+    TaskSpec("head", "orientation", 2, 6.0),
+    TaskSpec("pelvis", "position", 1),
+    TaskSpec("right_wrist", "position", 2, 4.0, source="right_hand"),
+    TaskSpec("com", "position", 1, source="com"),
+    TaskSpec("left_foot", "both", 1, hold_first=True),
+    TaskSpec("thorax", "both", 2, 8.0),
+    TaskSpec("left_hand", "orientation", 1, 3.0),
+]
+
+
+@pytest.mark.parametrize("stack", ["default", "custom"])
+def test_plan_rows_match_per_task_assembly(model, stack):
+    """The one-pass rows of a frame equal the per-task Jacobians, velocity
+    references and pose errors stacked per level, on a moving base with the
+    references a few frames ahead of the configuration."""
+    tasks = default_task_stack() if stack == "default" else CUSTOM_STACK
+    configurations = moving_base_trajectory(model, 0.5)
+    captured = capture_from_configurations(model, configurations, 240.0)
+    plan = _RowPlan(model, tasks)
+    tracks = _reference_tracks(model, captured, tasks)
+    refs = _trajectory_references(plan, tracks, captured.n_frames, 1 / 240)
+    per_frame = reference_frame_references(model, captured, tasks)
+    for k in range(0, captured.n_frames - 5, 11):
+        state = KinematicState(model, configurations[k])
+        J, v, pos_err, ori_err = plan.rows(state, refs, k + 5)
+        J1, v1, J2, v2, pos_oracle, ori_oracle = reference_task_rows(state, tasks, per_frame[k + 5])
+        m1 = plan.n_level1_rows
+        assert J.shape == (len(v1) + len(v2), model.n_velocity) and m1 == len(v1)
+        assert np.max(np.abs(J[:m1] - J1)) <= 1e-12 and np.max(np.abs(J[m1:] - J2)) <= 1e-12
+        assert np.max(np.abs(v[:m1] - v1)) <= 1e-12 and np.max(np.abs(v[m1:] - v2)) <= 1e-12
+        for errors, indices, oracle in (
+            (pos_err, plan.position_tasks, pos_oracle),
+            (ori_err, plan.orientation_tasks, ori_oracle),
+        ):
+            assert {tasks[i].frame for i in indices} == set(oracle)
+            for e, i in zip(errors, indices):
+                assert abs(e - oracle[tasks[i].frame]) <= 1e-12
+
+
+def test_plan_orders_levels_and_rejects_bad_stacks(model):
+    plan = _RowPlan(model, CUSTOM_STACK)
+    # level 1 first, stack order within a level
+    assert [CUSTOM_STACK[i].frame for i in plan.position_tasks] == [
+        "pelvis", "com", "left_foot", "right_wrist", "thorax"
+    ]
+    assert [CUSTOM_STACK[i].frame for i in plan.orientation_tasks] == [
+        "left_foot", "left_hand", "head", "thorax"
+    ]
+    assert plan.n_level1_rows == 15 and plan.n_rows == 27
+    with pytest.raises(ValidationError, match="no level-1 tasks"):
+        _RowPlan(model, [TaskSpec("thorax", "both", 2)])
+    with pytest.raises(ValidationError, match="only supports position"):
+        _RowPlan(model, [TaskSpec("com", "both", 1)])
+    with pytest.raises(ValidationError, match="unknown frame"):
+        _RowPlan(model, [TaskSpec("tail", "position", 1)])
+
+
+def test_retarget_loop_matches_per_task_loop_when_saturating(model):
+    """A moving, yawing pelvis against held first-frame feet under tight
+    velocity bounds: the one-pass loop takes the per-task loop's QP
+    iterations, active sets and skips, and lands on its joint angles."""
+    configurations = moving_base_trajectory(model, 0.4)
+    captured = capture_from_configurations(model, configurations, 240.0)
+    tasks = default_task_stack()
+    settings = SolverSettings(velocity_bound=0.6)
+    result = retarget_trajectory(model, captured, tasks, settings)
+    expected, diagnostics = reference_retarget(model, captured, tasks, settings)
+    assert sum(1 for d in diagnostics if d.active_constraints) >= 10
+    assert max(d.iterations for d in diagnostics) > 2
+    for name in ("iterations", "active_constraints", "skipped"):
+        got = [getattr(d, name) for d in result.diagnostics]
+        assert got == [getattr(d, name) for d in diagnostics], name
+    angles = np.array([c.joint_angles for c in result.configurations])
+    oracle = np.array([c.joint_angles for c in expected])
+    assert np.max(np.abs(angles - oracle)) <= 1e-9
+
+
+def test_solve_frame_names_missing_references(model):
+    q = model.upright_configuration()
+    tasks = default_task_stack()
+    refs = current_pose_references(model, q, tasks)
+    del refs["thorax"]
+    with pytest.raises(ValidationError, match="no reference supplied for task frame 'thorax'"):
+        solve_frame(model, q, tasks, refs, 1 / 240)
+    refs = current_pose_references(model, q, tasks)
+    refs["head"] = Reference(position=np.zeros(3))
+    with pytest.raises(ValidationError, match="'head': reference lacks an orientation"):
+        solve_frame(model, q, tasks, refs, 1 / 240)
+
+
+def test_resample_uniform_matches_per_frame_slerp():
+    """Every resampled quaternion equals the scalar slerp of its bracketing
+    captured pair, across sign-flipped pairs (dot < 0) and nearly parallel
+    pairs (dot > 1 - 1e-10)."""
+    n = 40
+    rng = np.random.default_rng(4)
+    times = np.arange(n) / 240.0 + rng.uniform(-0.02 / 240, 0.02 / 240, n)
+    times[0] = 0.0
+    quats = np.array([rotvec_to_quat(rng.normal(scale=0.6, size=3)) for _ in range(n)])
+    quats[10:20] = quats[10]  # parallel pairs
+    quats[12] = quat_normalize(quats[12] + 1e-12)
+    quats[25::2] *= -1.0  # the same rotations, opposite signs
+    captured = CapturedTrajectory(240.0, times, {"pelvis": SegmentTrack(np.zeros((n, 3)), quats)})
+    uniform = resample_uniform(captured)
+    grid = uniform.times
+    idx = np.clip(np.searchsorted(times, grid, side="right") - 1, 0, n - 2)
+    w = np.clip((grid - times[idx]) / (times[idx + 1] - times[idx]), 0.0, 1.0)
+    dots = np.sum(quats[idx] * quats[idx + 1], axis=1)
+    assert (dots < 0.0).any() and (dots > 1.0 - 1e-10).any()
+    expected = np.array([reference_quat_slerp(quats[i], quats[i + 1], f) for i, f in zip(idx, w)])
+    assert np.max(np.abs(uniform.segments["pelvis"].quaternions - expected)) <= 1e-12
 
 
 def test_trajectory_invariants():
