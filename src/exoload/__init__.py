@@ -39,7 +39,6 @@ from .posture import (
     AnnotationSegment,
     DistributionSummary,
     TrialAnnotation,
-    back_flexion_series,
     posture_profile,
     segment_series,
     summarize,
@@ -58,6 +57,7 @@ from .retarget import (
 from .skeleton import (
     JointConfiguration,
     SkeletonModel,
+    TrajectoryKinematics,
     build_model,
     forward_kinematics,
     task_jacobian,

@@ -84,33 +84,28 @@ def inverse_dynamics_series(
         g_vec = np.asarray(gravity, dtype=float)
 
     n = model.n_joint_dofs
-    parent = model._dof_parent
-    position = kinematics.link_position
-    axes = kinematics.axis_world
-    x0 = kinematics.base_position
+    frames = kinematics.frames
+    rotation, position, axes = frames[..., :3], frames[..., 3], frames[..., 4]
 
-    # forward sweep: world kinematics of every link origin; the base linear
-    # acceleration is offset by -g so gravity rides through the recursion
-    w = np.empty((n, T, 3))
-    al = np.empty((n, T, 3))
-    acc = np.empty((n, T, 3))
-    w0, a0 = qd[:, 3:6], qdd[:, 3:6]
-    acc0 = qdd[:, 0:3] - g_vec
-    for i in range(n):
-        p = parent[i]
-        if p < 0:
-            wp, alp, accp, xp = w0, a0, acc0, x0
-        else:
-            wp, alp, accp, xp = w[p], al[p], acc[p], position[p]
-        r = position[i] - xp
-        s = axes[i]
+    # forward sweep: world kinematics of every frame origin, row 0 the base
+    # and row 1 + i link i; the base linear acceleration is offset by -g so
+    # gravity rides through the recursion
+    w = np.empty((1 + n, T, 3))
+    al = np.empty((1 + n, T, 3))
+    acc = np.empty((1 + n, T, 3))
+    w[0], al[0] = qd[:, 3:6], qdd[:, 3:6]
+    acc[0] = qdd[:, 0:3] - g_vec
+    for i, p in enumerate(model._parent_row):
+        row = 1 + i
+        r = position[row] - position[p]
+        s = axes[row]
         s_rate = s * qd[:, 6 + i, None]
-        w[i] = wp + s_rate
-        al[i] = alp + s * qdd[:, 6 + i, None] + cross(wp, s_rate)
-        acc[i] = accp + cross(alp, r) + cross(wp, cross(wp, r))
+        w[row] = w[p] + s_rate
+        al[row] = al[p] + s * qdd[:, 6 + i, None] + cross(w[p], s_rate)
+        acc[row] = acc[p] + cross(al[p], r) + cross(w[p], cross(w[p], r))
 
     def body_wrench(seg, R, wi, ali, acci):
-        """Inertial force and moment about the link origin of one segment."""
+        """Inertial force and moment about the frame origin of one segment."""
         rc = R @ seg.com_offset
         a_com = acci + cross(ali, rc) + cross(wi, cross(wi, rc))
         F = seg.mass * a_com
@@ -118,33 +113,24 @@ def inverse_dynamics_series(
         N = (I_w @ ali[..., None])[..., 0] + cross(wi, (I_w @ wi[..., None])[..., 0])
         return F, N + cross(rc, F)
 
-    f = np.zeros((n, T, 3))
-    m = np.zeros((n, T, 3))
-    for i in range(n):
-        seg_index = model._dof_segment[i]
+    f = np.zeros((1 + n, T, 3))
+    m = np.zeros((1 + n, T, 3))
+    for row, seg_index in enumerate(model._row_segment):
         if seg_index >= 0 and model.segments[seg_index].mass != 0.0:
-            f[i], m[i] = body_wrench(
-                model.segments[seg_index], kinematics.link_rotation[i], w[i], al[i], acc[i]
+            f[row], m[row] = body_wrench(
+                model.segments[seg_index], rotation[row], w[row], al[row], acc[row]
             )
-    base = model.segments[model.segment_index[model.base_segment]]
-    if base.mass != 0.0:
-        f_base, m_base = body_wrench(base, kinematics.base_rotation, w0, a0, acc0)
-    else:
-        f_base, m_base = np.zeros((T, 3)), np.zeros((T, 3))
 
-    # backward sweep: accumulate subtree wrenches onto the parents
+    # backward sweep: accumulate subtree wrenches onto the parents, ending at
+    # the base wrench about its origin
     tau = np.empty((T, nv))
     for i in range(n - 1, -1, -1):
-        tau[:, 6 + i] = np.einsum("tk,tk->t", axes[i], m[i])
-        p = parent[i]
-        if p < 0:
-            f_base = f_base + f[i]
-            m_base = m_base + m[i] + cross(position[i] - x0, f[i])
-        else:
-            f[p] += f[i]
-            m[p] += m[i] + cross(position[i] - position[p], f[i])
-    tau[:, 0:3] = f_base
-    tau[:, 3:6] = m_base
+        row, p = 1 + i, model._parent_row[i]
+        tau[:, 6 + i] = np.einsum("tk,tk->t", axes[row], m[row])
+        f[p] += f[row]
+        m[p] += m[row] + cross(position[row] - position[p], f[row])
+    tau[:, 0:3] = f[0]
+    tau[:, 3:6] = m[0]
     return tau
 
 
@@ -160,27 +146,32 @@ def time_derivative(X: np.ndarray, dt: float) -> np.ndarray:
 
 
 def estimate_derivatives(
-    configurations: list[JointConfiguration],
+    base_position: np.ndarray,
+    base_orientation: np.ndarray,
+    joint_angles: np.ndarray,
     dt: float,
     smooth_cutoff_hz: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Generalized velocities and accelerations of a uniformly sampled joint
-    trajectory.
+    trajectory, given as its stacked base positions ``(T, 3)``, base
+    quaternions ``(T, 4)`` and joint angles ``(T, n_dofs)``, as a
+    :class:`TrajectoryKinematics` holds them.
 
     Positions and angles go through :func:`time_derivative`. Base angular
     velocity comes from quaternion differences over the same stencil span.
     Optional zero-phase low-pass smoothing is applied to the position/angle
     channels before differencing.
     """
-    n = len(configurations)
+    P, Q, A = base_position, base_orientation, joint_angles
+    n = len(P)
+    if len(Q) != n or len(A) != n:
+        raise ValidationError(
+            f"base and joint series differ in length: {n}, {len(Q)} and {len(A)} frames"
+        )
     if n < 3:
         raise ValidationError("derivative estimation needs at least 3 frames")
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
-
-    P = np.array([c.base_position for c in configurations])
-    Q = np.array([c.base_orientation for c in configurations])
-    A = np.array([c.joint_angles for c in configurations])
 
     if smooth_cutoff_hz is not None:
         fs = 1.0 / dt
@@ -389,22 +380,22 @@ def decompose_torque(
 
 
 def net_lumbar_series(
-    model: SkeletonModel,
-    configurations: list[JointConfiguration],
+    kinematics: TrajectoryKinematics,
     dt: float,
     gravity: float | np.ndarray = GRAVITY_DEFAULT,
     smooth_cutoff_hz: float | None = 5.0,
-    kinematics: TrajectoryKinematics | None = None,
 ) -> np.ndarray:
-    """Flexion-positive net L5/S1 sagittal torque of a joint trajectory.
-
-    ``kinematics`` lets a caller that already holds the trajectory's link
-    frames share them; they are computed here otherwise."""
-    U, dU = estimate_derivatives(configurations, dt, smooth_cutoff_hz)
-    if kinematics is None:
-        kinematics = TrajectoryKinematics(model, configurations)
+    """Flexion-positive net L5/S1 sagittal torque of a joint trajectory, from
+    the link frames and stacked configurations of its kinematics."""
+    U, dU = estimate_derivatives(
+        kinematics.base_position,
+        kinematics.base_orientation,
+        kinematics.joint_angles,
+        dt,
+        smooth_cutoff_hz,
+    )
     tau = inverse_dynamics_series(kinematics, U, dU, gravity)
-    return LUMBAR_LOAD_SIGN * tau[:, 6 + lumbar_flexion_index(model)]
+    return LUMBAR_LOAD_SIGN * tau[:, 6 + lumbar_flexion_index(kinematics.model)]
 
 
 @dataclass(frozen=True)

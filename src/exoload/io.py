@@ -305,27 +305,46 @@ def _sidecar_rate(path: str | Path, expected_units: tuple[str, ...]) -> float | 
     return fields.get("sample_rate", float, None, positive=True)
 
 
+def _signal_rate(
+    path: str | Path, expected_units: tuple[str, ...], sample_rate: float | None = None
+) -> tuple[float, str, dict[str, np.ndarray]]:
+    """Sample rate, where it came from and channels of a biosignal CSV: the
+    session config's rate, else the sidecar's, else the time column's
+    spacing."""
+    sidecar_rate = _sidecar_rate(path, expected_units)
+    rate, channels = read_signal_csv(path)
+    if sample_rate is not None:
+        return sample_rate, "the session config", channels
+    if sidecar_rate is not None:
+        return sidecar_rate, f"its sidecar {sidecar_path(path).name}", channels
+    return rate, "its time_s column", channels
+
+
+def _signal_record(record_type, path: str | Path, rate: float, source: str, **data):
+    """``record_type(sample_rate=rate, **data)``. The record's own checks
+    name no file, so their errors gain the file and the rate's source."""
+    try:
+        return record_type(sample_rate=rate, **data)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: sample rate {rate:g} Hz from {source}: {exc}") from None
+
+
 def read_emg_file(path: str | Path, sample_rate: float | None = None):
     from .biosignals import EmgRecord
 
-    sidecar_rate = _sidecar_rate(path, ("uV", "µV"))
-    rate, channels = read_signal_csv(path)
-    # the session config's rate, else the sidecar's, else the file's spacing
-    rate = next(r for r in (sample_rate, sidecar_rate, rate) if r is not None)
-    return EmgRecord(sample_rate=rate, channels=channels)
+    rate, source, channels = _signal_rate(path, ("uV", "µV"), sample_rate)
+    return _signal_record(EmgRecord, path, rate, source, channels=channels)
 
 
 def read_ecg_file(path: str | Path, channel: str | None = None):
     from .biosignals import EcgRecord
 
-    sidecar_rate = _sidecar_rate(path, ("mV",))
-    rate, channels = read_signal_csv(path)
+    rate, source, channels = _signal_rate(path, ("mV",))
     if channel is None:
         channel = next(iter(channels))
     if channel not in channels:
         raise ValidationError(f"{path}: no channel {channel!r}; available: {sorted(channels)}")
-    rate = rate if sidecar_rate is None else sidecar_rate
-    return EcgRecord(sample_rate=rate, samples=channels[channel])
+    return _signal_record(EcgRecord, path, rate, source, samples=channels[channel])
 
 
 def read_responses_file(path: str | Path) -> list:

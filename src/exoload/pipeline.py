@@ -335,15 +335,13 @@ def run_motion_analysis(config: SessionConfig) -> tuple[SkeletonModel, MotionRes
     with _stage("dynamics"):
         kinematics = TrajectoryKinematics(model, result.configurations)
         tau_net = net_lumbar_series(
-            model,
-            result.configurations,
+            kinematics,
             dt,
             gravity=config.gravity,
             smooth_cutoff_hz=config.derivative_smoothing_hz,
-            kinematics=kinematics,
         )
     with _stage("back-flexion"):
-        theta = np.array([thorax_flexion_deg(R) for R in kinematics.segment_rotation("thorax")])
+        theta = thorax_flexion_deg(kinematics.segment_rotation("thorax"))
         theta_dot = time_derivative(theta, dt)
     with _stage("exoskeleton"):
         exo = session_exoskeleton(config)

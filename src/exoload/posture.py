@@ -10,7 +10,7 @@ axis unchanged and therefore the angle too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -64,23 +64,11 @@ class DistributionSummary:
     maximum: float
 
 
-def thorax_flexion_deg(rotation: np.ndarray) -> float:
-    """Sagittal inclination of a thorax rotation matrix, degrees."""
-    axis = np.asarray(rotation)[:, 2]
-    return float(np.degrees(np.arctan2(axis[0], axis[2])))
-
-
-def back_flexion_series(poses_per_frame: Sequence[Mapping[str, object]]) -> np.ndarray:
-    """Back flexion angle per frame from segment pose maps (``thorax`` entry
-    required, as produced by ``forward_kinematics``)."""
-    out = np.empty(len(poses_per_frame))
-    for k, poses in enumerate(poses_per_frame):
-        try:
-            pose = poses["thorax"]
-        except KeyError:
-            raise ValidationError(f"frame {k}: no thorax pose") from None
-        out[k] = thorax_flexion_deg(pose.rotation)
-    return out
+def thorax_flexion_deg(rotation: np.ndarray) -> np.ndarray:
+    """Sagittal inclination of a thorax rotation matrix, degrees; a
+    ``(..., 3, 3)`` stack of rotations gives the ``(...)`` angles."""
+    axis = np.asarray(rotation)[..., :, 2]
+    return np.degrees(np.arctan2(axis[..., 0], axis[..., 2]))
 
 
 def segment_series(

@@ -232,12 +232,12 @@ _SKEW_SIGN = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
 
 
 def _joint_cells(
-    model: SkeletonModel, blocks: np.ndarray, links: np.ndarray
+    model: SkeletonModel, blocks: np.ndarray, rows: np.ndarray
 ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """The (task, ancestor link) pairs of tasks riding on ``links`` (-1, the
-    base, has none), and the flat Jacobian index of each pair's joint
-    column in the three rows of the task's block."""
-    task, link = np.nonzero(model._ancestors[links] & (links >= 0)[:, None])
+    """The (task, ancestor link) pairs of tasks riding on the frames of
+    ``rows`` (row 0, the base, has none), and the flat Jacobian index of
+    each pair's joint column in the three rows of the task's block."""
+    task, link = np.nonzero(model._row_ancestors[rows])
     at = (3 * blocks[task, None] + np.arange(3)) * model.n_velocity + 6 + link[:, None]
     return (task, link), at.ravel()
 
@@ -269,23 +269,23 @@ class _RowPlan:
         order = sorted(range(len(tasks)), key=lambda i: tasks[i].priority)
         if not order or tasks[order[0]].priority != 1:
             raise ValidationError("task stack has no level-1 tasks")
-        pos_tasks, pos_links, pos_blocks, ori_tasks, ori_links, ori_blocks = [], [], [], [], [], []
+        pos_tasks, pos_rows, pos_blocks, ori_tasks, ori_rows, ori_blocks = [], [], [], [], [], []
         is_com = []
         for i in order:
             task = tasks[i]
             name = model.resolve_frame(task.frame)
             if name == "com" and task.kind != "position":
                 raise ValidationError("the CoM frame only supports position tasks")
-            # link -1 is the base; a CoM task's link is a placeholder
-            link = -1 if name == "com" else model._segment_dof[name]
+            # the task's row of the kinematic frames; a CoM task's is a placeholder
+            row = 0 if name == "com" else model._segment_row[name]
             if task.kind in ("position", "both"):
                 is_com.append(name == "com")
                 pos_tasks.append(i)
-                pos_links.append(link)
+                pos_rows.append(row)
                 pos_blocks.append(len(pos_blocks) + len(ori_blocks))
             if task.kind in ("orientation", "both"):
                 ori_tasks.append(i)
-                ori_links.append(link)
+                ori_rows.append(row)
                 ori_blocks.append(len(pos_blocks) + len(ori_blocks))
             if task.priority == 1:
                 self.n_level1_rows = 3 * (len(pos_blocks) + len(ori_blocks))
@@ -294,9 +294,8 @@ class _RowPlan:
         self.orientation_tasks = np.array(ori_tasks, dtype=int)
         self._pos_blocks = np.array(pos_blocks, dtype=int)
         self._ori_blocks = np.array(ori_blocks, dtype=int)
-        # rows into [base; links] frame arrays
-        self._pos_frames = np.array(pos_links, dtype=int) + 1
-        self._ori_frames = np.array(ori_links, dtype=int) + 1
+        self._pos_rows = np.array(pos_rows, dtype=int)
+        self._ori_rows = np.array(ori_rows, dtype=int)
         is_com = np.array(is_com, dtype=bool)
         self._com, self._points = np.flatnonzero(is_com), np.flatnonzero(~is_com)
         self._pos_gain = np.array([tasks[i].feedback_gain for i in pos_tasks]).reshape(-1, 1)
@@ -312,10 +311,10 @@ class _RowPlan:
         blocks[self._ori_blocks, :, 3:6] = np.eye(3)
         self._skew_at = ((3 * point_blocks[:, None] + _SKEW_ROW) * nv + 3 + _SKEW_COL).ravel()
         self._point_pairs, self._point_at = _joint_cells(
-            model, point_blocks, self._pos_frames[self._points] - 1
+            model, point_blocks, self._pos_rows[self._points]
         )
         (_, self._ori_pair_links), self._ori_at = _joint_cells(
-            model, self._ori_blocks, self._ori_frames - 1
+            model, self._ori_blocks, self._ori_rows
         )
 
     def rows(
@@ -329,7 +328,7 @@ class _RowPlan:
         J = self._template.copy()
         flat = J.reshape(-1)
         v = np.empty((self.n_rows // 3, 3))
-        current = np.concatenate((state.base_position[None], state.link_position))[self._pos_frames]
+        current = state.frames[self._pos_rows, :, 3]
         if self._com.size:
             current[self._com] = state.com()
             J.reshape(-1, 3, nv)[self._pos_blocks[self._com]] = state.com_jacobian()
@@ -342,8 +341,7 @@ class _RowPlan:
 
         pos_err = refs.positions[k] - current
         v[self._pos_blocks] = self._pos_gain * pos_err + refs.linear_velocities[k]
-        rotations = np.concatenate((state.base_rotation[None], state.link_rotation))
-        ori_err = orientation_error(refs.rotations[k], rotations[self._ori_frames])
+        ori_err = orientation_error(refs.rotations[k], state.frames[self._ori_rows, :, :3])
         v[self._ori_blocks] = self._ori_gain * ori_err + refs.angular_velocities[k]
         return J, v.reshape(-1), vector_norms(pos_err), vector_norms(ori_err)
 

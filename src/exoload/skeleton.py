@@ -35,8 +35,10 @@ from .geometry import (
     axis_angle_matrix,
     cross,
     matrix_to_quat,
+    quat_multiply,
     quat_normalize,
     quat_to_matrix,
+    rotvec_to_quat,
 )
 
 QUAT_NORM_TOL = 1e-9
@@ -157,29 +159,31 @@ class SkeletonModel:
         self.n_joint_dofs = n
         self.n_velocity = 6 + n
 
-        self._dof_parent = np.full(n, -1, dtype=int)  # -1 = base link
+        # frames are indexed by row: row 0 is the base, row 1 + i is link i
+        self._parent_row: list[int] = []
         self._dof_offset = np.zeros((n, 3))  # in parent link frame
         self._dof_axis = np.zeros((n, 3))
         self.dof_names: list[str] = []
         self.dof_lower = np.zeros(n)
         self.dof_upper = np.zeros(n)
-        self._dof_segment = np.full(n, -1, dtype=int)  # segment carried by link
-        self._segment_dof: dict[str, int] = {self.base_segment: -1}
+        self._row_segment = np.full(1 + n, -1, dtype=int)  # segment carried by row
+        self._row_segment[0] = self.segment_index[self.base_segment]
+        self._segment_row: dict[str, int] = {self.base_segment: 0}
         self.joint_dof_slices: dict[str, slice] = {}
 
         k = 0
         for joint in self.joints:
-            if joint.parent not in self._segment_dof:
+            if joint.parent not in self._segment_row:
                 raise ValidationError(
                     f"joint {joint.name!r}: parent segment {joint.parent!r} not yet "
                     "attached (joints must be listed parents-first)"
                 )
-            if joint.child in self._segment_dof:
+            if joint.child in self._segment_row:
                 raise ValidationError(f"segment {joint.child!r} attached twice")
             start = k
-            parent_link = self._segment_dof[joint.parent]
+            parent_row = self._segment_row[joint.parent]
             for i, dof in enumerate(joint.dofs):
-                self._dof_parent[k] = parent_link
+                self._parent_row.append(parent_row)
                 self._dof_offset[k] = joint.anchor if i == 0 else 0.0
                 axis = np.asarray(dof.axis, dtype=float)
                 norm = float(np.linalg.norm(axis))
@@ -189,34 +193,31 @@ class SkeletonModel:
                 self.dof_names.append(dof.name)
                 self.dof_lower[k] = dof.lower
                 self.dof_upper[k] = dof.upper
-                parent_link = k
                 k += 1
-            self._dof_segment[k - 1] = self.segment_index[joint.child]
-            self._segment_dof[joint.child] = k - 1
+                parent_row = k
+            self._row_segment[k] = self.segment_index[joint.child]
+            self._segment_row[joint.child] = k
             self.joint_dof_slices[joint.name] = slice(start, k)
 
         self.dof_index = {name: i for i, name in enumerate(self.dof_names)}
         if len(self.dof_index) != n:
             raise ValidationError("duplicate DoF names")
 
-        # parent links as ints, and [joint rotation | anchor offset | axis]
-        # of each link in its parent's frame, the rotation block left for
-        # each configuration to fill
-        self._link_parent = self._dof_parent.tolist()
+        # [joint rotation | anchor offset | axis] of each link in its
+        # parent's frame, the rotation block left for each configuration
         self._link_local = np.zeros((n, 3, 5))
         self._link_local[:, :, 3] = self._dof_offset
         self._link_local[:, :, 4] = self._dof_axis
 
-        # ancestor masks: dofs on the path base -> link i, inclusive
-        self._ancestors = np.zeros((n, n), dtype=bool)
-        for i in range(n):
-            p = self._dof_parent[i]
-            if p >= 0:
-                self._ancestors[i] = self._ancestors[p]
-            self._ancestors[i, i] = True
+        # ancestor masks: dofs on the path base -> row, inclusive; the base
+        # row has none
+        self._row_ancestors = np.zeros((1 + n, n), dtype=bool)
+        for i, p in enumerate(self._parent_row):
+            self._row_ancestors[1 + i] = self._row_ancestors[p]
+            self._row_ancestors[1 + i, i] = True
 
     def _validate_tree(self) -> None:
-        attached = set(self._segment_dof)
+        attached = set(self._segment_row)
         missing = [s.name for s in self.segments if s.name not in attached]
         if missing:
             raise ValidationError(f"segments not connected to the tree: {missing}")
@@ -231,16 +232,13 @@ class SkeletonModel:
         self.total_mass = float(sum(s.mass for s in self.segments))
         self._masses = np.array([s.mass for s in self.segments])
         self._com_offsets = np.array([s.com_offset for s in self.segments], dtype=float)
-        # link carrying each segment (-1 = base), and the subtree of each
-        # link as segment-mass weights: row i holds m_s for every segment
-        # that link i moves, so subtree masses and mass-weighted subtree CoMs
-        # are one product each
-        self._segment_link = np.array([self._segment_dof[s.name] for s in self.segments])
-        carried = self._segment_link >= 0
-        self._subtree_weights = np.zeros((self.n_joint_dofs, len(self.segments)))
-        self._subtree_weights[:, carried] = (
-            self._ancestors[self._segment_link[carried]].T * self._masses[carried]
-        )
+        # row carrying each segment, and the subtree of each link as
+        # segment-mass weights: row i holds m_s for every segment that link i
+        # moves, so subtree masses and mass-weighted subtree CoMs are one
+        # product each
+        self._segment_rows = np.array([self._segment_row[s.name] for s in self.segments])
+        weights = self._row_ancestors[self._segment_rows] * self._masses[:, None]
+        self._subtree_weights = np.ascontiguousarray(weights.T)
         self._subtree_mass = self._subtree_weights.sum(axis=1)
 
     @property
@@ -296,9 +294,41 @@ def _base_linear_columns(J: np.ndarray, r: np.ndarray) -> None:
     J[:, 3:6] = np.array([[0.0, r[2], -r[1]], [-r[2], 0.0, r[0]], [r[1], -r[0], 0.0]])
 
 
+def link_frames(
+    model: SkeletonModel,
+    base_position: np.ndarray,
+    base_rotation: np.ndarray,
+    angles: np.ndarray,
+) -> np.ndarray:
+    """World frames ``[rotation | origin | joint axis]`` of the base (row 0,
+    no axis) and of every link (row 1 + i), ``(1 + n_links, *batch, 3, 5)``
+    for joint angles of shape ``(*batch, n_links)`` and base poses of shapes
+    ``(*batch, 3)`` and ``(*batch, 3, 3)``. Every joint rotation comes from
+    one ``axis_angle_matrix`` call; each link then takes one product with its
+    parent's world frame, covering the whole batch."""
+    batch = angles.shape[:-1]
+    n = model.n_joint_dofs
+    frames = np.empty((1 + n, *batch, 3, 5))
+    frames[0, ..., :3] = base_rotation
+    frames[0, ..., 3] = base_position
+    frames[0, ..., 4] = 0.0
+    # each link's frame in its parent's, carried into the world parents first
+    frames[1:] = model._link_local.reshape((n,) + (1,) * len(batch) + (3, 5))
+    rotations = axis_angle_matrix(model._dof_axis.T, angles)  # (3, 3, *batch, n)
+    frames[1:, ..., :3] = np.moveaxis(rotations, (-1, 0, 1), (0, -2, -1))
+    rotation, origin = frames[..., :3], frames[..., 3]
+    for row, parent in enumerate(model._parent_row, start=1):
+        frames[row] = rotation[parent] @ frames[row]
+        origin[row] += origin[parent]
+    return frames
+
+
 class KinematicState:
-    """World link frames for one configuration; computed once and reused by
-    pose, CoM and Jacobian queries."""
+    """World frames of one configuration, the one-frame case of
+    :class:`TrajectoryKinematics`; computed once and reused by pose, CoM and
+    Jacobian queries. ``frames`` is the (1 + n_links, 3, 5) array of
+    :func:`link_frames`; ``link_rotation``, ``link_position`` and
+    ``axis_world`` are views of its link rows."""
 
     def __init__(self, model: SkeletonModel, q: JointConfiguration):
         self.model = model
@@ -309,65 +339,44 @@ class KinematicState:
             )
         self.base_position = np.asarray(q.base_position, dtype=float)
         self.base_rotation = quat_to_matrix(q.base_orientation)
-
-        n = model.n_joint_dofs
-        local = model._link_local.copy()
-        local[:, :, :3] = np.moveaxis(axis_angle_matrix(model._dof_axis.T, angles), -1, 0)
-        # one product per link carries its rotation, anchor and axis into
-        # the world frame
-        frames = np.empty((n, 3, 5))
-        self.link_position = np.empty((n, 3))
-        for i, p in enumerate(model._link_parent):
-            if p < 0:
-                R_p, x_p = self.base_rotation, self.base_position
-            else:
-                R_p, x_p = frames[p, :, :3], self.link_position[p]
-            np.matmul(R_p, local[i], out=frames[i])
-            np.add(x_p, frames[i, :, 3], out=self.link_position[i])
-        self.link_rotation = frames[:, :, :3]
-        self.axis_world = frames[:, :, 4]
+        self.frames = link_frames(model, self.base_position, self.base_rotation, angles)
+        self.link_rotation = self.frames[1:, :, :3]
+        self.link_position = self.frames[1:, :, 3]
+        self.axis_world = self.frames[1:, :, 4]
         self._coms: np.ndarray | None = None
 
     def segment_pose(self, name: str) -> Pose:
-        d = self.model._segment_dof[name]
-        if d < 0:
-            return Pose(self.base_position.copy(), self.base_rotation.copy())
-        return Pose(self.link_position[d].copy(), self.link_rotation[d].copy())
+        frame = self.frames[self.model._segment_row[name]]
+        return Pose(frame[:, 3].copy(), frame[:, :3].copy())
 
     def segment_coms(self) -> np.ndarray:
         """World CoM of every segment in model order, (n_segments, 3)."""
         if self._coms is None:
             model = self.model
-            rows = model._segment_link + 1  # row 0 is the base
-            rotation = np.concatenate((self.base_rotation[None], self.link_rotation))[rows]
-            position = np.concatenate((self.base_position[None], self.link_position))[rows]
-            self._coms = position + (rotation @ model._com_offsets[:, :, None])[:, :, 0]
+            frames = self.frames[model._segment_rows]
+            offsets = (frames[:, :, :3] @ model._com_offsets[:, :, None])[:, :, 0]
+            self._coms = frames[:, :, 3] + offsets
         return self._coms
-
-    def segment_com_world(self, name: str) -> np.ndarray:
-        return self.segment_coms()[self.model.segment_index[name]].copy()
 
     def com(self) -> np.ndarray:
         return self.model._masses @ self.segment_coms() / self.model.total_mass
 
-    def _point_jacobian_linear(self, point: np.ndarray, link: int) -> np.ndarray:
-        """3 x n_velocity Jacobian of a world point rigidly attached to a link
-        (link = -1 for the base)."""
+    def _point_jacobian_linear(self, point: np.ndarray, row: int) -> np.ndarray:
+        """3 x n_velocity Jacobian of a world point rigidly attached to the
+        frame of ``row`` (0 for the base)."""
         model = self.model
         J = np.zeros((3, model.n_velocity))
         _base_linear_columns(J, point - self.base_position)
-        if link >= 0:
-            mask = model._ancestors[link]
-            J[:, 6:][:, mask] = cross(self.axis_world[mask], point - self.link_position[mask]).T
+        mask = model._row_ancestors[row]
+        J[:, 6:][:, mask] = cross(self.axis_world[mask], point - self.link_position[mask]).T
         return J
 
-    def _angular_jacobian(self, link: int) -> np.ndarray:
+    def _angular_jacobian(self, row: int) -> np.ndarray:
         model = self.model
         J = np.zeros((3, model.n_velocity))
         J[:, 3:6] = np.eye(3)
-        if link >= 0:
-            mask = model._ancestors[link]
-            J[:, 6:][:, mask] = self.axis_world[mask].T
+        mask = model._row_ancestors[row]
+        J[:, 6:][:, mask] = self.axis_world[mask].T
         return J
 
     def com_jacobian(self) -> np.ndarray:
@@ -390,26 +399,27 @@ class KinematicState:
             if task_kind != "position":
                 raise ValidationError("the CoM frame only supports position tasks")
             return self.com_jacobian()
-        link = self.model._segment_dof[name]
-        origin = self.base_position if link < 0 else self.link_position[link]
+        row = self.model._segment_row[name]
+        origin = self.frames[row, :, 3]
         if task_kind == "position":
-            return self._point_jacobian_linear(origin, link)
+            return self._point_jacobian_linear(origin, row)
         if task_kind == "orientation":
-            return self._angular_jacobian(link)
+            return self._angular_jacobian(row)
         if task_kind == "both":
             return np.vstack(
-                [self._point_jacobian_linear(origin, link), self._angular_jacobian(link)]
+                [self._point_jacobian_linear(origin, row), self._angular_jacobian(row)]
             )
         raise ValidationError(f"unknown task kind {task_kind!r}")
 
 
 class TrajectoryKinematics:
-    """World link frames of every configuration of a trajectory, from one
-    sweep over the links: ``link_rotation`` is (n_links, T, 3, 3),
-    ``link_position`` and ``axis_world`` are (n_links, T, 3), the base arrays
-    (T, 3[, 3]). Frame k equals ``KinematicState(model, configurations[k])``
-    bit for bit, since every product is the same (3, 3) @ (3, 5) matmul on
-    the same operands.
+    """World frames of every configuration of a trajectory: ``frames`` is the
+    (1 + n_links, T, 3, 5) array of :func:`link_frames`, and
+    ``link_rotation`` (n_links, T, 3, 3), ``link_position`` and
+    ``axis_world`` (n_links, T, 3) are views of its link rows. The stacked
+    configuration arrays ``base_position`` (T, 3), ``base_orientation``
+    (T, 4), ``base_rotation`` (T, 3, 3) and ``joint_angles`` (T, n_links)
+    are kept for the derivative estimate.
 
     Holds per-evaluation data only; the model stays immutable and shared."""
 
@@ -423,30 +433,19 @@ class TrajectoryKinematics:
                 raise ValidationError(
                     f"frame {k}: expected {n} joint angles, got {np.shape(q.joint_angles)}"
                 )
-        angles = np.array([q.joint_angles for q in configurations], dtype=float)
-        self.n_frames = T = len(configurations)
+        self.n_frames = len(configurations)
         self.base_position = np.array([q.base_position for q in configurations], dtype=float)
-        self.base_rotation = quat_to_matrix(np.array([q.base_orientation for q in configurations]))
-
-        frames = np.empty((n, T, 3, 5))
-        self.link_position = np.empty((n, T, 3))
-        local = np.empty((T, 3, 5))
-        for i, p in enumerate(model._link_parent):
-            if p < 0:
-                R_p, x_p = self.base_rotation, self.base_position
-            else:
-                R_p, x_p = frames[p, :, :, :3], self.link_position[p]
-            local[:] = model._link_local[i]
-            local[:, :, :3] = np.moveaxis(axis_angle_matrix(model._dof_axis[i], angles[:, i]), -1, 0)
-            np.matmul(R_p, local, out=frames[i])
-            np.add(x_p, frames[i, :, :, 3], out=self.link_position[i])
-        self.link_rotation = frames[..., :3]
-        self.axis_world = frames[..., 4]
+        self.base_orientation = np.array([q.base_orientation for q in configurations], dtype=float)
+        self.joint_angles = np.array([q.joint_angles for q in configurations], dtype=float)
+        self.base_rotation = quat_to_matrix(self.base_orientation)
+        self.frames = link_frames(model, self.base_position, self.base_rotation, self.joint_angles)
+        self.link_rotation = self.frames[1:, ..., :3]
+        self.link_position = self.frames[1:, ..., 3]
+        self.axis_world = self.frames[1:, ..., 4]
 
     def segment_rotation(self, name: str) -> np.ndarray:
         """World-from-segment rotations of one segment, (T, 3, 3)."""
-        d = self.model._segment_dof[name]
-        return self.base_rotation if d < 0 else self.link_rotation[d]
+        return self.frames[self.model._segment_row[name], ..., :3]
 
 
 def forward_kinematics(
@@ -472,8 +471,6 @@ def integrate_configuration(
 ) -> JointConfiguration:
     """First-order integration of a generalized velocity; base orientation via
     the quaternion exponential of the world angular velocity."""
-    from .geometry import quat_multiply, rotvec_to_quat
-
     u = np.asarray(u, dtype=float)
     pos = q.base_position + u[0:3] * dt
     quat = quat_normalize(quat_multiply(rotvec_to_quat(u[3:6] * dt), q.base_orientation))

@@ -15,6 +15,7 @@ from exoload.dynamics import GRAVITY_DEFAULT
 from exoload.errors import InfeasibleBoundsError, ValidationError
 from exoload.geometry import (
     IDENTITY_QUAT,
+    axis_angle_matrix,
     orientation_error,
     quat_normalize,
     quat_rotvec_between,
@@ -257,6 +258,33 @@ def reference_read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
     return header, data
 
 
+def reference_link_frames(
+    model: SkeletonModel, q: JointConfiguration
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """World rotation ``(n, 3, 3)``, origin ``(n, 3)`` and joint axis
+    ``(n, 3)`` of every link of one configuration, one link at a time with
+    the base as a separate parent and each joint rotation from its own
+    ``axis_angle_matrix`` call: the per-link oracle for
+    ``skeleton.link_frames``."""
+    base_rotation = quat_to_matrix(q.base_orientation)
+    base_position = np.asarray(q.base_position, dtype=float)
+    n = model.n_joint_dofs
+    frames = np.empty((n, 3, 5))
+    position = np.empty((n, 3))
+    for i, p in enumerate(model._parent_row):
+        if p == 0:
+            R_p, x_p = base_rotation, base_position
+        else:
+            R_p, x_p = frames[p - 1, :, :3], position[p - 1]
+        local = np.empty((3, 5))
+        local[:, :3] = axis_angle_matrix(model._dof_axis[i], q.joint_angles[i])
+        local[:, 3] = model._dof_offset[i]
+        local[:, 4] = model._dof_axis[i]
+        np.matmul(R_p, local, out=frames[i])
+        np.add(x_p, frames[i, :, 3], out=position[i])
+    return frames[:, :, :3], position, frames[:, :, 4]
+
+
 def reference_inverse_dynamics(
     model: SkeletonModel,
     q: JointConfiguration,
@@ -284,7 +312,7 @@ def reference_inverse_dynamics(
 
     state = KinematicState(model, q)
     n = model.n_joint_dofs
-    parent = model._dof_parent
+    parent = [p - 1 for p in model._parent_row]  # link index, -1 for the base
 
     # forward sweep: world kinematics of every link origin; the base linear
     # acceleration is offset by -g so gravity rides through the recursion
@@ -339,7 +367,7 @@ def reference_inverse_dynamics(
     base_index = model.segment_index[model.base_segment]
     body_wrench(base_index, -1)
     for i in range(n):
-        seg_index = model._dof_segment[i]
+        seg_index = model._row_segment[1 + i]
         if seg_index >= 0:
             body_wrench(seg_index, i)
 
@@ -375,7 +403,7 @@ def reference_point_jacobian_linear(
         [[0.0, r[2], -r[1]], [-r[2], 0.0, r[0]], [r[1], -r[0], 0.0]]
     )
     if link >= 0:
-        mask = model._ancestors[link]
+        mask = model._row_ancestors[1 + link]
         axes = state.axis_world[mask]
         arms = point - state.link_position[mask]
         J[:, 6:][:, mask] = np.cross(axes, arms).T
@@ -388,7 +416,7 @@ def reference_com_jacobian(state: KinematicState) -> np.ndarray:
     model = state.model
     J = np.zeros((3, model.n_velocity))
     for seg in model.segments:
-        link = model._segment_dof[seg.name]
+        link = model._segment_row[seg.name] - 1
         pose = state.segment_pose(seg.name)
         com = pose.position + pose.rotation @ seg.com_offset
         J += seg.mass * reference_point_jacobian_linear(state, com, link)

@@ -33,6 +33,15 @@ from exoload.skeleton import (
 )
 
 
+def stacked(configurations):
+    """The base position, base quaternion and joint-angle series of a list
+    of configurations, as ``estimate_derivatives`` takes them."""
+    return tuple(
+        np.array([getattr(q, name) for q in configurations])
+        for name in ("base_position", "base_orientation", "joint_angles")
+    )
+
+
 def single_hinge_model(mass=10.0, com_distance=0.3, inertia_y=0.01):
     """Base plus one hanging link on a single Y hinge: the locked-chain
     pendulum reduction used as the inverse-dynamics oracle."""
@@ -100,7 +109,8 @@ def test_static_torques_equal_potential_gradient(model):
 
     def potential(a):
         state = KinematicState(model, JointConfiguration(q.base_position, q.base_orientation, a))
-        return sum(s.mass * g * state.segment_com_world(s.name)[2] for s in model.segments)
+        coms = state.segment_coms()
+        return sum(s.mass * g * coms[model.segment_index[s.name]][2] for s in model.segments)
 
     h = 1e-6
     for i in range(0, model.n_joint_dofs, 3):
@@ -118,7 +128,7 @@ def test_batched_sweep_matches_per_frame_reference(model, gravity):
     """All 49 generalized forces, base wrench included, on a translating,
     yawing and tilting base agree with the per-frame sweep."""
     configurations = moving_base_trajectory(model, 1.0)
-    U, dU = estimate_derivatives(configurations, 1.0 / 240.0)
+    U, dU = estimate_derivatives(*stacked(configurations), 1.0 / 240.0)
     tau = inverse_dynamics_series(TrajectoryKinematics(model, configurations), U, dU, gravity)
     reference = np.array(
         [
@@ -134,7 +144,7 @@ def test_derivatives_linear_ramp():
     confs = [
         JointConfiguration(np.zeros(3), IDENTITY_QUAT, [0.5 * t]) for t in np.arange(50) / 100.0
     ]
-    U, dU = estimate_derivatives(confs, 0.01)
+    U, dU = estimate_derivatives(*stacked(confs), 0.01)
     assert np.max(np.abs(U[:, 6] - 0.5)) < 1e-9
     assert np.max(np.abs(dU[:, 6])) < 1e-9
 
@@ -144,7 +154,7 @@ def test_derivatives_quadratic_profile_exact():
         JointConfiguration(np.zeros(3), IDENTITY_QUAT, [2.0 * t * t])
         for t in np.arange(50) / 100.0
     ]
-    _, dU = estimate_derivatives(confs, 0.01)
+    _, dU = estimate_derivatives(*stacked(confs), 0.01)
     assert np.max(np.abs(dU[:, 6] - 4.0)) < 1e-9
 
 
@@ -156,7 +166,7 @@ def test_derivatives_sinusoid_amplitude():
         JointConfiguration(np.zeros(3), IDENTITY_QUAT, [amp * np.sin(2 * np.pi * freq * tt)])
         for tt in t
     ]
-    _, dU = estimate_derivatives(confs, 1.0 / fs)
+    _, dU = estimate_derivatives(*stacked(confs), 1.0 / fs)
     measured = np.max(np.abs(dU[5:-5, 6]))
     expected = amp * (2 * np.pi * freq) ** 2
     assert measured == pytest.approx(expected, rel=1e-3)
@@ -171,14 +181,20 @@ def test_derivatives_base_rotation():
         JointConfiguration(np.zeros(3), rotvec_to_quat(omega * (k / fs)), np.zeros(1))
         for k in range(60)
     ]
-    U, _ = estimate_derivatives(confs, 1.0 / fs)
+    U, _ = estimate_derivatives(*stacked(confs), 1.0 / fs)
     assert np.max(np.abs(U[1:-1, 3:6] - omega)) < 1e-9
 
 
 def test_derivatives_need_three_frames():
     confs = [JointConfiguration(np.zeros(3), IDENTITY_QUAT, [0.0])] * 2
     with pytest.raises(ValidationError):
-        estimate_derivatives(confs, 0.01)
+        estimate_derivatives(*stacked(confs), 0.01)
+
+
+def test_derivative_series_must_share_length():
+    P, Q, A = stacked([JointConfiguration(np.zeros(3), IDENTITY_QUAT, [0.0])] * 4)
+    with pytest.raises(ValidationError, match="differ in length: 4, 3 and 4 frames"):
+        estimate_derivatives(P, Q[:3], A, 0.01)
 
 
 # -- exoskeleton spring -------------------------------------------------------
@@ -338,8 +354,9 @@ def test_static_hold_reduction_ratio(model):
         if s.name
         not in ("pelvis", "left_thigh", "right_thigh", "left_shank", "right_shank", "left_foot", "right_foot")
     ]
+    coms = state.segment_coms()
     moment = sum(
-        model.segment(name).mass * 9.81 * (state.segment_com_world(name)[0] - anchor[0])
+        model.segment(name).mass * 9.81 * (coms[model.segment_index[name]][0] - anchor[0])
         for name in above
     )
     assert tau_net == pytest.approx(moment, rel=1e-9)
@@ -374,7 +391,8 @@ def test_lumbar_effort_report_zero_reduction_and_degenerate():
 
 def test_net_lumbar_series_static_hold(model):
     q = bent_configuration(model)
-    series = net_lumbar_series(model, [q] * 16, 1.0 / 240.0, smooth_cutoff_hz=None)
+    kinematics = TrajectoryKinematics(model, [q] * 16)
+    series = net_lumbar_series(kinematics, 1.0 / 240.0, smooth_cutoff_hz=None)
     tau_raw = inverse_dynamics(model, q, np.zeros(49), np.zeros(49))
     expected = LUMBAR_LOAD_SIGN * tau_raw[6 + model.dof_index["lumbar_flexion"]]
     assert np.max(np.abs(series - expected)) < 1e-9
@@ -488,7 +506,7 @@ def test_power_balance_under_motion(model):
             J = state.jacobian(seg.name, "both")
             v_origin, w = J[0:3] @ u, J[3:6] @ u
             pose = state.segment_pose(seg.name)
-            com = state.segment_com_world(seg.name)
+            com = state.segment_coms()[model.segment_index[seg.name]]
             v = v_origin + np.cross(w, com - pose.position)
             I_w = pose.rotation @ seg.inertia @ pose.rotation.T
             total += 0.5 * seg.mass * float(v @ v) + 0.5 * float(w @ I_w @ w)

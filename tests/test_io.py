@@ -339,6 +339,38 @@ def test_biosignal_rate_of_zero_is_rejected_not_skipped(tmp_path):
     assert eio.read_emg_file(path, sample_rate=2000.0).sample_rate == 2000.0
 
 
+@pytest.mark.parametrize(
+    "kind, file_rate, sidecar_rate, config_rate, source, message",
+    [
+        ("emg", 1000.0, 5.0, None, "its sidecar emg.csv.meta.json", "twice the filter cutoff"),
+        ("emg", 1000.0, None, 15.0, "the session config", "twice the filter cutoff"),
+        ("ecg", 100.0, None, None, "its time_s column", "at least 250 Hz"),
+        ("ecg", 500.0, 200.0, None, "its sidecar ecg.csv.meta.json", "at least 250 Hz"),
+    ],
+    ids=["emg-sidecar", "emg-config", "ecg-time-column", "ecg-sidecar"],
+)
+def test_biosignal_rate_range_error_names_file_and_rate_source(
+    tmp_path, kind, file_rate, sidecar_rate, config_rate, source, message
+):
+    """A rate that passes its own sign check but not its record's range
+    names the file, the rate and where the rate came from."""
+    path = tmp_path / f"{kind}.csv"
+    write_rows(path, ["time_s", "ESL_L"], [[k / file_rate, 1.0] for k in range(50)])
+    if sidecar_rate is not None:
+        units = "uV" if kind == "emg" else "mV"
+        sidecar = {"units": units, "sample_rate": sidecar_rate}
+        (tmp_path / f"{kind}.csv.meta.json").write_text(json.dumps(sidecar))
+    rate = next(r for r in (config_rate, sidecar_rate, file_rate) if r is not None)
+    with pytest.raises(ValidationError) as info:
+        if kind == "emg":
+            eio.read_emg_file(path, sample_rate=config_rate)
+        else:
+            eio.read_ecg_file(path)
+    text = str(info.value)
+    assert text.startswith(f"{path}: sample rate {rate:g} Hz from {source}: ")
+    assert message in text
+
+
 def test_annotation_segment_must_start_before_it_ends(tmp_path):
     path = tmp_path / "annotation.json"
     segments = [{"label": "PS", "start": 0.0, "end": 1.0}, {"label": "SP", "start": 2.0, "end": 2.0}]

@@ -1,0 +1,49 @@
+"""Peak memory of the lumbar-load path on long captures: the growth of the
+peak resident set between two capture lengths, each run in a fresh
+interpreter, stays within a fixed cost per frame."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+KB_PER_FRAME = 16.0
+
+RUN = """
+import resource
+import sys
+
+from helpers import default_model, moving_base_trajectory
+
+from exoload.dynamics import net_lumbar_series
+from exoload.skeleton import TrajectoryKinematics
+
+model = default_model()
+configurations = moving_base_trajectory(model, int(sys.argv[1]) / 240.0)
+net_lumbar_series(TrajectoryKinematics(model, configurations), 1.0 / 240.0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def peak_rss_kb(frames: int) -> int:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
+    done = subprocess.run(
+        [sys.executable, "-c", RUN, str(frames)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    return int(done.stdout)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux only")
+def test_lumbar_series_peak_memory_grows_by_a_bounded_amount_per_frame():
+    short, long = 1200, 4800
+    growth = (peak_rss_kb(long) - peak_rss_kb(short)) / (long - short)
+    assert growth <= KB_PER_FRAME, f"peak RSS grows by {growth:.2f} KB per frame"

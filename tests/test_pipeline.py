@@ -511,6 +511,17 @@ def test_cross_input_ranges_exit_2_naming_the_config_field(tmp_path, capsys, key
         assert text in err
 
 
+def test_sidecar_rate_out_of_range_exits_2_naming_the_file(tmp_path, capsys):
+    """An EMG sidecar rate below twice the envelope cutoff: the error names
+    the signal file and its sidecar as the rate's source."""
+    _, files = write_every_input_session(tmp_path)
+    files["emg_baseline_sidecar"].write_text(json.dumps({"units": "uV", "sample_rate": 5.0}))
+    assert cli.main(["pipeline", "--config", str(files["config"])]) == 2
+    err = capsys.readouterr().err
+    assert f"{files['emg_baseline']}: sample rate 5 Hz from its sidecar baseline.csv.meta.json" in err
+    assert "EMG sample rate must exceed twice the filter cutoff" in err
+
+
 @pytest.mark.parametrize("level", ["", "profile", "emg", "ecg", "survey"])
 def test_config_rejects_unknown_fields(tmp_path, level):
     config = {
@@ -556,6 +567,7 @@ def test_pipeline_torque_matches_forward_model_oracle(tmp_path):
     from helpers import capture_from_configurations, default_model, sinusoid_trajectory
 
     from exoload.dynamics import net_lumbar_series
+    from exoload.skeleton import TrajectoryKinematics
 
     model = default_model()
     truth = sinusoid_trajectory(model, 3.0)
@@ -572,7 +584,7 @@ def test_pipeline_torque_matches_forward_model_oracle(tmp_path):
     with open(bundle.files["torque_series"], newline="") as fh:
         rows = list(csv.DictReader(fh))
     tau_pipeline = np.array([float(r["tau_net_nm"]) for r in rows])
-    oracle = net_lumbar_series(model, truth, 1.0 / 240.0, smooth_cutoff_hz=5.0)
+    oracle = net_lumbar_series(TrajectoryKinematics(model, truth), 1.0 / 240.0, smooth_cutoff_hz=5.0)
     skip = 240  # ignore the first second while feedback converges
     err = tau_pipeline[skip:] - oracle[skip:]
     rel_rms = float(np.sqrt(np.mean(err**2)) / np.sqrt(np.mean(oracle[skip:] ** 2)))

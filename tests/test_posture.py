@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import moving_base_trajectory
+
 from exoload.errors import ValidationError
 from exoload.geometry import axis_angle_matrix
 from exoload.posture import (
     AnnotationSegment,
     TrialAnnotation,
-    back_flexion_series,
     posture_profile,
     segment_series,
     summarize,
@@ -16,7 +17,7 @@ from exoload.posture import (
     time_fraction_above,
     tukey_whiskers,
 )
-from exoload.skeleton import Pose
+from exoload.skeleton import TrajectoryKinematics
 
 
 def test_upright_thorax_is_zero():
@@ -37,11 +38,20 @@ def test_axial_rotation_leaves_angle_unchanged():
     assert thorax_flexion_deg(yaw_only) == 0.0
 
 
-def test_back_flexion_series_requires_thorax():
-    poses = [{"thorax": Pose(np.zeros(3), np.eye(3))}] * 3
-    assert np.allclose(back_flexion_series(poses), 0.0)
-    with pytest.raises(ValidationError, match="thorax"):
-        back_flexion_series([{"pelvis": Pose(np.zeros(3), np.eye(3))}])
+def test_stacked_thorax_flexion_equals_per_matrix_calls(model):
+    """A (T, 3, 3) stack of thorax rotations, strided as the pipeline reads
+    them from the link frames, and a (2, T, 3, 3) stack give the angles of
+    one call per matrix bit for bit."""
+    rotations = TrajectoryKinematics(model, moving_base_trajectory(model, 1.0)).segment_rotation(
+        "thorax"
+    )
+    angles = thorax_flexion_deg(rotations)
+    assert angles.shape == (240,)
+    assert np.array_equal(angles, [thorax_flexion_deg(R) for R in rotations])
+    both = np.stack((rotations, rotations.transpose(0, 2, 1)))
+    assert np.array_equal(
+        thorax_flexion_deg(both), [[thorax_flexion_deg(R) for R in stack] for stack in both]
+    )
 
 
 def test_annotation_validation():

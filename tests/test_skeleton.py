@@ -4,6 +4,7 @@ import pytest
 from helpers import (
     moving_base_trajectory,
     reference_com_jacobian,
+    reference_link_frames,
     reference_point_jacobian_linear,
 )
 
@@ -227,7 +228,7 @@ def test_point_jacobian_matches_cross_oracle(model):
         for link in range(-1, model.n_joint_dofs):
             origin = state.base_position if link < 0 else state.link_position[link]
             for point in (origin, origin + rng.normal(scale=0.2, size=3)):
-                J = state._point_jacobian_linear(point, link)
+                J = state._point_jacobian_linear(point, link + 1)
                 oracle = reference_point_jacobian_linear(state, point, link)
                 assert np.max(np.abs(J - oracle)) <= 1e-12
 
@@ -293,6 +294,34 @@ def test_trajectory_kinematics_equal_kinematic_state_bit_for_bit(model):
         assert np.array_equal(
             kinematics.segment_rotation("thorax")[k], state.segment_pose("thorax").rotation
         )
+
+
+def test_kinematic_state_matches_per_link_oracle_bit_for_bit(model):
+    """Random configurations (rotated, displaced base) and frames of a
+    translating, yawing and tilting base; the base is row 0 of ``frames``."""
+    rng = np.random.default_rng(79)
+    configurations = [random_configuration(model, rng) for _ in range(10)]
+    configurations += moving_base_trajectory(model, 1.0)[::40]
+    for q in configurations:
+        state = KinematicState(model, q)
+        rotation, position, axis = reference_link_frames(model, q)
+        assert np.array_equal(state.link_rotation, rotation)
+        assert np.array_equal(state.link_position, position)
+        assert np.array_equal(state.axis_world, axis)
+        assert np.array_equal(state.frames[0, :, :3], state.base_rotation)
+        assert np.array_equal(state.frames[0, :, 3], q.base_position)
+
+
+def test_trajectory_kinematics_match_per_link_oracle_bit_for_bit(model):
+    configurations = moving_base_trajectory(model, 1.0)
+    kinematics = TrajectoryKinematics(model, configurations)
+    assert kinematics.frames.shape == (1 + model.n_joint_dofs, 240, 3, 5)
+    for k, q in enumerate(configurations):
+        rotation, position, axis = reference_link_frames(model, q)
+        assert np.array_equal(kinematics.link_rotation[:, k], rotation)
+        assert np.array_equal(kinematics.link_position[:, k], position)
+        assert np.array_equal(kinematics.axis_world[:, k], axis)
+        assert np.array_equal(kinematics.frames[0, k, :, 3], q.base_position)
 
 
 def test_limit_flags_warn_not_fail(model):
