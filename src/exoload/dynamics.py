@@ -256,11 +256,6 @@ class LaevoModel:
         tau = self.spring_torque(theta_deg, self.branch)
         return float(min(max(tau, 0.0), self.tau_max))
 
-    def reset(self, branch: str = "ascending") -> None:
-        if branch not in ("ascending", "descending"):
-            raise ValidationError(f"unknown branch {branch!r}")
-        self.branch = branch
-
 
 def laevo_torque_series(
     model_state: LaevoModel, theta_deg: np.ndarray, theta_dot_deg_s: np.ndarray

@@ -426,22 +426,23 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
     if config.emg is not None:
         with _stage("emg"):
             baseline = eio.read_emg_file(config.emg.baseline_file, config.emg.sample_rate)
+            # each record drops its own settle-in, at its own sample rate
+            settle = settle_samples(baseline.sample_rate)
             base_env = {
-                name: emg_envelope(samples, baseline.sample_rate)
+                name: emg_envelope(samples, baseline.sample_rate)[settle:]
                 for name, samples in baseline.channels.items()
             }
-            settle = settle_samples(baseline.sample_rate)
             rows = []
             for label, file in config.emg.trial_files.items():
                 record = eio.read_emg_file(file, config.emg.sample_rate)
+                settle = settle_samples(record.sample_rate)
                 for name in sorted(set(base_env) | set(record.channels)):
                     if name not in record.channels or name not in base_env:
                         rows.append([label, name, "NA"])
                         continue
-                    env = emg_envelope(record.channels[name], record.sample_rate)
-                    pct = emg_change_pct(env[settle:], base_env[name][settle:])
-                    rows.append([label, name, pct])
-                    boxplots.append(("emg_envelope", label, name, summarize(env[settle:])))
+                    env = emg_envelope(record.channels[name], record.sample_rate)[settle:]
+                    rows.append([label, name, emg_change_pct(env, base_env[name])])
+                    boxplots.append(("emg_envelope", label, name, summarize(env)))
             path = out_dir / "emg_changes.csv"
             eio.write_csv(path, ["label", "channel", "change_pct"], rows)
             bundle.files["emg_changes"] = path

@@ -26,7 +26,6 @@ from .errors import (
     require_finite,
 )
 from .geometry import (
-    cross,
     orientation_error,
     quat_rotvec_between,
     quat_slerp,
@@ -35,9 +34,11 @@ from .geometry import (
 )
 from .qp import solve_ls_qp
 from .skeleton import (
+    TASK_KINDS,
     JointConfiguration,
     KinematicState,
     SkeletonModel,
+    TaskRowLayout,
     integrate_configuration,
 )
 
@@ -89,7 +90,7 @@ class TaskSpec:
             raise ValidationError(f"task {self.frame!r}: priority must be 1 or 2")
         if self.feedback_gain <= 0.0:
             raise ValidationError(f"task {self.frame!r}: feedback gain must be positive")
-        if self.kind not in ("position", "orientation", "both"):
+        if self.kind not in TASK_KINDS:
             raise ValidationError(f"task {self.frame!r}: unknown kind {self.kind!r}")
 
     @property
@@ -222,26 +223,6 @@ class FrameSolution:
     diagnostics: FrameDiagnostics
 
 
-# base angular columns of a point row are -[r]x for the point's offset r from
-# the base origin: six off-diagonal (row, column) entries, each +/- one
-# component of r
-_SKEW_ROW = np.array([0, 0, 1, 1, 2, 2])
-_SKEW_COL = np.array([1, 2, 0, 2, 0, 1])
-_SKEW_SRC = np.array([2, 1, 2, 0, 1, 0])
-_SKEW_SIGN = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
-
-
-def _joint_cells(
-    model: SkeletonModel, blocks: np.ndarray, rows: np.ndarray
-) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """The (task, ancestor link) pairs of tasks riding on the frames of
-    ``rows`` (row 0, the base, has none), and the flat Jacobian index of
-    each pair's joint column in the three rows of the task's block."""
-    task, link = np.nonzero(model._row_ancestors[rows])
-    at = (3 * blocks[task, None] + np.arange(3)) * model.n_velocity + 6 + link[:, None]
-    return (task, link), at.ravel()
-
-
 @dataclass(frozen=True)
 class _ReferenceArrays:
     """Targets and feedforward velocities of a plan's tasks, frame by frame:
@@ -257,65 +238,32 @@ class _ReferenceArrays:
 
 class _RowPlan:
     """Where the rows of every task of a stack go, built once per (model,
-    task stack). Tasks run level 1 first, in stack order within a level;
-    each takes a 3-row block for its position, then one for its
-    orientation, so level 1 owns the first ``n_level1_rows`` rows and the
-    level Jacobians are slices of one array. ``position_tasks`` and
-    ``orientation_tasks`` are the stack indices of the tasks with those
-    rows, in plan order, which the reference arrays follow."""
+    task stack). Tasks run level 1 first, in stack order within a level,
+    through one :class:`TaskRowLayout`, so level 1 owns the first
+    ``n_level1_rows`` rows and the level Jacobians are slices of one array.
+    ``position_tasks`` and ``orientation_tasks`` are the stack indices of
+    the tasks with those rows, in plan order, which the reference arrays
+    follow."""
 
     def __init__(self, model: SkeletonModel, tasks: list[TaskSpec]):
         self.model, self.tasks = model, tasks
         order = sorted(range(len(tasks)), key=lambda i: tasks[i].priority)
         if not order or tasks[order[0]].priority != 1:
             raise ValidationError("task stack has no level-1 tasks")
-        pos_tasks, pos_rows, pos_blocks, ori_tasks, ori_rows, ori_blocks = [], [], [], [], [], []
-        is_com = []
-        for i in order:
-            task = tasks[i]
-            name = model.resolve_frame(task.frame)
-            if name == "com" and task.kind != "position":
-                raise ValidationError("the CoM frame only supports position tasks")
-            # the task's row of the kinematic frames; a CoM task's is a placeholder
-            row = 0 if name == "com" else model._segment_row[name]
-            if task.kind in ("position", "both"):
-                is_com.append(name == "com")
-                pos_tasks.append(i)
-                pos_rows.append(row)
-                pos_blocks.append(len(pos_blocks) + len(ori_blocks))
-            if task.kind in ("orientation", "both"):
-                ori_tasks.append(i)
-                ori_rows.append(row)
-                ori_blocks.append(len(pos_blocks) + len(ori_blocks))
-            if task.priority == 1:
-                self.n_level1_rows = 3 * (len(pos_blocks) + len(ori_blocks))
-        self.n_rows = 3 * (len(pos_blocks) + len(ori_blocks))
-        self.position_tasks = np.array(pos_tasks, dtype=int)
-        self.orientation_tasks = np.array(ori_tasks, dtype=int)
-        self._pos_blocks = np.array(pos_blocks, dtype=int)
-        self._ori_blocks = np.array(ori_blocks, dtype=int)
-        self._pos_rows = np.array(pos_rows, dtype=int)
-        self._ori_rows = np.array(ori_rows, dtype=int)
-        is_com = np.array(is_com, dtype=bool)
-        self._com, self._points = np.flatnonzero(is_com), np.flatnonzero(~is_com)
-        self._pos_gain = np.array([tasks[i].feedback_gain for i in pos_tasks]).reshape(-1, 1)
-        self._ori_gain = np.array([tasks[i].feedback_gain for i in ori_tasks]).reshape(-1, 1)
-
-        # constant entries: the identity blocks of the base columns; every
-        # other entry is zero or written each frame at the flat indices below
-        nv = model.n_velocity
-        self._template = np.zeros((self.n_rows, nv))
-        blocks = self._template.reshape(-1, 3, nv)
-        point_blocks = self._pos_blocks[self._points]
-        blocks[point_blocks, :, 0:3] = np.eye(3)
-        blocks[self._ori_blocks, :, 3:6] = np.eye(3)
-        self._skew_at = ((3 * point_blocks[:, None] + _SKEW_ROW) * nv + 3 + _SKEW_COL).ravel()
-        self._point_pairs, self._point_at = _joint_cells(
-            model, point_blocks, self._pos_rows[self._points]
+        self.layout = TaskRowLayout(model, [(tasks[i].frame, tasks[i].kind) for i in order])
+        self.n_rows = self.layout.n_rows
+        # level 1 is the first n1 tasks of the layout
+        n1 = sum(task.priority == 1 for task in tasks)
+        self.n_level1_rows = 3 * int(
+            np.count_nonzero(self.layout.position_tasks < n1)
+            + np.count_nonzero(self.layout.orientation_tasks < n1)
         )
-        (_, self._ori_pair_links), self._ori_at = _joint_cells(
-            model, self._ori_blocks, self._ori_rows
-        )
+        order = np.array(order, dtype=int)
+        self.position_tasks = order[self.layout.position_tasks]
+        self.orientation_tasks = order[self.layout.orientation_tasks]
+        gains = np.array([task.feedback_gain for task in tasks])
+        self._pos_gain = gains[self.position_tasks, None]
+        self._ori_gain = gains[self.orientation_tasks, None]
 
     def rows(
         self, state: KinematicState, refs: _ReferenceArrays, k: int
@@ -324,25 +272,13 @@ class _RowPlan:
         ``(n_rows,)`` for reference frame ``k``, plus the pose errors of the
         position tasks (m) and orientation tasks (rad), in one pass over the
         whole stack."""
-        nv = self.model.n_velocity
-        J = self._template.copy()
-        flat = J.reshape(-1)
+        layout = self.layout
+        J, current = layout.fill(state)
         v = np.empty((self.n_rows // 3, 3))
-        current = state.frames[self._pos_rows, :, 3]
-        if self._com.size:
-            current[self._com] = state.com()
-            J.reshape(-1, 3, nv)[self._pos_blocks[self._com]] = state.com_jacobian()
-        points = current[self._points]
-        flat[self._skew_at] = ((points - state.base_position)[:, _SKEW_SRC] * _SKEW_SIGN).ravel()
-        task, link = self._point_pairs
-        arms = points[task] - state.link_position[link]
-        flat[self._point_at] = cross(state.axis_world[link], arms).ravel()
-        flat[self._ori_at] = state.axis_world[self._ori_pair_links].ravel()
-
         pos_err = refs.positions[k] - current
-        v[self._pos_blocks] = self._pos_gain * pos_err + refs.linear_velocities[k]
-        ori_err = orientation_error(refs.rotations[k], state.frames[self._ori_rows, :, :3])
-        v[self._ori_blocks] = self._ori_gain * ori_err + refs.angular_velocities[k]
+        v[layout.position_blocks] = self._pos_gain * pos_err + refs.linear_velocities[k]
+        ori_err = orientation_error(refs.rotations[k], state.frames[layout.orientation_rows, :, :3])
+        v[layout.orientation_blocks] = self._ori_gain * ori_err + refs.angular_velocities[k]
         return J, v.reshape(-1), vector_norms(pos_err), vector_norms(ori_err)
 
 

@@ -241,24 +241,6 @@ class SkeletonModel:
         self._subtree_weights = np.ascontiguousarray(weights.T)
         self._subtree_mass = self._subtree_weights.sum(axis=1)
 
-    @property
-    def dof_layout(self) -> dict[str, int]:
-        """Actuated DoF counts grouped by body region (canonical model only)."""
-        arm_joints = ("sternoclavicular", "shoulder", "elbow", "wrist")
-        leg_joints = ("hip", "knee", "ankle")
-        groups = {"back_neck": 0, "right_arm": 0, "left_arm": 0, "right_leg": 0, "left_leg": 0}
-        for joint in self.joints:
-            region = "back_neck"
-            for side in ("right", "left"):
-                if joint.name.startswith(f"{side}_"):
-                    kind = joint.name[len(side) + 1 :]
-                    if kind in arm_joints:
-                        region = f"{side}_arm"
-                    elif kind in leg_joints:
-                        region = f"{side}_leg"
-            groups[region] += len(joint.dofs)
-        return groups
-
     def resolve_frame(self, frame: str) -> str:
         name = self.frame_aliases.get(frame, frame)
         if name != "com" and name not in self.segment_index:
@@ -285,13 +267,6 @@ class SkeletonModel:
                     f"[{self.dof_lower[i]:.4f}, {self.dof_upper[i]:.4f}]"
                 )
         return out
-
-
-def _base_linear_columns(J: np.ndarray, r: np.ndarray) -> None:
-    """Base columns of a linear Jacobian for the world offset ``r`` of the
-    point from the base origin: omega x r = -[r]x omega."""
-    J[:, 0:3] = np.eye(3)
-    J[:, 3:6] = np.array([[0.0, r[2], -r[1]], [-r[2], 0.0, r[0]], [r[1], -r[0], 0.0]])
 
 
 def link_frames(
@@ -361,55 +336,126 @@ class KinematicState:
     def com(self) -> np.ndarray:
         return self.model._masses @ self.segment_coms() / self.model.total_mass
 
-    def _point_jacobian_linear(self, point: np.ndarray, row: int) -> np.ndarray:
-        """3 x n_velocity Jacobian of a world point rigidly attached to the
-        frame of ``row`` (0 for the base)."""
-        model = self.model
-        J = np.zeros((3, model.n_velocity))
-        _base_linear_columns(J, point - self.base_position)
-        mask = model._row_ancestors[row]
-        J[:, 6:][:, mask] = cross(self.axis_world[mask], point - self.link_position[mask]).T
-        return J
-
-    def _angular_jacobian(self, row: int) -> np.ndarray:
-        model = self.model
-        J = np.zeros((3, model.n_velocity))
-        J[:, 3:6] = np.eye(3)
-        mask = model._row_ancestors[row]
-        J[:, 6:][:, mask] = self.axis_world[mask].T
-        return J
-
     def com_jacobian(self) -> np.ndarray:
-        """Whole-body CoM Jacobian in one pass over the subtrees: joint column
-        i is axis_i x (sum of m_s c_s over the segments link i moves, minus
-        their mass times the link origin x_i) / M."""
-        model = self.model
-        coms = self.segment_coms()
-        J = np.zeros((3, model.n_velocity))
-        _base_linear_columns(J, model._masses @ coms / model.total_mass - self.base_position)
-        moments = model._subtree_weights @ coms - model._subtree_mass[:, None] * self.link_position
-        J[:, 6:] = cross(self.axis_world, moments).T / model.total_mass
-        return J
+        """Whole-body CoM Jacobian, the ``("com", "position")`` case of
+        :meth:`jacobian`."""
+        return self.jacobian("com", "position")
 
     def jacobian(self, frame: str, task_kind: str = "both") -> np.ndarray:
-        """World task Jacobian of a frame. Rows: linear velocity (position or
-        both), then angular velocity (orientation or both)."""
-        name = self.model.resolve_frame(frame)
-        if name == "com":
-            if task_kind != "position":
+        """World task Jacobian of a frame, the one-task case of
+        :class:`TaskRowLayout`. Rows: linear velocity (position or both),
+        then angular velocity (orientation or both)."""
+        return TaskRowLayout(self.model, [(frame, task_kind)]).fill(self)[0]
+
+
+TASK_KINDS = ("position", "orientation", "both")
+
+# base angular columns of a position row (a point or the CoM) are -[r]x for
+# the position's offset r from the base origin: six off-diagonal (row, column)
+# entries, each +/- one component of r
+_SKEW_ROW = np.array([0, 0, 1, 1, 2, 2])
+_SKEW_COL = np.array([1, 2, 0, 2, 0, 1])
+_SKEW_SRC = np.array([2, 1, 2, 0, 1, 0])
+_SKEW_SIGN = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
+
+
+def _joint_cells(
+    model: SkeletonModel, blocks: np.ndarray, rows: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The (task, ancestor link) pairs of tasks riding on the frames of
+    ``rows`` (row 0, the base, has none), and the flat Jacobian index of
+    each pair's joint column in the three rows of the task's block."""
+    task, link = np.nonzero(model._row_ancestors[rows])
+    at = (3 * blocks[task, None] + np.arange(3)) * model.n_velocity + 6 + link[:, None]
+    return (task, link), at.ravel()
+
+
+class TaskRowLayout:
+    """Where the world Jacobian rows of a list of ``(frame, kind)`` tasks go,
+    built once per (model, tasks). In list order, each task takes a 3-row
+    block for its position, then one for its orientation; a ``com`` task
+    has a position block only. ``position_tasks`` and ``orientation_tasks``
+    are the list indices of the tasks with those blocks, in block order,
+    ``position_blocks`` and ``orientation_blocks`` their blocks, and
+    ``orientation_rows`` the kinematic-frame rows the orientation tasks
+    ride on."""
+
+    def __init__(self, model: SkeletonModel, tasks: Sequence[tuple[str, str]]):
+        self.model = model
+        pos_tasks, pos_rows, pos_blocks, ori_tasks, ori_rows, ori_blocks = [], [], [], [], [], []
+        is_com = []
+        for i, (frame, kind) in enumerate(tasks):
+            name = model.resolve_frame(frame)
+            if name == "com" and kind != "position":
                 raise ValidationError("the CoM frame only supports position tasks")
-            return self.com_jacobian()
-        row = self.model._segment_row[name]
-        origin = self.frames[row, :, 3]
-        if task_kind == "position":
-            return self._point_jacobian_linear(origin, row)
-        if task_kind == "orientation":
-            return self._angular_jacobian(row)
-        if task_kind == "both":
-            return np.vstack(
-                [self._point_jacobian_linear(origin, row), self._angular_jacobian(row)]
+            if kind not in TASK_KINDS:
+                raise ValidationError(f"unknown task kind {kind!r}")
+            # the task's row of the kinematic frames; a CoM task's is a placeholder
+            row = 0 if name == "com" else model._segment_row[name]
+            if kind != "orientation":
+                is_com.append(name == "com")
+                pos_tasks.append(i)
+                pos_rows.append(row)
+                pos_blocks.append(len(pos_blocks) + len(ori_blocks))
+            if kind != "position":
+                ori_tasks.append(i)
+                ori_rows.append(row)
+                ori_blocks.append(len(pos_blocks) + len(ori_blocks))
+        self.n_rows = 3 * (len(pos_blocks) + len(ori_blocks))
+        self.position_tasks = np.array(pos_tasks, dtype=int)
+        self.orientation_tasks = np.array(ori_tasks, dtype=int)
+        self.position_blocks = np.array(pos_blocks, dtype=int)
+        self.orientation_blocks = np.array(ori_blocks, dtype=int)
+        self.orientation_rows = np.array(ori_rows, dtype=int)
+        self._pos_rows = np.array(pos_rows, dtype=int)
+        is_com = np.array(is_com, dtype=bool)
+        self._com, self._points = np.flatnonzero(is_com), np.flatnonzero(~is_com)
+
+        # constant entries: the identity blocks of the base columns; every
+        # other entry is zero or written each frame at the flat indices below
+        nv = model.n_velocity
+        self._template = np.zeros((self.n_rows, nv))
+        blocks = self._template.reshape(-1, 3, nv)
+        blocks[self.position_blocks, :, 0:3] = np.eye(3)
+        blocks[self.orientation_blocks, :, 3:6] = np.eye(3)
+        skew_rows = 3 * self.position_blocks[:, None] + _SKEW_ROW
+        self._skew_at = (skew_rows * nv + 3 + _SKEW_COL).ravel()
+        self._point_pairs, self._point_at = _joint_cells(
+            model, self.position_blocks[self._points], self._pos_rows[self._points]
+        )
+        (_, self._ori_links), self._ori_at = _joint_cells(
+            model, self.orientation_blocks, self.orientation_rows
+        )
+
+    def fill(self, state: KinematicState) -> tuple[np.ndarray, np.ndarray]:
+        """Task Jacobian ``(n_rows, n_velocity)`` of ``state`` and the world
+        positions ``(position tasks, 3)`` of the position tasks.
+
+        A point's joint column i is axis_i x (point - x_i) over its frame's
+        ancestor links, and an orientation's is axis_i. The CoM's is
+        axis_i x (sum of m_s c_s over the segments link i moves, minus their
+        mass times the link origin x_i) / M, one pass over the subtrees
+        (Orin & Goswami 2008)."""
+        model = self.model
+        J = self._template.copy()
+        flat = J.reshape(-1)
+        positions = state.frames[self._pos_rows, :, 3]
+        if self._com.size:
+            positions[self._com] = state.com()
+            moments = (
+                model._subtree_weights @ state.segment_coms()
+                - model._subtree_mass[:, None] * state.link_position
             )
-        raise ValidationError(f"unknown task kind {task_kind!r}")
+            blocks = J.reshape(-1, 3, model.n_velocity)
+            blocks[self.position_blocks[self._com], :, 6:] = (
+                cross(state.axis_world, moments).T / model.total_mass
+            )
+        flat[self._skew_at] = ((positions - state.base_position)[:, _SKEW_SRC] * _SKEW_SIGN).ravel()
+        task, link = self._point_pairs
+        arms = positions[self._points][task] - state.link_position[link]
+        flat[self._point_at] = cross(state.axis_world[link], arms).ravel()
+        flat[self._ori_at] = state.axis_world[self._ori_links].ravel()
+        return J, positions
 
 
 class TrajectoryKinematics:

@@ -392,8 +392,8 @@ def reference_point_jacobian_linear(
     state: KinematicState, point: np.ndarray, link: int
 ) -> np.ndarray:
     """3 x n_velocity Jacobian of a world point rigidly attached to a link
-    (link = -1 for the base), with ``np.cross``: the oracle for
-    ``KinematicState._point_jacobian_linear``."""
+    (link = -1 for the base), with ``np.cross``: the oracle for the point
+    rows of ``KinematicState.jacobian``."""
     model = state.model
     J = np.zeros((3, model.n_velocity))
     J[:, 0:3] = np.eye(3)
@@ -482,20 +482,48 @@ def reference_quat_slerp(qa: np.ndarray, qb: np.ndarray, t: float) -> np.ndarray
     return quat_normalize((np.sin((1.0 - t) * theta) / s) * qa + (np.sin(t * theta) / s) * qb)
 
 
+def reference_task_jacobian(state: KinematicState, frame: str, kind: str) -> np.ndarray:
+    """World task Jacobian of one frame from the ``np.cross`` oracles: the
+    point Jacobian of the frame origin, the ancestor links' world axes for
+    the angular rows, or the per-segment CoM sum. The oracle for
+    ``KinematicState.jacobian``."""
+    model = state.model
+    name = model.resolve_frame(frame)
+    if name == "com":
+        return reference_com_jacobian(state)
+    link = model._segment_row[name] - 1
+    rows = []
+    if kind in ("position", "both"):
+        origin = state.segment_pose(name).position
+        rows.append(reference_point_jacobian_linear(state, origin, link))
+    if kind in ("orientation", "both"):
+        J = np.zeros((3, model.n_velocity))
+        J[:, 3:6] = np.eye(3)
+        if link >= 0:
+            mask = model._row_ancestors[1 + link]
+            J[:, 6:][:, mask] = state.axis_world[mask].T
+        rows.append(J)
+    return np.vstack(rows)
+
+
 def reference_task_rows(
-    state: KinematicState, tasks: list[TaskSpec], references: dict[str, Reference]
+    state: KinematicState,
+    tasks: list[TaskSpec],
+    references: dict[str, Reference],
+    jacobian=reference_task_jacobian,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[str, float], dict[str, float]]:
     """Level Jacobians and velocity references assembled one task at a time
-    from ``KinematicState.jacobian`` and ``orientation_error``, stacked per
-    level in stack order: ``(J1, v1, J2, v2, position errors, orientation
-    errors)``. The oracle for the retargeter's one-pass row plan."""
+    from ``jacobian(state, frame, kind)`` (the ``np.cross`` oracle unless
+    given) and ``orientation_error``, stacked per level in stack order:
+    ``(J1, v1, J2, v2, position errors, orientation errors)``. The oracle
+    for the retargeter's one-pass row plan."""
     model = state.model
     blocks: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {1: [], 2: []}
     pos_errors: dict[str, float] = {}
     ori_errors: dict[str, float] = {}
     for task in tasks:
         ref = references[task.frame]
-        J = state.jacobian(task.frame, task.kind)
+        J = jacobian(state, task.frame, task.kind)
         name = model.resolve_frame(task.frame)
         v = np.zeros(J.shape[0])
         r = 0
@@ -550,7 +578,12 @@ def reference_retarget(
 ) -> tuple[list[JointConfiguration], list[FrameDiagnostics]]:
     """The two-level velocity-QP loop over a uniform capture, for a stack
     with tasks on both levels, driven by the per-task row assembly of
-    ``reference_task_rows``."""
+    ``reference_task_rows``. Each task's Jacobian comes from
+    ``KinematicState.jacobian``, so both loops see the same Jacobian bits:
+    the regularized QP turns the last-bit difference of the ``np.cross``
+    CoM oracle into joint-angle drift of order 1e-8 rad over a saturating
+    trajectory. The Jacobian values are checked against that oracle on
+    their own."""
     dt = 1.0 / captured.sample_rate
     n = model.n_velocity
     lb, ub = -np.full(n, settings.velocity_bound), np.full(n, settings.velocity_bound)
@@ -558,7 +591,8 @@ def reference_retarget(
     q = model.upright_configuration()
     configurations, diagnostics = [], []
     for refs in reference_frame_references(model, captured, tasks):
-        J1, v1, J2, v2, _, _ = reference_task_rows(KinematicState(model, q), tasks, refs)
+        state = KinematicState(model, q)
+        J1, v1, J2, v2, _, _ = reference_task_rows(state, tasks, refs, KinematicState.jacobian)
         try:
             r1 = solve_ls_qp(J1, v1, settings.epsilon, lb, ub, **options)
             r2 = solve_ls_qp(J2, v2, settings.epsilon, lb, ub, C=J1, d=J1 @ r1.x, x0=r1.x, **options)

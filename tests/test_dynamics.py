@@ -203,7 +203,7 @@ def test_derivative_series_must_share_length():
 def test_laevo_range_endpoints_exact():
     lv = LaevoModel()
     assert lv.torque(50.0, 1.0) == 40.0
-    lv.reset()
+    lv = LaevoModel()
     assert lv.torque(20.0, 1.0) == 0.0
 
 
@@ -247,7 +247,7 @@ def test_laevo_monotone_and_clamped(a, b):
     lv = LaevoModel()
     lo, hi = min(a, b), max(a, b)
     t_lo = lv.torque(lo, 1.0)
-    lv.reset()
+    lv = LaevoModel()
     t_hi = lv.torque(hi, 1.0)
     assert t_lo <= t_hi
     assert 0.0 <= t_lo <= 40.0 and 0.0 <= t_hi <= 40.0

@@ -9,6 +9,7 @@ from helpers import synthetic_ecg, write_bend_session
 
 from exoload import cli
 from exoload import io as eio
+from exoload.biosignals import emg_change_pct, emg_envelope, settle_samples
 from exoload.errors import NumericalError, ValidationError
 from exoload.pipeline import _stage, emit_boxplot_data, load_config, run_pipeline
 from exoload.posture import DistributionSummary
@@ -134,6 +135,38 @@ def test_back_flexion_equals_per_frame_thorax_angles(tmp_path):
         for q in motion.retarget.configurations
     ]
     assert np.array_equal(motion.torque.theta_deg, expected)
+
+
+def test_emg_trial_settles_at_its_own_sample_rate(tmp_path):
+    """A trial recorded at half the baseline's rate, both rates from their
+    time columns, drops its own 0.5 s settle-in rather than the baseline's
+    sample count (1.0 s at the trial's rate). The trial is louder between
+    0.5 and 1.0 s, so dropping too much shows in the change."""
+    write_emg_csv(tmp_path / "baseline.csv", 2000.0, 3.0, {"ESL_L": 50.0})
+    t = np.arange(3000) / 1000.0
+    amplitude = np.where((t >= 0.5) & (t < 1.0), 100.0, 50.0)
+    trial = amplitude * np.random.default_rng(8).standard_normal(t.size)
+    eio.write_csv(tmp_path / "head.csv", ["time_s", "ESL_L"], np.column_stack([t, trial]))
+    config = {
+        "profile": {"height_m": 1.75, "mass_kg": 70.0},
+        "emg": {"baseline_file": "baseline.csv", "trial_files": {"head": "head.csv"}},
+        "output_dir": "out",
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    bundle = run_pipeline(load_config(tmp_path / "config.json"))
+    with open(bundle.files["emg_changes"], newline="") as fh:
+        (row,) = csv.DictReader(fh)
+
+    baseline = eio.read_emg_file(tmp_path / "baseline.csv")
+    record = eio.read_emg_file(tmp_path / "head.csv")
+    fs_base, fs_trial = baseline.sample_rate, record.sample_rate
+    assert (fs_base, fs_trial) == (pytest.approx(2000.0), pytest.approx(1000.0))
+    base_env = emg_envelope(baseline.channels["ESL_L"], fs_base)[settle_samples(fs_base) :]
+    env = emg_envelope(record.channels["ESL_L"], fs_trial)
+    own_rate = emg_change_pct(env[settle_samples(fs_trial) :], base_env)
+    baseline_rate = emg_change_pct(env[settle_samples(fs_base) :], base_env)
+    assert float(row["change_pct"]) == pytest.approx(own_rate, rel=1e-9)
+    assert abs(own_rate - baseline_rate) > 5.0
 
 
 def test_biosignal_and_survey_branches(tmp_path):

@@ -5,7 +5,7 @@ from helpers import (
     moving_base_trajectory,
     reference_com_jacobian,
     reference_link_frames,
-    reference_point_jacobian_linear,
+    reference_task_jacobian,
 )
 
 from exoload.anthropometry import AnthropometricProfile
@@ -64,13 +64,15 @@ def test_model_counts(model):
     assert len(model.joints) == 18
     assert model.n_joint_dofs == 43
     assert model.n_velocity == 49
-    assert model.dof_layout == {
-        "back_neck": 11,
-        "right_arm": 9,
-        "left_arm": 9,
-        "right_leg": 7,
-        "left_leg": 7,
-    }
+
+    def dofs(*joints):
+        slices = [model.joint_dof_slices[j] for j in joints]
+        return sum(s.stop - s.start for s in slices)
+
+    assert dofs("lumbar", "thoracic", "lower_neck", "upper_neck") == 11
+    for side in ("left", "right"):
+        assert dofs(*(f"{side}_{j}" for j in ("sternoclavicular", "shoulder", "elbow", "wrist"))) == 9
+        assert dofs(*(f"{side}_{j}" for j in ("hip", "knee", "ankle"))) == 7
 
 
 def test_inertia_tensors_symmetric_positive_definite(model):
@@ -222,15 +224,24 @@ def test_subtree_com_jacobian_matches_per_segment_sum(model):
         assert np.max(np.abs(state.com() - segment_sum)) <= 1e-12
 
 
-def test_point_jacobian_matches_cross_oracle(model):
-    rng = np.random.default_rng(78)
+def test_jacobian_matches_cross_oracle(model):
+    """Every segment, alias and the CoM, in every kind the frame supports,
+    against the ``np.cross`` oracles on moving-base states."""
+    frames = [seg.name for seg in model.segments] + list(model.frame_aliases)
+    cases = [(frame, kind) for frame in frames for kind in ("position", "orientation", "both")]
     for state in oracle_states(model):
-        for link in range(-1, model.n_joint_dofs):
-            origin = state.base_position if link < 0 else state.link_position[link]
-            for point in (origin, origin + rng.normal(scale=0.2, size=3)):
-                J = state._point_jacobian_linear(point, link + 1)
-                oracle = reference_point_jacobian_linear(state, point, link)
-                assert np.max(np.abs(J - oracle)) <= 1e-12
+        for frame, kind in cases + [("com", "position")]:
+            J = state.jacobian(frame, kind)
+            oracle = reference_task_jacobian(state, frame, kind)
+            assert J.shape == oracle.shape
+            assert np.max(np.abs(J - oracle)) <= 1e-12, (frame, kind)
+    with pytest.raises(ValidationError, match="unknown frame"):
+        state.jacobian("scapula", "position")
+    with pytest.raises(ValidationError, match="unknown task kind"):
+        state.jacobian("left_hand", "velocity")
+    for kind in ("orientation", "both"):
+        with pytest.raises(ValidationError, match="only supports position"):
+            state.jacobian("com", kind)
 
 
 def test_jacobian_velocity_consistency(model):
