@@ -2,10 +2,10 @@
 
 Subcommands mirror the analysis chain and compose through a shared JSON
 session config: ``retarget``, ``dynamics``, ``posture``, ``emg``, ``ecg``,
-``survey``, ``report`` and the all-in-one ``pipeline``. Every subcommand takes
-``--config`` (or the EXOLOAD_CONFIG environment variable) plus overrides.
-Every subcommand but ``report`` runs its branch of the config through
-``run_pipeline``, which writes every output file.
+``survey`` and the all-in-one ``pipeline``. Every subcommand takes
+``--config`` (or the EXOLOAD_CONFIG environment variable) plus overrides, and
+runs its branch of the config through ``run_pipeline``, which writes every
+output file.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import os
 import sys
@@ -21,10 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import io as eio
 from .errors import ExoloadError, NumericalError, ValidationError
-from .pipeline import SessionConfig, emit_boxplot_data, load_config, run_pipeline
-from .posture import DistributionSummary
+from .pipeline import SessionConfig, load_config, run_pipeline
 
 CONFIG_ENV_VAR = "EXOLOAD_CONFIG"
 
@@ -77,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add("emg", "EMG envelope changes against the baseline recording")
     add("ecg", "R-peak detection and heart-rate statistics")
     add("survey", "validate and score questionnaire responses")
-    add("report", "assemble boxplot data and the manifest from existing summaries")
     return parser
 
 
@@ -114,49 +110,11 @@ def _cmd_analysis(config: SessionConfig, command: str) -> None:
         print(f"{key}: {bundle.files[key]}")
 
 
-def _cmd_report(config: SessionConfig) -> None:
-    """Rebuild boxplot data from summary CSVs already present in the output
-    directory."""
-    out_dir = Path(config.output_dir)
-    sources = {
-        "angle_summaries.csv": "back_flexion",
-        "torque_summaries.csv": "lumbar_torque",
-        "heart_rate.csv": "heart_rate",
-    }
-    records = []
-    for filename, figure in sources.items():
-        path = out_dir / filename
-        if not path.exists():
-            continue
-        with open(path, encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                summary = DistributionSummary(
-                    n=int(row["n"]),
-                    mean=float(row["mean"]),
-                    stdev=float(row["stdev"]),
-                    minimum=float(row["min"]),
-                    q1=float(row["q1"]),
-                    median=float(row["median"]),
-                    q3=float(row["q3"]),
-                    maximum=float(row["max"]),
-                )
-                records.append((figure, row["label"], row["channel"], summary))
-    if not records:
-        raise ValidationError(f"no summary CSVs found in {out_dir}")
-    path = out_dir / "boxplot_data.json"
-    eio.write_json(path, emit_boxplot_data(records))
-    print(f"boxplot_data: {path}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_session(args)
-        if args.command == "report":
-            _cmd_report(config)
-        else:
-            _cmd_analysis(config, args.command)
+        _cmd_analysis(_load_session(args), args.command)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -57,7 +57,7 @@ def inverse_dynamics(
     nv = model.n_velocity
     if qd.shape != (nv,) or qdd.shape != (nv,):
         raise ValidationError(f"expected velocity/acceleration of shape ({nv},)")
-    kinematics = TrajectoryKinematics(model, [q])
+    kinematics = TrajectoryKinematics(model, q[None])
     return inverse_dynamics_series(kinematics, qd[None], qdd[None], gravity)[0]
 
 
@@ -146,28 +146,19 @@ def time_derivative(X: np.ndarray, dt: float) -> np.ndarray:
 
 
 def estimate_derivatives(
-    base_position: np.ndarray,
-    base_orientation: np.ndarray,
-    joint_angles: np.ndarray,
-    dt: float,
-    smooth_cutoff_hz: float | None = None,
+    q: JointConfiguration, dt: float, smooth_cutoff_hz: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized velocities and accelerations of a uniformly sampled joint
-    trajectory, given as its stacked base positions ``(T, 3)``, base
-    quaternions ``(T, 4)`` and joint angles ``(T, n_dofs)``, as a
-    :class:`TrajectoryKinematics` holds them.
+    """Generalized velocities and accelerations ``(T, n_velocity)`` of a
+    uniformly sampled joint trajectory ``q``, a ``(T,)``
+    :class:`JointConfiguration`.
 
     Positions and angles go through :func:`time_derivative`. Base angular
     velocity comes from quaternion differences over the same stencil span.
     Optional zero-phase low-pass smoothing is applied to the position/angle
     channels before differencing.
     """
-    P, Q, A = base_position, base_orientation, joint_angles
-    n = len(P)
-    if len(Q) != n or len(A) != n:
-        raise ValidationError(
-            f"base and joint series differ in length: {n}, {len(Q)} and {len(A)} frames"
-        )
+    P, Q, A = q.base_position, q.base_orientation, q.joint_angles
+    n = len(q)
     if n < 3:
         raise ValidationError("derivative estimation needs at least 3 frames")
     if dt <= 0.0:
@@ -347,11 +338,11 @@ def decompose_torque(
     times: np.ndarray,
     tau_net: np.ndarray,
     tau_exo: np.ndarray,
-    theta_deg: np.ndarray | None = None,
-    theta_dot_deg_s: np.ndarray | None = None,
+    theta_deg: np.ndarray,
+    theta_dot_deg_s: np.ndarray,
 ) -> TorqueSeries:
     """Split the net lumbar torque into shares: ``tau_human = tau_net -
-    tau_exo`` elementwise."""
+    tau_exo`` elementwise. The back flexion angle and rate ride along."""
     times = np.asarray(times, dtype=float)
     tau_net = np.asarray(tau_net, dtype=float)
     tau_exo = np.asarray(tau_exo, dtype=float)
@@ -359,18 +350,13 @@ def decompose_torque(
         raise ValidationError(
             f"series length mismatch: times={len(times)} net={len(tau_net)} exo={len(tau_exo)}"
         )
-    n = len(times)
-    theta = np.zeros(n) if theta_deg is None else np.asarray(theta_deg, dtype=float)
-    theta_dot = (
-        np.zeros(n) if theta_dot_deg_s is None else np.asarray(theta_dot_deg_s, dtype=float)
-    )
     return TorqueSeries(
         times=times,
         tau_net=tau_net,
         tau_exo=tau_exo,
         tau_human=tau_net - tau_exo,
-        theta_deg=theta,
-        theta_dot_deg_s=theta_dot,
+        theta_deg=np.asarray(theta_deg, dtype=float),
+        theta_dot_deg_s=np.asarray(theta_dot_deg_s, dtype=float),
     )
 
 
@@ -381,14 +367,8 @@ def net_lumbar_series(
     smooth_cutoff_hz: float | None = 5.0,
 ) -> np.ndarray:
     """Flexion-positive net L5/S1 sagittal torque of a joint trajectory, from
-    the link frames and stacked configurations of its kinematics."""
-    U, dU = estimate_derivatives(
-        kinematics.base_position,
-        kinematics.base_orientation,
-        kinematics.joint_angles,
-        dt,
-        smooth_cutoff_hz,
-    )
+    the link frames and configurations of its kinematics."""
+    U, dU = estimate_derivatives(kinematics.configuration, dt, smooth_cutoff_hz)
     tau = inverse_dynamics_series(kinematics, U, dU, gravity)
     return LUMBAR_LOAD_SIGN * tau[:, 6 + lumbar_flexion_index(kinematics.model)]
 

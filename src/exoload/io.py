@@ -224,21 +224,6 @@ def parse_motion_file(path: str | Path, aliases: Mapping[str, str] | None = None
     return CapturedTrajectory(sample_rate=sample_rate, times=times, segments=segments)
 
 
-def write_motion_file(path: str | Path, trajectory: CapturedTrajectory) -> None:
-    names = sorted(trajectory.segments)
-    header = ["time_s"]
-    for seg in names:
-        header += [f"{seg}_{s}" for s in POSE_SUFFIXES]
-    rows = []
-    for k in range(trajectory.n_frames):
-        row: list[object] = [trajectory.times[k]]
-        for seg in names:
-            track = trajectory.segments[seg]
-            row += list(track.positions[k]) + list(track.quaternions[k])
-        rows.append(row)
-    write_csv(path, header, rows)
-
-
 def parse_annotation_file(path: str | Path) -> TrialAnnotation:
     fields = JsonFields(load_json_file(path), path)
     segments = []
@@ -248,18 +233,6 @@ def parse_annotation_file(path: str | Path) -> TrialAnnotation:
             raise ValidationError(f"{path}: {s.prefix}start {start!r} must precede end {end!r}")
         segments.append(AnnotationSegment(label, start, end))
     return TrialAnnotation(trial_id=fields.get("trial_id", str), segments=tuple(segments))
-
-
-def write_annotation_file(path: str | Path, annotation: TrialAnnotation) -> None:
-    write_json(
-        path,
-        {
-            "trial_id": annotation.trial_id,
-            "segments": [
-                {"label": s.label, "start": s.start, "end": s.end} for s in annotation.segments
-            ],
-        },
-    )
 
 
 def _uniform_rate(times: np.ndarray, path: str | Path) -> float:
@@ -368,36 +341,10 @@ def read_responses_file(path: str | Path) -> list:
 
 
 def write_joint_trajectory(
-    path: str | Path,
-    model: SkeletonModel,
-    times: np.ndarray,
-    configurations: Sequence[JointConfiguration],
+    path: str | Path, model: SkeletonModel, times: np.ndarray, q: JointConfiguration
 ) -> None:
     header = (
         ["time_s", "base_px", "base_py", "base_pz", "base_qw", "base_qx", "base_qy", "base_qz"]
         + list(model.dof_names)
     )
-    rows = []
-    for t, q in zip(times, configurations):
-        rows.append([t, *q.base_position, *q.base_orientation, *q.joint_angles])
-    write_csv(path, header, rows)
-
-
-def read_joint_trajectory(
-    path: str | Path, model: SkeletonModel
-) -> tuple[np.ndarray, list[JointConfiguration]]:
-    header, data = _read_table(path)
-    expected = (
-        ["time_s", "base_px", "base_py", "base_pz", "base_qw", "base_qx", "base_qy", "base_qz"]
-        + list(model.dof_names)
-    )
-    if header != expected:
-        raise ValidationError(f"{path}: joint trajectory header does not match the model layout")
-    times = data[:, 0].copy()
-    configurations = [
-        JointConfiguration(
-            base_position=values[1:4], base_orientation=values[4:8], joint_angles=values[8:]
-        )
-        for values in data
-    ]
-    return times, configurations
+    write_csv(path, header, np.column_stack([times, q.base_position, q.base_orientation, q.joint_angles]))

@@ -167,12 +167,13 @@ class CapturedTrajectory:
     def n_frames(self) -> int:
         return len(self.times)
 
-    def is_uniform(self, rel_tol: float = 1e-9) -> bool:
+    def is_uniform(self) -> bool:
+        """Every frame spacing within 1e-9 of ``1 / sample_rate``, relatively."""
         if self.n_frames < 3:
             return True
         dt = np.diff(self.times)
         nominal = 1.0 / self.sample_rate
-        return bool(np.max(np.abs(dt - nominal)) <= rel_tol * nominal)
+        return bool(np.max(np.abs(dt - nominal)) <= 1e-9 * nominal)
 
 
 def resample_uniform(captured: CapturedTrajectory) -> CapturedTrajectory:
@@ -401,14 +402,14 @@ def solve_frame(
 @dataclass
 class RetargetResult:
     times: np.ndarray
-    configurations: list[JointConfiguration]
+    configurations: JointConfiguration  # (T,) trajectory
     position_residuals: dict[str, np.ndarray]  # m per frame, keyed by task frame
     orientation_residuals: dict[str, np.ndarray]  # rad per frame
     diagnostics: list[FrameDiagnostics]
 
     @property
     def n_frames(self) -> int:
-        return len(self.configurations)
+        return len(self.times)
 
 
 def _reference_tracks(
@@ -504,29 +505,28 @@ def retarget_trajectory(
     if limit_flags:
         warnings.warn(f"initial configuration outside joint limits: {limit_flags[:3]}...")
 
-    configurations: list[JointConfiguration] = []
     diagnostics: list[FrameDiagnostics] = []
     pos_res = np.zeros((len(tasks), n))
     ori_res = np.zeros((len(tasks), n))
+    P, Q, A = np.empty((n, 3)), np.empty((n, 4)), np.empty((n, model.n_joint_dofs))
 
     for k in range(n):
         try:
             step = _solve_step(plan, q, references, k, dt, settings)
-        except InfeasibleBoundsError as exc:
+        except InfeasibleBoundsError as exc:  # the frame holds the configuration
             diagnostics.append(FrameDiagnostics(skipped=True, message=str(exc)))
-            configurations.append(q)
-            continue
         except SolverError as exc:
             raise SolverError(f"frame {k}: {exc}") from exc
-        pos_res[plan.position_tasks, k] = step.position_error
-        ori_res[plan.orientation_tasks, k] = step.orientation_error
-        diagnostics.append(step.diagnostics)
-        q = step.next_configuration
-        configurations.append(q)
+        else:
+            pos_res[plan.position_tasks, k] = step.position_error
+            ori_res[plan.orientation_tasks, k] = step.orientation_error
+            diagnostics.append(step.diagnostics)
+            q = step.next_configuration
+        P[k], Q[k], A[k] = q.base_position, q.base_orientation, q.joint_angles
 
     return RetargetResult(
         times=captured.times.copy(),
-        configurations=configurations,
+        configurations=JointConfiguration(P, Q, A),
         position_residuals={task.frame: pos_res[i] for i, task in enumerate(tasks)},
         orientation_residuals={task.frame: ori_res[i] for i, task in enumerate(tasks)},
         diagnostics=diagnostics,

@@ -98,19 +98,39 @@ class Joint:
 
 @dataclass(frozen=True)
 class JointConfiguration:
-    """Free-floating base pose plus the actuated joint angles."""
+    """Free-floating base pose plus the actuated joint angles: one
+    configuration, or a trajectory of T with a leading ``(T,)`` axis whose
+    frame k is ``q[k]``. ``q[None]`` is the one-frame trajectory of ``q``."""
 
-    base_position: np.ndarray  # (3,) m
-    base_orientation: np.ndarray  # (4,) unit quaternion (w, x, y, z)
-    joint_angles: np.ndarray  # (n_dofs,) rad
+    base_position: np.ndarray  # (*batch, 3) m
+    base_orientation: np.ndarray  # (*batch, 4) unit quaternion (w, x, y, z)
+    joint_angles: np.ndarray  # (*batch, n_dofs) rad
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base_position", np.asarray(self.base_position, dtype=float))
-        object.__setattr__(self, "base_orientation", np.asarray(self.base_orientation, dtype=float))
-        object.__setattr__(self, "joint_angles", np.asarray(self.joint_angles, dtype=float))
-        norm = float(np.linalg.norm(self.base_orientation))
-        if not abs(norm - 1.0) <= QUAT_NORM_TOL:
-            raise ValidationError(f"base orientation quaternion norm {norm!r} is not 1")
+        for name in ("base_position", "base_orientation", "joint_angles"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        P, Q, A = self.base_position, self.base_orientation, self.joint_angles
+        if A.ndim not in (1, 2) or P.shape != A.shape[:-1] + (3,) or Q.shape != A.shape[:-1] + (4,):
+            raise ValidationError(
+                f"configuration shapes disagree: base position {P.shape}, "
+                f"base orientation {Q.shape}, joint angles {A.shape}"
+            )
+        norm = np.linalg.norm(Q, axis=-1).reshape(-1)
+        bad = np.flatnonzero(~(np.abs(norm - 1.0) <= QUAT_NORM_TOL))
+        if bad.size:
+            frame = f"frame {bad[0]}: " if A.ndim == 2 else ""
+            raise ValidationError(f"{frame}base orientation quaternion norm {float(norm[bad[0]])!r} is not 1")
+
+    def __len__(self) -> int:
+        if self.joint_angles.ndim == 1:
+            raise TypeError("a single configuration has no length")
+        return len(self.joint_angles)
+
+    def __getitem__(self, k) -> JointConfiguration:
+        return JointConfiguration(self.base_position[k], self.base_orientation[k], self.joint_angles[k])
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -459,32 +479,26 @@ class TaskRowLayout:
 
 
 class TrajectoryKinematics:
-    """World frames of every configuration of a trajectory: ``frames`` is the
-    (1 + n_links, T, 3, 5) array of :func:`link_frames`, and
-    ``link_rotation`` (n_links, T, 3, 3), ``link_position`` and
-    ``axis_world`` (n_links, T, 3) are views of its link rows. The stacked
-    configuration arrays ``base_position`` (T, 3), ``base_orientation``
-    (T, 4), ``base_rotation`` (T, 3, 3) and ``joint_angles`` (T, n_links)
-    are kept for the derivative estimate.
+    """World frames of every configuration of a ``(T,)`` trajectory, kept as
+    ``configuration``: ``frames`` is the (1 + n_links, T, 3, 5) array of
+    :func:`link_frames`, and ``link_rotation`` (n_links, T, 3, 3),
+    ``link_position`` and ``axis_world`` (n_links, T, 3) are views of its
+    link rows.
 
     Holds per-evaluation data only; the model stays immutable and shared."""
 
-    def __init__(self, model: SkeletonModel, configurations: Sequence[JointConfiguration]):
+    def __init__(self, model: SkeletonModel, q: JointConfiguration):
         self.model = model
-        n = model.n_joint_dofs
-        if not configurations:
-            raise ValidationError("trajectory has no frames")
-        for k, q in enumerate(configurations):
-            if np.shape(q.joint_angles) != (n,):
-                raise ValidationError(
-                    f"frame {k}: expected {n} joint angles, got {np.shape(q.joint_angles)}"
-                )
-        self.n_frames = len(configurations)
-        self.base_position = np.array([q.base_position for q in configurations], dtype=float)
-        self.base_orientation = np.array([q.base_orientation for q in configurations], dtype=float)
-        self.joint_angles = np.array([q.joint_angles for q in configurations], dtype=float)
-        self.base_rotation = quat_to_matrix(self.base_orientation)
-        self.frames = link_frames(model, self.base_position, self.base_rotation, self.joint_angles)
+        angles = q.joint_angles
+        if angles.shape[1:] != (model.n_joint_dofs,) or not len(angles):
+            raise ValidationError(
+                f"expected a non-empty trajectory of {model.n_joint_dofs} joint angles a frame, "
+                f"got joint angles of shape {angles.shape}"
+            )
+        self.n_frames = len(q)
+        self.configuration = q
+        self.base_rotation = quat_to_matrix(q.base_orientation)
+        self.frames = link_frames(model, q.base_position, self.base_rotation, angles)
         self.link_rotation = self.frames[1:, ..., :3]
         self.link_position = self.frames[1:, ..., 3]
         self.axis_world = self.frames[1:, ..., 4]

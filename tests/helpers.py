@@ -76,9 +76,14 @@ def default_model(height: float = 1.75, mass: float = 70.0) -> SkeletonModel:
     return build_model(AnthropometricProfile(height, mass))
 
 
+def repeated(q: JointConfiguration, n: int) -> JointConfiguration:
+    """The ``(n,)`` trajectory that holds one configuration."""
+    return q[None][np.zeros(n, dtype=int)]
+
+
 def capture_from_configurations(
     model: SkeletonModel,
-    configurations: list[JointConfiguration],
+    configurations: JointConfiguration | list[JointConfiguration],
     sample_rate: float,
     include_com: bool = True,
     segments: list[str] | None = None,
@@ -105,13 +110,11 @@ def capture_from_configurations(
 
 def sinusoid_trajectory(
     model: SkeletonModel, duration_s: float, sample_rate: float = 240.0
-) -> list[JointConfiguration]:
+) -> JointConfiguration:
     """Smooth upper-body motion (trunk, neck, arms) over mostly fixed legs,
-    starting from the upright configuration."""
+    starting from the upright configuration: a ``(T,)`` trajectory."""
     n = int(round(duration_s * sample_rate))
     t = np.arange(n) / sample_rate
-    base = model.upright_configuration()
-    out = []
     amp = {
         "lumbar_flexion": 0.35,
         "lumbar_axial": 0.10,
@@ -136,27 +139,24 @@ def sinusoid_trajectory(
         "left_elbow_flexion": 0.5,
         "right_elbow_flexion": 0.5,
     }
-    for k in range(n):
-        angles = np.zeros(model.n_joint_dofs)
-        for name, a in amp.items():
-            angles[model.dof_index[name]] = a * np.sin(2 * np.pi * freq[name] * t[k])
-        out.append(JointConfiguration(base.base_position, base.base_orientation, angles))
-    return out
+    angles = np.zeros((n, model.n_joint_dofs))
+    for name, a in amp.items():
+        angles[:, model.dof_index[name]] = a * np.sin(2 * np.pi * freq[name] * t)
+    base = repeated(model.upright_configuration(), n)
+    return JointConfiguration(base.base_position, base.base_orientation, angles)
 
 
 def moving_base_trajectory(
     model: SkeletonModel, duration_s: float, sample_rate: float = 240.0
-) -> list[JointConfiguration]:
+) -> JointConfiguration:
     """The sinusoid trajectory on a base that translates, yaws and tilts, so
-    every base term of the dynamics is non-zero."""
-    out = []
-    for k, q in enumerate(sinusoid_trajectory(model, duration_s, sample_rate)):
-        t = k / sample_rate
-        shift = np.array([0.05 * np.sin(1.1 * t), 0.03 * t, 0.02 * np.sin(2.3 * t)])
-        tilt = np.array([0.15 * np.sin(0.9 * t), 0.1 * np.sin(1.7 * t), 0.4 * t])
-        base_orientation = rotvec_to_quat(tilt)
-        out.append(JointConfiguration(q.base_position + shift, base_orientation, q.joint_angles))
-    return out
+    every base term of the dynamics is non-zero: a ``(T,)`` trajectory."""
+    q = sinusoid_trajectory(model, duration_s, sample_rate)
+    t = np.arange(len(q)) / sample_rate
+    shift = np.column_stack([0.05 * np.sin(1.1 * t), 0.03 * t, 0.02 * np.sin(2.3 * t)])
+    tilt = np.column_stack([0.15 * np.sin(0.9 * t), 0.1 * np.sin(1.7 * t), 0.4 * t])
+    base_orientation = np.array([rotvec_to_quat(r) for r in tilt])
+    return JointConfiguration(q.base_position + shift, base_orientation, q.joint_angles)
 
 
 def bent_configuration(model: SkeletonModel) -> JointConfiguration:
@@ -172,6 +172,57 @@ def bent_configuration(model: SkeletonModel) -> JointConfiguration:
     return JointConfiguration(base.base_position, base.base_orientation, angles)
 
 
+def write_motion_file(path: str | Path, trajectory: CapturedTrajectory) -> None:
+    """A capture in the motion CSV layout ``io.parse_motion_file`` reads."""
+    names = sorted(trajectory.segments)
+    header = ["time_s"]
+    for seg in names:
+        header += [f"{seg}_{s}" for s in eio.POSE_SUFFIXES]
+    rows = []
+    for k in range(trajectory.n_frames):
+        row: list[object] = [trajectory.times[k]]
+        for seg in names:
+            track = trajectory.segments[seg]
+            row += list(track.positions[k]) + list(track.quaternions[k])
+        rows.append(row)
+    eio.write_csv(path, header, rows)
+
+
+def write_annotation_file(path: str | Path, annotation: TrialAnnotation) -> None:
+    """An annotation in the JSON layout ``io.parse_annotation_file`` reads."""
+    eio.write_json(
+        path,
+        {
+            "trial_id": annotation.trial_id,
+            "segments": [
+                {"label": s.label, "start": s.start, "end": s.end} for s in annotation.segments
+            ],
+        },
+    )
+
+
+JOINT_HEADER = ["time_s", "base_px", "base_py", "base_pz", "base_qw", "base_qx", "base_qy", "base_qz"]
+
+
+def read_joint_trajectory(path: str | Path, model: SkeletonModel) -> tuple[np.ndarray, JointConfiguration]:
+    """The times and the ``(T,)`` trajectory of a ``joints.csv`` file."""
+    header, data = eio._read_table(path)
+    if header != JOINT_HEADER + list(model.dof_names):
+        raise ValidationError(f"{path}: joint trajectory header does not match the model layout")
+    return data[:, 0].copy(), JointConfiguration(data[:, 1:4], data[:, 4:8], data[:, 8:])
+
+
+def reference_write_joint_trajectory(
+    path: str | Path, model: SkeletonModel, times: np.ndarray, configurations
+) -> None:
+    """``joints.csv`` written row by row from the frames of a trajectory:
+    the oracle of ``io.write_joint_trajectory``."""
+    rows = [
+        [t, *q.base_position, *q.base_orientation, *q.joint_angles] for t, q in zip(times, configurations)
+    ]
+    eio.write_csv(path, JOINT_HEADER + list(model.dof_names), rows)
+
+
 def write_bend_session(
     tmp_path: Path,
     duration_s: float = 2.0,
@@ -184,7 +235,7 @@ def write_bend_session(
     target = bent_configuration(model)
     n = int(round(duration_s * 240.0))
     captured = capture_from_configurations(model, [target] * n, 240.0)
-    eio.write_motion_file(tmp_path / "motion.csv", captured)
+    write_motion_file(tmp_path / "motion.csv", captured)
     config = {
         "profile": {"height_m": 1.75, "mass_kg": 70.0},
         "motion_file": "motion.csv",
@@ -196,7 +247,7 @@ def write_bend_session(
         # skip the settle-in transient where the solver converges onto the pose
         start = min(0.75, duration_s / 2.0)
         annotation = TrialAnnotation("bend", (AnnotationSegment("PS", start, duration_s),))
-        eio.write_annotation_file(tmp_path / "annotation.json", annotation)
+        write_annotation_file(tmp_path / "annotation.json", annotation)
         config["annotation_file"] = "annotation.json"
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config, indent=2), encoding="utf-8")

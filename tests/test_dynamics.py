@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import bent_configuration, moving_base_trajectory, reference_inverse_dynamics
+from helpers import bent_configuration, moving_base_trajectory, reference_inverse_dynamics, repeated
 
 from exoload.dynamics import (
     LUMBAR_LOAD_SIGN,
@@ -33,13 +33,12 @@ from exoload.skeleton import (
 )
 
 
-def stacked(configurations):
-    """The base position, base quaternion and joint-angle series of a list
-    of configurations, as ``estimate_derivatives`` takes them."""
-    return tuple(
-        np.array([getattr(q, name) for q in configurations])
-        for name in ("base_position", "base_orientation", "joint_angles")
-    )
+def hinge_trajectory(angles, base_orientation=None):
+    """A ``(T,)`` trajectory of a one-DoF model on a fixed base origin."""
+    n = len(angles)
+    if base_orientation is None:
+        base_orientation = np.tile(IDENTITY_QUAT, (n, 1))
+    return JointConfiguration(np.zeros((n, 3)), base_orientation, np.reshape(angles, (n, 1)))
 
 
 def single_hinge_model(mass=10.0, com_distance=0.3, inertia_y=0.01):
@@ -128,7 +127,7 @@ def test_batched_sweep_matches_per_frame_reference(model, gravity):
     """All 49 generalized forces, base wrench included, on a translating,
     yawing and tilting base agree with the per-frame sweep."""
     configurations = moving_base_trajectory(model, 1.0)
-    U, dU = estimate_derivatives(*stacked(configurations), 1.0 / 240.0)
+    U, dU = estimate_derivatives(configurations, 1.0 / 240.0)
     tau = inverse_dynamics_series(TrajectoryKinematics(model, configurations), U, dU, gravity)
     reference = np.array(
         [
@@ -141,20 +140,14 @@ def test_batched_sweep_matches_per_frame_reference(model, gravity):
 
 
 def test_derivatives_linear_ramp():
-    confs = [
-        JointConfiguration(np.zeros(3), IDENTITY_QUAT, [0.5 * t]) for t in np.arange(50) / 100.0
-    ]
-    U, dU = estimate_derivatives(*stacked(confs), 0.01)
+    U, dU = estimate_derivatives(hinge_trajectory(0.5 * np.arange(50) / 100.0), 0.01)
     assert np.max(np.abs(U[:, 6] - 0.5)) < 1e-9
     assert np.max(np.abs(dU[:, 6])) < 1e-9
 
 
 def test_derivatives_quadratic_profile_exact():
-    confs = [
-        JointConfiguration(np.zeros(3), IDENTITY_QUAT, [2.0 * t * t])
-        for t in np.arange(50) / 100.0
-    ]
-    _, dU = estimate_derivatives(*stacked(confs), 0.01)
+    t = np.arange(50) / 100.0
+    _, dU = estimate_derivatives(hinge_trajectory(2.0 * t * t), 0.01)
     assert np.max(np.abs(dU[:, 6] - 4.0)) < 1e-9
 
 
@@ -162,11 +155,7 @@ def test_derivatives_sinusoid_amplitude():
     fs = 240.0
     t = np.arange(int(2 * fs)) / fs
     amp, freq = 0.3, 1.0
-    confs = [
-        JointConfiguration(np.zeros(3), IDENTITY_QUAT, [amp * np.sin(2 * np.pi * freq * tt)])
-        for tt in t
-    ]
-    _, dU = estimate_derivatives(*stacked(confs), 1.0 / fs)
+    _, dU = estimate_derivatives(hinge_trajectory(amp * np.sin(2 * np.pi * freq * t)), 1.0 / fs)
     measured = np.max(np.abs(dU[5:-5, 6]))
     expected = amp * (2 * np.pi * freq) ** 2
     assert measured == pytest.approx(expected, rel=1e-3)
@@ -177,24 +166,14 @@ def test_derivatives_base_rotation():
     omega = np.array([0.0, 0.0, 1.3])
     from exoload.geometry import rotvec_to_quat
 
-    confs = [
-        JointConfiguration(np.zeros(3), rotvec_to_quat(omega * (k / fs)), np.zeros(1))
-        for k in range(60)
-    ]
-    U, _ = estimate_derivatives(*stacked(confs), 1.0 / fs)
+    quats = np.array([rotvec_to_quat(omega * (k / fs)) for k in range(60)])
+    U, _ = estimate_derivatives(hinge_trajectory(np.zeros(60), quats), 1.0 / fs)
     assert np.max(np.abs(U[1:-1, 3:6] - omega)) < 1e-9
 
 
 def test_derivatives_need_three_frames():
-    confs = [JointConfiguration(np.zeros(3), IDENTITY_QUAT, [0.0])] * 2
     with pytest.raises(ValidationError):
-        estimate_derivatives(*stacked(confs), 0.01)
-
-
-def test_derivative_series_must_share_length():
-    P, Q, A = stacked([JointConfiguration(np.zeros(3), IDENTITY_QUAT, [0.0])] * 4)
-    with pytest.raises(ValidationError, match="differ in length: 4, 3 and 4 frames"):
-        estimate_derivatives(P, Q[:3], A, 0.01)
+        estimate_derivatives(hinge_trajectory(np.zeros(2)), 0.01)
 
 
 # -- exoskeleton spring -------------------------------------------------------
@@ -310,12 +289,13 @@ def test_laevo_series_rejects_a_non_finite_angle_like_stepping():
 
 def test_decompose_examples():
     t = np.arange(3.0)
-    ts = decompose_torque(t, np.full(3, 30.0), np.full(3, 10.0))
+    theta = np.zeros(3)
+    ts = decompose_torque(t, np.full(3, 30.0), np.full(3, 10.0), theta, theta)
     assert np.all(ts.tau_human == 20.0)
-    ts = decompose_torque(t, np.full(3, 30.0), np.zeros(3))
+    ts = decompose_torque(t, np.full(3, 30.0), np.zeros(3), theta, theta)
     assert np.array_equal(ts.tau_human, ts.tau_net)
     with pytest.raises(ValidationError, match="mismatch"):
-        decompose_torque(t, np.zeros(3), np.zeros(4))
+        decompose_torque(t, np.zeros(3), np.zeros(4), theta, theta)
 
 
 @given(
@@ -324,7 +304,7 @@ def test_decompose_examples():
 )
 def test_decomposition_identity_elementwise(net, exo):
     n = len(net)
-    ts = decompose_torque(np.arange(float(n)), np.array(net), np.full(n, exo))
+    ts = decompose_torque(np.arange(float(n)), np.array(net), np.full(n, exo), np.zeros(n), np.zeros(n))
     assert np.array_equal(ts.tau_human, ts.tau_net - ts.tau_exo)
 
 
@@ -391,7 +371,7 @@ def test_lumbar_effort_report_zero_reduction_and_degenerate():
 
 def test_net_lumbar_series_static_hold(model):
     q = bent_configuration(model)
-    kinematics = TrajectoryKinematics(model, [q] * 16)
+    kinematics = TrajectoryKinematics(model, repeated(q, 16))
     series = net_lumbar_series(kinematics, 1.0 / 240.0, smooth_cutoff_hz=None)
     tau_raw = inverse_dynamics(model, q, np.zeros(49), np.zeros(49))
     expected = LUMBAR_LOAD_SIGN * tau_raw[6 + model.dof_index["lumbar_flexion"]]

@@ -4,7 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import capture_from_configurations, default_model
+from helpers import (
+    capture_from_configurations,
+    default_model,
+    moving_base_trajectory,
+    read_joint_trajectory,
+    reference_write_joint_trajectory,
+    repeated,
+    write_annotation_file,
+    write_motion_file,
+)
 
 from exoload import io as eio
 from exoload.errors import ValidationError
@@ -109,7 +118,7 @@ def test_motion_round_trip(tmp_path):
     model = default_model()
     captured = capture_from_configurations(model, [model.upright_configuration()] * 4, 240.0)
     path = tmp_path / "m.csv"
-    eio.write_motion_file(path, captured)
+    write_motion_file(path, captured)
     back = eio.parse_motion_file(path)
     assert back.n_frames == 4
     for name, track in captured.segments.items():
@@ -121,7 +130,7 @@ def test_annotation_round_trip(tmp_path):
         "trial7", (AnnotationSegment("PS", 0.0, 3.0), AnnotationSegment("SP", 4.0, 9.5))
     )
     path = tmp_path / "a.json"
-    eio.write_annotation_file(path, ann)
+    write_annotation_file(path, ann)
     back = eio.parse_annotation_file(path)
     assert back == ann
     (tmp_path / "bad.json").write_text(json.dumps({"segments": []}))
@@ -183,10 +192,19 @@ def test_joint_trajectory_round_trip(tmp_path):
     q = model.upright_configuration()
     times = np.arange(3) / 240.0
     path = tmp_path / "joints.csv"
-    eio.write_joint_trajectory(path, model, times, [q] * 3)
-    t_back, configurations = eio.read_joint_trajectory(path, model)
+    eio.write_joint_trajectory(path, model, times, repeated(q, 3))
+    t_back, configurations = read_joint_trajectory(path, model)
     assert np.allclose(t_back, times)
     assert np.array_equal(configurations[0].joint_angles, q.joint_angles)
+
+
+def test_joint_trajectory_matches_the_per_row_writer_byte_for_byte(tmp_path):
+    model = default_model()
+    q = moving_base_trajectory(model, 0.5)
+    times = np.arange(len(q)) / 240.0
+    eio.write_joint_trajectory(tmp_path / "joints.csv", model, times, q)
+    reference_write_joint_trajectory(tmp_path / "reference.csv", model, times, q)
+    assert (tmp_path / "joints.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf"])
@@ -214,7 +232,7 @@ def test_joint_trajectory_non_finite_cell_names_row_and_column(tmp_path, cell):
     model = default_model()
     path = tmp_path / "joints.csv"
     upright = model.upright_configuration()
-    eio.write_joint_trajectory(path, model, np.arange(3) / 240.0, [upright] * 3)
+    eio.write_joint_trajectory(path, model, np.arange(3) / 240.0, repeated(upright, 3))
     lines = path.read_text(encoding="utf-8").splitlines()
     cells = lines[2].split(",")
     cells[9] = cell  # the second joint angle
@@ -223,7 +241,7 @@ def test_joint_trajectory_non_finite_cell_names_row_and_column(tmp_path, cell):
     column = model.dof_names[1]
     message = rf"joints\.csv: row 3: column '{column}': non-finite"
     with pytest.raises(ValidationError, match=message):
-        eio.read_joint_trajectory(path, model)
+        read_joint_trajectory(path, model)
 
 
 def test_float_round_trip_formatting(tmp_path):
@@ -302,7 +320,7 @@ def test_valid_files_never_take_the_per_cell_path(tmp_path, monkeypatch):
 
     model = default_model()
     captured = capture_from_configurations(model, [model.upright_configuration()] * 5, 240.0)
-    eio.write_motion_file(tmp_path / "m.csv", captured)
+    write_motion_file(tmp_path / "m.csv", captured)
     rng = np.random.default_rng(3)
     signal = np.column_stack([np.arange(50) / 1000.0, rng.standard_normal((50, 3))])
     eio.write_csv(tmp_path / "emg.csv", ["time_s", "ESL_L", "ESL_R", "RA"], signal)

@@ -23,8 +23,8 @@ from exoload.dynamics import net_lumbar_series
 from exoload.skeleton import TrajectoryKinematics
 
 model = default_model()
-configurations = moving_base_trajectory(model, int(sys.argv[1]) / 240.0)
-net_lumbar_series(TrajectoryKinematics(model, configurations), 1.0 / 240.0)
+trajectory = moving_base_trajectory(model, int(sys.argv[1]) / 240.0)
+net_lumbar_series(TrajectoryKinematics(model, trajectory), 1.0 / 240.0)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 

@@ -292,6 +292,44 @@ def test_quaternion_norm_validation(model):
         JointConfiguration(np.zeros(3), np.array([1.0, np.nan, 0.0, 0.0]), np.zeros(43))
 
 
+@pytest.mark.parametrize(
+    "shapes",
+    [((4, 3), (3, 4), (4, 43)), ((4, 3), (4, 4), (5, 43)), ((3,), (4, 4), (4, 43)), ((4, 3), (4,), (43,))],
+    ids=["orientation-short", "angles-long", "single-position", "batched-position"],
+)
+def test_trajectory_shapes_must_agree(shapes):
+    position, orientation, angles = (np.zeros(shape) for shape in shapes)
+    orientation[..., 0] = 1.0
+    with pytest.raises(ValidationError, match="configuration shapes disagree"):
+        JointConfiguration(position, orientation, angles)
+
+
+def test_trajectory_names_the_first_non_unit_quaternion(model):
+    q = moving_base_trajectory(model, 0.1)
+    orientation = q.base_orientation.copy()
+    orientation[[7, 11], 0] *= 1.0 + 1e-6
+    with pytest.raises(ValidationError, match="frame 7: base orientation quaternion norm"):
+        JointConfiguration(q.base_position, orientation, q.joint_angles)
+    orientation[7, 1] = np.nan
+    with pytest.raises(ValidationError, match="frame 7: base orientation quaternion norm nan"):
+        JointConfiguration(q.base_position, orientation, q.joint_angles)
+
+
+def test_trajectory_frames_index_and_iterate(model):
+    q = moving_base_trajectory(model, 0.1)
+    assert len(q) == 24 and len(q[::5]) == 5 and len(q[3][None]) == 1
+    for k, frame in enumerate(q):
+        assert np.array_equal(frame.joint_angles, q.joint_angles[k])
+        assert np.array_equal(frame.base_orientation, q.base_orientation[k])
+    assert k == 23
+    with pytest.raises(TypeError):
+        len(q[0])
+    with pytest.raises(ValidationError, match="expected a non-empty trajectory"):
+        TrajectoryKinematics(model, q[0])
+    with pytest.raises(ValidationError, match="expected a non-empty trajectory"):
+        TrajectoryKinematics(model, q[:0])
+
+
 def test_trajectory_kinematics_equal_kinematic_state_bit_for_bit(model):
     configurations = moving_base_trajectory(model, 1.0)
     kinematics = TrajectoryKinematics(model, configurations)

@@ -1,12 +1,15 @@
 """The benchmark's span tracer wraps public names of the package; every one
-of them must exist, or the traced benchmark run fails. The tracer is loaded
-from ``bench/tracing.py`` by path and is not changed."""
+of them must exist, or the traced benchmark run fails, and its result hooks
+read attributes of what they return. The tracer is loaded from
+``bench/tracing.py`` by path and is not changed."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
-import exoload.pipeline  # noqa: F401  (loads every module the tracer wraps)
+from helpers import write_bend_session
+
+import exoload.pipeline  # loads every module the tracer wraps
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -42,3 +45,22 @@ def test_tracer_installs_on_every_wrapped_name_and_uninstalls():
     for layer, module in modules.items():
         assert all(vars(module).get(name) is value for name, value in before[layer].items())
     assert all(vars(owner)[name] is fn for (owner, name), fn in zip(methods, originals))
+
+
+def test_traced_pipeline_run_reports_its_layers(tmp_path):
+    """One traced run of the pipeline: the tracer's result hooks read the
+    retargeting result and the capture, so the figures they feed are non-zero,
+    and the layers' self times add up to the root span."""
+    tracing = load_tracing()
+    config = exoload.pipeline.load_config(write_bend_session(tmp_path, duration_s=0.25))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        exoload.pipeline.run_pipeline(config)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["retarget.ms_per_frame"] > 0.0
+    assert metrics["skeleton.kinematic_states"] > 0
+    assert metrics["io.parse_motion_us_per_frame"] > 0.0
+    assert abs(metrics["trace.self_sum_error_s"]) < 1e-6
