@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, require_finite
 from .filters import butter_sos, sosfilt
+from .posture import DistributionSummary, TrialAnnotation, summarize
 
 MUSCLE_CODES = ("ESL", "ESI", "TA", "BF", "RA", "RF", "GM", "TAL")
 
@@ -206,11 +207,11 @@ def instantaneous_heart_rate(beat_times: np.ndarray) -> HeartRateSeries:
     return HeartRateSeries(times=beat_times[1:][keep], bpm=bpm[keep])
 
 
-def heart_rate_stats(beat_times: np.ndarray, annotation) -> list[tuple[str, "object"]]:
+def heart_rate_stats(
+    beat_times: np.ndarray, annotation: TrialAnnotation
+) -> list[tuple[str, DistributionSummary]]:
     """Per-label distribution summaries of the instantaneous heart rate.
     An RR interval belongs to a label when both beats fall in [start, end)."""
-    from .posture import summarize
-
     beat_times = np.asarray(beat_times, dtype=float)
     series = instantaneous_heart_rate(beat_times)
     out = []

@@ -24,6 +24,8 @@ import numpy as np
 from .errors import JsonFields, ValidationError
 from .filters import butter_sos, sosfiltfilt
 from .geometry import cross, quat_rotvec_between
+from .io import load_json_file
+from .posture import DistributionSummary, TrialAnnotation, segment_series, summarize
 from .skeleton import (
     JointConfiguration,
     SkeletonModel,
@@ -238,20 +240,13 @@ class LaevoModel:
 
     def torque(self, theta_deg: float, theta_dot_deg_s: float) -> float:
         """Assistive torque for one sample; updates the hysteresis branch."""
-        if not np.isfinite(theta_deg):
-            raise ValidationError("flexion angle must be finite")
-        if theta_dot_deg_s > self.rate_tolerance:
-            self.branch = "ascending"
-        elif theta_dot_deg_s < -self.rate_tolerance:
-            self.branch = "descending"
-        tau = self.spring_torque(theta_deg, self.branch)
-        return float(min(max(tau, 0.0), self.tau_max))
+        return float(laevo_torque_series(self, [theta_deg], [theta_dot_deg_s])[0])
 
 
 def laevo_torque_series(
     model_state: LaevoModel, theta_deg: np.ndarray, theta_dot_deg_s: np.ndarray
 ) -> np.ndarray:
-    """``LaevoModel.torque`` of every sample in order, without stepping one
+    """The assistive torque of every sample in order, without stepping one
     sample at a time: the branch at a sample follows the sign of the last
     rate outside +/-``rate_tolerance`` up to it, and the model's current
     branch before the first such rate. The model is left on the branch of
@@ -281,8 +276,6 @@ def load_exoskeleton_params(path: str | Path) -> LaevoModel:
     """Laevo parameters from a JSON object. ``k0`` and ``k1`` restate the
     spring line and must pass through (theta_min, 0) and (theta_max, tau_max)
     within 1e-9 Nm."""
-    from .io import load_json_file  # local import: io depends on this module
-
     fields = JsonFields(load_json_file(path), path)
     k0, k1 = fields.get("k0", float), fields.get("k1", float)
     values = {name: fields.get(name, float) for name in ("k_loss", "theta_min", "theta_max", "tau_max")}
@@ -377,7 +370,7 @@ def net_lumbar_series(
 class EffortRow:
     label: str
     channel: str  # tau_net | tau_human | tau_exo
-    summary: "DistributionSummary"
+    summary: DistributionSummary
 
 
 @dataclass(frozen=True)
@@ -386,25 +379,20 @@ class LumbarEffortReport:
     median_reduction_pct: dict[str, float] = field(default_factory=dict)
 
 
-def lumbar_effort_report(series: TorqueSeries, annotation) -> LumbarEffortReport:
-    """Per-label distribution summaries of the net and human torques plus the
-    median-reduction percentage ``100 * (median_net - median_human) /
+def lumbar_effort_report(series: TorqueSeries, annotation: TrialAnnotation) -> LumbarEffortReport:
+    """Per-label distribution summaries of the net, human and exoskeleton
+    torques plus the median-reduction percentage ``100 * (median_net - median_human) /
     median_net``."""
-    from .posture import segment_series, summarize
-
     rows: list[EffortRow] = []
     reductions: dict[str, float] = {}
-    slices = segment_series(series.times, series.tau_net, annotation)
-    slices_h = segment_series(series.times, series.tau_human, annotation)
-    slices_e = segment_series(series.times, series.tau_exo, annotation)
-    for (label, net_vals), (_, hum_vals), (_, exo_vals) in zip(slices, slices_h, slices_e):
-        net_summary = summarize(net_vals)
-        hum_summary = summarize(hum_vals)
-        rows.append(EffortRow(label, "tau_net", net_summary))
-        rows.append(EffortRow(label, "tau_human", hum_summary))
-        rows.append(EffortRow(label, "tau_exo", summarize(exo_vals)))
-        if net_summary.median != 0.0:
-            reductions[label] = (
-                100.0 * (net_summary.median - hum_summary.median) / net_summary.median
-            )
+    torques = np.column_stack([series.tau_net, series.tau_human, series.tau_exo])
+    for label, values in segment_series(series.times, torques, annotation):
+        net, human, exo = (summarize(values[:, j]) for j in range(3))
+        rows += [
+            EffortRow(label, "tau_net", net),
+            EffortRow(label, "tau_human", human),
+            EffortRow(label, "tau_exo", exo),
+        ]
+        if net.median != 0.0:
+            reductions[label] = 100.0 * (net.median - human.median) / net.median
     return LumbarEffortReport(rows=tuple(rows), median_reduction_pct=reductions)

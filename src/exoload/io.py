@@ -23,10 +23,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .biosignals import EcgRecord, EmgRecord
 from .errors import JsonFields, ValidationError
 from .posture import AnnotationSegment, TrialAnnotation
 from .retarget import CapturedTrajectory, SegmentTrack
 from .skeleton import JointConfiguration, SkeletonModel
+from .surveys import ResponseSet, parse_response
 
 QUAT_FILE_TOL = 1e-3
 POSE_SUFFIXES = ("px", "py", "pz", "qw", "qx", "qy", "qz")
@@ -302,16 +304,12 @@ def _signal_record(record_type, path: str | Path, rate: float, source: str, **da
         raise ValidationError(f"{path}: sample rate {rate:g} Hz from {source}: {exc}") from None
 
 
-def read_emg_file(path: str | Path, sample_rate: float | None = None):
-    from .biosignals import EmgRecord
-
+def read_emg_file(path: str | Path, sample_rate: float | None = None) -> EmgRecord:
     rate, source, channels = _signal_rate(path, ("uV", "µV"), sample_rate)
     return _signal_record(EmgRecord, path, rate, source, channels=channels)
 
 
-def read_ecg_file(path: str | Path, channel: str | None = None):
-    from .biosignals import EcgRecord
-
+def read_ecg_file(path: str | Path, channel: str | None = None) -> EcgRecord:
     rate, source, channels = _signal_rate(path, ("mV",))
     if channel is None:
         channel = next(iter(channels))
@@ -320,10 +318,8 @@ def read_ecg_file(path: str | Path, channel: str | None = None):
     return _signal_record(EcgRecord, path, rate, source, samples=channels[channel])
 
 
-def read_responses_file(path: str | Path) -> list:
+def read_responses_file(path: str | Path) -> list[ResponseSet]:
     """Questionnaire responses, one JSON object per line."""
-    from .surveys import parse_response
-
     out = []
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):

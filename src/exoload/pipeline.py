@@ -13,6 +13,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Iterable, Sequence
+
 import numpy as np
 
 from . import io as eio
@@ -280,20 +282,6 @@ def build_session_model(config: SessionConfig) -> SkeletonModel:
     return build_model(config.profile, table)
 
 
-def session_solver_settings(config: SessionConfig) -> SolverSettings:
-    if config.solver_settings_file is not None:
-        return load_solver_settings(config.solver_settings_file)
-    return SolverSettings()
-
-
-def session_exoskeleton(config: SessionConfig) -> LaevoModel | None:
-    if config.exoskeleton == "none":
-        return None
-    if config.exoskeleton_params_file is not None:
-        return load_exoskeleton_params(config.exoskeleton_params_file)
-    return LaevoModel()
-
-
 def _segment_aliases(config: SessionConfig) -> dict[str, str]:
     if config.segment_aliases_file is None:
         return {}
@@ -303,7 +291,6 @@ def _segment_aliases(config: SessionConfig) -> dict[str, str]:
 
 @dataclass
 class MotionResults:
-    times: np.ndarray
     retarget: RetargetResult
     torque: TorqueSeries
     annotation: TrialAnnotation
@@ -329,7 +316,8 @@ def run_motion_analysis(config: SessionConfig) -> tuple[SkeletonModel, MotionRes
         else:
             annotation = _whole_span_annotation(captured.times)
     with _stage("retarget"):
-        settings = session_solver_settings(config)
+        file = config.solver_settings_file
+        settings = SolverSettings() if file is None else load_solver_settings(file)
         result = retarget_trajectory(model, captured, settings=settings)
     dt = 1.0 / captured.sample_rate
     with _stage("dynamics"):
@@ -344,16 +332,15 @@ def run_motion_analysis(config: SessionConfig) -> tuple[SkeletonModel, MotionRes
         theta = thorax_flexion_deg(kinematics.segment_rotation("thorax"))
         theta_dot = time_derivative(theta, dt)
     with _stage("exoskeleton"):
-        exo = session_exoskeleton(config)
-        if exo is None:
+        if config.exoskeleton == "none":
             tau_exo = np.zeros_like(tau_net)
         else:
+            file = config.exoskeleton_params_file
+            exo = LaevoModel() if file is None else load_exoskeleton_params(file)
             tau_exo = laevo_torque_series(exo, theta, theta_dot)
     with _stage("decompose"):
         torque = decompose_torque(result.times, tau_net, tau_exo, theta, theta_dot)
-    return model, MotionResults(
-        times=result.times, retarget=result, torque=torque, annotation=annotation
-    )
+    return model, MotionResults(retarget=result, torque=torque, annotation=annotation)
 
 
 def run_pipeline(config: SessionConfig) -> ReportBundle:
@@ -364,64 +351,51 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
     except OSError as exc:
         raise ValidationError(f"cannot create output directory {out_dir}: {exc}") from exc
     bundle = ReportBundle(output_dir=out_dir)
+    # the one record of every distribution: the boxplot records and each
+    # summary table are written from it
     boxplots: list[tuple[str, str, str, DistributionSummary]] = []
+
+    def write(key: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+        bundle.files[key] = out_dir / f"{key}.csv"
+        eio.write_csv(bundle.files[key], header, rows)
+
+    def write_summaries(key: str, figure: str, trial: str) -> None:
+        rows = [_summary_row(trial, label, channel, s) for f, label, channel, s in boxplots if f == figure]
+        write(key, SUMMARY_HEADER, rows)
 
     if config.motion_file is not None:
         model, motion = run_motion_analysis(config)
-        trial = motion.annotation.trial_id
+        trial, ts = motion.annotation.trial_id, motion.torque
         with _stage("write-joints"):
-            path = out_dir / "joints.csv"
-            eio.write_joint_trajectory(path, model, motion.times, motion.retarget.configurations)
-            bundle.files["joints"] = path
+            path = bundle.files["joints"] = out_dir / "joints.csv"
+            eio.write_joint_trajectory(path, model, ts.times, motion.retarget.configurations)
         with _stage("write-torque-series"):
-            path = out_dir / "torque_series.csv"
-            ts = motion.torque
-            eio.write_csv(
-                path,
+            write(
+                "torque_series",
                 ["time_s", "theta_deg", "theta_dot_deg_s", "tau_net_nm", "tau_exo_nm", "tau_human_nm"],
                 zip(ts.times, ts.theta_deg, ts.theta_dot_deg_s, ts.tau_net, ts.tau_exo, ts.tau_human),
             )
-            bundle.files["torque_series"] = path
         with _stage("angle-summaries"):
-            rows = []
             fraction_rows = []
-            for label, values in segment_series(
-                motion.times, motion.torque.theta_deg, motion.annotation
-            ):
-                s = summarize(values)
-                rows.append(_summary_row(trial, label, "back_flexion_deg", s))
-                boxplots.append(("back_flexion", label, "back_flexion_deg", s))
+            for label, values in segment_series(ts.times, ts.theta_deg, motion.annotation):
+                boxplots.append(("back_flexion", label, "back_flexion_deg", summarize(values)))
                 profile = posture_profile(values)
-                fraction_rows.append(
-                    [trial, label] + [profile[t] for t in POSTURE_THRESHOLDS_DEG]
-                )
-            path = out_dir / "angle_summaries.csv"
-            eio.write_csv(path, SUMMARY_HEADER, rows)
-            bundle.files["angle_summaries"] = path
-            path = out_dir / "posture_fractions.csv"
-            eio.write_csv(
-                path,
-                ["trial", "label"]
-                + [f"frac_above_{int(t)}deg" for t in POSTURE_THRESHOLDS_DEG],
+                fraction_rows.append([trial, label] + [profile[t] for t in POSTURE_THRESHOLDS_DEG])
+            write_summaries("angle_summaries", "back_flexion", trial)
+            write(
+                "posture_fractions",
+                ["trial", "label"] + [f"frac_above_{int(t)}deg" for t in POSTURE_THRESHOLDS_DEG],
                 fraction_rows,
             )
-            bundle.files["posture_fractions"] = path
         with _stage("torque-summaries"):
-            report = lumbar_effort_report(motion.torque, motion.annotation)
-            rows = []
-            for row in report.rows:
-                rows.append(_summary_row(trial, row.label, row.channel, row.summary))
-                boxplots.append(("lumbar_torque", row.label, row.channel, row.summary))
-            path = out_dir / "torque_summaries.csv"
-            eio.write_csv(path, SUMMARY_HEADER, rows)
-            bundle.files["torque_summaries"] = path
-            path = out_dir / "torque_reductions.csv"
-            eio.write_csv(
-                path,
+            report = lumbar_effort_report(ts, motion.annotation)
+            boxplots += [("lumbar_torque", row.label, row.channel, row.summary) for row in report.rows]
+            write_summaries("torque_summaries", "lumbar_torque", trial)
+            write(
+                "torque_reductions",
                 ["trial", "label", "median_reduction_pct"],
                 [[trial, label, pct] for label, pct in report.median_reduction_pct.items()],
             )
-            bundle.files["torque_reductions"] = path
 
     if config.emg is not None:
         with _stage("emg"):
@@ -443,13 +417,10 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
                     env = emg_envelope(record.channels[name], record.sample_rate)[settle:]
                     rows.append([label, name, emg_change_pct(env, base_env[name])])
                     boxplots.append(("emg_envelope", label, name, summarize(env)))
-            path = out_dir / "emg_changes.csv"
-            eio.write_csv(path, ["label", "channel", "change_pct"], rows)
-            bundle.files["emg_changes"] = path
+            write("emg_changes", ["label", "channel", "change_pct"], rows)
 
     if config.ecg is not None:
         with _stage("ecg"):
-            rows = []
             for label, file in config.ecg.files.items():
                 record = eio.read_ecg_file(file, config.ecg.channel)
                 beats = detect_r_peaks(record.samples, record.sample_rate)
@@ -458,18 +429,15 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
                     label, (AnnotationSegment("control", 0.0, duration + 1e-9),)
                 )
                 for _, s in heart_rate_stats(beats, annotation):
-                    rows.append(_summary_row("session", label, "heart_rate_bpm", s))
                     boxplots.append(("heart_rate", label, "heart_rate_bpm", s))
-            path = out_dir / "heart_rate.csv"
-            eio.write_csv(path, SUMMARY_HEADER, rows)
-            bundle.files["heart_rate"] = path
+            write_summaries("heart_rate", "heart_rate", "session")
 
     if config.survey is not None:
         with _stage("survey"):
             responses = eio.read_responses_file(config.survey.responses_file)
             # schemas are frozen, so each questionnaire's is loaded once and shared
-            schemas = {qid: load_schema(qid) for qid in {r.questionnaire_id for r in responses}}
-            by_questionnaire: dict[str, list] = {}
+            schemas = {qid: load_schema(qid) for qid in sorted({r.questionnaire_id for r in responses})}
+            by_questionnaire: dict[str, list] = {qid: [] for qid in schemas}
             for response in responses:
                 report = validate(schemas[response.questionnaire_id], response)
                 if not report.ok:
@@ -477,75 +445,38 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
                         f"response {response.respondent_id!r} questionnaire "
                         f"{response.questionnaire_id!r}: {'; '.join(report.violations)}"
                     )
-                by_questionnaire.setdefault(response.questionnaire_id, []).append(response)
-            construct_rows = []
-            for qid in sorted(by_questionnaire):
-                schema = schemas[qid]
-                if not schema.constructs:
-                    continue
+                by_questionnaire[response.questionnaire_id].append(response)
+            construct_rows, borg_rows = [], []
+            for qid, schema in schemas.items():
                 groups: dict[str, list] = {}
                 for response in by_questionnaire[qid]:
                     groups.setdefault(response.context.exoskeleton, []).append(response)
                 for exo_type in sorted(groups):
-                    for score in construct_scores(schema, groups[exo_type], skip_empty=True):
-                        construct_rows.append(
-                            [
-                                qid,
-                                exo_type,
-                                score.construct,
-                                score.n,
-                                score.mean,
-                                score.stdev,
-                                format_mean_stdev(score.mean, score.stdev),
-                            ]
-                        )
-            path = out_dir / "survey_constructs.csv"
-            eio.write_csv(
-                path,
+                    for c in construct_scores(schema, groups[exo_type], skip_empty=True):
+                        display = format_mean_stdev(c.mean, c.stdev)
+                        construct_rows.append([qid, exo_type, c.construct, c.n, c.mean, c.stdev, display])
+                borg_ids = [i.item_id for i in schema.items if i.kind == "borg_cr10"]
+                answered = [r for r in by_questionnaire[qid] if any(i in r.answers for i in borg_ids)]
+                if answered:
+                    for s in borg_summary(schema, answered):
+                        display = format_mean_stdev(s.mean, s.stdev)
+                        borg_rows.append([qid, s.zone, s.position, s.n, s.mean, s.stdev, display])
+            write(
+                "survey_constructs",
                 ["questionnaire", "exoskeleton", "construct", "n", "mean", "stdev", "display"],
                 construct_rows,
             )
-            bundle.files["survey_constructs"] = path
-
-            borg_rows = []
-            for qid in sorted(by_questionnaire):
-                schema = schemas[qid]
-                if not any(i.kind == "borg_cr10" for i in schema.items):
-                    continue
-                answered = [
-                    r
-                    for r in by_questionnaire[qid]
-                    if any(i.item_id in r.answers for i in schema.items if i.kind == "borg_cr10")
-                ]
-                if not answered:
-                    continue
-                for s in borg_summary(schema, answered):
-                    borg_rows.append(
-                        [
-                            qid,
-                            s.zone,
-                            s.position,
-                            s.n,
-                            s.mean,
-                            s.stdev,
-                            format_mean_stdev(s.mean, s.stdev),
-                        ]
-                    )
-            path = out_dir / "survey_borg.csv"
-            eio.write_csv(
-                path,
+            write(
+                "survey_borg",
                 ["questionnaire", "zone", "position", "n", "mean", "stdev", "display"],
                 borg_rows,
             )
-            bundle.files["survey_borg"] = path
 
     with _stage("report"):
-        path = out_dir / "boxplot_data.json"
+        path = bundle.files["boxplot_data"] = out_dir / "boxplot_data.json"
         eio.write_json(path, emit_boxplot_data(boxplots))
-        bundle.files["boxplot_data"] = path
-
-        inputs = sorted({str(path) for path in input_files(config)})
-        path = out_dir / "manifest.json"
+        inputs = sorted({str(name) for name in input_files(config)})
+        path = bundle.files["manifest"] = out_dir / "manifest.json"
         eio.write_json(
             path,
             {
@@ -555,6 +486,5 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
                 "inputs": {name: eio.sha256_file(name) for name in inputs},
             },
         )
-        bundle.files["manifest"] = path
 
     return bundle

@@ -121,6 +121,15 @@ class JointConfiguration:
             frame = f"frame {bad[0]}: " if A.ndim == 2 else ""
             raise ValidationError(f"{frame}base orientation quaternion norm {float(norm[bad[0]])!r} is not 1")
 
+    def __eq__(self, other: object) -> bool:
+        """Equal shapes and equal values in all three arrays."""
+        if not isinstance(other, JointConfiguration):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("base_position", "base_orientation", "joint_angles")
+        )
+
     def __len__(self) -> int:
         if self.joint_angles.ndim == 1:
             raise TypeError("a single configuration has no length")

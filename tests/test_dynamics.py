@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import bent_configuration, moving_base_trajectory, reference_inverse_dynamics, repeated
+from helpers import (
+    bent_configuration,
+    moving_base_trajectory,
+    reference_inverse_dynamics,
+    reference_laevo_torques,
+    repeated,
+)
 
 from exoload.dynamics import (
     LUMBAR_LOAD_SIGN,
@@ -249,15 +255,12 @@ def test_laevo_series_is_sequential():
     assert np.allclose(out, np.clip(asc + desc, 0.0, 40.0))
 
 
-def per_sample_laevo(model: LaevoModel, theta: np.ndarray, rate: np.ndarray) -> np.ndarray:
-    return np.array([model.torque(t, td) for t, td in zip(theta, rate)])
-
-
 @pytest.mark.parametrize("start", ["ascending", "descending"])
 def test_laevo_series_equals_per_sample_stepping(start):
     """Rates inside, on and outside the tolerance, runs that hold the branch
-    from the start, and NaN rates: the array pass gives the per-sample
-    torques bit for bit and leaves the model on the same branch."""
+    from the start, and NaN rates: the array pass, and ``LaevoModel.torque``
+    called sample by sample, give the stepped torques bit for bit and leave
+    the model on the same branch."""
     rng = np.random.default_rng(8)
     n = 400
     theta = rng.uniform(10.0, 60.0, n)
@@ -267,9 +270,11 @@ def test_laevo_series_equals_per_sample_stepping(start):
     for tail in ([], [0.0, 0.0], [-5.0, np.nan]):
         angles, rates = np.append(theta, [30.0] * len(tail)), np.append(rate, tail)
         vectorized, stepped = LaevoModel(branch=start), LaevoModel(branch=start)
-        out = laevo_torque_series(vectorized, angles, rates)
-        assert np.array_equal(out, per_sample_laevo(stepped, angles, rates))
-        assert vectorized.branch == stepped.branch
+        single = LaevoModel(branch=start)
+        expected = reference_laevo_torques(stepped, angles, rates)
+        assert np.array_equal(laevo_torque_series(vectorized, angles, rates), expected)
+        assert np.array_equal([single.torque(t, r) for t, r in zip(angles, rates)], expected)
+        assert vectorized.branch == single.branch == stepped.branch
     assert laevo_torque_series(LaevoModel(), np.zeros(0), np.zeros(0)).shape == (0,)
 
 
@@ -280,7 +285,7 @@ def test_laevo_series_rejects_a_non_finite_angle_like_stepping():
     with pytest.raises(ValidationError, match="flexion angle must be finite"):
         laevo_torque_series(vectorized, theta, rate)
     with pytest.raises(ValidationError, match="flexion angle must be finite"):
-        per_sample_laevo(stepped, theta, rate)
+        reference_laevo_torques(stepped, theta, rate)
     assert vectorized.branch == stepped.branch == "descending"
 
 

@@ -1,5 +1,6 @@
 """Module layering: the kinematics layer reaches none of the layers built on
-it, so its task-row layout cannot be reached through a circular import."""
+it, so its task-row layout cannot be reached through a circular import, and
+an import inside a function is there only to break a cycle."""
 
 import ast
 from pathlib import Path
@@ -9,11 +10,17 @@ import exoload
 ABOVE_SKELETON = {"retarget", "dynamics", "io", "pipeline"}
 
 
-def imported_exoload_modules(path: Path) -> set[str]:
-    """Every exoload module a file imports, at module level or inside a
-    function, relative or absolute."""
+def imported_exoload_modules(path: Path, where: str = "anywhere") -> set[str]:
+    """Every exoload module a file imports, relative or absolute: ``where``
+    is ``"anywhere"``, ``"module"`` (outside every function) or
+    ``"function"`` (inside one)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    in_function = {id(node) for function in functions for node in ast.walk(function)}
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
+        if where != "anywhere" and (id(node) in in_function) != (where == "function"):
+            continue
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -51,3 +58,35 @@ def test_import_scan_sees_local_and_relative_imports(tmp_path):
         "    from exoload import retarget\n"
     )
     assert imported_exoload_modules(source) == {"geometry", "io", "pipeline", "dynamics", "retarget"}
+
+
+def test_function_level_imports_only_break_cycles():
+    """An import inside a function is there to break an import cycle: the
+    module it names reaches the importing module back through module-level
+    imports. The package ``__init__``, which imports every layer, is left
+    out of the graph."""
+    paths = {p.stem: p for p in Path(exoload.__file__).parent.glob("*.py") if p.stem != "__init__"}
+    eager = {name: imported_exoload_modules(path, "module") for name, path in paths.items()}
+    local = {name: imported_exoload_modules(path, "function") for name, path in paths.items()}
+    assert any(local.values()), "the scan found no function-level import"
+    for name, targets in local.items():
+        for target in targets:
+            reached, frontier = set(), [target]
+            while frontier:
+                new = eager.get(frontier.pop(), set()) - reached
+                reached |= new
+                frontier += new
+            assert name in reached, f"{name} imports {target} inside a function, but no cycle needs it"
+
+
+def test_import_scan_tells_module_level_from_function_level(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        "from .geometry import cross\n"
+        "class C:\n"
+        "    from . import posture\n"
+        "    def method(self):\n"
+        "        from .io import load_json_file\n"
+    )
+    assert imported_exoload_modules(source, "module") == {"geometry", "posture"}
+    assert imported_exoload_modules(source, "function") == {"io"}

@@ -402,6 +402,34 @@ def test_manifest_inputs_are_exactly_the_files_read(tmp_path, variant):
     assert manifest["config"]["profile"]["coefficient_table_id"] == "default-v1"
 
 
+def test_summary_tables_list_their_figures_boxplot_records(tmp_path):
+    """Each summary table holds its figure's ``boxplot_data.json`` records,
+    in order, and every bundle file is named after its key."""
+    _, files = write_every_input_session(tmp_path)
+    bundle = run_pipeline(load_config(files["config"]))
+    records = json.loads(bundle.files["boxplot_data"].read_text())
+    for key, figure in [
+        ("angle_summaries", "back_flexion"),
+        ("torque_summaries", "lumbar_torque"),
+        ("heart_rate", "heart_rate"),
+    ]:
+        with open(bundle.files[key], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        expected = [record for record in records if record["figure"] == figure]
+        assert rows and len(rows) == len(expected), key
+        for row, record in zip(rows, expected):
+            assert (row["label"], row["channel"], int(row["n"])) == (
+                record["label"],
+                record["channel"],
+                record["n"],
+            )
+            for column in ("min", "q1", "median", "q3", "max"):
+                assert float(row[column]) == record[column], (key, column)
+    assert len(bundle.files) == 12
+    for key, path in bundle.files.items():
+        assert path.name in (f"{key}.csv", f"{key}.json") and path.parent == bundle.output_dir
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

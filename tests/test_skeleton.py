@@ -330,6 +330,16 @@ def test_trajectory_frames_index_and_iterate(model):
         TrajectoryKinematics(model, q[:0])
 
 
+def test_configurations_compare_by_shape_and_value(model):
+    q = moving_base_trajectory(model, 0.1)[3]
+    copy = JointConfiguration(q.base_position.copy(), q.base_orientation.copy(), q.joint_angles.copy())
+    assert q == copy and not q != copy
+    angles = q.joint_angles.copy()
+    angles[5] += 1e-9
+    assert q != JointConfiguration(q.base_position, q.base_orientation, angles)
+    assert q != q[None] and q[None] == copy[None]
+
+
 def test_trajectory_kinematics_equal_kinematic_state_bit_for_bit(model):
     configurations = moving_base_trajectory(model, 1.0)
     kinematics = TrajectoryKinematics(model, configurations)
