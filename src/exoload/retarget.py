@@ -42,7 +42,6 @@ from .skeleton import (
     integrate_configuration,
 )
 
-DEFAULT_GAIN = 10.0  # 1/s, stable at 240 Hz
 QUAT_TRACK_TOL = 1e-6
 DT_JITTER_TOL = 0.10
 
@@ -50,10 +49,14 @@ DT_JITTER_TOL = 0.10
 @dataclass(frozen=True)
 class SolverSettings:
     epsilon: float = 1e-6
-    gain: float = DEFAULT_GAIN
+    gain: float = 10.0  # 1/s, every task's feedback gain; stable at 240 Hz
     velocity_bound: float = 10.0  # rad/s and m/s, symmetric
     max_iterations: int = 200
     tolerance: float = 1e-10  # QP multiplier tolerance for releasing a bound
+
+    def __post_init__(self) -> None:
+        if self.gain <= 0.0:
+            raise ValidationError(f"feedback gain must be positive, got {self.gain!r}")
 
 
 def load_solver_settings(path: str | Path) -> SolverSettings:
@@ -78,45 +81,40 @@ def load_solver_settings(path: str | Path) -> SolverSettings:
 
 @dataclass(frozen=True)
 class TaskSpec:
+    """A task: the model frame it moves, what it tracks and its level. It
+    tracks the captured segment of ``model.resolve_frame(frame)`` (the CoM
+    estimate when the capture has none) at ``SolverSettings.gain``."""
+
     frame: str
     kind: str  # position | orientation | both
     priority: int  # 1 | 2
-    feedback_gain: float = DEFAULT_GAIN
-    source: str | None = None  # trajectory segment id; defaults to frame
-    hold_first: bool = False  # reference pinned to the first captured frame
 
     def __post_init__(self) -> None:
         if self.priority not in (1, 2):
             raise ValidationError(f"task {self.frame!r}: priority must be 1 or 2")
-        if self.feedback_gain <= 0.0:
-            raise ValidationError(f"task {self.frame!r}: feedback gain must be positive")
         if self.kind not in TASK_KINDS:
             raise ValidationError(f"task {self.frame!r}: unknown kind {self.kind!r}")
 
-    @property
-    def reference_source(self) -> str:
-        return self.source if self.source is not None else self.frame
 
-
-def default_task_stack(gain: float = DEFAULT_GAIN) -> list[TaskSpec]:
-    """Canonical retargeting stack: level 1 holds balance (CoM position) and
-    both feet; level 2 tracks pelvis and thorax pose, shoulder/elbow/wrist
-    positions on both sides, and head orientation."""
+def default_task_stack() -> list[TaskSpec]:
+    """Canonical retargeting stack: level 1 tracks balance (CoM position) and
+    the captured pose of both feet; level 2 tracks pelvis and thorax pose,
+    shoulder/elbow/wrist positions on both sides, and head orientation."""
     level1 = [
-        TaskSpec("com", "position", 1, gain, source="com"),
-        TaskSpec("left_foot", "both", 1, gain, hold_first=True),
-        TaskSpec("right_foot", "both", 1, gain, hold_first=True),
+        TaskSpec("com", "position", 1),
+        TaskSpec("left_foot", "both", 1),
+        TaskSpec("right_foot", "both", 1),
     ]
     level2 = [
-        TaskSpec("pelvis", "both", 2, gain),
-        TaskSpec("thorax", "both", 2, gain),
-        TaskSpec("left_shoulder", "position", 2, gain, source="left_upper_arm"),
-        TaskSpec("right_shoulder", "position", 2, gain, source="right_upper_arm"),
-        TaskSpec("left_elbow", "position", 2, gain, source="left_forearm"),
-        TaskSpec("right_elbow", "position", 2, gain, source="right_forearm"),
-        TaskSpec("left_wrist", "position", 2, gain, source="left_hand"),
-        TaskSpec("right_wrist", "position", 2, gain, source="right_hand"),
-        TaskSpec("head", "orientation", 2, gain),
+        TaskSpec("pelvis", "both", 2),
+        TaskSpec("thorax", "both", 2),
+        TaskSpec("left_shoulder", "position", 2),
+        TaskSpec("right_shoulder", "position", 2),
+        TaskSpec("left_elbow", "position", 2),
+        TaskSpec("right_elbow", "position", 2),
+        TaskSpec("left_wrist", "position", 2),
+        TaskSpec("right_wrist", "position", 2),
+        TaskSpec("head", "orientation", 2),
     ]
     return level1 + level2
 
@@ -262,24 +260,21 @@ class _RowPlan:
         order = np.array(order, dtype=int)
         self.position_tasks = order[self.layout.position_tasks]
         self.orientation_tasks = order[self.layout.orientation_tasks]
-        gains = np.array([task.feedback_gain for task in tasks])
-        self._pos_gain = gains[self.position_tasks, None]
-        self._ori_gain = gains[self.orientation_tasks, None]
 
     def rows(
-        self, state: KinematicState, refs: _ReferenceArrays, k: int
+        self, state: KinematicState, refs: _ReferenceArrays, k: int, gain: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Task Jacobian ``(n_rows, n_velocity)`` and velocity references
-        ``(n_rows,)`` for reference frame ``k``, plus the pose errors of the
-        position tasks (m) and orientation tasks (rad), in one pass over the
-        whole stack."""
+        ``(n_rows,)`` for reference frame ``k`` at feedback ``gain`` (1/s),
+        plus the pose errors of the position tasks (m) and orientation tasks
+        (rad), in one pass over the whole stack."""
         layout = self.layout
         J, current = layout.fill(state)
         v = np.empty((self.n_rows // 3, 3))
         pos_err = refs.positions[k] - current
-        v[layout.position_blocks] = self._pos_gain * pos_err + refs.linear_velocities[k]
+        v[layout.position_blocks] = gain * pos_err + refs.linear_velocities[k]
         ori_err = orientation_error(refs.rotations[k], state.frames[layout.orientation_rows, :, :3])
-        v[layout.orientation_blocks] = self._ori_gain * ori_err + refs.angular_velocities[k]
+        v[layout.orientation_blocks] = gain * ori_err + refs.angular_velocities[k]
         return J, v.reshape(-1), vector_norms(pos_err), vector_norms(ori_err)
 
 
@@ -303,7 +298,7 @@ def _solve_step(
     """One hierarchical velocity-QP step towards reference frame ``k``: the
     per-frame step of both ``solve_frame`` and ``retarget_trajectory``."""
     state = KinematicState(plan.model, q_current)
-    J, v, pos_err, ori_err = plan.rows(state, refs, k)
+    J, v, pos_err, ori_err = plan.rows(state, refs, k, settings.gain)
     m1 = plan.n_level1_rows
     J1, v1 = J[:m1], v[:m1]
 
@@ -415,26 +410,21 @@ class RetargetResult:
 def _reference_tracks(
     model: SkeletonModel, captured: CapturedTrajectory, tasks: list[TaskSpec]
 ) -> dict[str, SegmentTrack]:
-    """One pose track per task frame, honoring held (first-frame) references
-    and the CoM fallback."""
+    """One pose track per task frame: the captured segment the frame resolves
+    to, or the CoM estimated from the segments when the capture has no
+    ``com`` track."""
     out: dict[str, SegmentTrack] = {}
-    n = captured.n_frames
     for task in tasks:
-        src = task.reference_source
+        src = model.resolve_frame(task.frame)
         if src == "com" and "com" not in captured.segments:
-            track = _estimate_com_track(model, captured)
+            out[task.frame] = _estimate_com_track(model, captured)
         elif src in captured.segments:
-            track = captured.segments[src]
+            out[task.frame] = captured.segments[src]
         else:
             raise ValidationError(
                 f"task {task.frame!r}: trajectory has no segment {src!r} "
                 f"(available: {sorted(captured.segments)})"
             )
-        if task.hold_first:
-            track = SegmentTrack(
-                np.tile(track.positions[0], (n, 1)), np.tile(track.quaternions[0], (n, 1))
-            )
-        out[task.frame] = track
     return out
 
 
@@ -493,7 +483,7 @@ def retarget_trajectory(
     index.
     """
     if tasks is None:
-        tasks = default_task_stack(settings.gain)
+        tasks = default_task_stack()
     plan = _RowPlan(model, tasks)
     captured = resample_uniform(captured)
     dt = 1.0 / captured.sample_rate
@@ -506,8 +496,8 @@ def retarget_trajectory(
         warnings.warn(f"initial configuration outside joint limits: {limit_flags[:3]}...")
 
     diagnostics: list[FrameDiagnostics] = []
-    pos_res = np.zeros((len(tasks), n))
-    ori_res = np.zeros((len(tasks), n))
+    pos_res = np.zeros((len(plan.position_tasks), n))
+    ori_res = np.zeros((len(plan.orientation_tasks), n))
     P, Q, A = np.empty((n, 3)), np.empty((n, 4)), np.empty((n, model.n_joint_dofs))
 
     for k in range(n):
@@ -518,8 +508,8 @@ def retarget_trajectory(
         except SolverError as exc:
             raise SolverError(f"frame {k}: {exc}") from exc
         else:
-            pos_res[plan.position_tasks, k] = step.position_error
-            ori_res[plan.orientation_tasks, k] = step.orientation_error
+            pos_res[:, k] = step.position_error
+            ori_res[:, k] = step.orientation_error
             diagnostics.append(step.diagnostics)
             q = step.next_configuration
         P[k], Q[k], A[k] = q.base_position, q.base_orientation, q.joint_angles
@@ -527,7 +517,7 @@ def retarget_trajectory(
     return RetargetResult(
         times=captured.times.copy(),
         configurations=JointConfiguration(P, Q, A),
-        position_residuals={task.frame: pos_res[i] for i, task in enumerate(tasks)},
-        orientation_residuals={task.frame: ori_res[i] for i, task in enumerate(tasks)},
+        position_residuals={tasks[i].frame: r for i, r in zip(plan.position_tasks, pos_res)},
+        orientation_residuals={tasks[i].frame: r for i, r in zip(plan.orientation_tasks, ori_res)},
         diagnostics=diagnostics,
     )

@@ -577,11 +577,13 @@ def reference_task_rows(
     state: KinematicState,
     tasks: list[TaskSpec],
     references: dict[str, Reference],
+    gain: float,
     jacobian=reference_task_jacobian,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[str, float], dict[str, float]]:
-    """Level Jacobians and velocity references assembled one task at a time
-    from ``jacobian(state, frame, kind)`` (the ``np.cross`` oracle unless
-    given) and ``orientation_error``, stacked per level in stack order:
+    """Level Jacobians and velocity references at feedback ``gain``,
+    assembled one task at a time from ``jacobian(state, frame, kind)`` (the
+    ``np.cross`` oracle unless given) and ``orientation_error``, stacked per
+    level in stack order:
     ``(J1, v1, J2, v2, position errors, orientation errors)``. The oracle
     for the retargeter's one-pass row plan."""
     model = state.model
@@ -597,12 +599,12 @@ def reference_task_rows(
         if task.kind in ("position", "both"):
             current = state.com() if name == "com" else state.segment_pose(name).position
             err = ref.position - current
-            v[r : r + 3] = task.feedback_gain * err + ref.linear_velocity
+            v[r : r + 3] = gain * err + ref.linear_velocity
             pos_errors[task.frame] = float(np.linalg.norm(err))
             r += 3
         if task.kind in ("orientation", "both"):
             err = orientation_error(ref.rotation, state.segment_pose(name).rotation)
-            v[r : r + 3] = task.feedback_gain * err + ref.angular_velocity
+            v[r : r + 3] = gain * err + ref.angular_velocity
             ori_errors[task.frame] = float(np.linalg.norm(err))
         blocks[task.priority].append((J, v))
 
@@ -659,7 +661,9 @@ def reference_retarget(
     configurations, diagnostics = [], []
     for refs in reference_frame_references(model, captured, tasks):
         state = KinematicState(model, q)
-        J1, v1, J2, v2, _, _ = reference_task_rows(state, tasks, refs, KinematicState.jacobian)
+        J1, v1, J2, v2, _, _ = reference_task_rows(
+            state, tasks, refs, settings.gain, KinematicState.jacobian
+        )
         try:
             r1 = solve_ls_qp(J1, v1, settings.epsilon, lb, ub, **options)
             r2 = solve_ls_qp(J2, v2, settings.epsilon, lb, ub, C=J1, d=J1 @ r1.x, x0=r1.x, **options)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from helpers import (
     default_model,
     moving_base_trajectory,
     reference_frame_references,
+    reference_matrix_to_rotvec,
     reference_quat_slerp,
     reference_retarget,
     reference_task_rows,
@@ -63,7 +66,7 @@ def test_default_stack_shape():
     model = default_model()
     for task in tasks:
         assert model.resolve_frame(task.frame) in set(s.name for s in model.segments) | {"com"}
-    assert all(t.hold_first for t in level1 if t.frame.endswith("foot"))
+    assert all([f.name for f in fields(t)] == ["frame", "kind", "priority"] for t in tasks)
 
 
 def test_task_spec_validation():
@@ -71,8 +74,6 @@ def test_task_spec_validation():
         TaskSpec("thorax", "both", 3)
     with pytest.raises(ValidationError):
         TaskSpec("thorax", "pose", 1)
-    with pytest.raises(ValidationError):
-        TaskSpec("thorax", "both", 1, feedback_gain=0.0)
 
 
 def test_fixed_point_of_feedback_law(model):
@@ -104,7 +105,7 @@ def test_reachable_wrist_target_converges(model):
 
 
 def test_strict_priority_under_conflict(model):
-    """A level-2 reference conflicting with the fixed feet leaves the level-1
+    """A level-2 reference conflicting with the level-1 feet leaves the level-1
     residual identical (within solver tolerance) to a solve without any
     level-2 task."""
     q = model.upright_configuration()
@@ -139,6 +140,25 @@ def test_velocity_bounds_respected_and_reported(model):
     assert sol.diagnostics.active_constraints  # some coordinate saturates
 
 
+def test_solver_gain_applies_to_an_explicit_stack(model):
+    """With zero feedforward and no active bound, the velocity is linear in
+    the feedback gain: doubling ``SolverSettings.gain`` doubles it."""
+    q = model.upright_configuration()
+    tasks = default_task_stack()
+    refs = current_pose_references(model, q, tasks)
+    offset = np.array([0.003, -0.002, 0.004])
+    refs = {
+        frame: Reference(position=ref.position + offset, rotation=ref.rotation)
+        for frame, ref in refs.items()
+    }
+    slow = solve_frame(model, q, tasks, refs, 1 / 240, SolverSettings(gain=10.0)).velocity
+    fast = solve_frame(model, q, tasks, refs, 1 / 240, SolverSettings(gain=20.0)).velocity
+    assert np.max(np.abs(slow)) > 1e-3
+    assert np.max(np.abs(fast - 2.0 * slow)) <= 1e-12 * np.max(np.abs(fast))
+    with pytest.raises(ValidationError, match="gain must be positive"):
+        SolverSettings(gain=0.0)
+
+
 def test_retarget_stationary_input(model):
     """Constant input equal to the FK of the start configuration keeps the
     output configuration constant."""
@@ -167,6 +187,25 @@ def test_round_trip_short(model):
     )
     rms = float(np.degrees(np.sqrt(np.mean(err**2))))
     assert rms <= 2.0
+
+
+def test_feet_follow_a_moving_capture(model):
+    """The default stack tracks the captured feet: on a capture whose base
+    translates and yaws, the feet stay within 2 mm of the captured ones, no
+    joint leaves its limits and the joints stay within 2 degrees RMS of the
+    generating trajectory."""
+    truth = moving_base_trajectory(model, 1.0)
+    captured = capture_from_configurations(model, truth, 240.0)
+    result = retarget_trajectory(model, captured)
+    for k, q in enumerate(result.configurations):
+        state = KinematicState(model, q)
+        for foot in ("left_foot", "right_foot"):
+            gap = state.segment_pose(foot).position - captured.segments[foot].positions[k]
+            assert np.linalg.norm(gap) <= 2e-3, (k, foot)
+    angles = result.configurations.joint_angles
+    assert np.all(angles >= model.dof_lower) and np.all(angles <= model.dof_upper)
+    err = angles - truth.joint_angles
+    assert float(np.degrees(np.sqrt(np.mean(err**2)))) < 2.0
 
 
 def test_retarget_deterministic(model):
@@ -240,15 +279,15 @@ def test_trajectory_references_match_per_frame_formulas(model):
 
 
 # level-2 first, an orientation-only task, a position task on the base
-# segment, a CoM task, a held task and a landmark alias with its own gain
+# segment, a CoM task and a landmark alias
 CUSTOM_STACK = [
-    TaskSpec("head", "orientation", 2, 6.0),
+    TaskSpec("head", "orientation", 2),
     TaskSpec("pelvis", "position", 1),
-    TaskSpec("right_wrist", "position", 2, 4.0, source="right_hand"),
-    TaskSpec("com", "position", 1, source="com"),
-    TaskSpec("left_foot", "both", 1, hold_first=True),
-    TaskSpec("thorax", "both", 2, 8.0),
-    TaskSpec("left_hand", "orientation", 1, 3.0),
+    TaskSpec("right_wrist", "position", 2),
+    TaskSpec("com", "position", 1),
+    TaskSpec("left_foot", "both", 1),
+    TaskSpec("thorax", "both", 2),
+    TaskSpec("left_hand", "orientation", 1),
 ]
 
 
@@ -256,8 +295,10 @@ CUSTOM_STACK = [
 def test_plan_rows_match_per_task_assembly(model, stack):
     """The one-pass rows of a frame equal the per-task Jacobians, velocity
     references and pose errors stacked per level, on a moving base with the
-    references a few frames ahead of the configuration."""
+    references a few frames ahead of the configuration, at a gain other
+    than the default."""
     tasks = default_task_stack() if stack == "default" else CUSTOM_STACK
+    gain = 7.0
     configurations = moving_base_trajectory(model, 0.5)
     captured = capture_from_configurations(model, configurations, 240.0)
     plan = _RowPlan(model, tasks)
@@ -266,8 +307,10 @@ def test_plan_rows_match_per_task_assembly(model, stack):
     per_frame = reference_frame_references(model, captured, tasks)
     for k in range(0, captured.n_frames - 5, 11):
         state = KinematicState(model, configurations[k])
-        J, v, pos_err, ori_err = plan.rows(state, refs, k + 5)
-        J1, v1, J2, v2, pos_oracle, ori_oracle = reference_task_rows(state, tasks, per_frame[k + 5])
+        J, v, pos_err, ori_err = plan.rows(state, refs, k + 5, gain)
+        J1, v1, J2, v2, pos_oracle, ori_oracle = reference_task_rows(
+            state, tasks, per_frame[k + 5], gain
+        )
         m1 = plan.n_level1_rows
         assert J.shape == (len(v1) + len(v2), model.n_velocity) and m1 == len(v1)
         assert np.max(np.abs(J[:m1] - J1)) <= 1e-12 and np.max(np.abs(J[m1:] - J2)) <= 1e-12
@@ -300,9 +343,9 @@ def test_plan_orders_levels_and_rejects_bad_stacks(model):
 
 
 def test_retarget_loop_matches_per_task_loop_when_saturating(model):
-    """A moving, yawing pelvis against held first-frame feet under tight
-    velocity bounds: the one-pass loop takes the per-task loop's QP
-    iterations, active sets and skips, and lands on its joint angles."""
+    """A moving, yawing pelvis under a tight 0.6 rad/s velocity bound, which
+    saturates: the one-pass loop takes the per-task loop's QP iterations,
+    active sets and skips, and lands on its joint angles."""
     configurations = moving_base_trajectory(model, 0.4)
     captured = capture_from_configurations(model, configurations, 240.0)
     tasks = default_task_stack()
@@ -317,6 +360,33 @@ def test_retarget_loop_matches_per_task_loop_when_saturating(model):
     angles = np.array([c.joint_angles for c in result.configurations])
     oracle = np.array([c.joint_angles for c in expected])
     assert np.max(np.abs(angles - oracle)) <= 1e-9
+
+
+def test_residuals_are_keyed_by_the_tasks_of_their_kind(model):
+    """A frame with a position task and an orientation task keeps both
+    residual series, each equal to the pose error before the step that lands
+    on its frame; an orientation-only task has no position series."""
+    tasks = [
+        TaskSpec("com", "position", 1),
+        TaskSpec("thorax", "position", 1),
+        TaskSpec("thorax", "orientation", 2),
+        TaskSpec("head", "orientation", 2),
+    ]
+    captured = capture_from_configurations(model, moving_base_trajectory(model, 0.3), 240.0)
+    result = retarget_trajectory(model, captured, tasks)
+    assert set(result.position_residuals) == {"com", "thorax"}
+    assert set(result.orientation_residuals) == {"thorax", "head"}
+    track = captured.segments["thorax"]
+    before = [model.upright_configuration()] + list(result.configurations)[:-1]
+    for k, q in enumerate(before):
+        pose = KinematicState(model, q).segment_pose("thorax")
+        position = np.linalg.norm(track.positions[k] - pose.position)
+        angle = np.linalg.norm(
+            reference_matrix_to_rotvec(quat_to_matrix(track.quaternions[k]) @ pose.rotation.T)
+        )
+        assert abs(result.position_residuals["thorax"][k] - position) <= 1e-12
+        assert abs(result.orientation_residuals["thorax"][k] - angle) <= 1e-9
+    assert result.position_residuals["thorax"].max() > 1e-3
 
 
 def test_solve_frame_names_missing_references(model):
