@@ -34,6 +34,7 @@ from .skeleton import (
 )
 
 GRAVITY_DEFAULT = 9.81  # m/s^2, downward
+DERIVATIVE_SMOOTHING_HZ = 5.0  # Hz, Butterworth cutoff of the velocity smoothing
 
 # Reported lumbar load is the gravity/dynamics-countering demand, positive in
 # flexion; the raw actuation torque at the lumbar flexion DoF is its negative.
@@ -136,15 +137,17 @@ def inverse_dynamics_series(
     return tau
 
 
-def time_derivative(X: np.ndarray, dt: float) -> np.ndarray:
+def time_derivative(X: np.ndarray, dt: float, difference=lambda a, b: b - a) -> np.ndarray:
     """Derivative along axis 0 of a uniformly sampled series: central
     differences in the interior, second-order one-sided stencils at the ends
-    (exact for quadratic profiles). Needs at least 3 samples."""
-    D = np.empty_like(X)
-    D[1:-1] = (X[2:] - X[:-2]) / (2.0 * dt)
-    D[0] = (-3.0 * X[0] + 4.0 * X[1] - X[2]) / (2.0 * dt)
-    D[-1] = (3.0 * X[-1] - 4.0 * X[-2] + X[-3]) / (2.0 * dt)
-    return D
+    (exact for quadratic profiles). Needs at least 3 samples. The stencils
+    take ``difference(a, b)``, the change from sample ``a`` to sample ``b``:
+    ``b - a`` by default. With :func:`~exoload.geometry.quat_rotvec_between`
+    a ``(T, 4)`` quaternion series gives its ``(T, 3)`` world-frame angular
+    velocity."""
+    first = 4.0 * difference(X[:1], X[1:2]) - difference(X[:1], X[2:3])
+    last = 4.0 * difference(X[-2:-1], X[-1:]) - difference(X[-3:-2], X[-1:])
+    return np.concatenate((first, difference(X[:-2], X[2:]), last)) / (2.0 * dt)
 
 
 def estimate_derivatives(
@@ -154,10 +157,10 @@ def estimate_derivatives(
     uniformly sampled joint trajectory ``q``, a ``(T,)``
     :class:`JointConfiguration`.
 
-    Positions and angles go through :func:`time_derivative`. Base angular
-    velocity comes from quaternion differences over the same stencil span.
-    Optional zero-phase low-pass smoothing is applied to the position/angle
-    channels before differencing.
+    Every channel, the base orientation included, goes through
+    :func:`time_derivative`. Optional zero-phase low-pass smoothing then acts
+    on the whole velocity, which is differenced once more for the
+    acceleration.
     """
     P, Q, A = q.base_position, q.base_orientation, q.joint_angles
     n = len(q)
@@ -166,25 +169,16 @@ def estimate_derivatives(
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
 
+    U = np.column_stack(
+        (time_derivative(P, dt), time_derivative(Q, dt, quat_rotvec_between), time_derivative(A, dt))
+    )
     if smooth_cutoff_hz is not None:
         fs = 1.0 / dt
         if smooth_cutoff_hz <= 0.0 or smooth_cutoff_hz >= fs / 2.0:
             raise ValidationError("smoothing cutoff must lie in (0, fs/2)")
-        sos = butter_sos(2, smooth_cutoff_hz, fs)
         pad = min(9, n - 1)  # filtfilt's default, 3 * max(len(b), len(a)), for one biquad
-        P = sosfiltfilt(sos, P, pad)
-        A = sosfiltfilt(sos, A, pad)
-
-    nv = 6 + A.shape[1]
-    U = np.zeros((n, nv))
-    U[:, 0:3] = time_derivative(P, dt)
-    U[:, 6:] = time_derivative(A, dt)
-    U[1:-1, 3:6] = quat_rotvec_between(Q[:-2], Q[2:]) / (2.0 * dt)
-    U[0, 3:6] = quat_rotvec_between(Q[0], Q[1]) / dt
-    U[-1, 3:6] = quat_rotvec_between(Q[-2], Q[-1]) / dt
-
-    dU = time_derivative(U, dt)
-    return U, dU
+        U = sosfiltfilt(butter_sos(2, smooth_cutoff_hz, fs), U, pad)
+    return U, time_derivative(U, dt)
 
 
 # -- passive exoskeleton torque model ---------------------------------------
@@ -322,10 +316,6 @@ class TorqueSeries:
         if not np.allclose(self.tau_human, self.tau_net - self.tau_exo, rtol=0.0, atol=0.0):
             raise ValidationError("tau_human must equal tau_net - tau_exo exactly")
 
-    @property
-    def n_frames(self) -> int:
-        return len(self.times)
-
 
 def decompose_torque(
     times: np.ndarray,
@@ -357,7 +347,7 @@ def net_lumbar_series(
     kinematics: TrajectoryKinematics,
     dt: float,
     gravity: float | np.ndarray = GRAVITY_DEFAULT,
-    smooth_cutoff_hz: float | None = 5.0,
+    smooth_cutoff_hz: float | None = DERIVATIVE_SMOOTHING_HZ,
 ) -> np.ndarray:
     """Flexion-positive net L5/S1 sagittal torque of a joint trajectory, from
     the link frames and configurations of its kinematics."""

@@ -28,6 +28,7 @@ from .biosignals import (
     settle_samples,
 )
 from .dynamics import (
+    DERIVATIVE_SMOOTHING_HZ,
     GRAVITY_DEFAULT,
     LaevoModel,
     TorqueSeries,
@@ -113,7 +114,7 @@ class SessionConfig:
     exoskeleton: str = "none"  # none | laevo
     exoskeleton_params_file: Path | None = None
     solver_settings_file: Path | None = None
-    derivative_smoothing_hz: float | None = 5.0
+    derivative_smoothing_hz: float | None = DERIVATIVE_SMOOTHING_HZ
     gravity: float = GRAVITY_DEFAULT
     emg: EmgConfig | None = None
     ecg: EcgConfig | None = None
@@ -171,7 +172,7 @@ def load_config(path: str | Path) -> SessionConfig:
         exoskeleton_params_file=file(top, "exoskeleton_params_file"),
         solver_settings_file=file(top, "solver_settings_file"),
         derivative_smoothing_hz=top.get(
-            "derivative_smoothing_hz", float, 5.0, null=True, positive=True
+            "derivative_smoothing_hz", float, DERIVATIVE_SMOOTHING_HZ, null=True, positive=True
         ),
         gravity=top.get("gravity", float, GRAVITY_DEFAULT),
         emg=emg,
@@ -254,12 +255,17 @@ def emit_boxplot_data(
 
 
 @contextmanager
-def _stage(name: str):
-    """Re-raise package errors with the pipeline stage named."""
+def _prefixed(prefix: object):
+    """Re-raise package errors with ``prefix`` in front of the message,
+    keeping their type and so the exit code."""
     try:
         yield
     except ExoloadError as exc:
-        raise type(exc)(f"stage {name}: {exc}") from exc
+        raise type(exc)(f"{prefix}: {exc}") from exc
+
+
+def _stage(name: str):
+    return _prefixed(f"stage {name}")
 
 
 def _summary_row(trial: str, label: str, channel: str, s: DistributionSummary) -> list:
@@ -399,37 +405,39 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
 
     if config.emg is not None:
         with _stage("emg"):
+            # the readers name their file; the prefix names it for the processing
             baseline = eio.read_emg_file(config.emg.baseline_file, config.emg.sample_rate)
-            # each record drops its own settle-in, at its own sample rate
-            settle = settle_samples(baseline.sample_rate)
-            base_env = {
-                name: emg_envelope(samples, baseline.sample_rate)[settle:]
-                for name, samples in baseline.channels.items()
-            }
+            with _prefixed(config.emg.baseline_file):
+                # each record drops its own settle-in, at its own sample rate
+                settle = settle_samples(baseline.sample_rate)
+                base_env = {
+                    name: emg_envelope(samples, baseline.sample_rate)[settle:]
+                    for name, samples in baseline.channels.items()
+                }
             rows = []
             for label, file in config.emg.trial_files.items():
                 record = eio.read_emg_file(file, config.emg.sample_rate)
-                settle = settle_samples(record.sample_rate)
-                for name in sorted(set(base_env) | set(record.channels)):
-                    if name not in record.channels or name not in base_env:
-                        rows.append([label, name, "NA"])
-                        continue
-                    env = emg_envelope(record.channels[name], record.sample_rate)[settle:]
-                    rows.append([label, name, emg_change_pct(env, base_env[name])])
-                    boxplots.append(("emg_envelope", label, name, summarize(env)))
+                with _prefixed(file):
+                    settle = settle_samples(record.sample_rate)
+                    for name in sorted(set(base_env) | set(record.channels)):
+                        if name not in record.channels or name not in base_env:
+                            rows.append([label, name, "NA"])
+                            continue
+                        env = emg_envelope(record.channels[name], record.sample_rate)[settle:]
+                        rows.append([label, name, emg_change_pct(env, base_env[name])])
+                        boxplots.append(("emg_envelope", label, name, summarize(env)))
             write("emg_changes", ["label", "channel", "change_pct"], rows)
 
     if config.ecg is not None:
         with _stage("ecg"):
             for label, file in config.ecg.files.items():
                 record = eio.read_ecg_file(file, config.ecg.channel)
-                beats = detect_r_peaks(record.samples, record.sample_rate)
-                duration = len(record.samples) / record.sample_rate
-                annotation = TrialAnnotation(
-                    label, (AnnotationSegment("control", 0.0, duration + 1e-9),)
-                )
-                for _, s in heart_rate_stats(beats, annotation):
-                    boxplots.append(("heart_rate", label, "heart_rate_bpm", s))
+                with _prefixed(file):
+                    beats = detect_r_peaks(record.samples, record.sample_rate)
+                    duration = len(record.samples) / record.sample_rate
+                    annotation = TrialAnnotation(label, (AnnotationSegment("control", 0.0, duration + 1e-9),))
+                    for _, s in heart_rate_stats(beats, annotation):
+                        boxplots.append(("heart_rate", label, "heart_rate_bpm", s))
             write_summaries("heart_rate", "heart_rate", "session")
 
     if config.survey is not None:

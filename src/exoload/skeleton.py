@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .anthropometry import AnthropometricProfile, CoefficientTable, get_table
+from .anthropometry import MASS_FRACTION_TOL, AnthropometricProfile, CoefficientTable, get_table
 from .errors import ValidationError
 from .geometry import (
     IDENTITY_QUAT,
@@ -681,7 +681,7 @@ def _validate_human(model: SkeletonModel, profile: AnthropometricProfile) -> Non
         raise ValidationError(f"expected 18 joints, built {len(model.joints)}")
     if model.n_joint_dofs != 43:
         raise ValidationError(f"expected 43 actuated DoFs, built {model.n_joint_dofs}")
-    if abs(model.total_mass - profile.mass_kg) > 1e-9:
+    if abs(model.total_mass - profile.mass_kg) > MASS_FRACTION_TOL * profile.mass_kg:
         raise ValidationError(
             f"segment masses sum to {model.total_mass!r}, expected {profile.mass_kg!r}"
         )

@@ -108,42 +108,66 @@ def capture_from_configurations(
     return CapturedTrajectory(sample_rate=sample_rate, times=times, segments=tracks)
 
 
-def sinusoid_trajectory(
-    model: SkeletonModel, duration_s: float, sample_rate: float = 240.0
-) -> JointConfiguration:
-    """Smooth upper-body motion (trunk, neck, arms) over mostly fixed legs,
-    starting from the upright configuration: a ``(T,)`` trajectory."""
+# (amplitude in rad, frequency in Hz) of each joint of the sinusoid trajectory
+SINUSOID_JOINTS = {
+    "lumbar_flexion": (0.35, 0.5),
+    "lumbar_axial": (0.10, 0.3),
+    "thoracic_flexion": (0.25, 0.5),
+    "thoracic_lateral": (0.08, 0.4),
+    "left_shoulder_flexion": (0.6, 0.4),
+    "right_shoulder_flexion": (0.6, 0.4),
+    "left_shoulder_lateral": (0.25, 0.3),
+    "right_shoulder_lateral": (-0.25, 0.3),
+    "left_elbow_flexion": (0.4, 0.5),
+    "right_elbow_flexion": (0.4, 0.5),
+}
+# (amplitude, frequency in Hz) of the swaying base: along world x in m, and
+# yaw about world z in rad
+SINUSOID_BASE_SWAY = (0.05, 0.6)
+SINUSOID_BASE_YAW = (0.3, 0.35)
+
+
+def _sinusoid_coordinates(
+    model: SkeletonModel, duration_s: float, sample_rate: float, sway: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sinusoid motion as ``(T, n_velocity)`` coordinates and their first
+    two time derivatives, in the velocity layout: the base offset along x in
+    column 0, the yaw in column 5 and the joint angles from column 6. The
+    yaw turns about the fixed world z, so the derivatives of these columns
+    are the generalized velocities and accelerations of the motion."""
     n = int(round(duration_s * sample_rate))
     t = np.arange(n) / sample_rate
-    amp = {
-        "lumbar_flexion": 0.35,
-        "lumbar_axial": 0.10,
-        "thoracic_flexion": 0.25,
-        "thoracic_lateral": 0.08,
-        "left_shoulder_flexion": 0.6,
-        "right_shoulder_flexion": 0.6,
-        "left_shoulder_lateral": 0.25,
-        "right_shoulder_lateral": -0.25,
-        "left_elbow_flexion": 0.4,
-        "right_elbow_flexion": 0.4,
-    }
-    freq = {
-        "lumbar_flexion": 0.5,
-        "lumbar_axial": 0.3,
-        "thoracic_flexion": 0.5,
-        "thoracic_lateral": 0.4,
-        "left_shoulder_flexion": 0.4,
-        "right_shoulder_flexion": 0.4,
-        "left_shoulder_lateral": 0.3,
-        "right_shoulder_lateral": 0.3,
-        "left_elbow_flexion": 0.5,
-        "right_elbow_flexion": 0.5,
-    }
-    angles = np.zeros((n, model.n_joint_dofs))
-    for name, a in amp.items():
-        angles[:, model.dof_index[name]] = a * np.sin(2 * np.pi * freq[name] * t)
-    base = repeated(model.upright_configuration(), n)
-    return JointConfiguration(base.base_position, base.base_orientation, angles)
+    amp, freq = np.zeros(model.n_velocity), np.zeros(model.n_velocity)
+    for name, (a, f) in SINUSOID_JOINTS.items():
+        amp[6 + model.dof_index[name]], freq[6 + model.dof_index[name]] = a, f
+    if sway:
+        (amp[0], freq[0]), (amp[5], freq[5]) = SINUSOID_BASE_SWAY, SINUSOID_BASE_YAW
+    w = 2 * np.pi * freq
+    sin, cos = np.sin(w * t[:, None]), np.cos(w * t[:, None])
+    return amp * sin, amp * w * cos, -amp * w * w * sin
+
+
+def sinusoid_trajectory(
+    model: SkeletonModel, duration_s: float, sample_rate: float = 240.0, sway: bool = False
+) -> JointConfiguration:
+    """Smooth upper-body motion (trunk, neck, arms) over mostly fixed legs,
+    starting from the upright configuration: a ``(T,)`` trajectory. With
+    ``sway`` the base also sways along x and yaws about z."""
+    x, _, _ = _sinusoid_coordinates(model, duration_s, sample_rate, sway)
+    position = model.upright_configuration().base_position + x[:, 0:3]
+    yaw = x[:, 5]
+    zeros = np.zeros_like(yaw)
+    orientation = np.column_stack([np.cos(yaw / 2), zeros, zeros, np.sin(yaw / 2)])
+    return JointConfiguration(position, orientation, x[:, 6:])
+
+
+def sinusoid_derivatives(
+    model: SkeletonModel, duration_s: float, sample_rate: float = 240.0, sway: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form generalized velocities and accelerations ``(T,
+    n_velocity)`` of :func:`sinusoid_trajectory` with the same arguments."""
+    _, qd, qdd = _sinusoid_coordinates(model, duration_s, sample_rate, sway)
+    return qd, qdd
 
 
 def moving_base_trajectory(

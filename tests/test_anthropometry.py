@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -53,6 +54,25 @@ def test_table_rejects_bad_mass_fractions():
     segments[first] = bad
     with pytest.raises(ValidationError, match="mass fractions sum"):
         CoefficientTable("broken", segments)
+
+
+def test_model_accepts_every_table_its_fraction_check_accepts():
+    """A table whose mass fractions pass the table's 1e-9 check builds a
+    model: the model's mass check scales that tolerance by the body mass.
+    A table off by more is still rejected."""
+    table = get_table("default-v1")
+
+    def shifted(offset):
+        segments = dict(table.segments)
+        segments["thorax"] = dataclasses.replace(
+            segments["thorax"], mass_fraction=segments["thorax"].mass_fraction + offset
+        )
+        return CoefficientTable("shifted", segments)
+
+    model = build_model(AnthropometricProfile(1.75, 70.0), shifted(5e-10))
+    assert model.total_mass == pytest.approx(70.0, rel=1e-9)
+    with pytest.raises(ValidationError, match="mass fractions sum"):
+        shifted(2e-9)
 
 
 def test_model_total_mass_matches_profile():

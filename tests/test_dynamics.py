@@ -11,6 +11,8 @@ from helpers import (
     reference_inverse_dynamics,
     reference_laevo_torques,
     repeated,
+    sinusoid_derivatives,
+    sinusoid_trajectory,
 )
 
 from exoload.dynamics import (
@@ -36,6 +38,7 @@ from exoload.skeleton import (
     Segment,
     SkeletonModel,
     TrajectoryKinematics,
+    lumbar_flexion_index,
 )
 
 
@@ -175,6 +178,40 @@ def test_derivatives_base_rotation():
     quats = np.array([rotvec_to_quat(omega * (k / fs)) for k in range(60)])
     U, _ = estimate_derivatives(hinge_trajectory(np.zeros(60), quats), 1.0 / fs)
     assert np.max(np.abs(U[1:-1, 3:6] - omega)) < 1e-9
+
+
+def test_derivatives_quadratic_yaw_exact_at_both_ends():
+    """The orientation channel takes the same second-order stencil as the
+    others, so a yaw of alpha t^2 / 2 gives omega = alpha t and a constant
+    alpha at every frame, the end frames included."""
+    fs, alpha = 240.0, 2.0
+    t = np.arange(60) / fs
+    yaw = 0.5 * alpha * t * t
+    quats = np.column_stack([np.cos(yaw / 2), np.zeros(60), np.zeros(60), np.sin(yaw / 2)])
+    U, dU = estimate_derivatives(hinge_trajectory(np.zeros(60), quats), 1.0 / fs)
+    assert np.max(np.abs(U[:, 5] - alpha * t)) <= 1e-9
+    assert np.max(np.abs(dU[:, 5] - alpha)) <= 1e-9
+
+
+def test_net_lumbar_series_matches_analytic_derivatives(model):
+    """On a 3 s sinusoid whose base also sways and yaws, the lumbar load from
+    the smoothed derivative estimate stays close to the load from the
+    closed-form derivatives: at most 3 Nm RMS over each end's 48 frames
+    (0.2 s, where the 5 Hz filter settles) and 0.05 Nm in between."""
+    dt, edge = 1.0 / 240.0, 48
+    truth = sinusoid_trajectory(model, 3.0, sway=True)
+    qd, qdd = sinusoid_derivatives(model, 3.0, sway=True)
+    kinematics = TrajectoryKinematics(model, truth)
+    estimate = net_lumbar_series(kinematics, dt, smooth_cutoff_hz=5.0)
+    tau = inverse_dynamics_series(kinematics, qd, qdd)
+    err = estimate - LUMBAR_LOAD_SIGN * tau[:, 6 + lumbar_flexion_index(model)]
+
+    def rms(e):
+        return float(np.sqrt(np.mean(e**2)))
+
+    assert rms(err[:edge]) <= 3.0
+    assert rms(err[-edge:]) <= 3.0
+    assert rms(err[edge:-edge]) <= 0.05
 
 
 def test_derivatives_need_three_frames():
