@@ -142,6 +142,19 @@ def settle_samples(fs: float) -> int:
     return int(round(EMG_SETTLE_S * fs))
 
 
+def settled_envelope(raw: np.ndarray, fs: float) -> np.ndarray:
+    """The envelope of a recording without its settle-in of
+    ``settle_samples(fs)``; a recording that does not outlast it is an
+    error."""
+    settle = settle_samples(fs)
+    env = emg_envelope(raw, fs)
+    if env.size <= settle:
+        raise ValidationError(
+            f"empty signal: {env.size} samples do not outlast the {settle}-sample settle-in"
+        )
+    return env[settle:]
+
+
 def detect_r_peaks(ecg: np.ndarray, fs: float) -> np.ndarray:
     """Beat times (s) via band-pass, derivative, squaring, moving integration
     and an adaptive threshold with a 250 ms refractory period."""

@@ -121,20 +121,26 @@ def matrix_to_quat(R: np.ndarray) -> np.ndarray:
     return quat_normalize(q).reshape(R.shape[:-2] + (4,))
 
 
+# flattened [a]x = _SKEW @ a and flattened identity, as (9, 3) and (9, 1)
+_SKEW = np.array(
+    [[0, 0, 0], [0, 0, -1], [0, 1, 0], [0, 0, 1], [0, 0, 0], [-1, 0, 0], [0, -1, 0], [1, 0, 0], [0, 0, 0]],
+    dtype=float,
+)
+_IDENTITY_FLAT = np.eye(3).reshape(9, 1)
+
+
 def axis_angle_matrix(axis: np.ndarray, angle: float | np.ndarray) -> np.ndarray:
-    """Rodrigues rotation about a unit axis. An array of angles of shape
-    ``(T,)`` gives the matrices stacked on the last axis, ``(3, 3, T)``."""
-    x, y, z = axis
-    c = np.cos(angle)
-    s = np.sin(angle)
-    t = 1.0 - c
-    return np.array(
-        [
-            [t * x * x + c, t * x * y - s * z, t * x * z + s * y],
-            [t * x * y + s * z, t * y * y + c, t * y * z - s * x],
-            [t * x * z - s * y, t * y * z + s * x, t * z * z + c],
-        ]
-    )
+    """Rodrigues rotation ``c I + s [a]x + (1 - c) a a^T`` about a unit axis
+    ``a``. Axes ``(3, n)`` with angles ``(*batch, n)``, or an axis ``(3,)``
+    with angles ``(T,)``, give the matrices stacked on the trailing axes,
+    ``(3, 3, *batch, n)`` or ``(3, 3, T)``."""
+    a = np.asarray(axis, dtype=float)
+    c, s = np.cos(angle), np.sin(angle)
+    # the axis components broadcast against the angles' trailing axes
+    a = a.reshape((3,) + (1,) * (np.ndim(c) - a.ndim + 1) + a.shape[1:])
+    R = ((1.0 - c) * a)[:, None] * a[None, :]
+    R += (_SKEW @ (s * a).reshape(3, -1) + _IDENTITY_FLAT * np.reshape(c, -1)).reshape(R.shape)
+    return R
 
 
 def rotvec_to_quat(rv: np.ndarray) -> np.ndarray:

@@ -23,9 +23,8 @@ from .biosignals import (
     EMG_LOWPASS_HZ,
     detect_r_peaks,
     emg_change_pct,
-    emg_envelope,
     heart_rate_stats,
-    settle_samples,
+    settled_envelope,
 )
 from .dynamics import (
     DERIVATIVE_SMOOTHING_HZ,
@@ -407,23 +406,21 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
         with _stage("emg"):
             # the readers name their file; the prefix names it for the processing
             baseline = eio.read_emg_file(config.emg.baseline_file, config.emg.sample_rate)
+            # each record drops its own settle-in, at its own sample rate
             with _prefixed(config.emg.baseline_file):
-                # each record drops its own settle-in, at its own sample rate
-                settle = settle_samples(baseline.sample_rate)
                 base_env = {
-                    name: emg_envelope(samples, baseline.sample_rate)[settle:]
+                    name: settled_envelope(samples, baseline.sample_rate)
                     for name, samples in baseline.channels.items()
                 }
             rows = []
             for label, file in config.emg.trial_files.items():
                 record = eio.read_emg_file(file, config.emg.sample_rate)
                 with _prefixed(file):
-                    settle = settle_samples(record.sample_rate)
                     for name in sorted(set(base_env) | set(record.channels)):
                         if name not in record.channels or name not in base_env:
                             rows.append([label, name, "NA"])
                             continue
-                        env = emg_envelope(record.channels[name], record.sample_rate)[settle:]
+                        env = settled_envelope(record.channels[name], record.sample_rate)
                         rows.append([label, name, emg_change_pct(env, base_env[name])])
                         boxplots.append(("emg_envelope", label, name, summarize(env)))
             write("emg_changes", ["label", "channel", "change_pct"], rows)

@@ -10,6 +10,10 @@ Problem form::
 The Tikhonov term keeps the Hessian positive definite, so the active-set
 iteration terminates finitely. Everything is deterministic: fixed tie-breaking
 (lowest index first), no randomized pivoting.
+
+``solve_hierarchy`` solves two strictly prioritized levels of that form from
+one QR factorization of the level-1 Jacobian, and runs the active set only
+when a bound binds.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ import numpy as np
 from .errors import InfeasibleBoundsError, SolverError
 
 _STEP_TOL = 1e-12
+# the level-1 rows count as independent when the smallest diagonal entry of
+# their triangular factor exceeds this share of the largest
+_RANK_RATIO = 1e-6
 
 
 @dataclass
@@ -162,3 +169,69 @@ def solve_ls_qp(
         working[idx] = False
 
     raise SolverError(f"active-set QP did not converge in {max_iterations} iterations")
+
+
+def solve_hierarchy(
+    J1: np.ndarray,
+    v1: np.ndarray,
+    J2: np.ndarray,
+    v2: np.ndarray,
+    eps: float,
+    lb: np.ndarray,
+    ub: np.ndarray,
+    max_iterations: int = 200,
+    tolerance: float = 1e-10,
+) -> QPResult:
+    """Two strictly prioritized levels within ``lb <= x <= ub``: level 1
+    minimizes ``||J1 x - v1||^2 + eps ||x||^2``, and level 2 minimizes
+    ``||J2 x - v2||^2 + eps ||x||^2`` while ``J1 x`` stays at level 1's
+    optimum. ``J2`` may have no rows.
+
+    With ``J1^T = Q R`` and ``R1`` the top square block of ``R``, level 1 is
+    ``x1 = Q[:, :m1] solve(R1 R1^T + eps I, R1 v1)`` and level 2 moves in
+    the null space ``Z = Q[:, m1:]``, with ``B = J2 Z``:
+    ``x = x1 + Z solve(B^T B + eps I, B^T (v2 - J2 x1))``. The Tikhonov
+    term needs no cross term because ``x1`` is orthogonal to ``Z``. That is
+    each level's first active-set iteration with every bound free, so such a
+    solution reports one iteration per level and no active bound. When the
+    level-1 rows are not clearly independent, or ``x1`` or ``x`` leaves the
+    bounds, both levels go through ``solve_ls_qp`` from scratch instead,
+    and the result reports the iterations of both calls and the union of
+    their active bounds."""
+    m1, n = J1.shape
+    two_levels = J2.shape[0] > 0
+
+    def within_bounds(x: np.ndarray) -> bool:
+        return bool(np.all((lb <= x) & (x <= ub)))
+
+    if 0 < m1 <= n:
+        Q, R = np.linalg.qr(J1.T, mode="complete")
+        R1 = R[:m1]
+        diag = np.abs(np.diagonal(R1))
+        if diag.min() > _RANK_RATIO * diag.max():
+            H = R1 @ R1.T
+            H.flat[:: m1 + 1] += eps
+            x = Q[:, :m1] @ np.linalg.solve(H, R1 @ v1)
+            iterations = 1
+            if two_levels and within_bounds(x):
+                Z = Q[:, m1:]
+                if Z.shape[1]:
+                    B = J2 @ Z
+                    G = B.T @ B
+                    G.flat[:: Z.shape[1] + 1] += eps
+                    x = x + Z @ np.linalg.solve(G, B.T @ (v2 - J2 @ x))
+                iterations = 2
+            if within_bounds(x):
+                return QPResult(x=x, iterations=iterations)
+
+    options = {"max_iterations": max_iterations, "tolerance": tolerance}
+    r1 = solve_ls_qp(J1, v1, eps, lb, ub, **options)
+    if not two_levels:
+        return r1
+    r2 = solve_ls_qp(J2, v2, eps, lb, ub, C=J1, d=J1 @ r1.x, x0=r1.x, **options)
+    return QPResult(
+        x=r2.x,
+        iterations=r1.iterations + r2.iterations,
+        active_lower=sorted(set(r1.active_lower) | set(r2.active_lower)),
+        active_upper=sorted(set(r1.active_upper) | set(r2.active_upper)),
+    )

@@ -1,12 +1,13 @@
 """Per-frame hierarchical velocity-QP inverse kinematics that replays captured
 Cartesian segment trajectories on the scaled model.
 
-Two strictly prioritized levels are solved as cascaded QPs: the level-2
-problem minimizes its own tracking residual subject to an equality constraint
-that pins the level-1 task velocities to the level-1 optimum, so adding or
-rescaling level-2 tasks can never degrade level-1 tracking beyond solver
-tolerance. Velocity references combine proportional feedback on the pose error
-with a finite-difference feedforward of the reference trajectory.
+Two strictly prioritized levels are solved as cascaded QPs
+(``qp.solve_hierarchy``): the level-2 problem minimizes its own tracking
+residual subject to an equality constraint that pins the level-1 task
+velocities to the level-1 optimum, so adding or rescaling level-2 tasks can
+never degrade level-1 tracking beyond solver tolerance. Velocity references
+combine proportional feedback on the pose error with a finite-difference
+feedforward of the reference trajectory.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .geometry import (
     quat_to_matrix,
     vector_norms,
 )
-from .qp import solve_ls_qp
+from .qp import solve_hierarchy
 from .skeleton import (
     TASK_KINDS,
     JointConfiguration,
@@ -304,30 +305,25 @@ def _solve_step(
 
     n = plan.model.n_velocity
     bound = settings.velocity_bound
-    lb, ub = -np.full(n, bound), np.full(n, bound)
-    options = {"max_iterations": settings.max_iterations, "tolerance": settings.tolerance}
-    r1 = solve_ls_qp(J1, v1, settings.epsilon, lb, ub, **options)
-
-    if plan.n_rows > m1:
-        J2, v2 = J[m1:], v[m1:]
-        r2 = solve_ls_qp(
-            J2, v2, settings.epsilon, lb, ub, C=J1, d=J1 @ r1.x, x0=r1.x, **options
-        )
-        qdot = r2.x
-        iterations = r1.iterations + r2.iterations
-        saturated = sorted(set(r1.saturated) | set(r2.saturated))
-    else:
-        qdot = r1.x
-        iterations = r1.iterations
-        saturated = r1.saturated
-
+    result = solve_hierarchy(
+        J1,
+        v1,
+        J[m1:],
+        v[m1:],
+        settings.epsilon,
+        -np.full(n, bound),
+        np.full(n, bound),
+        max_iterations=settings.max_iterations,
+        tolerance=settings.tolerance,
+    )
+    qdot = result.x
     return _Step(
         velocity=qdot,
         next_configuration=integrate_configuration(plan.model, q_current, qdot, dt),
         position_error=pos_err,
         orientation_error=ori_err,
         level1_residual=float(np.linalg.norm(J1 @ qdot - v1)),
-        diagnostics=FrameDiagnostics(iterations=iterations, active_constraints=saturated),
+        diagnostics=FrameDiagnostics(result.iterations, result.saturated),
     )
 
 

@@ -15,7 +15,6 @@ from exoload.dynamics import GRAVITY_DEFAULT, LaevoModel
 from exoload.errors import InfeasibleBoundsError, ValidationError
 from exoload.geometry import (
     IDENTITY_QUAT,
-    axis_angle_matrix,
     orientation_error,
     quat_normalize,
     quat_rotvec_between,
@@ -23,7 +22,7 @@ from exoload.geometry import (
     rotvec_to_quat,
 )
 from exoload.posture import AnnotationSegment, TrialAnnotation
-from exoload.qp import solve_ls_qp
+from exoload.qp import QPResult, solve_ls_qp
 from exoload.retarget import (
     CapturedTrajectory,
     FrameDiagnostics,
@@ -349,13 +348,30 @@ def reference_read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
     return header, data
 
 
+def reference_axis_angle_matrix(axis: np.ndarray, angle: float | np.ndarray) -> np.ndarray:
+    """Rodrigues rotation about a unit axis written out entry by entry, the
+    matrix assembled from nested lists: the oracle for
+    ``geometry.axis_angle_matrix``."""
+    x, y, z = axis
+    c = np.cos(angle)
+    s = np.sin(angle)
+    t = 1.0 - c
+    return np.array(
+        [
+            [t * x * x + c, t * x * y - s * z, t * x * z + s * y],
+            [t * x * y + s * z, t * y * y + c, t * y * z - s * x],
+            [t * x * z - s * y, t * y * z + s * x, t * z * z + c],
+        ]
+    )
+
+
 def reference_link_frames(
     model: SkeletonModel, q: JointConfiguration
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """World rotation ``(n, 3, 3)``, origin ``(n, 3)`` and joint axis
     ``(n, 3)`` of every link of one configuration, one link at a time with
     the base as a separate parent and each joint rotation from its own
-    ``axis_angle_matrix`` call: the per-link oracle for
+    ``reference_axis_angle_matrix`` call: the per-link oracle for
     ``skeleton.link_frames``."""
     base_rotation = quat_to_matrix(q.base_orientation)
     base_position = np.asarray(q.base_position, dtype=float)
@@ -368,7 +384,7 @@ def reference_link_frames(
         else:
             R_p, x_p = frames[p - 1, :, :3], position[p - 1]
         local = np.empty((3, 5))
-        local[:, :3] = axis_angle_matrix(model._dof_axis[i], q.joint_angles[i])
+        local[:, :3] = reference_axis_angle_matrix(model._dof_axis[i], q.joint_angles[i])
         local[:, 3] = model._dof_offset[i]
         local[:, 4] = model._dof_axis[i]
         np.matmul(R_p, local, out=frames[i])
@@ -663,6 +679,33 @@ def reference_frame_references(
     ]
 
 
+def reference_two_level_step(
+    J1: np.ndarray,
+    v1: np.ndarray,
+    J2: np.ndarray,
+    v2: np.ndarray,
+    settings: SolverSettings,
+) -> QPResult:
+    """One frame's two levels as two active-set QPs: level 1 under the
+    velocity bounds, then level 2 with the level-1 task velocities held by
+    an equality constraint, started from level 1's solution. Iterations
+    add up and the active bounds are the union of both levels'. The oracle
+    for ``qp.solve_hierarchy``."""
+    n = J1.shape[1]
+    lb, ub = -np.full(n, settings.velocity_bound), np.full(n, settings.velocity_bound)
+    options = {"max_iterations": settings.max_iterations, "tolerance": settings.tolerance}
+    r1 = solve_ls_qp(J1, v1, settings.epsilon, lb, ub, **options)
+    if not J2.shape[0]:
+        return r1
+    r2 = solve_ls_qp(J2, v2, settings.epsilon, lb, ub, C=J1, d=J1 @ r1.x, x0=r1.x, **options)
+    return QPResult(
+        x=r2.x,
+        iterations=r1.iterations + r2.iterations,
+        active_lower=sorted(set(r1.active_lower) | set(r2.active_lower)),
+        active_upper=sorted(set(r1.active_upper) | set(r2.active_upper)),
+    )
+
+
 def reference_retarget(
     model: SkeletonModel,
     captured: CapturedTrajectory,
@@ -671,16 +714,13 @@ def reference_retarget(
 ) -> tuple[list[JointConfiguration], list[FrameDiagnostics]]:
     """The two-level velocity-QP loop over a uniform capture, for a stack
     with tasks on both levels, driven by the per-task row assembly of
-    ``reference_task_rows``. Each task's Jacobian comes from
-    ``KinematicState.jacobian``, so both loops see the same Jacobian bits:
-    the regularized QP turns the last-bit difference of the ``np.cross``
-    CoM oracle into joint-angle drift of order 1e-8 rad over a saturating
-    trajectory. The Jacobian values are checked against that oracle on
-    their own."""
+    ``reference_task_rows`` and solved by ``reference_two_level_step``.
+    Each task's Jacobian comes from ``KinematicState.jacobian``, so both
+    loops see the same Jacobian bits: the regularized QP turns the last-bit
+    difference of the ``np.cross`` CoM oracle into joint-angle drift of
+    order 1e-8 rad over a saturating trajectory. The Jacobian values are
+    checked against that oracle on their own."""
     dt = 1.0 / captured.sample_rate
-    n = model.n_velocity
-    lb, ub = -np.full(n, settings.velocity_bound), np.full(n, settings.velocity_bound)
-    options = {"max_iterations": settings.max_iterations, "tolerance": settings.tolerance}
     q = model.upright_configuration()
     configurations, diagnostics = [], []
     for refs in reference_frame_references(model, captured, tasks):
@@ -689,14 +729,12 @@ def reference_retarget(
             state, tasks, refs, settings.gain, KinematicState.jacobian
         )
         try:
-            r1 = solve_ls_qp(J1, v1, settings.epsilon, lb, ub, **options)
-            r2 = solve_ls_qp(J2, v2, settings.epsilon, lb, ub, C=J1, d=J1 @ r1.x, x0=r1.x, **options)
+            r = reference_two_level_step(J1, v1, J2, v2, settings)
         except InfeasibleBoundsError as exc:
             diagnostics.append(FrameDiagnostics(skipped=True, message=str(exc)))
             configurations.append(q)
             continue
-        saturated = sorted(set(r1.saturated) | set(r2.saturated))
-        diagnostics.append(FrameDiagnostics(r1.iterations + r2.iterations, saturated))
-        q = integrate_configuration(model, q, r2.x, dt)
+        diagnostics.append(FrameDiagnostics(r.iterations, r.saturated))
+        q = integrate_configuration(model, q, r.x, dt)
         configurations.append(q)
     return configurations, diagnostics

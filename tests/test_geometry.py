@@ -1,6 +1,11 @@
 import numpy as np
 
-from helpers import reference_matrix_to_quat, reference_matrix_to_rotvec
+from helpers import (
+    default_model,
+    reference_axis_angle_matrix,
+    reference_matrix_to_quat,
+    reference_matrix_to_rotvec,
+)
 
 from exoload.geometry import (
     axis_angle_matrix,
@@ -65,3 +70,28 @@ def test_stacked_orientation_errors_equal_pairwise_calls():
         assert np.array_equal(errors[k], orientation_error(R[k + 1], R[k]))
     angles = np.linalg.norm(matrix_to_rotvec(R), axis=1)
     assert np.max(angles) <= np.pi + 1e-12 and np.max(angles) >= np.pi - 1e-6
+
+
+def test_axis_angle_matrix_matches_entrywise_formula():
+    """One axis and angle, one axis over ``(T,)`` angles, and ``(3, n)``
+    axes over ``(*batch, n)`` angles, against the entry-by-entry Rodrigues
+    formula: equal on the model's coordinate axes and within 1e-15 on random
+    unit axes, where the two formulas round their products in a different
+    order."""
+    rng = np.random.default_rng(17)
+    axes = rng.normal(size=(3, 6))
+    axes /= np.linalg.norm(axes, axis=0)
+    angles = rng.uniform(-np.pi, np.pi, size=(2, 5, 6))
+    got = axis_angle_matrix(axes, angles)
+    assert got.shape == (3, 3, 2, 5, 6)
+    for b in range(2):
+        for t in range(5):
+            for j in range(6):
+                expected = reference_axis_angle_matrix(axes[:, j], angles[b, t, j])
+                assert np.max(np.abs(got[:, :, b, t, j] - expected)) <= 1e-15
+    series = axis_angle_matrix(axes[:, 0], angles[0, :, 0])
+    assert series.shape == (3, 3, 5)
+    assert np.max(np.abs(series - reference_axis_angle_matrix(axes[:, 0], angles[0, :, 0]))) <= 1e-15
+    model = default_model()
+    for axis, angle in zip(model._dof_axis, rng.uniform(-np.pi, np.pi, model.n_joint_dofs)):
+        assert np.array_equal(axis_angle_matrix(axis, angle), reference_axis_angle_matrix(axis, angle))

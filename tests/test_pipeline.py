@@ -286,6 +286,24 @@ def write_short_emg_trial(tmp_path):
     return {"emg": {"baseline_file": "baseline.csv", "trial_files": {"PS": "short.csv"}}}
 
 
+def test_cli_emg_baseline_shorter_than_settle_in_names_the_baseline(tmp_path, capsys):
+    """A 0.3 s baseline with a 2 s trial: the baseline envelope does not
+    outlast its 0.5 s settle-in, and the error names the baseline, not the
+    trial whose change it would have been compared with."""
+    write_emg_csv(tmp_path / "baseline.csv", 2000.0, 0.3, {"ESL_L": 50.0})
+    write_emg_csv(tmp_path / "trial.csv", 2000.0, 2.0, {"ESL_L": 50.0})
+    config = {
+        "profile": {"height_m": 1.75, "mass_kg": 70.0},
+        "emg": {"baseline_file": "baseline.csv", "trial_files": {"PS": "trial.csv"}},
+        "output_dir": "out",
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert cli.main(["emg", "--config", str(tmp_path / "config.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'baseline.csv'}: empty signal" in err and "settle-in" in err
+    assert "trial.csv" not in err
+
+
 def write_ecg(tmp_path, duration_s, flat):
     n = int(duration_s * 500.0)
     signal = np.zeros(n) if flat else synthetic_ecg(500.0, duration_s, 70.0)[0]
@@ -330,7 +348,7 @@ def test_cli_stray_linalg_error_exits_3_naming_the_subcommand(tmp_path, capsys, 
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr("exoload.retarget.solve_ls_qp", singular)
+    monkeypatch.setattr("exoload.retarget.solve_hierarchy", singular)
     config_path = write_bend_session(tmp_path, duration_s=0.5, with_annotation=False)
     assert cli.main(["retarget", "--config", str(config_path)]) == 3
     err = capsys.readouterr().err

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
 
+from helpers import reference_two_level_step
+
 from exoload.errors import InfeasibleBoundsError
-from exoload.qp import solve_ls_qp
+from exoload.qp import solve_hierarchy, solve_ls_qp
+from exoload.retarget import SolverSettings
 
 
 def objective(A, b, eps, x):
@@ -147,3 +150,98 @@ def test_fixed_problems_keep_iterations_and_active_sets(name, iterations, active
     assert r.active_lower == active_lower
     assert r.active_upper == active_upper
     assert all(type(i) is int for i in r.active_lower + r.active_upper)
+
+
+# bounds far outside every solution below, so no bound binds
+WIDE = SolverSettings(velocity_bound=100.0)
+
+
+def hierarchy(settings, J1, v1, J2, v2):
+    """``solve_hierarchy`` with the bounds and options of ``settings``, as
+    the retargeter calls it."""
+    n = J1.shape[1]
+    bound = np.full(n, settings.velocity_bound)
+    return solve_hierarchy(
+        J1,
+        v1,
+        J2,
+        v2,
+        settings.epsilon,
+        -bound,
+        bound,
+        max_iterations=settings.max_iterations,
+        tolerance=settings.tolerance,
+    )
+
+
+def assert_matches_oracle(got, want, tol):
+    assert np.max(np.abs(got.x - want.x)) <= tol
+    assert got.iterations == want.iterations
+    assert got.active_lower == want.active_lower
+    assert got.active_upper == want.active_upper
+
+
+def test_hierarchy_matches_two_call_oracle_on_random_problems(active_set_calls):
+    """Well-conditioned two-level problems, and level-1-only ones, solved
+    without the active set: the oracle's velocities within 1e-9, one
+    iteration per level and no active bound."""
+    rng = np.random.default_rng(21)
+    for k in range(60):
+        n = int(rng.integers(4, 20))
+        m1 = int(rng.integers(1, n // 2 + 1))
+        m2 = 0 if k % 5 == 0 else int(rng.integers(n, 2 * n))
+        J1, J2 = rng.normal(size=(m1, n)), rng.normal(size=(m2, n))
+        v1, v2 = rng.normal(size=m1), rng.normal(size=m2)
+        got = hierarchy(WIDE, J1, v1, J2, v2)
+        want = reference_two_level_step(J1, v1, J2, v2, WIDE)
+        assert_matches_oracle(got, want, 1e-9)
+        assert want.iterations == (1 if m2 == 0 else 2) and want.saturated == []
+    assert active_set_calls == []
+
+
+@pytest.mark.parametrize("name", ["tie", "seed100", "seed101", "seed102", "seed103"])
+def test_hierarchy_matches_two_call_oracle_on_fixed_problems(name, active_set_calls):
+    """The fixed problems above with wide bounds: level 1 is the problem's
+    equality rows, or else its first two least-squares rows, and level 2
+    the least-squares rows that level 1 does not hold. Level 2 has fewer
+    rows than free directions, so only ``eps`` regularizes it: its reduced
+    normal matrix has a condition number of 2e7 to 4e7, and either path
+    lies up to about 3e-8 from the exact solution of the 12-coordinate
+    problems, so the two agree to 1e-8 rather than 1e-9."""
+    p = fixed_problem(name)
+    A, b = p["A"], p["b"]
+    J1, v1, J2, v2 = (p["C"], p["d"], A, b) if "C" in p else (A[:2], b[:2], A[2:], b[2:])
+    got = hierarchy(WIDE, J1, v1, J2, v2)
+    assert_matches_oracle(got, reference_two_level_step(J1, v1, J2, v2, WIDE), 1e-8)
+    assert active_set_calls == []
+
+
+def test_rank_deficient_level_one_runs_the_active_set_bit_identically(active_set_calls):
+    """Duplicated level-1 rows fail the rank test, so both levels go through
+    the oracle's two active-set calls and give its bits."""
+    rng = np.random.default_rng(23)
+    J1 = rng.normal(size=(4, 12))
+    J1 = np.vstack([J1, J1[1]])
+    J2, v2 = rng.normal(size=(9, 12)), rng.normal(size=9)
+    v1 = np.append(rng.normal(size=4), 0.0)
+    v1[4] = v1[1]
+    got = hierarchy(SolverSettings(), J1, v1, J2, v2)
+    want = reference_two_level_step(J1, v1, J2, v2, SolverSettings())
+    assert active_set_calls == [False, True]
+    assert np.array_equal(got.x, want.x)
+    assert_matches_oracle(got, want, 0.0)
+
+
+def test_binding_bound_runs_the_active_set_bit_identically(active_set_calls):
+    """An interior optimum outside a 0.05 bound: the oracle's bits, its
+    iterations and its active bounds."""
+    rng = np.random.default_rng(25)
+    J1, J2 = rng.normal(size=(3, 10)), rng.normal(size=(8, 10))
+    v1, v2 = rng.normal(size=3), rng.normal(size=8)
+    tight = SolverSettings(velocity_bound=0.05)
+    got = hierarchy(tight, J1, v1, J2, v2)
+    want = reference_two_level_step(J1, v1, J2, v2, tight)
+    assert active_set_calls == [False, True]
+    assert want.saturated and want.iterations > 2
+    assert np.array_equal(got.x, want.x)
+    assert_matches_oracle(got, want, 0.0)

@@ -12,6 +12,7 @@ from helpers import (
     reference_quat_slerp,
     reference_retarget,
     reference_task_rows,
+    reference_two_level_step,
     sinusoid_trajectory,
     tracked_dof_indices,
 )
@@ -26,14 +27,17 @@ from exoload.geometry import (
     quat_to_rotvec,
     rotvec_to_quat,
 )
+from exoload.qp import solve_hierarchy
 from exoload.retarget import (
     CapturedTrajectory,
+    FrameDiagnostics,
     Reference,
     SegmentTrack,
     SolverSettings,
     TaskSpec,
     _RowPlan,
     _estimate_com_track,
+    _frame_reference_arrays,
     _reference_tracks,
     _trajectory_references,
     default_task_stack,
@@ -360,6 +364,79 @@ def test_retarget_loop_matches_per_task_loop_when_saturating(model):
     angles = np.array([c.joint_angles for c in result.configurations])
     oracle = np.array([c.joint_angles for c in expected])
     assert np.max(np.abs(angles - oracle)) <= 1e-9
+
+
+def level_rows(plan, q, refs, k, settings):
+    """Both level Jacobians and velocity references of frame ``k`` from
+    configuration ``q``."""
+    J, v, _, _ = plan.rows(KinematicState(plan.model, q), refs, k, settings.gain)
+    m1 = plan.n_level1_rows
+    return J[:m1], v[:m1], J[m1:], v[m1:]
+
+
+@pytest.mark.parametrize("trajectory", [sinusoid_trajectory, moving_base_trajectory])
+def test_fused_step_matches_two_call_oracle_on_every_frame(model, trajectory):
+    """On every frame of a 1 s retargeting, the one-factorization step gives
+    the two active-set calls' velocity within 1e-9, their iterations and
+    active bounds, and the frame's diagnostics are the oracle's."""
+    captured = capture_from_configurations(model, trajectory(model, 1.0), 240.0)
+    tasks, settings = default_task_stack(), SolverSettings()
+    plan = _RowPlan(model, tasks)
+    n, dt = captured.n_frames, 1.0 / captured.sample_rate
+    refs = _trajectory_references(plan, _reference_tracks(model, captured, tasks), n, dt)
+    result = retarget_trajectory(model, captured, tasks, settings)
+    bound = np.full(model.n_velocity, settings.velocity_bound)
+    q = model.upright_configuration()
+    for k in range(n):
+        rows = level_rows(plan, q, refs, k, settings)
+        got = solve_hierarchy(*rows, settings.epsilon, -bound, bound)
+        want = reference_two_level_step(*rows, settings)
+        assert np.max(np.abs(got.x - want.x)) <= 1e-9, k
+        assert (got.iterations, got.active_lower, got.active_upper) == (
+            want.iterations, want.active_lower, want.active_upper
+        ), k
+        assert result.diagnostics[k] == FrameDiagnostics(want.iterations, want.saturated), k
+        q = result.configurations[k]
+
+
+@pytest.mark.parametrize("case", ["duplicated-level-1-rows", "binding-velocity-bound"])
+def test_fallback_frames_are_bit_identical_to_two_call_oracle(model, active_set_calls, case):
+    """A level 1 that lists a foot twice fails the rank test, and a 0.05
+    rad/s bound binds on a wrist reach: both frames run the two active-set
+    calls and give the oracle's bits and diagnostics."""
+    q = model.upright_configuration()
+    tasks, settings = default_task_stack(), SolverSettings()
+    refs = current_pose_references(model, q, tasks)
+    refs["right_wrist"] = Reference(
+        position=refs["right_wrist"].position + np.array([0.2, 0.0, 0.1]), rotation=np.eye(3)
+    )
+    if case == "duplicated-level-1-rows":
+        tasks = tasks + [TaskSpec("left_foot", "both", 1)]
+    else:
+        settings = SolverSettings(velocity_bound=0.05)
+    sol = solve_frame(model, q, tasks, refs, 1.0 / 240.0, settings)
+    plan = _RowPlan(model, tasks)
+    want = reference_two_level_step(
+        *level_rows(plan, q, _frame_reference_arrays(plan, refs), 0, settings), settings
+    )
+    assert active_set_calls == [False, True]
+    assert np.array_equal(sol.velocity, want.x)
+    assert sol.diagnostics == FrameDiagnostics(want.iterations, want.saturated)
+    assert bool(want.saturated) == (case == "binding-velocity-bound")
+
+
+def test_interior_frames_never_run_the_active_set(model, monkeypatch):
+    """With the default stack and bounds, no frame of a 1 s sinusoid has a
+    binding bound or dependent level-1 rows, so none may reach the
+    active-set QP."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an interior frame ran the active-set QP")
+
+    monkeypatch.setattr("exoload.qp.solve_ls_qp", refuse)
+    captured = capture_from_configurations(model, sinusoid_trajectory(model, 1.0), 240.0)
+    result = retarget_trajectory(model, captured)
+    assert result.diagnostics == [FrameDiagnostics(2, [])] * captured.n_frames
 
 
 def test_residuals_are_keyed_by_the_tasks_of_their_kind(model):
