@@ -16,6 +16,15 @@ class ValidationError(ExoloadError):
     """Malformed input, schema violation, or inconsistent configuration."""
 
 
+class FrameError(ValidationError):
+    """A validation error about one frame of a trajectory: ``frame`` lets a
+    file reader name the row the frame came from."""
+
+    def __init__(self, message: str, frame: int | None = None) -> None:
+        super().__init__(message)
+        self.frame = frame
+
+
 class NumericalError(ExoloadError):
     """A computation failed to produce a usable result."""
 
@@ -34,6 +43,16 @@ def require_finite(values, where: str) -> None:
     bad = ~np.isfinite(np.asarray(values, dtype=float))
     if bad.any():
         raise ValidationError(f"{where}: non-finite value at index {int(np.argwhere(bad)[0][0])}")
+
+
+def finite_number(value: object) -> float | None:
+    """A JSON number that is not a bool, as a finite float; ``None`` for
+    anything else, a NaN, an infinity or an integer beyond the float range
+    included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    # abs(value) compares exactly, so a huge integer is never converted
+    return float(value) if abs(value) <= sys.float_info.max else None
 
 
 REQUIRED = object()  # the default of a field that must be present
@@ -99,14 +118,13 @@ class JsonFields:
             child.reject_unread()
 
     def _check(self, value: object, kind: type, name: str):
-        accepted = (int, float) if kind is float else kind
-        if isinstance(value, accepted) and (kind is bool or not isinstance(value, bool)):
-            if kind is float:
-                if abs(value) <= sys.float_info.max:  # neither NaN nor infinite
-                    return float(value)
-            elif kind is dict:
+        if kind is float:
+            number = finite_number(value)
+            if number is not None:
+                return number
+        elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+            if kind is dict:
                 self.children.append(JsonFields(value, self.where, name + "."))
                 return self.children[-1]
-            else:
-                return value
+            return value
         raise ValidationError(f"{self.where}: {name} must be {KIND_NAMES[kind]}, got {reprlib.repr(value)}")

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .biosignals import EcgRecord, EmgRecord
-from .errors import JsonFields, ValidationError
+from .errors import FrameError, JsonFields, ValidationError
 from .posture import AnnotationSegment, TrialAnnotation
 from .retarget import CapturedTrajectory, SegmentTrack
 from .skeleton import JointConfiguration, SkeletonModel
@@ -223,7 +223,10 @@ def parse_motion_file(path: str | Path, aliases: Mapping[str, str] | None = None
     if n < 2:
         raise ValidationError(f"{path}: cannot infer the sample rate from one frame")
     sample_rate = 1.0 / float(np.median(np.diff(times)))
-    return CapturedTrajectory(sample_rate=sample_rate, times=times, segments=segments)
+    try:
+        return CapturedTrajectory(sample_rate=sample_rate, times=times, segments=segments)
+    except FrameError as exc:
+        raise ValidationError(f"{path}: row {_record(path, exc.frame)[0]}: {exc}") from None
 
 
 def parse_annotation_file(path: str | Path) -> TrialAnnotation:

@@ -62,7 +62,6 @@ from .surveys import (
     construct_scores,
     format_mean_stdev,
     load_schema,
-    validate,
 )
 
 PACKAGE_VERSION = "0.1.0"
@@ -440,30 +439,21 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
     if config.survey is not None:
         with _stage("survey"):
             responses = eio.read_responses_file(config.survey.responses_file)
-            # schemas are frozen, so each questionnaire's is loaded once and shared
-            schemas = {qid: load_schema(qid) for qid in sorted({r.questionnaire_id for r in responses})}
-            by_questionnaire: dict[str, list] = {qid: [] for qid in schemas}
-            for response in responses:
-                report = validate(schemas[response.questionnaire_id], response)
-                if not report.ok:
-                    raise ValidationError(
-                        f"response {response.respondent_id!r} questionnaire "
-                        f"{response.questionnaire_id!r}: {'; '.join(report.violations)}"
-                    )
-                by_questionnaire[response.questionnaire_id].append(response)
             construct_rows, borg_rows = [], []
-            for qid, schema in schemas.items():
+            for qid in sorted({r.questionnaire_id for r in responses}):
+                schema = load_schema(qid)
+                answered = [r for r in responses if r.questionnaire_id == qid]
                 groups: dict[str, list] = {}
-                for response in by_questionnaire[qid]:
+                for response in answered:
                     groups.setdefault(response.context.exoskeleton, []).append(response)
                 for exo_type in sorted(groups):
                     for c in construct_scores(schema, groups[exo_type], skip_empty=True):
                         display = format_mean_stdev(c.mean, c.stdev)
                         construct_rows.append([qid, exo_type, c.construct, c.n, c.mean, c.stdev, display])
                 borg_ids = [i.item_id for i in schema.items if i.kind == "borg_cr10"]
-                answered = [r for r in by_questionnaire[qid] if any(i in r.answers for i in borg_ids)]
-                if answered:
-                    for s in borg_summary(schema, answered):
+                rated = [r for r in answered if any(i in r.answers for i in borg_ids)]
+                if rated:
+                    for s in borg_summary(schema, rated):
                         display = format_mean_stdev(s.mean, s.stdev)
                         borg_rows.append([qid, s.zone, s.position, s.n, s.mean, s.stdev, display])
             write(

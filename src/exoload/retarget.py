@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    FrameError,
     InfeasibleBoundsError,
     SolverError,
     JsonFields,
@@ -145,13 +146,12 @@ class CapturedTrajectory:
         dt = np.diff(self.times)
         if np.any(dt <= 0.0):
             row = int(np.nonzero(dt <= 0.0)[0][0]) + 1
-            raise ValidationError(f"timestamps not strictly increasing at frame {row}")
+            raise FrameError(f"timestamps not strictly increasing at frame {row}", row)
         nominal = 1.0 / self.sample_rate
         if dt.size and np.max(np.abs(dt - nominal)) > DT_JITTER_TOL * nominal:
             worst = int(np.argmax(np.abs(dt - nominal))) + 1
-            raise ValidationError(
-                f"frame spacing at frame {worst} deviates more than 10% from "
-                f"1/{self.sample_rate} s"
+            raise FrameError(
+                f"frame spacing at frame {worst} deviates more than 10% from 1/{self.sample_rate} s", worst
             )
         for name, track in self.segments.items():
             if track.positions.shape != (n, 3) or track.quaternions.shape != (n, 4):
@@ -284,7 +284,7 @@ class _Step(NamedTuple):
     next_configuration: JointConfiguration
     position_error: np.ndarray  # m, per position task in plan order
     orientation_error: np.ndarray  # rad, per orientation task in plan order
-    level1_residual: float
+    level1: tuple[np.ndarray, np.ndarray]  # level-1 Jacobian and velocity references
     diagnostics: FrameDiagnostics
 
 
@@ -322,7 +322,7 @@ def _solve_step(
         next_configuration=integrate_configuration(plan.model, q_current, qdot, dt),
         position_error=pos_err,
         orientation_error=ori_err,
-        level1_residual=float(np.linalg.norm(J1 @ qdot - v1)),
+        level1=(J1, v1),
         diagnostics=FrameDiagnostics(result.iterations, result.saturated),
     )
 
@@ -376,6 +376,7 @@ def solve_frame(
         raise ValidationError("dt must be positive")
     plan = _RowPlan(model, tasks)
     step = _solve_step(plan, q_current, _frame_reference_arrays(plan, references), 0, dt, settings)
+    J1, v1 = step.level1
     return FrameSolution(
         velocity=step.velocity,
         next_configuration=step.next_configuration,
@@ -385,7 +386,7 @@ def solve_frame(
         orientation_error={
             tasks[i].frame: float(e) for i, e in zip(plan.orientation_tasks, step.orientation_error)
         },
-        level1_residual=step.level1_residual,
+        level1_residual=float(np.linalg.norm(J1 @ step.velocity - v1)),
         diagnostics=step.diagnostics,
     )
 

@@ -11,13 +11,16 @@ be revised without touching the scoring engine.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 from importlib import resources
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import JsonFields, ValidationError
+from .errors import JsonFields, ValidationError, finite_number
 
 QUESTIONNAIRE_IDS = ("A", "B", "C", "D", "E")
 ANSWER_KINDS = ("likert5_A", "likert5_B", "borg_cr10", "numeric", "free_text", "choice")
@@ -25,6 +28,7 @@ EXOSKELETON_TYPES = ("Laevo", "Corfor", "CrayX", "BackX", "none")
 POSITIONS = ("head", "side")
 
 LIKERT_MIN, LIKERT_MAX = 1, 5
+LIKERT_VALUES = tuple(float(v) for v in range(LIKERT_MIN, LIKERT_MAX + 1))
 BORG_VALUES = (0.0, 0.5) + tuple(float(v) for v in range(1, 11))
 
 
@@ -52,16 +56,17 @@ class QuestionnaireSchema:
     title: str
     items: tuple[Item, ...]
     constructs: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    by_id: Mapping[str, Item] = field(init=False, repr=False, compare=False)  # item id -> item
 
     def __post_init__(self) -> None:
         if self.schema_id not in QUESTIONNAIRE_IDS:
             raise ValidationError(
                 f"questionnaire id {self.schema_id!r} not in {QUESTIONNAIRE_IDS}"
             )
-        ids = [i.item_id for i in self.items]
-        if len(set(ids)) != len(ids):
+        by_id = MappingProxyType({i.item_id: i for i in self.items})
+        if len(by_id) != len(self.items):
             raise ValidationError(f"questionnaire {self.schema_id!r}: duplicate item ids")
-        by_id = {i.item_id: i for i in self.items}
+        object.__setattr__(self, "by_id", by_id)
         for construct, members in self.constructs.items():
             for member in members:
                 if member not in by_id:
@@ -72,12 +77,6 @@ class QuestionnaireSchema:
                     raise ValidationError(
                         f"construct {construct!r}: item {member!r} is not a likert item"
                     )
-
-    def item(self, item_id: str) -> Item:
-        for i in self.items:
-            if i.item_id == item_id:
-                return i
-        raise ValidationError(f"questionnaire {self.schema_id!r}: no item {item_id!r}")
 
 
 @dataclass(frozen=True)
@@ -104,71 +103,41 @@ class ResponseSet:
     context: ResponseContext = ResponseContext()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-    missing: tuple[str, ...]  # informational, never fatal
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def apply_reverse(value: int) -> int:
+def apply_reverse(value: object) -> float:
     """Reverse-coded 5-point item: score' = 6 - score."""
-    value = _as_likert(value)
-    return 6 - value
-
-
-def _as_likert(value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"likert answer must be a number, got {value!r}")
-    if float(value) != int(value):
-        raise ValidationError(f"likert answer must be integral, got {value!r}")
-    ivalue = int(value)
-    if not LIKERT_MIN <= ivalue <= LIKERT_MAX:
-        raise ValidationError(f"likert answer {value!r} outside 1..5")
-    return ivalue
+    score = finite_number(value)
+    if score not in LIKERT_VALUES:
+        raise ValidationError(f"likert answer {reprlib.repr(value)} outside 1..5")
+    return LIKERT_MIN + LIKERT_MAX - score
 
 
 def _check_answer(item: Item, value: object) -> str | None:
     """Violation message for a single answered item, or None."""
     if item.kind in ("likert5_A", "likert5_B"):
-        try:
-            _as_likert(value)
-        except ValidationError:
-            return f"item {item.item_id}: answer {value!r} out of scale 1..5"
+        ok, problem = finite_number(value) in LIKERT_VALUES, "out of scale 1..5"
     elif item.kind == "borg_cr10":
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            return f"item {item.item_id}: Borg answer {value!r} is not a number"
-        if float(value) not in BORG_VALUES:
-            return f"item {item.item_id}: Borg answer {value!r} not on the CR10 scale"
+        ok, problem = finite_number(value) in BORG_VALUES, "not on the CR10 scale"
     elif item.kind == "numeric":
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            return f"item {item.item_id}: expected a number, got {value!r}"
-        if not math.isfinite(float(value)):
-            return f"item {item.item_id}: non-finite number"
+        ok, problem = finite_number(value) is not None, "is not a finite number"
     elif item.kind == "free_text":
-        if not isinstance(value, str):
-            return f"item {item.item_id}: expected text, got {value!r}"
-    elif item.kind == "choice":
-        if value not in item.choices:
-            return f"item {item.item_id}: {value!r} not among choices {item.choices}"
-    return None
+        ok, problem = isinstance(value, str), "is not text"
+    else:
+        ok, problem = value in item.choices, f"not among choices {item.choices}"
+    return None if ok else f"item {item.item_id}: answer {reprlib.repr(value)} {problem}"
 
 
-def validate(schema: QuestionnaireSchema, response: ResponseSet) -> ValidationReport:
-    """Type-check every answered item; flag ICU-only items answered outside an
-    ICU session; list missing items (informational, not fatal)."""
+def validate(schema: QuestionnaireSchema, response: ResponseSet) -> None:
+    """Type-check every answered item and flag ICU-only items answered
+    outside an ICU session; one ``ValidationError`` lists every violation.
+    Unanswered items are no violation."""
     if response.questionnaire_id != schema.schema_id:
         raise ValidationError(
             f"response targets questionnaire {response.questionnaire_id!r}, "
             f"schema is {schema.schema_id!r}"
         )
     violations: list[str] = []
-    known = {i.item_id: i for i in schema.items}
     for item_id, value in response.answers.items():
-        item = known.get(item_id)
+        item = schema.by_id.get(item_id)
         if item is None:
             violations.append(f"unknown item {item_id!r}")
             continue
@@ -177,12 +146,8 @@ def validate(schema: QuestionnaireSchema, response: ResponseSet) -> ValidationRe
         message = _check_answer(item, value)
         if message is not None:
             violations.append(message)
-    missing = [
-        f"item {i.item_id} unanswered"
-        for i in schema.items
-        if i.item_id not in response.answers and (response.context.icu or not i.icu_only)
-    ]
-    return ValidationReport(violations=tuple(violations), missing=tuple(missing))
+    if violations:
+        raise ValidationError("; ".join(violations))
 
 
 @dataclass(frozen=True)
@@ -209,21 +174,20 @@ def construct_scores(
 ) -> list[ConstructScore]:
     """Reverse items flipped, then item values pooled over respondents per
     construct; missing answers are excluded (no imputation). A construct with
-    no pooled answers is an error unless ``skip_empty`` drops its row."""
+    no pooled answers is an error unless ``skip_empty`` drops its row. The
+    responses are ones ``validate`` accepts: no answer is checked again."""
     responses = list(responses)
     if not responses:
         raise ValidationError("construct scoring needs at least one response")
     out = []
     for construct, members in schema.constructs.items():
+        flags = [(member, schema.by_id[member].reverse) for member in members]
         pooled: list[float] = []
         for response in responses:
-            for member in members:
-                if member not in response.answers:
-                    continue
-                value = _as_likert(response.answers[member])
-                if schema.item(member).reverse:
-                    value = apply_reverse(value)
-                pooled.append(float(value))
+            for member, reverse in flags:
+                if member in response.answers:
+                    score = float(response.answers[member])
+                    pooled.append(LIKERT_MIN + LIKERT_MAX - score if reverse else score)
         if not pooled:
             if skip_empty:
                 continue
@@ -250,22 +214,18 @@ def borg_summary(
     schema: QuestionnaireSchema, responses: Iterable[ResponseSet]
 ) -> list[BorgSummary]:
     """Mean and sample stdev of the Borg CR10 ratings pooled per body zone and
-    working position over the supplied (pre-filtered) responses."""
+    working position over the supplied (pre-filtered) responses, which are
+    ones ``validate`` accepts: no answer is checked again."""
     responses = list(responses)
     if not responses:
         raise ValidationError("Borg summary needs at least one response")
-    borg_items = [i for i in schema.items if i.kind == "borg_cr10"]
+    zones = [(i.item_id, borg_zone_of(i)) for i in schema.items if i.kind == "borg_cr10"]
     pooled: dict[tuple[str, str], list[float]] = {}
     for response in responses:
         position = response.context.position or "unspecified"
-        for item in borg_items:
-            if item.item_id not in response.answers:
-                continue
-            value = response.answers[item.item_id]
-            message = _check_answer(item, value)
-            if message is not None:
-                raise ValidationError(message)
-            pooled.setdefault((borg_zone_of(item), position), []).append(float(value))
+        for item_id, zone in zones:
+            if item_id in response.answers:
+                pooled.setdefault((zone, position), []).append(float(response.answers[item_id]))
     if not pooled:
         raise ValidationError("no Borg answers matched the filter")
     out = []
@@ -302,32 +262,43 @@ def parse_schema(payload: object, where: str = "questionnaire schema") -> Questi
         schema_id=fields.get("id", str),
         title=fields.get("title", str, ""),
         items=items,
-        constructs={name: tuple(constructs.get_list(name, str)) for name in constructs.data},
+        constructs=MappingProxyType(
+            {name: tuple(constructs.get_list(name, str)) for name in constructs.data}
+        ),
     )
 
 
+@functools.cache
 def load_schema(questionnaire_id: str) -> QuestionnaireSchema:
-    """Bundled schema by id (A-E)."""
+    """Bundled schema by id (A-E). Schemas are frozen, so each is read once
+    and shared."""
     if questionnaire_id not in QUESTIONNAIRE_IDS:
-        raise ValidationError(f"unknown questionnaire id {questionnaire_id!r}")
+        raise ValidationError(
+            f"unknown questionnaire_id {questionnaire_id!r}; expected one of {QUESTIONNAIRE_IDS}"
+        )
     name = f"questionnaire_{questionnaire_id.lower()}.json"
     text = resources.files("exoload.data").joinpath(name).read_text("utf-8")
     return parse_schema(json.loads(text), name)
 
 
 def parse_response(payload: object, where: str = "response record") -> ResponseSet:
-    """One response record. ``where`` names it in error messages, such as
-    the file and line it came from."""
+    """One response record, checked against its questionnaire by
+    ``validate``. ``where`` names it in error messages, such as the file and
+    line it came from."""
     fields = JsonFields(payload, where)
     context = fields.get("context", dict, {})
-    return ResponseSet(
-        respondent_id=fields.get("respondent_id", str),
-        questionnaire_id=fields.get("questionnaire_id", str),
-        answers=fields.get("answers", dict).data,
-        context=ResponseContext(
-            exoskeleton=context.get("exoskeleton", str, "none"),
-            position=context.get("position", str, None),
-            pp_index=context.get("pp_index", int, None),
-            icu=context.get("icu", bool, False),
-        ),
-    )
+    respondent_id = fields.get("respondent_id", str)
+    questionnaire_id = fields.get("questionnaire_id", str)
+    answers = fields.get("answers", dict).data
+    exoskeleton = context.get("exoskeleton", str, "none")
+    position = context.get("position", str, None)
+    pp_index = context.get("pp_index", int, None)
+    icu = context.get("icu", bool, False)
+    try:
+        response = ResponseSet(
+            respondent_id, questionnaire_id, answers, ResponseContext(exoskeleton, position, pp_index, icu)
+        )
+        validate(load_schema(questionnaire_id), response)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+    return response

@@ -60,6 +60,18 @@ def write_responses(path):
     path.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
 
 
+def write_survey_config(directory):
+    """A survey-only session config reading ``responses.jsonl`` in ``directory``."""
+    path = directory / "config.json"
+    config = {
+        "profile": {"height_m": 1.75, "mass_kg": 70.0},
+        "survey": {"responses_file": "responses.jsonl"},
+        "output_dir": "out",
+    }
+    path.write_text(json.dumps(config))
+    return path
+
+
 @pytest.fixture(scope="module")
 def bend_bundle(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("bend")
@@ -211,14 +223,59 @@ def test_biosignal_and_survey_branches(tmp_path):
 def test_survey_violations_abort(tmp_path):
     bad = {"respondent_id": "p", "questionnaire_id": "B", "answers": {"1": 9}}
     (tmp_path / "responses.jsonl").write_text(json.dumps(bad))
-    config = {
-        "profile": {"height_m": 1.75, "mass_kg": 70.0},
-        "survey": {"responses_file": "responses.jsonl"},
-        "output_dir": "out",
-    }
-    (tmp_path / "config.json").write_text(json.dumps(config))
-    with pytest.raises(ValidationError, match="stage survey"):
-        run_pipeline(load_config(tmp_path / "config.json"))
+    with pytest.raises(ValidationError, match=r"stage survey: .*responses\.jsonl: line 1: item 1: answer 9"):
+        run_pipeline(load_config(write_survey_config(tmp_path)))
+
+
+BIG = "9" * 400  # a JSON integer beyond the float range
+# one record Python's json accepts but no questionnaire does: (record, what the error names)
+BAD_RESPONSES = {
+    "likert-nan": ('{"respondent_id": "p", "questionnaire_id": "B", "answers": {"1": NaN}}', "item 1: answer nan"),
+    "likert-infinity": (
+        '{"respondent_id": "p", "questionnaire_id": "B", "answers": {"1": Infinity}}',
+        "item 1: answer inf",
+    ),
+    "numeric-huge": (
+        f'{{"respondent_id": "p", "questionnaire_id": "C", "answers": {{"effort_neck": {BIG}}}}}',
+        "item effort_neck: answer 999",
+    ),
+    "borg-huge": (
+        f'{{"respondent_id": "p", "questionnaire_id": "D", "answers": {{"borg_neck": {BIG}}}}}',
+        "item borg_neck: answer 999",
+    ),
+    "unknown-questionnaire": (
+        '{"respondent_id": "p", "questionnaire_id": "Z", "answers": {}}',
+        "unknown questionnaire_id 'Z'",
+    ),
+}
+
+
+@pytest.mark.parametrize("record, named", BAD_RESPONSES.values(), ids=list(BAD_RESPONSES))
+def test_cli_bad_response_exits_2_naming_file_and_line(tmp_path, capsys, record, named):
+    write_responses(tmp_path / "responses.jsonl")
+    with open(tmp_path / "responses.jsonl", "a", encoding="utf-8") as fh:
+        fh.write("\n" + record + "\n")
+    assert cli.main(["pipeline", "--config", str(write_survey_config(tmp_path))]) == 2
+    assert f"responses.jsonl: line 8: {named}" in capsys.readouterr().err
+
+
+def test_each_answer_is_checked_once(tmp_path, monkeypatch):
+    """Scoring reads the answers the reader checked: ``_check_answer`` runs
+    once per answer in the file."""
+    from exoload import surveys
+
+    calls = []
+    check = surveys._check_answer
+
+    def counted(item, value):
+        calls.append(item.item_id)
+        return check(item, value)
+
+    monkeypatch.setattr(surveys, "_check_answer", counted)
+    write_responses(tmp_path / "responses.jsonl")
+    run_pipeline(load_config(write_survey_config(tmp_path)))
+    lines = (tmp_path / "responses.jsonl").read_text().splitlines()
+    assert len(calls) == sum(len(json.loads(line)["answers"]) for line in lines) == 24
 
 
 def test_stage_errors_name_the_stage(tmp_path):
@@ -342,6 +399,21 @@ def test_cli_non_finite_motion_cell_exits_2_naming_the_file(tmp_path, capsys):
     assert cli.main(["pipeline", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert "motion.csv: row 6" in err and "non-finite" in err
+
+
+def test_cli_irregular_frame_spacing_exits_2_naming_the_row(tmp_path, capsys):
+    """A 240 Hz capture with one timestamp moved by half a frame: the error
+    names the motion file and the row of the frame."""
+    config_path = write_bend_session(tmp_path, duration_s=0.5, with_annotation=False)
+    motion = tmp_path / "motion.csv"
+    lines = motion.read_text(encoding="utf-8").splitlines()
+    cells = lines[6].split(",")  # data row 5
+    cells[0] = repr(float(cells[0]) + 0.5 / 240.0)
+    lines[6] = ",".join(cells)
+    motion.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli.main(["pipeline", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "motion.csv: row 7: frame spacing at frame 5" in err
 
 
 def test_cli_stray_linalg_error_exits_3_naming_the_subcommand(tmp_path, capsys, monkeypatch):

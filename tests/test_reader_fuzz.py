@@ -179,6 +179,12 @@ RESPONSE_RECORDS = st.one_of(
 @example(b'{"respondent_id": 1, "questionnaire_id": "A", "answers": "ab"}\n')
 @example(b'{"respondent_id": 1, "questionnaire_id": "A", "answers": {}, "context": []}\n')
 @example(b"\xff\n")
+# answers Python's json accepts that no float conversion may reach unchecked
+@example(b'{"respondent_id": "p", "questionnaire_id": "B", "answers": {"1": NaN}}\n')
+@example(b'{"respondent_id": "p", "questionnaire_id": "B", "answers": {"1": Infinity}}\n')
+@example(b'{"respondent_id": "p", "questionnaire_id": "B", "answers": {"1": ' + b"9" * 400 + b"}}\n")
+@example(b'{"respondent_id": "p", "questionnaire_id": "C", "answers": {"effort_neck": ' + b"9" * 400 + b"}}\n")
+@example(b'{"respondent_id": "p", "questionnaire_id": "D", "answers": {"borg_neck": ' + b"9" * 400 + b"}}\n")
 def test_read_responses_file_parses_or_rejects(content):
     read(eio.read_responses_file, content)
 
