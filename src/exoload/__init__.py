@@ -56,8 +56,8 @@ from .retarget import (
 )
 from .skeleton import (
     JointConfiguration,
+    KinematicState,
     SkeletonModel,
-    TrajectoryKinematics,
     build_model,
     forward_kinematics,
     task_jacobian,

@@ -28,8 +28,8 @@ from .io import load_json_file
 from .posture import DistributionSummary, TrialAnnotation, segment_series, summarize
 from .skeleton import (
     JointConfiguration,
+    KinematicState,
     SkeletonModel,
-    TrajectoryKinematics,
     lumbar_flexion_index,
 )
 
@@ -60,12 +60,12 @@ def inverse_dynamics(
     nv = model.n_velocity
     if qd.shape != (nv,) or qdd.shape != (nv,):
         raise ValidationError(f"expected velocity/acceleration of shape ({nv},)")
-    kinematics = TrajectoryKinematics(model, q[None])
+    kinematics = KinematicState(model, q[None])
     return inverse_dynamics_series(kinematics, qd[None], qdd[None], gravity)[0]
 
 
 def inverse_dynamics_series(
-    kinematics: TrajectoryKinematics,
+    kinematics: KinematicState,
     qd: np.ndarray,
     qdd: np.ndarray,
     gravity: float | np.ndarray = GRAVITY_DEFAULT,
@@ -77,6 +77,8 @@ def inverse_dynamics_series(
     """
     model = kinematics.model
     T, nv = kinematics.n_frames, model.n_velocity
+    if T is None:
+        raise ValidationError("inverse dynamics takes the kinematic state of a (T,) trajectory")
     qd = np.asarray(qd, dtype=float)
     qdd = np.asarray(qdd, dtype=float)
     if qd.shape != (T, nv) or qdd.shape != (T, nv):
@@ -344,7 +346,7 @@ def decompose_torque(
 
 
 def net_lumbar_series(
-    kinematics: TrajectoryKinematics,
+    kinematics: KinematicState,
     dt: float,
     gravity: float | np.ndarray = GRAVITY_DEFAULT,
     smooth_cutoff_hz: float | None = DERIVATIVE_SMOOTHING_HZ,

@@ -121,26 +121,25 @@ def matrix_to_quat(R: np.ndarray) -> np.ndarray:
     return quat_normalize(q).reshape(R.shape[:-2] + (4,))
 
 
-# flattened [a]x = _SKEW @ a and flattened identity, as (9, 3) and (9, 1)
-_SKEW = np.array(
-    [[0, 0, 0], [0, 0, -1], [0, 1, 0], [0, 0, 1], [0, 0, 0], [-1, 0, 0], [0, -1, 0], [1, 0, 0], [0, 0, 0]],
-    dtype=float,
-)
-_IDENTITY_FLAT = np.eye(3).reshape(9, 1)
-
-
-def axis_angle_matrix(axis: np.ndarray, angle: float | np.ndarray) -> np.ndarray:
+def axis_angle_matrix(
+    axis: np.ndarray, angle: float | np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Rodrigues rotation ``c I + s [a]x + (1 - c) a a^T`` about a unit axis
-    ``a``. Axes ``(3, n)`` with angles ``(*batch, n)``, or an axis ``(3,)``
-    with angles ``(T,)``, give the matrices stacked on the trailing axes,
-    ``(3, 3, *batch, n)`` or ``(3, 3, T)``."""
+    ``a``: axes ``(..., 3)`` and angles ``(...)`` broadcast to matrices
+    ``(..., 3, 3)``, written into ``out`` when it is given (it may be a
+    strided view, such as the rotation block of a frames array)."""
     a = np.asarray(axis, dtype=float)
     c, s = np.cos(angle), np.sin(angle)
-    # the axis components broadcast against the angles' trailing axes
-    a = a.reshape((3,) + (1,) * (np.ndim(c) - a.ndim + 1) + a.shape[1:])
-    R = ((1.0 - c) * a)[:, None] * a[None, :]
-    R += (_SKEW @ (s * a).reshape(3, -1) + _IDENTITY_FLAT * np.reshape(c, -1)).reshape(R.shape)
-    return R
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape[:-1], np.shape(c)) + (3, 3))
+    np.multiply(((1.0 - c)[..., None] * a)[..., :, None], a[..., None, :], out=out)
+    sa = s[..., None] * a
+    # [a]x has -a_k at (i, j) and a_k at (j, i) for each cyclic (i, j, k)
+    for i, j, k in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
+        out[..., i, j] -= sa[..., k]
+        out[..., j, i] += sa[..., k]
+        out[..., k, k] += c
+    return out
 
 
 def rotvec_to_quat(rv: np.ndarray) -> np.ndarray:

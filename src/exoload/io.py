@@ -230,14 +230,22 @@ def parse_motion_file(path: str | Path, aliases: Mapping[str, str] | None = None
 
 
 def parse_annotation_file(path: str | Path) -> TrialAnnotation:
+    # the label and overlap checks of the records name no file: their errors gain it
     fields = JsonFields(load_json_file(path), path)
     segments = []
     for s in fields.get_list("segments", dict):
         label, start, end = s.get("label", str), s.get("start", float), s.get("end", float)
         if not start < end:
             raise ValidationError(f"{path}: {s.prefix}start {start!r} must precede end {end!r}")
-        segments.append(AnnotationSegment(label, start, end))
-    return TrialAnnotation(trial_id=fields.get("trial_id", str), segments=tuple(segments))
+        try:
+            segments.append(AnnotationSegment(label, start, end))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {s.prefix}label: {exc}") from None
+    trial_id = fields.get("trial_id", str)
+    try:
+        return TrialAnnotation(trial_id=trial_id, segments=tuple(segments))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _uniform_rate(times: np.ndarray, path: str | Path) -> float:

@@ -56,7 +56,7 @@ from .retarget import (
     load_solver_settings,
     retarget_trajectory,
 )
-from .skeleton import SkeletonModel, TrajectoryKinematics, build_model
+from .skeleton import KinematicState, SkeletonModel, build_model
 from .surveys import (
     borg_summary,
     construct_scores,
@@ -325,7 +325,7 @@ def run_motion_analysis(config: SessionConfig) -> tuple[SkeletonModel, MotionRes
         result = retarget_trajectory(model, captured, settings=settings)
     dt = 1.0 / captured.sample_rate
     with _stage("dynamics"):
-        kinematics = TrajectoryKinematics(model, result.configurations)
+        kinematics = KinematicState(model, result.configurations)
         tau_net = net_lumbar_series(
             kinematics,
             dt,

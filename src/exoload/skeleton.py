@@ -232,12 +232,6 @@ class SkeletonModel:
         if len(self.dof_index) != n:
             raise ValidationError("duplicate DoF names")
 
-        # [joint rotation | anchor offset | axis] of each link in its
-        # parent's frame, the rotation block left for each configuration
-        self._link_local = np.zeros((n, 3, 5))
-        self._link_local[:, :, 3] = self._dof_offset
-        self._link_local[:, :, 4] = self._dof_axis
-
         # ancestor masks: dofs on the path base -> row, inclusive; the base
         # row has none
         self._row_ancestors = np.zeros((1 + n, n), dtype=bool)
@@ -306,20 +300,23 @@ def link_frames(
 ) -> np.ndarray:
     """World frames ``[rotation | origin | joint axis]`` of the base (row 0,
     no axis) and of every link (row 1 + i), ``(1 + n_links, *batch, 3, 5)``
-    for joint angles of shape ``(*batch, n_links)`` and base poses of shapes
-    ``(*batch, 3)`` and ``(*batch, 3, 3)``. Every joint rotation comes from
-    one ``axis_angle_matrix`` call; each link then takes one product with its
-    parent's world frame, covering the whole batch."""
+    for the joint angles of one configuration, ``(n_links,)``, or of a
+    trajectory, ``(T, n_links)``, with base poses of shapes ``(*batch, 3)``
+    and ``(*batch, 3, 3)``. One ``axis_angle_matrix`` call writes every
+    joint rotation into its link's row; each link then takes one product
+    with its parent's world frame, covering the whole batch."""
     batch = angles.shape[:-1]
     n = model.n_joint_dofs
     frames = np.empty((1 + n, *batch, 3, 5))
     frames[0, ..., :3] = base_rotation
     frames[0, ..., 3] = base_position
     frames[0, ..., 4] = 0.0
-    # each link's frame in its parent's, carried into the world parents first
-    frames[1:] = model._link_local.reshape((n,) + (1,) * len(batch) + (3, 5))
-    rotations = axis_angle_matrix(model._dof_axis.T, angles)  # (3, 3, *batch, n)
-    frames[1:, ..., :3] = np.moveaxis(rotations, (-1, 0, 1), (0, -2, -1))
+    # each link's frame in its parent's, whose axis column is also the axis
+    # of the joint rotation; then carried into the world parents first
+    links = (n,) + (1,) * len(batch) + (3,)
+    frames[1:, ..., 3] = model._dof_offset.reshape(links)
+    frames[1:, ..., 4] = model._dof_axis.reshape(links)
+    axis_angle_matrix(frames[1:, ..., 4], angles.T, out=frames[1:, ..., :3])
     rotation, origin = frames[..., :3], frames[..., 3]
     for row, parent in enumerate(model._parent_row, start=1):
         frames[row] = rotation[parent] @ frames[row]
@@ -328,34 +325,53 @@ def link_frames(
 
 
 class KinematicState:
-    """World frames of one configuration, the one-frame case of
-    :class:`TrajectoryKinematics`; computed once and reused by pose, CoM and
-    Jacobian queries. ``frames`` is the (1 + n_links, 3, 5) array of
-    :func:`link_frames`; ``link_rotation``, ``link_position`` and
-    ``axis_world`` are views of its link rows."""
+    """World frames of one configuration, or of every frame of a ``(T,)``
+    trajectory, kept as ``configuration``: ``frames`` is the
+    ``(1 + n_links, *batch, 3, 5)`` array of :func:`link_frames`, and
+    ``link_rotation`` ``(n_links, *batch, 3, 3)``, ``link_position`` and
+    ``axis_world`` ``(n_links, *batch, 3)`` are views of its link rows.
+    ``n_frames`` is T, or None for one configuration. Pose, CoM and
+    Jacobian queries take a one-configuration state and reuse its frames.
+
+    Holds per-evaluation data only; the model stays immutable and shared."""
 
     def __init__(self, model: SkeletonModel, q: JointConfiguration):
         self.model = model
-        angles = np.asarray(q.joint_angles, dtype=float)
-        if angles.shape != (model.n_joint_dofs,):
+        angles = q.joint_angles
+        if angles.shape[-1] != model.n_joint_dofs or not angles.size:
             raise ValidationError(
-                f"expected {model.n_joint_dofs} joint angles, got {angles.shape}"
+                f"expected {model.n_joint_dofs} joint angles a frame and at least one frame, "
+                f"got joint angles of shape {angles.shape}"
             )
-        self.base_position = np.asarray(q.base_position, dtype=float)
+        self.n_frames = len(q) if angles.ndim == 2 else None
+        self.configuration = q
+        self.base_position = q.base_position
         self.base_rotation = quat_to_matrix(q.base_orientation)
-        self.frames = link_frames(model, self.base_position, self.base_rotation, angles)
-        self.link_rotation = self.frames[1:, :, :3]
-        self.link_position = self.frames[1:, :, 3]
-        self.axis_world = self.frames[1:, :, 4]
+        self.frames = link_frames(model, q.base_position, self.base_rotation, angles)
+        self.link_rotation = self.frames[1:, ..., :3]
+        self.link_position = self.frames[1:, ..., 3]
+        self.axis_world = self.frames[1:, ..., 4]
         self._coms: np.ndarray | None = None
 
+    def _require_one_frame(self, query: str) -> None:
+        if self.n_frames is not None:
+            raise ValidationError(
+                f"{query} takes the state of one configuration, not of a {self.n_frames}-frame trajectory"
+            )
+
+    def segment_rotation(self, name: str) -> np.ndarray:
+        """World-from-segment rotation of one segment, ``(*batch, 3, 3)``."""
+        return self.frames[self.model._segment_row[name], ..., :3]
+
     def segment_pose(self, name: str) -> Pose:
+        self._require_one_frame("segment_pose")
         frame = self.frames[self.model._segment_row[name]]
         return Pose(frame[:, 3].copy(), frame[:, :3].copy())
 
     def segment_coms(self) -> np.ndarray:
         """World CoM of every segment in model order, (n_segments, 3)."""
         if self._coms is None:
+            self._require_one_frame("segment_coms")
             model = self.model
             frames = self.frames[model._segment_rows]
             offsets = (frames[:, :, :3] @ model._com_offsets[:, :, None])[:, :, 0]
@@ -364,11 +380,6 @@ class KinematicState:
 
     def com(self) -> np.ndarray:
         return self.model._masses @ self.segment_coms() / self.model.total_mass
-
-    def com_jacobian(self) -> np.ndarray:
-        """Whole-body CoM Jacobian, the ``("com", "position")`` case of
-        :meth:`jacobian`."""
-        return self.jacobian("com", "position")
 
     def jacobian(self, frame: str, task_kind: str = "both") -> np.ndarray:
         """World task Jacobian of a frame, the one-task case of
@@ -465,6 +476,7 @@ class TaskRowLayout:
         axis_i x (sum of m_s c_s over the segments link i moves, minus their
         mass times the link origin x_i) / M, one pass over the subtrees
         (Orin & Goswami 2008)."""
+        state._require_one_frame("a task Jacobian")
         model = self.model
         J = self._template.copy()
         flat = J.reshape(-1)
@@ -485,36 +497,6 @@ class TaskRowLayout:
         flat[self._point_at] = cross(state.axis_world[link], arms).ravel()
         flat[self._ori_at] = state.axis_world[self._ori_links].ravel()
         return J, positions
-
-
-class TrajectoryKinematics:
-    """World frames of every configuration of a ``(T,)`` trajectory, kept as
-    ``configuration``: ``frames`` is the (1 + n_links, T, 3, 5) array of
-    :func:`link_frames`, and ``link_rotation`` (n_links, T, 3, 3),
-    ``link_position`` and ``axis_world`` (n_links, T, 3) are views of its
-    link rows.
-
-    Holds per-evaluation data only; the model stays immutable and shared."""
-
-    def __init__(self, model: SkeletonModel, q: JointConfiguration):
-        self.model = model
-        angles = q.joint_angles
-        if angles.shape[1:] != (model.n_joint_dofs,) or not len(angles):
-            raise ValidationError(
-                f"expected a non-empty trajectory of {model.n_joint_dofs} joint angles a frame, "
-                f"got joint angles of shape {angles.shape}"
-            )
-        self.n_frames = len(q)
-        self.configuration = q
-        self.base_rotation = quat_to_matrix(q.base_orientation)
-        self.frames = link_frames(model, q.base_position, self.base_rotation, angles)
-        self.link_rotation = self.frames[1:, ..., :3]
-        self.link_position = self.frames[1:, ..., 3]
-        self.axis_world = self.frames[1:, ..., 4]
-
-    def segment_rotation(self, name: str) -> np.ndarray:
-        """World-from-segment rotations of one segment, (T, 3, 3)."""
-        return self.frames[self.model._segment_row[name], ..., :3]
 
 
 def forward_kinematics(

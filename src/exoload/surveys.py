@@ -103,12 +103,17 @@ class ResponseSet:
     context: ResponseContext = ResponseContext()
 
 
+def _reverse_coded(score: float) -> float:
+    """Reverse-coded 5-point score: score' = 6 - score."""
+    return LIKERT_MIN + LIKERT_MAX - score
+
+
 def apply_reverse(value: object) -> float:
-    """Reverse-coded 5-point item: score' = 6 - score."""
+    """A likert answer, checked to lie on the 5-point scale, reverse-coded."""
     score = finite_number(value)
     if score not in LIKERT_VALUES:
         raise ValidationError(f"likert answer {reprlib.repr(value)} outside 1..5")
-    return LIKERT_MIN + LIKERT_MAX - score
+    return _reverse_coded(score)
 
 
 def _check_answer(item: Item, value: object) -> str | None:
@@ -187,7 +192,7 @@ def construct_scores(
             for member, reverse in flags:
                 if member in response.answers:
                     score = float(response.answers[member])
-                    pooled.append(LIKERT_MIN + LIKERT_MAX - score if reverse else score)
+                    pooled.append(_reverse_coded(score) if reverse else score)
         if not pooled:
             if skip_empty:
                 continue

@@ -519,7 +519,7 @@ def reference_point_jacobian_linear(
 
 def reference_com_jacobian(state: KinematicState) -> np.ndarray:
     """The CoM Jacobian as the mass-weighted sum of the 19 segment-CoM point
-    Jacobians: the oracle for ``KinematicState.com_jacobian``."""
+    Jacobians: the oracle for ``KinematicState.jacobian("com", "position")``."""
     model = state.model
     J = np.zeros((3, model.n_velocity))
     for seg in model.segments:

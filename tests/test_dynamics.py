@@ -37,7 +37,6 @@ from exoload.skeleton import (
     KinematicState,
     Segment,
     SkeletonModel,
-    TrajectoryKinematics,
     lumbar_flexion_index,
 )
 
@@ -137,7 +136,7 @@ def test_batched_sweep_matches_per_frame_reference(model, gravity):
     yawing and tilting base agree with the per-frame sweep."""
     configurations = moving_base_trajectory(model, 1.0)
     U, dU = estimate_derivatives(configurations, 1.0 / 240.0)
-    tau = inverse_dynamics_series(TrajectoryKinematics(model, configurations), U, dU, gravity)
+    tau = inverse_dynamics_series(KinematicState(model, configurations), U, dU, gravity)
     reference = np.array(
         [
             reference_inverse_dynamics(model, q, U[k], dU[k], gravity)
@@ -146,6 +145,8 @@ def test_batched_sweep_matches_per_frame_reference(model, gravity):
     )
     assert tau.shape == reference.shape == (240, 49)
     assert np.max(np.abs(tau - reference)) <= 1e-10
+    with pytest.raises(ValidationError, match="state of a \\(T,\\) trajectory"):
+        inverse_dynamics_series(KinematicState(model, configurations[0]), U[0], dU[0], gravity)
 
 
 def test_derivatives_linear_ramp():
@@ -201,7 +202,7 @@ def test_net_lumbar_series_matches_analytic_derivatives(model):
     dt, edge = 1.0 / 240.0, 48
     truth = sinusoid_trajectory(model, 3.0, sway=True)
     qd, qdd = sinusoid_derivatives(model, 3.0, sway=True)
-    kinematics = TrajectoryKinematics(model, truth)
+    kinematics = KinematicState(model, truth)
     estimate = net_lumbar_series(kinematics, dt, smooth_cutoff_hz=5.0)
     tau = inverse_dynamics_series(kinematics, qd, qdd)
     err = estimate - LUMBAR_LOAD_SIGN * tau[:, 6 + lumbar_flexion_index(model)]
@@ -413,7 +414,7 @@ def test_lumbar_effort_report_zero_reduction_and_degenerate():
 
 def test_net_lumbar_series_static_hold(model):
     q = bent_configuration(model)
-    kinematics = TrajectoryKinematics(model, repeated(q, 16))
+    kinematics = KinematicState(model, repeated(q, 16))
     series = net_lumbar_series(kinematics, 1.0 / 240.0, smooth_cutoff_hz=None)
     tau_raw = inverse_dynamics(model, q, np.zeros(49), np.zeros(49))
     expected = LUMBAR_LOAD_SIGN * tau_raw[6 + model.dof_index["lumbar_flexion"]]

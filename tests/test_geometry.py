@@ -73,25 +73,32 @@ def test_stacked_orientation_errors_equal_pairwise_calls():
 
 
 def test_axis_angle_matrix_matches_entrywise_formula():
-    """One axis and angle, one axis over ``(T,)`` angles, and ``(3, n)``
+    """One axis and angle, one axis over ``(T,)`` angles, and ``(n, 3)``
     axes over ``(*batch, n)`` angles, against the entry-by-entry Rodrigues
     formula: equal on the model's coordinate axes and within 1e-15 on random
     unit axes, where the two formulas round their products in a different
-    order."""
+    order. Written into a strided ``out``, the rotation block of a frames
+    array, the matrices are the same bit for bit and the other columns stay
+    untouched."""
     rng = np.random.default_rng(17)
-    axes = rng.normal(size=(3, 6))
-    axes /= np.linalg.norm(axes, axis=0)
+    axes = rng.normal(size=(6, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
     angles = rng.uniform(-np.pi, np.pi, size=(2, 5, 6))
     got = axis_angle_matrix(axes, angles)
-    assert got.shape == (3, 3, 2, 5, 6)
+    assert got.shape == (2, 5, 6, 3, 3)
     for b in range(2):
         for t in range(5):
             for j in range(6):
-                expected = reference_axis_angle_matrix(axes[:, j], angles[b, t, j])
-                assert np.max(np.abs(got[:, :, b, t, j] - expected)) <= 1e-15
-    series = axis_angle_matrix(axes[:, 0], angles[0, :, 0])
-    assert series.shape == (3, 3, 5)
-    assert np.max(np.abs(series - reference_axis_angle_matrix(axes[:, 0], angles[0, :, 0]))) <= 1e-15
+                expected = reference_axis_angle_matrix(axes[j], angles[b, t, j])
+                assert np.max(np.abs(got[b, t, j] - expected)) <= 1e-15
+    series = axis_angle_matrix(axes[0], angles[0, :, 0])
+    assert series.shape == (5, 3, 3)
+    assert np.array_equal(series, got[0, :, 0])
+    frames = np.full((6, 5, 3, 5), np.nan)
+    out = axis_angle_matrix(axes[:, None], angles[0].T, out=frames[..., :3])
+    assert np.shares_memory(out, frames)
+    assert np.array_equal(frames[..., :3], got[0].swapaxes(0, 1))
+    assert np.isnan(frames[..., 3:]).all()
     model = default_model()
     for axis, angle in zip(model._dof_axis, rng.uniform(-np.pi, np.pi, model.n_joint_dofs)):
         assert np.array_equal(axis_angle_matrix(axis, angle), reference_axis_angle_matrix(axis, angle))

@@ -615,6 +615,11 @@ def with_field(*keys, value):
     return edit
 
 
+def overlapping_segment(payload):
+    payload["segments"].append(dict(payload["segments"][0], label="SP"))
+    return payload
+
+
 def icu_text_with_icu_only_answer(payload):
     payload["context"]["icu"] = "false"
     payload["answers"]["maneuvers_today"] = 3
@@ -659,6 +664,13 @@ BAD_INPUT_EDITS = {
         with_field("segments", 0, "start", value=9.0),
         "segments.0.start",
     ),
+    # record checks of the annotation types
+    "annotation-unknown-label": (
+        "annotation",
+        with_field("segments", 0, "label", value="bogus"),
+        "segments.0.label: unknown segment label 'bogus'",
+    ),
+    "annotation-overlap": ("annotation", overlapping_segment, "segments 'PS' and 'SP' overlap"),
 }
 
 
@@ -762,7 +774,7 @@ def test_pipeline_torque_matches_forward_model_oracle(tmp_path):
     )
 
     from exoload.dynamics import LUMBAR_LOAD_SIGN, inverse_dynamics_series
-    from exoload.skeleton import TrajectoryKinematics, lumbar_flexion_index
+    from exoload.skeleton import KinematicState, lumbar_flexion_index
 
     model = default_model()
     truth = sinusoid_trajectory(model, 3.0)
@@ -780,7 +792,7 @@ def test_pipeline_torque_matches_forward_model_oracle(tmp_path):
         rows = list(csv.DictReader(fh))
     tau_pipeline = np.array([float(r["tau_net_nm"]) for r in rows])
     qd, qdd = sinusoid_derivatives(model, 3.0)
-    tau = inverse_dynamics_series(TrajectoryKinematics(model, truth), qd, qdd)
+    tau = inverse_dynamics_series(KinematicState(model, truth), qd, qdd)
     oracle = LUMBAR_LOAD_SIGN * tau[:, 6 + lumbar_flexion_index(model)]
     skip, edge = 240, 48  # the first second while feedback converges; the filter's end
     err = tau_pipeline - oracle

@@ -17,7 +17,7 @@ from exoload.posture import (
     time_fraction_above,
     tukey_whiskers,
 )
-from exoload.skeleton import TrajectoryKinematics
+from exoload.skeleton import KinematicState
 
 
 def test_upright_thorax_is_zero():
@@ -42,7 +42,7 @@ def test_stacked_thorax_flexion_equals_per_matrix_calls(model):
     """A (T, 3, 3) stack of thorax rotations, strided as the pipeline reads
     them from the link frames, and a (2, T, 3, 3) stack give the angles of
     one call per matrix bit for bit."""
-    rotations = TrajectoryKinematics(model, moving_base_trajectory(model, 1.0)).segment_rotation(
+    rotations = KinematicState(model, moving_base_trajectory(model, 1.0)).segment_rotation(
         "thorax"
     )
     angles = thorax_flexion_deg(rotations)

@@ -14,7 +14,6 @@ from exoload.geometry import matrix_to_rotvec, quat_normalize, rotvec_to_quat
 from exoload.skeleton import (
     JointConfiguration,
     KinematicState,
-    TrajectoryKinematics,
     build_model,
     forward_kinematics,
     integrate_configuration,
@@ -215,7 +214,7 @@ def oracle_states(model):
 
 def test_subtree_com_jacobian_matches_per_segment_sum(model):
     for state in oracle_states(model):
-        assert np.max(np.abs(state.com_jacobian() - reference_com_jacobian(state))) <= 1e-12
+        assert np.max(np.abs(state.jacobian("com", "position") - reference_com_jacobian(state))) <= 1e-12
         segment_sum = sum(
             seg.mass * (state.segment_pose(seg.name).position
                         + state.segment_pose(seg.name).rotation @ seg.com_offset)
@@ -324,10 +323,10 @@ def test_trajectory_frames_index_and_iterate(model):
     assert k == 23
     with pytest.raises(TypeError):
         len(q[0])
-    with pytest.raises(ValidationError, match="expected a non-empty trajectory"):
-        TrajectoryKinematics(model, q[0])
-    with pytest.raises(ValidationError, match="expected a non-empty trajectory"):
-        TrajectoryKinematics(model, q[:0])
+    assert KinematicState(model, q[0]).n_frames is None
+    assert KinematicState(model, q[:1]).n_frames == 1
+    with pytest.raises(ValidationError, match="and at least one frame"):
+        KinematicState(model, q[:0])
 
 
 def test_configurations_compare_by_shape_and_value(model):
@@ -342,7 +341,8 @@ def test_configurations_compare_by_shape_and_value(model):
 
 def test_trajectory_kinematics_equal_kinematic_state_bit_for_bit(model):
     configurations = moving_base_trajectory(model, 1.0)
-    kinematics = TrajectoryKinematics(model, configurations)
+    kinematics = KinematicState(model, configurations)
+    assert kinematics.n_frames == 240 and kinematics.configuration is configurations
     assert kinematics.link_rotation.shape == (model.n_joint_dofs, 240, 3, 3)
     for k, q in enumerate(configurations):
         state = KinematicState(model, q)
@@ -353,6 +353,7 @@ def test_trajectory_kinematics_equal_kinematic_state_bit_for_bit(model):
         assert np.array_equal(
             kinematics.segment_rotation("thorax")[k], state.segment_pose("thorax").rotation
         )
+        assert np.array_equal(state.segment_rotation("thorax"), state.segment_pose("thorax").rotation)
 
 
 def test_kinematic_state_matches_per_link_oracle_bit_for_bit(model):
@@ -373,7 +374,7 @@ def test_kinematic_state_matches_per_link_oracle_bit_for_bit(model):
 
 def test_trajectory_kinematics_match_per_link_oracle_bit_for_bit(model):
     configurations = moving_base_trajectory(model, 1.0)
-    kinematics = TrajectoryKinematics(model, configurations)
+    kinematics = KinematicState(model, configurations)
     assert kinematics.frames.shape == (1 + model.n_joint_dofs, 240, 3, 5)
     for k, q in enumerate(configurations):
         rotation, position, axis = reference_link_frames(model, q)
@@ -381,6 +382,23 @@ def test_trajectory_kinematics_match_per_link_oracle_bit_for_bit(model):
         assert np.array_equal(kinematics.link_position[:, k], position)
         assert np.array_equal(kinematics.axis_world[:, k], axis)
         assert np.array_equal(kinematics.frames[0, k, :, 3], q.base_position)
+
+
+def test_one_frame_queries_reject_a_trajectory_state(model):
+    """Pose, CoM and Jacobian queries read one configuration's frames; on
+    the state of a trajectory they raise instead of returning arrays whose
+    shape mixes links and frames."""
+    kinematics = KinematicState(model, moving_base_trajectory(model, 0.1))
+    queries = (
+        lambda: kinematics.segment_pose("thorax"),
+        kinematics.segment_coms,
+        kinematics.com,
+        lambda: kinematics.jacobian("left_hand"),
+        lambda: kinematics.jacobian("com", "position"),
+    )
+    for query in queries:
+        with pytest.raises(ValidationError, match="not of a 24-frame trajectory"):
+            query()
 
 
 def test_limit_flags_warn_not_fail(model):
