@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import JsonFields, ValidationError
+from .errors import JsonFields, ValidationError, prefixed
 from .filters import butter_sos, sosfiltfilt
 from .geometry import cross, quat_rotvec_between
 from .io import load_json_file
@@ -208,6 +208,8 @@ class LaevoModel:
     def __post_init__(self) -> None:
         if self.k_loss < 0.0:
             raise ValidationError("k_loss must be non-negative")
+        if not self.tau_max > 0.0:
+            raise ValidationError(f"tau_max must be positive, got {self.tau_max!r}")
         if not self.theta_min < self.theta_max:
             raise ValidationError("engagement range must be non-empty")
         if self.branch not in ("ascending", "descending"):
@@ -276,10 +278,8 @@ def load_exoskeleton_params(path: str | Path) -> LaevoModel:
     k0, k1 = fields.get("k0", float), fields.get("k1", float)
     values = {name: fields.get(name, float) for name in ("k_loss", "theta_min", "theta_max", "tau_max")}
     fields.reject_unread()
-    try:
+    with prefixed(path):  # the model's own range checks name no file
         model = LaevoModel(**values)
-    except ValidationError as exc:  # the model's own range checks, which name no file
-        raise ValidationError(f"{path}: {exc}") from exc
     tol = 1e-9
     if abs(k0 + k1 * model.theta_min) > tol:
         raise ValidationError(f"{path}: spring must produce zero torque at the engagement angle")

@@ -3,6 +3,7 @@ numerical/solver failures to 3."""
 
 import reprlib
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,16 @@ class SolverError(NumericalError):
 
 class InfeasibleBoundsError(SolverError):
     """Velocity bounds admit no feasible point."""
+
+
+@contextmanager
+def prefixed(prefix: object):
+    """Re-raise package errors with ``prefix`` in front of the message,
+    keeping their type and so the exit code."""
+    try:
+        yield
+    except ExoloadError as exc:
+        raise type(exc)(f"{prefix}: {exc}") from exc
 
 
 def require_finite(values, where: str) -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -36,26 +37,24 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    )
+    """Hamilton product ``a * b`` of quaternions ``(4,)``, or of each pair of
+    broadcasting ``(..., 4)`` stacks."""
+    # components first: a (4,) quaternion unpacks into numpy scalars, whose
+    # arithmetic is cheaper than that of 0-d arrays
+    aw, ax, ay, az = a.transpose(-1, *range(a.ndim - 1))
+    bw, bx, by, bz = b.transpose(-1, *range(b.ndim - 1))
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
+    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
+    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
+    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+    return out
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrix of a quaternion ``(4,)``, or the ``(T, 3, 3)`` stack
     of a ``(T, 4)`` stack; each quaternion is normalized first."""
-    q = np.asarray(q, dtype=float)
-    norm = np.linalg.norm(q, axis=-1, keepdims=True)
-    if not norm.all():
-        raise ValueError("cannot normalize zero quaternion")
-    w, x, y, z = (q / norm).T
+    w, x, y, z = quat_normalize(q).T
     R = np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -202,15 +201,4 @@ def quat_rotvec_between(q_from: np.ndarray, q_to: np.ndarray) -> np.ndarray:
     """Rotation vectors ``(..., 3)`` of ``q_to * conj(q_from)`` for stacks of
     quaternions ``(..., 4)``: the world-frame rotation carrying each
     ``q_from`` onto ``q_to``, with the angle in [0, pi]."""
-    aw, av = q_from[..., 0], q_from[..., 1:]
-    bw, bv = q_to[..., 0], q_to[..., 1:]
-    w = bw * aw + np.sum(bv * av, axis=-1)
-    v = aw[..., None] * bv - bw[..., None] * av - cross(bv, av)
-    # unit norm and w >= 0 in one scale, so the angle lies in [0, pi]
-    norm = np.sqrt(w * w + np.sum(v * v, axis=-1))
-    scale = np.where(w < 0.0, -1.0, 1.0) / norm
-    w, v = w * scale, v * scale[..., None]
-    sin_half = np.sqrt(np.sum(v * v, axis=-1))
-    small = sin_half < 1e-12
-    factor = np.where(small, 2.0, 2.0 * np.arctan2(sin_half, w) / np.where(small, 1.0, sin_half))
-    return v * factor[..., None]
+    return quat_to_rotvec(quat_multiply(q_to, q_from * _CONJUGATE))

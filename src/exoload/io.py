@@ -24,7 +24,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .biosignals import EcgRecord, EmgRecord
-from .errors import FrameError, JsonFields, ValidationError
+from .errors import FrameError, JsonFields, ValidationError, prefixed
+from .geometry import vector_norms
 from .posture import AnnotationSegment, TrialAnnotation
 from .retarget import CapturedTrajectory, SegmentTrack
 from .skeleton import JointConfiguration, SkeletonModel
@@ -206,10 +207,9 @@ def parse_motion_file(path: str | Path, aliases: Mapping[str, str] | None = None
     for seg, cols in groups.items():
         pos = data[:, [cols[s] for s in ("px", "py", "pz")]]
         quat = data[:, [cols[s] for s in ("qw", "qx", "qy", "qz")]]
-        # one (1, 4) @ (4, 1) product per row of a C-ordered copy: bit for bit
-        # the per-row np.linalg.norm, which the column-ordered block is not
-        rowwise = np.ascontiguousarray(quat)
-        norm = np.sqrt((rowwise[:, None, :] @ rowwise[:, :, None])[:, 0, 0])
+        # norms of a C-ordered copy: bit for bit the per-row np.linalg.norm,
+        # which the column-ordered block is not
+        norm = vector_norms(np.ascontiguousarray(quat))
         bad = np.nonzero(~(np.abs(norm - 1.0) <= QUAT_FILE_TOL))[0]
         if bad.size:
             k = bad[0]
@@ -237,15 +237,11 @@ def parse_annotation_file(path: str | Path) -> TrialAnnotation:
         label, start, end = s.get("label", str), s.get("start", float), s.get("end", float)
         if not start < end:
             raise ValidationError(f"{path}: {s.prefix}start {start!r} must precede end {end!r}")
-        try:
+        with prefixed(f"{path}: {s.prefix}label"):
             segments.append(AnnotationSegment(label, start, end))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {s.prefix}label: {exc}") from None
     trial_id = fields.get("trial_id", str)
-    try:
+    with prefixed(path):
         return TrialAnnotation(trial_id=trial_id, segments=tuple(segments))
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _uniform_rate(times: np.ndarray, path: str | Path) -> float:
@@ -309,10 +305,8 @@ def _signal_rate(
 def _signal_record(record_type, path: str | Path, rate: float, source: str, **data):
     """``record_type(sample_rate=rate, **data)``. The record's own checks
     name no file, so their errors gain the file and the rate's source."""
-    try:
+    with prefixed(f"{path}: sample rate {rate:g} Hz from {source}"):
         return record_type(sample_rate=rate, **data)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: sample rate {rate:g} Hz from {source}: {exc}") from None
 
 
 def read_emg_file(path: str | Path, sample_rate: float | None = None) -> EmgRecord:

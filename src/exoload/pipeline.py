@@ -10,7 +10,6 @@ the manifest), stable orderings throughout.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -38,7 +37,7 @@ from .dynamics import (
     net_lumbar_series,
     time_derivative,
 )
-from .errors import REQUIRED, ExoloadError, JsonFields, ValidationError
+from .errors import REQUIRED, JsonFields, ValidationError, prefixed
 from .posture import (
     POSTURE_THRESHOLDS_DEG,
     AnnotationSegment,
@@ -252,18 +251,8 @@ def emit_boxplot_data(
     return out
 
 
-@contextmanager
-def _prefixed(prefix: object):
-    """Re-raise package errors with ``prefix`` in front of the message,
-    keeping their type and so the exit code."""
-    try:
-        yield
-    except ExoloadError as exc:
-        raise type(exc)(f"{prefix}: {exc}") from exc
-
-
 def _stage(name: str):
-    return _prefixed(f"stage {name}")
+    return prefixed(f"stage {name}")
 
 
 def _summary_row(trial: str, label: str, channel: str, s: DistributionSummary) -> list:
@@ -271,11 +260,10 @@ def _summary_row(trial: str, label: str, channel: str, s: DistributionSummary) -
     return [trial, label, channel, s.n, s.mean, s.stdev, s.minimum, s.q1, s.median, s.q3, s.maximum, lo, hi]
 
 
-def _whole_span_annotation(times: np.ndarray) -> TrialAnnotation:
-    dt = float(np.median(np.diff(times))) if len(times) > 1 else 1.0
-    return TrialAnnotation(
-        "session", (AnnotationSegment("control", float(times[0]), float(times[-1]) + dt),)
-    )
+def _whole_span_annotation(trial_id: str, start: float, end: float) -> TrialAnnotation:
+    """One ``control`` segment over ``[start, end)``: the annotation of a
+    recording that comes without one."""
+    return TrialAnnotation(trial_id, (AnnotationSegment("control", start, end),))
 
 
 def build_session_model(config: SessionConfig) -> SkeletonModel:
@@ -318,7 +306,9 @@ def run_motion_analysis(config: SessionConfig) -> tuple[SkeletonModel, MotionRes
         if config.annotation_file is not None:
             annotation = eio.parse_annotation_file(config.annotation_file)
         else:
-            annotation = _whole_span_annotation(captured.times)
+            times = captured.times
+            end = float(times[-1]) + 1.0 / captured.sample_rate
+            annotation = _whole_span_annotation("session", float(times[0]), end)
     with _stage("retarget"):
         file = config.solver_settings_file
         settings = SolverSettings() if file is None else load_solver_settings(file)
@@ -406,7 +396,7 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
             # the readers name their file; the prefix names it for the processing
             baseline = eio.read_emg_file(config.emg.baseline_file, config.emg.sample_rate)
             # each record drops its own settle-in, at its own sample rate
-            with _prefixed(config.emg.baseline_file):
+            with prefixed(config.emg.baseline_file):
                 base_env = {
                     name: settled_envelope(samples, baseline.sample_rate)
                     for name, samples in baseline.channels.items()
@@ -414,7 +404,7 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
             rows = []
             for label, file in config.emg.trial_files.items():
                 record = eio.read_emg_file(file, config.emg.sample_rate)
-                with _prefixed(file):
+                with prefixed(file):
                     for name in sorted(set(base_env) | set(record.channels)):
                         if name not in record.channels or name not in base_env:
                             rows.append([label, name, "NA"])
@@ -428,10 +418,10 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
         with _stage("ecg"):
             for label, file in config.ecg.files.items():
                 record = eio.read_ecg_file(file, config.ecg.channel)
-                with _prefixed(file):
+                with prefixed(file):
                     beats = detect_r_peaks(record.samples, record.sample_rate)
                     duration = len(record.samples) / record.sample_rate
-                    annotation = TrialAnnotation(label, (AnnotationSegment("control", 0.0, duration + 1e-9),))
+                    annotation = _whole_span_annotation(label, 0.0, duration + 1e-9)
                     for _, s in heart_rate_stats(beats, annotation):
                         boxplots.append(("heart_rate", label, "heart_rate_bpm", s))
             write_summaries("heart_rate", "heart_rate", "session")

@@ -4,8 +4,11 @@ primal active-set method.
 Problem form::
 
     minimize    || A x - b ||^2  +  eps * || x ||^2
-    subject to  C x = d
+    subject to  C x = C x0
                 lb <= x <= ub
+
+The equality rows hold ``C x`` at its value at the start ``x0``, which
+must lie within the bounds.
 
 The Tikhonov term keeps the Hessian positive definite, so the active-set
 iteration terminates finitely. Everything is deterministic: fixed tie-breaking
@@ -55,14 +58,14 @@ def solve_ls_qp(
     lb: np.ndarray,
     ub: np.ndarray,
     C: np.ndarray | None = None,
-    d: np.ndarray | None = None,
     x0: np.ndarray | None = None,
     max_iterations: int = 200,
     tolerance: float = 1e-10,
 ) -> QPResult:
-    """Minimize the problem in the module docstring. A bound leaves the
-    working set only when its multiplier has the wrong sign by more than
-    ``tolerance``."""
+    """Minimize the problem in the module docstring. Without equality rows
+    the start defaults to zero clipped to the bounds; with ``C`` it is
+    ``x0``, which is then required. A bound leaves the working set only when
+    its multiplier has the wrong sign by more than ``tolerance``."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float)
     n = A.shape[1]
@@ -73,27 +76,15 @@ def solve_ls_qp(
         raise InfeasibleBoundsError(f"velocity bounds are empty at coordinates {bad}")
     if C is None:
         C = np.zeros((0, n))
-        d = np.zeros(0)
+    elif x0 is None:
+        raise ValueError("equality rows C need a start x0")
     else:
         C = np.atleast_2d(np.asarray(C, dtype=float))
-        d = np.asarray(d, dtype=float)
 
     P = A.T @ A
     P.flat[:: n + 1] += eps
     g0 = -A.T @ b
-
-    if x0 is None:
-        if C.shape[0]:
-            x = np.linalg.lstsq(C, d, rcond=None)[0]
-        else:
-            x = np.zeros(n)
-        x = np.clip(x, lb, ub)
-        if C.shape[0] and not np.allclose(C @ x - d, 0.0, atol=1e-9):
-            raise InfeasibleBoundsError(
-                "no feasible start: equality constraints conflict with bounds"
-            )
-    else:
-        x = np.array(x0, dtype=float)
+    x = np.clip(np.zeros(n), lb, ub) if x0 is None else np.array(x0, dtype=float)
 
     active_lo = np.zeros(n, dtype=bool)
     active_up = np.zeros(n, dtype=bool)
@@ -228,7 +219,7 @@ def solve_hierarchy(
     r1 = solve_ls_qp(J1, v1, eps, lb, ub, **options)
     if not two_levels:
         return r1
-    r2 = solve_ls_qp(J2, v2, eps, lb, ub, C=J1, d=J1 @ r1.x, x0=r1.x, **options)
+    r2 = solve_ls_qp(J2, v2, eps, lb, ub, C=J1, x0=r1.x, **options)
     return QPResult(
         x=r2.x,
         iterations=r1.iterations + r2.iterations,

@@ -25,6 +25,7 @@ from .errors import (
     SolverError,
     JsonFields,
     ValidationError,
+    prefixed,
     require_finite,
 )
 from .geometry import (
@@ -57,28 +58,27 @@ class SolverSettings:
     tolerance: float = 1e-10  # QP multiplier tolerance for releasing a bound
 
     def __post_init__(self) -> None:
-        if self.gain <= 0.0:
-            raise ValidationError(f"feedback gain must be positive, got {self.gain!r}")
+        for name in ("epsilon", "gain", "velocity_bound"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+        if not self.max_iterations >= 1:
+            raise ValidationError(f"max_iterations must be at least 1, got {self.max_iterations!r}")
+        if not self.tolerance >= 0.0:
+            raise ValidationError(f"tolerance must not be negative, got {self.tolerance!r}")
 
 
 def load_solver_settings(path: str | Path) -> SolverSettings:
     """Solver settings from a JSON object. A field left out keeps its default
-    and an unknown field is an error; ``tolerance`` must not be negative and
-    the other settings must be positive."""
+    and an unknown field is an error; ``SolverSettings`` checks the values."""
     from .io import load_json_file  # local import: io depends on this module
 
     raw = JsonFields(load_json_file(path), path)
     # each field has the JSON type of its default: max_iterations an integer, the rest numbers
-    settings = SolverSettings(
-        **{
-            f.name: raw.get(f.name, type(f.default), f.default, positive=f.name != "tolerance")
-            for f in fields(SolverSettings)
-        }
-    )
+    values = {f.name: raw.get(f.name, type(f.default), f.default) for f in fields(SolverSettings)}
     raw.reject_unread()
-    if settings.tolerance < 0.0:
-        raise ValidationError(f"{path}: tolerance must not be negative, got {settings.tolerance!r}")
-    return settings
+    with prefixed(path):
+        return SolverSettings(**values)
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import reprlib
 from dataclasses import dataclass, field
 from importlib import resources
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import JsonFields, ValidationError, finite_number
+from .errors import JsonFields, ValidationError, finite_number, prefixed
+from .posture import summarize
 
 QUESTIONNAIRE_IDS = ("A", "B", "C", "D", "E")
 ANSWER_KINDS = ("likert5_A", "likert5_B", "borg_cr10", "numeric", "free_text", "choice")
@@ -163,15 +163,6 @@ class ConstructScore:
     n: int
 
 
-def _mean_stdev(values: list[float]) -> tuple[float, float]:
-    n = len(values)
-    mean = sum(values) / n
-    if n == 1:
-        return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, math.sqrt(var)
-
-
 def construct_scores(
     schema: QuestionnaireSchema,
     responses: Iterable[ResponseSet],
@@ -197,8 +188,8 @@ def construct_scores(
             if skip_empty:
                 continue
             raise ValidationError(f"construct {construct!r}: no answers pooled")
-        mean, stdev = _mean_stdev(pooled)
-        out.append(ConstructScore(construct=construct, mean=mean, stdev=stdev, n=len(pooled)))
+        s = summarize(pooled)
+        out.append(ConstructScore(construct=construct, mean=s.mean, stdev=s.stdev, n=s.n))
     return out
 
 
@@ -235,8 +226,8 @@ def borg_summary(
         raise ValidationError("no Borg answers matched the filter")
     out = []
     for (zone, position), values in pooled.items():
-        mean, stdev = _mean_stdev(values)
-        out.append(BorgSummary(zone=zone, position=position, mean=mean, stdev=stdev, n=len(values)))
+        s = summarize(values)
+        out.append(BorgSummary(zone=zone, position=position, mean=s.mean, stdev=s.stdev, n=s.n))
     out.sort(key=lambda s: (s.zone, s.position))
     return out
 
@@ -299,11 +290,9 @@ def parse_response(payload: object, where: str = "response record") -> ResponseS
     position = context.get("position", str, None)
     pp_index = context.get("pp_index", int, None)
     icu = context.get("icu", bool, False)
-    try:
+    with prefixed(where):
         response = ResponseSet(
             respondent_id, questionnaire_id, answers, ResponseContext(exoskeleton, position, pp_index, icu)
         )
         validate(load_schema(questionnaire_id), response)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
     return response

@@ -573,6 +573,21 @@ def reference_matrix_to_rotvec(R: np.ndarray) -> np.ndarray:
     return np.array([x, y, z]) * (angle / sin_half)
 
 
+def reference_quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product of one quaternion pair ``(4,)`` from its scalar
+    components: the oracle for a one-pair ``geometry.quat_multiply``."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    )
+
+
 def reference_quat_slerp(qa: np.ndarray, qb: np.ndarray, t: float) -> np.ndarray:
     """Slerp of one quaternion pair with scalar branches: the per-frame
     oracle for ``resample_uniform``."""
@@ -697,7 +712,7 @@ def reference_two_level_step(
     r1 = solve_ls_qp(J1, v1, settings.epsilon, lb, ub, **options)
     if not J2.shape[0]:
         return r1
-    r2 = solve_ls_qp(J2, v2, settings.epsilon, lb, ub, C=J1, d=J1 @ r1.x, x0=r1.x, **options)
+    r2 = solve_ls_qp(J2, v2, settings.epsilon, lb, ub, C=J1, x0=r1.x, **options)
     return QPResult(
         x=r2.x,
         iterations=r1.iterations + r2.iterations,

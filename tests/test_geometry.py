@@ -5,6 +5,7 @@ from helpers import (
     reference_axis_angle_matrix,
     reference_matrix_to_quat,
     reference_matrix_to_rotvec,
+    reference_quat_multiply,
 )
 
 from exoload.geometry import (
@@ -12,6 +13,8 @@ from exoload.geometry import (
     matrix_to_quat,
     matrix_to_rotvec,
     orientation_error,
+    quat_multiply,
+    quat_rotvec_between,
     quat_to_matrix,
 )
 
@@ -55,6 +58,20 @@ def test_stacked_rotation_helpers_equal_single_calls():
         assert np.array_equal(rotvecs[k], matrix_to_rotvec(r))
     # extra leading axes keep their shape
     assert np.array_equal(matrix_to_quat(R[:6].reshape(2, 3, 3, 3)), quats[:6].reshape(2, 3, 4))
+    # consecutive pairs: every Shepperd branch on either side of a pair; a
+    # one-pair product, which integrate_configuration takes every frame,
+    # keeps the bits of the scalar component formula
+    products = quat_multiply(quats[1:], quats[:-1])
+    between = quat_rotvec_between(quats[:-1], quats[1:])
+    assert products.shape == (len(R) - 1, 4) and between.shape == (len(R) - 1, 3)
+    for k in range(len(R) - 1):
+        single = quat_multiply(quats[k + 1], quats[k])
+        assert np.array_equal(single, reference_quat_multiply(quats[k + 1], quats[k]))
+        assert np.array_equal(products[k], single)
+        assert np.array_equal(between[k], quat_rotvec_between(quats[k], quats[k + 1]))
+    # a (4,) operand broadcasts over a stack with extra leading axes
+    by_one = quat_multiply(quats[:6], quats[0])
+    assert np.array_equal(quat_multiply(quats[:6].reshape(2, 3, 4), quats[0]), by_one.reshape(2, 3, 4))
 
 
 def test_single_rotation_calls_keep_the_scalar_shepperd_bits():

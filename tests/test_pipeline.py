@@ -620,6 +620,12 @@ def overlapping_segment(payload):
     return payload
 
 
+def negative_tau_max(payload):
+    # k0 and k1 restate the spring line through (20, 0) and (50, -40)
+    payload.update(tau_max=-40.0, k0=80.0 / 3.0, k1=-4.0 / 3.0)
+    return payload
+
+
 def icu_text_with_icu_only_answer(payload):
     payload["context"]["icu"] = "false"
     payload["answers"]["maneuvers_today"] = 3
@@ -671,6 +677,8 @@ BAD_INPUT_EDITS = {
         "segments.0.label: unknown segment label 'bogus'",
     ),
     "annotation-overlap": ("annotation", overlapping_segment, "segments 'PS' and 'SP' overlap"),
+    # record check of the exoskeleton model
+    "laevo-tau-max-negative": ("exoskeleton", negative_tau_max, "tau_max must be positive"),
 }
 
 

@@ -51,7 +51,7 @@ def test_equality_constraints_hold_exactly():
     C = rng.normal(size=(2, 6))
     x_feasible = np.clip(rng.normal(size=6) * 0.1, -1, 1)
     d = C @ x_feasible
-    r = solve_ls_qp(A, b, 1e-6, -np.full(6, 5.0), np.full(6, 5.0), C=C, d=d, x0=x_feasible)
+    r = solve_ls_qp(A, b, 1e-6, -np.full(6, 5.0), np.full(6, 5.0), C=C, x0=x_feasible)
     assert np.max(np.abs(C @ r.x - d)) < 1e-10
     # reduced gradient vanishes in the constraint null space
     P = A.T @ A + 1e-6 * np.eye(6)
@@ -67,10 +67,13 @@ def test_rank_deficient_equalities_are_tolerated():
     b = rng.normal(size=5)
     C = rng.normal(size=(2, 4))
     C = np.vstack([C, C[0]])  # duplicated row
-    x0 = np.zeros(4)
-    d = C @ x0
-    r = solve_ls_qp(A, b, 1e-6, -np.full(4, 10.0), np.full(4, 10.0), C=C, d=d, x0=x0)
-    assert np.max(np.abs(C @ r.x - d)) < 1e-10
+    r = solve_ls_qp(A, b, 1e-6, -np.full(4, 10.0), np.full(4, 10.0), C=C, x0=np.zeros(4))
+    assert np.max(np.abs(C @ r.x)) < 1e-10
+
+
+def test_equality_rows_need_a_start():
+    with pytest.raises(ValueError, match="x0"):
+        solve_ls_qp(np.eye(2), np.ones(2), 1e-6, -np.ones(2), np.ones(2), C=np.ones((1, 2)))
 
 
 def test_infeasible_bounds_raise():
@@ -127,7 +130,7 @@ def fixed_problem(name):
     if seed >= 102:
         C = rng.normal(size=(2, n))
         x0 = np.clip(0.1 * rng.normal(size=n), -0.3, 0.3)
-        problem.update(C=C, d=C @ x0, x0=x0)
+        problem.update(C=C, x0=x0)
     return problem
 
 
@@ -210,7 +213,7 @@ def test_hierarchy_matches_two_call_oracle_on_fixed_problems(name, active_set_ca
     problems, so the two agree to 1e-8 rather than 1e-9."""
     p = fixed_problem(name)
     A, b = p["A"], p["b"]
-    J1, v1, J2, v2 = (p["C"], p["d"], A, b) if "C" in p else (A[:2], b[:2], A[2:], b[2:])
+    J1, v1, J2, v2 = (p["C"], p["C"] @ p["x0"], A, b) if "C" in p else (A[:2], b[:2], A[2:], b[2:])
     got = hierarchy(WIDE, J1, v1, J2, v2)
     assert_matches_oracle(got, reference_two_level_step(J1, v1, J2, v2, WIDE), 1e-8)
     assert active_set_calls == []

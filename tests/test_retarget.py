@@ -17,7 +17,7 @@ from helpers import (
     tracked_dof_indices,
 )
 
-from exoload.errors import ValidationError
+from exoload.errors import InfeasibleBoundsError, ValidationError
 from exoload.geometry import (
     IDENTITY_QUAT,
     quat_multiply,
@@ -592,15 +592,56 @@ def test_integration_consistency(model):
         q = sol.next_configuration
 
 
-def test_infeasible_bounds_skip_frames(model):
-    q0 = model.upright_configuration()
-    captured = capture_from_configurations(model, [q0] * 4, 240.0)
-    settings = SolverSettings(velocity_bound=-1.0)  # empty box: every frame skips
-    result = retarget_trajectory(model, captured, settings=settings)
-    assert result.n_frames == 4
-    assert all(d.skipped for d in result.diagnostics)
-    for conf in result.configurations:
-        assert np.array_equal(conf.joint_angles, q0.joint_angles)
+def test_infeasible_frames_skip_and_hold_the_configuration(model, monkeypatch):
+    """A frame whose QP reports empty bounds is skipped with that message and
+    holds the configuration it starts from; the other frames are solved."""
+    captured = capture_from_configurations(model, moving_base_trajectory(model, 0.03), 240.0)
+    infeasible = {0, 3, 4}
+    calls = []
+
+    def solve(*args, **kwargs):
+        k = len(calls)
+        calls.append(k)
+        if k in infeasible:
+            raise InfeasibleBoundsError(f"no room at frame {k}")
+        return solve_hierarchy(*args, **kwargs)
+
+    monkeypatch.setattr("exoload.retarget.solve_hierarchy", solve)
+    result = retarget_trajectory(model, captured)
+    n = result.n_frames
+    assert len(calls) == n >= 6
+    q = result.configurations
+    start = model.upright_configuration()
+    before = [
+        np.concatenate([q.base_position[k - 1], q.base_orientation[k - 1], q.joint_angles[k - 1]])
+        if k
+        else np.concatenate([start.base_position, start.base_orientation, start.joint_angles])
+        for k in range(n)
+    ]
+    for k, diagnostics in enumerate(result.diagnostics):
+        after = np.concatenate([q.base_position[k], q.base_orientation[k], q.joint_angles[k]])
+        if k in infeasible:
+            assert diagnostics.skipped and diagnostics.message == f"no room at frame {k}"
+            assert np.array_equal(after, before[k])
+        else:
+            assert not diagnostics.skipped and diagnostics.iterations >= 1
+            assert not np.array_equal(after, before[k])
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"velocity_bound": -1.0}, "velocity_bound must be positive"),
+        ({"epsilon": 0.0}, "epsilon must be positive"),
+        ({"gain": float("nan")}, "gain must be positive"),
+        ({"velocity_bound": float("inf")}, "velocity_bound must be positive and finite"),
+        ({"max_iterations": 0}, "max_iterations must be at least 1"),
+        ({"tolerance": -1e-12}, "tolerance must not be negative"),
+    ],
+)
+def test_solver_settings_built_in_code_are_checked(kwargs, message):
+    with pytest.raises(ValidationError, match=message):
+        SolverSettings(**kwargs)
 
 
 def test_solver_settings_file(tmp_path):
