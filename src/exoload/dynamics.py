@@ -178,7 +178,7 @@ def estimate_derivatives(
         fs = 1.0 / dt
         if smooth_cutoff_hz <= 0.0 or smooth_cutoff_hz >= fs / 2.0:
             raise ValidationError("smoothing cutoff must lie in (0, fs/2)")
-        pad = min(9, n - 1)  # filtfilt's default, 3 * max(len(b), len(a)), for one biquad
+        pad = min(round(fs / smooth_cutoff_hz), n - 1)  # one cutoff period: end transients settle in it
         U = sosfiltfilt(butter_sos(2, smooth_cutoff_hz, fs), U, pad)
     return U, time_derivative(U, dt)
 

@@ -56,6 +56,32 @@ def require_finite(values, where: str) -> None:
         raise ValidationError(f"{where}: non-finite value at index {int(np.argwhere(bad)[0][0])}")
 
 
+def uniform_spacing(times: np.ndarray, tolerance: float) -> float:
+    """The median spacing of evenly spaced finite timestamps: the time-base
+    rule of captures and biosignal files. A ``FrameError`` names the frame
+    that breaks it: the last of fewer than two, the first that does not follow
+    the one before it, or the one spaced furthest from the median, if by more
+    than ``tolerance`` of it."""
+    n = len(times)
+    if n < 2:
+        raise FrameError(f"need at least two samples, got {n}", n - 1 if n else None)
+    dt = np.diff(times)
+    bad = np.nonzero(dt <= 0.0)[0]
+    if bad.size:
+        k = int(bad[0]) + 1
+        raise FrameError(f"timestamps must strictly increase: frame {k} at {times[k]!r} s", k)
+    nominal = float(np.median(dt))
+    deviation = np.abs(dt - nominal)
+    k = int(np.argmax(deviation))
+    if deviation[k] > tolerance * nominal:
+        raise FrameError(
+            f"frame spacing at frame {k + 1} is {dt[k]!r} s, more than {tolerance:.0%} off the median "
+            f"{nominal!r} s: the time base is not uniform",
+            k + 1,
+        )
+    return nominal
+
+
 def finite_number(value: object) -> float | None:
     """A JSON number that is not a bool, as a finite float; ``None`` for
     anything else, a NaN, an infinity or an integer beyond the float range

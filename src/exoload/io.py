@@ -24,14 +24,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .biosignals import EcgRecord, EmgRecord
-from .errors import FrameError, JsonFields, ValidationError, prefixed
-from .geometry import vector_norms
+from .errors import FrameError, JsonFields, ValidationError, prefixed, uniform_spacing
 from .posture import AnnotationSegment, TrialAnnotation
 from .retarget import CapturedTrajectory, SegmentTrack
 from .skeleton import JointConfiguration, SkeletonModel
 from .surveys import ResponseSet, parse_response
 
-QUAT_FILE_TOL = 1e-3
+SIGNAL_JITTER_TOL = 0.01  # EMG/ECG sample spacing, relative to the median
 POSE_SUFFIXES = ("px", "py", "pz", "qw", "qx", "qy", "qz")
 
 
@@ -164,22 +163,22 @@ def _read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
     return header, data
 
 
-def _check_increasing(times: np.ndarray, path: str | Path) -> None:
-    """Reject the first timestamp that does not exceed the one before it."""
-    bad = np.nonzero(np.diff(times) <= 0.0)[0]
-    if bad.size:
-        line = _record(path, bad[0] + 1)[0]
-        raise ValidationError(f"{path}: row {line}: timestamps must strictly increase")
+@contextmanager
+def _rows_named(path: str | Path):
+    """Put the file and the file line of a ``FrameError``'s frame in front of its message."""
+    try:
+        yield
+    except FrameError as exc:
+        where = path if exc.frame is None else f"{path}: row {_record(path, exc.frame)[0]}"
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def parse_motion_file(path: str | Path, aliases: Mapping[str, str] | None = None) -> CapturedTrajectory:
-    """Read a captured trajectory. Non-unit quaternions within 1e-3 of unit
-    norm are renormalized; larger deviations, non-finite cells, malformed
-    headers and non-monotone timestamps are rejected with the offending row
-    named.
+    """Read a captured trajectory. ``CapturedTrajectory`` checks the time base
+    and the quaternions; its errors, like those of malformed headers and
+    non-finite cells, name the offending row.
 
     ``aliases`` maps capture-file segment names onto canonical model names.
-    The sample rate is the inverse of the median frame spacing.
     """
     header, data = _read_table(path)
     if not header or header[0] != "time_s":
@@ -196,37 +195,16 @@ def parse_motion_file(path: str | Path, aliases: Mapping[str, str] | None = None
         missing = [s for s in POSE_SUFFIXES if s not in cols]
         if missing:
             raise ValidationError(f"{path}: segment {seg!r} lacks columns {missing}")
-    n = len(data)
-    if not n:
-        raise ValidationError(f"{path}: no data rows")
-    times = data[:, 0].copy()
-    _check_increasing(times, path)
-
-    aliases = dict(aliases or {})
-    segments: dict[str, SegmentTrack] = {}
+    segments = {}
     for seg, cols in groups.items():
-        pos = data[:, [cols[s] for s in ("px", "py", "pz")]]
-        quat = data[:, [cols[s] for s in ("qw", "qx", "qy", "qz")]]
-        # norms of a C-ordered copy: bit for bit the per-row np.linalg.norm,
-        # which the column-ordered block is not
-        norm = vector_norms(np.ascontiguousarray(quat))
-        bad = np.nonzero(~(np.abs(norm - 1.0) <= QUAT_FILE_TOL))[0]
-        if bad.size:
-            k = bad[0]
-            raise ValidationError(
-                f"{path}: row {_record(path, k)[0]}: segment {seg!r}: quaternion norm {norm[k]:.6f} "
-                f"deviates from 1 by more than {QUAT_FILE_TOL}"
-            )
-        quat /= norm[:, None]
-        segments[aliases.get(seg, seg)] = SegmentTrack(pos, quat)
-
-    if n < 2:
-        raise ValidationError(f"{path}: cannot infer the sample rate from one frame")
-    sample_rate = 1.0 / float(np.median(np.diff(times)))
-    try:
-        return CapturedTrajectory(sample_rate=sample_rate, times=times, segments=segments)
-    except FrameError as exc:
-        raise ValidationError(f"{path}: row {_record(path, exc.frame)[0]}: {exc}") from None
+        pose = data[:, [cols[s] for s in POSE_SUFFIXES]]
+        segments[seg] = SegmentTrack(pose[:, :3], pose[:, 3:])
+    with _rows_named(path):
+        captured = CapturedTrajectory(data[:, 0].copy(), segments)
+    # checked under the file's segment names, read under the model's
+    aliases = aliases or {}
+    captured.segments = {aliases.get(seg, seg): track for seg, track in captured.segments.items()}
+    return captured
 
 
 def parse_annotation_file(path: str | Path) -> TrialAnnotation:
@@ -244,17 +222,6 @@ def parse_annotation_file(path: str | Path) -> TrialAnnotation:
         return TrialAnnotation(trial_id=trial_id, segments=tuple(segments))
 
 
-def _uniform_rate(times: np.ndarray, path: str | Path) -> float:
-    if len(times) < 2:
-        raise ValidationError(f"{path}: need at least two samples")
-    _check_increasing(times, path)
-    dt = np.diff(times)
-    nominal = float(np.median(dt))
-    if np.max(np.abs(dt - nominal)) > 0.01 * nominal:
-        raise ValidationError(f"{path}: sample spacing is not uniform")
-    return 1.0 / nominal
-
-
 def read_signal_csv(path: str | Path) -> tuple[float, dict[str, np.ndarray]]:
     """Generic biosignal CSV: ``time_s`` plus one column per channel."""
     header, data = _read_table(path)
@@ -262,7 +229,8 @@ def read_signal_csv(path: str | Path) -> tuple[float, dict[str, np.ndarray]]:
         raise ValidationError(f"{path}: first column must be 'time_s'")
     if len(header) < 2:
         raise ValidationError(f"{path}: no signal channels")
-    rate = _uniform_rate(data[:, 0], path)
+    with _rows_named(path):
+        rate = 1.0 / uniform_spacing(data[:, 0], SIGNAL_JITTER_TOL)
     channels = {header[j]: data[:, j].copy() for j in range(1, len(header))}
     return rate, channels
 

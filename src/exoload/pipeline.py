@@ -269,6 +269,11 @@ def _whole_span_annotation(trial_id: str, start: float, end: float) -> TrialAnno
 def build_session_model(config: SessionConfig) -> SkeletonModel:
     if config.coefficient_table_file is not None:
         table = load_table_file(config.coefficient_table_file)
+        if table.table_id != config.profile.coefficient_table_id:
+            raise ValidationError(
+                f"{config.coefficient_table_file}: table_id {table.table_id!r} is not the "
+                f"profile.coefficient_table {config.profile.coefficient_table_id!r}"
+            )
     else:
         table = get_table(config.profile.coefficient_table_id)
     return build_model(config.profile, table)

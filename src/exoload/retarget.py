@@ -27,6 +27,7 @@ from .errors import (
     ValidationError,
     prefixed,
     require_finite,
+    uniform_spacing,
 )
 from .geometry import (
     orientation_error,
@@ -45,7 +46,7 @@ from .skeleton import (
     integrate_configuration,
 )
 
-QUAT_TRACK_TOL = 1e-6
+QUAT_NORM_TOL = 1e-3
 DT_JITTER_TOL = 0.10
 
 
@@ -129,38 +130,37 @@ class SegmentTrack:
 
 @dataclass
 class CapturedTrajectory:
-    """Time-stamped world poses of body segments from motion capture."""
+    """Time-stamped world poses of body segments from motion capture. The
+    sample rate is the inverse of the median frame spacing; every quaternion
+    within ``QUAT_NORM_TOL`` of unit norm is renormalized."""
 
-    sample_rate: float
     times: np.ndarray  # (n,)
     segments: dict[str, SegmentTrack]
+    sample_rate: float = field(init=False)
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
-        n = len(self.times)
-        if n == 0:
-            raise ValidationError("trajectory has no frames")
-        if self.sample_rate <= 0.0:
-            raise ValidationError("sample rate must be positive")
         require_finite(self.times, "trajectory timestamps")
-        dt = np.diff(self.times)
-        if np.any(dt <= 0.0):
-            row = int(np.nonzero(dt <= 0.0)[0][0]) + 1
-            raise FrameError(f"timestamps not strictly increasing at frame {row}", row)
-        nominal = 1.0 / self.sample_rate
-        if dt.size and np.max(np.abs(dt - nominal)) > DT_JITTER_TOL * nominal:
-            worst = int(np.argmax(np.abs(dt - nominal))) + 1
-            raise FrameError(
-                f"frame spacing at frame {worst} deviates more than 10% from 1/{self.sample_rate} s", worst
-            )
+        self.sample_rate = 1.0 / uniform_spacing(self.times, DT_JITTER_TOL)
+        n, segments = len(self.times), {}
         for name, track in self.segments.items():
             if track.positions.shape != (n, 3) or track.quaternions.shape != (n, 4):
                 raise ValidationError(f"segment {name!r}: track shape mismatch")
             require_finite(track.positions, f"segment {name!r}: positions")
             require_finite(track.quaternions, f"segment {name!r}: quaternions")
-            norms = np.linalg.norm(track.quaternions, axis=1)
-            if np.max(np.abs(norms - 1.0)) > QUAT_TRACK_TOL:
-                raise ValidationError(f"segment {name!r}: non-unit quaternion in track")
+            # norms of a C-ordered copy: bit for bit the per-row np.linalg.norm,
+            # which a column-ordered block is not
+            norms = vector_norms(np.ascontiguousarray(track.quaternions))
+            bad = np.nonzero(~(np.abs(norms - 1.0) <= QUAT_NORM_TOL))[0]
+            if bad.size:
+                k = int(bad[0])
+                raise FrameError(
+                    f"segment {name!r}: quaternion norm {norms[k]:.6f} at frame {k} deviates from 1 "
+                    f"by more than {QUAT_NORM_TOL}",
+                    k,
+                )
+            segments[name] = SegmentTrack(track.positions, track.quaternions / norms[:, None])
+        self.segments = segments
 
     @property
     def n_frames(self) -> int:
@@ -168,8 +168,6 @@ class CapturedTrajectory:
 
     def is_uniform(self) -> bool:
         """Every frame spacing within 1e-9 of ``1 / sample_rate``, relatively."""
-        if self.n_frames < 3:
-            return True
         dt = np.diff(self.times)
         nominal = 1.0 / self.sample_rate
         return bool(np.max(np.abs(dt - nominal)) <= 1e-9 * nominal)
@@ -192,7 +190,7 @@ def resample_uniform(captured: CapturedTrajectory) -> CapturedTrajectory:
         pos = track.positions[idx] * (1.0 - w[:, None]) + track.positions[idx + 1] * w[:, None]
         quats = quat_slerp(track.quaternions[idx], track.quaternions[idx + 1], w)
         segments[name] = SegmentTrack(pos, quats)
-    return CapturedTrajectory(sample_rate=captured.sample_rate, times=grid, segments=segments)
+    return CapturedTrajectory(grid, segments)
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,7 @@ def capture_from_configurations(
     tracks = {s: SegmentTrack(positions[s], quats[s]) for s in segments}
     if include_com:
         tracks["com"] = SegmentTrack(com, np.tile(IDENTITY_QUAT, (n, 1)))
-    return CapturedTrajectory(sample_rate=sample_rate, times=times, segments=tracks)
+    return CapturedTrajectory(times, tracks)
 
 
 # (amplitude in rad, frequency in Hz) of each joint of the sinusoid trajectory

@@ -164,6 +164,17 @@ def test_signal_csv_requires_uniform_spacing(tmp_path):
         eio.read_emg_file(path)
 
 
+def test_late_signal_sample_names_the_file_and_row(tmp_path):
+    """One EMG sample 40% of a spacing late: the error names the file and the
+    file line of that sample."""
+    rows = [[k / 1000.0, 1.0] for k in range(50)]
+    rows[20][0] += 0.4 / 1000.0
+    path = tmp_path / "emg.csv"
+    write_rows(path, ["time_s", "ESL_L"], rows)
+    with pytest.raises(ValidationError, match=r"emg\.csv: row 22: frame spacing at frame 20 .* 1% .*uniform"):
+        eio.read_emg_file(path)
+
+
 def test_responses_jsonl(tmp_path):
     path = tmp_path / "r.jsonl"
     lines = [

@@ -47,6 +47,15 @@ def test_skeleton_imports_no_layer_above_it():
     assert not imported & ABOVE_SKELETON, sorted(imported & ABOVE_SKELETON)
 
 
+def test_errors_imports_no_other_exoload_module():
+    """The error types and the shared checks (``uniform_spacing``,
+    ``JsonFields``) sit below every layer that reads a file, so that no
+    import there can close a cycle."""
+    path = Path(exoload.__file__).parent / "errors.py"
+    assert "uniform_spacing" in path.read_text(encoding="utf-8")
+    assert imported_exoload_modules(path) == set()
+
+
 def test_import_scan_sees_local_and_relative_imports(tmp_path):
     source = tmp_path / "module.py"
     source.write_text(

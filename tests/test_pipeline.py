@@ -644,6 +644,12 @@ BAD_INPUT_EDITS = {
         with_field("segments", 0, "com_fraction", value="0.5"),
         "segments.0.com_fraction",
     ),
+    # the table file's id against the profile's default-v1
+    "table-id-mismatch": (
+        "coefficients",
+        with_field("table_id", value="my-lab-table"),
+        "table_id 'my-lab-table' is not the profile.coefficient_table 'default-v1'",
+    ),
     "solver-epsilon": ("solver", with_field("epsilon", value=-1), "epsilon"),
     "solver-iterations": ("solver", with_field("max_iterations", value=0), "max_iterations"),
     "solver-velocity-bound": ("solver", with_field("velocity_bound", value=-1), "velocity_bound"),

@@ -17,7 +17,8 @@ from helpers import (
     tracked_dof_indices,
 )
 
-from exoload.errors import InfeasibleBoundsError, ValidationError
+import exoload.io as eio
+from exoload.errors import FrameError, InfeasibleBoundsError, ValidationError
 from exoload.geometry import (
     IDENTITY_QUAT,
     quat_multiply,
@@ -491,7 +492,7 @@ def test_resample_uniform_matches_per_frame_slerp():
     quats[10:20] = quats[10]  # parallel pairs
     quats[12] = quat_normalize(quats[12] + 1e-12)
     quats[25::2] *= -1.0  # the same rotations, opposite signs
-    captured = CapturedTrajectory(240.0, times, {"pelvis": SegmentTrack(np.zeros((n, 3)), quats)})
+    captured = CapturedTrajectory(times, {"pelvis": SegmentTrack(np.zeros((n, 3)), quats)})
     uniform = resample_uniform(captured)
     grid = uniform.times
     idx = np.clip(np.searchsorted(times, grid, side="right") - 1, 0, n - 2)
@@ -506,15 +507,56 @@ def test_trajectory_invariants():
     model = default_model()
     q0 = model.upright_configuration()
     good = capture_from_configurations(model, [q0] * 5, 240.0)
-    with pytest.raises(ValidationError, match="strictly increasing"):
-        CapturedTrajectory(240.0, np.array([0.0, 0.0, 0.01]), {})
+    with pytest.raises(ValidationError, match="strictly increase"):
+        CapturedTrajectory(np.array([0.0, 0.0, 0.01]), {})
     with pytest.raises(ValidationError, match="10%"):
-        CapturedTrajectory(240.0, np.array([0.0, 1 / 240, 1 / 240 + 1.5 / 240]), {})
+        CapturedTrajectory(np.array([0.0, 1 / 240, 1 / 240 + 1.5 / 240]), {})
     track = good.segments["pelvis"]
     bad_quat = track.quaternions.copy()
     bad_quat[2] *= 1.5
-    with pytest.raises(ValidationError, match="non-unit quaternion"):
-        CapturedTrajectory(240.0, good.times, {"pelvis": SegmentTrack(track.positions, bad_quat)})
+    with pytest.raises(ValidationError, match="segment 'pelvis': quaternion norm 1.500000 at frame 2"):
+        CapturedTrajectory(good.times, {"pelvis": SegmentTrack(track.positions, bad_quat)})
+
+
+def test_capture_rate_comes_from_its_timestamps():
+    times = np.arange(6) / 240.0
+    assert CapturedTrajectory(times, {}).sample_rate == 1.0 / float(np.median(np.diff(times)))
+    with pytest.raises(TypeError):
+        CapturedTrajectory(250.0, times, {})  # a rate is not an argument
+
+
+def test_capture_renormalizes_quaternions_as_the_reader_does(tmp_path):
+    """Norms within 1e-3 of unit come back renormalized, bit for bit as
+    ``parse_motion_file`` renormalizes the same numbers read from a file."""
+    n = 30
+    rng = np.random.default_rng(8)
+    quats = rng.standard_normal((n, 4))
+    quats /= np.linalg.norm(quats, axis=1)[:, None]
+    quats *= 1.0 + rng.choice([-5e-4, 5e-4], (n, 1))
+    positions = rng.standard_normal((n, 3))
+    times = np.arange(n) / 240.0
+    captured = CapturedTrajectory(times, {"pelvis": SegmentTrack(positions, quats)})
+    header = ["time_s"] + [f"pelvis_{s}" for s in eio.POSE_SUFFIXES]
+    eio.write_csv(tmp_path / "m.csv", header, np.column_stack([times, positions, quats]))
+    read = eio.parse_motion_file(tmp_path / "m.csv")
+    assert np.array_equal(captured.segments["pelvis"].quaternions, read.segments["pelvis"].quaternions)
+    assert np.abs(np.linalg.norm(read.segments["pelvis"].quaternions, axis=1) - 1.0).max() < 1e-15
+    assert captured.sample_rate == read.sample_rate
+
+
+def test_capture_rejects_quaternions_off_by_more_than_1e_3():
+    n = 8
+    quats = np.tile(IDENTITY_QUAT, (n, 1))
+    quats[5] *= 1.002
+    with pytest.raises(FrameError, match="segment 'thorax': quaternion norm 1.002000 at frame 5") as info:
+        CapturedTrajectory(np.arange(n) / 240.0, {"thorax": SegmentTrack(np.zeros((n, 3)), quats)})
+    assert info.value.frame == 5
+
+
+def test_one_frame_capture_is_rejected():
+    track = SegmentTrack(np.zeros((1, 3)), IDENTITY_QUAT[None].copy())
+    with pytest.raises(ValidationError, match="need at least two samples, got 1"):
+        CapturedTrajectory(np.zeros(1), {"pelvis": track})
 
 
 @pytest.mark.parametrize(
@@ -534,7 +576,7 @@ def test_trajectory_rejects_non_finite_values(field, where):
     arrays[field][3] = np.nan
     tracks = {"pelvis": SegmentTrack(arrays["positions"], arrays["quaternions"])}
     with pytest.raises(ValidationError, match=f"{where}: non-finite value at index 3"):
-        CapturedTrajectory(240.0, arrays["times"], tracks)
+        CapturedTrajectory(arrays["times"], tracks)
 
 
 def test_resample_uniform_interpolates():
@@ -548,7 +590,7 @@ def test_resample_uniform_interpolates():
     quats = np.array(
         [quat_slerp(IDENTITY_QUAT, rotvec_to_quat(np.array([0, 0, 1.0])), k / (n - 1)) for k in range(n)]
     )
-    captured = CapturedTrajectory(240.0, times, {"pelvis": SegmentTrack(pos, quats)})
+    captured = CapturedTrajectory(times, {"pelvis": SegmentTrack(pos, quats)})
     uniform = resample_uniform(captured)
     assert uniform.is_uniform()
     # linear track stays linear under linear resampling
