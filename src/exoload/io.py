@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import lzma
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -141,17 +142,30 @@ def _parse_cells(path: str | Path) -> np.ndarray:
 def _read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
     """The header and body of a numeric CSV file: one data row per non-blank
     record, one cell per column, every value finite. Errors name the file
-    line. The body converts in one C pass (``np.loadtxt``), which gives the
-    doubles ``float`` gives; a body it refuses goes through ``_parse_cells``."""
+    line. The body converts in one C pass (``np.loadtxt`` on the path, which
+    it reads in chunks), which gives the doubles ``float`` gives; a body it
+    refuses goes through ``_parse_cells``."""
     with open_input(path) as fh:
-        header = _read_header(csv.reader(fh), path)
+        reader = csv.reader(fh)
+        header = _read_header(reader, path)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # an empty body
-                data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, dtype=float, ndmin=2)
+                data = np.loadtxt(
+                    path,
+                    delimiter=",",
+                    quotechar='"',
+                    comments=None,
+                    dtype=float,
+                    ndmin=2,
+                    skiprows=reader.line_num,  # a quoted header cell may span lines
+                    encoding="utf-8",
+                )
         except UnicodeDecodeError:  # a ValueError, but open_input names the file
             raise
-        except ValueError:  # a ragged record or a cell numpy does not convert
+        except (ValueError, OSError, lzma.LZMAError):
+            # a ragged record, a cell numpy does not convert, or a plain file
+            # named .gz, .bz2 or .xz, which numpy tries to decompress
             data = None
     if data is None or data.shape[1] != len(header):
         data = _parse_cells(path)
@@ -178,7 +192,8 @@ def parse_motion_file(path: str | Path, aliases: Mapping[str, str] | None = None
     and the quaternions; its errors, like those of malformed headers and
     non-finite cells, name the offending row.
 
-    ``aliases`` maps capture-file segment names onto canonical model names.
+    ``aliases`` maps capture-file segment names onto canonical model names;
+    two file segments that would read as one model segment are an error.
     """
     header, data = _read_table(path)
     if not header or header[0] != "time_s":
@@ -191,19 +206,21 @@ def parse_motion_file(path: str | Path, aliases: Mapping[str, str] | None = None
         if suffix not in POSE_SUFFIXES:
             raise ValidationError(f"{path}: malformed pose column {name!r}")
         groups.setdefault(seg, {})[suffix] = idx
+    aliases = aliases or {}
+    segments, file_names = {}, {}  # file_names: the model's segment name -> the file's
     for seg, cols in groups.items():
         missing = [s for s in POSE_SUFFIXES if s not in cols]
         if missing:
             raise ValidationError(f"{path}: segment {seg!r} lacks columns {missing}")
-    segments = {}
-    for seg, cols in groups.items():
+        name = aliases.get(seg, seg)
+        if file_names.setdefault(name, seg) != seg:
+            raise ValidationError(f"{path}: segments {file_names[name]!r} and {seg!r} both read as {name!r}")
         pose = data[:, [cols[s] for s in POSE_SUFFIXES]]
         segments[seg] = SegmentTrack(pose[:, :3], pose[:, 3:])
     with _rows_named(path):
         captured = CapturedTrajectory(data[:, 0].copy(), segments)
     # checked under the file's segment names, read under the model's
-    aliases = aliases or {}
-    captured.segments = {aliases.get(seg, seg): track for seg, track in captured.segments.items()}
+    captured.segments = {name: captured.segments[seg] for name, seg in file_names.items()}
     return captured
 
 
@@ -237,58 +254,47 @@ def read_signal_csv(path: str | Path) -> tuple[float, dict[str, np.ndarray]]:
 
 def sidecar_path(path: str | Path) -> Path:
     """Optional metadata sidecar next to a biosignal CSV: ``<name>.meta.json``
-    carrying {"units": ..., "sample_rate": ...}."""
+    carrying {"units": ..., "sample_rate": ...}. The recording's rate is its
+    time column's; a rate the sidecar states is checked against it, never
+    used in its place."""
     path = Path(path)
     return path.with_name(path.name + ".meta.json")
 
 
-def _sidecar_rate(path: str | Path, expected_units: tuple[str, ...]) -> float | None:
-    """The sample rate a biosignal's sidecar states, after checking its
-    units; ``None`` when there is no sidecar or it states no rate."""
+def _signal_record(record_type, path: str | Path, units: tuple[str, ...], rate: float, **data):
+    """``record_type(sample_rate=rate, **data)`` for the recording at
+    ``path``, whose time column gives ``rate``. Its sidecar, if it has one,
+    must state units among ``units`` and a sample rate within
+    ``SIGNAL_JITTER_TOL`` of ``rate``, if it states them. The record's own
+    checks name no file, so their errors gain the file and the rate."""
     sc = sidecar_path(path)
-    if not sc.exists():
-        return None
-    fields = JsonFields(load_json_file(sc), sc)
-    units = fields.get("units", str, None)
-    if units is not None and units not in expected_units:
-        raise ValidationError(f"{sc}: units {units!r} not among {expected_units}")
-    return fields.get("sample_rate", float, None, positive=True)
-
-
-def _signal_rate(
-    path: str | Path, expected_units: tuple[str, ...], sample_rate: float | None = None
-) -> tuple[float, str, dict[str, np.ndarray]]:
-    """Sample rate, where it came from and channels of a biosignal CSV: the
-    session config's rate, else the sidecar's, else the time column's
-    spacing."""
-    sidecar_rate = _sidecar_rate(path, expected_units)
-    rate, channels = read_signal_csv(path)
-    if sample_rate is not None:
-        return sample_rate, "the session config", channels
-    if sidecar_rate is not None:
-        return sidecar_rate, f"its sidecar {sidecar_path(path).name}", channels
-    return rate, "its time_s column", channels
-
-
-def _signal_record(record_type, path: str | Path, rate: float, source: str, **data):
-    """``record_type(sample_rate=rate, **data)``. The record's own checks
-    name no file, so their errors gain the file and the rate's source."""
-    with prefixed(f"{path}: sample rate {rate:g} Hz from {source}"):
+    if sc.exists():
+        fields = JsonFields(load_json_file(sc), sc)
+        stated_units = fields.get("units", str, None)
+        if stated_units is not None and stated_units not in units:
+            raise ValidationError(f"{sc}: units {stated_units!r} not among {units}")
+        stated = fields.get("sample_rate", float, None, positive=True)
+        if stated is not None and abs(stated - rate) > SIGNAL_JITTER_TOL * rate:
+            raise ValidationError(
+                f"{sc}: sample_rate {stated:g} Hz disagrees with the {rate:g} Hz "
+                f"of the time_s column of {Path(path).name}"
+            )
+    with prefixed(f"{path}: sample rate {rate:g} Hz"):
         return record_type(sample_rate=rate, **data)
 
 
-def read_emg_file(path: str | Path, sample_rate: float | None = None) -> EmgRecord:
-    rate, source, channels = _signal_rate(path, ("uV", "µV"), sample_rate)
-    return _signal_record(EmgRecord, path, rate, source, channels=channels)
+def read_emg_file(path: str | Path) -> EmgRecord:
+    rate, channels = read_signal_csv(path)
+    return _signal_record(EmgRecord, path, ("uV", "µV"), rate, channels=channels)
 
 
 def read_ecg_file(path: str | Path, channel: str | None = None) -> EcgRecord:
-    rate, source, channels = _signal_rate(path, ("mV",))
+    rate, channels = read_signal_csv(path)
     if channel is None:
         channel = next(iter(channels))
     if channel not in channels:
         raise ValidationError(f"{path}: no channel {channel!r}; available: {sorted(channels)}")
-    return _signal_record(EcgRecord, path, rate, source, samples=channels[channel])
+    return _signal_record(EcgRecord, path, ("mV",), rate, samples=channels[channel])
 
 
 def read_responses_file(path: str | Path) -> list[ResponseSet]:

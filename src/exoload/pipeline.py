@@ -18,13 +18,7 @@ import numpy as np
 
 from . import io as eio
 from .anthropometry import DEFAULT_TABLE_ID, AnthropometricProfile, get_table, load_table_file
-from .biosignals import (
-    EMG_LOWPASS_HZ,
-    detect_r_peaks,
-    emg_change_pct,
-    heart_rate_stats,
-    settled_envelope,
-)
+from .biosignals import detect_r_peaks, emg_change_pct, heart_rate_stats, settled_envelope
 from .dynamics import (
     DERIVATIVE_SMOOTHING_HZ,
     GRAVITY_DEFAULT,
@@ -86,7 +80,6 @@ SUMMARY_HEADER = (
 class EmgConfig:
     baseline_file: Path
     trial_files: dict[str, Path]
-    sample_rate: float | None = None
 
 
 @dataclass
@@ -140,15 +133,8 @@ def load_config(path: str | Path) -> SessionConfig:
     emg = ecg = survey = None
     if (raw := top.get("emg", dict, None)) is not None:
         emg = EmgConfig(
-            baseline_file=file(raw, "baseline_file", REQUIRED),
-            trial_files=files(raw, "trial_files"),
-            sample_rate=raw.get("sample_rate", float, None, positive=True),
+            baseline_file=file(raw, "baseline_file", REQUIRED), trial_files=files(raw, "trial_files")
         )
-        if emg.sample_rate is not None and emg.sample_rate <= 2.0 * EMG_LOWPASS_HZ:
-            raise ValidationError(
-                f"{path}: emg.sample_rate must exceed twice the {EMG_LOWPASS_HZ:g} Hz EMG "
-                f"envelope cutoff, got {emg.sample_rate!r}"
-            )
     if (raw := top.get("ecg", dict, None)) is not None:
         ecg = EcgConfig(files=files(raw, "files"), channel=raw.get("channel", str, None))
     if (raw := top.get("survey", dict, None)) is not None:
@@ -399,7 +385,7 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
     if config.emg is not None:
         with _stage("emg"):
             # the readers name their file; the prefix names it for the processing
-            baseline = eio.read_emg_file(config.emg.baseline_file, config.emg.sample_rate)
+            baseline = eio.read_emg_file(config.emg.baseline_file)
             # each record drops its own settle-in, at its own sample rate
             with prefixed(config.emg.baseline_file):
                 base_env = {
@@ -408,7 +394,7 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
                 }
             rows = []
             for label, file in config.emg.trial_files.items():
-                record = eio.read_emg_file(file, config.emg.sample_rate)
+                record = eio.read_emg_file(file)
                 with prefixed(file):
                     for name in sorted(set(base_env) | set(record.channels)):
                         if name not in record.channels or name not in base_env:

@@ -114,6 +114,26 @@ def test_segment_aliases_apply(tmp_path):
     assert "thorax" in trajectory.segments
 
 
+@pytest.mark.parametrize(
+    "aliases, first, second, name",
+    [
+        ({"hips": "pelvis"}, "hips", "pelvis", "pelvis"),
+        ({"hips": "thorax", "T8": "thorax"}, "hips", "T8", "thorax"),
+    ],
+    ids=["alias-onto-a-file-segment", "two-aliases-onto-one-name"],
+)
+def test_segments_read_as_one_name_are_rejected(tmp_path, aliases, first, second, name):
+    """Two file segments that the alias table reads as one model segment are
+    an error naming both, not a track silently dropped."""
+    path = tmp_path / "m.csv"
+    header = ["time_s"] + [f"{seg}_{s}" for seg in ("hips", "pelvis", "T8") for s in eio.POSE_SUFFIXES]
+    rows = [[k / 240.0] + [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0] * 3 for k in range(3)]
+    write_rows(path, header, rows)
+    message = rf"m\.csv: segments '{first}' and '{second}' both read as '{name}'"
+    with pytest.raises(ValidationError, match=message):
+        eio.parse_motion_file(path, aliases)
+
+
 def test_motion_round_trip(tmp_path):
     model = default_model()
     captured = capture_from_configurations(model, [model.upright_configuration()] * 4, 240.0)
@@ -274,14 +294,25 @@ def test_sha256_file(tmp_path):
 
 
 def test_biosignal_sidecar_metadata(tmp_path):
+    """A sidecar's units are checked, and so is its sample rate: within 1%
+    of the time column's it is accepted and changes nothing, further off it
+    is an error naming the sidecar and both rates."""
     path = tmp_path / "emg.csv"
-    fs = 1000.0
+    fs = 2000.0
     rows = [[k / fs, 1.0] for k in range(50)]
     write_rows(path, ["time_s", "ESL_L"], rows)
+    rate, _ = eio.read_signal_csv(path)
     sidecar = tmp_path / "emg.csv.meta.json"
-    sidecar.write_text(json.dumps({"units": "uV", "sample_rate": 4370.0}))
-    record = eio.read_emg_file(path)
-    assert record.sample_rate == 4370.0  # sidecar overrides the inferred rate
+    for stated in (2000, 1981.0, 2019.0):
+        sidecar.write_text(json.dumps({"units": "uV", "sample_rate": stated}))
+        assert eio.read_emg_file(path).sample_rate == rate
+    for stated in (1000.0, 1979.0, 2021.0, 4370.0):
+        sidecar.write_text(json.dumps({"units": "uV", "sample_rate": stated}))
+        with pytest.raises(ValidationError) as info:
+            eio.read_emg_file(path)
+        assert str(info.value) == (
+            f"{sidecar}: sample_rate {stated:g} Hz disagrees with the 2000 Hz of the time_s column of emg.csv"
+        )
 
     sidecar.write_text(json.dumps({"units": "volts"}))
     with pytest.raises(ValidationError, match="units"):
@@ -356,6 +387,34 @@ def test_bulk_reader_keeps_the_empty_body_and_encoding_errors(tmp_path):
         eio.read_signal_csv(path)
 
 
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+def test_plain_csv_with_a_compressed_suffix_parses_cell_by_cell(tmp_path, monkeypatch, suffix):
+    """numpy decompresses a path by its suffix and fails on plain text; such
+    a file still reads, through ``_parse_cells``, as the same file named
+    ``.csv`` does."""
+    text = "time_s,ESL_L\n" + "".join(f"{k / 1000.0!r},{k % 7}.5\n" for k in range(30))
+    (tmp_path / "emg.csv").write_text(text, encoding="utf-8")
+    (tmp_path / f"emg.csv{suffix}").write_text(text, encoding="utf-8")
+    expected = eio.read_signal_csv(tmp_path / "emg.csv")
+    per_cell = []
+    parse_cells = eio._parse_cells
+    monkeypatch.setattr(eio, "_parse_cells", lambda path: per_cell.append(path) or parse_cells(path))
+    rate, channels = eio.read_signal_csv(tmp_path / f"emg.csv{suffix}")
+    assert per_cell == [tmp_path / f"emg.csv{suffix}"]
+    assert rate == expected[0] and np.array_equal(channels["ESL_L"], expected[1]["ESL_L"])
+
+
+def test_quoted_header_cell_spanning_lines_reads_in_the_bulk_pass(tmp_path, monkeypatch):
+    """The bulk pass skips the header's every file line, so a header whose
+    quoted cell holds a line break neither shifts nor drops a data row."""
+    path = tmp_path / "s.csv"
+    path.write_text('time_s,"a\nb"\n0,1\n0.001,2\n0.002,3\n', encoding="utf-8")
+    monkeypatch.setattr(eio, "_parse_cells", lambda path: pytest.fail("took the per-cell path"))
+    header, data = eio._read_table(path)
+    assert header == ["time_s", "a\nb"]
+    assert data.tolist() == [[0.0, 1.0], [0.001, 2.0], [0.002, 3.0]]
+
+
 def test_biosignal_rate_of_zero_is_rejected_not_skipped(tmp_path):
     path = tmp_path / "emg.csv"
     write_rows(path, ["time_s", "ESL_L"], [[k / 1000.0, 1.0] for k in range(50)])
@@ -364,39 +423,34 @@ def test_biosignal_rate_of_zero_is_rejected_not_skipped(tmp_path):
         sidecar.write_text(json.dumps({"units": "uV", "sample_rate": value}))
         with pytest.raises(ValidationError, match=r"emg\.csv\.meta\.json: sample_rate must be positive"):
             eio.read_emg_file(path)
-    sidecar.write_text(json.dumps({"units": "uV", "sample_rate": 4370.0}))
-    assert eio.read_emg_file(path, sample_rate=2000.0).sample_rate == 2000.0
+    sidecar.write_text(json.dumps({"units": "uV", "sample_rate": "1000"}))
+    with pytest.raises(ValidationError, match=r"emg\.csv\.meta\.json: sample_rate must be a finite number"):
+        eio.read_emg_file(path)
 
 
 @pytest.mark.parametrize(
-    "kind, file_rate, sidecar_rate, config_rate, source, message",
+    "kind, rate, with_sidecar, message",
     [
-        ("emg", 1000.0, 5.0, None, "its sidecar emg.csv.meta.json", "twice the filter cutoff"),
-        ("emg", 1000.0, None, 15.0, "the session config", "twice the filter cutoff"),
-        ("ecg", 100.0, None, None, "its time_s column", "at least 250 Hz"),
-        ("ecg", 500.0, 200.0, None, "its sidecar ecg.csv.meta.json", "at least 250 Hz"),
+        ("emg", 15.0, False, "twice the filter cutoff"),
+        ("emg", 15.0, True, "twice the filter cutoff"),
+        ("ecg", 100.0, False, "at least 250 Hz"),
+        ("ecg", 200.0, True, "at least 250 Hz"),
     ],
-    ids=["emg-sidecar", "emg-config", "ecg-time-column", "ecg-sidecar"],
+    ids=["emg-time-column", "emg-sidecar", "ecg-time-column", "ecg-sidecar"],
 )
-def test_biosignal_rate_range_error_names_file_and_rate_source(
-    tmp_path, kind, file_rate, sidecar_rate, config_rate, source, message
-):
-    """A rate that passes its own sign check but not its record's range
-    names the file, the rate and where the rate came from."""
+def test_biosignal_rate_range_error_names_file_and_rate_source(tmp_path, kind, rate, with_sidecar, message):
+    """A time column whose rate is outside its record's range names the file
+    and the rate, also when a sidecar states the same rate: the time column
+    is the rate's one source."""
     path = tmp_path / f"{kind}.csv"
-    write_rows(path, ["time_s", "ESL_L"], [[k / file_rate, 1.0] for k in range(50)])
-    if sidecar_rate is not None:
+    write_rows(path, ["time_s", "ESL_L"], [[k / rate, 1.0] for k in range(50)])
+    if with_sidecar:
         units = "uV" if kind == "emg" else "mV"
-        sidecar = {"units": units, "sample_rate": sidecar_rate}
-        (tmp_path / f"{kind}.csv.meta.json").write_text(json.dumps(sidecar))
-    rate = next(r for r in (config_rate, sidecar_rate, file_rate) if r is not None)
+        (tmp_path / f"{kind}.csv.meta.json").write_text(json.dumps({"units": units, "sample_rate": rate}))
     with pytest.raises(ValidationError) as info:
-        if kind == "emg":
-            eio.read_emg_file(path, sample_rate=config_rate)
-        else:
-            eio.read_ecg_file(path)
+        (eio.read_emg_file if kind == "emg" else eio.read_ecg_file)(path)
     text = str(info.value)
-    assert text.startswith(f"{path}: sample rate {rate:g} Hz from {source}: ")
+    assert text.startswith(f"{path}: sample rate {rate:g} Hz: ")
     assert message in text
 
 

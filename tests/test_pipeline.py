@@ -563,6 +563,7 @@ def test_summary_tables_list_their_figures_boxplot_records(tmp_path):
         ("gravity", "nan"),
         ("gravity", float("nan")),
         ("gravity", None),
+        # no longer a field: the time column sets the EMG rate
         ("emg.sample_rate", "2000"),
         ("emg.sample_rate", False),
         ("emg.sample_rate", [2000.0]),
@@ -574,13 +575,15 @@ def test_config_numbers_are_checked_where_read(tmp_path, capsys, field, value):
         "emg": {"baseline_file": "b.csv", "trial_files": {}},
         "output_dir": "out",
     }
+    message = rf".*{field} must be a finite number"
     if field == "emg.sample_rate":
         config["emg"]["sample_rate"] = value
+        message = rf"unknown field\(s\) {field}"
     else:
         config[field] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    with pytest.raises(ValidationError, match=rf"config.json: .*{field} must be a finite number"):
+    with pytest.raises(ValidationError, match=rf"config.json: {message}"):
         load_config(path)
     assert cli.main(["pipeline", "--config", str(path)]) == 2
     assert field in capsys.readouterr().err
@@ -591,7 +594,7 @@ def test_config_numbers_accept_integers_and_null(tmp_path):
         "profile": {"height_m": 1.75, "mass_kg": 70.0},
         "derivative_smoothing_hz": None,
         "gravity": 10,
-        "emg": {"baseline_file": "b.csv", "trial_files": {}, "sample_rate": 2000},
+        "emg": {"baseline_file": "b.csv", "trial_files": {}},
         "output_dir": "out",
     }
     path = tmp_path / "config.json"
@@ -599,7 +602,6 @@ def test_config_numbers_accept_integers_and_null(tmp_path):
     loaded = load_config(path)
     assert loaded.derivative_smoothing_hz is None
     assert type(loaded.gravity) is float and loaded.gravity == 10.0
-    assert type(loaded.emg.sample_rate) is float and loaded.emg.sample_rate == 2000.0
 
 
 def with_field(*keys, value):
@@ -663,7 +665,23 @@ BAD_INPUT_EDITS = {
     # range checks where the value is read
     "sidecar-rate-zero": ("emg_baseline_sidecar", with_field("sample_rate", value=0), "sample_rate"),
     "ecg-sidecar-rate-negative": ("ecg_sidecar", with_field("sample_rate", value=-500.0), "sample_rate"),
-    "emg-rate-zero": ("config", with_field("emg", "sample_rate", value=0), "emg.sample_rate"),
+    # a stated rate against the time column's
+    "sidecar-rate-disagrees": (
+        "emg_baseline_sidecar",
+        with_field("sample_rate", value=1000.0),
+        "sample_rate 1000 Hz disagrees with the 2000 Hz of the time_s column of baseline.csv",
+    ),
+    "ecg-sidecar-rate-disagrees": (
+        "ecg_sidecar",
+        with_field("sample_rate", value=250.0),
+        "sample_rate 250 Hz disagrees with the 500 Hz of the time_s column of ecg.csv",
+    ),
+    # a field the config no longer has: the time column sets the EMG rate
+    "emg-rate-zero": (
+        "config",
+        with_field("emg", "sample_rate", value=0),
+        "unknown field(s) emg.sample_rate",
+    ),
     "height-negative": ("config", with_field("profile", "height_m", value=-1), "profile.height_m"),
     "mass-zero": ("config", with_field("profile", "mass_kg", value=0.0), "profile.mass_kg"),
     "smoothing-negative": (
@@ -706,14 +724,14 @@ def test_one_bad_field_exits_2_naming_file_and_field(tmp_path, capsys, kind, edi
 @pytest.mark.parametrize(
     "keys, value, named",
     [
-        (("emg", "sample_rate"), 5.0, ["emg.sample_rate", "5.0"]),
+        (("derivative_smoothing_hz",), 121, ["derivative_smoothing_hz", "121", "240 Hz", "motion.csv"]),
         (("derivative_smoothing_hz",), 500, ["derivative_smoothing_hz", "500", "240 Hz", "motion.csv"]),
     ],
 )
 def test_cross_input_ranges_exit_2_naming_the_config_field(tmp_path, capsys, keys, value, named):
     """Values that pass their own type and sign checks but not the range
-    another input sets: the EMG rate against the envelope cutoff, the
-    smoothing cutoff against the motion file's rate."""
+    another input sets: the smoothing cutoff against the motion file's rate,
+    just above half that rate and far above it."""
     config, files = write_every_input_session(tmp_path)
     files["config"].write_text(json.dumps(with_field(*keys, value=value)(config)))
     assert cli.main(["pipeline", "--config", str(files["config"])]) == 2
@@ -724,14 +742,41 @@ def test_cross_input_ranges_exit_2_naming_the_config_field(tmp_path, capsys, key
 
 
 def test_sidecar_rate_out_of_range_exits_2_naming_the_file(tmp_path, capsys):
-    """An EMG sidecar rate below twice the envelope cutoff: the error names
-    the signal file and its sidecar as the rate's source."""
+    """An EMG sidecar rate below twice the envelope cutoff is off its 2000 Hz
+    time column: the error names the sidecar and both rates, and the file is
+    never read at the stated rate."""
     _, files = write_every_input_session(tmp_path)
     files["emg_baseline_sidecar"].write_text(json.dumps({"units": "uV", "sample_rate": 5.0}))
     assert cli.main(["pipeline", "--config", str(files["config"])]) == 2
     err = capsys.readouterr().err
-    assert f"{files['emg_baseline']}: sample rate 5 Hz from its sidecar baseline.csv.meta.json" in err
-    assert "EMG sample rate must exceed twice the filter cutoff" in err
+    message = "sample_rate 5 Hz disagrees with the 2000 Hz of the time_s column of baseline.csv"
+    assert f"{files['emg_baseline_sidecar']}: {message}" in err
+    assert "filter cutoff" not in err
+
+
+def test_agreeing_sidecar_rate_changes_no_output(tmp_path):
+    """A sidecar rate within 1% of its time column's is checked and not
+    used: the bundle is the one without a stated rate, manifest aside."""
+    bundles = []
+    for stated in (None, 2000.0, 2015.0):
+        (tmp_path / str(stated)).mkdir()
+        _, files = write_every_input_session(tmp_path / str(stated))
+        sidecar = {"units": "uV"} if stated is None else {"units": "uV", "sample_rate": stated}
+        files["emg_baseline_sidecar"].write_text(json.dumps(sidecar))
+        bundle = run_pipeline(load_config(files["config"]))
+        bundles.append({key: path.read_bytes() for key, path in bundle.files.items() if key != "manifest"})
+    assert bundles[0] == bundles[1] == bundles[2]
+
+
+def test_non_utf8_byte_after_the_header_exits_2_naming_the_file(tmp_path, capsys):
+    """The bulk pass decodes the body itself; a byte that is not UTF-8 right
+    after a valid header is still a validation error naming the file."""
+    _, files = write_every_input_session(tmp_path)
+    path = files["emg_trial"]
+    header, _, body = path.read_bytes().partition(b"\n")
+    path.write_bytes(header + b"\n0.0,\xff1.0\n" + body.split(b"\n", 1)[1])
+    assert cli.main(["pipeline", "--config", str(files["config"])]) == 2
+    assert f"{path}: not UTF-8 text" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("level", ["", "profile", "emg", "ecg", "survey"])

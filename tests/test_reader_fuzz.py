@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from exoload import io as eio
 from exoload.anthropometry import AnthropometricProfile, load_table_file
 from exoload.dynamics import load_exoskeleton_params
-from exoload.errors import ValidationError
+from exoload.errors import ValidationError, finite_number
 from exoload.pipeline import SessionConfig, _segment_aliases, load_config
 from exoload.retarget import load_solver_settings
 
@@ -247,19 +247,23 @@ CONFIGS = st.fixed_dictionaries(
 @example(b'{"profile": {"height_m": 1.7, "mass_kg": 70}, "output_dir": "o", "derivative_smoothing_hz": "5"}')
 @example(b'{"profile": {"height_m": true, "mass_kg": 70}, "output_dir": "o"}')
 @example(b'{"profile": {"height_m": 1.7, "mass_kg": 70}, "output_dir": "o", "seed": "5"}')
+@example(
+    b'{"profile": {"height_m": 1.7, "mass_kg": 70}, "output_dir": "o", '
+    b'"emg": {"baseline_file": "a", "trial_files": {}, "sample_rate": 2000}}'
+)
 def test_load_config_parses_or_rejects(content):
     config = read(load_config, content)
     if config is not None:  # the numbers that reach the stages are finite floats
         numbers = [config.gravity, config.derivative_smoothing_hz]
-        if config.emg is not None:
-            numbers.append(config.emg.sample_rate)
         assert all(v is None or (type(v) is float and math.isfinite(v)) for v in numbers)
-        # the rates, the cutoff and the body size are positive where they are read
+        # the cutoff and the body size are positive where they are read
         positive = numbers[1:] + [config.profile.height_m, config.profile.mass_kg]
         assert all(v is None or v > 0 for v in positive)
         assert config.gravity is not None
         # and each checked field came from a payload value of its JSON type
         payload = json.loads(content)
+        # the time column sets the EMG rate: a config that states one is rejected
+        assert "sample_rate" not in (payload.get("emg") or {})
         assert type(payload.get("seed", 0)) is int and config.seed == payload.get("seed", 0)
         for name in ("height_m", "mass_kg"):
             value = payload["profile"][name]
@@ -371,26 +375,58 @@ def test_load_table_file_parses_or_rejects(content):
     read(load_table_file, content)
 
 
+# the fuzzed sidecars sit next to a 1000 Hz EMG file
+SIDECAR_RATES = st.one_of(
+    NUMBERS,
+    st.floats(990.5, 1009.5),  # within 1% of the time column's rate
+    st.floats(950.0, 989.5),  # more than 1% off it, where a looser check would pass
+    st.floats(1010.5, 1050.0),
+)
 SIDECARS = st.fixed_dictionaries(
     {},
-    optional={"units": st.one_of(st.sampled_from(["uV", "mV"]), JSON_VALUES), "sample_rate": NUMBERS},
+    optional={
+        "units": st.one_of(st.sampled_from(["uV", "µV", "mV"]), JSON_VALUES),
+        "sample_rate": SIDECAR_RATES,
+    },
 )
+
+
+def sidecar_accepted(content: bytes, rate: float) -> bool:
+    """The sidecar rule on its own: a JSON object whose units, if stated,
+    are EMG units and whose sample rate, if stated, is a positive finite
+    number within 1% of ``rate``."""
+    try:
+        payload = json.loads(content.decode("utf-8"))
+    except ValueError:  # not UTF-8, or not JSON
+        return False
+    if not isinstance(payload, dict) or payload.get("units") not in (None, "uV", "µV"):
+        return False
+    stated = payload.get("sample_rate")
+    if stated is None:
+        return True
+    number = finite_number(stated)
+    return number is not None and number > 0 and abs(number - rate) <= eio.SIGNAL_JITTER_TOL * rate
 
 
 @FUZZ
 @given(json_files(st.one_of(SIDECARS, JSON_VALUES)))
 @example(b"[1]")
 @example(b'{"sample_rate": "2000"}')
+@example(b'{"units": "uV", "sample_rate": 1009}')
+@example(b'{"units": "uV", "sample_rate": 2000}')
 def test_read_emg_file_with_sidecar_parses_or_rejects(content):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "emg.csv"
         path.write_text("time_s,ESL_L\n" + "".join(f"{k / 1000.0!r},1.0\n" for k in range(20)))
         eio.sidecar_path(path).write_bytes(content)
+        rate, _ = eio.read_signal_csv(path)
         try:
             record = eio.read_emg_file(path)
         except ValidationError:
-            return
-    assert type(record.sample_rate) is float and 0.0 < record.sample_rate < math.inf
+            record = None
+    assert (record is not None) == sidecar_accepted(content, rate)
+    if record is not None:  # the time column's rate, whatever the sidecar states
+        assert record.sample_rate == rate
 
 
 @FUZZ
