@@ -1,11 +1,11 @@
 """Command-line interface.
 
-Subcommands mirror the analysis chain and compose through a shared JSON
-session config: ``retarget``, ``dynamics``, ``posture``, ``emg``, ``ecg``,
-``survey`` and the all-in-one ``pipeline``. Every subcommand takes
-``--config`` (or the EXOLOAD_CONFIG environment variable) plus overrides, and
-runs its branch of the config through ``run_pipeline``, which writes every
-output file.
+One subcommand per branch of the JSON session config (``motion``, ``emg``,
+``ecg``, ``survey``) plus ``pipeline``, which runs every branch. Each takes
+``--config`` (or the EXOLOAD_CONFIG environment variable) and runs its branch
+through ``run_pipeline``, which writes every output file. Every analysis
+setting comes from the config file; ``--output-dir`` and ``--seed`` override
+only where the bundle goes and the seed the manifest records.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -33,9 +33,7 @@ EXIT_NUMERICAL = 3
 BRANCHES = ("motion_file", "emg", "ecg", "survey")
 SUBCOMMAND_BRANCH = {
     "pipeline": None,
-    "retarget": "motion_file",
-    "dynamics": "motion_file",
-    "posture": "motion_file",
+    "motion": "motion_file",
     "emg": "emg",
     "ecg": "ecg",
     "survey": "survey",
@@ -61,16 +59,11 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"session config JSON (default: ${CONFIG_ENV_VAR})",
         )
         p.add_argument("--output-dir", help="override the config output directory")
-        p.add_argument("--motion", help="override the motion capture file")
-        p.add_argument("--annotation", help="override the annotation file")
-        p.add_argument("--exoskeleton", choices=["none", "laevo"], help="override the device model")
         p.add_argument("--seed", type=int, help="recorded in the manifest; no stage is stochastic")
         return p
 
     add("pipeline", "run every configured analysis branch and emit the report bundle")
-    add("retarget", "replay the captured motion on the model; write the motion bundle")
-    add("dynamics", "retarget, inverse dynamics and torque decomposition; write the motion bundle")
-    add("posture", "back-flexion summaries and exposure fractions; write the motion bundle")
+    add("motion", "retargeting, lumbar torques and back-flexion summaries: the motion bundle")
     add("emg", "EMG envelope changes against the baseline recording")
     add("ecg", "R-peak detection and heart-rate statistics")
     add("survey", "validate and score questionnaire responses")
@@ -86,12 +79,6 @@ def _load_session(args: argparse.Namespace) -> SessionConfig:
     updates = {}
     if args.output_dir:
         updates["output_dir"] = Path(args.output_dir)
-    if args.motion:
-        updates["motion_file"] = Path(args.motion)
-    if args.annotation:
-        updates["annotation_file"] = Path(args.annotation)
-    if args.exoskeleton:
-        updates["exoskeleton"] = args.exoskeleton
     if args.seed is not None:
         updates["seed"] = args.seed
     return dataclasses.replace(config, **updates) if updates else config
@@ -103,7 +90,7 @@ def _cmd_analysis(config: SessionConfig, command: str) -> None:
     branch = SUBCOMMAND_BRANCH[command]
     if branch is not None:
         if getattr(config, branch) is None:
-            raise ValidationError(f"this subcommand needs {branch!r} in the session config")
+            raise ValidationError(f"{config.config_path}: the {command} subcommand needs field {branch!r}")
         config = dataclasses.replace(config, **{b: None for b in BRANCHES if b != branch})
     bundle = run_pipeline(config)
     for key in sorted(bundle.files):

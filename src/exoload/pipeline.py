@@ -117,9 +117,23 @@ class SessionConfig:
             raise ValidationError(f"unknown exoskeleton model {self.exoskeleton!r}")
 
 
+# the top-level settings that only the motion branch reads
+MOTION_FIELDS = (
+    "annotation_file",
+    "segment_aliases_file",
+    "solver_settings_file",
+    "exoskeleton",
+    "exoskeleton_params_file",
+    "derivative_smoothing_hz",
+    "gravity",
+)
+
+
 def load_config(path: str | Path) -> SessionConfig:
-    """A session config file. Paths in it are relative to its directory, and
-    a field it does not define, at any level, is an error."""
+    """A session config file. Paths in it are relative to its directory. A
+    field it does not define, at any level, is an error, and so is a setting
+    no run of it reads: a motion setting without a ``motion_file``, or an
+    ``exoskeleton_params_file`` without the ``laevo`` model."""
     path = Path(path)
     top = JsonFields(eio.load_json_file(path), path)
 
@@ -165,6 +179,15 @@ def load_config(path: str | Path) -> SessionConfig:
         config_path=path,
     )
     top.reject_unread()
+    if config.motion_file is None:
+        motion_fields = [(top, key) for key in MOTION_FIELDS] + [(prof, "coefficient_table_file")]
+        if given := [fields.prefix + key for fields, key in motion_fields if key in fields.data]:
+            raise ValidationError(f"{path}: no motion_file, so no run reads {', '.join(given)}")
+    if "exoskeleton_params_file" in top.data and config.exoskeleton != "laevo":
+        raise ValidationError(
+            f"{path}: exoskeleton_params_file is read only with exoskeleton 'laevo', "
+            f"got {config.exoskeleton!r}"
+        )
     return config
 
 
@@ -182,8 +205,9 @@ def config_echo(config: SessionConfig) -> dict:
 
 def input_files(config: SessionConfig) -> list[Path]:
     """Every file a run of ``config`` reads, for the manifest. Optional
-    files count when they are set; a biosignal's metadata sidecar counts
-    when it exists."""
+    files count when they are set (``load_config`` allows a device
+    parameter file only with the ``laevo`` model); a biosignal's metadata
+    sidecar counts when it exists."""
     files = [config.config_path]
     if config.motion_file is not None:
         files += [
@@ -192,9 +216,8 @@ def input_files(config: SessionConfig) -> list[Path]:
             config.segment_aliases_file,
             config.annotation_file,
             config.solver_settings_file,
+            config.exoskeleton_params_file,
         ]
-        if config.exoskeleton != "none":
-            files.append(config.exoskeleton_params_file)
     signals = []
     if config.emg is not None:
         signals += [config.emg.baseline_file, *config.emg.trial_files.values()]

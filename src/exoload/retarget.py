@@ -215,8 +215,6 @@ class FrameDiagnostics:
 class FrameSolution:
     velocity: np.ndarray  # (49,)
     next_configuration: JointConfiguration
-    position_error: dict[str, float]  # m, per task frame
-    orientation_error: dict[str, float]  # rad, per task frame
     level1_residual: float
     diagnostics: FrameDiagnostics
 
@@ -262,26 +260,22 @@ class _RowPlan:
 
     def rows(
         self, state: KinematicState, refs: _ReferenceArrays, k: int, gain: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Task Jacobian ``(n_rows, n_velocity)`` and velocity references
         ``(n_rows,)`` for reference frame ``k`` at feedback ``gain`` (1/s),
-        plus the pose errors of the position tasks (m) and orientation tasks
-        (rad), in one pass over the whole stack."""
+        in one pass over the whole stack."""
         layout = self.layout
         J, current = layout.fill(state)
         v = np.empty((self.n_rows // 3, 3))
-        pos_err = refs.positions[k] - current
-        v[layout.position_blocks] = gain * pos_err + refs.linear_velocities[k]
+        v[layout.position_blocks] = gain * (refs.positions[k] - current) + refs.linear_velocities[k]
         ori_err = orientation_error(refs.rotations[k], state.frames[layout.orientation_rows, :, :3])
         v[layout.orientation_blocks] = gain * ori_err + refs.angular_velocities[k]
-        return J, v.reshape(-1), vector_norms(pos_err), vector_norms(ori_err)
+        return J, v.reshape(-1)
 
 
 class _Step(NamedTuple):
     velocity: np.ndarray
     next_configuration: JointConfiguration
-    position_error: np.ndarray  # m, per position task in plan order
-    orientation_error: np.ndarray  # rad, per orientation task in plan order
     level1: tuple[np.ndarray, np.ndarray]  # level-1 Jacobian and velocity references
     diagnostics: FrameDiagnostics
 
@@ -297,7 +291,7 @@ def _solve_step(
     """One hierarchical velocity-QP step towards reference frame ``k``: the
     per-frame step of both ``solve_frame`` and ``retarget_trajectory``."""
     state = KinematicState(plan.model, q_current)
-    J, v, pos_err, ori_err = plan.rows(state, refs, k, settings.gain)
+    J, v = plan.rows(state, refs, k, settings.gain)
     m1 = plan.n_level1_rows
     J1, v1 = J[:m1], v[:m1]
 
@@ -318,8 +312,6 @@ def _solve_step(
     return _Step(
         velocity=qdot,
         next_configuration=integrate_configuration(plan.model, q_current, qdot, dt),
-        position_error=pos_err,
-        orientation_error=ori_err,
         level1=(J1, v1),
         diagnostics=FrameDiagnostics(result.iterations, result.saturated),
     )
@@ -378,12 +370,6 @@ def solve_frame(
     return FrameSolution(
         velocity=step.velocity,
         next_configuration=step.next_configuration,
-        position_error={
-            tasks[i].frame: float(e) for i, e in zip(plan.position_tasks, step.position_error)
-        },
-        orientation_error={
-            tasks[i].frame: float(e) for i, e in zip(plan.orientation_tasks, step.orientation_error)
-        },
         level1_residual=float(np.linalg.norm(J1 @ step.velocity - v1)),
         diagnostics=step.diagnostics,
     )
@@ -393,8 +379,6 @@ def solve_frame(
 class RetargetResult:
     times: np.ndarray
     configurations: JointConfiguration  # (T,) trajectory
-    position_residuals: dict[str, np.ndarray]  # m per frame, keyed by task frame
-    orientation_residuals: dict[str, np.ndarray]  # rad per frame
     diagnostics: list[FrameDiagnostics]
 
     @property
@@ -491,8 +475,6 @@ def retarget_trajectory(
         warnings.warn(f"initial configuration outside joint limits: {limit_flags[:3]}...")
 
     diagnostics: list[FrameDiagnostics] = []
-    pos_res = np.zeros((len(plan.position_tasks), n))
-    ori_res = np.zeros((len(plan.orientation_tasks), n))
     P, Q, A = np.empty((n, 3)), np.empty((n, 4)), np.empty((n, model.n_joint_dofs))
 
     for k in range(n):
@@ -503,8 +485,6 @@ def retarget_trajectory(
         except SolverError as exc:
             raise SolverError(f"frame {k}: {exc}") from exc
         else:
-            pos_res[:, k] = step.position_error
-            ori_res[:, k] = step.orientation_error
             diagnostics.append(step.diagnostics)
             q = step.next_configuration
         P[k], Q[k], A[k] = q.base_position, q.base_orientation, q.joint_angles
@@ -512,7 +492,5 @@ def retarget_trajectory(
     return RetargetResult(
         times=captured.times.copy(),
         configurations=JointConfiguration(P, Q, A),
-        position_residuals={tasks[i].frame: r for i, r in zip(plan.position_tasks, pos_res)},
-        orientation_residuals={tasks[i].frame: r for i, r in zip(plan.orientation_tasks, ori_res)},
         diagnostics=diagnostics,
     )

@@ -634,17 +634,14 @@ def reference_task_rows(
     references: dict[str, Reference],
     gain: float,
     jacobian=reference_task_jacobian,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[str, float], dict[str, float]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Level Jacobians and velocity references at feedback ``gain``,
     assembled one task at a time from ``jacobian(state, frame, kind)`` (the
     ``np.cross`` oracle unless given) and ``orientation_error``, stacked per
-    level in stack order:
-    ``(J1, v1, J2, v2, position errors, orientation errors)``. The oracle
-    for the retargeter's one-pass row plan."""
+    level in stack order: ``(J1, v1, J2, v2)``. The oracle for the
+    retargeter's one-pass row plan."""
     model = state.model
     blocks: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {1: [], 2: []}
-    pos_errors: dict[str, float] = {}
-    ori_errors: dict[str, float] = {}
     for task in tasks:
         ref = references[task.frame]
         J = jacobian(state, task.frame, task.kind)
@@ -653,14 +650,11 @@ def reference_task_rows(
         r = 0
         if task.kind in ("position", "both"):
             current = state.com() if name == "com" else state.segment_pose(name).position
-            err = ref.position - current
-            v[r : r + 3] = gain * err + ref.linear_velocity
-            pos_errors[task.frame] = float(np.linalg.norm(err))
+            v[r : r + 3] = gain * (ref.position - current) + ref.linear_velocity
             r += 3
         if task.kind in ("orientation", "both"):
             err = orientation_error(ref.rotation, state.segment_pose(name).rotation)
             v[r : r + 3] = gain * err + ref.angular_velocity
-            ori_errors[task.frame] = float(np.linalg.norm(err))
         blocks[task.priority].append((J, v))
 
     def level(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -668,7 +662,7 @@ def reference_task_rows(
             return np.zeros((0, model.n_velocity)), np.zeros(0)
         return np.vstack([J for J, _ in blocks[p]]), np.concatenate([v for _, v in blocks[p]])
 
-    return (*level(1), *level(2), pos_errors, ori_errors)
+    return (*level(1), *level(2))
 
 
 def reference_frame_references(
@@ -740,9 +734,7 @@ def reference_retarget(
     configurations, diagnostics = [], []
     for refs in reference_frame_references(model, captured, tasks):
         state = KinematicState(model, q)
-        J1, v1, J2, v2, _, _ = reference_task_rows(
-            state, tasks, refs, settings.gain, KinematicState.jacobian
-        )
+        J1, v1, J2, v2 = reference_task_rows(state, tasks, refs, settings.gain, KinematicState.jacobian)
         try:
             r = reference_two_level_step(J1, v1, J2, v2, settings)
         except InfeasibleBoundsError as exc:

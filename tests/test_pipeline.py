@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from pathlib import Path
@@ -11,7 +12,7 @@ from exoload import cli
 from exoload import io as eio
 from exoload.biosignals import emg_change_pct, emg_envelope, settle_samples
 from exoload.errors import NumericalError, ValidationError
-from exoload.pipeline import _stage, emit_boxplot_data, load_config, run_pipeline
+from exoload.pipeline import MOTION_FIELDS, _stage, emit_boxplot_data, load_config, run_pipeline
 from exoload.posture import DistributionSummary
 
 
@@ -422,42 +423,66 @@ def test_cli_stray_linalg_error_exits_3_naming_the_subcommand(tmp_path, capsys, 
 
     monkeypatch.setattr("exoload.retarget.solve_hierarchy", singular)
     config_path = write_bend_session(tmp_path, duration_s=0.5, with_annotation=False)
-    assert cli.main(["retarget", "--config", str(config_path)]) == 3
+    assert cli.main(["motion", "--config", str(config_path)]) == 3
     err = capsys.readouterr().err
-    assert "retarget" in err and "SVD did not converge" in err
-
-
-def test_cli_stage_commands(tmp_path, capsys):
-    config_path = write_bend_session(tmp_path, duration_s=0.5)
-    assert cli.main(["retarget", "--config", str(config_path)]) == 0
-    assert (tmp_path / "out" / "joints.csv").exists()
-    assert cli.main(["dynamics", "--config", str(config_path)]) == 0
-    assert (tmp_path / "out" / "torque_series.csv").exists()
-    assert cli.main(["posture", "--config", str(config_path)]) == 0
-    assert (tmp_path / "out" / "angle_summaries.csv").exists()
-    with pytest.raises(SystemExit) as exc:  # boxplot_data.json has one writer, run_pipeline
-        cli.main(["report", "--config", str(config_path)])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert "error: motion: numerical failure" in err and "SVD did not converge" in err
 
 
 def test_cli_motion_subcommands_write_the_same_bundle(tmp_path, capsys):
-    """retarget, dynamics, posture and pipeline all run the motion branch
-    through run_pipeline: on a motion-only config they write the same files,
-    byte for byte, and list them on stdout."""
+    """motion and pipeline both run the motion branch through run_pipeline:
+    on a motion-only config they write the same files, byte for byte, and
+    list them on stdout."""
     config_path = write_bend_session(tmp_path, duration_s=0.5)
     out = tmp_path / "out"
     bundles = {}
-    for command in ("retarget", "dynamics", "posture", "pipeline"):
+    for command in ("motion", "pipeline"):
         assert cli.main([command, "--config", str(config_path)]) == 0
         listed = {line.split(":")[0] for line in capsys.readouterr().out.splitlines()}
         bundles[command] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert listed == {name.rsplit(".", 1)[0] for name in bundles[command]}
         for p in out.iterdir():
             p.unlink()
-    assert {"joints.csv", "torque_series.csv", "manifest.json"} <= set(bundles["pipeline"])
-    for command in ("retarget", "dynamics", "posture"):
-        assert bundles[command] == bundles["pipeline"], command
+    assert {"joints.csv", "torque_series.csv", "angle_summaries.csv", "manifest.json"} <= set(
+        bundles["pipeline"]
+    )
+    assert bundles["motion"] == bundles["pipeline"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["report"],  # boxplot_data.json has one writer, run_pipeline
+        ["retarget"],
+        ["dynamics"],
+        ["posture"],
+        ["pipeline", "--motion", "motion.csv"],
+        ["pipeline", "--annotation", "annotation.json"],
+        ["pipeline", "--exoskeleton", "none"],
+    ],
+)
+def test_cli_removed_subcommands_and_overrides_exit_2(tmp_path, capsys, args):
+    """Every analysis setting comes from the config file: the per-stage
+    subcommands and the input overrides are gone, and argparse rejects them."""
+    config_path = write_bend_session(tmp_path, duration_s=0.5)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*args, "--config", str(config_path)])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+    capsys.readouterr()
+
+
+def test_readme_lists_the_cli_subcommands():
+    """The sh block under the README's "Command line" heading lists one line
+    per subcommand, exactly the subcommands the parser defines."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = [line.split()[1] for line in block.splitlines() if line.startswith("exoload ")]
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(documented) == sorted(subparsers.choices)
+    assert len(documented) == len(set(documented))
+    assert set(documented) == set(cli.SUBCOMMAND_BRANCH)
 
 
 def write_every_input_session(tmp_path):
@@ -512,11 +537,15 @@ def write_every_input_session(tmp_path):
 def test_manifest_inputs_are_exactly_the_files_read(tmp_path, variant):
     config, files = write_every_input_session(tmp_path)
     expected = set(files)
+    # a config names only the files its run reads
     if variant == "none":
         config["exoskeleton"] = "none"
+        del config["exoskeleton_params_file"]
         expected -= {"exoskeleton"}
     if variant == "no-motion":
-        del config["motion_file"]
+        for key in ("motion_file", *MOTION_FIELDS):
+            config.pop(key, None)
+        del config["profile"]["coefficient_table_file"]
         expected -= {"motion", "annotation", "coefficients", "aliases", "solver", "exoskeleton"}
     files["config"].write_text(json.dumps(config))
     bundle = run_pipeline(load_config(files["config"]))
@@ -592,6 +621,7 @@ def test_config_numbers_are_checked_where_read(tmp_path, capsys, field, value):
 def test_config_numbers_accept_integers_and_null(tmp_path):
     config = {
         "profile": {"height_m": 1.75, "mass_kg": 70.0},
+        "motion_file": "motion.csv",
         "derivative_smoothing_hz": None,
         "gravity": 10,
         "emg": {"baseline_file": "b.csv", "trial_files": {}},
@@ -798,9 +828,73 @@ def test_config_rejects_unknown_fields(tmp_path, level):
         load_config(path)
 
 
-def test_cli_requires_branch_config(tmp_path):
+def test_cli_requires_branch_config(tmp_path, capsys):
     config_path = write_bend_session(tmp_path, duration_s=0.5)
     assert cli.main(["emg", "--config", str(config_path)]) == 2
+    assert f"{config_path}: the emg subcommand needs field 'emg'" in capsys.readouterr().err
+    assert cli.main(["motion", "--config", str(write_survey_config(tmp_path))]) == 2
+    assert "config.json: the motion subcommand needs field 'motion_file'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("annotation_file", "annotation.json"),
+        ("segment_aliases_file", "aliases.json"),
+        ("solver_settings_file", "solver.json"),
+        ("exoskeleton", "laevo"),
+        ("exoskeleton", "none"),
+        ("exoskeleton_params_file", "laevo.json"),
+        ("derivative_smoothing_hz", 5.0),
+        ("derivative_smoothing_hz", None),
+        ("gravity", 1.0),
+        ("profile.coefficient_table_file", "coefficients.json"),
+    ],
+)
+def test_config_without_motion_file_rejects_motion_fields(tmp_path, capsys, field, value):
+    """Only the motion branch reads a motion setting, so a config without a
+    motion_file that sets one exits 2 naming the config and the field."""
+    path = write_survey_config(tmp_path)
+    config = json.loads(path.read_text())
+    *parents, key = field.split(".")
+    (config[parents[0]] if parents else config)[key] = value
+    path.write_text(json.dumps(config))
+    with pytest.raises(ValidationError, match=rf"config\.json: no motion_file, so no run reads {field}$"):
+        load_config(path)
+    assert cli.main(["pipeline", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config.json" in err and field in err
+
+
+def test_config_rejects_settings_no_run_reads(tmp_path, capsys):
+    """The two configs that once ran with a setting ignored: an exoskeleton
+    parameter file without the laevo model (the file does not exist), and a
+    survey-only config stating motion files, a device and gravity."""
+    config_path = write_bend_session(tmp_path, duration_s=0.5, exoskeleton="none")
+    config = json.loads(config_path.read_text())
+    config["exoskeleton_params_file"] = "does_not_exist.json"
+    config_path.write_text(json.dumps(config))
+    assert cli.main(["pipeline", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{config_path}: exoskeleton_params_file is read only with exoskeleton 'laevo', got 'none'" in err
+    assert not (tmp_path / "out").exists()
+
+    (tmp_path / "survey").mkdir()
+    survey = write_survey_config(tmp_path / "survey")
+    config = json.loads(survey.read_text())
+    config.update(
+        solver_settings_file="missing_solver.json",
+        segment_aliases_file="missing_aliases.json",
+        exoskeleton="laevo",
+        gravity=1.0,
+    )
+    survey.write_text(json.dumps(config))
+    assert cli.main(["survey", "--config", str(survey)]) == 2
+    err = capsys.readouterr().err
+    assert (
+        f"{survey}: no motion_file, so no run reads "
+        "segment_aliases_file, solver_settings_file, exoskeleton, gravity"
+    ) in err
 
 
 def test_cli_seed_override_recorded(tmp_path):
@@ -813,7 +907,7 @@ def test_cli_seed_override_recorded(tmp_path):
 def test_config_env_var(tmp_path, monkeypatch, capsys):
     config_path = write_bend_session(tmp_path, duration_s=0.5, with_annotation=False)
     monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(config_path))
-    assert cli.main(["posture"]) == 0
+    assert cli.main(["motion"]) == 0
     capsys.readouterr()
 
 

@@ -16,7 +16,7 @@ from exoload import io as eio
 from exoload.anthropometry import AnthropometricProfile, load_table_file
 from exoload.dynamics import load_exoskeleton_params
 from exoload.errors import ValidationError, finite_number
-from exoload.pipeline import SessionConfig, _segment_aliases, load_config
+from exoload.pipeline import MOTION_FIELDS, SessionConfig, _segment_aliases, load_config
 from exoload.retarget import load_solver_settings
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -208,7 +208,10 @@ CONFIGS = st.fixed_dictionaries(
         "output_dir": PATHS,
         "motion_file": PATHS,
         "annotation_file": PATHS,
+        "segment_aliases_file": PATHS,
+        "solver_settings_file": PATHS,
         "exoskeleton": st.one_of(st.sampled_from(["none", "laevo"]), JSON_VALUES),
+        "exoskeleton_params_file": PATHS,
         "derivative_smoothing_hz": JSON_VALUES,
         "gravity": JSON_VALUES,
         "seed": JSON_VALUES,
@@ -251,6 +254,11 @@ CONFIGS = st.fixed_dictionaries(
     b'{"profile": {"height_m": 1.7, "mass_kg": 70}, "output_dir": "o", '
     b'"emg": {"baseline_file": "a", "trial_files": {}, "sample_rate": 2000}}'
 )
+@example(b'{"profile": {"height_m": 1.7, "mass_kg": 70}, "output_dir": "o", "gravity": 1.0}')
+@example(
+    b'{"profile": {"height_m": 1.7, "mass_kg": 70}, "output_dir": "o", '
+    b'"motion_file": "m", "exoskeleton_params_file": "p"}'
+)
 def test_load_config_parses_or_rejects(content):
     config = read(load_config, content)
     if config is not None:  # the numbers that reach the stages are finite floats
@@ -269,6 +277,12 @@ def test_load_config_parses_or_rejects(content):
             value = payload["profile"][name]
             assert type(value) in (int, float) and getattr(config.profile, name) == value
         assert type(payload.get("exoskeleton", "none")) is str
+        # every setting the config states is one its run reads
+        if config.motion_file is None:
+            assert not set(MOTION_FIELDS) & set(payload)
+            assert "coefficient_table_file" not in payload["profile"]
+        if "exoskeleton_params_file" in payload:
+            assert config.exoskeleton == "laevo"
 
 
 def json_files(documents):
