@@ -428,6 +428,19 @@ def test_cli_stray_linalg_error_exits_3_naming_the_subcommand(tmp_path, capsys, 
     assert "error: motion: numerical failure" in err and "SVD did not converge" in err
 
 
+def test_cli_stage_commands(tmp_path, capsys):
+    """One motion subcommand runs every motion stage: retargeting, dynamics
+    and posture each leave their file."""
+    config_path = write_bend_session(tmp_path, duration_s=0.5)
+    assert cli.main(["motion", "--config", str(config_path)]) == 0
+    for name in ("joints.csv", "torque_series.csv", "angle_summaries.csv"):
+        assert (tmp_path / "out" / name).exists(), name
+    with pytest.raises(SystemExit) as exc:  # boxplot_data.json has one writer, run_pipeline
+        cli.main(["report", "--config", str(config_path)])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_cli_motion_subcommands_write_the_same_bundle(tmp_path, capsys):
     """motion and pipeline both run the motion branch through run_pipeline:
     on a motion-only config they write the same files, byte for byte, and
