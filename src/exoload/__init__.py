@@ -7,7 +7,7 @@ kinematic, dynamic, biosignal and questionnaire analyses from file-based
 inputs.
 """
 
-from .anthropometry import AnthropometricProfile, CoefficientTable, get_table, load_table_file
+from .anthropometry import AnthropometricProfile, CoefficientTable, default_table, load_table_file
 from .biosignals import (
     EcgRecord,
     EmgRecord,

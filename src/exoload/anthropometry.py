@@ -3,7 +3,8 @@
 A coefficient table maps each of the 19 canonical segments to fractions of
 body height (segment length), body mass (segment mass), segment length
 (CoM location along the segment axis) and segment length (radii of gyration).
-One table ships with the package (``get_table``); others load from a file.
+One table ships with the package (``default_table``); a session may load
+another from a file instead.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import JsonFields, ValidationError
-
-DEFAULT_TABLE_ID = "default-v1"
 
 MASS_FRACTION_TOL = 1e-9
 
@@ -61,12 +60,10 @@ class CoefficientTable:
 
 @dataclass(frozen=True)
 class AnthropometricProfile:
-    """Subject height and mass plus the id of the coefficient table used
-    to scale the model."""
+    """Subject height and mass, the two figures a coefficient table scales."""
 
     height_m: float
     mass_kg: float
-    coefficient_table_id: str = DEFAULT_TABLE_ID
 
     def __post_init__(self) -> None:
         # written so that NaN fails too
@@ -101,14 +98,7 @@ def load_table_file(path: str | Path) -> CoefficientTable:
 
 
 @functools.cache
-def _default_table() -> CoefficientTable:
+def default_table() -> CoefficientTable:
+    """The table that ships with the package."""
     text = resources.files("exoload.data").joinpath("coefficients_default.json").read_text("utf-8")
     return parse_table(json.loads(text), "coefficients_default.json")
-
-
-def get_table(table_id: str) -> CoefficientTable:
-    """The bundled table; its id is the only one known."""
-    table = _default_table()
-    if table_id != table.table_id:
-        raise ValidationError(f"unknown coefficient table {table_id!r}; known: [{table.table_id!r}]")
-    return table

@@ -16,7 +16,7 @@ excluded: the toolkit quantifies postural effort only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -185,25 +185,26 @@ def estimate_derivatives(
 
 # -- passive exoskeleton torque model ---------------------------------------
 
+RATE_TOLERANCE = 1e-6  # deg/s; a flexion rate within +/- this keeps the branch
 
-@dataclass
+
+@dataclass(frozen=True)
 class LaevoModel:
-    """Piecewise-linear spring with frictional hysteresis.
+    """Piecewise-linear spring with frictional hysteresis, held as the four
+    values of an exoskeleton parameter file.
 
     The spring engages at ``theta_min`` (zero torque) and reaches ``tau_max``
     at ``theta_max`` while the trunk flexes; while extending, frictional
     losses lower the whole branch by ``k_loss``. Output torque is clamped to
-    [0, tau_max] outside the engagement range. The branch state persists when
-    the flexion rate is zero, so one model instance must be stepped
-    sequentially through a trial.
+    [0, tau_max] outside the engagement range. The model holds no state:
+    each call of :func:`laevo_torque_series` starts its series on the
+    ascending branch.
     """
 
     k_loss: float = 10.0  # Nm
     theta_min: float = 20.0  # deg
     theta_max: float = 50.0  # deg
     tau_max: float = 40.0  # Nm
-    rate_tolerance: float = 1e-6  # deg/s; |rate| at or below holds the branch
-    branch: str = "ascending"
 
     def __post_init__(self) -> None:
         if self.k_loss < 0.0:
@@ -212,80 +213,51 @@ class LaevoModel:
             raise ValidationError(f"tau_max must be positive, got {self.tau_max!r}")
         if not self.theta_min < self.theta_max:
             raise ValidationError("engagement range must be non-empty")
-        if self.branch not in ("ascending", "descending"):
-            raise ValidationError(f"unknown branch {self.branch!r}")
 
-    @property
-    def k1(self) -> float:
-        """Spring stiffness in Nm/deg: ``tau_max`` over the engagement range."""
-        return self.tau_max / (self.theta_max - self.theta_min)
-
-    @property
-    def k0(self) -> float:
-        """Spring offset in Nm: zero torque at ``theta_min``."""
-        return -self.k1 * self.theta_min
-
-    def spring_torque(self, theta_deg: float, branch: str | None = None) -> float:
-        """Unclamped branch torque. Evaluated in the endpoint-anchored form
+    def spring_torque(self, theta_deg: float, branch: str) -> float:
+        """Unclamped torque on the ``ascending`` or ``descending`` branch.
+        Evaluated in the endpoint-anchored form
         ``tau_max * (theta - theta_min) / (theta_max - theta_min)`` so the
         range endpoints are float-exact."""
-        if branch is None:
-            branch = self.branch
         tau = self.tau_max * (theta_deg - self.theta_min) / (self.theta_max - self.theta_min)
         if branch == "descending":
             tau -= self.k_loss
         return tau
 
     def torque(self, theta_deg: float, theta_dot_deg_s: float) -> float:
-        """Assistive torque for one sample; updates the hysteresis branch."""
+        """Assistive torque of a one-sample series."""
         return float(laevo_torque_series(self, [theta_deg], [theta_dot_deg_s])[0])
 
 
 def laevo_torque_series(
-    model_state: LaevoModel, theta_deg: np.ndarray, theta_dot_deg_s: np.ndarray
+    model: LaevoModel, theta_deg: np.ndarray, theta_dot_deg_s: np.ndarray
 ) -> np.ndarray:
-    """The assistive torque of every sample in order, without stepping one
-    sample at a time: the branch at a sample follows the sign of the last
-    rate outside +/-``rate_tolerance`` up to it, and the model's current
-    branch before the first such rate. The model is left on the branch of
-    the last sample stepped; a non-finite angle stops the series there."""
+    """The assistive torque of every sample of one series, without stepping
+    one sample at a time: a sample is on the descending branch when the last
+    rate outside +/-``RATE_TOLERANCE`` up to it is negative, and on the
+    ascending branch otherwise, so the series starts ascending."""
     theta_deg = np.asarray(theta_deg, dtype=float)
-    theta_dot_deg_s = np.asarray(theta_dot_deg_s, dtype=float)
-    if theta_deg.shape != theta_dot_deg_s.shape:
+    rate = np.asarray(theta_dot_deg_s, dtype=float)
+    if theta_deg.shape != rate.shape:
         raise ValidationError("angle and rate series must have equal length")
-    finite = np.isfinite(theta_deg)
-    n = len(theta_deg) if finite.all() else int(np.argmin(finite))
-    rate, tol = theta_dot_deg_s[:n], model_state.rate_tolerance
-    decisive = (rate > tol) | (rate < -tol)
-    # index of the last decisive rate at or before each sample, -1 for none
-    last = np.maximum.accumulate(np.where(decisive, np.arange(n), -1))
-    held = model_state.branch == "descending"
-    descending = np.where(last >= 0, rate[last] < -tol, held)
-    if n:
-        model_state.branch = "descending" if descending[-1] else "ascending"
-    if n < len(theta_deg):
+    if not np.isfinite(theta_deg).all():
         raise ValidationError("flexion angle must be finite")
-    tau = model_state.spring_torque(theta_deg, "ascending")
-    tau = np.where(descending, tau - model_state.k_loss, tau)
-    return np.minimum(np.maximum(tau, 0.0), model_state.tau_max)
+    decisive = (rate > RATE_TOLERANCE) | (rate < -RATE_TOLERANCE)
+    # index of the last decisive rate at or before each sample, -1 for none
+    last = np.maximum.accumulate(np.where(decisive, np.arange(len(rate)), -1))
+    descending = (last >= 0) & (rate[last] < -RATE_TOLERANCE)
+    tau = model.spring_torque(theta_deg, "ascending")
+    tau = np.where(descending, tau - model.k_loss, tau)
+    return np.minimum(np.maximum(tau, 0.0), model.tau_max)
 
 
 def load_exoskeleton_params(path: str | Path) -> LaevoModel:
-    """Laevo parameters from a JSON object. ``k0`` and ``k1`` restate the
-    spring line and must pass through (theta_min, 0) and (theta_max, tau_max)
-    within 1e-9 Nm."""
-    fields = JsonFields(load_json_file(path), path)
-    k0, k1 = fields.get("k0", float), fields.get("k1", float)
-    values = {name: fields.get(name, float) for name in ("k_loss", "theta_min", "theta_max", "tau_max")}
-    fields.reject_unread()
+    """A ``LaevoModel`` from a JSON object holding exactly its four fields."""
+    payload = JsonFields(load_json_file(path), path)
+    values = {f.name: payload.get(f.name, float) for f in fields(LaevoModel)}
+    payload.reject_unread()
     with prefixed(path):  # the model's own range checks name no file
-        model = LaevoModel(**values)
-    tol = 1e-9
-    if abs(k0 + k1 * model.theta_min) > tol:
-        raise ValidationError(f"{path}: spring must produce zero torque at the engagement angle")
-    if abs(k0 + k1 * model.theta_max - model.tau_max) > tol:
-        raise ValidationError(f"{path}: spring must reach tau_max at the top of the range")
-    return model
+        return LaevoModel(**values)
 
 
 # -- torque series and decomposition ----------------------------------------

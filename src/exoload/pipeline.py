@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import io as eio
-from .anthropometry import DEFAULT_TABLE_ID, AnthropometricProfile, get_table, load_table_file
+from .anthropometry import AnthropometricProfile, load_table_file
 from .biosignals import detect_r_peaks, emg_change_pct, heart_rate_stats, settled_envelope
 from .dynamics import (
     DERIVATIVE_SMOOTHING_HZ,
@@ -114,7 +114,7 @@ class SessionConfig:
 
     def __post_init__(self) -> None:
         if self.exoskeleton not in ("none", "laevo"):
-            raise ValidationError(f"unknown exoskeleton model {self.exoskeleton!r}")
+            raise ValidationError(f"exoskeleton must be 'none' or 'laevo', got {self.exoskeleton!r}")
 
 
 # the top-level settings that only the motion branch reads
@@ -154,11 +154,10 @@ def load_config(path: str | Path) -> SessionConfig:
     if (raw := top.get("survey", dict, None)) is not None:
         survey = SurveyConfig(responses_file=file(raw, "responses_file", REQUIRED))
     prof = top.get("profile", dict)
-    config = SessionConfig(
+    settings = dict(
         profile=AnthropometricProfile(
             height_m=prof.get("height_m", float, positive=True),
             mass_kg=prof.get("mass_kg", float, positive=True),
-            coefficient_table_id=prof.get("coefficient_table", str, DEFAULT_TABLE_ID),
         ),
         output_dir=file(top, "output_dir", REQUIRED),
         motion_file=file(top, "motion_file"),
@@ -178,6 +177,8 @@ def load_config(path: str | Path) -> SessionConfig:
         seed=top.get("seed", int, 0),
         config_path=path,
     )
+    with prefixed(path):  # SessionConfig's own check names no file
+        config = SessionConfig(**settings)
     top.reject_unread()
     if config.motion_file is None:
         motion_fields = [(top, key) for key in MOTION_FIELDS] + [(prof, "coefficient_table_file")]
@@ -276,16 +277,10 @@ def _whole_span_annotation(trial_id: str, start: float, end: float) -> TrialAnno
 
 
 def build_session_model(config: SessionConfig) -> SkeletonModel:
-    if config.coefficient_table_file is not None:
-        table = load_table_file(config.coefficient_table_file)
-        if table.table_id != config.profile.coefficient_table_id:
-            raise ValidationError(
-                f"{config.coefficient_table_file}: table_id {table.table_id!r} is not the "
-                f"profile.coefficient_table {config.profile.coefficient_table_id!r}"
-            )
-    else:
-        table = get_table(config.profile.coefficient_table_id)
-    return build_model(config.profile, table)
+    """The subject's model, scaled by the config's coefficient table file,
+    or else by the bundled table."""
+    file = config.coefficient_table_file
+    return build_model(config.profile, None if file is None else load_table_file(file))
 
 
 def _segment_aliases(config: SessionConfig) -> dict[str, str]:

@@ -453,9 +453,9 @@ def retarget_trajectory(
     captured: CapturedTrajectory,
     tasks: list[TaskSpec] | None = None,
     settings: SolverSettings = SolverSettings(),
-    initial: JointConfiguration | None = None,
 ) -> RetargetResult:
-    """Replay a captured trajectory on the model frame by frame.
+    """Replay a captured trajectory on the model frame by frame, from the
+    model's upright configuration.
 
     The frame count is preserved. Infeasible frames are skipped (configuration
     held) with a diagnostic; solver non-convergence aborts with the frame
@@ -469,7 +469,7 @@ def retarget_trajectory(
     n = captured.n_frames
     references = _trajectory_references(plan, _reference_tracks(model, captured, tasks), n, dt)
 
-    q = initial if initial is not None else model.upright_configuration()
+    q = model.upright_configuration()
     limit_flags = model.check_limits(q)
     if limit_flags:
         warnings.warn(f"initial configuration outside joint limits: {limit_flags[:3]}...")

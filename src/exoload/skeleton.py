@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .anthropometry import MASS_FRACTION_TOL, AnthropometricProfile, CoefficientTable, get_table
+from .anthropometry import MASS_FRACTION_TOL, AnthropometricProfile, CoefficientTable, default_table
 from .errors import ValidationError
 from .geometry import (
     IDENTITY_QUAT,
@@ -573,10 +573,10 @@ def build_model(
 
     Segment length = table fraction x height; mass = fraction x body mass;
     inertia is diagonal in the segment principal frame, from radii of gyration
-    scaled by segment length.
+    scaled by segment length. ``table`` defaults to the bundled one.
     """
     if table is None:
-        table = get_table(profile.coefficient_table_id)
+        table = default_table()
     H, M = profile.height_m, profile.mass_kg
 
     up, down, fwd = AXIS_Z, -AXIS_Z, AXIS_X

@@ -280,7 +280,8 @@ def load_schema(questionnaire_id: str) -> QuestionnaireSchema:
 def parse_response(payload: object, where: str = "response record") -> ResponseSet:
     """One response record, checked against its questionnaire by
     ``validate``. ``where`` names it in error messages, such as the file and
-    line it came from."""
+    line it came from. The record may carry fields of its own, but its
+    ``context`` only the four that group the answers."""
     fields = JsonFields(payload, where)
     context = fields.get("context", dict, {})
     respondent_id = fields.get("respondent_id", str)
@@ -290,6 +291,7 @@ def parse_response(payload: object, where: str = "response record") -> ResponseS
     position = context.get("position", str, None)
     pp_index = context.get("pp_index", int, None)
     icu = context.get("icu", bool, False)
+    context.reject_unread()
     with prefixed(where):
         response = ResponseSet(
             respondent_id, questionnaire_id, answers, ResponseContext(exoskeleton, position, pp_index, icu)

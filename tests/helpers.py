@@ -11,7 +11,7 @@ import numpy as np
 
 from exoload import io as eio
 from exoload.anthropometry import AnthropometricProfile
-from exoload.dynamics import GRAVITY_DEFAULT, LaevoModel
+from exoload.dynamics import GRAVITY_DEFAULT, RATE_TOLERANCE, LaevoModel
 from exoload.errors import InfeasibleBoundsError, ValidationError
 from exoload.geometry import (
     IDENTITY_QUAT,
@@ -300,17 +300,17 @@ def tracked_dof_indices(model: SkeletonModel) -> list[int]:
 
 
 def reference_laevo_torques(model: LaevoModel, theta: np.ndarray, rate: np.ndarray) -> np.ndarray:
-    """The hysteresis rule stepped one sample at a time, updating
-    ``model.branch`` as it goes: the oracle of ``laevo_torque_series``."""
-    out = []
+    """The hysteresis rule stepped one sample at a time from the ascending
+    branch: the oracle of ``laevo_torque_series``."""
+    out, branch = [], "ascending"
     for theta_deg, theta_dot_deg_s in zip(theta, rate):
         if not np.isfinite(theta_deg):
             raise ValidationError("flexion angle must be finite")
-        if theta_dot_deg_s > model.rate_tolerance:
-            model.branch = "ascending"
-        elif theta_dot_deg_s < -model.rate_tolerance:
-            model.branch = "descending"
-        tau = model.spring_torque(theta_deg, model.branch)
+        if theta_dot_deg_s > RATE_TOLERANCE:
+            branch = "ascending"
+        elif theta_dot_deg_s < -RATE_TOLERANCE:
+            branch = "descending"
+        tau = model.spring_torque(theta_deg, branch)
         out.append(min(max(tau, 0.0), model.tau_max))
     return np.array(out)
 

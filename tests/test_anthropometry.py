@@ -7,7 +7,7 @@ from exoload.anthropometry import (
     AnthropometricProfile,
     CoefficientTable,
     SegmentCoefficients,
-    get_table,
+    default_table,
     load_table_file,
     parse_table,
 )
@@ -16,7 +16,7 @@ from exoload.skeleton import build_model
 
 
 def test_default_table_mass_fractions_sum_to_one():
-    table = get_table("default-v1")
+    table = default_table()
     assert abs(sum(c.mass_fraction for c in table.segments.values()) - 1.0) < 1e-9
     assert len(table.segments) == 19
 
@@ -34,15 +34,8 @@ def test_profile_rejects_non_finite_dimensions(height, mass):
         AnthropometricProfile(height, mass)
 
 
-def test_unknown_table_is_an_error():
-    with pytest.raises(ValidationError, match="unknown coefficient table"):
-        get_table("not-a-table")
-    with pytest.raises(ValidationError):
-        build_model(AnthropometricProfile(1.75, 70.0, coefficient_table_id="nope"))
-
-
 def test_table_rejects_bad_mass_fractions():
-    table = get_table("default-v1")
+    table = default_table()
     segments = dict(table.segments)
     first = next(iter(segments))
     bad = SegmentCoefficients(
@@ -60,7 +53,7 @@ def test_model_accepts_every_table_its_fraction_check_accepts():
     """A table whose mass fractions pass the table's 1e-9 check builds a
     model: the model's mass check scales that tolerance by the body mass.
     A table off by more is still rejected."""
-    table = get_table("default-v1")
+    table = default_table()
 
     def shifted(offset):
         segments = dict(table.segments)
@@ -100,7 +93,7 @@ def test_table_file_round_trip(tmp_path):
                 "com_fraction": c.com_fraction,
                 "gyration_fractions": list(c.gyration_fractions),
             }
-            for name, c in get_table("default-v1").segments.items()
+            for name, c in default_table().segments.items()
         ],
     }
     path = tmp_path / "table.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from helpers import (
 
 from exoload.dynamics import (
     LUMBAR_LOAD_SIGN,
+    RATE_TOLERANCE,
     LaevoModel,
     TorqueSeries,
     decompose_torque,
@@ -262,14 +264,14 @@ def test_laevo_branch_values():
     assert lv.torque(60.0, 1.0) == 40.0
 
 
-def test_laevo_zero_rate_holds_branch():
+def test_laevo_series_carries_no_state_between_calls():
+    """A zero rate holds the branch within a series, but a call that ends
+    descending does not carry its branch into the next call on one model."""
     lv = LaevoModel()
-    lv.torque(35.0, 1.0)
-    assert lv.branch == "ascending"
-    assert lv.torque(35.0, 0.0) == 20.0  # held ascending
-    lv.torque(34.0, -1.0)
-    assert lv.branch == "descending"
-    assert lv.torque(34.0, 0.0) == lv.torque(34.0, -1.0)
+    first = laevo_torque_series(lv, [35.0], [0.0])
+    assert np.array_equal(laevo_torque_series(lv, [35.0, 35.0], [-1.0, 0.0]), [10.0, 10.0])
+    assert np.array_equal(laevo_torque_series(lv, [35.0], [0.0]), first)
+    assert first[0] == lv.torque(35.0, 0.0) == 20.0
 
 
 def test_laevo_reversal_jump_is_k_loss():
@@ -316,38 +318,32 @@ def test_laevo_series_is_sequential():
     assert np.allclose(out, np.clip(asc + desc, 0.0, 40.0))
 
 
-@pytest.mark.parametrize("start", ["ascending", "descending"])
-def test_laevo_series_equals_per_sample_stepping(start):
-    """Rates inside, on and outside the tolerance, runs that hold the branch
-    from the start, and NaN rates: the array pass, and ``LaevoModel.torque``
-    called sample by sample, give the stepped torques bit for bit and leave
-    the model on the same branch."""
+def test_laevo_series_equals_per_sample_stepping():
+    """Rates inside, on and outside the tolerance, a run that holds the
+    ascending start, and NaN rates: the array pass gives the stepped torques
+    bit for bit."""
     rng = np.random.default_rng(8)
     n = 400
     theta = rng.uniform(10.0, 60.0, n)
-    tol = LaevoModel().rate_tolerance
+    tol = RATE_TOLERANCE
     rate = rng.choice([-30.0, -tol, -0.5 * tol, 0.0, 0.5 * tol, tol, 30.0, np.nan], n)
     rate[:25] = rng.choice([-tol, 0.0, tol], 25)  # the starting branch holds
+    lv = LaevoModel()
     for tail in ([], [0.0, 0.0], [-5.0, np.nan]):
         angles, rates = np.append(theta, [30.0] * len(tail)), np.append(rate, tail)
-        vectorized, stepped = LaevoModel(branch=start), LaevoModel(branch=start)
-        single = LaevoModel(branch=start)
-        expected = reference_laevo_torques(stepped, angles, rates)
-        assert np.array_equal(laevo_torque_series(vectorized, angles, rates), expected)
-        assert np.array_equal([single.torque(t, r) for t, r in zip(angles, rates)], expected)
-        assert vectorized.branch == single.branch == stepped.branch
-    assert laevo_torque_series(LaevoModel(), np.zeros(0), np.zeros(0)).shape == (0,)
+        expected = reference_laevo_torques(lv, angles, rates)
+        assert np.array_equal(laevo_torque_series(lv, angles, rates), expected)
+    assert laevo_torque_series(lv, np.zeros(0), np.zeros(0)).shape == (0,)
 
 
 def test_laevo_series_rejects_a_non_finite_angle_like_stepping():
     theta = np.array([30.0, 40.0, 45.0, np.inf, 35.0])
     rate = np.array([1.0, -1.0, -1.0, 1.0, 1.0])
-    vectorized, stepped = LaevoModel(), LaevoModel()
+    lv = LaevoModel()
     with pytest.raises(ValidationError, match="flexion angle must be finite"):
-        laevo_torque_series(vectorized, theta, rate)
+        laevo_torque_series(lv, theta, rate)
     with pytest.raises(ValidationError, match="flexion angle must be finite"):
-        reference_laevo_torques(stepped, theta, rate)
-    assert vectorized.branch == stepped.branch == "descending"
+        reference_laevo_torques(lv, theta, rate)
 
 
 # -- decomposition ------------------------------------------------------------
@@ -444,15 +440,6 @@ def test_net_lumbar_series_static_hold(model):
     assert np.max(np.abs(series - expected)) < 1e-9
 
 
-def test_laevo_spring_coefficients_are_derived():
-    default = LaevoModel()
-    assert default.k1 == pytest.approx(4.0 / 3.0, abs=1e-12)
-    assert default.k0 == pytest.approx(-80.0 / 3.0, abs=1e-12)
-    lv = LaevoModel(theta_min=10.0, theta_max=60.0, tau_max=25.0)
-    assert lv.k0 + lv.k1 * lv.theta_min == pytest.approx(0.0, abs=1e-12)
-    assert lv.k0 + lv.k1 * lv.theta_max == pytest.approx(lv.tau_max, abs=1e-12)
-
-
 def test_bundled_exoskeleton_params_match_defaults(tmp_path):
     """A parameter file written from the ``LaevoModel`` defaults, the one
     source of them, loads back as the defaults."""
@@ -462,19 +449,8 @@ def test_bundled_exoskeleton_params_match_defaults(tmp_path):
 
     default = LaevoModel()
     path = tmp_path / "laevo.json"
-    path.write_text(
-        _json.dumps(
-            {
-                name: getattr(default, name)
-                for name in ("k0", "k1", "k_loss", "theta_min", "theta_max", "tau_max")
-            }
-        )
-    )
-    lv = load_exoskeleton_params(path)
-    assert lv.k_loss == default.k_loss
-    assert lv.theta_min == default.theta_min and lv.theta_max == default.theta_max
-    assert lv.tau_max == default.tau_max
-    assert lv.torque(35.0, 1.0) == default.torque(35.0, 1.0)
+    path.write_text(_json.dumps(dataclasses.asdict(default)))
+    assert load_exoskeleton_params(path) == default
 
 
 def test_exoskeleton_params_file_validation(tmp_path):
@@ -482,20 +458,19 @@ def test_exoskeleton_params_file_validation(tmp_path):
 
     from exoload.dynamics import load_exoskeleton_params
 
-    bad = tmp_path / "exo.json"
-    bad.write_text(_json.dumps({"k0": -10.0, "k1": 1.0, "k_loss": 5.0,
-                                "theta_min": 20.0, "theta_max": 50.0, "tau_max": 40.0}))
-    with pytest.raises(ValidationError):
-        load_exoskeleton_params(bad)  # k0 + k1*theta_min != 0
+    # the spring line through (theta_min, 0) and (theta_max, tau_max) is not
+    # restated in the file
+    stated = tmp_path / "exo.json"
+    stated.write_text(_json.dumps(dict(GOOD_LAEVO, k0=-80.0 / 3.0, k1=4.0 / 3.0)))
+    with pytest.raises(ValidationError, match=r"exo\.json: unknown field\(s\) k0, k1$"):
+        load_exoskeleton_params(stated)
     missing = tmp_path / "missing.json"
-    missing.write_text(_json.dumps({"k0": -10.0}))
-    with pytest.raises(ValidationError, match="missing field"):
+    missing.write_text(_json.dumps({"k_loss": 10.0}))
+    with pytest.raises(ValidationError, match="missing field theta_min"):
         load_exoskeleton_params(missing)
 
 
 GOOD_LAEVO = {
-    "k0": -80.0 / 3.0,
-    "k1": 4.0 / 3.0,
     "k_loss": 10.0,
     "theta_min": 20.0,
     "theta_max": 50.0,
@@ -513,7 +488,7 @@ GOOD_LAEVO = {
         json.dumps(dict(GOOD_LAEVO, theta_max=float("nan"))),
         json.dumps(dict(GOOD_LAEVO, theta_max=10**400)),
         json.dumps(dict(GOOD_LAEVO, k_loss=-1.0)),
-        json.dumps(dict(GOOD_LAEVO, k1=4.0 / 3.0 + 1e-9)),
+        json.dumps(dict(GOOD_LAEVO, k1=4.0 / 3.0 + 1e-9)),  # the spring line is not a field
         json.dumps(dict(GOOD_LAEVO, k2=1.0)),
     ],
     ids=[

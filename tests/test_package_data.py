@@ -3,7 +3,7 @@
 from pathlib import Path
 
 import exoload
-from exoload.anthropometry import DEFAULT_TABLE_ID, get_table
+from exoload.anthropometry import default_table
 from exoload.surveys import QUESTIONNAIRE_IDS, load_schema
 
 
@@ -14,5 +14,5 @@ def test_every_bundled_data_file_is_loaded():
         f"questionnaire_{qid.lower()}.json" for qid in QUESTIONNAIRE_IDS
     }
     assert present == expected, f"unreferenced: {sorted(present - expected)}"
-    assert get_table(DEFAULT_TABLE_ID).table_id == DEFAULT_TABLE_ID
+    assert default_table().table_id == "default-v1"
     assert [load_schema(qid).schema_id for qid in QUESTIONNAIRE_IDS] == list(QUESTIONNAIRE_IDS)

@@ -1,19 +1,30 @@
 import argparse
 import csv
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import synthetic_ecg, write_bend_session
+from helpers import (
+    bent_configuration,
+    capture_from_configurations,
+    default_model,
+    synthetic_ecg,
+    write_bend_session,
+    write_motion_file,
+)
 
 from exoload import cli
 from exoload import io as eio
 from exoload.biosignals import emg_change_pct, emg_envelope, settle_samples
+from exoload.dynamics import LaevoModel
 from exoload.errors import NumericalError, ValidationError
 from exoload.pipeline import MOTION_FIELDS, _stage, emit_boxplot_data, load_config, run_pipeline
 from exoload.posture import DistributionSummary
+from exoload.skeleton import JointConfiguration
 
 
 def write_emg_csv(path, fs, duration_s, channels):
@@ -484,18 +495,37 @@ def test_cli_removed_subcommands_and_overrides_exit_2(tmp_path, capsys, args):
     capsys.readouterr()
 
 
+def readme_section(heading):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_readme_lists_the_cli_subcommands():
     """The sh block under the README's "Command line" heading lists one line
     per subcommand, exactly the subcommands the parser defines."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_section("Command line").split("```sh\n", 1)[1].split("```", 1)[0]
     documented = [line.split()[1] for line in block.splitlines() if line.startswith("exoload ")]
     parser = cli._build_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert sorted(documented) == sorted(subparsers.choices)
     assert len(documented) == len(set(documented))
     assert set(documented) == set(cli.SUBCOMMAND_BRANCH)
+
+
+def test_readme_config_example_and_exoskeleton_fields_match_the_code(tmp_path):
+    """The README's example session config loads as it stands (loading reads
+    no input file), and its list of exoskeleton-parameter fields is the
+    fields of ``LaevoModel``."""
+    path = tmp_path / "session.json"
+    path.write_text(readme_section("Command line").split("```json\n", 1)[1].split("```", 1)[0])
+    assert load_config(path).exoskeleton == "laevo"
+    formats = readme_section("File formats")
+    sentence = formats.split("An exoskeleton parameter file holds", 1)[1].split(";", 1)[0]
+    documented = re.findall(r"`(\w+)`", sentence)
+    assert documented == [f.name for f in dataclasses.fields(LaevoModel)]
+
+
+LAEVO_PARAMS = {"k_loss": 10.0, "theta_min": 20.0, "theta_max": 50.0, "tau_max": 40.0}
 
 
 def write_every_input_session(tmp_path):
@@ -522,8 +552,7 @@ def write_every_input_session(tmp_path):
     shutil.copy(Path(eio.__file__).parent / "data" / "coefficients_default.json", files["coefficients"])
     files["aliases"].write_text(json.dumps({"hips": "pelvis"}))
     files["solver"].write_text(json.dumps({"gain": 10.0}))
-    laevo = {"k_loss": 10.0, "theta_min": 20.0, "theta_max": 50.0, "tau_max": 40.0}
-    files["exoskeleton"].write_text(json.dumps(dict(laevo, k0=-80.0 / 3.0, k1=4.0 / 3.0)))
+    files["exoskeleton"].write_text(json.dumps(LAEVO_PARAMS))
     write_emg_csv(files["emg_baseline"], 2000.0, 1.5, {"ESL_L": 50.0})
     files["emg_baseline_sidecar"].write_text(json.dumps({"units": "uV", "sample_rate": 2000.0}))
     write_emg_csv(files["emg_trial"], 2000.0, 1.5, {"ESL_L": 40.0})  # no sidecar
@@ -565,7 +594,38 @@ def test_manifest_inputs_are_exactly_the_files_read(tmp_path, variant):
     manifest = json.loads(bundle.files["manifest"].read_text())
     assert manifest["inputs"] == {str(files[kind]): eio.sha256_file(files[kind]) for kind in expected}
     assert manifest["config"]["config_path"] == str(files["config"])
-    assert manifest["config"]["profile"]["coefficient_table_id"] == "default-v1"
+    assert manifest["config"]["profile"] == {"height_m": 1.75, "mass_kg": 70.0}
+
+
+def test_every_exoskeleton_parameter_is_applied(tmp_path):
+    """Changing any one field of the parameter file changes the torque
+    series. The bend fixture's capture is replaced by one that holds the
+    bend and then straightens a quarter of the way back, so the descending
+    branch, where ``k_loss`` acts, is reached inside the engagement range."""
+    model = default_model()
+    bent = bent_configuration(model)
+    scales = np.concatenate([np.ones(60), np.linspace(1.0, 0.75, 60)])
+    poses = [
+        JointConfiguration(bent.base_position, bent.base_orientation, s * bent.joint_angles)
+        for s in scales
+    ]
+    capture = capture_from_configurations(model, poses, 240.0)
+
+    def torque_series(name, params):
+        directory = tmp_path / name
+        directory.mkdir()
+        config_path = write_bend_session(directory, duration_s=0.5, with_annotation=False)
+        write_motion_file(directory / "motion.csv", capture)
+        (directory / "laevo.json").write_text(json.dumps(params))
+        config = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps(dict(config, exoskeleton_params_file="laevo.json")))
+        return run_pipeline(load_config(config_path)).files["torque_series"].read_bytes()
+
+    reference = torque_series("file", LAEVO_PARAMS)
+    changed = {"k_loss": 5.0, "theta_min": 15.0, "theta_max": 55.0, "tau_max": 30.0}
+    assert set(changed) == set(LAEVO_PARAMS)
+    for field, value in changed.items():
+        assert torque_series(field, dict(LAEVO_PARAMS, **{field: value})) != reference, field
 
 
 def test_summary_tables_list_their_figures_boxplot_records(tmp_path):
@@ -665,12 +725,6 @@ def overlapping_segment(payload):
     return payload
 
 
-def negative_tau_max(payload):
-    # k0 and k1 restate the spring line through (20, 0) and (50, -40)
-    payload.update(tau_max=-40.0, k0=80.0 / 3.0, k1=-4.0 / 3.0)
-    return payload
-
-
 def icu_text_with_icu_only_answer(payload):
     payload["context"]["icu"] = "false"
     payload["answers"]["maneuvers_today"] = 3
@@ -689,12 +743,6 @@ BAD_INPUT_EDITS = {
         with_field("segments", 0, "com_fraction", value="0.5"),
         "segments.0.com_fraction",
     ),
-    # the table file's id against the profile's default-v1
-    "table-id-mismatch": (
-        "coefficients",
-        with_field("table_id", value="my-lab-table"),
-        "table_id 'my-lab-table' is not the profile.coefficient_table 'default-v1'",
-    ),
     "solver-epsilon": ("solver", with_field("epsilon", value=-1), "epsilon"),
     "solver-iterations": ("solver", with_field("max_iterations", value=0), "max_iterations"),
     "solver-velocity-bound": ("solver", with_field("velocity_bound", value=-1), "velocity_bound"),
@@ -703,8 +751,18 @@ BAD_INPUT_EDITS = {
     "seed-string": ("config", with_field("seed", value="5"), "seed"),
     "seed-float": ("config", with_field("seed", value=1.9), "seed"),
     "exoskeleton-typo": ("config", with_field("exoskelton", value="laevo"), "exoskelton"),
+    "exoskeleton-unknown": (
+        "config",
+        with_field("exoskeleton", value="foo"),
+        "config.json: exoskeleton must be 'none' or 'laevo', got 'foo'",
+    ),
     "alias-number": ("aliases", with_field("hips", value=5), "hips"),
     "response-icu-text": ("responses", icu_text_with_icu_only_answer, "context.icu"),
+    "response-context-typo": (
+        "responses",
+        with_field("context", "exoskelton", value="Laevo"),
+        "line 7: unknown field(s) context.exoskelton",
+    ),
     # range checks where the value is read
     "sidecar-rate-zero": ("emg_baseline_sidecar", with_field("sample_rate", value=0), "sample_rate"),
     "ecg-sidecar-rate-negative": ("ecg_sidecar", with_field("sample_rate", value=-500.0), "sample_rate"),
@@ -725,6 +783,14 @@ BAD_INPUT_EDITS = {
         with_field("emg", "sample_rate", value=0),
         "unknown field(s) emg.sample_rate",
     ),
+    # fields that restated a value of another input: the table file's own id,
+    # and the spring line through (theta_min, 0) and (theta_max, tau_max)
+    "coefficient-table-id": (
+        "config",
+        with_field("profile", "coefficient_table", value="default-v1"),
+        "unknown field(s) profile.coefficient_table",
+    ),
+    "laevo-k0": ("exoskeleton", with_field("k0", value=-80.0 / 3.0), "unknown field(s) k0"),
     "height-negative": ("config", with_field("profile", "height_m", value=-1), "profile.height_m"),
     "mass-zero": ("config", with_field("profile", "mass_kg", value=0.0), "profile.mass_kg"),
     "smoothing-negative": (
@@ -745,7 +811,7 @@ BAD_INPUT_EDITS = {
     ),
     "annotation-overlap": ("annotation", overlapping_segment, "segments 'PS' and 'SP' overlap"),
     # record check of the exoskeleton model
-    "laevo-tau-max-negative": ("exoskeleton", negative_tau_max, "tau_max must be positive"),
+    "laevo-tau-max-negative": ("exoskeleton", with_field("tau_max", value=-40.0), "tau_max must be positive"),
 }
 
 
@@ -762,6 +828,7 @@ def test_one_bad_field_exits_2_naming_file_and_field(tmp_path, capsys, kind, edi
     assert cli.main(["pipeline", "--config", str(files["config"])]) == 2
     err = capsys.readouterr().err
     assert path.name in err and field in err
+    assert err.count(str(path)) == 1  # named once, not prefixed twice
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 ``ValidationError``, never another exception; and the bulk numeric CSV reader
 returns what its per-cell oracle returns."""
 
+import io
 import json
 import math
 import tempfile
@@ -153,6 +154,7 @@ RESPONSE_RECORDS = st.one_of(
                     {},
                     optional={
                         "exoskeleton": JSON_VALUES,
+                        "exoskelton": JSON_VALUES,  # a misspelled key
                         "position": JSON_VALUES,
                         "pp_index": JSON_VALUES,
                         "icu": JSON_VALUES,
@@ -178,6 +180,7 @@ RESPONSE_RECORDS = st.one_of(
 @example(b"[]\n")
 @example(b'{"respondent_id": 1, "questionnaire_id": "A", "answers": "ab"}\n')
 @example(b'{"respondent_id": 1, "questionnaire_id": "A", "answers": {}, "context": []}\n')
+@example(b'{"respondent_id": "p", "questionnaire_id": "B", "answers": {}, "context": {"exoskelton": "x"}}\n')
 @example(b"\xff\n")
 # answers Python's json accepts that no float conversion may reach unchecked
 @example(b'{"respondent_id": "p", "questionnaire_id": "B", "answers": {"1": NaN}}\n')
@@ -186,7 +189,11 @@ RESPONSE_RECORDS = st.one_of(
 @example(b'{"respondent_id": "p", "questionnaire_id": "C", "answers": {"effort_neck": ' + b"9" * 400 + b"}}\n")
 @example(b'{"respondent_id": "p", "questionnaire_id": "D", "answers": {"borg_neck": ' + b"9" * 400 + b"}}\n")
 def test_read_responses_file_parses_or_rejects(content):
-    read(eio.read_responses_file, content)
+    if read(eio.read_responses_file, content) is not None:
+        # a context holds only the fields that group the answers
+        lines = [line.strip() for line in io.StringIO(content.decode("utf-8"), newline="")]
+        for payload in (json.loads(line) for line in lines if line):
+            assert set(payload.get("context", {})) <= {"exoskeleton", "position", "pp_index", "icu"}
 
 
 PATHS = st.one_of(st.sampled_from(["a.csv", "sub/b.csv", "/abs/c.csv"]), JSON_VALUES)
@@ -278,6 +285,8 @@ def test_load_config_parses_or_rejects(content):
             assert type(value) in (int, float) and getattr(config.profile, name) == value
         assert type(payload.get("exoskeleton", "none")) is str
         # every setting the config states is one its run reads
+        # the coefficient table file holds its own id
+        assert set(payload["profile"]) <= {"height_m", "mass_kg", "coefficient_table_file"}
         if config.motion_file is None:
             assert not set(MOTION_FIELDS) & set(payload)
             assert "coefficient_table_file" not in payload["profile"]
@@ -345,16 +354,18 @@ def test_load_solver_settings_parses_or_rejects(content):
         assert type(settings.max_iterations) is int and settings.max_iterations >= 1
 
 
-LAEVO_NAMES = ["k0", "k1", "k_loss", "theta_min", "theta_max", "tau_max"]
+LAEVO_NAMES = ["k_loss", "theta_min", "theta_max", "tau_max"]
 EXOSKELETON_PARAMS = st.one_of(
-    st.dictionaries(st.sampled_from(LAEVO_NAMES + ["k2"]), NUMBERS, max_size=7),
+    # k0 and k1 were once fields: the spring line the other four define
+    st.dictionaries(st.sampled_from(LAEVO_NAMES + ["k0", "k1", "k2"]), NUMBERS, max_size=7),
     st.fixed_dictionaries({name: NUMBERS for name in LAEVO_NAMES}),
 )
 
 
 @FUZZ
 @given(json_files(st.one_of(EXOSKELETON_PARAMS, JSON_VALUES)))
-@example(b'{"k0": 0, "k1": 1, "k_loss": 0, "theta_min": 0, "theta_max": 1, "tau_max": 1, "k2": 1}')
+@example(b'{"k_loss": 0, "theta_min": 0, "theta_max": 1, "tau_max": 1, "k2": 1}')
+@example(b'{"k0": 0, "k1": 1, "k_loss": 0, "theta_min": 0, "theta_max": 1, "tau_max": 1}')
 def test_load_exoskeleton_params_parses_or_rejects(content):
     if read(load_exoskeleton_params, content) is not None:
         payload = json.loads(content)

@@ -175,6 +175,24 @@ def test_parse_response_payload():
         parse_response({"respondent_id": "x"})
 
 
+def test_response_context_rejects_fields_it_does_not_define():
+    """A misspelled context key is an error, not answers filed under the
+    ``none`` exoskeleton; the record itself may carry extra fields."""
+    payload = {
+        "respondent_id": "p9",
+        "questionnaire_id": "B",
+        "answers": {"1": 4},
+        "context": {"exoskelton": "Laevo", "icu": True},
+        "note": "extra fields of the record are allowed",
+    }
+    where = "responses.jsonl: line 3"
+    message = r"^responses\.jsonl: line 3: unknown field\(s\) context\.exoskelton$"
+    with pytest.raises(ValidationError, match=message):
+        parse_response(payload, where)
+    payload["context"] = {"exoskeleton": "Laevo", "icu": True}
+    assert parse_response(payload, where).context.exoskeleton == "Laevo"
+
+
 def test_rounding_is_display_only():
     score = ConstructScore("x", 4.4444, 0.0707, 2)
     assert format_mean_stdev(score.mean, score.stdev) == "4.4±0.1"
