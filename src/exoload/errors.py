@@ -56,12 +56,19 @@ def require_finite(values, where: str) -> None:
         raise ValidationError(f"{where}: non-finite value at index {int(np.argwhere(bad)[0][0])}")
 
 
+def sample_period(times: np.ndarray) -> float:
+    """The sample period of two or more timestamps: their span over the
+    number of spacings. Stamps rounded to a step move it by at most that step
+    over the number of spacings; a median spacing can move by the whole step."""
+    return float(times[-1] - times[0]) / (len(times) - 1)
+
+
 def uniform_spacing(times: np.ndarray, tolerance: float) -> float:
-    """The median spacing of evenly spaced finite timestamps: the time-base
+    """The sample period of evenly spaced finite timestamps: the time-base
     rule of captures and biosignal files. A ``FrameError`` names the frame
     that breaks it: the last of fewer than two, the first that does not follow
-    the one before it, or the one spaced furthest from the median, if by more
-    than ``tolerance`` of it."""
+    the one before it, or the one spaced furthest from ``sample_period``, if
+    by more than ``tolerance`` of it."""
     n = len(times)
     if n < 2:
         raise FrameError(f"need at least two samples, got {n}", n - 1 if n else None)
@@ -69,14 +76,14 @@ def uniform_spacing(times: np.ndarray, tolerance: float) -> float:
     bad = np.nonzero(dt <= 0.0)[0]
     if bad.size:
         k = int(bad[0]) + 1
-        raise FrameError(f"timestamps must strictly increase: frame {k} at {times[k]!r} s", k)
-    nominal = float(np.median(dt))
+        raise FrameError(f"timestamps must strictly increase: frame {k} at {float(times[k])!r} s", k)
+    nominal = sample_period(times)
     deviation = np.abs(dt - nominal)
     k = int(np.argmax(deviation))
     if deviation[k] > tolerance * nominal:
         raise FrameError(
-            f"frame spacing at frame {k + 1} is {dt[k]!r} s, more than {tolerance:.0%} off the median "
-            f"{nominal!r} s: the time base is not uniform",
+            f"frame spacing at frame {k + 1} is {float(dt[k])!r} s, more than {tolerance:.0%} off the mean "
+            f"spacing {nominal!r} s: the time base is not uniform",
             k + 1,
         )
     return nominal

@@ -180,23 +180,6 @@ def orientation_error(R_ref: np.ndarray, R_cur: np.ndarray) -> np.ndarray:
     return matrix_to_rotvec(R_ref @ np.swapaxes(R_cur, -1, -2))
 
 
-def quat_slerp(qa: np.ndarray, qb: np.ndarray, t: float | np.ndarray) -> np.ndarray:
-    """Spherical interpolation from ``qa`` to ``qb`` along the shorter arc,
-    for one pair ``(4,)`` and a fraction ``t``, or for ``(..., 4)`` stacks
-    with fractions ``(...)``. Nearly parallel pairs interpolate linearly."""
-    qa, qb = quat_normalize(qa), quat_normalize(qb)
-    t = np.asarray(t, dtype=float)[..., None]
-    dot = _row_dots(qa, qb)
-    flip = dot < 0.0
-    qb = np.where(flip[..., None], -qb, qb)
-    dot = np.where(flip, -dot, dot)[..., None]
-    near = dot > 1.0 - 1e-10
-    theta = np.arccos(np.clip(dot, -1.0, 1.0))
-    s = np.where(near, 1.0, np.sin(theta))
-    arc = (np.sin((1.0 - t) * theta) / s) * qa + (np.sin(t * theta) / s) * qb
-    return quat_normalize(np.where(near, qa + t * (qb - qa), arc))
-
-
 def quat_rotvec_between(q_from: np.ndarray, q_to: np.ndarray) -> np.ndarray:
     """Rotation vectors ``(..., 3)`` of ``q_to * conj(q_from)`` for stacks of
     quaternions ``(..., 4)``: the world-frame rotation carrying each

@@ -31,7 +31,7 @@ from .retarget import CapturedTrajectory, SegmentTrack
 from .skeleton import JointConfiguration, SkeletonModel
 from .surveys import ResponseSet, parse_response
 
-SIGNAL_JITTER_TOL = 0.01  # EMG/ECG sample spacing, relative to the median
+SIGNAL_JITTER_TOL = 0.01  # EMG/ECG sample spacing, relative to the sample period
 POSE_SUFFIXES = ("px", "py", "pz", "qw", "qx", "qy", "qz")
 
 

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, sample_period
 
 SEGMENT_LABELS = ("PS", "SP", "control", "head", "side")
 
@@ -78,15 +78,17 @@ def segment_series(
     closed-open interval [start, end); values are passed through bit-exactly.
 
     Each sample represents one sampling interval, so the recorded range runs
-    from the first timestamp to one median sample period past the last."""
+    from the first timestamp to one ``sample_period`` past the last. A window
+    may overrun that range by up to half a period on either side: it selects
+    the same samples, and rounded timestamps move the period far less."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values)
     if times.shape[0] != values.shape[0]:
         raise ValidationError("times and values must have equal length")
-    dt = float(np.median(np.diff(times))) if times.size > 1 else 0.0
+    dt = sample_period(times) if times.size > 1 else 0.0
     out = []
     for seg in annotation.segments:
-        if times.size and (seg.start < times[0] - 1e-12 or seg.end > times[-1] + dt + 1e-12):
+        if times.size and (seg.start < times[0] - dt / 2 or seg.end > times[-1] + dt + dt / 2):
             raise ValidationError(
                 f"segment {seg.label!r} [{seg.start}, {seg.end}) lies outside the "
                 f"recorded range [{times[0]}, {times[-1] + dt}]"

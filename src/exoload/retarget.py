@@ -32,7 +32,6 @@ from .errors import (
 from .geometry import (
     orientation_error,
     quat_rotvec_between,
-    quat_slerp,
     quat_to_matrix,
     vector_norms,
 )
@@ -130,9 +129,11 @@ class SegmentTrack:
 
 @dataclass
 class CapturedTrajectory:
-    """Time-stamped world poses of body segments from motion capture. The
-    sample rate is the inverse of the median frame spacing; every quaternion
-    within ``QUAT_NORM_TOL`` of unit norm is renormalized."""
+    """Time-stamped world poses of body segments from motion capture, frames
+    as recorded. The sample rate is the inverse of ``uniform_spacing``: the
+    span over the number of spacings, each spacing within ``DT_JITTER_TOL``
+    of it. Every quaternion within ``QUAT_NORM_TOL`` of unit norm is
+    renormalized."""
 
     times: np.ndarray  # (n,)
     segments: dict[str, SegmentTrack]
@@ -165,32 +166,6 @@ class CapturedTrajectory:
     @property
     def n_frames(self) -> int:
         return len(self.times)
-
-    def is_uniform(self) -> bool:
-        """Every frame spacing within 1e-9 of ``1 / sample_rate``, relatively."""
-        dt = np.diff(self.times)
-        nominal = 1.0 / self.sample_rate
-        return bool(np.max(np.abs(dt - nominal)) <= 1e-9 * nominal)
-
-
-def resample_uniform(captured: CapturedTrajectory) -> CapturedTrajectory:
-    """Linear/slerp interpolation onto the uniform grid implied by the nominal
-    sample rate. No-op (same data) when the input is already uniform."""
-    if captured.is_uniform():
-        return captured
-    t0, t1 = captured.times[0], captured.times[-1]
-    dt = 1.0 / captured.sample_rate
-    n = int(np.floor((t1 - t0) / dt + 1e-9)) + 1
-    grid = t0 + dt * np.arange(n)
-    idx = np.clip(np.searchsorted(captured.times, grid, side="right") - 1, 0, captured.n_frames - 2)
-    w = (grid - captured.times[idx]) / (captured.times[idx + 1] - captured.times[idx])
-    w = np.clip(w, 0.0, 1.0)
-    segments = {}
-    for name, track in captured.segments.items():
-        pos = track.positions[idx] * (1.0 - w[:, None]) + track.positions[idx + 1] * w[:, None]
-        quats = quat_slerp(track.quaternions[idx], track.quaternions[idx + 1], w)
-        segments[name] = SegmentTrack(pos, quats)
-    return CapturedTrajectory(grid, segments)
 
 
 @dataclass(frozen=True)
@@ -457,14 +432,14 @@ def retarget_trajectory(
     """Replay a captured trajectory on the model frame by frame, from the
     model's upright configuration.
 
-    The frame count is preserved. Infeasible frames are skipped (configuration
-    held) with a diagnostic; solver non-convergence aborts with the frame
-    index.
+    The captured frames are replayed as recorded, one ``1 / sample_rate``
+    step apart, so the frame count is preserved and the result carries the
+    captured timestamps. Infeasible frames are skipped (configuration held) with a
+    diagnostic; solver non-convergence aborts with the frame index.
     """
     if tasks is None:
         tasks = default_task_stack()
     plan = _RowPlan(model, tasks)
-    captured = resample_uniform(captured)
     dt = 1.0 / captured.sample_rate
     n = captured.n_frames
     references = _trajectory_references(plan, _reference_tracks(model, captured, tasks), n, dt)

@@ -588,22 +588,6 @@ def reference_quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def reference_quat_slerp(qa: np.ndarray, qb: np.ndarray, t: float) -> np.ndarray:
-    """Slerp of one quaternion pair with scalar branches: the per-frame
-    oracle for ``resample_uniform``."""
-    qa = quat_normalize(qa)
-    qb = quat_normalize(qb)
-    dot = float(np.dot(qa, qb))
-    if dot < 0.0:
-        qb = -qb
-        dot = -dot
-    if dot > 1.0 - 1e-10:
-        return quat_normalize(qa + t * (qb - qa))
-    theta = np.arccos(np.clip(dot, -1.0, 1.0))
-    s = np.sin(theta)
-    return quat_normalize((np.sin((1.0 - t) * theta) / s) * qa + (np.sin(t * theta) / s) * qb)
-
-
 def reference_task_jacobian(state: KinematicState, frame: str, kind: str) -> np.ndarray:
     """World task Jacobian of one frame from the ``np.cross`` oracles: the
     point Jacobian of the frame origin, the ancestor links' world axes for

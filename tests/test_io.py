@@ -180,7 +180,8 @@ def test_signal_csv_requires_uniform_spacing(tmp_path):
     path = tmp_path / "emg.csv"
     rows = [[0.0, 1.0], [0.001, 1.0], [0.05, 1.0]]
     write_rows(path, ["time_s", "ESL_L"], rows)
-    with pytest.raises(ValidationError, match="uniform"):
+    message = r"row 3: frame spacing at frame 1 is 0\.001 s, more than 1% off the mean spacing 0\.025 s: "
+    with pytest.raises(ValidationError, match=message):
         eio.read_emg_file(path)
 
 

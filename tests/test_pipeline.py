@@ -428,6 +428,49 @@ def test_cli_irregular_frame_spacing_exits_2_naming_the_row(tmp_path, capsys):
     assert "motion.csv: row 7: frame spacing at frame 5" in err
 
 
+def round_motion_times(motion: Path, decimals: int) -> np.ndarray:
+    """Rewrite the ``time_s`` column of a motion file to ``decimals``
+    places, as an export with a fixed number of decimals writes it, and
+    return the rounded times as read back."""
+    lines = motion.read_text(encoding="utf-8").splitlines()
+    for i in range(1, len(lines)):
+        time, rest = lines[i].split(",", 1)
+        lines[i] = f"{float(time):.{decimals}f},{rest}"
+    motion.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return np.array([float(line.split(",", 1)[0]) for line in lines[1:]])
+
+
+@pytest.mark.parametrize("decimals", [4, 5, 6])
+def test_rounded_capture_times_are_replayed_as_recorded(tmp_path, decimals):
+    """A 240 Hz capture whose timestamps are written to a fixed number of
+    decimals, with an annotation window that ends one period past the last
+    frame: every frame is retargeted at its recorded time."""
+    config_path = write_bend_session(tmp_path, duration_s=0.5)
+    times = round_motion_times(tmp_path / "motion.csv", decimals)
+    assert np.ptp(np.diff(times)) > 0.0  # the rounding leaves the grid uneven
+    assert cli.main(["pipeline", "--config", str(config_path)]) == 0
+    joints = np.loadtxt(tmp_path / "out" / "joints.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert len(joints) == len(times) == 120
+    assert np.array_equal(joints[:, 0], times)
+
+
+def test_capture_rounded_past_the_spacing_tolerance_exits_2_naming_the_row(tmp_path, capsys):
+    """At 3 decimals a 240 Hz frame spacing reads 4 or 5 ms, 20% apart: the
+    capture is not uniform."""
+    config_path = write_bend_session(tmp_path, duration_s=0.5)
+    round_motion_times(tmp_path / "motion.csv", 3)
+    assert cli.main(["pipeline", "--config", str(config_path)]) == 2
+    pattern = (
+        r"motion\.csv: row (\d+): frame spacing at frame (\d+) is ([0-9.]+) s, "
+        r"more than 10% off the mean spacing ([0-9.]+) s"
+    )
+    found = re.search(pattern, capsys.readouterr().err)
+    assert found, "the error names no row"
+    row, frame, spacing, period = (float(v) for v in found.groups())
+    assert row == frame + 2
+    assert abs(spacing - period) > 0.1 * period
+
+
 def test_cli_stray_linalg_error_exits_3_naming_the_subcommand(tmp_path, capsys, monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")

@@ -87,6 +87,24 @@ def test_segment_series_empty_annotation_and_out_of_range():
         segment_series(times, values, TrialAnnotation("t", (AnnotationSegment("PS", 0.0, 2.0),)))
 
 
+@pytest.mark.parametrize("overrun, allowed", [(0.49, True), (0.51, False)])
+def test_segment_series_allows_half_a_period_past_the_recorded_range(overrun, allowed):
+    """The recorded range of samples 0.1 s apart is [0.0, 0.5]: a window may
+    overrun it by under half a period at either end and selects the samples
+    of the exact window; by over half a period it is an error."""
+    times = np.arange(5) / 10.0
+    values = np.arange(5.0)
+    slack = overrun * 0.1
+    for exact, wide in [((0.0, 0.3), (-slack, 0.3)), ((0.2, 0.5), (0.2, 0.5 + slack))]:
+        annotation = TrialAnnotation("t", (AnnotationSegment("PS", *wide),))
+        if allowed:
+            expected = segment_series(times, values, TrialAnnotation("t", (AnnotationSegment("PS", *exact),)))
+            assert np.array_equal(segment_series(times, values, annotation)[0][1], expected[0][1])
+        else:
+            with pytest.raises(ValidationError, match="outside the recorded range"):
+                segment_series(times, values, annotation)
+
+
 def test_time_fraction_examples():
     assert time_fraction_above(np.full(10, 25.0), 20.0) == 1.0
     assert time_fraction_above(np.full(10, 25.0), 30.0) == 0.0

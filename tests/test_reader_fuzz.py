@@ -10,15 +10,15 @@ from pathlib import Path
 
 import numpy as np
 from helpers import reference_read_table
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from exoload import io as eio
 from exoload.anthropometry import AnthropometricProfile, load_table_file
 from exoload.dynamics import load_exoskeleton_params
-from exoload.errors import ValidationError, finite_number
+from exoload.errors import ValidationError, finite_number, uniform_spacing
 from exoload.pipeline import MOTION_FIELDS, SessionConfig, _segment_aliases, load_config
-from exoload.retarget import load_solver_settings
+from exoload.retarget import DT_JITTER_TOL, load_solver_settings
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -90,6 +90,28 @@ def test_parse_motion_file_parses_or_rejects(content):
 @example(b"time_s,ch1\n0,\xff\n")
 def test_read_signal_csv_parses_or_rejects(content):
     read(eio.read_signal_csv, content)
+
+
+@FUZZ
+@given(
+    rate=st.floats(50.0, 4000.0),
+    n=st.integers(3, 5000),
+    decimals=st.integers(4, 9),
+    tolerance=st.sampled_from([DT_JITTER_TOL, eio.SIGNAL_JITTER_TOL]),
+)
+@example(rate=240.0, n=240, decimals=6, tolerance=DT_JITTER_TOL)
+@example(rate=300.0, n=3000, decimals=4, tolerance=DT_JITTER_TOL)
+def test_period_of_rounded_timestamps_is_within_one_rounding_step_over_the_span(rate, n, decimals, tolerance):
+    """Timestamps of a uniform recording written to ``decimals`` places, as
+    an export writes them: the reader's period is off the true one by at most
+    the rounding step over the number of spacings, plus float rounding."""
+    times = np.array([float(f"{k / rate:.{decimals}f}") for k in range(n)])
+    try:
+        period = uniform_spacing(times, tolerance)
+    except ValidationError:
+        assume(False)  # rounded past the reader's tolerance
+    bound = 10.0**-decimals / (n - 1) + 4 * np.spacing(times[-1])
+    assert abs(period - 1.0 / rate) <= bound
 
 
 NUMBER_TEXT = st.one_of(

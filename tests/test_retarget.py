@@ -8,7 +8,6 @@ from helpers import (
     default_model,
     moving_base_trajectory,
     reference_frame_references,
-    reference_quat_slerp,
     reference_retarget,
     reference_task_rows,
     reference_two_level_step,
@@ -22,10 +21,8 @@ from exoload.geometry import (
     IDENTITY_QUAT,
     quat_multiply,
     quat_normalize,
-    quat_slerp,
     quat_to_matrix,
     quat_to_rotvec,
-    rotvec_to_quat,
 )
 from exoload.qp import solve_hierarchy
 from exoload.retarget import (
@@ -41,7 +38,6 @@ from exoload.retarget import (
     _reference_tracks,
     _trajectory_references,
     default_task_stack,
-    resample_uniform,
     retarget_trajectory,
     solve_frame,
 )
@@ -443,34 +439,11 @@ def test_solve_frame_names_missing_references(model):
         solve_frame(model, q, tasks, refs, 1 / 240)
 
 
-def test_resample_uniform_matches_per_frame_slerp():
-    """Every resampled quaternion equals the scalar slerp of its bracketing
-    captured pair, across sign-flipped pairs (dot < 0) and nearly parallel
-    pairs (dot > 1 - 1e-10)."""
-    n = 40
-    rng = np.random.default_rng(4)
-    times = np.arange(n) / 240.0 + rng.uniform(-0.02 / 240, 0.02 / 240, n)
-    times[0] = 0.0
-    quats = np.array([rotvec_to_quat(rng.normal(scale=0.6, size=3)) for _ in range(n)])
-    quats[10:20] = quats[10]  # parallel pairs
-    quats[12] = quat_normalize(quats[12] + 1e-12)
-    quats[25::2] *= -1.0  # the same rotations, opposite signs
-    captured = CapturedTrajectory(times, {"pelvis": SegmentTrack(np.zeros((n, 3)), quats)})
-    uniform = resample_uniform(captured)
-    grid = uniform.times
-    idx = np.clip(np.searchsorted(times, grid, side="right") - 1, 0, n - 2)
-    w = np.clip((grid - times[idx]) / (times[idx + 1] - times[idx]), 0.0, 1.0)
-    dots = np.sum(quats[idx] * quats[idx + 1], axis=1)
-    assert (dots < 0.0).any() and (dots > 1.0 - 1e-10).any()
-    expected = np.array([reference_quat_slerp(quats[i], quats[i + 1], f) for i, f in zip(idx, w)])
-    assert np.max(np.abs(uniform.segments["pelvis"].quaternions - expected)) <= 1e-12
-
-
 def test_trajectory_invariants():
     model = default_model()
     q0 = model.upright_configuration()
     good = capture_from_configurations(model, [q0] * 5, 240.0)
-    with pytest.raises(ValidationError, match="strictly increase"):
+    with pytest.raises(ValidationError, match=r"strictly increase: frame 1 at 0\.0 s$"):
         CapturedTrajectory(np.array([0.0, 0.0, 0.01]), {})
     with pytest.raises(ValidationError, match="10%"):
         CapturedTrajectory(np.array([0.0, 1 / 240, 1 / 240 + 1.5 / 240]), {})
@@ -483,7 +456,7 @@ def test_trajectory_invariants():
 
 def test_capture_rate_comes_from_its_timestamps():
     times = np.arange(6) / 240.0
-    assert CapturedTrajectory(times, {}).sample_rate == 1.0 / float(np.median(np.diff(times)))
+    assert CapturedTrajectory(times, {}).sample_rate == 1.0 / ((times[-1] - times[0]) / 5)
     with pytest.raises(TypeError):
         CapturedTrajectory(250.0, times, {})  # a rate is not an argument
 
@@ -540,25 +513,6 @@ def test_trajectory_rejects_non_finite_values(field, where):
     tracks = {"pelvis": SegmentTrack(arrays["positions"], arrays["quaternions"])}
     with pytest.raises(ValidationError, match=f"{where}: non-finite value at index 3"):
         CapturedTrajectory(arrays["times"], tracks)
-
-
-def test_resample_uniform_interpolates():
-    model = default_model()
-    q0 = model.upright_configuration()
-    n = 9
-    rng = np.random.default_rng(0)
-    times = np.arange(n) / 240.0 + rng.uniform(-0.015 / 240, 0.015 / 240, n)
-    times[0] = 0.0
-    pos = (times / times[-1])[:, None] * np.array([1.0, 0.0, 0.0])
-    quats = np.array(
-        [quat_slerp(IDENTITY_QUAT, rotvec_to_quat(np.array([0, 0, 1.0])), k / (n - 1)) for k in range(n)]
-    )
-    captured = CapturedTrajectory(times, {"pelvis": SegmentTrack(pos, quats)})
-    uniform = resample_uniform(captured)
-    assert uniform.is_uniform()
-    # linear track stays linear under linear resampling
-    x = uniform.segments["pelvis"].positions[:, 0]
-    assert np.max(np.abs(np.diff(x, 2))) < 1e-6
 
 
 def test_integration_consistency(model):
