@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import JsonFields, ValidationError
+from .errors import JsonFields, ValidationError, prefixed
 
 MASS_FRACTION_TOL = 1e-9
 
@@ -51,10 +51,11 @@ class CoefficientTable:
                     f"coefficient table {self.table_id!r}: segment {name!r} has "
                     "CoM fraction outside [0, 1]"
                 )
-            if len(c.gyration_fractions) != 3 or any(g < 0.0 for g in c.gyration_fractions):
+            # a zero radius of gyration would leave the segment inertia singular
+            if len(c.gyration_fractions) != 3 or any(g <= 0.0 for g in c.gyration_fractions):
                 raise ValidationError(
-                    f"coefficient table {self.table_id!r}: segment {name!r} has "
-                    "invalid gyration fractions"
+                    f"coefficient table {self.table_id!r}: segment {name!r} needs three "
+                    f"gyration fractions above zero, got {list(c.gyration_fractions)}"
                 )
 
 
@@ -88,7 +89,8 @@ def parse_table(payload: object, where: str | Path = "coefficient table") -> Coe
         )
     table_id = fields.get("table_id", str)
     fields.reject_unread()
-    return CoefficientTable(table_id=table_id, segments=segments)
+    with prefixed(where):  # the table's own checks name no file
+        return CoefficientTable(table_id=table_id, segments=segments)
 
 
 def load_table_file(path: str | Path) -> CoefficientTable:

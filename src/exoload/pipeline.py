@@ -280,7 +280,11 @@ def build_session_model(config: SessionConfig) -> SkeletonModel:
     """The subject's model, scaled by the config's coefficient table file,
     or else by the bundled table."""
     file = config.coefficient_table_file
-    return build_model(config.profile, None if file is None else load_table_file(file))
+    if file is None:
+        return build_model(config.profile)
+    table = load_table_file(file)
+    with prefixed(file):  # the model's segment check names no file
+        return build_model(config.profile, table)
 
 
 def _segment_aliases(config: SessionConfig) -> dict[str, str]:
@@ -298,8 +302,9 @@ class MotionResults:
 
 
 def run_motion_analysis(config: SessionConfig) -> tuple[SkeletonModel, MotionResults]:
-    """Retarget, differentiate, run inverse dynamics, apply the exoskeleton
-    model and decompose the lumbar torque."""
+    """Read and check every motion input, then retarget, differentiate, run
+    inverse dynamics, apply the exoskeleton model and decompose the lumbar
+    torque."""
     with _stage("model"):
         model = build_session_model(config)
     with _stage("parse-motion"):
@@ -314,13 +319,24 @@ def run_motion_analysis(config: SessionConfig) -> tuple[SkeletonModel, MotionRes
     with _stage("parse-annotation"):
         if config.annotation_file is not None:
             annotation = eio.parse_annotation_file(config.annotation_file)
+            # every window against the recorded range, by the rule the summaries apply
+            with prefixed(config.annotation_file):
+                segment_series(captured.times, captured.times, annotation)
         else:
             times = captured.times
             end = float(times[-1]) + 1.0 / captured.sample_rate
             annotation = _whole_span_annotation("session", float(times[0]), end)
-    with _stage("retarget"):
+    with _stage("parse-solver-settings"):
         file = config.solver_settings_file
         settings = SolverSettings() if file is None else load_solver_settings(file)
+    with _stage("parse-exoskeleton"):
+        file = config.exoskeleton_params_file
+        if config.exoskeleton == "none":
+            exo = None
+        else:
+            exo = LaevoModel() if file is None else load_exoskeleton_params(file)
+    # the capture's errors here name no file
+    with _stage("retarget"), prefixed(config.motion_file):
         result = retarget_trajectory(model, captured, settings=settings)
     dt = 1.0 / captured.sample_rate
     with _stage("dynamics"):
@@ -335,19 +351,16 @@ def run_motion_analysis(config: SessionConfig) -> tuple[SkeletonModel, MotionRes
         theta = thorax_flexion_deg(kinematics.segment_rotation("thorax"))
         theta_dot = time_derivative(theta, dt)
     with _stage("exoskeleton"):
-        if config.exoskeleton == "none":
-            tau_exo = np.zeros_like(tau_net)
-        else:
-            file = config.exoskeleton_params_file
-            exo = LaevoModel() if file is None else load_exoskeleton_params(file)
-            tau_exo = laevo_torque_series(exo, theta, theta_dot)
+        tau_exo = np.zeros_like(tau_net) if exo is None else laevo_torque_series(exo, theta, theta_dot)
     with _stage("decompose"):
         torque = decompose_torque(result.times, tau_net, tau_exo, theta, theta_dot)
     return model, MotionResults(retarget=result, torque=torque, annotation=annotation)
 
 
 def run_pipeline(config: SessionConfig) -> ReportBundle:
-    """Execute every configured branch and write the report bundle."""
+    """Execute every configured branch, then write the report bundle. Only
+    ``output_dir`` is made before the branches run, so a run that fails
+    writes no file and leaves an earlier bundle there as it was."""
     out_dir = Path(config.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -357,45 +370,37 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
     # the one record of every distribution: the boxplot records and each
     # summary table are written from it
     boxplots: list[tuple[str, str, str, DistributionSummary]] = []
+    # each CSV table by key, as its branch computes it
+    tables: dict[str, tuple[Sequence[str], Iterable[Sequence[object]]]] = {}
 
-    def write(key: str, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-        bundle.files[key] = out_dir / f"{key}.csv"
-        eio.write_csv(bundle.files[key], header, rows)
-
-    def write_summaries(key: str, figure: str, trial: str) -> None:
+    def summaries(key: str, figure: str, trial: str) -> None:
         rows = [_summary_row(trial, label, channel, s) for f, label, channel, s in boxplots if f == figure]
-        write(key, SUMMARY_HEADER, rows)
+        tables[key] = (SUMMARY_HEADER, rows)
 
+    motion = None
     if config.motion_file is not None:
         model, motion = run_motion_analysis(config)
         trial, ts = motion.annotation.trial_id, motion.torque
-        with _stage("write-joints"):
-            path = bundle.files["joints"] = out_dir / "joints.csv"
-            eio.write_joint_trajectory(path, model, ts.times, motion.retarget.configurations)
-        with _stage("write-torque-series"):
-            write(
-                "torque_series",
-                ["time_s", "theta_deg", "theta_dot_deg_s", "tau_net_nm", "tau_exo_nm", "tau_human_nm"],
-                zip(ts.times, ts.theta_deg, ts.theta_dot_deg_s, ts.tau_net, ts.tau_exo, ts.tau_human),
-            )
+        tables["torque_series"] = (
+            ["time_s", "theta_deg", "theta_dot_deg_s", "tau_net_nm", "tau_exo_nm", "tau_human_nm"],
+            zip(ts.times, ts.theta_deg, ts.theta_dot_deg_s, ts.tau_net, ts.tau_exo, ts.tau_human),
+        )
         with _stage("angle-summaries"):
             fraction_rows = []
             for label, values in segment_series(ts.times, ts.theta_deg, motion.annotation):
                 boxplots.append(("back_flexion", label, "back_flexion_deg", summarize(values)))
                 profile = posture_profile(values)
                 fraction_rows.append([trial, label] + [profile[t] for t in POSTURE_THRESHOLDS_DEG])
-            write_summaries("angle_summaries", "back_flexion", trial)
-            write(
-                "posture_fractions",
+            summaries("angle_summaries", "back_flexion", trial)
+            tables["posture_fractions"] = (
                 ["trial", "label"] + [f"frac_above_{int(t)}deg" for t in POSTURE_THRESHOLDS_DEG],
                 fraction_rows,
             )
         with _stage("torque-summaries"):
             report = lumbar_effort_report(ts, motion.annotation)
             boxplots += [("lumbar_torque", row.label, row.channel, row.summary) for row in report.rows]
-            write_summaries("torque_summaries", "lumbar_torque", trial)
-            write(
-                "torque_reductions",
+            summaries("torque_summaries", "lumbar_torque", trial)
+            tables["torque_reductions"] = (
                 ["trial", "label", "median_reduction_pct"],
                 [[trial, label, pct] for label, pct in report.median_reduction_pct.items()],
             )
@@ -421,7 +426,7 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
                         env = settled_envelope(record.channels[name], record.sample_rate)
                         rows.append([label, name, emg_change_pct(env, base_env[name])])
                         boxplots.append(("emg_envelope", label, name, summarize(env)))
-            write("emg_changes", ["label", "channel", "change_pct"], rows)
+            tables["emg_changes"] = (["label", "channel", "change_pct"], rows)
 
     if config.ecg is not None:
         with _stage("ecg"):
@@ -429,11 +434,12 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
                 record = eio.read_ecg_file(file, config.ecg.channel)
                 with prefixed(file):
                     beats = detect_r_peaks(record.samples, record.sample_rate)
+                    # the last beat lies at most at (n - 1) / fs, inside the window
                     duration = len(record.samples) / record.sample_rate
-                    annotation = _whole_span_annotation(label, 0.0, duration + 1e-9)
+                    annotation = _whole_span_annotation(label, 0.0, duration)
                     for _, s in heart_rate_stats(beats, annotation):
                         boxplots.append(("heart_rate", label, "heart_rate_bpm", s))
-            write_summaries("heart_rate", "heart_rate", "session")
+            summaries("heart_rate", "heart_rate", "session")
 
     if config.survey is not None:
         with _stage("survey"):
@@ -455,30 +461,32 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
                     for s in borg_summary(schema, rated):
                         display = format_mean_stdev(s.mean, s.stdev)
                         borg_rows.append([qid, s.zone, s.position, s.n, s.mean, s.stdev, display])
-            write(
-                "survey_constructs",
+            tables["survey_constructs"] = (
                 ["questionnaire", "exoskeleton", "construct", "n", "mean", "stdev", "display"],
                 construct_rows,
             )
-            write(
-                "survey_borg",
+            tables["survey_borg"] = (
                 ["questionnaire", "zone", "position", "n", "mean", "stdev", "display"],
                 borg_rows,
             )
 
     with _stage("report"):
+        inputs = sorted({str(name) for name in input_files(config)})
+        manifest = {
+            "package_version": PACKAGE_VERSION,
+            "seed": config.seed,
+            "config": config_echo(config),
+            "inputs": {name: eio.sha256_file(name) for name in inputs},
+        }
+        if motion is not None:
+            path = bundle.files["joints"] = out_dir / "joints.csv"
+            eio.write_joint_trajectory(path, model, motion.torque.times, motion.retarget.configurations)
+        for key, (header, rows) in tables.items():
+            path = bundle.files[key] = out_dir / f"{key}.csv"
+            eio.write_csv(path, header, rows)
         path = bundle.files["boxplot_data"] = out_dir / "boxplot_data.json"
         eio.write_json(path, emit_boxplot_data(boxplots))
-        inputs = sorted({str(name) for name in input_files(config)})
         path = bundle.files["manifest"] = out_dir / "manifest.json"
-        eio.write_json(
-            path,
-            {
-                "package_version": PACKAGE_VERSION,
-                "seed": config.seed,
-                "config": config_echo(config),
-                "inputs": {name: eio.sha256_file(name) for name in inputs},
-            },
-        )
+        eio.write_json(path, manifest)
 
     return bundle

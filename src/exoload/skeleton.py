@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .anthropometry import MASS_FRACTION_TOL, AnthropometricProfile, CoefficientTable, default_table
+from .anthropometry import AnthropometricProfile, CoefficientTable, default_table
 from .errors import ValidationError
 from .geometry import (
     IDENTITY_QUAT,
@@ -163,14 +163,12 @@ class SkeletonModel:
         base_segment: str = BASE_SEGMENT,
         frame_aliases: Mapping[str, str] | None = None,
         reference_base_height: float = 0.0,
-        profile: AnthropometricProfile | None = None,
     ):
         self.segments: tuple[Segment, ...] = tuple(segments)
         self.joints: tuple[Joint, ...] = tuple(joints)
         self.base_segment = base_segment
         self.frame_aliases = dict(frame_aliases or {})
         self.reference_base_height = reference_base_height
-        self.profile = profile
 
         self.segment_index = {s.name: i for i, s in enumerate(self.segments)}
         if len(self.segment_index) != len(self.segments):
@@ -539,12 +537,7 @@ def _segment_from_table(
     table: CoefficientTable,
     axis: np.ndarray,
 ) -> Segment:
-    try:
-        c = table.segments[name]
-    except KeyError:
-        raise ValidationError(
-            f"coefficient table {table.table_id!r} lacks segment {name!r}"
-        ) from None
+    c = table.segments[name]
     length = c.length_fraction * height
     seg_mass = c.mass_fraction * mass
     com = c.com_fraction * length * axis
@@ -591,6 +584,13 @@ def build_model(
         "left_shank": down, "right_shank": down,
         "left_foot": fwd, "right_foot": fwd,
     }
+    missing = [name for name in axis_of if name not in table.segments]
+    unknown = [name for name in table.segments if name not in axis_of]
+    if missing or unknown:
+        raise ValidationError(
+            f"coefficient table {table.table_id!r} must hold exactly the model's "
+            f"{len(axis_of)} segments: missing {missing}, unknown {unknown}"
+        )
     segments = {
         name: _segment_from_table(name, H, M, table, axis) for name, axis in axis_of.items()
     }
@@ -644,29 +644,13 @@ def build_model(
                   _ball(f"{side}_ankle", half_pi, half_pi)),
         ]
 
-    model = SkeletonModel(
+    return SkeletonModel(
         segments=segments.values(),
         joints=joints,
         base_segment="pelvis",
         frame_aliases=FRAME_ALIASES,
         reference_base_height=L["right_thigh"] + L["right_shank"],
-        profile=profile,
     )
-    _validate_human(model, profile)
-    return model
-
-
-def _validate_human(model: SkeletonModel, profile: AnthropometricProfile) -> None:
-    if len(model.segments) != 19:
-        raise ValidationError(f"expected 19 segments, built {len(model.segments)}")
-    if len(model.joints) != 18:
-        raise ValidationError(f"expected 18 joints, built {len(model.joints)}")
-    if model.n_joint_dofs != 43:
-        raise ValidationError(f"expected 43 actuated DoFs, built {model.n_joint_dofs}")
-    if abs(model.total_mass - profile.mass_kg) > MASS_FRACTION_TOL * profile.mass_kg:
-        raise ValidationError(
-            f"segment masses sum to {model.total_mass!r}, expected {profile.mass_kg!r}"
-        )
 
 
 LUMBAR_FLEXION_DOF = "lumbar_flexion"

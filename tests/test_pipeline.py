@@ -768,6 +768,27 @@ def overlapping_segment(payload):
     return payload
 
 
+def extra_segment(payload):
+    """A ``tail`` segment, the mass fractions re-split to sum to 1."""
+    for row in payload["segments"]:
+        row["mass_fraction"] *= 0.9
+    payload["segments"].append(dict(payload["segments"][0], name="tail", mass_fraction=0.1))
+    return payload
+
+
+def missing_segment(payload):
+    """No ``neck``; its mass folded into the head."""
+    segments = {row["name"]: row for row in payload["segments"]}
+    segments["head"]["mass_fraction"] += segments.pop("neck")["mass_fraction"]
+    payload["segments"] = list(segments.values())
+    return payload
+
+
+def zero_gyration(payload):
+    next(row for row in payload["segments"] if row["name"] == "left_hand")["gyration_fractions"][0] = 0.0
+    return payload
+
+
 def icu_text_with_icu_only_answer(payload):
     payload["context"]["icu"] = "false"
     payload["answers"]["maneuvers_today"] = 3
@@ -855,6 +876,14 @@ BAD_INPUT_EDITS = {
     "annotation-overlap": ("annotation", overlapping_segment, "segments 'PS' and 'SP' overlap"),
     # record check of the exoskeleton model
     "laevo-tau-max-negative": ("exoskeleton", with_field("tau_max", value=-40.0), "tau_max must be positive"),
+    # tables whose mass fractions sum to 1 but that the model cannot take
+    "table-extra-segment": ("coefficients", extra_segment, "missing [], unknown ['tail']"),
+    "table-missing-segment": ("coefficients", missing_segment, "missing ['neck'], unknown []"),
+    "table-zero-gyration": (
+        "coefficients",
+        zero_gyration,
+        "segment 'left_hand' needs three gyration fractions above zero",
+    ),
 }
 
 
@@ -1079,3 +1108,98 @@ def test_pipeline_torque_matches_forward_model_oracle(tmp_path):
     with open(bundle.files["torque_series"], newline="") as fh:
         exo = {float(r["tau_exo_nm"]) for r in csv.DictReader(fh)}
     assert exo == {0.0}  # no exoskeleton configured
+
+
+def window_past_the_capture(tmp_path, config):
+    path = tmp_path / "annotation.json"
+    payload = json.loads(path.read_text())
+    payload["segments"][0]["end"] = 1.01  # the 1 s capture's range is [0.0, 1.0]
+    path.write_text(json.dumps(payload))
+    return path, "stage parse-annotation", "lies outside the recorded range"
+
+
+def negative_tau_max(tmp_path, config):
+    path = tmp_path / "laevo.json"
+    path.write_text(json.dumps(dict(LAEVO_PARAMS, tau_max=-40.0)))
+    config["exoskeleton_params_file"] = path.name
+    return path, "stage parse-exoskeleton", "tau_max must be positive"
+
+
+def missing_solver_settings(tmp_path, config):
+    config["solver_settings_file"] = "solver.json"
+    return tmp_path / "solver.json", "stage parse-solver-settings", "cannot read"
+
+
+@pytest.mark.parametrize("edit", [window_past_the_capture, negative_tau_max, missing_solver_settings])
+def test_motion_inputs_are_checked_before_retargeting(tmp_path, capsys, monkeypatch, edit):
+    """A bad annotation window, exoskeleton parameter file or solver
+    settings file exits 2 naming the file, before retargeting starts and
+    without writing a file."""
+    from exoload import pipeline
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("retargeting started")
+
+    monkeypatch.setattr(pipeline, "retarget_trajectory", not_reached)
+    config_path = write_bend_session(tmp_path, duration_s=1.0)
+    config = json.loads(config_path.read_text())
+    path, stage, message = edit(tmp_path, config)
+    config_path.write_text(json.dumps(config))
+    assert cli.main(["pipeline", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stage}: ") and str(path) in err and message in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def add_emg_branch(config_path, nan_in_trial):
+    """An EMG branch next to the motion branch of ``config_path``; with
+    ``nan_in_trial`` the trial holds one NaN sample."""
+    directory = config_path.parent
+    write_emg_csv(directory / "baseline.csv", 2000.0, 1.5, {"ESL_L": 50.0})
+    write_emg_csv(directory / "trial.csv", 2000.0, 1.5, {"ESL_L": 40.0})
+    if nan_in_trial:
+        lines = (directory / "trial.csv").read_text().splitlines()
+        lines[100] = lines[100].split(",")[0] + ",nan"
+        (directory / "trial.csv").write_text("\n".join(lines) + "\n")
+    config = json.loads(config_path.read_text())
+    config["emg"] = {"baseline_file": "baseline.csv", "trial_files": {"PS": "trial.csv"}}
+    config_path.write_text(json.dumps(config))
+
+
+def test_a_bad_input_after_the_motion_branch_writes_no_file(tmp_path, capsys):
+    config_path = write_bend_session(tmp_path, duration_s=0.5)
+    add_emg_branch(config_path, nan_in_trial=True)
+    assert cli.main(["pipeline", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "trial.csv: row 101" in err and "non-finite" in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_a_failing_rerun_leaves_the_bundle_as_it_was(tmp_path, capsys):
+    """A clean run, then a rerun with an edited annotation and a corrupt EMG
+    trial: the rerun exits 2 and every file of the first bundle is unchanged."""
+    config_path = write_bend_session(tmp_path, duration_s=0.5)
+    add_emg_branch(config_path, nan_in_trial=False)
+    assert cli.main(["pipeline", "--config", str(config_path)]) == 0
+    out = tmp_path / "out"
+    first = {path.name: path.read_bytes() for path in out.iterdir()}
+    annotation = tmp_path / "annotation.json"
+    payload = json.loads(annotation.read_text())
+    payload["segments"][0]["start"] = 0.1
+    annotation.write_text(json.dumps(payload))
+    add_emg_branch(config_path, nan_in_trial=True)
+    assert cli.main(["pipeline", "--config", str(config_path)]) == 2
+    assert "trial.csv" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+
+
+def test_retarget_errors_name_the_capture(tmp_path, capsys):
+    """A capture without the ``left_foot_*`` columns the left-foot task tracks."""
+    config_path = write_bend_session(tmp_path, duration_s=0.5, with_annotation=False)
+    motion = tmp_path / "motion.csv"
+    rows = list(csv.reader(motion.read_text().splitlines()))
+    keep = [j for j, name in enumerate(rows[0]) if not name.startswith("left_foot_")]
+    motion.write_text("".join(",".join(row[j] for j in keep) + "\n" for row in rows))
+    assert cli.main(["pipeline", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"stage retarget: {motion}: task 'left_foot'" in err
