@@ -76,10 +76,16 @@ def format_value(value: object) -> str:
     return str(value)
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]] | np.ndarray) -> None:
+    """A CSV table, each cell as ``format_value`` writes it. The rows of a
+    float array go to the writer as plain floats from one ``tolist()``,
+    whose ``str`` is the ``repr`` that ``format_value`` gives."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
+        if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+            writer.writerows(rows.tolist())
+            return
         for row in rows:
             writer.writerow([format_value(v) for v in row])
 

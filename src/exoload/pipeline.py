@@ -44,6 +44,7 @@ from .posture import (
     tukey_whiskers,
 )
 from .retarget import (
+    CapturedTrajectory,
     RetargetResult,
     SolverSettings,
     load_solver_settings,
@@ -295,16 +296,25 @@ def _segment_aliases(config: SessionConfig) -> dict[str, str]:
 
 
 @dataclass
+class MotionInputs:
+    model: SkeletonModel
+    captured: CapturedTrajectory
+    annotation: TrialAnnotation
+    settings: SolverSettings
+    exoskeleton: LaevoModel | None
+
+
+@dataclass
 class MotionResults:
     retarget: RetargetResult
     torque: TorqueSeries
     annotation: TrialAnnotation
 
 
-def run_motion_analysis(config: SessionConfig) -> tuple[SkeletonModel, MotionResults]:
-    """Read and check every motion input, then retarget, differentiate, run
-    inverse dynamics, apply the exoskeleton model and decompose the lumbar
-    torque."""
+def read_motion_inputs(config: SessionConfig) -> MotionInputs:
+    """Build the model, then read and check every motion input: the
+    capture, its annotation, the solver settings and the exoskeleton
+    parameters."""
     with _stage("model"):
         model = build_session_model(config)
     with _stage("parse-motion"):
@@ -335,9 +345,16 @@ def run_motion_analysis(config: SessionConfig) -> tuple[SkeletonModel, MotionRes
             exo = None
         else:
             exo = LaevoModel() if file is None else load_exoskeleton_params(file)
+    return MotionInputs(model, captured, annotation, settings, exo)
+
+
+def run_motion_analysis(config: SessionConfig, inputs: MotionInputs) -> MotionResults:
+    """Retarget, differentiate, run inverse dynamics, apply the exoskeleton
+    model and decompose the lumbar torque."""
+    model, captured, exo = inputs.model, inputs.captured, inputs.exoskeleton
     # the capture's errors here name no file
     with _stage("retarget"), prefixed(config.motion_file):
-        result = retarget_trajectory(model, captured, settings=settings)
+        result = retarget_trajectory(model, captured, settings=inputs.settings)
     dt = 1.0 / captured.sample_rate
     with _stage("dynamics"):
         kinematics = KinematicState(model, result.configurations)
@@ -354,121 +371,150 @@ def run_motion_analysis(config: SessionConfig) -> tuple[SkeletonModel, MotionRes
         tau_exo = np.zeros_like(tau_net) if exo is None else laevo_torque_series(exo, theta, theta_dot)
     with _stage("decompose"):
         torque = decompose_torque(result.times, tau_net, tau_exo, theta, theta_dot)
-    return model, MotionResults(retarget=result, torque=torque, annotation=annotation)
+    return MotionResults(retarget=result, torque=torque, annotation=inputs.annotation)
+
+
+# a branch's distributions, each as (figure, label, channel, summary), the one
+# record its summary tables and the boxplot records come from; and its CSV
+# tables by key
+Boxplots = list[tuple[str, str, str, DistributionSummary]]
+Tables = dict[str, tuple[Sequence[str], Iterable[Sequence[object]]]]
+
+
+def _summary_table(boxplots: Boxplots, trial: str) -> tuple[Sequence[str], list[list]]:
+    return SUMMARY_HEADER, [_summary_row(trial, label, channel, s) for _, label, channel, s in boxplots]
+
+
+def _motion_tables(motion: MotionResults) -> tuple[Boxplots, Tables]:
+    trial, ts = motion.annotation.trial_id, motion.torque
+    tables: Tables = {
+        "torque_series": (
+            ["time_s", "theta_deg", "theta_dot_deg_s", "tau_net_nm", "tau_exo_nm", "tau_human_nm"],
+            np.column_stack(
+                [ts.times, ts.theta_deg, ts.theta_dot_deg_s, ts.tau_net, ts.tau_exo, ts.tau_human]
+            ),
+        )
+    }
+    with _stage("angle-summaries"):
+        angles, fraction_rows = [], []
+        for label, values in segment_series(ts.times, ts.theta_deg, motion.annotation):
+            angles.append(("back_flexion", label, "back_flexion_deg", summarize(values)))
+            profile = posture_profile(values)
+            fraction_rows.append([trial, label] + [profile[t] for t in POSTURE_THRESHOLDS_DEG])
+        tables["angle_summaries"] = _summary_table(angles, trial)
+        tables["posture_fractions"] = (
+            ["trial", "label"] + [f"frac_above_{int(t)}deg" for t in POSTURE_THRESHOLDS_DEG],
+            fraction_rows,
+        )
+    with _stage("torque-summaries"):
+        report = lumbar_effort_report(ts, motion.annotation)
+        torques = [("lumbar_torque", row.label, row.channel, row.summary) for row in report.rows]
+        tables["torque_summaries"] = _summary_table(torques, trial)
+        tables["torque_reductions"] = (
+            ["trial", "label", "median_reduction_pct"],
+            [[trial, label, pct] for label, pct in report.median_reduction_pct.items()],
+        )
+    return angles + torques, tables
+
+
+def _emg_tables(emg: EmgConfig) -> tuple[Boxplots, Tables]:
+    boxplots: Boxplots = []
+    with _stage("emg"):
+        # the readers name their file; the prefix names it for the processing
+        baseline = eio.read_emg_file(emg.baseline_file)
+        # each record drops its own settle-in, at its own sample rate
+        with prefixed(emg.baseline_file):
+            base_env = {
+                name: settled_envelope(samples, baseline.sample_rate)
+                for name, samples in baseline.channels.items()
+            }
+        rows = []
+        for label, file in emg.trial_files.items():
+            record = eio.read_emg_file(file)
+            with prefixed(file):
+                for name in sorted(set(base_env) | set(record.channels)):
+                    if name not in record.channels or name not in base_env:
+                        rows.append([label, name, "NA"])
+                        continue
+                    env = settled_envelope(record.channels[name], record.sample_rate)
+                    rows.append([label, name, emg_change_pct(env, base_env[name])])
+                    boxplots.append(("emg_envelope", label, name, summarize(env)))
+    return boxplots, {"emg_changes": (["label", "channel", "change_pct"], rows)}
+
+
+def _ecg_tables(ecg: EcgConfig) -> tuple[Boxplots, Tables]:
+    boxplots: Boxplots = []
+    with _stage("ecg"):
+        for label, file in ecg.files.items():
+            record = eio.read_ecg_file(file, ecg.channel)
+            with prefixed(file):
+                beats = detect_r_peaks(record.samples, record.sample_rate)
+                # the last beat lies at most at (n - 1) / fs, inside the window
+                duration = len(record.samples) / record.sample_rate
+                annotation = _whole_span_annotation(label, 0.0, duration)
+                for _, s in heart_rate_stats(beats, annotation):
+                    boxplots.append(("heart_rate", label, "heart_rate_bpm", s))
+        return boxplots, {"heart_rate": _summary_table(boxplots, "session")}
+
+
+def _survey_tables(survey: SurveyConfig) -> Tables:
+    with _stage("survey"):
+        responses = eio.read_responses_file(survey.responses_file)
+        construct_rows, borg_rows = [], []
+        for qid in sorted({r.questionnaire_id for r in responses}):
+            schema = load_schema(qid)
+            answered = [r for r in responses if r.questionnaire_id == qid]
+            groups: dict[str, list] = {}
+            for response in answered:
+                groups.setdefault(response.context.exoskeleton, []).append(response)
+            for exo_type in sorted(groups):
+                for c in construct_scores(schema, groups[exo_type], skip_empty=True):
+                    display = format_mean_stdev(c.mean, c.stdev)
+                    construct_rows.append([qid, exo_type, c.construct, c.n, c.mean, c.stdev, display])
+            borg_ids = [i.item_id for i in schema.items if i.kind == "borg_cr10"]
+            rated = [r for r in answered if any(i in r.answers for i in borg_ids)]
+            if rated:
+                for s in borg_summary(schema, rated):
+                    display = format_mean_stdev(s.mean, s.stdev)
+                    borg_rows.append([qid, s.zone, s.position, s.n, s.mean, s.stdev, display])
+    return {
+        "survey_constructs": (
+            ["questionnaire", "exoskeleton", "construct", "n", "mean", "stdev", "display"],
+            construct_rows,
+        ),
+        "survey_borg": (["questionnaire", "zone", "position", "n", "mean", "stdev", "display"], borg_rows),
+    }
 
 
 def run_pipeline(config: SessionConfig) -> ReportBundle:
     """Execute every configured branch, then write the report bundle. Only
     ``output_dir`` is made before the branches run, so a run that fails
-    writes no file and leaves an earlier bundle there as it was."""
+    writes no file and leaves an earlier bundle there as it was.
+
+    The motion inputs are read first and the motion compute, the longest
+    branch, runs last, so every input file is read and checked before
+    retargeting starts. The bundle lists the branches in config order:
+    motion, EMG, ECG, survey."""
     out_dir = Path(config.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot create output directory {out_dir}: {exc}") from exc
     bundle = ReportBundle(output_dir=out_dir)
-    # the one record of every distribution: the boxplot records and each
-    # summary table are written from it
-    boxplots: list[tuple[str, str, str, DistributionSummary]] = []
-    # each CSV table by key, as its branch computes it
-    tables: dict[str, tuple[Sequence[str], Iterable[Sequence[object]]]] = {}
-
-    def summaries(key: str, figure: str, trial: str) -> None:
-        rows = [_summary_row(trial, label, channel, s) for f, label, channel, s in boxplots if f == figure]
-        tables[key] = (SUMMARY_HEADER, rows)
-
-    motion = None
-    if config.motion_file is not None:
-        model, motion = run_motion_analysis(config)
-        trial, ts = motion.annotation.trial_id, motion.torque
-        tables["torque_series"] = (
-            ["time_s", "theta_deg", "theta_dot_deg_s", "tau_net_nm", "tau_exo_nm", "tau_human_nm"],
-            zip(ts.times, ts.theta_deg, ts.theta_dot_deg_s, ts.tau_net, ts.tau_exo, ts.tau_human),
-        )
-        with _stage("angle-summaries"):
-            fraction_rows = []
-            for label, values in segment_series(ts.times, ts.theta_deg, motion.annotation):
-                boxplots.append(("back_flexion", label, "back_flexion_deg", summarize(values)))
-                profile = posture_profile(values)
-                fraction_rows.append([trial, label] + [profile[t] for t in POSTURE_THRESHOLDS_DEG])
-            summaries("angle_summaries", "back_flexion", trial)
-            tables["posture_fractions"] = (
-                ["trial", "label"] + [f"frac_above_{int(t)}deg" for t in POSTURE_THRESHOLDS_DEG],
-                fraction_rows,
-            )
-        with _stage("torque-summaries"):
-            report = lumbar_effort_report(ts, motion.annotation)
-            boxplots += [("lumbar_torque", row.label, row.channel, row.summary) for row in report.rows]
-            summaries("torque_summaries", "lumbar_torque", trial)
-            tables["torque_reductions"] = (
-                ["trial", "label", "median_reduction_pct"],
-                [[trial, label, pct] for label, pct in report.median_reduction_pct.items()],
-            )
-
+    motion_inputs = None if config.motion_file is None else read_motion_inputs(config)
+    branches: list[tuple[Boxplots, Tables]] = []
     if config.emg is not None:
-        with _stage("emg"):
-            # the readers name their file; the prefix names it for the processing
-            baseline = eio.read_emg_file(config.emg.baseline_file)
-            # each record drops its own settle-in, at its own sample rate
-            with prefixed(config.emg.baseline_file):
-                base_env = {
-                    name: settled_envelope(samples, baseline.sample_rate)
-                    for name, samples in baseline.channels.items()
-                }
-            rows = []
-            for label, file in config.emg.trial_files.items():
-                record = eio.read_emg_file(file)
-                with prefixed(file):
-                    for name in sorted(set(base_env) | set(record.channels)):
-                        if name not in record.channels or name not in base_env:
-                            rows.append([label, name, "NA"])
-                            continue
-                        env = settled_envelope(record.channels[name], record.sample_rate)
-                        rows.append([label, name, emg_change_pct(env, base_env[name])])
-                        boxplots.append(("emg_envelope", label, name, summarize(env)))
-            tables["emg_changes"] = (["label", "channel", "change_pct"], rows)
-
+        branches.append(_emg_tables(config.emg))
     if config.ecg is not None:
-        with _stage("ecg"):
-            for label, file in config.ecg.files.items():
-                record = eio.read_ecg_file(file, config.ecg.channel)
-                with prefixed(file):
-                    beats = detect_r_peaks(record.samples, record.sample_rate)
-                    # the last beat lies at most at (n - 1) / fs, inside the window
-                    duration = len(record.samples) / record.sample_rate
-                    annotation = _whole_span_annotation(label, 0.0, duration)
-                    for _, s in heart_rate_stats(beats, annotation):
-                        boxplots.append(("heart_rate", label, "heart_rate_bpm", s))
-            summaries("heart_rate", "heart_rate", "session")
-
+        branches.append(_ecg_tables(config.ecg))
     if config.survey is not None:
-        with _stage("survey"):
-            responses = eio.read_responses_file(config.survey.responses_file)
-            construct_rows, borg_rows = [], []
-            for qid in sorted({r.questionnaire_id for r in responses}):
-                schema = load_schema(qid)
-                answered = [r for r in responses if r.questionnaire_id == qid]
-                groups: dict[str, list] = {}
-                for response in answered:
-                    groups.setdefault(response.context.exoskeleton, []).append(response)
-                for exo_type in sorted(groups):
-                    for c in construct_scores(schema, groups[exo_type], skip_empty=True):
-                        display = format_mean_stdev(c.mean, c.stdev)
-                        construct_rows.append([qid, exo_type, c.construct, c.n, c.mean, c.stdev, display])
-                borg_ids = [i.item_id for i in schema.items if i.kind == "borg_cr10"]
-                rated = [r for r in answered if any(i in r.answers for i in borg_ids)]
-                if rated:
-                    for s in borg_summary(schema, rated):
-                        display = format_mean_stdev(s.mean, s.stdev)
-                        borg_rows.append([qid, s.zone, s.position, s.n, s.mean, s.stdev, display])
-            tables["survey_constructs"] = (
-                ["questionnaire", "exoskeleton", "construct", "n", "mean", "stdev", "display"],
-                construct_rows,
-            )
-            tables["survey_borg"] = (
-                ["questionnaire", "zone", "position", "n", "mean", "stdev", "display"],
-                borg_rows,
-            )
+        branches.append(([], _survey_tables(config.survey)))
+    motion = None
+    if motion_inputs is not None:
+        motion = run_motion_analysis(config, motion_inputs)
+        branches.insert(0, _motion_tables(motion))
+    boxplots = [record for records, _ in branches for record in records]
+    tables = {key: table for _, branch_tables in branches for key, table in branch_tables.items()}
 
     with _stage("report"):
         inputs = sorted({str(name) for name in input_files(config)})
@@ -480,7 +526,9 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
         }
         if motion is not None:
             path = bundle.files["joints"] = out_dir / "joints.csv"
-            eio.write_joint_trajectory(path, model, motion.torque.times, motion.retarget.configurations)
+            eio.write_joint_trajectory(
+                path, motion_inputs.model, motion.torque.times, motion.retarget.configurations
+            )
         for key, (header, rows) in tables.items():
             path = bundle.files[key] = out_dir / f"{key}.csv"
             eio.write_csv(path, header, rows)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,11 +37,11 @@ from .geometry import (
 from .qp import solve_hierarchy
 from .skeleton import (
     TASK_KINDS,
+    FrameSweep,
     JointConfiguration,
-    KinematicState,
     SkeletonModel,
     TaskRowLayout,
-    integrate_configuration,
+    integrate_arrays,
 )
 
 QUAT_NORM_TOL = 1e-3
@@ -234,62 +233,73 @@ class _RowPlan:
         self.orientation_tasks = order[self.layout.orientation_tasks]
 
     def rows(
-        self, state: KinematicState, refs: _ReferenceArrays, k: int, gain: float
+        self,
+        frames: np.ndarray,
+        refs: _ReferenceArrays,
+        k: int,
+        gain: float,
+        out: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Task Jacobian ``(n_rows, n_velocity)`` and velocity references
-        ``(n_rows,)`` for reference frame ``k`` at feedback ``gain`` (1/s),
-        in one pass over the whole stack."""
+        ``(n_rows,)`` from the world frames of one configuration, for
+        reference frame ``k`` at feedback ``gain`` (1/s), in one pass over
+        the whole stack; written into ``out`` when it is given, a Jacobian
+        of the layout's ``new_jacobian`` and an ``(n_rows,)`` array."""
         layout = self.layout
-        J, current = layout.fill(state)
-        v = np.empty((self.n_rows // 3, 3))
-        v[layout.position_blocks] = gain * (refs.positions[k] - current) + refs.linear_velocities[k]
-        ori_err = orientation_error(refs.rotations[k], state.frames[layout.orientation_rows, :, :3])
-        v[layout.orientation_blocks] = gain * ori_err + refs.angular_velocities[k]
-        return J, v.reshape(-1)
+        J, v = (None, np.empty(self.n_rows)) if out is None else out
+        J, current = layout.fill(frames, J)
+        blocks = v.reshape(-1, 3)
+        blocks[layout.position_blocks] = gain * (refs.positions[k] - current) + refs.linear_velocities[k]
+        ori_err = orientation_error(refs.rotations[k], frames[layout.orientation_rows, :, :3])
+        blocks[layout.orientation_blocks] = gain * ori_err + refs.angular_velocities[k]
+        return J, v
 
 
-class _Step(NamedTuple):
-    velocity: np.ndarray
-    next_configuration: JointConfiguration
-    level1: tuple[np.ndarray, np.ndarray]  # level-1 Jacobian and velocity references
-    diagnostics: FrameDiagnostics
+class _Workspace:
+    """What one retargeting step writes, made once per (row plan,
+    settings): the link frames, the task Jacobian and velocity references,
+    with the level Jacobians and references as views of them, and both
+    velocity bounds. Each step overwrites them, so a sweep over a
+    trajectory allocates them once."""
 
+    def __init__(self, plan: _RowPlan, settings: SolverSettings):
+        self.plan, self.settings = plan, settings
+        self.sweep = FrameSweep(plan.model)
+        self.J, self.v = plan.layout.new_jacobian(), np.empty(plan.n_rows)
+        m1 = plan.n_level1_rows
+        self.levels = (self.J[:m1], self.v[:m1], self.J[m1:], self.v[m1:])
+        n, bound = plan.model.n_velocity, settings.velocity_bound
+        self.lower, self.upper = -np.full(n, bound), np.full(n, bound)
 
-def _solve_step(
-    plan: _RowPlan,
-    q_current: JointConfiguration,
-    refs: _ReferenceArrays,
-    k: int,
-    dt: float,
-    settings: SolverSettings,
-) -> _Step:
-    """One hierarchical velocity-QP step towards reference frame ``k``: the
-    per-frame step of both ``solve_frame`` and ``retarget_trajectory``."""
-    state = KinematicState(plan.model, q_current)
-    J, v = plan.rows(state, refs, k, settings.gain)
-    m1 = plan.n_level1_rows
-    J1, v1 = J[:m1], v[:m1]
-
-    n = plan.model.n_velocity
-    bound = settings.velocity_bound
-    result = solve_hierarchy(
-        J1,
-        v1,
-        J[m1:],
-        v[m1:],
-        settings.epsilon,
-        -np.full(n, bound),
-        np.full(n, bound),
-        max_iterations=settings.max_iterations,
-        tolerance=settings.tolerance,
-    )
-    qdot = result.x
-    return _Step(
-        velocity=qdot,
-        next_configuration=integrate_configuration(plan.model, q_current, qdot, dt),
-        level1=(J1, v1),
-        diagnostics=FrameDiagnostics(result.iterations, result.saturated),
-    )
+    def step(
+        self,
+        q: tuple[np.ndarray, np.ndarray, np.ndarray],
+        refs: _ReferenceArrays,
+        k: int,
+        dt: float,
+        out: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ) -> tuple[np.ndarray, FrameDiagnostics]:
+        """One hierarchical velocity-QP step towards reference frame ``k``
+        from the configuration ``q``, given as its base position, base
+        orientation and joint angles: the velocity and the frame's
+        diagnostics, with the configuration it integrates to over ``dt``
+        written into ``out``, three arrays of the same shapes. A frame whose
+        bounds are empty raises ``InfeasibleBoundsError`` and writes
+        nothing."""
+        settings = self.settings
+        position, orientation, angles = q
+        frames = self.sweep(position, quat_to_matrix(orientation), angles)
+        self.plan.rows(frames, refs, k, settings.gain, (self.J, self.v))
+        result = solve_hierarchy(
+            *self.levels,
+            settings.epsilon,
+            self.lower,
+            self.upper,
+            max_iterations=settings.max_iterations,
+            tolerance=settings.tolerance,
+        )
+        integrate_arrays(position, orientation, angles, result.x, dt, out)
+        return result.x, FrameDiagnostics(result.iterations, result.saturated)
 
 
 def _frame_reference_arrays(plan: _RowPlan, references: dict[str, Reference]) -> _ReferenceArrays:
@@ -340,13 +350,16 @@ def solve_frame(
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
     plan = _RowPlan(model, tasks)
-    step = _solve_step(plan, q_current, _frame_reference_arrays(plan, references), 0, dt, settings)
-    J1, v1 = step.level1
+    workspace = _Workspace(plan, settings)
+    q = (q_current.base_position, q_current.base_orientation, q_current.joint_angles)
+    out = (np.empty(3), np.empty(4), np.empty(model.n_joint_dofs))
+    velocity, diagnostics = workspace.step(q, _frame_reference_arrays(plan, references), 0, dt, out)
+    J1, v1 = workspace.levels[:2]
     return FrameSolution(
-        velocity=step.velocity,
-        next_configuration=step.next_configuration,
-        level1_residual=float(np.linalg.norm(J1 @ step.velocity - v1)),
-        diagnostics=step.diagnostics,
+        velocity=velocity,
+        next_configuration=JointConfiguration(*out),
+        level1_residual=float(np.linalg.norm(J1 @ velocity - v1)),
+        diagnostics=diagnostics,
     )
 
 
@@ -449,20 +462,22 @@ def retarget_trajectory(
     if limit_flags:
         warnings.warn(f"initial configuration outside joint limits: {limit_flags[:3]}...")
 
+    workspace = _Workspace(plan, settings)
     diagnostics: list[FrameDiagnostics] = []
     P, Q, A = np.empty((n, 3)), np.empty((n, 4)), np.empty((n, model.n_joint_dofs))
-
+    # each frame steps from the configuration of the frame before, in the rows already written
+    current = (q.base_position, q.base_orientation, q.joint_angles)
     for k in range(n):
+        row = (P[k], Q[k], A[k])
         try:
-            step = _solve_step(plan, q, references, k, dt, settings)
+            _, frame = workspace.step(current, references, k, dt, row)
         except InfeasibleBoundsError as exc:  # the frame holds the configuration
-            diagnostics.append(FrameDiagnostics(skipped=True, message=str(exc)))
+            frame = FrameDiagnostics(skipped=True, message=str(exc))
+            P[k], Q[k], A[k] = current
         except SolverError as exc:
             raise SolverError(f"frame {k}: {exc}") from exc
-        else:
-            diagnostics.append(step.diagnostics)
-            q = step.next_configuration
-        P[k], Q[k], A[k] = q.base_position, q.base_orientation, q.joint_angles
+        diagnostics.append(frame)
+        current = row
 
     return RetargetResult(
         times=captured.times.copy(),

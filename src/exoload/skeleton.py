@@ -290,42 +290,66 @@ class SkeletonModel:
         return out
 
 
-def link_frames(
-    model: SkeletonModel,
-    base_position: np.ndarray,
-    base_rotation: np.ndarray,
-    angles: np.ndarray,
-) -> np.ndarray:
-    """World frames ``[rotation | origin | joint axis]`` of the base (row 0,
-    no axis) and of every link (row 1 + i), ``(1 + n_links, *batch, 3, 5)``
-    for the joint angles of one configuration, ``(n_links,)``, or of a
-    trajectory, ``(T, n_links)``, with base poses of shapes ``(*batch, 3)``
-    and ``(*batch, 3, 3)``. One ``axis_angle_matrix`` call writes every
-    joint rotation into its link's row; each link then takes one product
-    with its parent's world frame, covering the whole batch."""
-    batch = angles.shape[:-1]
-    n = model.n_joint_dofs
-    frames = np.empty((1 + n, *batch, 3, 5))
-    frames[0, ..., :3] = base_rotation
-    frames[0, ..., 3] = base_position
-    frames[0, ..., 4] = 0.0
-    # each link's frame in its parent's, whose axis column is also the axis
-    # of the joint rotation; then carried into the world parents first
-    links = (n,) + (1,) * len(batch) + (3,)
-    frames[1:, ..., 3] = model._dof_offset.reshape(links)
-    frames[1:, ..., 4] = model._dof_axis.reshape(links)
-    axis_angle_matrix(frames[1:, ..., 4], angles.T, out=frames[1:, ..., :3])
-    rotation, origin = frames[..., :3], frames[..., 3]
-    for row, parent in enumerate(model._parent_row, start=1):
-        frames[row] = rotation[parent] @ frames[row]
-        origin[row] += origin[parent]
-    return frames
+class FrameSweep:
+    """Forward kinematics of one model into buffers made once, for joint
+    angles of one batch shape: ``(n_links,)`` for one configuration,
+    ``(T, n_links)`` for a trajectory. Each call overwrites ``frames``, the
+    world frames ``[rotation | origin | joint axis]`` of the base (row 0,
+    no axis) and of every link (row 1 + i), ``(1 + n_links, *batch, 3, 5)``,
+    and returns it.
+
+    Each link's frame in its parent's, ``[joint rotation | anchor | axis]``,
+    has its anchor and axis columns written once; a call writes every joint
+    rotation into it with one ``axis_angle_matrix`` call, then carries each
+    link into the world parents first, through views bound once: one
+    product with its parent's world frame, covering the whole batch."""
+
+    def __init__(self, model: SkeletonModel, batch: tuple[int, ...] = ()):
+        n = model.n_joint_dofs
+        self.frames = frames = np.empty((1 + n, *batch, 3, 5))
+        frames[0, ..., 4] = 0.0
+        self._local = local = np.empty((n, *batch, 3, 5))
+        links = (n,) + (1,) * len(batch) + (3,)
+        local[..., 3] = model._dof_offset.reshape(links)
+        local[..., 4] = model._dof_axis.reshape(links)
+        rotation, origin = frames[..., :3], frames[..., 3]
+        self._links = [
+            (rotation[parent], local[row - 1], frames[row], origin[row], origin[parent])
+            for row, parent in enumerate(model._parent_row, start=1)
+        ]
+
+    def __call__(
+        self, base_position: np.ndarray, base_rotation: np.ndarray, angles: np.ndarray
+    ) -> np.ndarray:
+        """The frames of base poses ``(*batch, 3)`` and ``(*batch, 3, 3)``
+        and joint angles ``(*batch, n_links)``."""
+        frames, local = self.frames, self._local
+        frames[0, ..., :3] = base_rotation
+        frames[0, ..., 3] = base_position
+        # the axis column of a link's local frame is the axis of its joint rotation
+        axis_angle_matrix(local[..., 4], angles.T, out=local[..., :3])
+        for parent_rotation, link, frame, origin, parent_origin in self._links:
+            np.matmul(parent_rotation, link, frame)
+            origin += parent_origin
+        return frames
+
+
+def _segment_coms(model: SkeletonModel, frames: np.ndarray) -> np.ndarray:
+    """World CoM of every segment in model order, ``(n_segments, 3)``, from
+    the frames of one configuration."""
+    frames = frames[model._segment_rows]
+    offsets = (frames[:, :, :3] @ model._com_offsets[:, :, None])[:, :, 0]
+    return frames[:, :, 3] + offsets
+
+
+def _whole_body_com(model: SkeletonModel, segment_coms: np.ndarray) -> np.ndarray:
+    return model._masses @ segment_coms / model.total_mass
 
 
 class KinematicState:
     """World frames of one configuration, or of every frame of a ``(T,)``
     trajectory, kept as ``configuration``: ``frames`` is the
-    ``(1 + n_links, *batch, 3, 5)`` array of :func:`link_frames`, and
+    ``(1 + n_links, *batch, 3, 5)`` array of :class:`FrameSweep`, and
     ``link_rotation`` ``(n_links, *batch, 3, 3)``, ``link_position`` and
     ``axis_world`` ``(n_links, *batch, 3)`` are views of its link rows.
     ``n_frames`` is T, or None for one configuration. Pose, CoM and
@@ -345,7 +369,7 @@ class KinematicState:
         self.configuration = q
         self.base_position = q.base_position
         self.base_rotation = quat_to_matrix(q.base_orientation)
-        self.frames = link_frames(model, q.base_position, self.base_rotation, angles)
+        self.frames = FrameSweep(model, angles.shape[:-1])(q.base_position, self.base_rotation, angles)
         self.link_rotation = self.frames[1:, ..., :3]
         self.link_position = self.frames[1:, ..., 3]
         self.axis_world = self.frames[1:, ..., 4]
@@ -370,20 +394,18 @@ class KinematicState:
         """World CoM of every segment in model order, (n_segments, 3)."""
         if self._coms is None:
             self._require_one_frame("segment_coms")
-            model = self.model
-            frames = self.frames[model._segment_rows]
-            offsets = (frames[:, :, :3] @ model._com_offsets[:, :, None])[:, :, 0]
-            self._coms = frames[:, :, 3] + offsets
+            self._coms = _segment_coms(self.model, self.frames)
         return self._coms
 
     def com(self) -> np.ndarray:
-        return self.model._masses @ self.segment_coms() / self.model.total_mass
+        return _whole_body_com(self.model, self.segment_coms())
 
     def jacobian(self, frame: str, task_kind: str = "both") -> np.ndarray:
         """World task Jacobian of a frame, the one-task case of
         :class:`TaskRowLayout`. Rows: linear velocity (position or both),
         then angular velocity (orientation or both)."""
-        return TaskRowLayout(self.model, [(frame, task_kind)]).fill(self)[0]
+        self._require_one_frame("a task Jacobian")
+        return TaskRowLayout(self.model, [(frame, task_kind)]).fill(self.frames)[0]
 
 
 TASK_KINDS = ("position", "orientation", "both")
@@ -465,35 +487,40 @@ class TaskRowLayout:
             model, self.orientation_blocks, self.orientation_rows
         )
 
-    def fill(self, state: KinematicState) -> tuple[np.ndarray, np.ndarray]:
-        """Task Jacobian ``(n_rows, n_velocity)`` of ``state`` and the world
-        positions ``(position tasks, 3)`` of the position tasks.
+    def new_jacobian(self) -> np.ndarray:
+        """A Jacobian for :meth:`fill` to write into: a copy of the template,
+        whose entries no fill writes."""
+        return self._template.copy()
+
+    def fill(self, frames: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Task Jacobian ``(n_rows, n_velocity)`` from the world frames
+        ``(1 + n_links, 3, 5)`` of one configuration, and the world
+        positions ``(position tasks, 3)`` of the position tasks. The
+        Jacobian goes into ``out`` when it is given, an array of this
+        layout's :meth:`new_jacobian`: every fill writes the same entries,
+        so the rest keep the template's values.
 
         A point's joint column i is axis_i x (point - x_i) over its frame's
         ancestor links, and an orientation's is axis_i. The CoM's is
         axis_i x (sum of m_s c_s over the segments link i moves, minus their
         mass times the link origin x_i) / M, one pass over the subtrees
         (Orin & Goswami 2008)."""
-        state._require_one_frame("a task Jacobian")
         model = self.model
-        J = self._template.copy()
+        J = self.new_jacobian() if out is None else out
         flat = J.reshape(-1)
-        positions = state.frames[self._pos_rows, :, 3]
+        link_position, axis_world = frames[1:, :, 3], frames[1:, :, 4]
+        positions = frames[self._pos_rows, :, 3]
         if self._com.size:
-            positions[self._com] = state.com()
-            moments = (
-                model._subtree_weights @ state.segment_coms()
-                - model._subtree_mass[:, None] * state.link_position
-            )
+            coms = _segment_coms(model, frames)
+            positions[self._com] = _whole_body_com(model, coms)
+            moments = model._subtree_weights @ coms - model._subtree_mass[:, None] * link_position
             blocks = J.reshape(-1, 3, model.n_velocity)
-            blocks[self.position_blocks[self._com], :, 6:] = (
-                cross(state.axis_world, moments).T / model.total_mass
-            )
-        flat[self._skew_at] = ((positions - state.base_position)[:, _SKEW_SRC] * _SKEW_SIGN).ravel()
+            blocks[self.position_blocks[self._com], :, 6:] = cross(axis_world, moments).T / model.total_mass
+        flat[self._skew_at] = ((positions - frames[0, :, 3])[:, _SKEW_SRC] * _SKEW_SIGN).ravel()
         task, link = self._point_pairs
-        arms = positions[self._points][task] - state.link_position[link]
-        flat[self._point_at] = cross(state.axis_world[link], arms).ravel()
-        flat[self._ori_at] = state.axis_world[self._ori_links].ravel()
+        arms = positions[self._points][task] - link_position[link]
+        flat[self._point_at] = cross(axis_world[link], arms).ravel()
+        flat[self._ori_at] = axis_world[self._ori_links].ravel()
         return J, positions
 
 
@@ -521,10 +548,25 @@ def integrate_configuration(
     """First-order integration of a generalized velocity; base orientation via
     the quaternion exponential of the world angular velocity."""
     u = np.asarray(u, dtype=float)
-    pos = q.base_position + u[0:3] * dt
-    quat = quat_normalize(quat_multiply(rotvec_to_quat(u[3:6] * dt), q.base_orientation))
-    angles = q.joint_angles + u[6:] * dt
-    return JointConfiguration(pos, quat, angles)
+    out = (np.empty(3), np.empty(4), np.empty(model.n_joint_dofs))
+    integrate_arrays(q.base_position, q.base_orientation, q.joint_angles, u, dt, out)
+    return JointConfiguration(*out)
+
+
+def integrate_arrays(
+    base_position: np.ndarray,
+    base_orientation: np.ndarray,
+    joint_angles: np.ndarray,
+    u: np.ndarray,
+    dt: float,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> None:
+    """:func:`integrate_configuration` on the three arrays of one
+    configuration, written into the three arrays of ``out``."""
+    position, orientation, angles = out
+    np.add(base_position, u[0:3] * dt, out=position)
+    orientation[...] = quat_normalize(quat_multiply(rotvec_to_quat(u[3:6] * dt), base_orientation))
+    np.add(joint_angles, u[6:] * dt, out=angles)
 
 
 # -- canonical human model -------------------------------------------------

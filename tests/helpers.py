@@ -21,6 +21,7 @@ from exoload.geometry import (
     quat_to_matrix,
     rotvec_to_quat,
 )
+from exoload import retarget
 from exoload.posture import AnnotationSegment, TrialAnnotation
 from exoload.qp import QPResult, solve_ls_qp
 from exoload.retarget import (
@@ -31,6 +32,8 @@ from exoload.retarget import (
     SolverSettings,
     TaskSpec,
     _reference_tracks,
+    _RowPlan,
+    _trajectory_references,
 )
 from exoload.skeleton import (
     JointConfiguration,
@@ -372,7 +375,7 @@ def reference_link_frames(
     ``(n, 3)`` of every link of one configuration, one link at a time with
     the base as a separate parent and each joint rotation from its own
     ``reference_axis_angle_matrix`` call: the per-link oracle for
-    ``skeleton.link_frames``."""
+    ``skeleton.FrameSweep``."""
     base_rotation = quat_to_matrix(q.base_orientation)
     base_position = np.asarray(q.base_position, dtype=float)
     n = model.n_joint_dofs
@@ -729,3 +732,52 @@ def reference_retarget(
         q = integrate_configuration(model, q, r.x, dt)
         configurations.append(q)
     return configurations, diagnostics
+
+
+def reference_allocating_retarget(
+    model: SkeletonModel,
+    captured: CapturedTrajectory,
+    tasks: list[TaskSpec],
+    settings: SolverSettings,
+) -> tuple[JointConfiguration, list[FrameDiagnostics]]:
+    """The retargeting loop with every per-frame object made afresh: each
+    frame builds a ``KinematicState`` of its configuration, fills the row
+    plan into new arrays, solves both levels with bounds made by
+    ``np.full`` and integrates into a new ``JointConfiguration``; a frame
+    whose bounds are empty holds the configuration. The level solver is
+    ``retarget.solve_hierarchy`` as bound when the frame runs, so a patched
+    one reaches this loop too. The bit-for-bit oracle of
+    ``retarget_trajectory``."""
+    plan = _RowPlan(model, tasks)
+    dt = 1.0 / captured.sample_rate
+    n = captured.n_frames
+    refs = _trajectory_references(plan, _reference_tracks(model, captured, tasks), n, dt)
+    m1, nv, bound = plan.n_level1_rows, model.n_velocity, settings.velocity_bound
+    q = model.upright_configuration()
+    configurations, diagnostics = [], []
+    for k in range(n):
+        J, v = plan.rows(KinematicState(model, q).frames, refs, k, settings.gain)
+        try:
+            result = retarget.solve_hierarchy(
+                J[:m1],
+                v[:m1],
+                J[m1:],
+                v[m1:],
+                settings.epsilon,
+                -np.full(nv, bound),
+                np.full(nv, bound),
+                max_iterations=settings.max_iterations,
+                tolerance=settings.tolerance,
+            )
+        except InfeasibleBoundsError as exc:
+            diagnostics.append(FrameDiagnostics(skipped=True, message=str(exc)))
+        else:
+            diagnostics.append(FrameDiagnostics(result.iterations, result.saturated))
+            q = integrate_configuration(model, q, result.x, dt)
+        configurations.append(q)
+    stacked = JointConfiguration(
+        np.array([c.base_position for c in configurations]),
+        np.array([c.base_orientation for c in configurations]),
+        np.array([c.joint_angles for c in configurations]),
+    )
+    return stacked, diagnostics

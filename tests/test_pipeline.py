@@ -12,6 +12,7 @@ from helpers import (
     bent_configuration,
     capture_from_configurations,
     default_model,
+    reference_write_joint_trajectory,
     synthetic_ecg,
     write_bend_session,
     write_motion_file,
@@ -148,14 +149,15 @@ def test_pipeline_rerun_is_byte_identical(tmp_path):
 
 
 def test_back_flexion_equals_per_frame_thorax_angles(tmp_path):
-    from exoload.pipeline import run_motion_analysis
+    from exoload.pipeline import read_motion_inputs, run_motion_analysis
     from exoload.posture import thorax_flexion_deg
     from exoload.skeleton import KinematicState
 
-    config_path = write_bend_session(tmp_path, duration_s=0.5)
-    model, motion = run_motion_analysis(load_config(config_path))
+    config = load_config(write_bend_session(tmp_path, duration_s=0.5))
+    inputs = read_motion_inputs(config)
+    motion = run_motion_analysis(config, inputs)
     expected = [
-        thorax_flexion_deg(KinematicState(model, q).segment_pose("thorax").rotation)
+        thorax_flexion_deg(KinematicState(inputs.model, q).segment_pose("thorax").rotation)
         for q in motion.retarget.configurations
     ]
     assert np.array_equal(motion.torque.theta_deg, expected)
@@ -1173,6 +1175,74 @@ def test_a_bad_input_after_the_motion_branch_writes_no_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "trial.csv: row 101" in err and "non-finite" in err
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def nan_emg_trial(tmp_path, config):
+    write_emg_csv(tmp_path / "baseline.csv", 2000.0, 1.5, {"ESL_L": 50.0})
+    write_emg_csv(tmp_path / "trial.csv", 2000.0, 1.5, {"ESL_L": 40.0})
+    lines = (tmp_path / "trial.csv").read_text().splitlines()
+    lines[100] = lines[100].split(",")[0] + ",nan"
+    (tmp_path / "trial.csv").write_text("\n".join(lines) + "\n")
+    config["emg"] = {"baseline_file": "baseline.csv", "trial_files": {"PS": "trial.csv"}}
+    return tmp_path / "trial.csv", "stage emg", "row 101: column 'ESL_L': non-finite"
+
+
+def missing_ecg_recording(tmp_path, config):
+    config["ecg"] = {"files": {"PS": "ecg.csv"}}
+    return tmp_path / "ecg.csv", "stage ecg", "cannot read"
+
+
+def off_scale_survey_answer(tmp_path, config):
+    record = {"respondent_id": "p", "questionnaire_id": "B", "answers": {"1": 9}}
+    (tmp_path / "responses.jsonl").write_text(json.dumps(record))
+    config["survey"] = {"responses_file": "responses.jsonl"}
+    return tmp_path / "responses.jsonl", "stage survey", "item 1: answer 9"
+
+
+@pytest.mark.parametrize("edit", [nan_emg_trial, missing_ecg_recording, off_scale_survey_answer])
+def test_signal_and_survey_inputs_are_checked_before_retargeting(tmp_path, capsys, monkeypatch, edit):
+    """A bad EMG, ECG or survey input next to a motion branch exits 2 naming
+    the file, before retargeting starts and without writing a file."""
+    from exoload import pipeline
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("retargeting started")
+
+    monkeypatch.setattr(pipeline, "retarget_trajectory", not_reached)
+    config_path = write_bend_session(tmp_path, duration_s=0.5)
+    config = json.loads(config_path.read_text())
+    path, stage, message = edit(tmp_path, config)
+    config_path.write_text(json.dumps(config))
+    assert cli.main(["pipeline", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stage}: ") and str(path) in err and message in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_numeric_tables_match_the_per_row_writers_byte_for_byte(tmp_path):
+    """``joints.csv`` and ``torque_series.csv`` of a bundle, whose float
+    rows go to the writer in one ``tolist()``, equal the same tables
+    written row by row through ``io.format_value``."""
+    from exoload.pipeline import read_motion_inputs, run_motion_analysis
+
+    config = load_config(write_bend_session(tmp_path, duration_s=0.5))
+    bundle = run_pipeline(config)
+    inputs = read_motion_inputs(config)
+    motion = run_motion_analysis(config, inputs)
+    ts = motion.torque
+    reference_write_joint_trajectory(
+        tmp_path / "joints.csv", inputs.model, ts.times, motion.retarget.configurations
+    )
+    with open(bundle.files["torque_series"], newline="") as fh:
+        header = next(csv.reader(fh))
+    rows = zip(ts.times, ts.theta_deg, ts.theta_dot_deg_s, ts.tau_net, ts.tau_exo, ts.tau_human)
+    with open(tmp_path / "torque_series.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([eio.format_value(v) for v in row])
+    for key in ("joints", "torque_series"):
+        assert bundle.files[key].read_bytes() == (tmp_path / f"{key}.csv").read_bytes(), key
 
 
 def test_a_failing_rerun_leaves_the_bundle_as_it_was(tmp_path, capsys):

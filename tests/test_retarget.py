@@ -7,6 +7,7 @@ from helpers import (
     capture_from_configurations,
     default_model,
     moving_base_trajectory,
+    reference_allocating_retarget,
     reference_frame_references,
     reference_retarget,
     reference_task_rows,
@@ -307,7 +308,7 @@ def test_plan_rows_match_per_task_assembly(model, stack):
     per_frame = reference_frame_references(model, captured, tasks)
     for k in range(0, captured.n_frames - 5, 11):
         state = KinematicState(model, configurations[k])
-        J, v = plan.rows(state, refs, k + 5, gain)
+        J, v = plan.rows(state.frames, refs, k + 5, gain)
         J1, v1, J2, v2 = reference_task_rows(state, tasks, per_frame[k + 5], gain)
         m1 = plan.n_level1_rows
         assert J.shape == (len(v1) + len(v2), model.n_velocity) and m1 == len(v1)
@@ -356,7 +357,7 @@ def test_retarget_loop_matches_per_task_loop_when_saturating(model):
 def level_rows(plan, q, refs, k, settings):
     """Both level Jacobians and velocity references of frame ``k`` from
     configuration ``q``."""
-    J, v = plan.rows(KinematicState(plan.model, q), refs, k, settings.gain)
+    J, v = plan.rows(KinematicState(plan.model, q).frames, refs, k, settings.gain)
     m1 = plan.n_level1_rows
     return J[:m1], v[:m1], J[m1:], v[m1:]
 
@@ -551,21 +552,28 @@ def test_integration_consistency(model):
         q = sol.next_configuration
 
 
+def skip_calls(monkeypatch, infeasible):
+    """Patch ``retarget.solve_hierarchy`` to report empty bounds on the calls
+    numbered in ``infeasible``; returns the call list, which a caller clears
+    to count again from zero."""
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append(len(calls))
+        if calls[-1] in infeasible:
+            raise InfeasibleBoundsError(f"no room at frame {calls[-1]}")
+        return solve_hierarchy(*args, **kwargs)
+
+    monkeypatch.setattr("exoload.retarget.solve_hierarchy", solve)
+    return calls
+
+
 def test_infeasible_frames_skip_and_hold_the_configuration(model, monkeypatch):
     """A frame whose QP reports empty bounds is skipped with that message and
     holds the configuration it starts from; the other frames are solved."""
     captured = capture_from_configurations(model, moving_base_trajectory(model, 0.03), 240.0)
     infeasible = {0, 3, 4}
-    calls = []
-
-    def solve(*args, **kwargs):
-        k = len(calls)
-        calls.append(k)
-        if k in infeasible:
-            raise InfeasibleBoundsError(f"no room at frame {k}")
-        return solve_hierarchy(*args, **kwargs)
-
-    monkeypatch.setattr("exoload.retarget.solve_hierarchy", solve)
+    calls = skip_calls(monkeypatch, infeasible)
     result = retarget_trajectory(model, captured)
     n = result.n_frames
     assert len(calls) == n >= 6
@@ -585,6 +593,62 @@ def test_infeasible_frames_skip_and_hold_the_configuration(model, monkeypatch):
         else:
             assert not diagnostics.skipped and diagnostics.iterations >= 1
             assert not np.array_equal(after, before[k])
+
+
+@pytest.mark.parametrize("case", ["sinusoid", "moving-base", "saturating", "skipped-frames"])
+def test_retarget_matches_the_allocating_loop_bit_for_bit(model, monkeypatch, case):
+    """The loop over one workspace gives the configurations and per-frame
+    diagnostics of the loop that makes every per-frame object afresh, bit
+    for bit: on the 1 s sinusoid, the moving base, the moving base
+    saturating a 0.6 rad/s bound, and a capture with skipped frames."""
+    trajectory = {
+        "sinusoid": lambda: sinusoid_trajectory(model, 1.0),
+        "moving-base": lambda: moving_base_trajectory(model, 1.0),
+        "saturating": lambda: moving_base_trajectory(model, 0.4),
+        "skipped-frames": lambda: moving_base_trajectory(model, 0.03),
+    }[case]()
+    captured = capture_from_configurations(model, trajectory, 240.0)
+    tasks = default_task_stack()
+    settings = SolverSettings(velocity_bound=0.6) if case == "saturating" else SolverSettings()
+    calls = skip_calls(monkeypatch, {0, 3, 4} if case == "skipped-frames" else set())
+    result = retarget_trajectory(model, captured, tasks, settings)
+    calls.clear()
+    expected, diagnostics = reference_allocating_retarget(model, captured, tasks, settings)
+    for name in ("base_position", "base_orientation", "joint_angles"):
+        got, want = getattr(result.configurations, name), getattr(expected, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    for name in ("iterations", "active_constraints", "skipped", "message"):
+        got = [getattr(d, name) for d in result.diagnostics]
+        assert got == [getattr(d, name) for d in diagnostics], name
+    if case == "saturating":
+        assert sum(1 for d in diagnostics if d.active_constraints) >= 10
+    if case == "skipped-frames":
+        assert [k for k, d in enumerate(diagnostics) if d.skipped] == [0, 3, 4]
+
+
+def test_retarget_builds_its_per_frame_objects_once(model, monkeypatch):
+    """No ``KinematicState`` or ``JointConfiguration`` is built per frame:
+    their construction counts are the same for a 60-frame and a 240-frame
+    capture."""
+    captures = {
+        n: capture_from_configurations(model, moving_base_trajectory(model, n / 240), 240.0)
+        for n in (60, 240)
+    }
+    counts = {}
+    for cls in (KinematicState, JointConfiguration):
+
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    per_capture = {}
+    for n, captured in captures.items():
+        counts.clear()
+        assert retarget_trajectory(model, captured).n_frames == n
+        per_capture[n] = dict(counts)
+    assert per_capture[60] == per_capture[240]
+    assert per_capture[240].get("KinematicState", 0) == 0
 
 
 @pytest.mark.parametrize(

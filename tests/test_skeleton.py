@@ -6,14 +6,17 @@ from helpers import (
     reference_com_jacobian,
     reference_link_frames,
     reference_task_jacobian,
+    sinusoid_trajectory,
 )
 
 from exoload.anthropometry import AnthropometricProfile
 from exoload.errors import ValidationError
-from exoload.geometry import matrix_to_rotvec, quat_normalize, rotvec_to_quat
+from exoload.geometry import matrix_to_rotvec, quat_normalize, quat_to_matrix, rotvec_to_quat
 from exoload.skeleton import (
+    FrameSweep,
     JointConfiguration,
     KinematicState,
+    TaskRowLayout,
     build_model,
     forward_kinematics,
     integrate_configuration,
@@ -382,6 +385,49 @@ def test_trajectory_kinematics_match_per_link_oracle_bit_for_bit(model):
         assert np.array_equal(kinematics.link_position[:, k], position)
         assert np.array_equal(kinematics.axis_world[:, k], axis)
         assert np.array_equal(kinematics.frames[0, k, :, 3], q.base_position)
+
+
+def test_a_reused_sweep_equals_fresh_sweeps_bit_for_bit(model):
+    """One sweep's buffer, over consecutive different configurations, holds
+    the frames of a fresh sweep and of the per-link oracle bit for bit: a
+    column the sweep left from the configuration before would differ. A
+    trajectory sweep reused on a second trajectory does the same."""
+    rng = np.random.default_rng(5)
+    configurations = [random_configuration(model, rng) for _ in range(6)]
+    configurations += moving_base_trajectory(model, 0.5)[::20]
+    sweep = FrameSweep(model)
+    for q in configurations:
+        args = (q.base_position, quat_to_matrix(q.base_orientation), q.joint_angles)
+        frames = sweep(*args)
+        assert frames is sweep.frames
+        fresh = FrameSweep(model)(*args)
+        assert frames.tobytes() == fresh.tobytes()
+        rotation, position, axis = reference_link_frames(model, q)
+        assert np.array_equal(frames[1:, :, :3], rotation)
+        assert np.array_equal(frames[1:, :, 3], position)
+        assert np.array_equal(frames[1:, :, 4], axis)
+        assert np.array_equal(frames[0, :, 3], q.base_position) and not frames[0, :, 4].any()
+    first, second = moving_base_trajectory(model, 0.1), sinusoid_trajectory(model, 0.1, sway=True)
+    sweep = FrameSweep(model, (len(first),))
+    for q in (first, second):
+        args = (q.base_position, quat_to_matrix(q.base_orientation), q.joint_angles)
+        assert sweep(*args).tobytes() == FrameSweep(model, (len(q),))(*args).tobytes()
+
+
+def test_a_reused_jacobian_equals_a_fresh_fill_bit_for_bit(model):
+    """``TaskRowLayout.fill`` into the same array, over consecutive
+    configurations, gives the Jacobian and positions of a fill into a new
+    array, CoM rows included."""
+    tasks = [("com", "position"), ("left_foot", "both"), ("thorax", "orientation")]
+    layout = TaskRowLayout(model, tasks + [("right_wrist", "position")])
+    J = layout.new_jacobian()
+    rng = np.random.default_rng(6)
+    for q in [random_configuration(model, rng) for _ in range(5)]:
+        frames = KinematicState(model, q).frames
+        got, positions = layout.fill(frames, J)
+        want, want_positions = layout.fill(frames)
+        assert got is J and got.tobytes() == want.tobytes()
+        assert positions.tobytes() == want_positions.tobytes()
 
 
 def test_one_frame_queries_reject_a_trajectory_state(model):
