@@ -139,14 +139,17 @@ def inverse_dynamics_series(
     return tau
 
 
+STENCIL_FRAMES = 3  # the fewest samples the stencils of time_derivative take
+
+
 def time_derivative(X: np.ndarray, dt: float, difference=lambda a, b: b - a) -> np.ndarray:
     """Derivative along axis 0 of a uniformly sampled series: central
     differences in the interior, second-order one-sided stencils at the ends
-    (exact for quadratic profiles). Needs at least 3 samples. The stencils
-    take ``difference(a, b)``, the change from sample ``a`` to sample ``b``:
-    ``b - a`` by default. With :func:`~exoload.geometry.quat_rotvec_between`
-    a ``(T, 4)`` quaternion series gives its ``(T, 3)`` world-frame angular
-    velocity."""
+    (exact for quadratic profiles). Needs at least ``STENCIL_FRAMES``
+    samples. The stencils take ``difference(a, b)``, the change from sample
+    ``a`` to sample ``b``: ``b - a`` by default. With
+    :func:`~exoload.geometry.quat_rotvec_between` a ``(T, 4)`` quaternion
+    series gives its ``(T, 3)`` world-frame angular velocity."""
     first = 4.0 * difference(X[:1], X[1:2]) - difference(X[:1], X[2:3])
     last = 4.0 * difference(X[-2:-1], X[-1:]) - difference(X[-3:-2], X[-1:])
     return np.concatenate((first, difference(X[:-2], X[2:]), last)) / (2.0 * dt)
@@ -166,8 +169,8 @@ def estimate_derivatives(
     """
     P, Q, A = q.base_position, q.base_orientation, q.joint_angles
     n = len(q)
-    if n < 3:
-        raise ValidationError("derivative estimation needs at least 3 frames")
+    if n < STENCIL_FRAMES:
+        raise ValidationError(f"derivative estimation needs at least {STENCIL_FRAMES} frames")
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
 

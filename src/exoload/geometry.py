@@ -153,16 +153,18 @@ def rotvec_to_quat(rv: np.ndarray) -> np.ndarray:
 
 
 def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
-    """Rotation vector of a quaternion ``(4,)``, or of each of a ``(..., 4)``
-    stack, with the angle in [0, pi]; each quaternion is normalized first."""
-    q = quat_normalize(q)
+    """Rotation vector of a non-zero quaternion ``(4,)``, or of each of a
+    ``(..., 4)`` stack, with the angle in [0, pi]. The angle and the axis
+    factor are ratios of components, so a quaternion of any norm gives the
+    rotation vector of its unit quaternion, and none is normalized."""
     w, v = q[..., 0], q[..., 1:]
     v = np.where(w[..., None] < 0.0, -v, v)
     vv = v * v
     sin_half = np.sqrt(vv[..., 0] + vv[..., 1] + vv[..., 2])
     small = sin_half < 1e-12
     angle = 2.0 * np.arctan2(sin_half, np.abs(w))
-    factor = np.where(small, 2.0, angle / np.where(small, 1.0, sin_half))
+    # below a 1e-12 vector part, angle / sin_half is 2 / |w| to first order
+    factor = np.where(small, 2.0 / np.abs(w), angle / np.where(small, 1.0, sin_half))
     return v * factor[..., None]
 
 

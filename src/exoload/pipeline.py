@@ -22,6 +22,7 @@ from .biosignals import detect_r_peaks, emg_change_pct, heart_rate_stats, settle
 from .dynamics import (
     DERIVATIVE_SMOOTHING_HZ,
     GRAVITY_DEFAULT,
+    STENCIL_FRAMES,
     LaevoModel,
     TorqueSeries,
     decompose_torque,
@@ -320,6 +321,11 @@ def read_motion_inputs(config: SessionConfig) -> MotionInputs:
     with _stage("parse-motion"):
         aliases = _segment_aliases(config)
         captured = eio.parse_motion_file(config.motion_file, aliases=aliases)
+        if captured.n_frames < STENCIL_FRAMES:
+            raise ValidationError(
+                f"{config.motion_file}: {captured.n_frames} frames, but the derivative stencil "
+                f"needs at least {STENCIL_FRAMES}"
+            )
     cutoff = config.derivative_smoothing_hz
     if cutoff is not None and cutoff >= captured.sample_rate / 2.0:
         raise ValidationError(

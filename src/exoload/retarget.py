@@ -12,7 +12,6 @@ feedforward of the reference trajectory.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -206,70 +205,48 @@ class _ReferenceArrays:
     angular_velocities: np.ndarray
 
 
-class _RowPlan:
-    """Where the rows of every task of a stack go, built once per (model,
-    task stack). Tasks run level 1 first, in stack order within a level,
-    through one :class:`TaskRowLayout`, so level 1 owns the first
-    ``n_level1_rows`` rows and the level Jacobians are slices of one array.
-    ``position_tasks`` and ``orientation_tasks`` are the stack indices of
-    the tasks with those rows, in plan order, which the reference arrays
-    follow."""
+class _Plan:
+    """Everything one retargeting step needs that does not change from frame
+    to frame, built once per (model, task stack, settings). The tasks run
+    level 1 first, in stack order within a level, through one
+    :class:`TaskRowLayout`, so level 1 owns the first ``n_level1_rows`` rows.
+    ``position_tasks`` and ``orientation_tasks`` are the tasks with those
+    rows, in row order, which the reference arrays follow. The link frames,
+    the task Jacobian ``J`` and velocity references ``v``, with the level
+    Jacobians and references as views of them, and both velocity bounds are
+    made here and overwritten by each step, so a sweep over a trajectory
+    allocates them once."""
 
-    def __init__(self, model: SkeletonModel, tasks: list[TaskSpec]):
-        self.model, self.tasks = model, tasks
-        order = sorted(range(len(tasks)), key=lambda i: tasks[i].priority)
-        if not order or tasks[order[0]].priority != 1:
+    def __init__(self, model: SkeletonModel, tasks: list[TaskSpec], settings: SolverSettings):
+        self.model, self.settings = model, settings
+        tasks = sorted(tasks, key=lambda task: task.priority)
+        if not tasks or tasks[0].priority != 1:
             raise ValidationError("task stack has no level-1 tasks")
-        self.layout = TaskRowLayout(model, [(tasks[i].frame, tasks[i].kind) for i in order])
-        self.n_rows = self.layout.n_rows
-        # level 1 is the first n1 tasks of the layout
-        n1 = sum(task.priority == 1 for task in tasks)
-        self.n_level1_rows = 3 * int(
-            np.count_nonzero(self.layout.position_tasks < n1)
-            + np.count_nonzero(self.layout.orientation_tasks < n1)
+        self.layout = layout = TaskRowLayout(model, [(task.frame, task.kind) for task in tasks])
+        self.n_rows = layout.n_rows
+        self.position_tasks = [tasks[i] for i in layout.position_tasks]
+        self.orientation_tasks = [tasks[i] for i in layout.orientation_tasks]
+        self.n_level1_rows = m1 = 3 * sum(
+            task.priority == 1 for task in self.position_tasks + self.orientation_tasks
         )
-        order = np.array(order, dtype=int)
-        self.position_tasks = order[self.layout.position_tasks]
-        self.orientation_tasks = order[self.layout.orientation_tasks]
+        self.sweep = FrameSweep(model)
+        self.J, self.v = layout.new_jacobian(), np.empty(self.n_rows)
+        self.levels = (self.J[:m1], self.v[:m1], self.J[m1:], self.v[m1:])
+        n, bound = model.n_velocity, settings.velocity_bound
+        self.lower, self.upper = -np.full(n, bound), np.full(n, bound)
 
-    def rows(
-        self,
-        frames: np.ndarray,
-        refs: _ReferenceArrays,
-        k: int,
-        gain: float,
-        out: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Task Jacobian ``(n_rows, n_velocity)`` and velocity references
-        ``(n_rows,)`` from the world frames of one configuration, for
-        reference frame ``k`` at feedback ``gain`` (1/s), in one pass over
-        the whole stack; written into ``out`` when it is given, a Jacobian
-        of the layout's ``new_jacobian`` and an ``(n_rows,)`` array."""
-        layout = self.layout
-        J, v = (None, np.empty(self.n_rows)) if out is None else out
-        J, current = layout.fill(frames, J)
-        blocks = v.reshape(-1, 3)
+    def rows(self, frames: np.ndarray, refs: _ReferenceArrays, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The plan's task Jacobian ``J`` ``(n_rows, n_velocity)`` and
+        velocity references ``v`` ``(n_rows,)``, written from the world
+        frames of one configuration for reference frame ``k`` at the
+        settings' feedback gain, in one pass over the whole stack."""
+        layout, gain = self.layout, self.settings.gain
+        _, current = layout.fill(frames, self.J)
+        blocks = self.v.reshape(-1, 3)
         blocks[layout.position_blocks] = gain * (refs.positions[k] - current) + refs.linear_velocities[k]
         ori_err = orientation_error(refs.rotations[k], frames[layout.orientation_rows, :, :3])
         blocks[layout.orientation_blocks] = gain * ori_err + refs.angular_velocities[k]
-        return J, v
-
-
-class _Workspace:
-    """What one retargeting step writes, made once per (row plan,
-    settings): the link frames, the task Jacobian and velocity references,
-    with the level Jacobians and references as views of them, and both
-    velocity bounds. Each step overwrites them, so a sweep over a
-    trajectory allocates them once."""
-
-    def __init__(self, plan: _RowPlan, settings: SolverSettings):
-        self.plan, self.settings = plan, settings
-        self.sweep = FrameSweep(plan.model)
-        self.J, self.v = plan.layout.new_jacobian(), np.empty(plan.n_rows)
-        m1 = plan.n_level1_rows
-        self.levels = (self.J[:m1], self.v[:m1], self.J[m1:], self.v[m1:])
-        n, bound = plan.model.n_velocity, settings.velocity_bound
-        self.lower, self.upper = -np.full(n, bound), np.full(n, bound)
+        return self.J, self.v
 
     def step(
         self,
@@ -288,8 +265,7 @@ class _Workspace:
         nothing."""
         settings = self.settings
         position, orientation, angles = q
-        frames = self.sweep(position, quat_to_matrix(orientation), angles)
-        self.plan.rows(frames, refs, k, settings.gain, (self.J, self.v))
+        self.rows(self.sweep(position, quat_to_matrix(orientation), angles), refs, k)
         result = solve_hierarchy(
             *self.levels,
             settings.epsilon,
@@ -302,24 +278,23 @@ class _Workspace:
         return result.x, FrameDiagnostics(result.iterations, result.saturated)
 
 
-def _frame_reference_arrays(plan: _RowPlan, references: dict[str, Reference]) -> _ReferenceArrays:
+def _frame_reference_arrays(plan: _Plan, references: dict[str, Reference]) -> _ReferenceArrays:
     """One frame of reference arrays from per-task ``Reference`` objects."""
 
-    def reference(i: int) -> Reference:
-        frame = plan.tasks[i].frame
+    def reference(task: TaskSpec) -> Reference:
         try:
-            return references[frame]
+            return references[task.frame]
         except KeyError:
-            raise ValidationError(f"no reference supplied for task frame {frame!r}") from None
+            raise ValidationError(f"no reference supplied for task frame {task.frame!r}") from None
 
-    pos = [reference(i) for i in plan.position_tasks]
-    ori = [reference(i) for i in plan.orientation_tasks]
-    for i, ref in zip(plan.position_tasks, pos):
+    pos = [reference(task) for task in plan.position_tasks]
+    ori = [reference(task) for task in plan.orientation_tasks]
+    for task, ref in zip(plan.position_tasks, pos):
         if ref.position is None:
-            raise ValidationError(f"task {plan.tasks[i].frame!r}: reference lacks a position")
-    for i, ref in zip(plan.orientation_tasks, ori):
+            raise ValidationError(f"task {task.frame!r}: reference lacks a position")
+    for task, ref in zip(plan.orientation_tasks, ori):
         if ref.rotation is None:
-            raise ValidationError(f"task {plan.tasks[i].frame!r}: reference lacks an orientation")
+            raise ValidationError(f"task {task.frame!r}: reference lacks an orientation")
 
     def frame(values: list, shape: tuple[int, ...]) -> np.ndarray:
         return np.array(values, dtype=float).reshape((1, -1) + shape)
@@ -349,12 +324,11 @@ def solve_frame(
     """
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
-    plan = _RowPlan(model, tasks)
-    workspace = _Workspace(plan, settings)
+    plan = _Plan(model, tasks, settings)
     q = (q_current.base_position, q_current.base_orientation, q_current.joint_angles)
     out = (np.empty(3), np.empty(4), np.empty(model.n_joint_dofs))
-    velocity, diagnostics = workspace.step(q, _frame_reference_arrays(plan, references), 0, dt, out)
-    J1, v1 = workspace.levels[:2]
+    velocity, diagnostics = plan.step(q, _frame_reference_arrays(plan, references), 0, dt, out)
+    J1, v1 = plan.levels[:2]
     return FrameSolution(
         velocity=velocity,
         next_configuration=JointConfiguration(*out),
@@ -396,15 +370,15 @@ def _reference_tracks(
 
 
 def _trajectory_references(
-    plan: _RowPlan, tracks: dict[str, SegmentTrack], n: int, dt: float
+    plan: _Plan, tracks: dict[str, SegmentTrack], n: int, dt: float
 ) -> _ReferenceArrays:
     """The reference arrays of every frame, computed for the whole
     trajectory at once. The feedforward over the step that lands on frame k
     keeps the recovered configuration aligned with the captured frame
     index."""
     prev = np.maximum(np.arange(n) - 1, 0)
-    pos = [tracks[plan.tasks[i].frame] for i in plan.position_tasks]
-    ori = [tracks[plan.tasks[i].frame] for i in plan.orientation_tasks]
+    pos = [tracks[task.frame] for task in plan.position_tasks]
+    ori = [tracks[task.frame] for task in plan.orientation_tasks]
 
     def stack(arrays: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
         return np.stack(arrays, axis=1) if arrays else np.zeros((n, 0) + shape)
@@ -452,17 +426,12 @@ def retarget_trajectory(
     """
     if tasks is None:
         tasks = default_task_stack()
-    plan = _RowPlan(model, tasks)
+    plan = _Plan(model, tasks, settings)
     dt = 1.0 / captured.sample_rate
     n = captured.n_frames
     references = _trajectory_references(plan, _reference_tracks(model, captured, tasks), n, dt)
 
     q = model.upright_configuration()
-    limit_flags = model.check_limits(q)
-    if limit_flags:
-        warnings.warn(f"initial configuration outside joint limits: {limit_flags[:3]}...")
-
-    workspace = _Workspace(plan, settings)
     diagnostics: list[FrameDiagnostics] = []
     P, Q, A = np.empty((n, 3)), np.empty((n, 4)), np.empty((n, model.n_joint_dofs))
     # each frame steps from the configuration of the frame before, in the rows already written
@@ -470,7 +439,7 @@ def retarget_trajectory(
     for k in range(n):
         row = (P[k], Q[k], A[k])
         try:
-            _, frame = workspace.step(current, references, k, dt, row)
+            _, frame = plan.step(current, references, k, dt, row)
         except InfeasibleBoundsError as exc:  # the frame holds the configuration
             frame = FrameDiagnostics(skipped=True, message=str(exc))
             P[k], Q[k], A[k] = current

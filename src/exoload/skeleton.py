@@ -278,17 +278,6 @@ class SkeletonModel:
             joint_angles=np.zeros(self.n_joint_dofs),
         )
 
-    def check_limits(self, q: JointConfiguration) -> list[str]:
-        """Joint-limit violations as human-readable flags (never raises)."""
-        out = []
-        for i, angle in enumerate(np.asarray(q.joint_angles)):
-            if angle < self.dof_lower[i] - 1e-12 or angle > self.dof_upper[i] + 1e-12:
-                out.append(
-                    f"{self.dof_names[i]}: {angle:.4f} rad outside "
-                    f"[{self.dof_lower[i]:.4f}, {self.dof_upper[i]:.4f}]"
-                )
-        return out
-
 
 class FrameSweep:
     """Forward kinematics of one model into buffers made once, for joint

@@ -32,7 +32,7 @@ from exoload.retarget import (
     SolverSettings,
     TaskSpec,
     _reference_tracks,
-    _RowPlan,
+    _Plan,
     _trajectory_references,
 )
 from exoload.skeleton import (
@@ -566,12 +566,12 @@ def reference_matrix_to_quat(R: np.ndarray) -> np.ndarray:
 def reference_matrix_to_rotvec(R: np.ndarray) -> np.ndarray:
     """Rotation vector of one (3, 3) rotation through scalar steps: the
     oracle for the stacked ``geometry.matrix_to_rotvec``."""
-    w, x, y, z = quat_normalize(reference_matrix_to_quat(R))
+    w, x, y, z = reference_matrix_to_quat(R)
     if w < 0.0:
         w, x, y, z = -w, -x, -y, -z
     sin_half = np.sqrt(x * x + y * y + z * z)
     if sin_half < 1e-12:
-        return 2.0 * np.array([x, y, z])
+        return np.array([x, y, z]) * (2.0 / w)
     angle = 2.0 * np.arctan2(sin_half, w)
     return np.array([x, y, z]) * (angle / sin_half)
 
@@ -740,15 +740,15 @@ def reference_allocating_retarget(
     tasks: list[TaskSpec],
     settings: SolverSettings,
 ) -> tuple[JointConfiguration, list[FrameDiagnostics]]:
-    """The retargeting loop with every per-frame object made afresh: each
-    frame builds a ``KinematicState`` of its configuration, fills the row
-    plan into new arrays, solves both levels with bounds made by
+    """The retargeting loop with the per-frame objects made afresh: each
+    frame builds a ``KinematicState`` of its configuration, writes the
+    plan's rows from its frames, solves both levels with bounds made by
     ``np.full`` and integrates into a new ``JointConfiguration``; a frame
     whose bounds are empty holds the configuration. The level solver is
     ``retarget.solve_hierarchy`` as bound when the frame runs, so a patched
     one reaches this loop too. The bit-for-bit oracle of
     ``retarget_trajectory``."""
-    plan = _RowPlan(model, tasks)
+    plan = _Plan(model, tasks, settings)
     dt = 1.0 / captured.sample_rate
     n = captured.n_frames
     refs = _trajectory_references(plan, _reference_tracks(model, captured, tasks), n, dt)
@@ -756,7 +756,7 @@ def reference_allocating_retarget(
     q = model.upright_configuration()
     configurations, diagnostics = [], []
     for k in range(n):
-        J, v = plan.rows(KinematicState(model, q).frames, refs, k, settings.gain)
+        J, v = plan.rows(KinematicState(model, q).frames, refs, k)
         try:
             result = retarget.solve_hierarchy(
                 J[:m1],

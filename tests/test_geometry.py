@@ -16,6 +16,7 @@ from exoload.geometry import (
     quat_multiply,
     quat_rotvec_between,
     quat_to_matrix,
+    quat_to_rotvec,
 )
 
 
@@ -58,6 +59,12 @@ def test_stacked_rotation_helpers_equal_single_calls():
         assert np.array_equal(rotvecs[k], matrix_to_rotvec(r))
     # extra leading axes keep their shape
     assert np.array_equal(matrix_to_quat(R[:6].reshape(2, 3, 3, 3)), quats[:6].reshape(2, 3, 4))
+    # angle and axis are ratios of components, so a quaternion's norm drops
+    # out, below the 1e-12 vector part of the first-order branch too
+    tiny = np.array([[1.0, 1e-13, -2e-13, 3e-13]])
+    for scale in (0.5, 2.0):
+        assert np.max(np.abs(quat_to_rotvec(scale * quats) - rotvecs)) <= 1e-15
+        assert np.max(np.abs(quat_to_rotvec(scale * tiny) - quat_to_rotvec(tiny))) <= 1e-15
     # consecutive pairs: every Shepperd branch on either side of a pair; a
     # one-pair product, which integrate_configuration takes every frame,
     # keeps the bits of the scalar component formula

@@ -1132,11 +1132,19 @@ def missing_solver_settings(tmp_path, config):
     return tmp_path / "solver.json", "stage parse-solver-settings", "cannot read"
 
 
-@pytest.mark.parametrize("edit", [window_past_the_capture, negative_tau_max, missing_solver_settings])
+def two_frame_capture(tmp_path, config):
+    # the fixture at two frames; the 1 s config still names its files
+    write_bend_session(tmp_path, duration_s=2 / 240)
+    return tmp_path / "motion.csv", "stage parse-motion", "needs at least 3"
+
+
+@pytest.mark.parametrize(
+    "edit", [window_past_the_capture, negative_tau_max, missing_solver_settings, two_frame_capture]
+)
 def test_motion_inputs_are_checked_before_retargeting(tmp_path, capsys, monkeypatch, edit):
-    """A bad annotation window, exoskeleton parameter file or solver
-    settings file exits 2 naming the file, before retargeting starts and
-    without writing a file."""
+    """A bad annotation window, exoskeleton parameter file, solver settings
+    file or a capture too short to differentiate exits 2 naming the file,
+    before retargeting starts and without writing a file."""
     from exoload import pipeline
 
     def not_reached(*args, **kwargs):

@@ -33,7 +33,7 @@ from exoload.retarget import (
     SegmentTrack,
     SolverSettings,
     TaskSpec,
-    _RowPlan,
+    _Plan,
     _estimate_com_track,
     _frame_reference_arrays,
     _reference_tracks,
@@ -256,22 +256,22 @@ def test_trajectory_references_match_per_frame_formulas(model):
     tracks = _reference_tracks(model, captured, tasks)
     dt = 1.0 / 240.0
     n = captured.n_frames
-    plan = _RowPlan(model, tasks)
+    plan = _Plan(model, tasks, SolverSettings())
     refs = _trajectory_references(plan, tracks, n, dt)
     assert refs.positions.shape == refs.linear_velocities.shape == (n, len(plan.position_tasks), 3)
     assert refs.rotations.shape == (n, len(plan.orientation_tasks), 3, 3)
     assert refs.angular_velocities.shape == (n, len(plan.orientation_tasks), 3)
     covered = set(plan.position_tasks) | set(plan.orientation_tasks)
-    assert covered == set(range(len(tasks)))
+    assert covered == set(tasks)
     for k in range(n):
         prev = max(k - 1, 0)
-        for j, i in enumerate(plan.position_tasks):
-            track = tracks[tasks[i].frame]
+        for j, task in enumerate(plan.position_tasks):
+            track = tracks[task.frame]
             assert np.array_equal(refs.positions[k, j], track.positions[k])
             velocity = (track.positions[k] - track.positions[prev]) / dt
             assert np.array_equal(refs.linear_velocities[k, j], velocity)
-        for j, i in enumerate(plan.orientation_tasks):
-            track = tracks[tasks[i].frame]
+        for j, task in enumerate(plan.orientation_tasks):
+            track = tracks[task.frame]
             qa, qb = track.quaternions[prev], track.quaternions[k]
             conj = qa * np.array([1.0, -1.0, -1.0, -1.0])
             angular = quat_to_rotvec(quat_normalize(quat_multiply(qb, conj))) / dt
@@ -302,13 +302,13 @@ def test_plan_rows_match_per_task_assembly(model, stack):
     gain = 7.0
     configurations = moving_base_trajectory(model, 0.5)
     captured = capture_from_configurations(model, configurations, 240.0)
-    plan = _RowPlan(model, tasks)
+    plan = _Plan(model, tasks, SolverSettings(gain=gain))
     tracks = _reference_tracks(model, captured, tasks)
     refs = _trajectory_references(plan, tracks, captured.n_frames, 1 / 240)
     per_frame = reference_frame_references(model, captured, tasks)
     for k in range(0, captured.n_frames - 5, 11):
         state = KinematicState(model, configurations[k])
-        J, v = plan.rows(state.frames, refs, k + 5, gain)
+        J, v = plan.rows(state.frames, refs, k + 5)
         J1, v1, J2, v2 = reference_task_rows(state, tasks, per_frame[k + 5], gain)
         m1 = plan.n_level1_rows
         assert J.shape == (len(v1) + len(v2), model.n_velocity) and m1 == len(v1)
@@ -317,21 +317,21 @@ def test_plan_rows_match_per_task_assembly(model, stack):
 
 
 def test_plan_orders_levels_and_rejects_bad_stacks(model):
-    plan = _RowPlan(model, CUSTOM_STACK)
+    plan = _Plan(model, CUSTOM_STACK, SolverSettings())
     # level 1 first, stack order within a level
-    assert [CUSTOM_STACK[i].frame for i in plan.position_tasks] == [
+    assert [task.frame for task in plan.position_tasks] == [
         "pelvis", "com", "left_foot", "right_wrist", "thorax"
     ]
-    assert [CUSTOM_STACK[i].frame for i in plan.orientation_tasks] == [
+    assert [task.frame for task in plan.orientation_tasks] == [
         "left_foot", "left_hand", "head", "thorax"
     ]
     assert plan.n_level1_rows == 15 and plan.n_rows == 27
     with pytest.raises(ValidationError, match="no level-1 tasks"):
-        _RowPlan(model, [TaskSpec("thorax", "both", 2)])
+        _Plan(model, [TaskSpec("thorax", "both", 2)], SolverSettings())
     with pytest.raises(ValidationError, match="only supports position"):
-        _RowPlan(model, [TaskSpec("com", "both", 1)])
+        _Plan(model, [TaskSpec("com", "both", 1)], SolverSettings())
     with pytest.raises(ValidationError, match="unknown frame"):
-        _RowPlan(model, [TaskSpec("tail", "position", 1)])
+        _Plan(model, [TaskSpec("tail", "position", 1)], SolverSettings())
 
 
 def test_retarget_loop_matches_per_task_loop_when_saturating(model):
@@ -354,12 +354,11 @@ def test_retarget_loop_matches_per_task_loop_when_saturating(model):
     assert np.max(np.abs(angles - oracle)) <= 1e-9
 
 
-def level_rows(plan, q, refs, k, settings):
+def level_rows(plan, q, refs, k):
     """Both level Jacobians and velocity references of frame ``k`` from
-    configuration ``q``."""
-    J, v = plan.rows(KinematicState(plan.model, q).frames, refs, k, settings.gain)
-    m1 = plan.n_level1_rows
-    return J[:m1], v[:m1], J[m1:], v[m1:]
+    configuration ``q``, views of the plan's rows."""
+    plan.rows(KinematicState(plan.model, q).frames, refs, k)
+    return plan.levels
 
 
 @pytest.mark.parametrize("trajectory", [sinusoid_trajectory, moving_base_trajectory])
@@ -369,14 +368,14 @@ def test_fused_step_matches_two_call_oracle_on_every_frame(model, trajectory):
     active bounds, and the frame's diagnostics are the oracle's."""
     captured = capture_from_configurations(model, trajectory(model, 1.0), 240.0)
     tasks, settings = default_task_stack(), SolverSettings()
-    plan = _RowPlan(model, tasks)
+    plan = _Plan(model, tasks, settings)
     n, dt = captured.n_frames, 1.0 / captured.sample_rate
     refs = _trajectory_references(plan, _reference_tracks(model, captured, tasks), n, dt)
     result = retarget_trajectory(model, captured, tasks, settings)
     bound = np.full(model.n_velocity, settings.velocity_bound)
     q = model.upright_configuration()
     for k in range(n):
-        rows = level_rows(plan, q, refs, k, settings)
+        rows = level_rows(plan, q, refs, k)
         got = solve_hierarchy(*rows, settings.epsilon, -bound, bound)
         want = reference_two_level_step(*rows, settings)
         assert np.max(np.abs(got.x - want.x)) <= 1e-9, k
@@ -403,9 +402,9 @@ def test_fallback_frames_are_bit_identical_to_two_call_oracle(model, active_set_
     else:
         settings = SolverSettings(velocity_bound=0.05)
     sol = solve_frame(model, q, tasks, refs, 1.0 / 240.0, settings)
-    plan = _RowPlan(model, tasks)
+    plan = _Plan(model, tasks, settings)
     want = reference_two_level_step(
-        *level_rows(plan, q, _frame_reference_arrays(plan, refs), 0, settings), settings
+        *level_rows(plan, q, _frame_reference_arrays(plan, refs), 0), settings
     )
     assert active_set_calls == [False, True]
     assert np.array_equal(sol.velocity, want.x)

@@ -447,13 +447,5 @@ def test_one_frame_queries_reject_a_trajectory_state(model):
             query()
 
 
-def test_limit_flags_warn_not_fail(model):
-    angles = np.zeros(model.n_joint_dofs)
-    angles[model.dof_index["left_knee_flexion"]] = 3.2  # beyond the 2.7 default
-    q = JointConfiguration(np.zeros(3), [1, 0, 0, 0], angles)
-    flags = model.check_limits(q)
-    assert len(flags) == 1 and "left_knee_flexion" in flags[0]
-
-
 def test_lumbar_flexion_is_canonically_indexed(model):
     assert model.dof_names[lumbar_flexion_index(model)] == "lumbar_flexion"

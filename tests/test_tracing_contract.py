@@ -49,8 +49,9 @@ def test_tracer_installs_on_every_wrapped_name_and_uninstalls():
 
 def test_traced_pipeline_run_reports_its_layers(tmp_path):
     """One traced run of the pipeline: the tracer's result hooks read the
-    retargeting result and the capture, so the figures they feed are non-zero,
-    and the layers' self times add up to the root span."""
+    retargeting result and the capture, so the figures they feed are non-zero
+    and the retargeting diagnostics are those of the fixture's 60 frames, and
+    the layers' self times add up to the root span."""
     tracing = load_tracing()
     config = exoload.pipeline.load_config(write_bend_session(tmp_path, duration_s=0.25))
     tracer = tracing.Tracer()
@@ -63,4 +64,7 @@ def test_traced_pipeline_run_reports_its_layers(tmp_path):
     assert metrics["retarget.ms_per_frame"] > 0.0
     assert metrics["skeleton.kinematic_states"] > 0
     assert metrics["io.parse_motion_us_per_frame"] > 0.0
+    assert abs(metrics["retarget.qp_iterations_per_frame"] - 352 / 60) <= 1e-12
+    assert metrics["retarget.saturated_frames"] == 28
+    assert metrics["retarget.skipped_frames"] == 0
     assert abs(metrics["trace.self_sum_error_s"]) < 1e-6
