@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import JsonFields, ValidationError, prefixed
+from .errors import JsonFields, ValidationError, load_json_file, prefixed
 
 MASS_FRACTION_TOL = 1e-9
 
@@ -94,8 +94,6 @@ def parse_table(payload: object, where: str | Path = "coefficient table") -> Coe
 
 
 def load_table_file(path: str | Path) -> CoefficientTable:
-    from .io import load_json_file  # local import: io depends on this module
-
     return parse_table(load_json_file(path), path)
 
 

@@ -4,8 +4,8 @@ One subcommand per branch of the JSON session config (``motion``, ``emg``,
 ``ecg``, ``survey``) plus ``pipeline``, which runs every branch. Each takes
 ``--config`` (or the EXOLOAD_CONFIG environment variable) and runs its branch
 through ``run_pipeline``, which writes every output file. Every analysis
-setting comes from the config file; ``--output-dir`` and ``--seed`` override
-only where the bundle goes and the seed the manifest records.
+setting, the seed the manifest records included, comes from the config file;
+``--output-dir`` overrides only where the bundle goes.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"session config JSON (default: ${CONFIG_ENV_VAR})",
         )
         p.add_argument("--output-dir", help="override the config output directory")
-        p.add_argument("--seed", type=int, help="recorded in the manifest; no stage is stochastic")
         return p
 
     add("pipeline", "run every configured analysis branch and emit the report bundle")
@@ -76,12 +75,9 @@ def _load_session(args: argparse.Namespace) -> SessionConfig:
             f"no config given: pass --config or set ${CONFIG_ENV_VAR}"
         )
     config = load_config(args.config)
-    updates = {}
     if args.output_dir:
-        updates["output_dir"] = Path(args.output_dir)
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    return dataclasses.replace(config, **updates) if updates else config
+        return dataclasses.replace(config, output_dir=Path(args.output_dir))
+    return config
 
 
 def _cmd_analysis(config: SessionConfig, command: str) -> None:

@@ -21,10 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import JsonFields, ValidationError, prefixed
+from .errors import JsonFields, ValidationError, load_json_file, prefixed
 from .filters import butter_sos, sosfiltfilt
 from .geometry import cross, quat_rotvec_between
-from .io import load_json_file
 from .posture import DistributionSummary, TrialAnnotation, segment_series, summarize
 from .skeleton import (
     JointConfiguration,

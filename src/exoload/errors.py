@@ -1,6 +1,8 @@
-"""Exception hierarchy. CLI exit codes: validation errors map to 2,
-numerical/solver failures to 3."""
+"""Exception hierarchy, the checks every input reader shares, and the
+readers of input files and JSON objects. CLI exit codes: validation errors
+map to 2, numerical/solver failures to 3."""
 
+import json
 import reprlib
 import sys
 from contextlib import contextmanager
@@ -46,6 +48,30 @@ def prefixed(prefix: object):
         yield
     except ExoloadError as exc:
         raise type(exc)(f"{prefix}: {exc}") from exc
+
+
+@contextmanager
+def open_input(path: str | Path, mode: str = "r"):
+    """Open a user-supplied input, turning OS errors, and text that is not
+    UTF-8, into validation errors."""
+    try:
+        fh = open(path, mode) if "b" in mode else open(path, mode, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def load_json_file(path: str | Path) -> object:
+    """JSON input with structured errors for unreadable files and bad syntax."""
+    with open_input(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
 
 
 def require_finite(values, where: str) -> None:

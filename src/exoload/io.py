@@ -25,7 +25,15 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .biosignals import EcgRecord, EmgRecord
-from .errors import FrameError, JsonFields, ValidationError, prefixed, uniform_spacing
+from .errors import (
+    FrameError,
+    JsonFields,
+    ValidationError,
+    load_json_file,
+    open_input,
+    prefixed,
+    uniform_spacing,
+)
 from .posture import AnnotationSegment, TrialAnnotation
 from .retarget import CapturedTrajectory, SegmentTrack
 from .skeleton import JointConfiguration, SkeletonModel
@@ -33,30 +41,6 @@ from .surveys import ResponseSet, parse_response
 
 SIGNAL_JITTER_TOL = 0.01  # EMG/ECG sample spacing, relative to the sample period
 POSE_SUFFIXES = ("px", "py", "pz", "qw", "qx", "qy", "qz")
-
-
-@contextmanager
-def open_input(path: str | Path, mode: str = "r"):
-    """Open a user-supplied input, turning OS errors, and text that is not
-    UTF-8, into validation errors."""
-    try:
-        fh = open(path, mode) if "b" in mode else open(path, mode, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
-
-
-def load_json_file(path: str | Path) -> object:
-    """JSON input with structured errors for unreadable files and bad syntax."""
-    with open_input(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
 
 
 def sha256_file(path: str | Path) -> str:

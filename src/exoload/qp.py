@@ -28,6 +28,9 @@ import numpy as np
 from .errors import InfeasibleBoundsError, SolverError
 
 _STEP_TOL = 1e-12
+_MAX_ITERATIONS = 200
+# a bound leaves the working set when its multiplier has the wrong sign by more than this
+_RELEASE_TOL = 1e-10
 # the level-1 rows count as independent when the smallest diagonal entry of
 # their triangular factor exceeds this share of the largest
 _RANK_RATIO = 1e-6
@@ -59,8 +62,8 @@ def solve_ls_qp(
     ub: np.ndarray,
     C: np.ndarray | None = None,
     x0: np.ndarray | None = None,
-    max_iterations: int = 200,
-    tolerance: float = 1e-10,
+    max_iterations: int = _MAX_ITERATIONS,
+    tolerance: float = _RELEASE_TOL,
 ) -> QPResult:
     """Minimize the problem in the module docstring. Without equality rows
     the start defaults to zero clipped to the bounds; with ``C`` it is
@@ -170,8 +173,6 @@ def solve_hierarchy(
     eps: float,
     lb: np.ndarray,
     ub: np.ndarray,
-    max_iterations: int = 200,
-    tolerance: float = 1e-10,
 ) -> QPResult:
     """Two strictly prioritized levels within ``lb <= x <= ub``: level 1
     minimizes ``||J1 x - v1||^2 + eps ||x||^2``, and level 2 minimizes
@@ -191,10 +192,6 @@ def solve_hierarchy(
     their active bounds."""
     m1, n = J1.shape
     two_levels = J2.shape[0] > 0
-
-    def within_bounds(x: np.ndarray) -> bool:
-        return bool(np.all((lb <= x) & (x <= ub)))
-
     if 0 < m1 <= n:
         Q, R = np.linalg.qr(J1.T, mode="complete")
         R1 = R[:m1]
@@ -204,7 +201,7 @@ def solve_hierarchy(
             H.flat[:: m1 + 1] += eps
             x = Q[:, :m1] @ np.linalg.solve(H, R1 @ v1)
             iterations = 1
-            if two_levels and within_bounds(x):
+            if two_levels and (lb <= x).all() and (x <= ub).all():
                 Z = Q[:, m1:]
                 if Z.shape[1]:
                     B = J2 @ Z
@@ -212,14 +209,13 @@ def solve_hierarchy(
                     G.flat[:: Z.shape[1] + 1] += eps
                     x = x + Z @ np.linalg.solve(G, B.T @ (v2 - J2 @ x))
                 iterations = 2
-            if within_bounds(x):
+            if (lb <= x).all() and (x <= ub).all():
                 return QPResult(x=x, iterations=iterations)
 
-    options = {"max_iterations": max_iterations, "tolerance": tolerance}
-    r1 = solve_ls_qp(J1, v1, eps, lb, ub, **options)
+    r1 = solve_ls_qp(J1, v1, eps, lb, ub)
     if not two_levels:
         return r1
-    r2 = solve_ls_qp(J2, v2, eps, lb, ub, C=J1, x0=r1.x, **options)
+    r2 = solve_ls_qp(J2, v2, eps, lb, ub, C=J1, x0=r1.x)
     return QPResult(
         x=r2.x,
         iterations=r1.iterations + r2.iterations,

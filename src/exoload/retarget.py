@@ -23,6 +23,7 @@ from .errors import (
     SolverError,
     JsonFields,
     ValidationError,
+    load_json_file,
     prefixed,
     require_finite,
     uniform_spacing,
@@ -52,28 +53,20 @@ class SolverSettings:
     epsilon: float = 1e-6
     gain: float = 10.0  # 1/s, every task's feedback gain; stable at 240 Hz
     velocity_bound: float = 10.0  # rad/s and m/s, symmetric
-    max_iterations: int = 200
-    tolerance: float = 1e-10  # QP multiplier tolerance for releasing a bound
 
     def __post_init__(self) -> None:
-        for name in ("epsilon", "gain", "velocity_bound"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not 0.0 < value < np.inf:
-                raise ValidationError(f"{name} must be positive and finite, got {value!r}")
-        if not self.max_iterations >= 1:
-            raise ValidationError(f"max_iterations must be at least 1, got {self.max_iterations!r}")
-        if not self.tolerance >= 0.0:
-            raise ValidationError(f"tolerance must not be negative, got {self.tolerance!r}")
+                raise ValidationError(f"{f.name} must be positive and finite, got {value!r}")
 
 
 def load_solver_settings(path: str | Path) -> SolverSettings:
-    """Solver settings from a JSON object. A field left out keeps its default
-    and an unknown field is an error; ``SolverSettings`` checks the values."""
-    from .io import load_json_file  # local import: io depends on this module
-
+    """Solver settings from a JSON object of numbers. A field left out keeps
+    its default and an unknown field is an error; ``SolverSettings`` checks
+    the values."""
     raw = JsonFields(load_json_file(path), path)
-    # each field has the JSON type of its default: max_iterations an integer, the rest numbers
-    values = {f.name: raw.get(f.name, type(f.default), f.default) for f in fields(SolverSettings)}
+    values = {f.name: raw.get(f.name, float, f.default) for f in fields(SolverSettings)}
     raw.reject_unread()
     with prefixed(path):
         return SolverSettings(**values)
@@ -263,17 +256,9 @@ class _Plan:
         written into ``out``, three arrays of the same shapes. A frame whose
         bounds are empty raises ``InfeasibleBoundsError`` and writes
         nothing."""
-        settings = self.settings
         position, orientation, angles = q
         self.rows(self.sweep(position, quat_to_matrix(orientation), angles), refs, k)
-        result = solve_hierarchy(
-            *self.levels,
-            settings.epsilon,
-            self.lower,
-            self.upper,
-            max_iterations=settings.max_iterations,
-            tolerance=settings.tolerance,
-        )
+        result = solve_hierarchy(*self.levels, self.settings.epsilon, self.lower, self.upper)
         integrate_arrays(position, orientation, angles, result.x, dt, out)
         return result.x, FrameDiagnostics(result.iterations, result.saturated)
 

@@ -689,11 +689,10 @@ def reference_two_level_step(
     for ``qp.solve_hierarchy``."""
     n = J1.shape[1]
     lb, ub = -np.full(n, settings.velocity_bound), np.full(n, settings.velocity_bound)
-    options = {"max_iterations": settings.max_iterations, "tolerance": settings.tolerance}
-    r1 = solve_ls_qp(J1, v1, settings.epsilon, lb, ub, **options)
+    r1 = solve_ls_qp(J1, v1, settings.epsilon, lb, ub)
     if not J2.shape[0]:
         return r1
-    r2 = solve_ls_qp(J2, v2, settings.epsilon, lb, ub, C=J1, x0=r1.x, **options)
+    r2 = solve_ls_qp(J2, v2, settings.epsilon, lb, ub, C=J1, x0=r1.x)
     return QPResult(
         x=r2.x,
         iterations=r1.iterations + r2.iterations,
@@ -766,8 +765,6 @@ def reference_allocating_retarget(
                 settings.epsilon,
                 -np.full(nv, bound),
                 np.full(nv, bound),
-                max_iterations=settings.max_iterations,
-                tolerance=settings.tolerance,
             )
         except InfeasibleBoundsError as exc:
             diagnostics.append(FrameDiagnostics(skipped=True, message=str(exc)))

@@ -1,6 +1,6 @@
 """Module layering: the kinematics layer reaches none of the layers built on
 it, so its task-row layout cannot be reached through a circular import, and
-an import inside a function is there only to break a cycle."""
+no module imports another inside a function."""
 
 import ast
 from pathlib import Path
@@ -48,12 +48,20 @@ def test_skeleton_imports_no_layer_above_it():
 
 
 def test_errors_imports_no_other_exoload_module():
-    """The error types and the shared checks (``uniform_spacing``,
-    ``JsonFields``) sit below every layer that reads a file, so that no
-    import there can close a cycle."""
+    """The error types, the shared checks (``uniform_spacing``,
+    ``JsonFields``) and the JSON file reader sit below every layer that
+    reads a file, so that no import there can close a cycle."""
     path = Path(exoload.__file__).parent / "errors.py"
     assert "uniform_spacing" in path.read_text(encoding="utf-8")
     assert imported_exoload_modules(path) == set()
+
+
+def test_settings_loaders_import_nothing_from_io():
+    """The coefficient-table, solver-settings and exoskeleton-parameter
+    loaders sit beside the types they read and take the JSON reader from
+    ``errors``, so the file-format layer stays above them."""
+    for name in ("anthropometry", "retarget", "dynamics"):
+        assert "io" not in imported_exoload_modules(Path(exoload.__file__).parent / f"{name}.py"), name
 
 
 def test_import_scan_sees_local_and_relative_imports(tmp_path):
@@ -70,22 +78,12 @@ def test_import_scan_sees_local_and_relative_imports(tmp_path):
 
 
 def test_function_level_imports_only_break_cycles():
-    """An import inside a function is there to break an import cycle: the
-    module it names reaches the importing module back through module-level
-    imports. The package ``__init__``, which imports every layer, is left
-    out of the graph."""
-    paths = {p.stem: p for p in Path(exoload.__file__).parent.glob("*.py") if p.stem != "__init__"}
-    eager = {name: imported_exoload_modules(path, "module") for name, path in paths.items()}
-    local = {name: imported_exoload_modules(path, "function") for name, path in paths.items()}
-    assert any(local.values()), "the scan found no function-level import"
-    for name, targets in local.items():
-        for target in targets:
-            reached, frontier = set(), [target]
-            while frontier:
-                new = eager.get(frontier.pop(), set()) - reached
-                reached |= new
-                frontier += new
-            assert name in reached, f"{name} imports {target} inside a function, but no cycle needs it"
+    """No module imports an exoload module inside a function: the layers
+    import one another at module level without a cycle, so no import has to
+    wait for a call."""
+    paths = Path(exoload.__file__).parent.glob("*.py")
+    local = {path.stem: imported_exoload_modules(path, "function") for path in paths}
+    assert not any(local.values()), {name: sorted(targets) for name, targets in local.items() if targets}
 
 
 def test_import_scan_tells_module_level_from_function_level(tmp_path):

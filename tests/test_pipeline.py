@@ -527,6 +527,7 @@ def test_cli_motion_subcommands_write_the_same_bundle(tmp_path, capsys):
         ["pipeline", "--motion", "motion.csv"],
         ["pipeline", "--annotation", "annotation.json"],
         ["pipeline", "--exoskeleton", "none"],
+        ["pipeline", "--seed", "7"],  # the config's seed is the one the manifest records
     ],
 )
 def test_cli_removed_subcommands_and_overrides_exit_2(tmp_path, capsys, args):
@@ -1049,13 +1050,6 @@ def test_config_rejects_settings_no_run_reads(tmp_path, capsys):
         f"{survey}: no motion_file, so no run reads "
         "segment_aliases_file, solver_settings_file, exoskeleton, gravity"
     ) in err
-
-
-def test_cli_seed_override_recorded(tmp_path):
-    config_path = write_bend_session(tmp_path, duration_s=0.5)
-    assert cli.main(["pipeline", "--config", str(config_path), "--seed", "7"]) == 0
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["seed"] == 7
 
 
 def test_config_env_var(tmp_path, monkeypatch, capsys):

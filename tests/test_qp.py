@@ -160,21 +160,10 @@ WIDE = SolverSettings(velocity_bound=100.0)
 
 
 def hierarchy(settings, J1, v1, J2, v2):
-    """``solve_hierarchy`` with the bounds and options of ``settings``, as
-    the retargeter calls it."""
-    n = J1.shape[1]
-    bound = np.full(n, settings.velocity_bound)
-    return solve_hierarchy(
-        J1,
-        v1,
-        J2,
-        v2,
-        settings.epsilon,
-        -bound,
-        bound,
-        max_iterations=settings.max_iterations,
-        tolerance=settings.tolerance,
-    )
+    """``solve_hierarchy`` with the regularization and bounds of
+    ``settings``, as the retargeter calls it."""
+    bound = np.full(J1.shape[1], settings.velocity_bound)
+    return solve_hierarchy(J1, v1, J2, v2, settings.epsilon, -bound, bound)
 
 
 def assert_matches_oracle(got, want, tol):

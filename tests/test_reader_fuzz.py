@@ -372,8 +372,6 @@ def test_load_solver_settings_parses_or_rejects(content):
     if settings is not None:
         for value in (settings.epsilon, settings.gain, settings.velocity_bound):
             assert type(value) is float and 0.0 < value < math.inf
-        assert type(settings.tolerance) is float and 0.0 <= settings.tolerance < math.inf
-        assert type(settings.max_iterations) is int and settings.max_iterations >= 1
 
 
 LAEVO_NAMES = ["k_loss", "theta_min", "theta_max", "tau_max"]

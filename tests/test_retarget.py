@@ -657,8 +657,6 @@ def test_retarget_builds_its_per_frame_objects_once(model, monkeypatch):
         ({"epsilon": 0.0}, "epsilon must be positive"),
         ({"gain": float("nan")}, "gain must be positive"),
         ({"velocity_bound": float("inf")}, "velocity_bound must be positive and finite"),
-        ({"max_iterations": 0}, "max_iterations must be at least 1"),
-        ({"tolerance": -1e-12}, "tolerance must not be negative"),
     ],
 )
 def test_solver_settings_built_in_code_are_checked(kwargs, message):
@@ -675,11 +673,17 @@ def test_solver_settings_file(tmp_path):
     path.write_text(json.dumps({"epsilon": 1e-7, "gain": 8.0, "velocity_bound": 5.0}))
     settings = load_solver_settings(path)
     assert settings.epsilon == 1e-7 and settings.gain == 8.0 and settings.velocity_bound == 5.0
-    assert settings.max_iterations == 200  # unlisted fields keep defaults
+    path.write_text(json.dumps({"epsilon": 1e-7, "velocity_bound": 5.0}))
+    assert load_solver_settings(path).gain == SolverSettings().gain  # an unlisted field keeps its default
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"epsilon": 1e-7, "unknown_knob": 1}))
     with pytest.raises(ValidationError):
         load_solver_settings(bad)
+    # the active-set iteration cap and release tolerance are the solver's own constants
+    for name, value in (("max_iterations", 200), ("tolerance", 1e-10)):
+        bad.write_text(json.dumps({name: value}))
+        with pytest.raises(ValidationError, match=f"bad.json: unknown field\\(s\\) {name}$"):
+            load_solver_settings(bad)
 
 
 @pytest.mark.parametrize(
