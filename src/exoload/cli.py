@@ -2,10 +2,10 @@
 
 One subcommand per branch of the JSON session config (``motion``, ``emg``,
 ``ecg``, ``survey``) plus ``pipeline``, which runs every branch. Each takes
-``--config`` (or the EXOLOAD_CONFIG environment variable) and runs its branch
-through ``run_pipeline``, which writes every output file. Every analysis
-setting, the seed the manifest records included, comes from the config file;
-``--output-dir`` overrides only where the bundle goes.
+``--config`` and runs its branch through ``run_pipeline``, which writes every
+output file. Every session setting, the seed the manifest records included,
+comes from the config file, and the method's settings are the code's
+constants; ``--output-dir`` overrides only where the bundle goes.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -22,8 +21,6 @@ import numpy as np
 
 from .errors import ExoloadError, NumericalError, ValidationError
 from .pipeline import SessionConfig, load_config, run_pipeline
-
-CONFIG_ENV_VAR = "EXOLOAD_CONFIG"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -53,11 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument(
-            "--config",
-            default=os.environ.get(CONFIG_ENV_VAR),
-            help=f"session config JSON (default: ${CONFIG_ENV_VAR})",
-        )
+        p.add_argument("--config", help="session config JSON")
         p.add_argument("--output-dir", help="override the config output directory")
         return p
 
@@ -71,9 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_session(args: argparse.Namespace) -> SessionConfig:
     if not args.config:
-        raise ValidationError(
-            f"no config given: pass --config or set ${CONFIG_ENV_VAR}"
-        )
+        raise ValidationError("no config given: pass --config")
     config = load_config(args.config)
     if args.output_dir:
         return dataclasses.replace(config, output_dir=Path(args.output_dir))

@@ -248,8 +248,9 @@ def laevo_torque_series(
     # index of the last decisive rate at or before each sample, -1 for none
     last = np.maximum.accumulate(np.where(decisive, np.arange(len(rate)), -1))
     descending = (last >= 0) & (rate[last] < -RATE_TOLERANCE)
-    tau = model.spring_torque(theta_deg, "ascending")
-    tau = np.where(descending, tau - model.k_loss, tau)
+    tau = np.where(
+        descending, model.spring_torque(theta_deg, "descending"), model.spring_torque(theta_deg, "ascending")
+    )
     return np.minimum(np.maximum(tau, 0.0), model.tau_max)
 
 

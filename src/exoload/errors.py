@@ -152,17 +152,15 @@ class JsonFields:
         self.read: set[str] = set()
         self.children: list[JsonFields] = []
 
-    def get(
-        self, key: str, kind: type, default: object = REQUIRED, null: bool = False, positive: bool = False
-    ):
+    def get(self, key: str, kind: type, default: object = REQUIRED, positive: bool = False):
         """Field ``key`` as ``kind``, or ``default`` when it is missing.
-        ``null`` reads as ``None`` where the default is ``None`` or ``null``
-        is set. With ``positive``, a number must be above zero."""
+        ``null`` reads as ``None`` where the default is ``None``. With
+        ``positive``, a number must be above zero."""
         self.read.add(key)
         value = self.data.get(key, default)
         if value is REQUIRED:
             raise ValidationError(f"{self.where}: missing field {self.prefix}{key}")
-        if value is None and (null or default is None):
+        if value is None and default is None:
             return None
         value = self._check(value, kind, self.prefix + key)
         if positive and not value > 0:

@@ -21,7 +21,6 @@ from .anthropometry import AnthropometricProfile, load_table_file
 from .biosignals import detect_r_peaks, emg_change_pct, heart_rate_stats, settled_envelope
 from .dynamics import (
     DERIVATIVE_SMOOTHING_HZ,
-    GRAVITY_DEFAULT,
     STENCIL_FRAMES,
     LaevoModel,
     TorqueSeries,
@@ -44,13 +43,7 @@ from .posture import (
     thorax_flexion_deg,
     tukey_whiskers,
 )
-from .retarget import (
-    CapturedTrajectory,
-    RetargetResult,
-    SolverSettings,
-    load_solver_settings,
-    retarget_trajectory,
-)
+from .retarget import CapturedTrajectory, RetargetResult, retarget_trajectory
 from .skeleton import KinematicState, SkeletonModel, build_model
 from .surveys import (
     borg_summary,
@@ -105,9 +98,6 @@ class SessionConfig:
     segment_aliases_file: Path | None = None
     exoskeleton: str = "none"  # none | laevo
     exoskeleton_params_file: Path | None = None
-    solver_settings_file: Path | None = None
-    derivative_smoothing_hz: float | None = DERIVATIVE_SMOOTHING_HZ
-    gravity: float = GRAVITY_DEFAULT
     emg: EmgConfig | None = None
     ecg: EcgConfig | None = None
     survey: SurveyConfig | None = None
@@ -123,11 +113,8 @@ class SessionConfig:
 MOTION_FIELDS = (
     "annotation_file",
     "segment_aliases_file",
-    "solver_settings_file",
     "exoskeleton",
     "exoskeleton_params_file",
-    "derivative_smoothing_hz",
-    "gravity",
 )
 
 
@@ -168,11 +155,6 @@ def load_config(path: str | Path) -> SessionConfig:
         segment_aliases_file=file(top, "segment_aliases_file"),
         exoskeleton=top.get("exoskeleton", str, "none"),
         exoskeleton_params_file=file(top, "exoskeleton_params_file"),
-        solver_settings_file=file(top, "solver_settings_file"),
-        derivative_smoothing_hz=top.get(
-            "derivative_smoothing_hz", float, DERIVATIVE_SMOOTHING_HZ, null=True, positive=True
-        ),
-        gravity=top.get("gravity", float, GRAVITY_DEFAULT),
         emg=emg,
         ecg=ecg,
         survey=survey,
@@ -218,7 +200,6 @@ def input_files(config: SessionConfig) -> list[Path]:
             config.motion_file,
             config.segment_aliases_file,
             config.annotation_file,
-            config.solver_settings_file,
             config.exoskeleton_params_file,
         ]
     signals = []
@@ -301,7 +282,6 @@ class MotionInputs:
     model: SkeletonModel
     captured: CapturedTrajectory
     annotation: TrialAnnotation
-    settings: SolverSettings
     exoskeleton: LaevoModel | None
 
 
@@ -314,8 +294,7 @@ class MotionResults:
 
 def read_motion_inputs(config: SessionConfig) -> MotionInputs:
     """Build the model, then read and check every motion input: the
-    capture, its annotation, the solver settings and the exoskeleton
-    parameters."""
+    capture, its annotation and the exoskeleton parameters."""
     with _stage("model"):
         model = build_session_model(config)
     with _stage("parse-motion"):
@@ -326,12 +305,13 @@ def read_motion_inputs(config: SessionConfig) -> MotionInputs:
                 f"{config.motion_file}: {captured.n_frames} frames, but the derivative stencil "
                 f"needs at least {STENCIL_FRAMES}"
             )
-    cutoff = config.derivative_smoothing_hz
-    if cutoff is not None and cutoff >= captured.sample_rate / 2.0:
-        raise ValidationError(
-            f"{config.config_path}: derivative_smoothing_hz must lie below half the "
-            f"{captured.sample_rate:g} Hz sample rate of {config.motion_file}, got {cutoff!r}"
-        )
+        # the rule estimate_derivatives applies, on the rate the motion run uses
+        fs = 1.0 / (1.0 / captured.sample_rate)
+        if DERIVATIVE_SMOOTHING_HZ >= fs / 2.0:
+            raise ValidationError(
+                f"{config.motion_file}: sample rate {captured.sample_rate:g} Hz must exceed twice "
+                f"the {DERIVATIVE_SMOOTHING_HZ:g} Hz velocity smoothing cutoff"
+            )
     with _stage("parse-annotation"):
         if config.annotation_file is not None:
             annotation = eio.parse_annotation_file(config.annotation_file)
@@ -342,16 +322,13 @@ def read_motion_inputs(config: SessionConfig) -> MotionInputs:
             times = captured.times
             end = float(times[-1]) + 1.0 / captured.sample_rate
             annotation = _whole_span_annotation("session", float(times[0]), end)
-    with _stage("parse-solver-settings"):
-        file = config.solver_settings_file
-        settings = SolverSettings() if file is None else load_solver_settings(file)
     with _stage("parse-exoskeleton"):
         file = config.exoskeleton_params_file
         if config.exoskeleton == "none":
             exo = None
         else:
             exo = LaevoModel() if file is None else load_exoskeleton_params(file)
-    return MotionInputs(model, captured, annotation, settings, exo)
+    return MotionInputs(model, captured, annotation, exo)
 
 
 def run_motion_analysis(config: SessionConfig, inputs: MotionInputs) -> MotionResults:
@@ -360,16 +337,11 @@ def run_motion_analysis(config: SessionConfig, inputs: MotionInputs) -> MotionRe
     model, captured, exo = inputs.model, inputs.captured, inputs.exoskeleton
     # the capture's errors here name no file
     with _stage("retarget"), prefixed(config.motion_file):
-        result = retarget_trajectory(model, captured, settings=inputs.settings)
+        result = retarget_trajectory(model, captured)
     dt = 1.0 / captured.sample_rate
     with _stage("dynamics"):
         kinematics = KinematicState(model, result.configurations)
-        tau_net = net_lumbar_series(
-            kinematics,
-            dt,
-            gravity=config.gravity,
-            smooth_cutoff_hz=config.derivative_smoothing_hz,
-        )
+        tau_net = net_lumbar_series(kinematics, dt)
     with _stage("back-flexion"):
         theta = thorax_flexion_deg(kinematics.segment_rotation("thorax"))
         theta_dot = time_derivative(theta, dt)

@@ -13,7 +13,6 @@ feedforward of the reference trajectory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -21,10 +20,7 @@ from .errors import (
     FrameError,
     InfeasibleBoundsError,
     SolverError,
-    JsonFields,
     ValidationError,
-    load_json_file,
-    prefixed,
     require_finite,
     uniform_spacing,
 )
@@ -59,17 +55,6 @@ class SolverSettings:
             value = getattr(self, f.name)
             if not 0.0 < value < np.inf:
                 raise ValidationError(f"{f.name} must be positive and finite, got {value!r}")
-
-
-def load_solver_settings(path: str | Path) -> SolverSettings:
-    """Solver settings from a JSON object of numbers. A field left out keeps
-    its default and an unknown field is an error; ``SolverSettings`` checks
-    the values."""
-    raw = JsonFields(load_json_file(path), path)
-    values = {f.name: raw.get(f.name, float, f.default) for f in fields(SolverSettings)}
-    raw.reject_unread()
-    with prefixed(path):
-        return SolverSettings(**values)
 
 
 @dataclass(frozen=True)

@@ -571,6 +571,15 @@ def test_readme_config_example_and_exoskeleton_fields_match_the_code(tmp_path):
     assert documented == [f.name for f in dataclasses.fields(LaevoModel)]
 
 
+def test_readme_motion_settings_match_the_code():
+    """The README sentence that lists the motion settings names exactly
+    ``MOTION_FIELDS`` and the coefficient table file, in order."""
+    section = readme_section("Command line")
+    sentence = section.split("the config may\nset none of the motion settings:", 1)[1].split(".\n", 1)[0]
+    documented = re.findall(r"`([\w.]+)`", sentence)
+    assert documented == [*MOTION_FIELDS, "profile.coefficient_table_file"]
+
+
 LAEVO_PARAMS = {"k_loss": 10.0, "theta_min": 20.0, "theta_max": 50.0, "tau_max": 40.0}
 
 
@@ -586,7 +595,6 @@ def write_every_input_session(tmp_path):
         "annotation": tmp_path / "annotation.json",
         "coefficients": tmp_path / "coefficients.json",
         "aliases": tmp_path / "aliases.json",
-        "solver": tmp_path / "solver.json",
         "exoskeleton": tmp_path / "laevo.json",
         "emg_baseline": tmp_path / "baseline.csv",
         "emg_baseline_sidecar": tmp_path / "baseline.csv.meta.json",
@@ -597,7 +605,6 @@ def write_every_input_session(tmp_path):
     }
     shutil.copy(Path(eio.__file__).parent / "data" / "coefficients_default.json", files["coefficients"])
     files["aliases"].write_text(json.dumps({"hips": "pelvis"}))
-    files["solver"].write_text(json.dumps({"gain": 10.0}))
     files["exoskeleton"].write_text(json.dumps(LAEVO_PARAMS))
     write_emg_csv(files["emg_baseline"], 2000.0, 1.5, {"ESL_L": 50.0})
     files["emg_baseline_sidecar"].write_text(json.dumps({"units": "uV", "sample_rate": 2000.0}))
@@ -610,7 +617,6 @@ def write_every_input_session(tmp_path):
     config.update(
         {
             "segment_aliases_file": "aliases.json",
-            "solver_settings_file": "solver.json",
             "exoskeleton_params_file": "laevo.json",
             "emg": {"baseline_file": "baseline.csv", "trial_files": {"head": "head.csv"}},
             "ecg": {"files": {"head": "ecg.csv"}},
@@ -634,7 +640,7 @@ def test_manifest_inputs_are_exactly_the_files_read(tmp_path, variant):
         for key in ("motion_file", *MOTION_FIELDS):
             config.pop(key, None)
         del config["profile"]["coefficient_table_file"]
-        expected -= {"motion", "annotation", "coefficients", "aliases", "solver", "exoskeleton"}
+        expected -= {"motion", "annotation", "coefficients", "aliases", "exoskeleton"}
     files["config"].write_text(json.dumps(config))
     bundle = run_pipeline(load_config(files["config"]))
     manifest = json.loads(bundle.files["manifest"].read_text())
@@ -705,6 +711,7 @@ def test_summary_tables_list_their_figures_boxplot_records(tmp_path):
 @pytest.mark.parametrize(
     "field, value",
     [
+        # no longer fields: the method's settings are the code's constants
         ("derivative_smoothing_hz", "5"),
         ("derivative_smoothing_hz", True),
         ("derivative_smoothing_hz", float("inf")),
@@ -723,12 +730,11 @@ def test_config_numbers_are_checked_where_read(tmp_path, capsys, field, value):
         "emg": {"baseline_file": "b.csv", "trial_files": {}},
         "output_dir": "out",
     }
-    message = rf".*{field} must be a finite number"
     if field == "emg.sample_rate":
         config["emg"]["sample_rate"] = value
-        message = rf"unknown field\(s\) {field}"
     else:
         config[field] = value
+    message = rf"unknown field\(s\) {field}"
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     with pytest.raises(ValidationError, match=rf"config.json: {message}"):
@@ -738,19 +744,24 @@ def test_config_numbers_are_checked_where_read(tmp_path, capsys, field, value):
 
 
 def test_config_numbers_accept_integers_and_null(tmp_path):
+    """An integer reads as a float where a number is read, and ``null`` as
+    ``None`` exactly where the field's default is ``None``."""
     config = {
-        "profile": {"height_m": 1.75, "mass_kg": 70.0},
+        "profile": {"height_m": 1.75, "mass_kg": 70},
         "motion_file": "motion.csv",
-        "derivative_smoothing_hz": None,
-        "gravity": 10,
+        "annotation_file": None,
         "emg": {"baseline_file": "b.csv", "trial_files": {}},
+        "ecg": None,
         "output_dir": "out",
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     loaded = load_config(path)
-    assert loaded.derivative_smoothing_hz is None
-    assert type(loaded.gravity) is float and loaded.gravity == 10.0
+    assert loaded.annotation_file is None and loaded.ecg is None
+    assert type(loaded.profile.mass_kg) is float and loaded.profile.mass_kg == 70.0
+    path.write_text(json.dumps(dict(config, exoskeleton=None)))
+    with pytest.raises(ValidationError, match="config.json: exoskeleton must be a string, got None"):
+        load_config(path)
 
 
 def with_field(*keys, value):
@@ -810,9 +821,6 @@ BAD_INPUT_EDITS = {
         with_field("segments", 0, "com_fraction", value="0.5"),
         "segments.0.com_fraction",
     ),
-    "solver-epsilon": ("solver", with_field("epsilon", value=-1), "epsilon"),
-    "solver-iterations": ("solver", with_field("max_iterations", value=0), "max_iterations"),
-    "solver-velocity-bound": ("solver", with_field("velocity_bound", value=-1), "velocity_bound"),
     "height-bool": ("config", with_field("profile", "height_m", value=True), "profile.height_m"),
     "mass-string": ("config", with_field("profile", "mass_kg", value="70"), "profile.mass_kg"),
     "seed-string": ("config", with_field("seed", value="5"), "seed"),
@@ -860,10 +868,11 @@ BAD_INPUT_EDITS = {
     "laevo-k0": ("exoskeleton", with_field("k0", value=-80.0 / 3.0), "unknown field(s) k0"),
     "height-negative": ("config", with_field("profile", "height_m", value=-1), "profile.height_m"),
     "mass-zero": ("config", with_field("profile", "mass_kg", value=0.0), "profile.mass_kg"),
+    # a field the config no longer has: the smoothing cutoff is the code's constant
     "smoothing-negative": (
         "config",
         with_field("derivative_smoothing_hz", value=-3),
-        "derivative_smoothing_hz",
+        "unknown field(s) derivative_smoothing_hz",
     ),
     "annotation-start-after-end": (
         "annotation",
@@ -906,24 +915,24 @@ def test_one_bad_field_exits_2_naming_file_and_field(tmp_path, capsys, kind, edi
     assert err.count(str(path)) == 1  # named once, not prefixed twice
 
 
-@pytest.mark.parametrize(
-    "keys, value, named",
-    [
-        (("derivative_smoothing_hz",), 121, ["derivative_smoothing_hz", "121", "240 Hz", "motion.csv"]),
-        (("derivative_smoothing_hz",), 500, ["derivative_smoothing_hz", "500", "240 Hz", "motion.csv"]),
-    ],
-)
-def test_cross_input_ranges_exit_2_naming_the_config_field(tmp_path, capsys, keys, value, named):
-    """Values that pass their own type and sign checks but not the range
-    another input sets: the smoothing cutoff against the motion file's rate,
-    just above half that rate and far above it."""
-    config, files = write_every_input_session(tmp_path)
-    files["config"].write_text(json.dumps(with_field(*keys, value=value)(config)))
-    assert cli.main(["pipeline", "--config", str(files["config"])]) == 2
-    err = capsys.readouterr().err
-    assert "config.json" in err
-    for text in named:
-        assert text in err
+def write_static_capture(path, rate):
+    """12 frames of the static bend, sampled at ``rate``."""
+    model = default_model()
+    write_motion_file(path, capture_from_configurations(model, [bent_configuration(model)] * 12, rate))
+
+
+def test_capture_just_above_twice_the_smoothing_cutoff_runs(tmp_path):
+    """A capture just above 10 Hz passes the read phase, and the velocity
+    smoothing that the rule guards runs on it: no capture is read and then
+    rejected after retargeting."""
+    from exoload.dynamics import DERIVATIVE_SMOOTHING_HZ
+    from exoload.pipeline import read_motion_inputs
+
+    config_path = write_bend_session(tmp_path, duration_s=0.25, with_annotation=False)
+    write_static_capture(tmp_path / "motion.csv", 10.001)
+    config = load_config(config_path)
+    assert 2 * DERIVATIVE_SMOOTHING_HZ < read_motion_inputs(config).captured.sample_rate < 10.01
+    assert "torque_series" in run_pipeline(config).files
 
 
 def test_sidecar_rate_out_of_range_exits_2_naming_the_file(tmp_path, capsys):
@@ -996,13 +1005,9 @@ def test_cli_requires_branch_config(tmp_path, capsys):
     [
         ("annotation_file", "annotation.json"),
         ("segment_aliases_file", "aliases.json"),
-        ("solver_settings_file", "solver.json"),
         ("exoskeleton", "laevo"),
         ("exoskeleton", "none"),
         ("exoskeleton_params_file", "laevo.json"),
-        ("derivative_smoothing_hz", 5.0),
-        ("derivative_smoothing_hz", None),
-        ("gravity", 1.0),
         ("profile.coefficient_table_file", "coefficients.json"),
     ],
 )
@@ -1021,10 +1026,35 @@ def test_config_without_motion_file_rejects_motion_fields(tmp_path, capsys, fiel
     assert "config.json" in err and field in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("gravity", 1.0),
+        ("derivative_smoothing_hz", 5.0),
+        ("derivative_smoothing_hz", None),
+        ("solver_settings_file", "solver.json"),
+    ],
+)
+def test_config_rejects_method_settings(tmp_path, capsys, field, value):
+    """Gravity, the velocity smoothing cutoff and the QP settings are the
+    code's constants, so a config that states one, at its old default or
+    ``null`` included, exits 2 naming the config and the field, and writes
+    no file."""
+    config_path = write_bend_session(tmp_path, duration_s=0.25, with_annotation=False)
+    config = json.loads(config_path.read_text())
+    config_path.write_text(json.dumps(dict(config, **{field: value})))
+    with pytest.raises(ValidationError, match=rf"config\.json: unknown field\(s\) {field}$"):
+        load_config(config_path)
+    (tmp_path / "out").mkdir()
+    assert cli.main(["pipeline", "--config", str(config_path)]) == 2
+    assert f"{config_path}: unknown field(s) {field}" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_config_rejects_settings_no_run_reads(tmp_path, capsys):
     """The two configs that once ran with a setting ignored: an exoskeleton
     parameter file without the laevo model (the file does not exist), and a
-    survey-only config stating motion files, a device and gravity."""
+    survey-only config stating motion files and a device."""
     config_path = write_bend_session(tmp_path, duration_s=0.5, exoskeleton="none")
     config = json.loads(config_path.read_text())
     config["exoskeleton_params_file"] = "does_not_exist.json"
@@ -1038,25 +1068,27 @@ def test_config_rejects_settings_no_run_reads(tmp_path, capsys):
     survey = write_survey_config(tmp_path / "survey")
     config = json.loads(survey.read_text())
     config.update(
-        solver_settings_file="missing_solver.json",
+        annotation_file="missing_annotation.json",
         segment_aliases_file="missing_aliases.json",
         exoskeleton="laevo",
-        gravity=1.0,
     )
     survey.write_text(json.dumps(config))
     assert cli.main(["survey", "--config", str(survey)]) == 2
     err = capsys.readouterr().err
     assert (
         f"{survey}: no motion_file, so no run reads "
-        "segment_aliases_file, solver_settings_file, exoskeleton, gravity"
+        "annotation_file, segment_aliases_file, exoskeleton"
     ) in err
 
 
 def test_config_env_var(tmp_path, monkeypatch, capsys):
+    """The config path comes only from ``--config``: the variable that once
+    gave it, set alone, is not read."""
     config_path = write_bend_session(tmp_path, duration_s=0.5, with_annotation=False)
-    monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(config_path))
-    assert cli.main(["motion"]) == 0
-    capsys.readouterr()
+    monkeypatch.setenv("EXOLOAD_CONFIG", str(config_path))
+    assert cli.main(["motion"]) == 2
+    assert capsys.readouterr().err == "error: no config given: pass --config\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_pipeline_torque_matches_forward_model_oracle(tmp_path):
@@ -1121,24 +1153,38 @@ def negative_tau_max(tmp_path, config):
     return path, "stage parse-exoskeleton", "tau_max must be positive"
 
 
-def missing_solver_settings(tmp_path, config):
-    config["solver_settings_file"] = "solver.json"
-    return tmp_path / "solver.json", "stage parse-solver-settings", "cannot read"
-
-
 def two_frame_capture(tmp_path, config):
     # the fixture at two frames; the 1 s config still names its files
     write_bend_session(tmp_path, duration_s=2 / 240)
     return tmp_path / "motion.csv", "stage parse-motion", "needs at least 3"
 
 
+def capture_at_twice_the_cutoff(tmp_path, config):
+    # the 5 Hz velocity smoothing needs a rate above 10 Hz
+    write_static_capture(tmp_path / "motion.csv", 10.0)
+    return tmp_path / "motion.csv", "stage parse-motion", "sample rate 10 Hz must exceed twice the 5 Hz"
+
+
+def capture_far_below_twice_the_cutoff(tmp_path, config):
+    write_static_capture(tmp_path / "motion.csv", 2.0)
+    return tmp_path / "motion.csv", "stage parse-motion", "sample rate 2 Hz must exceed twice the 5 Hz"
+
+
 @pytest.mark.parametrize(
-    "edit", [window_past_the_capture, negative_tau_max, missing_solver_settings, two_frame_capture]
+    "edit",
+    [
+        window_past_the_capture,
+        negative_tau_max,
+        two_frame_capture,
+        capture_at_twice_the_cutoff,
+        capture_far_below_twice_the_cutoff,
+    ],
 )
 def test_motion_inputs_are_checked_before_retargeting(tmp_path, capsys, monkeypatch, edit):
-    """A bad annotation window, exoskeleton parameter file, solver settings
-    file or a capture too short to differentiate exits 2 naming the file,
-    before retargeting starts and without writing a file."""
+    """A bad annotation window, exoskeleton parameter file, a capture too
+    short to differentiate or one sampled too slowly for the velocity
+    smoothing exits 2 naming the file, before retargeting starts and
+    without writing a file."""
     from exoload import pipeline
 
     def not_reached(*args, **kwargs):

@@ -18,7 +18,7 @@ from exoload.anthropometry import AnthropometricProfile, load_table_file
 from exoload.dynamics import load_exoskeleton_params
 from exoload.errors import ValidationError, finite_number, uniform_spacing
 from exoload.pipeline import MOTION_FIELDS, SessionConfig, _segment_aliases, load_config
-from exoload.retarget import DT_JITTER_TOL, load_solver_settings
+from exoload.retarget import DT_JITTER_TOL
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -238,9 +238,10 @@ CONFIGS = st.fixed_dictionaries(
         "motion_file": PATHS,
         "annotation_file": PATHS,
         "segment_aliases_file": PATHS,
-        "solver_settings_file": PATHS,
         "exoskeleton": st.one_of(st.sampled_from(["none", "laevo"]), JSON_VALUES),
         "exoskeleton_params_file": PATHS,
+        # the method's settings, once fields: a config that states one is rejected
+        "solver_settings_file": PATHS,
         "derivative_smoothing_hz": JSON_VALUES,
         "gravity": JSON_VALUES,
         "seed": JSON_VALUES,
@@ -284,21 +285,20 @@ CONFIGS = st.fixed_dictionaries(
     b'"emg": {"baseline_file": "a", "trial_files": {}, "sample_rate": 2000}}'
 )
 @example(b'{"profile": {"height_m": 1.7, "mass_kg": 70}, "output_dir": "o", "gravity": 1.0}')
+@example(b'{"profile": {"height_m": 1.7, "mass_kg": 70}, "output_dir": "o", "derivative_smoothing_hz": null}')
 @example(
     b'{"profile": {"height_m": 1.7, "mass_kg": 70}, "output_dir": "o", '
     b'"motion_file": "m", "exoskeleton_params_file": "p"}'
 )
 def test_load_config_parses_or_rejects(content):
     config = read(load_config, content)
-    if config is not None:  # the numbers that reach the stages are finite floats
-        numbers = [config.gravity, config.derivative_smoothing_hz]
-        assert all(v is None or (type(v) is float and math.isfinite(v)) for v in numbers)
-        # the cutoff and the body size are positive where they are read
-        positive = numbers[1:] + [config.profile.height_m, config.profile.mass_kg]
-        assert all(v is None or v > 0 for v in positive)
-        assert config.gravity is not None
+    if config is not None:  # the numbers that reach the stages are finite and positive
+        numbers = [config.profile.height_m, config.profile.mass_kg]
+        assert all(type(v) is float and 0.0 < v < math.inf for v in numbers)
         # and each checked field came from a payload value of its JSON type
         payload = json.loads(content)
+        # gravity, the smoothing cutoff and the QP settings are the code's constants
+        assert not {"gravity", "derivative_smoothing_hz", "solver_settings_file"} & set(payload)
         # the time column sets the EMG rate: a config that states one is rejected
         assert "sample_rate" not in (payload.get("emg") or {})
         assert type(payload.get("seed", 0)) is int and config.seed == payload.get("seed", 0)
@@ -355,23 +355,6 @@ def test_parse_annotation_file_parses_or_rejects(content):
         assert type(annotation.trial_id) is str
         assert all(type(s.start) is float and type(s.end) is float for s in annotation.segments)
         assert all(s.start < s.end for s in annotation.segments)
-
-
-SOLVER_SETTINGS = st.dictionaries(
-    st.sampled_from(["epsilon", "gain", "velocity_bound", "max_iterations", "tolerance", "other"]),
-    NUMBERS,
-    max_size=4,
-)
-
-
-@FUZZ
-@given(json_files(st.one_of(SOLVER_SETTINGS, JSON_VALUES)))
-@example(b'{"velocity_bound": -1}')
-def test_load_solver_settings_parses_or_rejects(content):
-    settings = read(load_solver_settings, content)
-    if settings is not None:
-        for value in (settings.epsilon, settings.gain, settings.velocity_bound):
-            assert type(value) is float and 0.0 < value < math.inf
 
 
 LAEVO_NAMES = ["k_loss", "theta_min", "theta_max", "tau_max"]

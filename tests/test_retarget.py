@@ -662,46 +662,3 @@ def test_retarget_builds_its_per_frame_objects_once(model, monkeypatch):
 def test_solver_settings_built_in_code_are_checked(kwargs, message):
     with pytest.raises(ValidationError, match=message):
         SolverSettings(**kwargs)
-
-
-def test_solver_settings_file(tmp_path):
-    import json
-
-    from exoload.retarget import load_solver_settings
-
-    path = tmp_path / "solver.json"
-    path.write_text(json.dumps({"epsilon": 1e-7, "gain": 8.0, "velocity_bound": 5.0}))
-    settings = load_solver_settings(path)
-    assert settings.epsilon == 1e-7 and settings.gain == 8.0 and settings.velocity_bound == 5.0
-    path.write_text(json.dumps({"epsilon": 1e-7, "velocity_bound": 5.0}))
-    assert load_solver_settings(path).gain == SolverSettings().gain  # an unlisted field keeps its default
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"epsilon": 1e-7, "unknown_knob": 1}))
-    with pytest.raises(ValidationError):
-        load_solver_settings(bad)
-    # the active-set iteration cap and release tolerance are the solver's own constants
-    for name, value in (("max_iterations", 200), ("tolerance", 1e-10)):
-        bad.write_text(json.dumps({name: value}))
-        with pytest.raises(ValidationError, match=f"bad.json: unknown field\\(s\\) {name}$"):
-            load_solver_settings(bad)
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        '{"gain": "10"}',
-        '{"velocity_bound": true}',
-        '{"epsilon": NaN}',
-        '{"max_iterations": 2.5}',
-        "[1]",
-        '{"gain": 0}',
-        '{"tolerance": -1e-12}',
-    ],
-)
-def test_malformed_solver_settings_name_the_file(tmp_path, text):
-    from exoload.retarget import load_solver_settings
-
-    path = tmp_path / "solver.json"
-    path.write_text(text)
-    with pytest.raises(ValidationError, match="solver.json"):
-        load_solver_settings(path)
