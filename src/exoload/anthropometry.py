@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -22,6 +22,8 @@ MASS_FRACTION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SegmentCoefficients:
+    """One segment's row of a coefficient table: length, mass, CoM and gyration fractions."""
+
     length_fraction: float
     mass_fraction: float
     com_fraction: float
@@ -30,6 +32,8 @@ class SegmentCoefficients:
 
 @dataclass(frozen=True)
 class CoefficientTable:
+    """A named table of segment coefficients whose mass fractions sum to 1."""
+
     table_id: str
     segments: dict[str, SegmentCoefficients]
 

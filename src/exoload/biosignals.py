@@ -46,6 +46,8 @@ def validate_channel_code(name: str) -> str:
 
 @dataclass
 class EmgRecord:
+    """Equal-length, finite EMG channels sampled at one rate."""
+
     sample_rate: float  # Hz
     channels: dict[str, np.ndarray]  # microvolts
 
@@ -62,6 +64,8 @@ class EmgRecord:
 
 @dataclass
 class EcgRecord:
+    """One finite ECG channel sampled at 250 Hz or more."""
+
     sample_rate: float  # Hz
     samples: np.ndarray  # millivolts
 

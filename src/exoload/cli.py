@@ -8,12 +8,18 @@ comes from the config file, and the method's settings are the code's
 constants; ``--output-dir`` overrides only where the bundle goes.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
+
+``python -m exoload.cli`` and the ``exoload`` script run ``entry_point``,
+which freezes the garbage collector after ``main`` returns, so the
+interpreter's final collections skip every object the run made. Library
+callers of ``main`` keep their collector as it was.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import sys
 from pathlib import Path
 
@@ -105,5 +111,14 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK
 
 
+def entry_point() -> int:
+    """``main`` for a process that exits when it returns: ``gc.freeze()``
+    moves every object to the permanent generation, which the collections
+    at interpreter exit do not traverse."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry_point())

@@ -335,6 +335,8 @@ def net_lumbar_series(
 
 @dataclass(frozen=True)
 class EffortRow:
+    """The distribution of one torque channel over one annotated segment."""
+
     label: str
     channel: str  # tau_net | tau_human | tau_exo
     summary: DistributionSummary
@@ -342,6 +344,8 @@ class EffortRow:
 
 @dataclass(frozen=True)
 class LumbarEffortReport:
+    """Effort rows of every segment label, and the median torque reduction of each."""
+
     rows: tuple[EffortRow, ...]
     median_reduction_pct: dict[str, float] = field(default_factory=dict)
 

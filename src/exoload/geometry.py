@@ -39,22 +39,32 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product ``a * b`` of quaternions ``(4,)``, or of each pair of
     broadcasting ``(..., 4)`` stacks."""
-    # components first: a (4,) quaternion unpacks into numpy scalars, whose
-    # arithmetic is cheaper than that of 0-d arrays
-    aw, ax, ay, az = a.transpose(-1, *range(a.ndim - 1))
-    bw, bx, by, bz = b.transpose(-1, *range(b.ndim - 1))
+    # components first: a pair of (4,) quaternions unpacks into plain
+    # floats, whose arithmetic rounds as numpy's does and costs less
+    one = a.ndim == b.ndim == 1
+    aw, ax, ay, az = a.tolist() if one else a.transpose(-1, *range(a.ndim - 1))
+    bw, bx, by, bz = b.tolist() if one else b.transpose(-1, *range(b.ndim - 1))
+    product = (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+    if one:
+        return np.array(product)
     out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
-    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
-    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
-    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+    for i, component in enumerate(product):
+        out[..., i] = component
     return out
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrix of a quaternion ``(4,)``, or the ``(T, 3, 3)`` stack
     of a ``(T, 4)`` stack; each quaternion is normalized first."""
-    w, x, y, z = quat_normalize(q).T
+    q = quat_normalize(q)
+    # one quaternion: plain floats, whose arithmetic is cheaper than that of
+    # numpy scalars and rounds the same
+    w, x, y, z = q.tolist() if q.ndim == 1 else q.T
     R = np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -73,17 +83,17 @@ def vector_norms(a: np.ndarray) -> np.ndarray:
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    # one row goes straight to the dot that each row of a stack goes through
+    return a @ b if a.ndim == 1 else (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 # Shepperd branches after the positive-trace one: the dominant diagonal
 # entry, then the other two in index order
 _SHEPPERD_AXES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-# entries of a row-major flattened rotation: (R21, R02, R10), (R12, R20, R01)
-# and the diagonal
+# entries of a row-major flattened rotation: (R21, R02, R10) and (R12, R20, R01);
+# its diagonal is every fourth entry
 _SKEW_PLUS = np.array([7, 2, 3])
 _SKEW_MINUS = np.array([5, 6, 1])
-_DIAGONAL = np.array([0, 4, 8])
 
 
 def matrix_to_quat(R: np.ndarray) -> np.ndarray:
@@ -95,8 +105,9 @@ def matrix_to_quat(R: np.ndarray) -> np.ndarray:
     M = R.reshape(-1, 3, 3)
     flat = M.reshape(-1, 9)
     # (R21 - R12, R02 - R20, R10 - R01): the w-row numerators
-    d = flat[:, _SKEW_PLUS] - flat[:, _SKEW_MINUS]
-    diag = flat[:, _DIAGONAL]
+    # take and a slice: cheaper than fancy indexing at a few rotations
+    d = flat.take(_SKEW_PLUS, axis=1) - flat.take(_SKEW_MINUS, axis=1)
+    diag = flat[:, ::4]
     tr = diag[:, 0] + diag[:, 1] + diag[:, 2]
     q = np.empty((len(M), 4))
     trace = tr > 0.0
@@ -142,14 +153,16 @@ def axis_angle_matrix(
 
 
 def rotvec_to_quat(rv: np.ndarray) -> np.ndarray:
-    angle = float(np.linalg.norm(rv))
+    rv = np.asarray(rv, dtype=float)
+    # the dot and square root of np.linalg.norm, without its dispatch
+    angle = float(np.sqrt(rv.dot(rv)))
     if angle < 1e-12:
         # first-order expansion keeps integration smooth near zero
         return quat_normalize(np.array([1.0, 0.5 * rv[0], 0.5 * rv[1], 0.5 * rv[2]]))
-    axis = np.asarray(rv, dtype=float) / angle
+    x, y, z = (rv / angle).tolist()
     half = 0.5 * angle
-    s = np.sin(half)
-    return np.array([np.cos(half), axis[0] * s, axis[1] * s, axis[2] * s])
+    s = float(np.sin(half))
+    return np.array([float(np.cos(half)), x * s, y * s, z * s])
 
 
 def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
@@ -158,13 +171,19 @@ def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
     factor are ratios of components, so a quaternion of any norm gives the
     rotation vector of its unit quaternion, and none is normalized."""
     w, v = q[..., 0], q[..., 1:]
-    v = np.where(w[..., None] < 0.0, -v, v)
+    # each np.where only when some element takes its other branch
+    negative = w < 0.0
+    if negative.any():
+        v = np.where(negative[..., None], -v, v)
     vv = v * v
     sin_half = np.sqrt(vv[..., 0] + vv[..., 1] + vv[..., 2])
     small = sin_half < 1e-12
     angle = 2.0 * np.arctan2(sin_half, np.abs(w))
-    # below a 1e-12 vector part, angle / sin_half is 2 / |w| to first order
-    factor = np.where(small, 2.0 / np.abs(w), angle / np.where(small, 1.0, sin_half))
+    if small.any():
+        # below a 1e-12 vector part, angle / sin_half is 2 / |w| to first order
+        factor = np.where(small, 2.0 / np.abs(w), angle / np.where(small, 1.0, sin_half))
+    else:
+        factor = angle / sin_half
     return v * factor[..., None]
 
 

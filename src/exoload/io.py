@@ -62,13 +62,14 @@ def format_value(value: object) -> str:
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]] | np.ndarray) -> None:
     """A CSV table, each cell as ``format_value`` writes it. The rows of a
-    float array go to the writer as plain floats from one ``tolist()``,
-    whose ``str`` is the ``repr`` that ``format_value`` gives."""
+    float array are joined from the ``repr`` of the plain floats of one
+    ``tolist()``, which is what ``format_value`` gives and which never
+    needs quoting."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-            writer.writerows(rows.tolist())
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
             return
         for row in rows:
             writer.writerow([format_value(v) for v in row])

@@ -73,23 +73,31 @@ SUMMARY_HEADER = (
 
 @dataclass
 class EmgConfig:
+    """The EMG branch of a session config: a baseline recording and the trials."""
+
     baseline_file: Path
     trial_files: dict[str, Path]
 
 
 @dataclass
 class EcgConfig:
+    """The ECG branch of a session config: the recordings and the channel to read."""
+
     files: dict[str, Path]
     channel: str | None = None
 
 
 @dataclass
 class SurveyConfig:
+    """The survey branch of a session config: one responses file."""
+
     responses_file: Path
 
 
 @dataclass
 class SessionConfig:
+    """One session as its config file states it: inputs, branches and output directory."""
+
     profile: AnthropometricProfile
     output_dir: Path
     motion_file: Path | None = None
@@ -217,6 +225,8 @@ def input_files(config: SessionConfig) -> list[Path]:
 
 @dataclass
 class ReportBundle:
+    """The output directory of a run and every file the run wrote there, by key."""
+
     output_dir: Path
     files: dict[str, Path] = field(default_factory=dict)
 
@@ -279,6 +289,8 @@ def _segment_aliases(config: SessionConfig) -> dict[str, str]:
 
 @dataclass
 class MotionInputs:
+    """Everything the motion branch reads, checked before retargeting starts."""
+
     model: SkeletonModel
     captured: CapturedTrajectory
     annotation: TrialAnnotation
@@ -287,6 +299,8 @@ class MotionInputs:
 
 @dataclass
 class MotionResults:
+    """What the motion branch computes before it writes its files."""
+
     retarget: RetargetResult
     torque: TorqueSeries
     annotation: TrialAnnotation

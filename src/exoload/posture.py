@@ -23,6 +23,8 @@ POSTURE_THRESHOLDS_DEG = (20.0, 45.0, 60.0)
 
 @dataclass(frozen=True)
 class AnnotationSegment:
+    """One labelled time window ``[start, end)`` of a trial."""
+
     label: str
     start: float  # s
     end: float  # s
@@ -40,6 +42,8 @@ class AnnotationSegment:
 
 @dataclass(frozen=True)
 class TrialAnnotation:
+    """The non-overlapping labelled segments of one trial."""
+
     trial_id: str
     segments: tuple[AnnotationSegment, ...]
 
@@ -54,6 +58,8 @@ class TrialAnnotation:
 
 @dataclass(frozen=True)
 class DistributionSummary:
+    """Count, mean, sample standard deviation and five-number summary of a series."""
+
     n: int
     mean: float
     stdev: float  # sample (n-1); 0.0 when n == 1
@@ -114,15 +120,35 @@ def posture_profile(
     return {float(t): time_fraction_above(series, t) for t in thresholds_deg}
 
 
+def _sorted_quantile(ascending: np.ndarray, q: float) -> float:
+    """Quantile ``q`` of a non-empty ascending series by numpy's default
+    (linear) method, with its float operations: virtual index
+    ``(n - 1) q`` with fraction ``g`` over ``a`` and its successor ``b``,
+    ``a + (b - a) g`` below ``g = 0.5`` and ``b - (b - a) (1 - g)`` from
+    it. The last element when the index reaches it, or when it is NaN,
+    which sorts last and makes every quantile NaN. (A series of one
+    infinite value gives that value, where ``np.percentile`` gives NaN.)"""
+    n = ascending.size
+    index = (n - 1) * q
+    last = float(ascending[-1])
+    if index >= n - 1 or last != last:
+        return last
+    i = int(index)
+    g = index - i
+    a, b = float(ascending[i]), float(ascending[i + 1])
+    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
+
+
 def summarize(series: np.ndarray) -> DistributionSummary:
     """Five-number summary plus mean and sample standard deviation. Quartiles
-    use linear interpolation between order statistics. The input is sorted
-    first, which makes every statistic bit-exactly permutation invariant."""
+    use linear interpolation between order statistics, as ``np.percentile``
+    does. The input is sorted first, which makes every statistic bit-exactly
+    permutation invariant."""
     series = np.sort(np.asarray(series, dtype=float).ravel())
     if series.size == 0:
         raise ValidationError("cannot summarize an empty series")
     n = int(series.size)
-    q1, median, q3 = (float(v) for v in np.percentile(series, [25.0, 50.0, 75.0]))
+    q1, median, q3 = (_sorted_quantile(series, q) for q in (0.25, 0.5, 0.75))
     return DistributionSummary(
         n=n,
         mean=float(np.mean(series)),

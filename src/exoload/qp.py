@@ -38,6 +38,8 @@ _RANK_RATIO = 1e-6
 
 @dataclass
 class QPResult:
+    """A QP solution with its active-set iterations and the bounds active at it."""
+
     x: np.ndarray
     iterations: int
     active_lower: list[int] = field(default_factory=list)
@@ -85,7 +87,8 @@ def solve_ls_qp(
         C = np.atleast_2d(np.asarray(C, dtype=float))
 
     P = A.T @ A
-    P.flat[:: n + 1] += eps
+    # a matrix product is C-contiguous, so reshape gives a view of its diagonal
+    P.reshape(-1)[:: n + 1] += eps
     g0 = -A.T @ b
     x = np.clip(np.zeros(n), lb, ub) if x0 is None else np.array(x0, dtype=float)
 
@@ -198,7 +201,7 @@ def solve_hierarchy(
         diag = np.abs(np.diagonal(R1))
         if diag.min() > _RANK_RATIO * diag.max():
             H = R1 @ R1.T
-            H.flat[:: m1 + 1] += eps
+            H.reshape(-1)[:: m1 + 1] += eps
             x = Q[:, :m1] @ np.linalg.solve(H, R1 @ v1)
             iterations = 1
             if two_levels and (lb <= x).all() and (x <= ub).all():
@@ -206,7 +209,7 @@ def solve_hierarchy(
                 if Z.shape[1]:
                     B = J2 @ Z
                     G = B.T @ B
-                    G.flat[:: Z.shape[1] + 1] += eps
+                    G.reshape(-1)[:: Z.shape[1] + 1] += eps
                     x = x + Z @ np.linalg.solve(G, B.T @ (v2 - J2 @ x))
                 iterations = 2
             if (lb <= x).all() and (x <= ub).all():

@@ -46,6 +46,8 @@ DT_JITTER_TOL = 0.10
 
 @dataclass(frozen=True)
 class SolverSettings:
+    """Regularization, feedback gain and velocity bound of the retargeting QP."""
+
     epsilon: float = 1e-6
     gain: float = 10.0  # 1/s, every task's feedback gain; stable at 240 Hz
     velocity_bound: float = 10.0  # rad/s and m/s, symmetric
@@ -99,6 +101,8 @@ def default_task_stack() -> list[TaskSpec]:
 
 @dataclass(frozen=True)
 class SegmentTrack:
+    """World positions and unit quaternions of one captured segment, frame by frame."""
+
     positions: np.ndarray  # (n, 3)
     quaternions: np.ndarray  # (n, 4) unit, (w, x, y, z)
 
@@ -156,6 +160,8 @@ class Reference:
 
 @dataclass
 class FrameDiagnostics:
+    """QP iterations, active bounds and skip state of one retargeting frame."""
+
     iterations: int = 0
     active_constraints: list[int] = field(default_factory=list)
     skipped: bool = False
@@ -164,6 +170,8 @@ class FrameDiagnostics:
 
 @dataclass
 class FrameSolution:
+    """One retargeting step: velocity, next configuration, level-1 residual, diagnostics."""
+
     velocity: np.ndarray  # (49,)
     next_configuration: JointConfiguration
     level1_residual: float
@@ -309,6 +317,8 @@ def solve_frame(
 
 @dataclass
 class RetargetResult:
+    """A retargeted trajectory: the captured times, configurations and frame diagnostics."""
+
     times: np.ndarray
     configurations: JointConfiguration  # (T,) trajectory
     diagnostics: list[FrameDiagnostics]

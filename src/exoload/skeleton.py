@@ -78,6 +78,8 @@ class Segment:
 
 @dataclass(frozen=True)
 class Dof:
+    """One revolute degree of freedom of a joint: its axis and limits."""
+
     name: str
     axis: np.ndarray  # (3,) unit, in the frame reached by the previous DoF
     lower: float = -np.pi
@@ -144,6 +146,8 @@ class JointConfiguration:
 
 @dataclass(frozen=True)
 class Pose:
+    """A world position and world-from-segment rotation."""
+
     position: np.ndarray  # (3,)
     rotation: np.ndarray  # (3, 3) world-from-segment
 

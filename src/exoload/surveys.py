@@ -34,6 +34,8 @@ BORG_VALUES = (0.0, 0.5) + tuple(float(v) for v in range(1, 11))
 
 @dataclass(frozen=True)
 class Item:
+    """One questionnaire item: its id, text key, answer kind and scoring flags."""
+
     item_id: str
     text_key: str
     kind: str
@@ -52,6 +54,8 @@ class Item:
 
 @dataclass(frozen=True)
 class QuestionnaireSchema:
+    """One questionnaire: its items and the item-to-construct mapping."""
+
     schema_id: str
     title: str
     items: tuple[Item, ...]
@@ -81,6 +85,8 @@ class QuestionnaireSchema:
 
 @dataclass(frozen=True)
 class ResponseContext:
+    """The session a response was given in: exoskeleton, position, index and ICU flag."""
+
     exoskeleton: str = "none"
     position: str | None = None
     pp_index: int | None = None
@@ -97,6 +103,8 @@ class ResponseContext:
 
 @dataclass(frozen=True)
 class ResponseSet:
+    """One respondent's answers to one questionnaire, by item id."""
+
     respondent_id: str
     questionnaire_id: str
     answers: Mapping[str, object]
@@ -157,6 +165,8 @@ def validate(schema: QuestionnaireSchema, response: ResponseSet) -> None:
 
 @dataclass(frozen=True)
 class ConstructScore:
+    """Mean and sample standard deviation of one construct's pooled item values."""
+
     construct: str
     mean: float
     stdev: float  # sample (n-1); 0.0 when n == 1
@@ -195,6 +205,8 @@ def construct_scores(
 
 @dataclass(frozen=True)
 class BorgSummary:
+    """Mean and sample standard deviation of the Borg CR10 ratings of one zone and position."""
+
     zone: str
     position: str
     mean: float

@@ -1,8 +1,12 @@
 import argparse
 import csv
 import dataclasses
+import gc
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +335,7 @@ def test_cli_pipeline_and_exit_codes(tmp_path, capsys):
     assert cli.main(["pipeline", "--config", str(config_path)]) == 0
     out = capsys.readouterr().out
     assert "manifest" in out
+    assert gc.get_freeze_count() == 0  # only the process entry freezes the collector
 
     assert cli.main(["pipeline", "--config", str(tmp_path / "missing.json")]) == 2
 
@@ -348,6 +353,45 @@ def test_cli_pipeline_and_exit_codes(tmp_path, capsys):
     }
     (tmp_path / "ecg_config.json").write_text(json.dumps(config))
     assert cli.main(["ecg", "--config", str(tmp_path / "ecg_config.json")]) == 3
+
+
+def run_cli_process(*args: str, code: str | None = None) -> subprocess.CompletedProcess:
+    """``python -m exoload.cli`` with ``args`` in a fresh interpreter, or
+    ``python -c code`` with ``args`` as its ``sys.argv[1:]``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    entry = ["-c", code] if code else ["-m", "exoload.cli"]
+    return subprocess.run([sys.executable, *entry, *args], capture_output=True, text=True, env=env)
+
+
+def test_cli_process_entry_writes_the_in_process_bundle(tmp_path):
+    config_path = write_bend_session(tmp_path, duration_s=0.5)
+    done = run_cli_process("pipeline", "--config", str(config_path))
+    assert done.returncode == 0, done.stderr
+    out_dir = load_config(config_path).output_dir
+    written = {p: p.read_bytes() for p in sorted(out_dir.rglob("*"))}
+
+    bundle = run_pipeline(load_config(config_path))
+    assert done.stdout.splitlines() == [f"{key}: {bundle.files[key]}" for key in sorted(bundle.files)]
+    assert written == {p: p.read_bytes() for p in sorted(out_dir.rglob("*"))}
+    assert sorted(written) == sorted(bundle.files.values())
+
+    missing = tmp_path / "missing.json"
+    failed = run_cli_process("pipeline", "--config", str(missing))
+    assert failed.returncode == 2
+    assert str(missing) in failed.stderr
+
+
+def test_cli_pipeline_run_leaves_numpy_ma_unimported(tmp_path):
+    config_path = write_bend_session(tmp_path, duration_s=0.5)
+    code = (
+        "import sys\n"
+        "from exoload import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    done = run_cli_process("pipeline", "--config", str(config_path), code=code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def write_short_emg_trial(tmp_path):

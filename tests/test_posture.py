@@ -148,6 +148,36 @@ def test_summarize_constant_and_single():
         summarize(np.array([]))
 
 
+def _quartile_series(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A series of length ``n`` in one of four shapes: spread floats, values
+    rounded to a few digits, heavy ties, or signed zeros among ties."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return rng.normal(0.0, 10.0 ** rng.integers(-3, 4), n)
+    if kind == 1:
+        return np.round(rng.normal(0.0, 50.0, n), int(rng.integers(0, 3)))
+    if kind == 2:
+        return rng.choice(rng.normal(0.0, 5.0, 3), n)
+    return rng.choice(np.array([-0.0, 0.0, -1.5, 2.25]), n)
+
+
+def test_summarize_quartiles_match_np_percentile_bit_for_bit():
+    rng = np.random.default_rng(20240117)
+    lengths = [1, 2, 3, 4, 5] * 40 + list(rng.integers(6, 400, 300))
+    for n in lengths:
+        series = _quartile_series(rng, int(n))
+        s = summarize(series)
+        got = np.array([s.q1, s.median, s.q3])
+        oracle = np.percentile(np.sort(series), [25.0, 50.0, 75.0])
+        # np.percentile partitions, so a series holding both -0.0 and 0.0 may
+        # put either first: only the sign of a zero quartile may differ there
+        zero_signs = np.signbit(series[series == 0.0])
+        if zero_signs.any() and not zero_signs.all():
+            sign_free = (got == 0.0) & (oracle == 0.0)
+            got, oracle = np.where(sign_free, 0.0, got), np.where(sign_free, 0.0, oracle)
+        assert got.tobytes() == oracle.tobytes(), (n, series)
+
+
 @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=100))
 def test_summarize_permutation_invariant(values):
     rng = np.random.default_rng(0)
