@@ -16,7 +16,7 @@ excluded: the toolkit quantifies postural effort only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +154,28 @@ def time_derivative(X: np.ndarray, dt: float, difference=lambda a, b: b - a) -> 
     return np.concatenate((first, difference(X[:-2], X[2:]), last)) / (2.0 * dt)
 
 
+def check_sampling(n_frames: int, dt: float, smooth_cutoff_hz: float | None) -> None:
+    """Raise unless :func:`estimate_derivatives` can take ``n_frames``
+    samples ``dt`` apart: at least ``STENCIL_FRAMES`` of them, a positive
+    ``dt`` and, with smoothing, a rate ``1 / dt`` above twice the cutoff."""
+    if n_frames < STENCIL_FRAMES:
+        raise ValidationError(
+            f"{n_frames} frames, but the derivative stencil needs at least {STENCIL_FRAMES}"
+        )
+    if dt <= 0.0:
+        raise ValidationError("dt must be positive")
+    if smooth_cutoff_hz is None:
+        return
+    if smooth_cutoff_hz <= 0.0:
+        raise ValidationError(f"smoothing cutoff must be positive, got {smooth_cutoff_hz!r}")
+    fs = 1.0 / dt
+    if smooth_cutoff_hz >= fs / 2.0:
+        raise ValidationError(
+            f"sample rate {fs:g} Hz must exceed twice the {smooth_cutoff_hz:g} Hz "
+            "velocity smoothing cutoff"
+        )
+
+
 def estimate_derivatives(
     q: JointConfiguration, dt: float, smooth_cutoff_hz: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -168,18 +190,13 @@ def estimate_derivatives(
     """
     P, Q, A = q.base_position, q.base_orientation, q.joint_angles
     n = len(q)
-    if n < STENCIL_FRAMES:
-        raise ValidationError(f"derivative estimation needs at least {STENCIL_FRAMES} frames")
-    if dt <= 0.0:
-        raise ValidationError("dt must be positive")
+    check_sampling(n, dt, smooth_cutoff_hz)
 
     U = np.column_stack(
         (time_derivative(P, dt), time_derivative(Q, dt, quat_rotvec_between), time_derivative(A, dt))
     )
     if smooth_cutoff_hz is not None:
         fs = 1.0 / dt
-        if smooth_cutoff_hz <= 0.0 or smooth_cutoff_hz >= fs / 2.0:
-            raise ValidationError("smoothing cutoff must lie in (0, fs/2)")
         pad = min(round(fs / smooth_cutoff_hz), n - 1)  # one cutoff period: end transients settle in it
         U = sosfiltfilt(butter_sos(2, smooth_cutoff_hz, fs), U, pad)
     return U, time_derivative(U, dt)
@@ -323,47 +340,29 @@ def decompose_torque(
 def net_lumbar_series(
     kinematics: KinematicState,
     dt: float,
-    gravity: float | np.ndarray = GRAVITY_DEFAULT,
     smooth_cutoff_hz: float | None = DERIVATIVE_SMOOTHING_HZ,
 ) -> np.ndarray:
     """Flexion-positive net L5/S1 sagittal torque of a joint trajectory, from
-    the link frames and configurations of its kinematics."""
+    the link frames and configurations of its kinematics, under
+    ``GRAVITY_DEFAULT``."""
     U, dU = estimate_derivatives(kinematics.configuration, dt, smooth_cutoff_hz)
-    tau = inverse_dynamics_series(kinematics, U, dU, gravity)
+    tau = inverse_dynamics_series(kinematics, U, dU)
     return LUMBAR_LOAD_SIGN * tau[:, 6 + lumbar_flexion_index(kinematics.model)]
 
 
-@dataclass(frozen=True)
-class EffortRow:
-    """The distribution of one torque channel over one annotated segment."""
-
-    label: str
-    channel: str  # tau_net | tau_human | tau_exo
-    summary: DistributionSummary
-
-
-@dataclass(frozen=True)
-class LumbarEffortReport:
-    """Effort rows of every segment label, and the median torque reduction of each."""
-
-    rows: tuple[EffortRow, ...]
-    median_reduction_pct: dict[str, float] = field(default_factory=dict)
-
-
-def lumbar_effort_report(series: TorqueSeries, annotation: TrialAnnotation) -> LumbarEffortReport:
+def lumbar_effort_report(
+    series: TorqueSeries, annotation: TrialAnnotation
+) -> tuple[list[tuple[str, str, DistributionSummary]], dict[str, float]]:
     """Per-label distribution summaries of the net, human and exoskeleton
-    torques plus the median-reduction percentage ``100 * (median_net - median_human) /
-    median_net``."""
-    rows: list[EffortRow] = []
+    torques, as ``(label, channel, summary)`` with channel ``tau_net``,
+    ``tau_human`` or ``tau_exo``, plus each label's median-reduction
+    percentage ``100 * (median_net - median_human) / median_net``."""
+    rows: list[tuple[str, str, DistributionSummary]] = []
     reductions: dict[str, float] = {}
     torques = np.column_stack([series.tau_net, series.tau_human, series.tau_exo])
     for label, values in segment_series(series.times, torques, annotation):
         net, human, exo = (summarize(values[:, j]) for j in range(3))
-        rows += [
-            EffortRow(label, "tau_net", net),
-            EffortRow(label, "tau_human", human),
-            EffortRow(label, "tau_exo", exo),
-        ]
+        rows += [(label, "tau_net", net), (label, "tau_human", human), (label, "tau_exo", exo)]
         if net.median != 0.0:
             reductions[label] = 100.0 * (net.median - human.median) / net.median
-    return LumbarEffortReport(rows=tuple(rows), median_reduction_pct=reductions)
+    return rows, reductions

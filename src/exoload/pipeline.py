@@ -21,9 +21,9 @@ from .anthropometry import AnthropometricProfile, load_table_file
 from .biosignals import detect_r_peaks, emg_change_pct, heart_rate_stats, settled_envelope
 from .dynamics import (
     DERIVATIVE_SMOOTHING_HZ,
-    STENCIL_FRAMES,
     LaevoModel,
     TorqueSeries,
+    check_sampling,
     decompose_torque,
     laevo_torque_series,
     load_exoskeleton_params,
@@ -297,15 +297,6 @@ class MotionInputs:
     exoskeleton: LaevoModel | None
 
 
-@dataclass
-class MotionResults:
-    """What the motion branch computes before it writes its files."""
-
-    retarget: RetargetResult
-    torque: TorqueSeries
-    annotation: TrialAnnotation
-
-
 def read_motion_inputs(config: SessionConfig) -> MotionInputs:
     """Build the model, then read and check every motion input: the
     capture, its annotation and the exoskeleton parameters."""
@@ -314,18 +305,9 @@ def read_motion_inputs(config: SessionConfig) -> MotionInputs:
     with _stage("parse-motion"):
         aliases = _segment_aliases(config)
         captured = eio.parse_motion_file(config.motion_file, aliases=aliases)
-        if captured.n_frames < STENCIL_FRAMES:
-            raise ValidationError(
-                f"{config.motion_file}: {captured.n_frames} frames, but the derivative stencil "
-                f"needs at least {STENCIL_FRAMES}"
-            )
-        # the rule estimate_derivatives applies, on the rate the motion run uses
-        fs = 1.0 / (1.0 / captured.sample_rate)
-        if DERIVATIVE_SMOOTHING_HZ >= fs / 2.0:
-            raise ValidationError(
-                f"{config.motion_file}: sample rate {captured.sample_rate:g} Hz must exceed twice "
-                f"the {DERIVATIVE_SMOOTHING_HZ:g} Hz velocity smoothing cutoff"
-            )
+        # the rule estimate_derivatives applies, at the step the motion run takes
+        with prefixed(config.motion_file):
+            check_sampling(captured.n_frames, 1.0 / captured.sample_rate, DERIVATIVE_SMOOTHING_HZ)
     with _stage("parse-annotation"):
         if config.annotation_file is not None:
             annotation = eio.parse_annotation_file(config.annotation_file)
@@ -345,9 +327,10 @@ def read_motion_inputs(config: SessionConfig) -> MotionInputs:
     return MotionInputs(model, captured, annotation, exo)
 
 
-def run_motion_analysis(config: SessionConfig, inputs: MotionInputs) -> MotionResults:
+def run_motion_analysis(config: SessionConfig, inputs: MotionInputs) -> tuple[RetargetResult, TorqueSeries]:
     """Retarget, differentiate, run inverse dynamics, apply the exoskeleton
-    model and decompose the lumbar torque."""
+    model and decompose the lumbar torque: the retargeted trajectory and the
+    torque series."""
     model, captured, exo = inputs.model, inputs.captured, inputs.exoskeleton
     # the capture's errors here name no file
     with _stage("retarget"), prefixed(config.motion_file):
@@ -363,7 +346,7 @@ def run_motion_analysis(config: SessionConfig, inputs: MotionInputs) -> MotionRe
         tau_exo = np.zeros_like(tau_net) if exo is None else laevo_torque_series(exo, theta, theta_dot)
     with _stage("decompose"):
         torque = decompose_torque(result.times, tau_net, tau_exo, theta, theta_dot)
-    return MotionResults(retarget=result, torque=torque, annotation=inputs.annotation)
+    return result, torque
 
 
 # a branch's distributions, each as (figure, label, channel, summary), the one
@@ -377,8 +360,8 @@ def _summary_table(boxplots: Boxplots, trial: str) -> tuple[Sequence[str], list[
     return SUMMARY_HEADER, [_summary_row(trial, label, channel, s) for _, label, channel, s in boxplots]
 
 
-def _motion_tables(motion: MotionResults) -> tuple[Boxplots, Tables]:
-    trial, ts = motion.annotation.trial_id, motion.torque
+def _motion_tables(ts: TorqueSeries, annotation: TrialAnnotation) -> tuple[Boxplots, Tables]:
+    trial = annotation.trial_id
     tables: Tables = {
         "torque_series": (
             ["time_s", "theta_deg", "theta_dot_deg_s", "tau_net_nm", "tau_exo_nm", "tau_human_nm"],
@@ -389,7 +372,7 @@ def _motion_tables(motion: MotionResults) -> tuple[Boxplots, Tables]:
     }
     with _stage("angle-summaries"):
         angles, fraction_rows = [], []
-        for label, values in segment_series(ts.times, ts.theta_deg, motion.annotation):
+        for label, values in segment_series(ts.times, ts.theta_deg, annotation):
             angles.append(("back_flexion", label, "back_flexion_deg", summarize(values)))
             profile = posture_profile(values)
             fraction_rows.append([trial, label] + [profile[t] for t in POSTURE_THRESHOLDS_DEG])
@@ -399,12 +382,12 @@ def _motion_tables(motion: MotionResults) -> tuple[Boxplots, Tables]:
             fraction_rows,
         )
     with _stage("torque-summaries"):
-        report = lumbar_effort_report(ts, motion.annotation)
-        torques = [("lumbar_torque", row.label, row.channel, row.summary) for row in report.rows]
+        rows, reductions = lumbar_effort_report(ts, annotation)
+        torques = [("lumbar_torque", label, channel, s) for label, channel, s in rows]
         tables["torque_summaries"] = _summary_table(torques, trial)
         tables["torque_reductions"] = (
             ["trial", "label", "median_reduction_pct"],
-            [[trial, label, pct] for label, pct in report.median_reduction_pct.items()],
+            [[trial, label, pct] for label, pct in reductions.items()],
         )
     return angles + torques, tables
 
@@ -501,10 +484,9 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
         branches.append(_ecg_tables(config.ecg))
     if config.survey is not None:
         branches.append(([], _survey_tables(config.survey)))
-    motion = None
     if motion_inputs is not None:
-        motion = run_motion_analysis(config, motion_inputs)
-        branches.insert(0, _motion_tables(motion))
+        retargeted, torque = run_motion_analysis(config, motion_inputs)
+        branches.insert(0, _motion_tables(torque, motion_inputs.annotation))
     boxplots = [record for records, _ in branches for record in records]
     tables = {key: table for _, branch_tables in branches for key, table in branch_tables.items()}
 
@@ -516,11 +498,9 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
             "config": config_echo(config),
             "inputs": {name: eio.sha256_file(name) for name in inputs},
         }
-        if motion is not None:
+        if motion_inputs is not None:
             path = bundle.files["joints"] = out_dir / "joints.csv"
-            eio.write_joint_trajectory(
-                path, motion_inputs.model, motion.torque.times, motion.retarget.configurations
-            )
+            eio.write_joint_trajectory(path, motion_inputs.model, torque.times, retargeted.configurations)
         for key, (header, rows) in tables.items():
             path = bundle.files[key] = out_dir / f"{key}.csv"
             eio.write_csv(path, header, rows)

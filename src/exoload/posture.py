@@ -10,7 +10,6 @@ axis unchanged and therefore the angle too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -112,12 +111,10 @@ def time_fraction_above(series: np.ndarray, threshold_deg: float) -> float:
     return float(np.count_nonzero(series > threshold_deg) / series.size)
 
 
-def posture_profile(
-    series: np.ndarray, thresholds_deg: Iterable[float] = POSTURE_THRESHOLDS_DEG
-) -> dict[float, float]:
-    """Exposure fractions above each threshold; non-increasing in the
-    threshold by construction."""
-    return {float(t): time_fraction_above(series, t) for t in thresholds_deg}
+def posture_profile(series: np.ndarray) -> dict[float, float]:
+    """Exposure fractions above each of ``POSTURE_THRESHOLDS_DEG``;
+    non-increasing in the threshold by construction."""
+    return {float(t): time_fraction_above(series, t) for t in POSTURE_THRESHOLDS_DEG}
 
 
 def _sorted_quantile(ascending: np.ndarray, q: float) -> float:

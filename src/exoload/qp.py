@@ -34,6 +34,9 @@ _RELEASE_TOL = 1e-10
 # the level-1 rows count as independent when the smallest diagonal entry of
 # their triangular factor exceeds this share of the largest
 _RANK_RATIO = 1e-6
+# singular values of the equality rows at or below this share of the largest
+# count as zero in their null space
+_RANK_RCOND = 1e-12
 
 
 @dataclass
@@ -50,9 +53,9 @@ class QPResult:
         return sorted(set(self.active_lower) | set(self.active_upper))
 
 
-def _null_space(C: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
+def _null_space(C: np.ndarray) -> np.ndarray:
     u, s, vt = np.linalg.svd(C, full_matrices=True)
-    rank = int(np.sum(s > rcond * (s[0] if s.size else 1.0)))
+    rank = int(np.sum(s > _RANK_RCOND * (s[0] if s.size else 1.0)))
     return vt[rank:].T
 
 

@@ -397,7 +397,9 @@ def retarget_trajectory(
     settings: SolverSettings = SolverSettings(),
 ) -> RetargetResult:
     """Replay a captured trajectory on the model frame by frame, from the
-    model's upright configuration.
+    model's upright joint angles with the base at the first captured pose
+    of ``model.base_segment``, or at the upright base pose when the capture
+    has no such track.
 
     The captured frames are replayed as recorded, one ``1 / sample_rate``
     step apart, so the frame count is preserved and the result carries the
@@ -412,10 +414,12 @@ def retarget_trajectory(
     references = _trajectory_references(plan, _reference_tracks(model, captured, tasks), n, dt)
 
     q = model.upright_configuration()
+    current = (q.base_position, q.base_orientation, q.joint_angles)
+    if (base := captured.segments.get(model.base_segment)) is not None:
+        current = (base.positions[0], base.quaternions[0], q.joint_angles)
     diagnostics: list[FrameDiagnostics] = []
     P, Q, A = np.empty((n, 3)), np.empty((n, 4)), np.empty((n, model.n_joint_dofs))
     # each frame steps from the configuration of the frame before, in the rows already written
-    current = (q.base_position, q.base_orientation, q.joint_angles)
     for k in range(n):
         row = (P[k], Q[k], A[k])
         try:

@@ -701,6 +701,17 @@ def reference_two_level_step(
     )
 
 
+def reference_start(model: SkeletonModel, captured: CapturedTrajectory) -> JointConfiguration:
+    """The upright joint angles on the base pose of the first captured
+    ``model.base_segment`` frame, or the upright configuration when the
+    capture has no such track."""
+    q = model.upright_configuration()
+    if model.base_segment not in captured.segments:
+        return q
+    track = captured.segments[model.base_segment]
+    return JointConfiguration(track.positions[0].copy(), track.quaternions[0].copy(), q.joint_angles)
+
+
 def reference_retarget(
     model: SkeletonModel,
     captured: CapturedTrajectory,
@@ -716,7 +727,7 @@ def reference_retarget(
     order 1e-8 rad over a saturating trajectory. The Jacobian values are
     checked against that oracle on their own."""
     dt = 1.0 / captured.sample_rate
-    q = model.upright_configuration()
+    q = reference_start(model, captured)
     configurations, diagnostics = [], []
     for refs in reference_frame_references(model, captured, tasks):
         state = KinematicState(model, q)
@@ -752,7 +763,7 @@ def reference_allocating_retarget(
     n = captured.n_frames
     refs = _trajectory_references(plan, _reference_tracks(model, captured, tasks), n, dt)
     m1, nv, bound = plan.n_level1_rows, model.n_velocity, settings.velocity_bound
-    q = model.upright_configuration()
+    q = reference_start(model, captured)
     configurations, diagnostics = [], []
     for k in range(n):
         J, v = plan.rows(KinematicState(model, q).frames, refs, k)

@@ -411,9 +411,9 @@ def test_lumbar_effort_report_reduction():
     net = np.full(10, 30.0)
     human = np.full(10, 26.61)
     series = TorqueSeries(t, net, net - human, human, np.zeros(10), np.zeros(10))
-    report = lumbar_effort_report(series, annotation)
-    assert report.median_reduction_pct["PS"] == pytest.approx(11.3, abs=1e-9)
-    channels = {(r.label, r.channel) for r in report.rows}
+    rows, median_reduction_pct = lumbar_effort_report(series, annotation)
+    assert median_reduction_pct["PS"] == pytest.approx(11.3, abs=1e-9)
+    channels = {(label, channel) for label, channel, _ in rows}
     assert ("PS", "tau_net") in channels and ("PS", "tau_human") in channels
 
 
@@ -424,11 +424,11 @@ def test_lumbar_effort_report_zero_reduction_and_degenerate():
     )
     net = np.array([30.0, 25.0, 20.0, 22.0])
     series = TorqueSeries(t, net, np.zeros(4), net, np.zeros(4), np.zeros(4))
-    report = lumbar_effort_report(series, annotation)
-    assert report.median_reduction_pct["PS"] == 0.0
-    single = [r for r in report.rows if r.label == "PS" and r.channel == "tau_net"][0]
-    assert single.summary.n == 1
-    assert single.summary.q1 == single.summary.median == single.summary.q3 == 30.0
+    rows, median_reduction_pct = lumbar_effort_report(series, annotation)
+    assert median_reduction_pct["PS"] == 0.0
+    single = [s for label, channel, s in rows if label == "PS" and channel == "tau_net"][0]
+    assert single.n == 1
+    assert single.q1 == single.median == single.q3 == 30.0
 
 
 def test_net_lumbar_series_static_hold(model):

@@ -1,0 +1,132 @@
+"""Metamorphic oracles of the motion branch: a session transformed in a way
+the analysis must not see (a rigid move of the capture, a heavier subject,
+a later clock) against the same session untransformed."""
+
+import csv
+import json
+
+import numpy as np
+import pytest
+
+from helpers import (
+    capture_from_configurations,
+    sinusoid_trajectory,
+    write_bend_session,
+    write_motion_file,
+)
+
+from exoload.dynamics import net_lumbar_series
+from exoload.geometry import quat_multiply
+from exoload.pipeline import load_config, run_pipeline
+from exoload.retarget import CapturedTrajectory, SegmentTrack, retarget_trajectory
+from exoload.skeleton import KinematicState
+
+# the 2 s sinusoid capture replays with no bound binding, so a rigid move or
+# a clock offset changes the replay only by rounding
+RIGID_TAU_TOL_NM = 1e-7
+RIGID_ANGLE_TOL_DEG = 1e-6
+CLOCK_TAU_TOL_NM = 1e-7
+CLOCK_OFFSET_S = 1000.0
+
+
+def sinusoid_capture(model) -> CapturedTrajectory:
+    return capture_from_configurations(model, sinusoid_trajectory(model, 2.0), 240.0)
+
+
+def moved(captured: CapturedTrajectory, shift, yaw_deg: float) -> CapturedTrajectory:
+    """Every captured pose turned by ``yaw_deg`` about the vertical through
+    the origin, then shifted by ``shift``."""
+    yaw = np.radians(yaw_deg)
+    c, s = np.cos(yaw), np.sin(yaw)
+    R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    q_yaw = np.array([np.cos(yaw / 2), 0.0, 0.0, np.sin(yaw / 2)])
+    tracks = {
+        name: SegmentTrack(
+            track.positions @ R.T + np.asarray(shift, dtype=float),
+            quat_multiply(np.broadcast_to(q_yaw, track.quaternions.shape), track.quaternions),
+        )
+        for name, track in captured.segments.items()
+    }
+    return CapturedTrajectory(captured.times.copy(), tracks)
+
+
+def replay(model, captured: CapturedTrajectory) -> tuple[np.ndarray, np.ndarray, int]:
+    """Net lumbar torque, joint angles in degrees and the number of frames
+    with a bound active of a replayed capture."""
+    result = retarget_trajectory(model, captured)
+    kinematics = KinematicState(model, result.configurations)
+    tau_net = net_lumbar_series(kinematics, 1.0 / captured.sample_rate)
+    saturated = sum(1 for d in result.diagnostics if d.active_constraints or d.skipped)
+    return tau_net, np.degrees(result.configurations.joint_angles), saturated
+
+
+@pytest.fixture(scope="module")
+def unmoved(model):
+    captured = sinusoid_capture(model)
+    tau_net, angles, saturated = replay(model, captured)
+    assert saturated == 0
+    return captured, tau_net, angles
+
+
+@pytest.mark.parametrize(
+    "shift, yaw_deg",
+    [((2.0, -1.0, 0.0), 0.0), ((0.0, 0.0, 0.0), 37.0), ((0.0, 0.0, 0.0), 90.0), ((2.0, -1.0, 0.0), 90.0)],
+    ids=["shift", "yaw37", "yaw90", "shift-yaw90"],
+)
+def test_a_rigidly_moved_capture_replays_the_same_torque_and_joints(model, unmoved, shift, yaw_deg):
+    """A horizontal shift and a yaw about the vertical move where the
+    subject stood, not how they moved: the replay starts on the captured
+    pelvis, so the net lumbar torque and every joint angle hold. Back
+    flexion and the Laevo torque are left out, because they are measured
+    in the world XZ plane."""
+    captured, tau_net, angles = unmoved
+    moved_tau, moved_angles, _ = replay(model, moved(captured, shift, yaw_deg))
+    assert np.max(np.abs(moved_tau - tau_net)) <= RIGID_TAU_TOL_NM
+    assert np.max(np.abs(moved_angles - angles)) <= RIGID_ANGLE_TOL_DEG
+
+
+def torque_column(bundle, name: str) -> np.ndarray:
+    with open(bundle.files["torque_series"], newline="") as fh:
+        return np.array([float(row[name]) for row in csv.DictReader(fh)])
+
+
+def test_doubling_the_mass_doubles_the_net_torque_exactly(tmp_path):
+    """Every segment mass and inertia scales with ``profile.mass_kg``, and
+    scaling by two is exact in floating point: the CoM and so the replay
+    hold bit for bit, and the inverse dynamics doubles bit for bit."""
+    config_path = write_bend_session(tmp_path, duration_s=1.0)
+    first = run_pipeline(load_config(config_path))
+    joints, tau_net = first.files["joints"].read_bytes(), torque_column(first, "tau_net_nm")
+    config = json.loads(config_path.read_text())
+    config["profile"]["mass_kg"] *= 2.0
+    config_path.write_text(json.dumps(config))
+    heavier = run_pipeline(load_config(config_path))
+    assert heavier.files["joints"].read_bytes() == joints
+    assert np.array_equal(torque_column(heavier, "tau_net_nm"), 2.0 * tau_net)
+
+
+def sinusoid_session(tmp_path, model, offset_s: float):
+    """The bend fixture's session with the 2 s sinusoid capture in place of
+    the bend, its clock and annotation windows started ``offset_s`` later."""
+    tmp_path.mkdir()
+    config_path = write_bend_session(tmp_path, duration_s=2.0)
+    captured = sinusoid_capture(model)
+    later = CapturedTrajectory(captured.times + offset_s, captured.segments)
+    write_motion_file(tmp_path / "motion.csv", later)
+    annotation = json.loads((tmp_path / "annotation.json").read_text())
+    for segment in annotation["segments"]:
+        segment["start"] += offset_s
+        segment["end"] += offset_s
+    (tmp_path / "annotation.json").write_text(json.dumps(annotation))
+    return run_pipeline(load_config(config_path))
+
+
+def test_a_clock_offset_leaves_the_net_torque(tmp_path, model):
+    """Starting the clock 1000 s later changes only the rounding of the
+    sample period, which is the span over the frame count."""
+    first = sinusoid_session(tmp_path / "zero", model, 0.0)
+    later = sinusoid_session(tmp_path / "later", model, CLOCK_OFFSET_S)
+    shifted_times = torque_column(later, "time_s") - CLOCK_OFFSET_S
+    assert np.allclose(shifted_times, torque_column(first, "time_s"), rtol=0.0, atol=1e-9)
+    tau_net = torque_column(first, "tau_net_nm")
+    assert np.max(np.abs(torque_column(later, "tau_net_nm") - tau_net)) <= CLOCK_TAU_TOL_NM

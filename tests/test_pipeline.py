@@ -159,12 +159,12 @@ def test_back_flexion_equals_per_frame_thorax_angles(tmp_path):
 
     config = load_config(write_bend_session(tmp_path, duration_s=0.5))
     inputs = read_motion_inputs(config)
-    motion = run_motion_analysis(config, inputs)
+    retargeted, torque = run_motion_analysis(config, inputs)
     expected = [
         thorax_flexion_deg(KinematicState(inputs.model, q).segment_pose("thorax").rotation)
-        for q in motion.retarget.configurations
+        for q in retargeted.configurations
     ]
-    assert np.array_equal(motion.torque.theta_deg, expected)
+    assert np.array_equal(torque.theta_deg, expected)
 
 
 def test_emg_trial_settles_at_its_own_sample_rate(tmp_path):
@@ -1320,10 +1320,9 @@ def test_numeric_tables_match_the_per_row_writers_byte_for_byte(tmp_path):
     config = load_config(write_bend_session(tmp_path, duration_s=0.5))
     bundle = run_pipeline(config)
     inputs = read_motion_inputs(config)
-    motion = run_motion_analysis(config, inputs)
-    ts = motion.torque
+    retargeted, ts = run_motion_analysis(config, inputs)
     reference_write_joint_trajectory(
-        tmp_path / "joints.csv", inputs.model, ts.times, motion.retarget.configurations
+        tmp_path / "joints.csv", inputs.model, ts.times, retargeted.configurations
     )
     with open(bundle.files["torque_series"], newline="") as fh:
         header = next(csv.reader(fh))

@@ -594,15 +594,21 @@ def test_infeasible_frames_skip_and_hold_the_configuration(model, monkeypatch):
             assert not np.array_equal(after, before[k])
 
 
-@pytest.mark.parametrize("case", ["sinusoid", "moving-base", "saturating", "skipped-frames"])
+@pytest.mark.parametrize("case", ["sinusoid", "moving-base", "shifted-start", "saturating", "skipped-frames"])
 def test_retarget_matches_the_allocating_loop_bit_for_bit(model, monkeypatch, case):
     """The loop over one workspace gives the configurations and per-frame
     diagnostics of the loop that makes every per-frame object afresh, bit
-    for bit: on the 1 s sinusoid, the moving base, the moving base
-    saturating a 0.6 rad/s bound, and a capture with skipped frames."""
+    for bit: on the 1 s sinusoid, the moving base, the moving base starting
+    away from the upright base pose, the moving base saturating a 0.6 rad/s
+    bound, and a capture with skipped frames."""
+
+    def shifted(q: JointConfiguration) -> JointConfiguration:
+        return JointConfiguration(q.base_position + [2.0, -1.0, 0.0], q.base_orientation, q.joint_angles)
+
     trajectory = {
         "sinusoid": lambda: sinusoid_trajectory(model, 1.0),
         "moving-base": lambda: moving_base_trajectory(model, 1.0),
+        "shifted-start": lambda: shifted(moving_base_trajectory(model, 0.25)),
         "saturating": lambda: moving_base_trajectory(model, 0.4),
         "skipped-frames": lambda: moving_base_trajectory(model, 0.03),
     }[case]()
