@@ -48,7 +48,6 @@ from .retarget import (
     CapturedTrajectory,
     RetargetResult,
     SegmentTrack,
-    SolverSettings,
     TaskSpec,
     default_task_stack,
     retarget_trajectory,

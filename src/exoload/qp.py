@@ -67,13 +67,12 @@ def solve_ls_qp(
     ub: np.ndarray,
     C: np.ndarray | None = None,
     x0: np.ndarray | None = None,
-    max_iterations: int = _MAX_ITERATIONS,
-    tolerance: float = _RELEASE_TOL,
 ) -> QPResult:
     """Minimize the problem in the module docstring. Without equality rows
     the start defaults to zero clipped to the bounds; with ``C`` it is
     ``x0``, which is then required. A bound leaves the working set only when
-    its multiplier has the wrong sign by more than ``tolerance``."""
+    its multiplier has the wrong sign by more than ``_RELEASE_TOL``, and
+    ``_MAX_ITERATIONS`` iterations without convergence raise ``SolverError``."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float)
     n = A.shape[1]
@@ -98,7 +97,7 @@ def solve_ls_qp(
     active_lo = np.zeros(n, dtype=bool)
     active_up = np.zeros(n, dtype=bool)
 
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         grad = P @ x + g0
         free = np.flatnonzero(~(active_lo | active_up))
         # a slice while every coordinate is free: views instead of gathers
@@ -149,7 +148,7 @@ def solve_ls_qp(
             nu = np.zeros(0)
         resid = grad + (C.T @ nu if C.shape[0] else 0.0)
         release = None
-        worst = tolerance
+        worst = _RELEASE_TOL
         for i in np.flatnonzero(active_lo):
             # at a lower bound, a negative residual means the objective
             # improves by moving into the interior
@@ -168,7 +167,7 @@ def solve_ls_qp(
         working, idx = release
         working[idx] = False
 
-    raise SolverError(f"active-set QP did not converge in {max_iterations} iterations")
+    raise SolverError(f"active-set QP did not converge in {_MAX_ITERATIONS} iterations")
 
 
 def solve_hierarchy(

@@ -12,7 +12,7 @@ feedforward of the reference trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,28 +42,19 @@ from .skeleton import (
 
 QUAT_NORM_TOL = 1e-3
 DT_JITTER_TOL = 0.10
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """Regularization, feedback gain and velocity bound of the retargeting QP."""
-
-    epsilon: float = 1e-6
-    gain: float = 10.0  # 1/s, every task's feedback gain; stable at 240 Hz
-    velocity_bound: float = 10.0  # rad/s and m/s, symmetric
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not 0.0 < value < np.inf:
-                raise ValidationError(f"{f.name} must be positive and finite, got {value!r}")
+# the retargeting QP's Tikhonov regularization
+EPSILON = 1e-6
+# 1/s, every task's feedback gain; stable at 240 Hz
+GAIN = 10.0
+# rad/s and m/s, the symmetric bound on every velocity coordinate
+VELOCITY_BOUND = 10.0
 
 
 @dataclass(frozen=True)
 class TaskSpec:
     """A task: the model frame it moves, what it tracks and its level. It
     tracks the captured segment of ``model.resolve_frame(frame)`` (the CoM
-    estimate when the capture has none) at ``SolverSettings.gain``."""
+    estimate when the capture has none) at ``GAIN``."""
 
     frame: str
     kind: str  # position | orientation | both
@@ -193,7 +184,7 @@ class _ReferenceArrays:
 
 class _Plan:
     """Everything one retargeting step needs that does not change from frame
-    to frame, built once per (model, task stack, settings). The tasks run
+    to frame, built once per (model, task stack). The tasks run
     level 1 first, in stack order within a level, through one
     :class:`TaskRowLayout`, so level 1 owns the first ``n_level1_rows`` rows.
     ``position_tasks`` and ``orientation_tasks`` are the tasks with those
@@ -201,10 +192,11 @@ class _Plan:
     the task Jacobian ``J`` and velocity references ``v``, with the level
     Jacobians and references as views of them, and both velocity bounds are
     made here and overwritten by each step, so a sweep over a trajectory
-    allocates them once."""
+    allocates them once. ``EPSILON``, ``GAIN`` and ``VELOCITY_BOUND`` are
+    read here too."""
 
-    def __init__(self, model: SkeletonModel, tasks: list[TaskSpec], settings: SolverSettings):
-        self.model, self.settings = model, settings
+    def __init__(self, model: SkeletonModel, tasks: list[TaskSpec]):
+        self.model, self.epsilon, self.gain = model, EPSILON, GAIN
         tasks = sorted(tasks, key=lambda task: task.priority)
         if not tasks or tasks[0].priority != 1:
             raise ValidationError("task stack has no level-1 tasks")
@@ -218,15 +210,15 @@ class _Plan:
         self.sweep = FrameSweep(model)
         self.J, self.v = layout.new_jacobian(), np.empty(self.n_rows)
         self.levels = (self.J[:m1], self.v[:m1], self.J[m1:], self.v[m1:])
-        n, bound = model.n_velocity, settings.velocity_bound
+        n, bound = model.n_velocity, VELOCITY_BOUND
         self.lower, self.upper = -np.full(n, bound), np.full(n, bound)
 
     def rows(self, frames: np.ndarray, refs: _ReferenceArrays, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The plan's task Jacobian ``J`` ``(n_rows, n_velocity)`` and
         velocity references ``v`` ``(n_rows,)``, written from the world
         frames of one configuration for reference frame ``k`` at the
-        settings' feedback gain, in one pass over the whole stack."""
-        layout, gain = self.layout, self.settings.gain
+        plan's feedback gain, in one pass over the whole stack."""
+        layout, gain = self.layout, self.gain
         _, current = layout.fill(frames, self.J)
         blocks = self.v.reshape(-1, 3)
         blocks[layout.position_blocks] = gain * (refs.positions[k] - current) + refs.linear_velocities[k]
@@ -251,7 +243,7 @@ class _Plan:
         nothing."""
         position, orientation, angles = q
         self.rows(self.sweep(position, quat_to_matrix(orientation), angles), refs, k)
-        result = solve_hierarchy(*self.levels, self.settings.epsilon, self.lower, self.upper)
+        result = solve_hierarchy(*self.levels, self.epsilon, self.lower, self.upper)
         integrate_arrays(position, orientation, angles, result.x, dt, out)
         return result.x, FrameDiagnostics(result.iterations, result.saturated)
 
@@ -291,7 +283,6 @@ def solve_frame(
     tasks: list[TaskSpec],
     references: dict[str, Reference],
     dt: float,
-    settings: SolverSettings = SolverSettings(),
 ) -> FrameSolution:
     """One hierarchical velocity-QP step.
 
@@ -302,7 +293,7 @@ def solve_frame(
     """
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
-    plan = _Plan(model, tasks, settings)
+    plan = _Plan(model, tasks)
     q = (q_current.base_position, q_current.base_orientation, q_current.joint_angles)
     out = (np.empty(3), np.empty(4), np.empty(model.n_joint_dofs))
     velocity, diagnostics = plan.step(q, _frame_reference_arrays(plan, references), 0, dt, out)
@@ -390,25 +381,19 @@ def _estimate_com_track(model: SkeletonModel, captured: CapturedTrajectory) -> S
     return SegmentTrack(com, quats)
 
 
-def retarget_trajectory(
-    model: SkeletonModel,
-    captured: CapturedTrajectory,
-    tasks: list[TaskSpec] | None = None,
-    settings: SolverSettings = SolverSettings(),
-) -> RetargetResult:
-    """Replay a captured trajectory on the model frame by frame, from the
-    model's upright joint angles with the base at the first captured pose
-    of ``model.base_segment``, or at the upright base pose when the capture
-    has no such track.
+def retarget_trajectory(model: SkeletonModel, captured: CapturedTrajectory) -> RetargetResult:
+    """Replay a captured trajectory on the model with the default task stack,
+    frame by frame, from the model's upright joint angles with the base at
+    the first captured pose of ``model.base_segment``, or at the upright
+    base pose when the capture has no such track.
 
     The captured frames are replayed as recorded, one ``1 / sample_rate``
     step apart, so the frame count is preserved and the result carries the
     captured timestamps. Infeasible frames are skipped (configuration held) with a
     diagnostic; solver non-convergence aborts with the frame index.
     """
-    if tasks is None:
-        tasks = default_task_stack()
-    plan = _Plan(model, tasks, settings)
+    tasks = default_task_stack()
+    plan = _Plan(model, tasks)
     dt = 1.0 / captured.sample_rate
     n = captured.n_frames
     references = _trajectory_references(plan, _reference_tracks(model, captured, tasks), n, dt)

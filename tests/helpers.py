@@ -29,11 +29,11 @@ from exoload.retarget import (
     FrameDiagnostics,
     Reference,
     SegmentTrack,
-    SolverSettings,
     TaskSpec,
     _reference_tracks,
     _Plan,
     _trajectory_references,
+    default_task_stack,
 )
 from exoload.skeleton import (
     JointConfiguration,
@@ -680,19 +680,19 @@ def reference_two_level_step(
     v1: np.ndarray,
     J2: np.ndarray,
     v2: np.ndarray,
-    settings: SolverSettings,
 ) -> QPResult:
-    """One frame's two levels as two active-set QPs: level 1 under the
+    """One frame's two levels as two active-set QPs at the retargeter's
+    ``EPSILON`` and ``VELOCITY_BOUND``, read when called: level 1 under the
     velocity bounds, then level 2 with the level-1 task velocities held by
     an equality constraint, started from level 1's solution. Iterations
     add up and the active bounds are the union of both levels'. The oracle
     for ``qp.solve_hierarchy``."""
-    n = J1.shape[1]
-    lb, ub = -np.full(n, settings.velocity_bound), np.full(n, settings.velocity_bound)
-    r1 = solve_ls_qp(J1, v1, settings.epsilon, lb, ub)
+    n, eps = J1.shape[1], retarget.EPSILON
+    lb, ub = -np.full(n, retarget.VELOCITY_BOUND), np.full(n, retarget.VELOCITY_BOUND)
+    r1 = solve_ls_qp(J1, v1, eps, lb, ub)
     if not J2.shape[0]:
         return r1
-    r2 = solve_ls_qp(J2, v2, settings.epsilon, lb, ub, C=J1, x0=r1.x)
+    r2 = solve_ls_qp(J2, v2, eps, lb, ub, C=J1, x0=r1.x)
     return QPResult(
         x=r2.x,
         iterations=r1.iterations + r2.iterations,
@@ -713,27 +713,25 @@ def reference_start(model: SkeletonModel, captured: CapturedTrajectory) -> Joint
 
 
 def reference_retarget(
-    model: SkeletonModel,
-    captured: CapturedTrajectory,
-    tasks: list[TaskSpec],
-    settings: SolverSettings,
+    model: SkeletonModel, captured: CapturedTrajectory
 ) -> tuple[list[JointConfiguration], list[FrameDiagnostics]]:
-    """The two-level velocity-QP loop over a uniform capture, for a stack
-    with tasks on both levels, driven by the per-task row assembly of
-    ``reference_task_rows`` and solved by ``reference_two_level_step``.
+    """The two-level velocity-QP loop over a uniform capture for the default
+    stack at the retargeter's constants, driven by the per-task row
+    assembly of ``reference_task_rows`` and solved by
+    ``reference_two_level_step``.
     Each task's Jacobian comes from ``KinematicState.jacobian``, so both
     loops see the same Jacobian bits: the regularized QP turns the last-bit
     difference of the ``np.cross`` CoM oracle into joint-angle drift of
     order 1e-8 rad over a saturating trajectory. The Jacobian values are
     checked against that oracle on their own."""
-    dt = 1.0 / captured.sample_rate
+    tasks, dt = default_task_stack(), 1.0 / captured.sample_rate
     q = reference_start(model, captured)
     configurations, diagnostics = [], []
     for refs in reference_frame_references(model, captured, tasks):
         state = KinematicState(model, q)
-        J1, v1, J2, v2 = reference_task_rows(state, tasks, refs, settings.gain, KinematicState.jacobian)
+        J1, v1, J2, v2 = reference_task_rows(state, tasks, refs, retarget.GAIN, KinematicState.jacobian)
         try:
-            r = reference_two_level_step(J1, v1, J2, v2, settings)
+            r = reference_two_level_step(J1, v1, J2, v2)
         except InfeasibleBoundsError as exc:
             diagnostics.append(FrameDiagnostics(skipped=True, message=str(exc)))
             configurations.append(q)
@@ -745,12 +743,10 @@ def reference_retarget(
 
 
 def reference_allocating_retarget(
-    model: SkeletonModel,
-    captured: CapturedTrajectory,
-    tasks: list[TaskSpec],
-    settings: SolverSettings,
+    model: SkeletonModel, captured: CapturedTrajectory
 ) -> tuple[JointConfiguration, list[FrameDiagnostics]]:
-    """The retargeting loop with the per-frame objects made afresh: each
+    """The default stack's retargeting loop with the per-frame objects made
+    afresh, at the retargeter's constants: each
     frame builds a ``KinematicState`` of its configuration, writes the
     plan's rows from its frames, solves both levels with bounds made by
     ``np.full`` and integrates into a new ``JointConfiguration``; a frame
@@ -758,11 +754,12 @@ def reference_allocating_retarget(
     ``retarget.solve_hierarchy`` as bound when the frame runs, so a patched
     one reaches this loop too. The bit-for-bit oracle of
     ``retarget_trajectory``."""
-    plan = _Plan(model, tasks, settings)
+    tasks = default_task_stack()
+    plan = _Plan(model, tasks)
     dt = 1.0 / captured.sample_rate
     n = captured.n_frames
     refs = _trajectory_references(plan, _reference_tracks(model, captured, tasks), n, dt)
-    m1, nv, bound = plan.n_level1_rows, model.n_velocity, settings.velocity_bound
+    m1, nv, bound = plan.n_level1_rows, model.n_velocity, retarget.VELOCITY_BOUND
     q = reference_start(model, captured)
     configurations, diagnostics = [], []
     for k in range(n):
@@ -773,7 +770,7 @@ def reference_allocating_retarget(
                 v[:m1],
                 J[m1:],
                 v[m1:],
-                settings.epsilon,
+                retarget.EPSILON,
                 -np.full(nv, bound),
                 np.full(nv, bound),
             )

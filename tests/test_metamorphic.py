@@ -1,6 +1,7 @@
-"""Metamorphic oracles of the motion branch: a session transformed in a way
-the analysis must not see (a rigid move of the capture, a heavier subject,
-a later clock) against the same session untransformed."""
+"""Metamorphic oracles: a session transformed in a way the analysis must not
+see (a rigid move of the capture, a heavier subject, a later clock, the
+capture's columns or the responses' lines in another order) against the
+same session untransformed."""
 
 import csv
 import json
@@ -17,9 +18,11 @@ from helpers import (
 
 from exoload.dynamics import net_lumbar_series
 from exoload.geometry import quat_multiply
+from exoload.io import POSE_SUFFIXES
 from exoload.pipeline import load_config, run_pipeline
 from exoload.retarget import CapturedTrajectory, SegmentTrack, retarget_trajectory
 from exoload.skeleton import KinematicState
+from exoload.surveys import BORG_VALUES, load_schema
 
 # the 2 s sinusoid capture replays with no bound binding, so a rigid move or
 # a clock offset changes the replay only by rounding
@@ -130,3 +133,85 @@ def test_a_clock_offset_leaves_the_net_torque(tmp_path, model):
     assert np.allclose(shifted_times, torque_column(first, "time_s"), rtol=0.0, atol=1e-9)
     tau_net = torque_column(first, "tau_net_nm")
     assert np.max(np.abs(torque_column(later, "tau_net_nm") - tau_net)) <= CLOCK_TAU_TOL_NM
+
+
+def bundle_bytes(bundle) -> dict[str, bytes]:
+    """Every file of a bundle's output directory but the manifest, which
+    hashes the inputs, by name."""
+    return {
+        path.name: path.read_bytes()
+        for path in sorted(bundle.output_dir.iterdir())
+        if path.name != "manifest.json"
+    }
+
+
+def test_reordered_capture_columns_leave_every_bundle_file(tmp_path, model):
+    """The capture's segment column groups in another order, ``time_s``
+    still first, name the same tracks: every bundle file but the manifest
+    holds byte for byte."""
+    sessions = {name: tmp_path / name for name in ("recorded", "reordered")}
+    for directory in sessions.values():
+        directory.mkdir()
+        write_bend_session(directory, duration_s=1.0)
+    captured = capture_from_configurations(model, sinusoid_trajectory(model, 1.0), 240.0)
+    write_motion_file(sessions["recorded"] / "motion.csv", captured)
+    rows = [line.split(",") for line in (sessions["recorded"] / "motion.csv").read_text().splitlines()]
+    width = len(POSE_SUFFIXES)
+    groups = [list(range(1 + g, 1 + g + width)) for g in range(0, len(rows[0]) - 1, width)]
+    order = [0] + [j for g in np.random.default_rng(5).permutation(len(groups)) for j in groups[g]]
+    assert order != sorted(order) and sorted(order) == list(range(len(rows[0])))
+    text = "".join(",".join(row[j] for j in order) + "\n" for row in rows)
+    (sessions["reordered"] / "motion.csv").write_text(text)
+    bundles = {name: run_pipeline(load_config(d / "config.json")) for name, d in sessions.items()}
+    recorded = bundle_bytes(bundles["recorded"])
+    assert "joints.csv" in recorded and recorded == bundle_bytes(bundles["reordered"])
+
+
+def survey_records(rng: np.random.Generator, count: int) -> list[dict]:
+    """Questionnaire B and D records that validation accepts, alternating,
+    over a few respondents, exoskeletons and working positions, with some
+    items left unanswered and ICU-only items only in ICU contexts."""
+    items = {q: load_schema(q).items for q in "BD"}
+    records = []
+    for i in range(count):
+        icu = bool(rng.random() < 0.5)
+        context = {"exoskeleton": ("Laevo", "Corfor", "none")[int(rng.integers(3))], "icu": icu}
+        record = {"respondent_id": f"p{int(rng.integers(1, 13)):02d}"}
+        if i % 2 == 0:
+            answers = {
+                item.item_id: int(rng.integers(1, 6))
+                for item in items["B"]
+                if (icu or not item.icu_only) and rng.random() >= 0.15
+            }
+            record.update(questionnaire_id="B", answers=answers, context=context)
+        else:
+            answers = {
+                item.item_id: BORG_VALUES[int(rng.integers(len(BORG_VALUES)))]
+                for item in items["D"]
+                if item.kind == "borg_cr10" and rng.random() >= 0.1
+            }
+            context.update(position=("head", "side")[int(rng.integers(2))], pp_index=i)
+            record.update(questionnaire_id="D", answers=answers, context=context)
+        records.append(record)
+    return records
+
+
+def test_shuffled_responses_leave_the_survey_tables(tmp_path):
+    """The order of the records in a responses file is not part of the
+    answers: the construct and Borg tables hold byte for byte."""
+    lines = [json.dumps(r) for r in survey_records(np.random.default_rng(3), 300)]
+    shuffled = [lines[k] for k in np.random.default_rng(4).permutation(len(lines))]
+    tables = []
+    for name, order in (("recorded", lines), ("shuffled", shuffled)):
+        directory = tmp_path / name
+        directory.mkdir()
+        (directory / "responses.jsonl").write_text("\n".join(order), encoding="utf-8")
+        config = {
+            "profile": {"height_m": 1.75, "mass_kg": 70.0},
+            "survey": {"responses_file": "responses.jsonl"},
+            "output_dir": "out",
+        }
+        (directory / "config.json").write_text(json.dumps(config))
+        bundle = run_pipeline(load_config(directory / "config.json"))
+        tables.append([bundle.files[key].read_bytes() for key in ("survey_constructs", "survey_borg")])
+    assert tables[0] == tables[1]

@@ -4,9 +4,9 @@ from scipy.optimize import lsq_linear
 
 from helpers import reference_two_level_step
 
+from exoload import qp, retarget
 from exoload.errors import InfeasibleBoundsError
 from exoload.qp import solve_hierarchy, solve_ls_qp
-from exoload.retarget import SolverSettings
 
 
 def objective(A, b, eps, x):
@@ -102,14 +102,15 @@ def test_deterministic_bit_identical():
     assert r1.iterations == r2.iterations
 
 
-def test_tolerance_sets_when_a_bound_is_released():
+def test_tolerance_sets_when_a_bound_is_released(monkeypatch):
     # coordinate 2 reaches its lower bound on the way to the optimum, then
     # wants back into the interior with a multiplier of about 0.05-0.1
     A = np.array([[1.1, 0.3, -0.5], [-1.3, -1.9, 0.0], [-0.8, -0.9, -0.2]])
     b = np.array([-0.2, -6.8, 2.8])
     lb, ub = -np.ones(3), np.ones(3)
     default = solve_ls_qp(A, b, 1e-6, lb, ub)
-    loose = solve_ls_qp(A, b, 1e-6, lb, ub, tolerance=0.1)
+    monkeypatch.setattr(qp, "_RELEASE_TOL", 0.1)
+    loose = solve_ls_qp(A, b, 1e-6, lb, ub)
     assert default.active_lower == [] and default.active_upper == [1]
     assert loose.active_lower == [2] and loose.active_upper == [1]
     assert loose.x[2] == -1.0 < default.x[2]
@@ -155,15 +156,17 @@ def test_fixed_problems_keep_iterations_and_active_sets(name, iterations, active
     assert all(type(i) is int for i in r.active_lower + r.active_upper)
 
 
-# bounds far outside every solution below, so no bound binds
-WIDE = SolverSettings(velocity_bound=100.0)
+@pytest.fixture
+def wide(monkeypatch):
+    """A velocity bound far outside every solution below, so no bound binds."""
+    monkeypatch.setattr(retarget, "VELOCITY_BOUND", 100.0)
 
 
-def hierarchy(settings, J1, v1, J2, v2):
-    """``solve_hierarchy`` with the regularization and bounds of
-    ``settings``, as the retargeter calls it."""
-    bound = np.full(J1.shape[1], settings.velocity_bound)
-    return solve_hierarchy(J1, v1, J2, v2, settings.epsilon, -bound, bound)
+def hierarchy(J1, v1, J2, v2):
+    """``solve_hierarchy`` with the retargeter's regularization and bounds,
+    as it calls it."""
+    bound = np.full(J1.shape[1], retarget.VELOCITY_BOUND)
+    return solve_hierarchy(J1, v1, J2, v2, retarget.EPSILON, -bound, bound)
 
 
 def assert_matches_oracle(got, want, tol):
@@ -173,7 +176,7 @@ def assert_matches_oracle(got, want, tol):
     assert got.active_upper == want.active_upper
 
 
-def test_hierarchy_matches_two_call_oracle_on_random_problems(active_set_calls):
+def test_hierarchy_matches_two_call_oracle_on_random_problems(active_set_calls, wide):
     """Well-conditioned two-level problems, and level-1-only ones, solved
     without the active set: the oracle's velocities within 1e-9, one
     iteration per level and no active bound."""
@@ -184,15 +187,15 @@ def test_hierarchy_matches_two_call_oracle_on_random_problems(active_set_calls):
         m2 = 0 if k % 5 == 0 else int(rng.integers(n, 2 * n))
         J1, J2 = rng.normal(size=(m1, n)), rng.normal(size=(m2, n))
         v1, v2 = rng.normal(size=m1), rng.normal(size=m2)
-        got = hierarchy(WIDE, J1, v1, J2, v2)
-        want = reference_two_level_step(J1, v1, J2, v2, WIDE)
+        got = hierarchy(J1, v1, J2, v2)
+        want = reference_two_level_step(J1, v1, J2, v2)
         assert_matches_oracle(got, want, 1e-9)
         assert want.iterations == (1 if m2 == 0 else 2) and want.saturated == []
     assert active_set_calls == []
 
 
 @pytest.mark.parametrize("name", ["tie", "seed100", "seed101", "seed102", "seed103"])
-def test_hierarchy_matches_two_call_oracle_on_fixed_problems(name, active_set_calls):
+def test_hierarchy_matches_two_call_oracle_on_fixed_problems(name, active_set_calls, wide):
     """The fixed problems above with wide bounds: level 1 is the problem's
     equality rows, or else its first two least-squares rows, and level 2
     the least-squares rows that level 1 does not hold. Level 2 has fewer
@@ -203,8 +206,8 @@ def test_hierarchy_matches_two_call_oracle_on_fixed_problems(name, active_set_ca
     p = fixed_problem(name)
     A, b = p["A"], p["b"]
     J1, v1, J2, v2 = (p["C"], p["C"] @ p["x0"], A, b) if "C" in p else (A[:2], b[:2], A[2:], b[2:])
-    got = hierarchy(WIDE, J1, v1, J2, v2)
-    assert_matches_oracle(got, reference_two_level_step(J1, v1, J2, v2, WIDE), 1e-8)
+    got = hierarchy(J1, v1, J2, v2)
+    assert_matches_oracle(got, reference_two_level_step(J1, v1, J2, v2), 1e-8)
     assert active_set_calls == []
 
 
@@ -217,22 +220,22 @@ def test_rank_deficient_level_one_runs_the_active_set_bit_identically(active_set
     J2, v2 = rng.normal(size=(9, 12)), rng.normal(size=9)
     v1 = np.append(rng.normal(size=4), 0.0)
     v1[4] = v1[1]
-    got = hierarchy(SolverSettings(), J1, v1, J2, v2)
-    want = reference_two_level_step(J1, v1, J2, v2, SolverSettings())
+    got = hierarchy(J1, v1, J2, v2)
+    want = reference_two_level_step(J1, v1, J2, v2)
     assert active_set_calls == [False, True]
     assert np.array_equal(got.x, want.x)
     assert_matches_oracle(got, want, 0.0)
 
 
-def test_binding_bound_runs_the_active_set_bit_identically(active_set_calls):
+def test_binding_bound_runs_the_active_set_bit_identically(active_set_calls, monkeypatch):
     """An interior optimum outside a 0.05 bound: the oracle's bits, its
     iterations and its active bounds."""
     rng = np.random.default_rng(25)
     J1, J2 = rng.normal(size=(3, 10)), rng.normal(size=(8, 10))
     v1, v2 = rng.normal(size=3), rng.normal(size=8)
-    tight = SolverSettings(velocity_bound=0.05)
-    got = hierarchy(tight, J1, v1, J2, v2)
-    want = reference_two_level_step(J1, v1, J2, v2, tight)
+    monkeypatch.setattr(retarget, "VELOCITY_BOUND", 0.05)
+    got = hierarchy(J1, v1, J2, v2)
+    want = reference_two_level_step(J1, v1, J2, v2)
     assert active_set_calls == [False, True]
     assert want.saturated and want.iterations > 2
     assert np.array_equal(got.x, want.x)

@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import fields
 
 import numpy as np
@@ -16,7 +17,9 @@ from helpers import (
     tracked_dof_indices,
 )
 
+import exoload
 import exoload.io as eio
+from exoload import retarget
 from exoload.errors import FrameError, InfeasibleBoundsError, ValidationError
 from exoload.geometry import (
     IDENTITY_QUAT,
@@ -25,13 +28,12 @@ from exoload.geometry import (
     quat_to_matrix,
     quat_to_rotvec,
 )
-from exoload.qp import solve_hierarchy
+from exoload.qp import solve_hierarchy, solve_ls_qp
 from exoload.retarget import (
     CapturedTrajectory,
     FrameDiagnostics,
     Reference,
     SegmentTrack,
-    SolverSettings,
     TaskSpec,
     _Plan,
     _estimate_com_track,
@@ -127,7 +129,8 @@ def test_strict_priority_under_conflict(model):
     assert abs(sol_full.level1_residual - sol_l1.level1_residual) <= 1e-8
 
 
-def test_velocity_bounds_respected_and_reported(model):
+def test_velocity_bounds_respected_and_reported(model, monkeypatch):
+    monkeypatch.setattr(retarget, "VELOCITY_BOUND", 0.05)
     q = model.upright_configuration()
     tasks = default_task_stack()
     refs = current_pose_references(model, q, tasks)
@@ -135,15 +138,14 @@ def test_velocity_bounds_respected_and_reported(model):
         position=refs["right_wrist"].position + np.array([2.0, 0.0, 1.0]),
         rotation=np.eye(3),
     )
-    settings = SolverSettings(velocity_bound=0.05)
-    sol = solve_frame(model, q, tasks, refs, 1.0 / 240.0, settings)
+    sol = solve_frame(model, q, tasks, refs, 1.0 / 240.0)
     assert np.max(np.abs(sol.velocity)) <= 0.05 + 1e-12
     assert sol.diagnostics.active_constraints  # some coordinate saturates
 
 
-def test_solver_gain_applies_to_an_explicit_stack(model):
+def test_solver_gain_applies_to_an_explicit_stack(model, monkeypatch):
     """With zero feedforward and no active bound, the velocity is linear in
-    the feedback gain: doubling ``SolverSettings.gain`` doubles it."""
+    the feedback gain: doubling ``GAIN`` doubles it."""
     q = model.upright_configuration()
     tasks = default_task_stack()
     refs = current_pose_references(model, q, tasks)
@@ -152,12 +154,11 @@ def test_solver_gain_applies_to_an_explicit_stack(model):
         frame: Reference(position=ref.position + offset, rotation=ref.rotation)
         for frame, ref in refs.items()
     }
-    slow = solve_frame(model, q, tasks, refs, 1 / 240, SolverSettings(gain=10.0)).velocity
-    fast = solve_frame(model, q, tasks, refs, 1 / 240, SolverSettings(gain=20.0)).velocity
+    slow = solve_frame(model, q, tasks, refs, 1 / 240).velocity
+    monkeypatch.setattr(retarget, "GAIN", 2.0 * retarget.GAIN)
+    fast = solve_frame(model, q, tasks, refs, 1 / 240).velocity
     assert np.max(np.abs(slow)) > 1e-3
     assert np.max(np.abs(fast - 2.0 * slow)) <= 1e-12 * np.max(np.abs(fast))
-    with pytest.raises(ValidationError, match="gain must be positive"):
-        SolverSettings(gain=0.0)
 
 
 def test_retarget_stationary_input(model):
@@ -256,7 +257,7 @@ def test_trajectory_references_match_per_frame_formulas(model):
     tracks = _reference_tracks(model, captured, tasks)
     dt = 1.0 / 240.0
     n = captured.n_frames
-    plan = _Plan(model, tasks, SolverSettings())
+    plan = _Plan(model, tasks)
     refs = _trajectory_references(plan, tracks, n, dt)
     assert refs.positions.shape == refs.linear_velocities.shape == (n, len(plan.position_tasks), 3)
     assert refs.rotations.shape == (n, len(plan.orientation_tasks), 3, 3)
@@ -293,7 +294,7 @@ CUSTOM_STACK = [
 
 
 @pytest.mark.parametrize("stack", ["default", "custom"])
-def test_plan_rows_match_per_task_assembly(model, stack):
+def test_plan_rows_match_per_task_assembly(model, monkeypatch, stack):
     """The one-pass rows of a frame equal the per-task Jacobians and velocity
     references stacked per level, on a moving base with the references a
     few frames ahead of the configuration, at a gain other than the
@@ -302,7 +303,8 @@ def test_plan_rows_match_per_task_assembly(model, stack):
     gain = 7.0
     configurations = moving_base_trajectory(model, 0.5)
     captured = capture_from_configurations(model, configurations, 240.0)
-    plan = _Plan(model, tasks, SolverSettings(gain=gain))
+    monkeypatch.setattr(retarget, "GAIN", gain)
+    plan = _Plan(model, tasks)
     tracks = _reference_tracks(model, captured, tasks)
     refs = _trajectory_references(plan, tracks, captured.n_frames, 1 / 240)
     per_frame = reference_frame_references(model, captured, tasks)
@@ -317,7 +319,7 @@ def test_plan_rows_match_per_task_assembly(model, stack):
 
 
 def test_plan_orders_levels_and_rejects_bad_stacks(model):
-    plan = _Plan(model, CUSTOM_STACK, SolverSettings())
+    plan = _Plan(model, CUSTOM_STACK)
     # level 1 first, stack order within a level
     assert [task.frame for task in plan.position_tasks] == [
         "pelvis", "com", "left_foot", "right_wrist", "thorax"
@@ -327,23 +329,22 @@ def test_plan_orders_levels_and_rejects_bad_stacks(model):
     ]
     assert plan.n_level1_rows == 15 and plan.n_rows == 27
     with pytest.raises(ValidationError, match="no level-1 tasks"):
-        _Plan(model, [TaskSpec("thorax", "both", 2)], SolverSettings())
+        _Plan(model, [TaskSpec("thorax", "both", 2)])
     with pytest.raises(ValidationError, match="only supports position"):
-        _Plan(model, [TaskSpec("com", "both", 1)], SolverSettings())
+        _Plan(model, [TaskSpec("com", "both", 1)])
     with pytest.raises(ValidationError, match="unknown frame"):
-        _Plan(model, [TaskSpec("tail", "position", 1)], SolverSettings())
+        _Plan(model, [TaskSpec("tail", "position", 1)])
 
 
-def test_retarget_loop_matches_per_task_loop_when_saturating(model):
+def test_retarget_loop_matches_per_task_loop_when_saturating(model, monkeypatch):
     """A moving, yawing pelvis under a tight 0.6 rad/s velocity bound, which
     saturates: the one-pass loop takes the per-task loop's QP iterations,
     active sets and skips, and lands on its joint angles."""
     configurations = moving_base_trajectory(model, 0.4)
     captured = capture_from_configurations(model, configurations, 240.0)
-    tasks = default_task_stack()
-    settings = SolverSettings(velocity_bound=0.6)
-    result = retarget_trajectory(model, captured, tasks, settings)
-    expected, diagnostics = reference_retarget(model, captured, tasks, settings)
+    monkeypatch.setattr(retarget, "VELOCITY_BOUND", 0.6)
+    result = retarget_trajectory(model, captured)
+    expected, diagnostics = reference_retarget(model, captured)
     assert sum(1 for d in diagnostics if d.active_constraints) >= 10
     assert max(d.iterations for d in diagnostics) > 2
     for name in ("iterations", "active_constraints", "skipped"):
@@ -367,17 +368,17 @@ def test_fused_step_matches_two_call_oracle_on_every_frame(model, trajectory):
     the two active-set calls' velocity within 1e-9, their iterations and
     active bounds, and the frame's diagnostics are the oracle's."""
     captured = capture_from_configurations(model, trajectory(model, 1.0), 240.0)
-    tasks, settings = default_task_stack(), SolverSettings()
-    plan = _Plan(model, tasks, settings)
+    tasks = default_task_stack()
+    plan = _Plan(model, tasks)
     n, dt = captured.n_frames, 1.0 / captured.sample_rate
     refs = _trajectory_references(plan, _reference_tracks(model, captured, tasks), n, dt)
-    result = retarget_trajectory(model, captured, tasks, settings)
-    bound = np.full(model.n_velocity, settings.velocity_bound)
+    result = retarget_trajectory(model, captured)
+    bound = np.full(model.n_velocity, retarget.VELOCITY_BOUND)
     q = model.upright_configuration()
     for k in range(n):
         rows = level_rows(plan, q, refs, k)
-        got = solve_hierarchy(*rows, settings.epsilon, -bound, bound)
-        want = reference_two_level_step(*rows, settings)
+        got = solve_hierarchy(*rows, retarget.EPSILON, -bound, bound)
+        want = reference_two_level_step(*rows)
         assert np.max(np.abs(got.x - want.x)) <= 1e-9, k
         assert (got.iterations, got.active_lower, got.active_upper) == (
             want.iterations, want.active_lower, want.active_upper
@@ -387,12 +388,12 @@ def test_fused_step_matches_two_call_oracle_on_every_frame(model, trajectory):
 
 
 @pytest.mark.parametrize("case", ["duplicated-level-1-rows", "binding-velocity-bound"])
-def test_fallback_frames_are_bit_identical_to_two_call_oracle(model, active_set_calls, case):
+def test_fallback_frames_are_bit_identical_to_two_call_oracle(model, active_set_calls, monkeypatch, case):
     """A level 1 that lists a foot twice fails the rank test, and a 0.05
     rad/s bound binds on a wrist reach: both frames run the two active-set
     calls and give the oracle's bits and diagnostics."""
     q = model.upright_configuration()
-    tasks, settings = default_task_stack(), SolverSettings()
+    tasks = default_task_stack()
     refs = current_pose_references(model, q, tasks)
     refs["right_wrist"] = Reference(
         position=refs["right_wrist"].position + np.array([0.2, 0.0, 0.1]), rotation=np.eye(3)
@@ -400,12 +401,10 @@ def test_fallback_frames_are_bit_identical_to_two_call_oracle(model, active_set_
     if case == "duplicated-level-1-rows":
         tasks = tasks + [TaskSpec("left_foot", "both", 1)]
     else:
-        settings = SolverSettings(velocity_bound=0.05)
-    sol = solve_frame(model, q, tasks, refs, 1.0 / 240.0, settings)
-    plan = _Plan(model, tasks, settings)
-    want = reference_two_level_step(
-        *level_rows(plan, q, _frame_reference_arrays(plan, refs), 0), settings
-    )
+        monkeypatch.setattr(retarget, "VELOCITY_BOUND", 0.05)
+    sol = solve_frame(model, q, tasks, refs, 1.0 / 240.0)
+    plan = _Plan(model, tasks)
+    want = reference_two_level_step(*level_rows(plan, q, _frame_reference_arrays(plan, refs), 0))
     assert active_set_calls == [False, True]
     assert np.array_equal(sol.velocity, want.x)
     assert sol.diagnostics == FrameDiagnostics(want.iterations, want.saturated)
@@ -613,12 +612,12 @@ def test_retarget_matches_the_allocating_loop_bit_for_bit(model, monkeypatch, ca
         "skipped-frames": lambda: moving_base_trajectory(model, 0.03),
     }[case]()
     captured = capture_from_configurations(model, trajectory, 240.0)
-    tasks = default_task_stack()
-    settings = SolverSettings(velocity_bound=0.6) if case == "saturating" else SolverSettings()
+    if case == "saturating":
+        monkeypatch.setattr(retarget, "VELOCITY_BOUND", 0.6)
     calls = skip_calls(monkeypatch, {0, 3, 4} if case == "skipped-frames" else set())
-    result = retarget_trajectory(model, captured, tasks, settings)
+    result = retarget_trajectory(model, captured)
     calls.clear()
-    expected, diagnostics = reference_allocating_retarget(model, captured, tasks, settings)
+    expected, diagnostics = reference_allocating_retarget(model, captured)
     for name in ("base_position", "base_orientation", "joint_angles"):
         got, want = getattr(result.configurations, name), getattr(expected, name)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
@@ -656,15 +655,14 @@ def test_retarget_builds_its_per_frame_objects_once(model, monkeypatch):
     assert per_capture[240].get("KinematicState", 0) == 0
 
 
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [
-        ({"velocity_bound": -1.0}, "velocity_bound must be positive"),
-        ({"epsilon": 0.0}, "epsilon must be positive"),
-        ({"gain": float("nan")}, "gain must be positive"),
-        ({"velocity_bound": float("inf")}, "velocity_bound must be positive and finite"),
-    ],
-)
-def test_solver_settings_built_in_code_are_checked(kwargs, message):
-    with pytest.raises(ValidationError, match=message):
-        SolverSettings(**kwargs)
+def test_the_method_takes_no_settings():
+    """The retargeting QP's regularization, gain and velocity bound, and the
+    active-set loop's iteration cap and release tolerance, are the code's
+    constants: no signature or settings object carries them."""
+    assert list(inspect.signature(retarget_trajectory).parameters) == ["model", "captured"]
+    assert list(inspect.signature(solve_frame).parameters) == [
+        "model", "q_current", "tasks", "references", "dt"
+    ]
+    assert list(inspect.signature(solve_ls_qp).parameters) == ["A", "b", "eps", "lb", "ub", "C", "x0"]
+    assert not hasattr(exoload, "SolverSettings") and not hasattr(retarget, "SolverSettings")
+    assert (retarget.EPSILON, retarget.GAIN, retarget.VELOCITY_BOUND) == (1e-6, 10.0, 10.0)
