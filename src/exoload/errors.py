@@ -65,13 +65,40 @@ def open_input(path: str | Path, mode: str = "r"):
             raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
 
 
+def _unique_members(pairs: list[tuple[str, object]]) -> dict:
+    members = dict(pairs)
+    if len(members) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValidationError(f"repeated key {key!r}")
+            seen.add(key)
+    return members
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_members)  # one for every input and line
+
+
+def parse_json(text: str, where: object) -> object:
+    """One JSON document of an input, decoded as ``json.loads`` decodes it,
+    except that an object stating a key twice is an error naming ``where``
+    and the key, where ``json`` would keep the last value."""
+    try:
+        if text.startswith("\ufeff"):  # the check json.loads makes before decoding
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{where}: invalid JSON: {exc}") from None
+    except ValidationError as exc:  # a repeated key
+        raise ValidationError(f"{where}: {exc}") from None
+
+
 def load_json_file(path: str | Path) -> object:
-    """JSON input with structured errors for unreadable files and bad syntax."""
+    """JSON input with structured errors for unreadable files, bad syntax
+    and repeated keys."""
     with open_input(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+        text = fh.read()
+    return parse_json(text, path)
 
 
 def require_finite(values, where: str) -> None:

@@ -31,6 +31,7 @@ from .errors import (
     ValidationError,
     load_json_file,
     open_input,
+    parse_json,
     prefixed,
     uniform_spacing,
 )
@@ -82,10 +83,15 @@ def write_json(path: str | Path, payload: object) -> None:
 
 
 def _read_header(reader, path: str | Path) -> list[str]:
+    """The stripped header cells, each naming one column."""
     header = next(reader, None)
     if header is None:
         raise ValidationError(f"{path}: empty file")
-    return [h.strip() for h in header]
+    header = [h.strip() for h in header]
+    if len(set(header)) < len(header):
+        repeated = next(h for k, h in enumerate(header) if h in header[:k])
+        raise ValidationError(f"{path}: column {repeated!r} appears twice in the header")
+    return header
 
 
 def _records(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
@@ -296,11 +302,8 @@ def read_responses_file(path: str | Path) -> list[ResponseSet]:
             line = line.strip()
             if not line:
                 continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-            out.append(parse_response(payload, f"{path}: line {lineno}"))
+            where = f"{path}: line {lineno}"
+            out.append(parse_response(parse_json(line, where), where))
     if not out:
         raise ValidationError(f"{path}: no responses")
     return out

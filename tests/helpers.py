@@ -322,8 +322,9 @@ def reference_read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
     """A numeric CSV file as the readers parsed it before the bulk C pass:
     every cell a Python string from ``csv.reader``, one ``np.array`` call over
     the rows, and ``float`` cell by cell when that call refuses. The oracle of
-    ``io._read_table``; it raises ``ValidationError`` on every body it
-    rejects (its row numbers count data records, not file lines)."""
+    ``io._read_table``; it raises ``ValidationError`` on a header that names
+    a column twice and on every body it rejects (its row numbers count data
+    records, not file lines)."""
     with eio.open_input(path) as fh:
         reader = csv.reader(fh)
         try:
@@ -332,6 +333,8 @@ def reference_read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
             raise ValidationError(f"{path}: empty file") from None
         rows = [row for row in reader if row]
     header = [h.strip() for h in header]
+    if len(set(header)) < len(header):
+        raise ValidationError(f"{path}: a column appears twice in the header")
     for k, row in enumerate(rows):
         if len(row) != len(header):
             raise ValidationError(f"{path}: row {k + 2}: expected {len(header)} cells, got {len(row)}")

@@ -1,9 +1,15 @@
 """Module layering: the kinematics layer reaches none of the layers built on
-it, so its task-row layout cannot be reached through a circular import, and
-no module imports another inside a function."""
+it, so its task-row layout cannot be reached through a circular import; no
+module imports another inside a function; and the package root binds only
+the motion library's names, so importing it loads no file, pipeline,
+biosignal or survey layer."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+from types import ModuleType
 
 import exoload
 
@@ -97,3 +103,44 @@ def test_import_scan_tells_module_level_from_function_level(tmp_path):
     )
     assert imported_exoload_modules(source, "module") == {"geometry", "posture"}
     assert imported_exoload_modules(source, "function") == {"io"}
+
+
+REPO = Path(exoload.__file__).resolve().parents[2]
+LIBRARY_ONLY = {"io", "pipeline", "biosignals", "surveys", "cli"}
+
+
+def names_imported_from_the_root(source: str) -> set[str]:
+    """The names a source imports ``from exoload``, submodules left out."""
+    package = Path(exoload.__file__).parent
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "exoload"
+        for alias in node.names
+        if not (package / f"{alias.name}.py").exists()
+    }
+
+
+def test_the_package_root_exports_what_is_imported_through_it():
+    """The root binds exactly the names that README's Quick start and the
+    benchmark import from it; every other name is imported from its module."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    quick_start = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    imported = names_imported_from_the_root(quick_start)
+    for path in sorted((REPO / "bench").glob("*.py")):
+        imported |= names_imported_from_the_root(path.read_text(encoding="utf-8"))
+    exported = {n for n, v in vars(exoload).items() if not n.startswith("_") and not isinstance(v, ModuleType)}
+    assert exported == imported, (sorted(exported - imported), sorted(imported - exported))
+
+
+def test_import_scan_of_the_root_leaves_submodules_out():
+    source = "from exoload import build_model, io\nfrom exoload.io import parse_motion_file\nimport exoload\n"
+    assert names_imported_from_the_root(source) == {"build_model"}
+
+
+def test_the_package_root_loads_no_file_pipeline_biosignal_or_survey_layer():
+    code = "import sys, exoload; print(' '.join(m for m in sys.modules if m.startswith('exoload.')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(exoload.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    loaded = {name.split(".", 1)[1] for name in done.stdout.split()}
+    assert "skeleton" in loaded and not loaded & LIBRARY_ONLY, sorted(loaded)

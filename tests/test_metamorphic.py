@@ -1,7 +1,8 @@
 """Metamorphic oracles: a session transformed in a way the analysis must not
-see (a rigid move of the capture, a heavier subject, a later clock, the
-capture's columns or the responses' lines in another order) against the
-same session untransformed."""
+see, or must see only as a relabelling (a rigid move or a mirror of the
+capture, a heavier subject, a later clock, the capture's columns, the
+responses' lines or the EMG trials in another order), against the same
+session untransformed."""
 
 import csv
 import json
@@ -12,10 +13,12 @@ import pytest
 from helpers import (
     capture_from_configurations,
     sinusoid_trajectory,
+    synthetic_ecg,
     write_bend_session,
     write_motion_file,
 )
 
+from exoload import io as eio
 from exoload.dynamics import net_lumbar_series
 from exoload.geometry import quat_multiply
 from exoload.io import POSE_SUFFIXES
@@ -86,6 +89,43 @@ def test_a_rigidly_moved_capture_replays_the_same_torque_and_joints(model, unmov
     moved_tau, moved_angles, _ = replay(model, moved(captured, shift, yaw_deg))
     assert np.max(np.abs(moved_tau - tau_net)) <= RIGID_TAU_TOL_NM
     assert np.max(np.abs(moved_angles - angles)) <= RIGID_ANGLE_TOL_DEG
+
+
+def other_side(name: str) -> str:
+    """A left segment or DoF name for its right partner, and back; a
+    midline name for itself."""
+    for side, other in (("left_", "right_"), ("right_", "left_")):
+        if name.startswith(side):
+            return other + name[len(side) :]
+    return name
+
+
+def mirrored(captured: CapturedTrajectory) -> CapturedTrajectory:
+    """The capture reflected through the world XZ plane: every position's y
+    negated, every orientation conjugated by the reflection (``(w, x, y, z)``
+    to ``(w, -x, y, -z)``), and the left and right tracks swapped."""
+    flip_y, flip_q = np.array([1.0, -1.0, 1.0]), np.array([1.0, -1.0, 1.0, -1.0])
+    tracks = {
+        other_side(name): SegmentTrack(track.positions * flip_y, track.quaternions * flip_q)
+        for name, track in captured.segments.items()
+    }
+    return CapturedTrajectory(captured.times.copy(), tracks)
+
+
+def test_a_mirrored_capture_replays_the_same_torque_and_mirrored_joints(model, unmoved):
+    """Left and right swapped through the sagittal plane: the sagittal net
+    lumbar torque holds, and each joint angle is its partner's, with the
+    same sign about a Y axis and the opposite sign about an X or Z axis,
+    since a reflection turns those rotations the other way."""
+    captured, tau_net, angles = unmoved
+    mirror_tau, mirror_angles, _ = replay(model, mirrored(captured))
+    axes = np.array([dof.axis for joint in model.joints for dof in joint.dofs], dtype=float)
+    assert np.array_equal(np.abs(axes).sum(axis=1), np.ones(len(axes)))  # each about one world axis
+    sign = np.where(axes[:, 1] != 0.0, 1.0, -1.0)
+    partner = [model.dof_names.index(other_side(name)) for name in model.dof_names]
+    assert partner != list(range(len(partner)))
+    assert np.max(np.abs(mirror_tau - tau_net)) <= RIGID_TAU_TOL_NM
+    assert np.max(np.abs(mirror_angles - sign * angles[:, partner])) <= RIGID_ANGLE_TOL_DEG
 
 
 def torque_column(bundle, name: str) -> np.ndarray:
@@ -215,3 +255,45 @@ def test_shuffled_responses_leave_the_survey_tables(tmp_path):
         bundle = run_pipeline(load_config(directory / "config.json"))
         tables.append([bundle.files[key].read_bytes() for key in ("survey_constructs", "survey_borg")])
     assert tables[0] == tables[1]
+
+
+def test_emg_trials_listed_in_another_order_give_the_same_rows(tmp_path):
+    """The order of ``emg.trial_files`` orders the change table and the
+    boxplot records, and nothing else: the rows and records are the same,
+    and every other bundle file but the manifest holds byte for byte."""
+    rng = np.random.default_rng(6)
+    channels = {
+        "baseline": ("ESL_L", "ESL_R", "TA"),
+        "PS": ("ESL_L", "ESL_R", "TA"),
+        "head": ("ESL_L", "TA"),
+        "side": ("ESL_R", "RA"),  # a channel the baseline lacks: an NA row
+    }
+    t = np.arange(3000) / 2000.0
+    for name, names in channels.items():
+        columns = [t] + [rng.uniform(20.0, 80.0) * rng.standard_normal(t.size) for _ in names]
+        eio.write_csv(tmp_path / f"{name}.csv", ["time_s", *names], np.column_stack(columns))
+    ecg, _ = synthetic_ecg(500.0, 10.0, 70.0, snr_db=25.0, seed=2)
+    eio.write_csv(tmp_path / "ecg.csv", ["time_s", "lead_I"], np.column_stack([np.arange(ecg.size) / 500.0, ecg]))
+    trials = {label: f"{label}.csv" for label in ("PS", "head", "side")}
+    outputs = {}
+    for name, order in (("listed", list(trials)), ("reversed", list(reversed(trials)))):
+        config = {
+            "profile": {"height_m": 1.75, "mass_kg": 70.0},
+            "emg": {"baseline_file": "baseline.csv", "trial_files": {label: trials[label] for label in order}},
+            "ecg": {"files": {"PS": "ecg.csv"}},
+            "output_dir": name,
+        }
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+        outputs[name] = bundle_bytes(run_pipeline(load_config(tmp_path / f"{name}.json")))
+    listed, reordered = outputs["listed"], outputs["reversed"]
+    assert set(listed) == set(reordered) >= {"emg_changes.csv", "boxplot_data.json", "heart_rate.csv"}
+    header, *rows = listed.pop("emg_changes.csv").decode().splitlines()
+    other_header, *other_rows = reordered.pop("emg_changes.csv").decode().splitlines()
+    assert other_header == header and other_rows != rows and sorted(other_rows) == sorted(rows)
+    assert any(row.endswith(",NA") for row in rows)
+    records, other_records = (
+        [json.dumps(record, sort_keys=True) for record in json.loads(files.pop("boxplot_data.json"))]
+        for files in (listed, reordered)
+    )
+    assert other_records != records and sorted(other_records) == sorted(records)
+    assert listed == reordered

@@ -459,6 +459,83 @@ def test_cli_non_finite_motion_cell_exits_2_naming_the_file(tmp_path, capsys):
     assert "motion.csv: row 6" in err and "non-finite" in err
 
 
+def write_repeated_column_session(directory, kind: str):
+    """A session whose ``kind`` input file names a column twice: the motion
+    capture's ``pelvis_px``, the EMG trial's ``ESL_L`` or the ECG's
+    ``lead_I``, the second copy holding other values. Returns the config
+    path and the file."""
+    if kind == "motion":
+        config_path = write_bend_session(directory, duration_s=0.5, with_annotation=False)
+        path = directory / "motion.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = [lines[0] + ",pelvis_px"] + [line + ",5.0" for line in lines[1:]]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return config_path, path
+    if kind == "emg":
+        write_emg_csv(directory / "baseline.csv", 2000.0, 2.0, {"ESL_L": 50.0})
+        path = directory / "trial.csv"
+        t = np.arange(4000) / 2000.0
+        rng = np.random.default_rng(9)
+        columns = [t, 40.0 * rng.standard_normal(t.size), 80.0 * rng.standard_normal(t.size)]
+        eio.write_csv(path, ["time_s", "ESL_L", "ESL_L"], np.column_stack(columns))
+        session = {"emg": {"baseline_file": "baseline.csv", "trial_files": {"PS": "trial.csv"}}}
+    else:
+        path = directory / "ecg.csv"
+        signal, _ = synthetic_ecg(500.0, 10.0, 66.0, snr_db=25.0, seed=11)
+        columns = [np.arange(signal.size) / 500.0, signal, np.zeros(signal.size)]
+        eio.write_csv(path, ["time_s", "lead_I", "lead_I"], np.column_stack(columns))
+        session = {"ecg": {"files": {"PS": "ecg.csv"}}}
+    config = {"profile": {"height_m": 1.75, "mass_kg": 70.0}, "output_dir": "out", **session}
+    (directory / "config.json").write_text(json.dumps(config))
+    return directory / "config.json", path
+
+
+@pytest.mark.parametrize("kind, column", [("motion", "pelvis_px"), ("emg", "ESL_L"), ("ecg", "lead_I")])
+def test_cli_repeated_csv_column_exits_2_naming_the_file_and_column(tmp_path, capsys, kind, column):
+    """A header that names a column twice is an error, not the last copy's
+    values under that name."""
+    config_path, path = write_repeated_column_session(tmp_path, kind)
+    assert cli.main(["pipeline", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: column {column!r} appears twice in the header" in err
+    assert list((tmp_path / "out").glob("*")) == []  # the run wrote no file
+
+
+SURVEY_CONFIG = '"survey": {"responses_file": "responses.jsonl"}, "output_dir": "out"'
+REPEATED_KEYS = {
+    "config": (
+        '{"profile": {"height_m": 1.75, "mass_kg": 70.0}, ' + SURVEY_CONFIG + ', "seed": 5, "seed": 9}',
+        "seed",
+    ),
+    "config-nested": (
+        '{"profile": {"height_m": 1.75, "height_m": 1.8, "mass_kg": 70.0}, ' + SURVEY_CONFIG + "}",
+        "height_m",
+    ),
+    "responses-line": ('{"respondent_id": "p3", "questionnaire_id": "B", "respondent_id": "p4"}', "respondent_id"),
+}
+
+
+@pytest.mark.parametrize("case", list(REPEATED_KEYS))
+def test_cli_repeated_json_key_exits_2_naming_the_file_and_key(tmp_path, capsys, case):
+    """A JSON object that states a key twice is an error, not the last
+    value: in a file read whole, at any depth, and on one line of a
+    responses file."""
+    text, key = REPEATED_KEYS[case]
+    responses = tmp_path / "responses.jsonl"
+    write_responses(responses)
+    config_path = write_survey_config(tmp_path)
+    if case == "responses-line":
+        lines = responses.read_text(encoding="utf-8").splitlines() + [text]
+        responses.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        where = f"{responses}: line {len(lines)}"
+    else:
+        config_path.write_text(text)
+        where = str(config_path)
+    assert cli.main(["pipeline", "--config", str(config_path)]) == 2
+    assert f"{where}: repeated key {key!r}" in capsys.readouterr().err
+    assert list((tmp_path / "out").glob("*")) == []  # the run wrote no file
+
+
 def test_cli_irregular_frame_spacing_exits_2_naming_the_row(tmp_path, capsys):
     """A 240 Hz capture with one timestamp moved by half a frame: the error
     names the motion file and the row of the frame."""

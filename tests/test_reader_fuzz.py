@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from exoload import io as eio
 from exoload.anthropometry import AnthropometricProfile, load_table_file
 from exoload.dynamics import load_exoskeleton_params
-from exoload.errors import ValidationError, finite_number, uniform_spacing
+from exoload.errors import ValidationError, finite_number, parse_json, uniform_spacing
 from exoload.pipeline import MOTION_FIELDS, SessionConfig, _segment_aliases, load_config
 from exoload.retarget import DT_JITTER_TOL
 
@@ -152,6 +152,7 @@ def numeric_tables(draw):
 @example(b"time_s,a\r\n0, 1 \r\n\r\n\"1\",inf\r\n")
 @example(b"time_s\n \n1\n")
 @example(b"time_s,a\n")
+@example(b"time_s,a, a\n0,1,2\n")
 def test_bulk_table_reader_equals_the_per_cell_oracle(content):
     """``io._read_table`` returns the oracle's header and, bit for bit, its
     array, or both reject the file."""
@@ -419,13 +420,44 @@ SIDECARS = st.fixed_dictionaries(
 )
 
 
-def sidecar_accepted(content: bytes, rate: float) -> bool:
-    """The sidecar rule on its own: a JSON object whose units, if stated,
-    are EMG units and whose sample rate, if stated, is a positive finite
-    number within 1% of ``rate``."""
+def no_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError("repeated key")
+    return dict(pairs)
+
+
+@FUZZ
+@given(st.one_of(JSON_VALUES.map(json.dumps), st.text(max_size=24)))
+@example("\ufeff{}")
+@example('{"a": 1, "b": 2, "a": 3}')
+@example('[{"a": 1}, {"a": 1}]')
+def test_parse_json_decodes_as_json_loads_and_rejects_repeated_keys(text):
+    """Every JSON input decodes as ``json.loads`` decodes it, errors and
+    their messages included, but for an object that states a key twice."""
     try:
-        payload = json.loads(content.decode("utf-8"))
-    except ValueError:  # not UTF-8, or not JSON
+        expected = json.loads(text, object_pairs_hook=no_repeated_keys)
+    except ValueError as exc:
+        try:
+            parse_json(text, "in")
+        except ValidationError as raised:
+            if str(exc) == "repeated key":
+                assert str(raised).startswith("in: repeated key ")
+            else:
+                assert str(raised) == f"in: invalid JSON: {exc}"
+        else:
+            raise AssertionError(f"accepted {text!r}") from None
+    else:
+        assert json.dumps(parse_json(text, "in")) == json.dumps(expected)
+
+
+def sidecar_accepted(content: bytes, rate: float) -> bool:
+    """The sidecar rule on its own: a JSON object, no key stated twice at
+    any depth, whose units, if stated, are EMG units and whose sample rate,
+    if stated, is a positive finite number within 1% of ``rate``."""
+    try:
+        payload = json.loads(content.decode("utf-8"), object_pairs_hook=no_repeated_keys)
+    except ValueError:  # not UTF-8, not JSON, or a key stated twice
         return False
     if not isinstance(payload, dict) or payload.get("units") not in (None, "uV", "µV"):
         return False
@@ -442,6 +474,7 @@ def sidecar_accepted(content: bytes, rate: float) -> bool:
 @example(b'{"sample_rate": "2000"}')
 @example(b'{"units": "uV", "sample_rate": 1009}')
 @example(b'{"units": "uV", "sample_rate": 2000}')
+@example(b'{"units": "mV", "units": "uV"}')
 def test_read_emg_file_with_sidecar_parses_or_rejects(content):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "emg.csv"
