@@ -10,12 +10,11 @@ another from a file instead.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import JsonFields, ValidationError, load_json_file, prefixed
+from .errors import JsonFields, ValidationError, load_json_file, parse_json, prefixed
 
 MASS_FRACTION_TOL = 1e-9
 
@@ -104,5 +103,6 @@ def load_table_file(path: str | Path) -> CoefficientTable:
 @functools.cache
 def default_table() -> CoefficientTable:
     """The table that ships with the package."""
-    text = resources.files("exoload.data").joinpath("coefficients_default.json").read_text("utf-8")
-    return parse_table(json.loads(text), "coefficients_default.json")
+    name = "coefficients_default.json"
+    text = resources.files("exoload.data").joinpath(name).read_text("utf-8")
+    return parse_table(parse_json(text, name), name)

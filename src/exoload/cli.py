@@ -1,11 +1,12 @@
 """Command-line interface.
 
-One subcommand per branch of the JSON session config (``motion``, ``emg``,
-``ecg``, ``survey``) plus ``pipeline``, which runs every branch. Each takes
-``--config`` and runs its branch through ``run_pipeline``, which writes every
-output file. Every session setting, the seed the manifest records included,
-comes from the config file, and the method's settings are the code's
-constants; ``--output-dir`` overrides only where the bundle goes.
+One command, ``pipeline``, runs every branch that the JSON session config
+named by ``--config`` holds (motion, EMG, ECG, survey) through
+``run_pipeline``, which writes every output file. The config alone chooses
+the branches: a run of a subset is a config that holds only that subset.
+Every session setting, the seed the manifest records included, comes from
+the config file, and the method's settings are the code's constants;
+``--output-dir`` overrides only where the bundle goes.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 
@@ -32,16 +33,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-# the optional config branches, and the one each subcommand runs (None: all)
-BRANCHES = ("motion_file", "emg", "ecg", "survey")
-SUBCOMMAND_BRANCH = {
-    "pipeline": None,
-    "motion": "motion_file",
-    "emg": "emg",
-    "ecg": "ecg",
-    "survey": "survey",
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -53,18 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="session config JSON")
-        p.add_argument("--output-dir", help="override the config output directory")
-        return p
-
-    add("pipeline", "run every configured analysis branch and emit the report bundle")
-    add("motion", "retargeting, lumbar torques and back-flexion summaries: the motion bundle")
-    add("emg", "EMG envelope changes against the baseline recording")
-    add("ecg", "R-peak detection and heart-rate statistics")
-    add("survey", "validate and score questionnaire responses")
+    p = sub.add_parser("pipeline", help="run every analysis branch of the config and emit the report bundle")
+    p.add_argument("--config", help="session config JSON")
+    p.add_argument("--output-dir", help="override the config output directory")
     return parser
 
 
@@ -77,14 +59,8 @@ def _load_session(args: argparse.Namespace) -> SessionConfig:
     return config
 
 
-def _cmd_analysis(config: SessionConfig, command: str) -> None:
-    """Run the subcommand's config branch (every branch for ``pipeline``)
-    through ``run_pipeline`` and list the files it wrote."""
-    branch = SUBCOMMAND_BRANCH[command]
-    if branch is not None:
-        if getattr(config, branch) is None:
-            raise ValidationError(f"{config.config_path}: the {command} subcommand needs field {branch!r}")
-        config = dataclasses.replace(config, **{b: None for b in BRANCHES if b != branch})
+def _cmd_analysis(config: SessionConfig) -> None:
+    """Run the pipeline on the config and list the files it wrote."""
     bundle = run_pipeline(config)
     for key in sorted(bundle.files):
         print(f"{key}: {bundle.files[key]}")
@@ -94,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _cmd_analysis(_load_session(args), args.command)
+        _cmd_analysis(_load_session(args))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -61,12 +61,24 @@ def format_value(value: object) -> str:
     return str(value)
 
 
+@contextmanager
+def _open_output(path: str | Path):
+    """An output file opened for writing. An OS error while opening or
+    writing it, such as a directory at its path, is a validation error
+    naming it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]] | np.ndarray) -> None:
     """A CSV table, each cell as ``format_value`` writes it. The rows of a
     float array are joined from the ``repr`` of the plain floats of one
     ``tolist()``, which is what ``format_value`` gives and which never
     needs quoting."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
@@ -77,7 +89,7 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[o
 
 
 def write_json(path: str | Path, payload: object) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -137,14 +149,17 @@ def _parse_cells(path: str | Path) -> np.ndarray:
 
 
 def _read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """The header and body of a numeric CSV file: one data row per non-blank
-    record, one cell per column, every value finite. Errors name the file
-    line. The body converts in one C pass (``np.loadtxt`` on the path, which
-    it reads in chunks), which gives the doubles ``float`` gives; a body it
-    refuses goes through ``_parse_cells``."""
+    """The header and body of a numeric CSV file: a header whose first
+    column is ``time_s``, one data row per non-blank record, one cell per
+    column, every value finite. Errors name the file line. The body converts
+    in one C pass (``np.loadtxt`` on the path, which it reads in chunks),
+    which gives the doubles ``float`` gives; a body it refuses goes through
+    ``_parse_cells``."""
     with open_input(path) as fh:
         reader = csv.reader(fh)
         header = _read_header(reader, path)
+        if header[:1] != ["time_s"]:  # the cell's repr shows a byte-order mark
+            raise ValidationError(f"{path}: first column must be 'time_s', got {''.join(header[:1])!r}")
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # an empty body
@@ -193,8 +208,6 @@ def parse_motion_file(path: str | Path, aliases: Mapping[str, str] | None = None
     two file segments that would read as one model segment are an error.
     """
     header, data = _read_table(path)
-    if not header or header[0] != "time_s":
-        raise ValidationError(f"{path}: first column must be 'time_s', got {header[:1]}")
     groups: dict[str, dict[str, int]] = {}
     for idx, name in enumerate(header[1:], start=1):
         if "_" not in name:
@@ -239,8 +252,6 @@ def parse_annotation_file(path: str | Path) -> TrialAnnotation:
 def read_signal_csv(path: str | Path) -> tuple[float, dict[str, np.ndarray]]:
     """Generic biosignal CSV: ``time_s`` plus one column per channel."""
     header, data = _read_table(path)
-    if not header or header[0] != "time_s":
-        raise ValidationError(f"{path}: first column must be 'time_s'")
     if len(header) < 2:
         raise ValidationError(f"{path}: no signal channels")
     with _rows_named(path):

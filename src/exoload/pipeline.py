@@ -464,7 +464,9 @@ def _survey_tables(survey: SurveyConfig) -> Tables:
 def run_pipeline(config: SessionConfig) -> ReportBundle:
     """Execute every configured branch, then write the report bundle. Only
     ``output_dir`` is made before the branches run, so a run that fails
-    writes no file and leaves an earlier bundle there as it was.
+    before the report stage writes no file and leaves an earlier bundle
+    there as it was. A file the report stage cannot write is a validation
+    error naming it; the files written before it stay.
 
     The motion inputs are read first and the motion compute, the longest
     branch, runs last, so every input file is read and checked before

@@ -12,14 +12,13 @@ be revised without touching the scoring engine.
 from __future__ import annotations
 
 import functools
-import json
 import reprlib
 from dataclasses import dataclass, field
 from importlib import resources
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import JsonFields, ValidationError, finite_number, prefixed
+from .errors import JsonFields, ValidationError, finite_number, parse_json, prefixed
 from .posture import summarize
 
 QUESTIONNAIRE_IDS = ("A", "B", "C", "D", "E")
@@ -286,7 +285,7 @@ def load_schema(questionnaire_id: str) -> QuestionnaireSchema:
         )
     name = f"questionnaire_{questionnaire_id.lower()}.json"
     text = resources.files("exoload.data").joinpath(name).read_text("utf-8")
-    return parse_schema(json.loads(text), name)
+    return parse_schema(parse_json(text, name), name)
 
 
 def parse_response(payload: object, where: str = "response record") -> ResponseSet:

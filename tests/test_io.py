@@ -455,6 +455,28 @@ def test_biosignal_rate_range_error_names_file_and_rate_source(tmp_path, kind, r
     assert message in text
 
 
+@pytest.mark.parametrize(
+    "read, header",
+    [
+        (eio.parse_motion_file, minimal_motion_rows(2)[0]),
+        (eio.read_emg_file, ["time_s", "ESL_L"]),
+        (eio.read_ecg_file, ["time_s", "lead_I"]),
+    ],
+    ids=["motion", "emg", "ecg"],
+)
+def test_byte_order_mark_before_time_s_is_shown_in_the_error(tmp_path, read, header):
+    """A file saved with a UTF-8 byte-order mark reads its first header cell
+    with the mark in front of ``time_s``; every numeric reader rejects it
+    with one message that shows the cell it got."""
+    path = tmp_path / "data.csv"
+    rows = [[k / 1000.0] + [1.0] * (len(header) - 1) for k in range(50)]
+    write_rows(path, header, rows)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    with pytest.raises(ValidationError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: first column must be 'time_s', got '\\ufefftime_s'"
+
+
 def test_annotation_segment_must_start_before_it_ends(tmp_path):
     path = tmp_path / "annotation.json"
     segments = [{"label": "PS", "start": 0.0, "end": 1.0}, {"label": "SP", "start": 2.0, "end": 2.0}]

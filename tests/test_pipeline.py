@@ -352,7 +352,7 @@ def test_cli_pipeline_and_exit_codes(tmp_path, capsys):
         "output_dir": "out2",
     }
     (tmp_path / "ecg_config.json").write_text(json.dumps(config))
-    assert cli.main(["ecg", "--config", str(tmp_path / "ecg_config.json")]) == 3
+    assert cli.main(["pipeline", "--config", str(tmp_path / "ecg_config.json")]) == 3
 
 
 def run_cli_process(*args: str, code: str | None = None) -> subprocess.CompletedProcess:
@@ -413,7 +413,7 @@ def test_cli_emg_baseline_shorter_than_settle_in_names_the_baseline(tmp_path, ca
         "output_dir": "out",
     }
     (tmp_path / "config.json").write_text(json.dumps(config))
-    assert cli.main(["emg", "--config", str(tmp_path / "config.json")]) == 2
+    assert cli.main(["pipeline", "--config", str(tmp_path / "config.json")]) == 2
     err = capsys.readouterr().err
     assert f"{tmp_path / 'baseline.csv'}: empty signal" in err and "settle-in" in err
     assert "trial.csv" not in err
@@ -600,16 +600,16 @@ def test_cli_stray_linalg_error_exits_3_naming_the_subcommand(tmp_path, capsys, 
 
     monkeypatch.setattr("exoload.retarget.solve_hierarchy", singular)
     config_path = write_bend_session(tmp_path, duration_s=0.5, with_annotation=False)
-    assert cli.main(["motion", "--config", str(config_path)]) == 3
+    assert cli.main(["pipeline", "--config", str(config_path)]) == 3
     err = capsys.readouterr().err
-    assert "error: motion: numerical failure" in err and "SVD did not converge" in err
+    assert "error: pipeline: numerical failure" in err and "SVD did not converge" in err
 
 
 def test_cli_stage_commands(tmp_path, capsys):
-    """One motion subcommand runs every motion stage: retargeting, dynamics
-    and posture each leave their file."""
+    """``pipeline`` on a motion-only config runs every motion stage:
+    retargeting, dynamics and posture each leave their file."""
     config_path = write_bend_session(tmp_path, duration_s=0.5)
-    assert cli.main(["motion", "--config", str(config_path)]) == 0
+    assert cli.main(["pipeline", "--config", str(config_path)]) == 0
     for name in ("joints.csv", "torque_series.csv", "angle_summaries.csv"):
         assert (tmp_path / "out" / name).exists(), name
     with pytest.raises(SystemExit) as exc:  # boxplot_data.json has one writer, run_pipeline
@@ -618,24 +618,22 @@ def test_cli_stage_commands(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_motion_subcommands_write_the_same_bundle(tmp_path, capsys):
-    """motion and pipeline both run the motion branch through run_pipeline:
-    on a motion-only config they write the same files, byte for byte, and
-    list them on stdout."""
+@pytest.mark.parametrize("blocked", ["joints.csv", "manifest.json"])
+def test_a_bundle_file_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys, blocked):
+    """A directory at a bundle file's path is a validation error naming that
+    path, not a traceback. The report stage writes joints first and the
+    manifest last, and the files it wrote before the failure stay."""
     config_path = write_bend_session(tmp_path, duration_s=0.5)
     out = tmp_path / "out"
-    bundles = {}
-    for command in ("motion", "pipeline"):
-        assert cli.main([command, "--config", str(config_path)]) == 0
-        listed = {line.split(":")[0] for line in capsys.readouterr().out.splitlines()}
-        bundles[command] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        assert listed == {name.rsplit(".", 1)[0] for name in bundles[command]}
-        for p in out.iterdir():
-            p.unlink()
-    assert {"joints.csv", "torque_series.csv", "angle_summaries.csv", "manifest.json"} <= set(
-        bundles["pipeline"]
-    )
-    assert bundles["motion"] == bundles["pipeline"]
+    (out / blocked).mkdir(parents=True)
+    assert cli.main(["pipeline", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage report: cannot write ") and str(out / blocked) in err
+    written = {p.name for p in out.iterdir() if p.is_file()}
+    if blocked == "joints.csv":
+        assert written == set()
+    else:
+        assert {"joints.csv", "torque_series.csv", "angle_summaries.csv", "boxplot_data.json"} <= written
 
 
 @pytest.mark.parametrize(
@@ -645,6 +643,10 @@ def test_cli_motion_subcommands_write_the_same_bundle(tmp_path, capsys):
         ["retarget"],
         ["dynamics"],
         ["posture"],
+        ["motion"],  # a branch runs alone from a config that holds only that branch
+        ["emg"],
+        ["ecg"],
+        ["survey"],
         ["pipeline", "--motion", "motion.csv"],
         ["pipeline", "--annotation", "annotation.json"],
         ["pipeline", "--exoskeleton", "none"],
@@ -652,8 +654,9 @@ def test_cli_motion_subcommands_write_the_same_bundle(tmp_path, capsys):
     ],
 )
 def test_cli_removed_subcommands_and_overrides_exit_2(tmp_path, capsys, args):
-    """Every analysis setting comes from the config file: the per-stage
-    subcommands and the input overrides are gone, and argparse rejects them."""
+    """Every analysis setting comes from the config file: the per-stage and
+    per-branch subcommands and the input overrides are gone, and argparse
+    rejects them."""
     config_path = write_bend_session(tmp_path, duration_s=0.5)
     with pytest.raises(SystemExit) as exc:
         cli.main([*args, "--config", str(config_path)])
@@ -676,7 +679,6 @@ def test_readme_lists_the_cli_subcommands():
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert sorted(documented) == sorted(subparsers.choices)
     assert len(documented) == len(set(documented))
-    assert set(documented) == set(cli.SUBCOMMAND_BRANCH)
 
 
 def test_readme_config_example_and_exoskeleton_fields_match_the_code(tmp_path):
@@ -1113,14 +1115,6 @@ def test_config_rejects_unknown_fields(tmp_path, level):
         load_config(path)
 
 
-def test_cli_requires_branch_config(tmp_path, capsys):
-    config_path = write_bend_session(tmp_path, duration_s=0.5)
-    assert cli.main(["emg", "--config", str(config_path)]) == 2
-    assert f"{config_path}: the emg subcommand needs field 'emg'" in capsys.readouterr().err
-    assert cli.main(["motion", "--config", str(write_survey_config(tmp_path))]) == 2
-    assert "config.json: the motion subcommand needs field 'motion_file'" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -1194,7 +1188,7 @@ def test_config_rejects_settings_no_run_reads(tmp_path, capsys):
         exoskeleton="laevo",
     )
     survey.write_text(json.dumps(config))
-    assert cli.main(["survey", "--config", str(survey)]) == 2
+    assert cli.main(["pipeline", "--config", str(survey)]) == 2
     err = capsys.readouterr().err
     assert (
         f"{survey}: no motion_file, so no run reads "
@@ -1207,7 +1201,7 @@ def test_config_env_var(tmp_path, monkeypatch, capsys):
     gave it, set alone, is not read."""
     config_path = write_bend_session(tmp_path, duration_s=0.5, with_annotation=False)
     monkeypatch.setenv("EXOLOAD_CONFIG", str(config_path))
-    assert cli.main(["motion"]) == 2
+    assert cli.main(["pipeline"]) == 2
     assert capsys.readouterr().err == "error: no config given: pass --config\n"
     assert not (tmp_path / "out").exists()
 
