@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, require_finite
 from .filters import butter_sos, sosfilt
-from .posture import DistributionSummary, TrialAnnotation, summarize
+from .posture import DistributionSummary, summarize
 
 MUSCLE_CODES = ("ESL", "ESI", "TA", "BF", "RA", "RF", "GM", "TAL")
 
@@ -224,27 +224,10 @@ def instantaneous_heart_rate(beat_times: np.ndarray) -> HeartRateSeries:
     return HeartRateSeries(times=beat_times[1:][keep], bpm=bpm[keep])
 
 
-def heart_rate_stats(
-    beat_times: np.ndarray, annotation: TrialAnnotation
-) -> list[tuple[str, DistributionSummary]]:
-    """Per-label distribution summaries of the instantaneous heart rate.
-    An RR interval belongs to a label when both beats fall in [start, end)."""
-    beat_times = np.asarray(beat_times, dtype=float)
-    series = instantaneous_heart_rate(beat_times)
-    out = []
-    for seg in annotation.segments:
-        in_window = (beat_times >= seg.start) & (beat_times < seg.end)
-        window_beats = beat_times[in_window]
-        if window_beats.size < 2:
-            raise ValidationError(
-                f"label {seg.label!r}: fewer than two beats in [{seg.start}, {seg.end})"
-            )
-        mask = (series.times >= seg.start) & (series.times < seg.end)
-        # drop rates whose first beat precedes the window
-        first_in = window_beats[0]
-        mask &= series.times > first_in
-        values = series.bpm[mask]
-        if values.size == 0:
-            raise ValidationError(f"label {seg.label!r}: no RR interval inside the window")
-        out.append((seg.label, summarize(values)))
-    return out
+def heart_rate_stats(beat_times: np.ndarray) -> DistributionSummary:
+    """Distribution summary of the instantaneous heart rate of one recording."""
+    bpm = instantaneous_heart_rate(beat_times).bpm
+    if bpm.size == 0:
+        low, high = HR_VALID_BPM
+        raise ValidationError(f"no RR interval gives a heart rate inside ({low:g}, {high:g}) bpm")
+    return summarize(bpm)

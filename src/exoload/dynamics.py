@@ -154,51 +154,44 @@ def time_derivative(X: np.ndarray, dt: float, difference=lambda a, b: b - a) -> 
     return np.concatenate((first, difference(X[:-2], X[2:]), last)) / (2.0 * dt)
 
 
-def check_sampling(n_frames: int, dt: float, smooth_cutoff_hz: float | None) -> None:
+def check_sampling(n_frames: int, dt: float) -> None:
     """Raise unless :func:`estimate_derivatives` can take ``n_frames``
     samples ``dt`` apart: at least ``STENCIL_FRAMES`` of them, a positive
-    ``dt`` and, with smoothing, a rate ``1 / dt`` above twice the cutoff."""
+    ``dt`` and a rate ``1 / dt`` above twice ``DERIVATIVE_SMOOTHING_HZ``."""
     if n_frames < STENCIL_FRAMES:
         raise ValidationError(
             f"{n_frames} frames, but the derivative stencil needs at least {STENCIL_FRAMES}"
         )
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
-    if smooth_cutoff_hz is None:
-        return
-    if smooth_cutoff_hz <= 0.0:
-        raise ValidationError(f"smoothing cutoff must be positive, got {smooth_cutoff_hz!r}")
     fs = 1.0 / dt
-    if smooth_cutoff_hz >= fs / 2.0:
+    if DERIVATIVE_SMOOTHING_HZ >= fs / 2.0:
         raise ValidationError(
-            f"sample rate {fs:g} Hz must exceed twice the {smooth_cutoff_hz:g} Hz "
+            f"sample rate {fs:g} Hz must exceed twice the {DERIVATIVE_SMOOTHING_HZ:g} Hz "
             "velocity smoothing cutoff"
         )
 
 
-def estimate_derivatives(
-    q: JointConfiguration, dt: float, smooth_cutoff_hz: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def estimate_derivatives(q: JointConfiguration, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Generalized velocities and accelerations ``(T, n_velocity)`` of a
     uniformly sampled joint trajectory ``q``, a ``(T,)``
     :class:`JointConfiguration`.
 
     Every channel, the base orientation included, goes through
-    :func:`time_derivative`. Optional zero-phase low-pass smoothing then acts
-    on the whole velocity, which is differenced once more for the
-    acceleration.
+    :func:`time_derivative`. Zero-phase low-pass smoothing at
+    ``DERIVATIVE_SMOOTHING_HZ`` then acts on the whole velocity, which is
+    differenced once more for the acceleration.
     """
     P, Q, A = q.base_position, q.base_orientation, q.joint_angles
     n = len(q)
-    check_sampling(n, dt, smooth_cutoff_hz)
+    check_sampling(n, dt)
 
     U = np.column_stack(
         (time_derivative(P, dt), time_derivative(Q, dt, quat_rotvec_between), time_derivative(A, dt))
     )
-    if smooth_cutoff_hz is not None:
-        fs = 1.0 / dt
-        pad = min(round(fs / smooth_cutoff_hz), n - 1)  # one cutoff period: end transients settle in it
-        U = sosfiltfilt(butter_sos(2, smooth_cutoff_hz, fs), U, pad)
+    fs = 1.0 / dt
+    pad = min(round(fs / DERIVATIVE_SMOOTHING_HZ), n - 1)  # one cutoff period: end transients settle in it
+    U = sosfiltfilt(butter_sos(2, DERIVATIVE_SMOOTHING_HZ, fs), U, pad)
     return U, time_derivative(U, dt)
 
 
@@ -337,15 +330,11 @@ def decompose_torque(
     )
 
 
-def net_lumbar_series(
-    kinematics: KinematicState,
-    dt: float,
-    smooth_cutoff_hz: float | None = DERIVATIVE_SMOOTHING_HZ,
-) -> np.ndarray:
+def net_lumbar_series(kinematics: KinematicState, dt: float) -> np.ndarray:
     """Flexion-positive net L5/S1 sagittal torque of a joint trajectory, from
     the link frames and configurations of its kinematics, under
     ``GRAVITY_DEFAULT``."""
-    U, dU = estimate_derivatives(kinematics.configuration, dt, smooth_cutoff_hz)
+    U, dU = estimate_derivatives(kinematics.configuration, dt)
     tau = inverse_dynamics_series(kinematics, U, dU)
     return LUMBAR_LOAD_SIGN * tau[:, 6 + lumbar_flexion_index(kinematics.model)]
 

@@ -20,7 +20,6 @@ from . import io as eio
 from .anthropometry import AnthropometricProfile, load_table_file
 from .biosignals import detect_r_peaks, emg_change_pct, heart_rate_stats, settled_envelope
 from .dynamics import (
-    DERIVATIVE_SMOOTHING_HZ,
     LaevoModel,
     TorqueSeries,
     check_sampling,
@@ -129,8 +128,9 @@ MOTION_FIELDS = (
 def load_config(path: str | Path) -> SessionConfig:
     """A session config file. Paths in it are relative to its directory. A
     field it does not define, at any level, is an error, and so is a setting
-    no run of it reads: a motion setting without a ``motion_file``, or an
-    ``exoskeleton_params_file`` without the ``laevo`` model."""
+    no run of it reads: a motion setting without a ``motion_file``, an
+    ``exoskeleton_params_file`` without the ``laevo`` model, or an EMG or ECG
+    branch whose file map is empty."""
     path = Path(path)
     top = JsonFields(eio.load_json_file(path), path)
 
@@ -176,6 +176,10 @@ def load_config(path: str | Path) -> SessionConfig:
         motion_fields = [(top, key) for key in MOTION_FIELDS] + [(prof, "coefficient_table_file")]
         if given := [fields.prefix + key for fields, key in motion_fields if key in fields.data]:
             raise ValidationError(f"{path}: no motion_file, so no run reads {', '.join(given)}")
+    if emg is not None and not emg.trial_files:
+        raise ValidationError(f"{path}: emg.trial_files names no file, so no run reads emg.baseline_file")
+    if ecg is not None and not ecg.files:
+        raise ValidationError(f"{path}: ecg.files names no file, so the ECG branch reads nothing")
     if "exoskeleton_params_file" in top.data and config.exoskeleton != "laevo":
         raise ValidationError(
             f"{path}: exoskeleton_params_file is read only with exoskeleton 'laevo', "
@@ -263,12 +267,6 @@ def _summary_row(trial: str, label: str, channel: str, s: DistributionSummary) -
     return [trial, label, channel, s.n, s.mean, s.stdev, s.minimum, s.q1, s.median, s.q3, s.maximum, lo, hi]
 
 
-def _whole_span_annotation(trial_id: str, start: float, end: float) -> TrialAnnotation:
-    """One ``control`` segment over ``[start, end)``: the annotation of a
-    recording that comes without one."""
-    return TrialAnnotation(trial_id, (AnnotationSegment("control", start, end),))
-
-
 def build_session_model(config: SessionConfig) -> SkeletonModel:
     """The subject's model, scaled by the config's coefficient table file,
     or else by the bundled table."""
@@ -307,7 +305,7 @@ def read_motion_inputs(config: SessionConfig) -> MotionInputs:
         captured = eio.parse_motion_file(config.motion_file, aliases=aliases)
         # the rule estimate_derivatives applies, at the step the motion run takes
         with prefixed(config.motion_file):
-            check_sampling(captured.n_frames, 1.0 / captured.sample_rate, DERIVATIVE_SMOOTHING_HZ)
+            check_sampling(captured.n_frames, 1.0 / captured.sample_rate)
     with _stage("parse-annotation"):
         if config.annotation_file is not None:
             annotation = eio.parse_annotation_file(config.annotation_file)
@@ -317,7 +315,8 @@ def read_motion_inputs(config: SessionConfig) -> MotionInputs:
         else:
             times = captured.times
             end = float(times[-1]) + 1.0 / captured.sample_rate
-            annotation = _whole_span_annotation("session", float(times[0]), end)
+            # a capture without an annotation is one control window
+            annotation = TrialAnnotation("session", (AnnotationSegment("control", float(times[0]), end),))
     with _stage("parse-exoskeleton"):
         file = config.exoskeleton_params_file
         if config.exoskeleton == "none":
@@ -424,11 +423,7 @@ def _ecg_tables(ecg: EcgConfig) -> tuple[Boxplots, Tables]:
             record = eio.read_ecg_file(file, ecg.channel)
             with prefixed(file):
                 beats = detect_r_peaks(record.samples, record.sample_rate)
-                # the last beat lies at most at (n - 1) / fs, inside the window
-                duration = len(record.samples) / record.sample_rate
-                annotation = _whole_span_annotation(label, 0.0, duration)
-                for _, s in heart_rate_stats(beats, annotation):
-                    boxplots.append(("heart_rate", label, "heart_rate_bpm", s))
+                boxplots.append(("heart_rate", label, "heart_rate_bpm", heart_rate_stats(beats)))
         return boxplots, {"heart_rate": _summary_table(boxplots, "session")}
 
 
@@ -446,12 +441,9 @@ def _survey_tables(survey: SurveyConfig) -> Tables:
                 for c in construct_scores(schema, groups[exo_type], skip_empty=True):
                     display = format_mean_stdev(c.mean, c.stdev)
                     construct_rows.append([qid, exo_type, c.construct, c.n, c.mean, c.stdev, display])
-            borg_ids = [i.item_id for i in schema.items if i.kind == "borg_cr10"]
-            rated = [r for r in answered if any(i in r.answers for i in borg_ids)]
-            if rated:
-                for s in borg_summary(schema, rated):
-                    display = format_mean_stdev(s.mean, s.stdev)
-                    borg_rows.append([qid, s.zone, s.position, s.n, s.mean, s.stdev, display])
+            for s in borg_summary(schema, answered):
+                display = format_mean_stdev(s.mean, s.stdev)
+                borg_rows.append([qid, s.zone, s.position, s.n, s.mean, s.stdev, display])
     return {
         "survey_constructs": (
             ["questionnaire", "exoskeleton", "construct", "n", "mean", "stdev", "display"],

@@ -41,12 +41,17 @@ class AnnotationSegment:
 
 @dataclass(frozen=True)
 class TrialAnnotation:
-    """The non-overlapping labelled segments of one trial."""
+    """The non-overlapping labelled segments of one trial, each label once:
+    the summaries and the torque reductions are keyed by label."""
 
     trial_id: str
     segments: tuple[AnnotationSegment, ...]
 
     def __post_init__(self) -> None:
+        labels = [s.label for s in self.segments]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ValidationError(f"trial {self.trial_id!r}: label {label!r} names more than one segment")
         ordered = sorted(self.segments, key=lambda s: s.start)
         for a, b in zip(ordered, ordered[1:]):
             if b.start < a.end:

@@ -221,11 +221,9 @@ def borg_summary(
     schema: QuestionnaireSchema, responses: Iterable[ResponseSet]
 ) -> list[BorgSummary]:
     """Mean and sample stdev of the Borg CR10 ratings pooled per body zone and
-    working position over the supplied (pre-filtered) responses, which are
-    ones ``validate`` accepts: no answer is checked again."""
-    responses = list(responses)
-    if not responses:
-        raise ValidationError("Borg summary needs at least one response")
+    working position over the supplied responses, which are ones ``validate``
+    accepts: no answer is checked again. Responses without a Borg answer pool
+    nothing, and no pooled answer gives no row."""
     zones = [(i.item_id, borg_zone_of(i)) for i in schema.items if i.kind == "borg_cr10"]
     pooled: dict[tuple[str, str], list[float]] = {}
     for response in responses:
@@ -233,8 +231,6 @@ def borg_summary(
         for item_id, zone in zones:
             if item_id in response.answers:
                 pooled.setdefault((zone, position), []).append(float(response.answers[item_id]))
-    if not pooled:
-        raise ValidationError("no Borg answers matched the filter")
     out = []
     for (zone, position), values in pooled.items():
         s = summarize(values)

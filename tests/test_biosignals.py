@@ -21,7 +21,6 @@ from exoload.biosignals import (
 )
 from exoload.errors import NumericalError, ValidationError
 from exoload.filters import butter_sos, sosfilt
-from exoload.posture import AnnotationSegment, TrialAnnotation
 
 FS_EMG = 4370.0
 
@@ -167,25 +166,24 @@ def test_instantaneous_rate_rejects_artifacts():
 
 
 def test_heart_rate_stats_constant_rr():
-    beats = np.arange(0.0, 60.0, 1.0)
-    ann = TrialAnnotation("t", (AnnotationSegment("control", 0.0, 61.0),))
-    stats = heart_rate_stats(beats, ann)
-    assert stats[0][0] == "control"
-    assert stats[0][1].median == 60.0
+    stats = heart_rate_stats(np.arange(0.0, 60.0, 1.0))
+    assert stats.n == 59
+    assert stats.median == 60.0
 
 
 def test_heart_rate_stats_alternating_rr():
     beats = np.cumsum(np.concatenate([[0.0], np.tile([0.8, 1.2], 15)]))
-    ann = TrialAnnotation("t", (AnnotationSegment("head", 0.0, float(beats[-1]) + 0.5),))
-    stats = heart_rate_stats(beats, ann)
-    assert stats[0][1].median == pytest.approx(62.5, abs=1e-9)
+    stats = heart_rate_stats(beats)
+    assert stats.median == pytest.approx(62.5, abs=1e-9)
 
 
 def test_heart_rate_stats_insufficient_beats():
-    beats = np.array([0.2, 1.2, 2.2])
-    ann = TrialAnnotation("t", (AnnotationSegment("head", 10.0, 20.0),))
-    with pytest.raises(ValidationError, match="fewer than two beats"):
-        heart_rate_stats(beats, ann)
+    """Fewer than two beats, or beats whose every RR interval is rejected as
+    an artifact, give no heart rate; the error names the valid range."""
+    with pytest.raises(ValidationError, match="at least two beats"):
+        heart_rate_stats(np.array([0.2]))
+    with pytest.raises(ValidationError, match=r"no RR interval gives a heart rate inside \(20, 250\) bpm$"):
+        heart_rate_stats(np.array([0.2, 0.3, 0.4]))  # 600 bpm each
 
 
 def test_heart_rate_table_formatting_value():
@@ -193,9 +191,8 @@ def test_heart_rate_table_formatting_value():
     target = 47.55
     rr = 60.0 / target
     beats = np.arange(0.0, 120.0, rr)
-    ann = TrialAnnotation("t", (AnnotationSegment("head", 0.0, 121.0),))
-    stats = heart_rate_stats(beats, ann)
-    assert f"{stats[0][1].median:.2f}" == "47.55"
+    stats = heart_rate_stats(beats)
+    assert f"{stats.median:.2f}" == "47.55"
 
 
 def gathered_moving_mean(x, window):

@@ -16,6 +16,7 @@ from helpers import (
     sinusoid_trajectory,
 )
 
+from exoload import dynamics
 from exoload.dynamics import (
     LUMBAR_LOAD_SIGN,
     RATE_TOLERANCE,
@@ -28,9 +29,10 @@ from exoload.dynamics import (
     laevo_torque_series,
     lumbar_effort_report,
     net_lumbar_series,
+    time_derivative,
 )
 from exoload.errors import ValidationError
-from exoload.geometry import IDENTITY_QUAT
+from exoload.geometry import IDENTITY_QUAT, quat_rotvec_between
 from exoload.posture import AnnotationSegment, TrialAnnotation
 from exoload.skeleton import (
     Dof,
@@ -158,9 +160,13 @@ def test_derivatives_linear_ramp():
 
 
 def test_derivatives_quadratic_profile_exact():
+    """The stencil, the interior and both one-sided ends, is exact on a
+    quadratic profile, so differencing it twice gives the constant second
+    derivative at every frame."""
     t = np.arange(50) / 100.0
-    _, dU = estimate_derivatives(hinge_trajectory(2.0 * t * t), 0.01)
-    assert np.max(np.abs(dU[:, 6] - 4.0)) < 1e-9
+    velocity = time_derivative(2.0 * t * t, 0.01)
+    assert np.max(np.abs(velocity - 4.0 * t)) < 1e-9
+    assert np.max(np.abs(time_derivative(velocity, 0.01) - 4.0)) < 1e-9
 
 
 def test_derivatives_sinusoid_amplitude():
@@ -185,15 +191,16 @@ def test_derivatives_base_rotation():
 
 def test_derivatives_quadratic_yaw_exact_at_both_ends():
     """The orientation channel takes the same second-order stencil as the
-    others, so a yaw of alpha t^2 / 2 gives omega = alpha t and a constant
-    alpha at every frame, the end frames included."""
+    others, through ``quat_rotvec_between``, so a yaw of alpha t^2 / 2 gives
+    omega = alpha t and a constant alpha at every frame, the end frames
+    included."""
     fs, alpha = 240.0, 2.0
     t = np.arange(60) / fs
     yaw = 0.5 * alpha * t * t
     quats = np.column_stack([np.cos(yaw / 2), np.zeros(60), np.zeros(60), np.sin(yaw / 2)])
-    U, dU = estimate_derivatives(hinge_trajectory(np.zeros(60), quats), 1.0 / fs)
-    assert np.max(np.abs(U[:, 5] - alpha * t)) <= 1e-9
-    assert np.max(np.abs(dU[:, 5] - alpha)) <= 1e-9
+    omega = time_derivative(quats, 1.0 / fs, quat_rotvec_between)
+    assert np.max(np.abs(omega[:, 2] - alpha * t)) <= 1e-9
+    assert np.max(np.abs(time_derivative(omega, 1.0 / fs)[:, 2] - alpha)) <= 1e-9
 
 
 def test_net_lumbar_series_matches_analytic_derivatives(model):
@@ -205,7 +212,7 @@ def test_net_lumbar_series_matches_analytic_derivatives(model):
     truth = sinusoid_trajectory(model, 3.0, sway=True)
     qd, qdd = sinusoid_derivatives(model, 3.0, sway=True)
     kinematics = KinematicState(model, truth)
-    estimate = net_lumbar_series(kinematics, dt, smooth_cutoff_hz=5.0)
+    estimate = net_lumbar_series(kinematics, dt)
     tau = inverse_dynamics_series(kinematics, qd, qdd)
     err = estimate - LUMBAR_LOAD_SIGN * tau[:, 6 + lumbar_flexion_index(model)]
 
@@ -234,7 +241,7 @@ def test_net_lumbar_series_holds_at_the_end_of_an_accelerating_base(model):
     yaw, zeros = 0.2 * np.sin(w * t), np.zeros(len(t))
     orientation = np.column_stack([np.cos(yaw / 2), zeros, zeros, np.sin(yaw / 2)])
     kinematics = KinematicState(model, JointConfiguration(position, orientation, q.joint_angles))
-    estimate = net_lumbar_series(kinematics, 1.0 / fs, smooth_cutoff_hz=5.0)
+    estimate = net_lumbar_series(kinematics, 1.0 / fs)
     tau = inverse_dynamics_series(kinematics, qd, qdd)
     err = estimate - LUMBAR_LOAD_SIGN * tau[:, 6 + lumbar_flexion_index(model)]
     assert float(np.sqrt(np.mean(err[-24:] ** 2))) <= 1.0
@@ -243,6 +250,23 @@ def test_net_lumbar_series_holds_at_the_end_of_an_accelerating_base(model):
 def test_derivatives_need_three_frames():
     with pytest.raises(ValidationError):
         estimate_derivatives(hinge_trajectory(np.zeros(2)), 0.01)
+
+
+def test_derivatives_smooth_at_the_module_cutoff(monkeypatch):
+    """The cutoff is read from ``DERIVATIVE_SMOOTHING_HZ`` at each call: a
+    rate that passes at 5 Hz fails the sampling rule at 50 Hz, and a lower
+    cutoff flattens a 3 Hz sinusoid's velocity further."""
+    fs = 100.0
+    t = np.arange(200) / fs
+    q = hinge_trajectory(0.2 * np.sin(2 * np.pi * 3.0 * t))
+    U, _ = estimate_derivatives(q, 1.0 / fs)
+    monkeypatch.setattr(dynamics, "DERIVATIVE_SMOOTHING_HZ", 50.0)
+    with pytest.raises(ValidationError, match="twice the 50 Hz"):
+        estimate_derivatives(q, 1.0 / fs)
+    monkeypatch.setattr(dynamics, "DERIVATIVE_SMOOTHING_HZ", 1.0)
+    lower, _ = estimate_derivatives(q, 1.0 / fs)
+    middle = slice(50, 150)
+    assert np.max(np.abs(lower[middle, 6])) < np.max(np.abs(U[middle, 6]))
 
 
 # -- exoskeleton spring -------------------------------------------------------
@@ -434,7 +458,7 @@ def test_lumbar_effort_report_zero_reduction_and_degenerate():
 def test_net_lumbar_series_static_hold(model):
     q = bent_configuration(model)
     kinematics = KinematicState(model, repeated(q, 16))
-    series = net_lumbar_series(kinematics, 1.0 / 240.0, smooth_cutoff_hz=None)
+    series = net_lumbar_series(kinematics, 1.0 / 240.0)
     tau_raw = inverse_dynamics(model, q, np.zeros(49), np.zeros(49))
     expected = LUMBAR_LOAD_SIGN * tau_raw[6 + model.dof_index["lumbar_flexion"]]
     assert np.max(np.abs(series - expected)) < 1e-9

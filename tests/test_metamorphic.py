@@ -1,8 +1,8 @@
 """Metamorphic oracles: a session transformed in a way the analysis must not
 see, or must see only as a relabelling (a rigid move or a mirror of the
 capture, a heavier subject, a later clock, the capture's columns, the
-responses' lines or the EMG trials in another order), against the same
-session untransformed."""
+responses' lines or the EMG trials in another order, a gain on the EMG and
+ECG samples), against the same session untransformed."""
 
 import csv
 import json
@@ -17,6 +17,7 @@ from helpers import (
     write_bend_session,
     write_motion_file,
 )
+from test_pipeline import write_every_input_session
 
 from exoload import io as eio
 from exoload.dynamics import net_lumbar_series
@@ -297,3 +298,45 @@ def test_emg_trials_listed_in_another_order_give_the_same_rows(tmp_path):
     )
     assert other_records != records and sorted(other_records) == sorted(records)
     assert listed == reordered
+
+
+def double_samples(path) -> None:
+    """Every sample of a signal CSV times 2, its ``time_s`` cells as written."""
+    header, *rows = path.read_text().splitlines()
+    doubled = []
+    for row in rows:
+        time_s, *samples = row.split(",")
+        doubled.append(",".join([time_s] + [repr(2.0 * float(v)) for v in samples]))
+    path.write_text("\n".join([header] + doubled) + "\n")
+
+
+FIVE_NUMBERS = ("min", "q1", "median", "q3", "max")
+
+
+def test_a_gain_on_the_emg_and_ecg_samples_doubles_only_the_envelope_records(tmp_path):
+    """A gain of 2 on every EMG and ECG sample, as from a recorder set to
+    other units: the EMG changes are ratios to the baseline and the R-peak
+    thresholds are relative, so the change, heart-rate and survey tables
+    hold byte for byte. A gain of 2 commutes with every rounding, so each
+    EMG envelope record's five numbers double exactly, with the same ``n``,
+    and every other boxplot record holds."""
+    bundles = {}
+    for name in ("recorded", "doubled"):
+        directory = tmp_path / name
+        directory.mkdir()
+        _, files = write_every_input_session(directory)
+        if name == "doubled":
+            for kind in ("emg_baseline", "emg_trial", "ecg"):
+                double_samples(files[kind])
+        bundles[name] = run_pipeline(load_config(files["config"])).files
+    recorded, doubled = bundles["recorded"], bundles["doubled"]
+    for key in ("emg_changes", "heart_rate", "survey_constructs", "survey_borg"):
+        assert doubled[key].read_bytes() == recorded[key].read_bytes(), key
+    records, doubled_records = (json.loads(files["boxplot_data"].read_text()) for files in (recorded, doubled))
+    assert len(doubled_records) == len(records)
+    figures = {record["figure"] for record in records}
+    assert {"emg_envelope", "heart_rate", "back_flexion"} <= figures
+    for record, other in zip(records, doubled_records):
+        if record["figure"] == "emg_envelope":
+            record = dict(record, **{key: 2.0 * record[key] for key in FIVE_NUMBERS})
+        assert other == record

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import gc
+import inspect
 import json
 import os
 import re
@@ -873,7 +874,7 @@ def test_config_numbers_accept_integers_and_null(tmp_path):
         "profile": {"height_m": 1.75, "mass_kg": 70},
         "motion_file": "motion.csv",
         "annotation_file": None,
-        "emg": {"baseline_file": "b.csv", "trial_files": {}},
+        "emg": {"baseline_file": "b.csv", "trial_files": {"head": "h.csv"}},
         "ecg": None,
         "output_dir": "out",
     }
@@ -1100,8 +1101,8 @@ def test_non_utf8_byte_after_the_header_exits_2_naming_the_file(tmp_path, capsys
 def test_config_rejects_unknown_fields(tmp_path, level):
     config = {
         "profile": {"height_m": 1.75, "mass_kg": 70.0},
-        "emg": {"baseline_file": "b.csv", "trial_files": {}},
-        "ecg": {"files": {}},
+        "emg": {"baseline_file": "b.csv", "trial_files": {"head": "h.csv"}},
+        "ecg": {"files": {"head": "e.csv"}},
         "survey": {"responses_file": "r.jsonl"},
         "output_dir": "out",
     }
@@ -1194,6 +1195,60 @@ def test_config_rejects_settings_no_run_reads(tmp_path, capsys):
         f"{survey}: no motion_file, so no run reads "
         "annotation_file, segment_aliases_file, exoskeleton"
     ) in err
+
+
+@pytest.mark.parametrize(
+    "branch, field",
+    [
+        ({"emg": {"baseline_file": "baseline.csv", "trial_files": {}}}, "emg.trial_files"),
+        ({"ecg": {"files": {}, "channel": "II"}}, "ecg.files"),
+    ],
+    ids=["emg", "ecg"],
+)
+def test_a_branch_that_names_no_file_exits_2(tmp_path, capsys, branch, field):
+    """An EMG branch without a trial enveloped its baseline for nothing, and
+    an ECG branch without a recording never checked its channel; both wrote
+    a header-only table. The config is rejected naming the empty map, and
+    no file is written."""
+    write_emg_csv(tmp_path / "baseline.csv", 2000.0, 1.5, {"ESL_L": 50.0})
+    path = write_survey_config(tmp_path)
+    write_responses(tmp_path / "responses.jsonl")
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), **branch)))
+    with pytest.raises(ValidationError, match=rf"config\.json: {re.escape(field)} names no file"):
+        load_config(path)
+    assert cli.main(["pipeline", "--config", str(path)]) == 2
+    assert f"{path}: {field} names no file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_label_given_twice_in_the_annotation_exits_2_naming_the_file(tmp_path, capsys):
+    """Two PS windows once ran with two PS angle rows that could not be told
+    apart and one PS torque reduction, the second window's: the summaries
+    are keyed by label, so a label names one window, and the run exits 2
+    naming the annotation file and the label before it writes a file."""
+    config_path = write_bend_session(tmp_path, duration_s=1.0)
+    windows = [{"label": "PS", "start": 0.0, "end": 0.5}, {"label": "PS", "start": 0.5, "end": 1.0}]
+    annotation = tmp_path / "annotation.json"
+    annotation.write_text(json.dumps({"trial_id": "bend", "segments": windows}))
+    assert cli.main(["pipeline", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{annotation}: trial 'bend': label 'PS' names more than one segment" in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_the_analysis_takes_only_what_a_run_varies():
+    """The velocity smoothing cutoff is the constant
+    ``DERIVATIVE_SMOOTHING_HZ``, the heart rate is one summary of one whole
+    recording, and the Borg summary takes every response of its
+    questionnaire: no signature carries a cutoff, an annotation or a filter."""
+    from exoload import biosignals, dynamics, surveys
+
+    assert list(inspect.signature(dynamics.estimate_derivatives).parameters) == ["q", "dt"]
+    assert list(inspect.signature(dynamics.net_lumbar_series).parameters) == ["kinematics", "dt"]
+    assert list(inspect.signature(dynamics.check_sampling).parameters) == ["n_frames", "dt"]
+    assert list(inspect.signature(biosignals.heart_rate_stats).parameters) == ["beat_times"]
+    assert list(inspect.signature(surveys.borg_summary).parameters) == ["schema", "responses"]
+    assert dynamics.DERIVATIVE_SMOOTHING_HZ == 5.0
 
 
 def test_config_env_var(tmp_path, monkeypatch, capsys):

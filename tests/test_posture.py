@@ -64,6 +64,11 @@ def test_annotation_validation():
             "t",
             (AnnotationSegment("PS", 0.0, 2.0), AnnotationSegment("SP", 1.5, 3.0)),
         )
+    with pytest.raises(ValidationError, match="label 'PS' names more than one segment"):
+        TrialAnnotation(
+            "t",
+            (AnnotationSegment("PS", 0.0, 0.5), AnnotationSegment("PS", 0.5, 1.0)),
+        )
 
 
 def test_segment_series_slices():

@@ -356,6 +356,7 @@ def test_parse_annotation_file_parses_or_rejects(content):
         assert type(annotation.trial_id) is str
         assert all(type(s.start) is float and type(s.end) is float for s in annotation.segments)
         assert all(s.start < s.end for s in annotation.segments)
+        assert len({s.label for s in annotation.segments}) == len(annotation.segments)
 
 
 LAEVO_NAMES = ["k_loss", "theta_min", "theta_max", "tau_max"]

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from helpers import write_bend_session
+from test_pipeline import write_every_input_session
 
 import exoload.pipeline  # loads every module the tracer wraps
 
@@ -67,4 +68,31 @@ def test_traced_pipeline_run_reports_its_layers(tmp_path):
     assert abs(metrics["retarget.qp_iterations_per_frame"] - 352 / 60) <= 1e-12
     assert metrics["retarget.saturated_frames"] == 28
     assert metrics["retarget.skipped_frames"] == 0
+    assert abs(metrics["trace.self_sum_error_s"]) < 1e-6
+
+
+def test_traced_run_of_every_branch_reports_the_signal_and_survey_layers(tmp_path):
+    """One traced run of a session with every kind of input: the EMG, ECG
+    and survey layers' figures are non-zero, so their wrapped functions ran
+    under the tracer, and the self times still add up to the root span. The
+    config is read before the tracer is installed, or its read would be a
+    second root span."""
+    tracing = load_tracing()
+    _, files = write_every_input_session(tmp_path)
+    config = exoload.pipeline.load_config(files["config"])
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        exoload.pipeline.run_pipeline(config)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    for name in (
+        "io.read_signal_mb_per_s",
+        "io.read_responses_ms",
+        "biosignals.envelope_msamples_per_s",
+        "biosignals.r_peaks_ms_per_min",
+        "surveys.us_per_response",
+    ):
+        assert metrics[name] > 0.0, name
     assert abs(metrics["trace.self_sum_error_s"]) < 1e-6
