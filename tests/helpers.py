@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +297,96 @@ def synthetic_ecg(
         noise_power = np.mean(signal**2) / 10 ** (snr_db / 10)
         signal = signal + rng.normal(0.0, np.sqrt(noise_power), n)
     return signal, beats
+
+
+def write_emg_csv(path, fs, duration_s, channels):
+    n = int(duration_s * fs)
+    t = np.arange(n) / fs
+    rng = np.random.default_rng(7)
+    header = ["time_s"] + list(channels)
+    rows = np.empty((n, 1 + len(channels)))
+    rows[:, 0] = t
+    for j, (name, amplitude) in enumerate(channels.items(), start=1):
+        rows[:, j] = amplitude * rng.standard_normal(n)
+    eio.write_csv(path, header, rows)
+
+
+def write_ecg_csv(path, fs, duration_s, bpm):
+    signal, _ = synthetic_ecg(fs, duration_s, bpm, snr_db=25.0, seed=11)
+    n = len(signal)
+    t = np.arange(n) / fs
+    eio.write_csv(path, ["time_s", "lead_I"], np.column_stack([t, signal]))
+
+
+def write_responses(path):
+    rows = [
+        {
+            "respondent_id": "p1",
+            "questionnaire_id": "B",
+            "answers": {"1": 4, "13": 2, "15": 5, "16": 1, "17": 2, "18": 4, "20": 4},
+            "context": {"exoskeleton": "Laevo"},
+        },
+        {
+            "respondent_id": "p2",
+            "questionnaire_id": "B",
+            "answers": {"1": 5, "13": 2, "15": 4, "16": 2, "17": 1, "18": 5, "20": 5},
+            "context": {"exoskeleton": "Laevo"},
+        },
+    ] + [
+        {
+            "respondent_id": "p1",
+            "questionnaire_id": "D",
+            "answers": {"borg_lower_back": v, "borg_neck": 1},
+            "context": {"exoskeleton": "Laevo", "position": "head", "pp_index": i, "icu": True},
+        }
+        for i, v in enumerate([2, 2, 2, 1, 2])
+    ]
+    path.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
+
+
+LAEVO_PARAMS = {"k_loss": 10.0, "theta_min": 20.0, "theta_max": 50.0, "tau_max": 40.0}
+
+
+def write_every_input_session(tmp_path):
+    """A session config naming every kind of input file; returns the config
+    path and the files by kind."""
+    config_path = write_bend_session(tmp_path, duration_s=0.25)
+    files = {
+        "config": config_path,
+        "motion": tmp_path / "motion.csv",
+        "annotation": tmp_path / "annotation.json",
+        "coefficients": tmp_path / "coefficients.json",
+        "aliases": tmp_path / "aliases.json",
+        "exoskeleton": tmp_path / "laevo.json",
+        "emg_baseline": tmp_path / "baseline.csv",
+        "emg_baseline_sidecar": tmp_path / "baseline.csv.meta.json",
+        "emg_trial": tmp_path / "head.csv",
+        "ecg": tmp_path / "ecg.csv",
+        "ecg_sidecar": tmp_path / "ecg.csv.meta.json",
+        "responses": tmp_path / "responses.jsonl",
+    }
+    shutil.copy(Path(eio.__file__).parent / "data" / "coefficients_default.json", files["coefficients"])
+    files["aliases"].write_text(json.dumps({"hips": "pelvis"}))
+    files["exoskeleton"].write_text(json.dumps(LAEVO_PARAMS))
+    write_emg_csv(files["emg_baseline"], 2000.0, 1.5, {"ESL_L": 50.0})
+    files["emg_baseline_sidecar"].write_text(json.dumps({"units": "uV", "sample_rate": 2000.0}))
+    write_emg_csv(files["emg_trial"], 2000.0, 1.5, {"ESL_L": 40.0})  # no sidecar
+    write_ecg_csv(files["ecg"], 500.0, 10.0, 66.0)
+    files["ecg_sidecar"].write_text(json.dumps({"units": "mV"}))
+    write_responses(files["responses"])
+    config = json.loads(config_path.read_text())
+    config["profile"]["coefficient_table_file"] = "coefficients.json"
+    config.update(
+        {
+            "segment_aliases_file": "aliases.json",
+            "exoskeleton_params_file": "laevo.json",
+            "emg": {"baseline_file": "baseline.csv", "trial_files": {"head": "head.csv"}},
+            "ecg": {"files": {"head": "ecg.csv"}},
+            "survey": {"responses_file": "responses.jsonl"},
+        }
+    )
+    config_path.write_text(json.dumps(config))
+    return config, files
 
 
 def tracked_dof_indices(model: SkeletonModel) -> list[int]:

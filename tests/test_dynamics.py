@@ -32,6 +32,7 @@ from exoload.dynamics import (
     time_derivative,
 )
 from exoload.errors import ValidationError
+from exoload.filters import butter_sos
 from exoload.geometry import IDENTITY_QUAT, quat_rotvec_between
 from exoload.posture import AnnotationSegment, TrialAnnotation
 from exoload.skeleton import (
@@ -170,13 +171,24 @@ def test_derivatives_quadratic_profile_exact():
 
 
 def test_derivatives_sinusoid_amplitude():
+    """Away from the ends, a sinusoid's acceleration peak is the analytic
+    one times the gains of the two central differences and of the
+    two-pass smoothing filter at that frequency. The ends are left out: the
+    filter's start-up transient still lifts the last peak by about 1e-3."""
     fs = 240.0
     t = np.arange(int(2 * fs)) / fs
     amp, freq = 0.3, 1.0
     _, dU = estimate_derivatives(hinge_trajectory(amp * np.sin(2 * np.pi * freq * t)), 1.0 / fs)
-    measured = np.max(np.abs(dU[5:-5, 6]))
-    expected = amp * (2 * np.pi * freq) ** 2
-    assert measured == pytest.approx(expected, rel=1e-3)
+    measured = np.max(np.abs(dU[int(fs / 2) : -int(fs / 2), 6]))
+    step = 2 * np.pi * freq / fs  # radians per sample
+    z = np.exp(-1j * step)
+    sos = butter_sos(2, dynamics.DERIVATIVE_SMOOTHING_HZ, fs)
+    # |H|^2 of the cascade: one forward and one backward pass
+    filter_gain = np.prod([abs(np.polyval(r[2::-1], z) / np.polyval(r[:2:-1], z)) ** 2 for r in sos])
+    stencil_gain = (np.sin(step) / step) ** 2
+    expected = amp * (2 * np.pi * freq) ** 2 * stencil_gain * filter_gain
+    assert 1.0 - filter_gain > 1e-3  # the smoothing is visible at this bound
+    assert measured == pytest.approx(expected, rel=1e-6)
 
 
 def test_derivatives_base_rotation():

@@ -15,9 +15,9 @@ from helpers import (
     sinusoid_trajectory,
     synthetic_ecg,
     write_bend_session,
+    write_every_input_session,
     write_motion_file,
 )
-from test_pipeline import write_every_input_session
 
 from exoload import io as eio
 from exoload.dynamics import net_lumbar_series

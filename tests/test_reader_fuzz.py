@@ -286,6 +286,8 @@ CONFIGS = st.fixed_dictionaries(
     b'"emg": {"baseline_file": "a", "trial_files": {}, "sample_rate": 2000}}'
 )
 @example(b'{"profile": {"height_m": 1.7, "mass_kg": 70}, "output_dir": "o", "gravity": 1.0}')
+@example(b'{"profile": {"height_m": 1.7, "mass_kg": 70}, "output_dir": "o", "emg": {"baseline_file": "a", "trial_files": {}}}')
+@example(b'{"profile": {"height_m": 1.7, "mass_kg": 70}, "output_dir": "o", "ecg": {"files": {}}}')
 @example(b'{"profile": {"height_m": 1.7, "mass_kg": 70}, "output_dir": "o", "derivative_smoothing_hz": null}')
 @example(
     b'{"profile": {"height_m": 1.7, "mass_kg": 70}, "output_dir": "o", '
@@ -315,6 +317,9 @@ def test_load_config_parses_or_rejects(content):
             assert "coefficient_table_file" not in payload["profile"]
         if "exoskeleton_params_file" in payload:
             assert config.exoskeleton == "laevo"
+        # an EMG or ECG section names at least one file to analyse
+        assert config.emg is None or config.emg.trial_files
+        assert config.ecg is None or config.ecg.files
 
 
 def json_files(documents):

@@ -7,8 +7,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from helpers import write_bend_session
-from test_pipeline import write_every_input_session
+from helpers import write_bend_session, write_every_input_session
 
 import exoload.pipeline  # loads every module the tracer wraps
 
