@@ -77,15 +77,10 @@ class EcgRecord:
 
 @dataclass
 class HeartRateSeries:
-    """Instantaneous heart rate, one sample per RR interval, timestamped at the
-    second beat. Out-of-range rates are rejected as artifacts."""
+    """Instantaneous heart rate, one sample per RR interval inside
+    ``HR_VALID_BPM``, in beat order."""
 
-    times: np.ndarray  # s
     bpm: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.any((self.bpm <= HR_VALID_BPM[0]) | (self.bpm >= HR_VALID_BPM[1])):
-            raise ValidationError("heart-rate series contains unrejected artifacts")
 
 
 def moving_mean_centered(x: np.ndarray, window: int) -> np.ndarray:
@@ -221,7 +216,7 @@ def instantaneous_heart_rate(beat_times: np.ndarray) -> HeartRateSeries:
     rr = np.diff(beat_times)
     bpm = 60.0 / rr
     keep = (bpm > HR_VALID_BPM[0]) & (bpm < HR_VALID_BPM[1])
-    return HeartRateSeries(times=beat_times[1:][keep], bpm=bpm[keep])
+    return HeartRateSeries(bpm[keep])
 
 
 def heart_rate_stats(beat_times: np.ndarray) -> DistributionSummary:

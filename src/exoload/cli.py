@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ExoloadError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .pipeline import SessionConfig, load_config, run_pipeline
 
 EXIT_OK = 0
@@ -81,9 +81,6 @@ def main(argv: list[str] | None = None) -> int:
         # a numerical failure no stage turned into a NumericalError
         print(f"error: {args.command}: numerical failure: {exc!r}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ExoloadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     return EXIT_OK
 
 

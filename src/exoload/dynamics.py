@@ -284,24 +284,13 @@ class TorqueSeries:
     times: np.ndarray  # s
     tau_net: np.ndarray  # Nm
     tau_exo: np.ndarray  # Nm
-    tau_human: np.ndarray  # Nm
     theta_deg: np.ndarray
     theta_dot_deg_s: np.ndarray
 
-    def __post_init__(self) -> None:
-        arrays = [
-            self.times,
-            self.tau_net,
-            self.tau_exo,
-            self.tau_human,
-            self.theta_deg,
-            self.theta_dot_deg_s,
-        ]
-        n = len(self.times)
-        if any(len(a) != n for a in arrays):
-            raise ValidationError("torque series channels must have equal length")
-        if not np.allclose(self.tau_human, self.tau_net - self.tau_exo, rtol=0.0, atol=0.0):
-            raise ValidationError("tau_human must equal tau_net - tau_exo exactly")
+    @property
+    def tau_human(self) -> np.ndarray:
+        """The human share in Nm, ``tau_net - tau_exo`` by definition."""
+        return self.tau_net - self.tau_exo
 
 
 def decompose_torque(
@@ -312,22 +301,15 @@ def decompose_torque(
     theta_dot_deg_s: np.ndarray,
 ) -> TorqueSeries:
     """Split the net lumbar torque into shares: ``tau_human = tau_net -
-    tau_exo`` elementwise. The back flexion angle and rate ride along."""
-    times = np.asarray(times, dtype=float)
-    tau_net = np.asarray(tau_net, dtype=float)
-    tau_exo = np.asarray(tau_exo, dtype=float)
-    if len(tau_net) != len(tau_exo) or len(times) != len(tau_net):
-        raise ValidationError(
-            f"series length mismatch: times={len(times)} net={len(tau_net)} exo={len(tau_exo)}"
-        )
-    return TorqueSeries(
-        times=times,
-        tau_net=tau_net,
-        tau_exo=tau_exo,
-        tau_human=tau_net - tau_exo,
-        theta_deg=np.asarray(theta_deg, dtype=float),
-        theta_dot_deg_s=np.asarray(theta_dot_deg_s, dtype=float),
+    tau_exo`` elementwise. The back flexion angle and rate ride along, and
+    all five series must have one length."""
+    series = TorqueSeries(
+        *(np.asarray(a, dtype=float) for a in (times, tau_net, tau_exo, theta_deg, theta_dot_deg_s))
     )
+    lengths = {f.name: len(getattr(series, f.name)) for f in fields(series)}
+    if len(set(lengths.values())) > 1:
+        raise ValidationError("series length mismatch: " + " ".join(f"{k}={n}" for k, n in lengths.items()))
+    return series
 
 
 def net_lumbar_series(kinematics: KinematicState, dt: float) -> np.ndarray:

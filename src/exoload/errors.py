@@ -36,10 +36,6 @@ class SolverError(NumericalError):
     """The QP solver did not converge."""
 
 
-class InfeasibleBoundsError(SolverError):
-    """Velocity bounds admit no feasible point."""
-
-
 @contextmanager
 def prefixed(prefix: object):
     """Re-raise package errors with ``prefix`` in front of the message,

@@ -10,7 +10,8 @@ the manifest), stable orderings throughout.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import os
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -232,7 +233,7 @@ class ReportBundle:
     """The output directory of a run and every file the run wrote there, by key."""
 
     output_dir: Path
-    files: dict[str, Path] = field(default_factory=dict)
+    files: dict[str, Path]
 
 
 def emit_boxplot_data(
@@ -458,7 +459,9 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
     ``output_dir`` is made before the branches run, so a run that fails
     before the report stage writes no file and leaves an earlier bundle
     there as it was. A file the report stage cannot write is a validation
-    error naming it; the files written before it stay.
+    error naming it; the files written before it stay. A bundle file that
+    is one of the run's inputs is a validation error naming both, raised
+    before any file is written.
 
     The motion inputs are read first and the motion compute, the longest
     branch, runs last, so every input file is read and checked before
@@ -469,7 +472,6 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot create output directory {out_dir}: {exc}") from exc
-    bundle = ReportBundle(output_dir=out_dir)
     motion_inputs = None if config.motion_file is None else read_motion_inputs(config)
     branches: list[tuple[Boxplots, Tables]] = []
     if config.emg is not None:
@@ -492,15 +494,21 @@ def run_pipeline(config: SessionConfig) -> ReportBundle:
             "config": config_echo(config),
             "inputs": {name: eio.sha256_file(name) for name in inputs},
         }
+        csv_keys = (["joints"] if motion_inputs is not None else []) + list(tables)
+        files = {key: out_dir / f"{key}.csv" for key in csv_keys}
+        files.update(boxplot_data=out_dir / "boxplot_data.json", manifest=out_dir / "manifest.json")
+        # an input may sit in output_dir under a bundle file's name
+        for output in filter(Path.exists, files.values()):
+            for name in inputs:
+                if os.path.samefile(output, name):
+                    raise ValidationError(f"output {output} would overwrite the input {name}")
         if motion_inputs is not None:
-            path = bundle.files["joints"] = out_dir / "joints.csv"
-            eio.write_joint_trajectory(path, motion_inputs.model, torque.times, retargeted.configurations)
+            eio.write_joint_trajectory(
+                files["joints"], motion_inputs.model, torque.times, retargeted.configurations
+            )
         for key, (header, rows) in tables.items():
-            path = bundle.files[key] = out_dir / f"{key}.csv"
-            eio.write_csv(path, header, rows)
-        path = bundle.files["boxplot_data"] = out_dir / "boxplot_data.json"
-        eio.write_json(path, emit_boxplot_data(boxplots))
-        path = bundle.files["manifest"] = out_dir / "manifest.json"
-        eio.write_json(path, manifest)
+            eio.write_csv(files[key], header, rows)
+        eio.write_json(files["boxplot_data"], emit_boxplot_data(boxplots))
+        eio.write_json(files["manifest"], manifest)
 
-    return bundle
+    return ReportBundle(out_dir, files)

@@ -21,11 +21,11 @@ when a bound binds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleBoundsError, SolverError
+from .errors import SolverError
 
 _STEP_TOL = 1e-12
 _MAX_ITERATIONS = 200
@@ -41,16 +41,12 @@ _RANK_RCOND = 1e-12
 
 @dataclass
 class QPResult:
-    """A QP solution with its active-set iterations and the bounds active at it."""
+    """A QP solution, its active-set iterations and the sorted coordinates
+    at a bound at it."""
 
     x: np.ndarray
     iterations: int
-    active_lower: list[int] = field(default_factory=list)
-    active_upper: list[int] = field(default_factory=list)
-
-    @property
-    def saturated(self) -> list[int]:
-        return sorted(set(self.active_lower) | set(self.active_upper))
+    saturated: list[int]
 
 
 def _null_space(C: np.ndarray) -> np.ndarray:
@@ -70,17 +66,18 @@ def solve_ls_qp(
 ) -> QPResult:
     """Minimize the problem in the module docstring. Without equality rows
     the start defaults to zero clipped to the bounds; with ``C`` it is
-    ``x0``, which is then required. A bound leaves the working set only when
-    its multiplier has the wrong sign by more than ``_RELEASE_TOL``, and
-    ``_MAX_ITERATIONS`` iterations without convergence raise ``SolverError``."""
+    ``x0``, which is then required. A missing start, or a lower bound above
+    its upper bound, is a ``ValueError``. A bound leaves the working set
+    only when its multiplier has the wrong sign by more than
+    ``_RELEASE_TOL``, and ``_MAX_ITERATIONS`` iterations without
+    convergence raise ``SolverError``."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float)
     n = A.shape[1]
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
     if np.any(lb > ub):
-        bad = np.nonzero(lb > ub)[0].tolist()
-        raise InfeasibleBoundsError(f"velocity bounds are empty at coordinates {bad}")
+        raise ValueError(f"bounds are empty at coordinates {np.flatnonzero(lb > ub).tolist()}")
     if C is None:
         C = np.zeros((0, n))
     elif x0 is None:
@@ -135,7 +132,7 @@ def solve_ls_qp(
         # x is the working-set optimum (a full Newton step on a quadratic
         # lands on it); with no bound in the working set it is the solution
         if free.size == n:
-            return QPResult(x=x, iterations=iteration)
+            return QPResult(x, iteration, [])
         grad = P @ x + g0
 
         # multipliers: nu for equalities from free-coordinate stationarity,
@@ -158,12 +155,7 @@ def solve_ls_qp(
             if resid[i] > worst:
                 release, worst = (active_up, i), resid[i]
         if release is None:
-            return QPResult(
-                x=x,
-                iterations=iteration,
-                active_lower=np.flatnonzero(active_lo).tolist(),
-                active_upper=np.flatnonzero(active_up).tolist(),
-            )
+            return QPResult(x, iteration, np.flatnonzero(active_lo | active_up).tolist())
         working, idx = release
         working[idx] = False
 
@@ -194,7 +186,7 @@ def solve_hierarchy(
     level-1 rows are not clearly independent, or ``x1`` or ``x`` leaves the
     bounds, both levels go through ``solve_ls_qp`` from scratch instead,
     and the result reports the iterations of both calls and the union of
-    their active bounds."""
+    their saturated coordinates."""
     m1, n = J1.shape
     two_levels = J2.shape[0] > 0
     if 0 < m1 <= n:
@@ -215,15 +207,10 @@ def solve_hierarchy(
                     x = x + Z @ np.linalg.solve(G, B.T @ (v2 - J2 @ x))
                 iterations = 2
             if (lb <= x).all() and (x <= ub).all():
-                return QPResult(x=x, iterations=iterations)
+                return QPResult(x, iterations, [])
 
     r1 = solve_ls_qp(J1, v1, eps, lb, ub)
     if not two_levels:
         return r1
     r2 = solve_ls_qp(J2, v2, eps, lb, ub, C=J1, x0=r1.x)
-    return QPResult(
-        x=r2.x,
-        iterations=r1.iterations + r2.iterations,
-        active_lower=sorted(set(r1.active_lower) | set(r2.active_lower)),
-        active_upper=sorted(set(r1.active_upper) | set(r2.active_upper)),
-    )
+    return QPResult(r2.x, r1.iterations + r2.iterations, sorted(set(r1.saturated) | set(r2.saturated)))

@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    FrameError,
-    InfeasibleBoundsError,
-    SolverError,
-    ValidationError,
-    require_finite,
-    uniform_spacing,
-)
+from .errors import FrameError, SolverError, ValidationError, require_finite, uniform_spacing
 from .geometry import (
     orientation_error,
     quat_rotvec_between,
@@ -151,12 +144,14 @@ class Reference:
 
 @dataclass
 class FrameDiagnostics:
-    """QP iterations, active bounds and skip state of one retargeting frame."""
+    """QP iterations and the sorted coordinates at a velocity bound of one
+    retargeting frame. The bounds are the constant ``VELOCITY_BOUND``, so
+    every frame is solved: ``skipped`` is always False, and stays only
+    because ``bench/tracing.py`` counts it as ``retarget.skipped_frames``."""
 
-    iterations: int = 0
-    active_constraints: list[int] = field(default_factory=list)
+    iterations: int
+    active_constraints: list[int]
     skipped: bool = False
-    message: str = ""
 
 
 @dataclass
@@ -238,9 +233,7 @@ class _Plan:
         from the configuration ``q``, given as its base position, base
         orientation and joint angles: the velocity and the frame's
         diagnostics, with the configuration it integrates to over ``dt``
-        written into ``out``, three arrays of the same shapes. A frame whose
-        bounds are empty raises ``InfeasibleBoundsError`` and writes
-        nothing."""
+        written into ``out``, three arrays of the same shapes."""
         position, orientation, angles = q
         self.rows(self.sweep(position, quat_to_matrix(orientation), angles), refs, k)
         result = solve_hierarchy(*self.levels, self.epsilon, self.lower, self.upper)
@@ -389,8 +382,8 @@ def retarget_trajectory(model: SkeletonModel, captured: CapturedTrajectory) -> R
 
     The captured frames are replayed as recorded, one ``1 / sample_rate``
     step apart, so the frame count is preserved and the result carries the
-    captured timestamps. Infeasible frames are skipped (configuration held) with a
-    diagnostic; solver non-convergence aborts with the frame index.
+    captured timestamps. The velocity bounds are constant, so every frame
+    is solved; solver non-convergence aborts with the frame index.
     """
     tasks = default_task_stack()
     plan = _Plan(model, tasks)
@@ -409,9 +402,6 @@ def retarget_trajectory(model: SkeletonModel, captured: CapturedTrajectory) -> R
         row = (P[k], Q[k], A[k])
         try:
             _, frame = plan.step(current, references, k, dt, row)
-        except InfeasibleBoundsError as exc:  # the frame holds the configuration
-            frame = FrameDiagnostics(skipped=True, message=str(exc))
-            P[k], Q[k], A[k] = current
         except SolverError as exc:
             raise SolverError(f"frame {k}: {exc}") from exc
         diagnostics.append(frame)

@@ -13,7 +13,7 @@ import numpy as np
 from exoload import io as eio
 from exoload.anthropometry import AnthropometricProfile
 from exoload.dynamics import GRAVITY_DEFAULT, RATE_TOLERANCE, LaevoModel
-from exoload.errors import InfeasibleBoundsError, ValidationError
+from exoload.errors import ValidationError
 from exoload.geometry import (
     IDENTITY_QUAT,
     orientation_error,
@@ -24,7 +24,7 @@ from exoload.geometry import (
 )
 from exoload import retarget
 from exoload.posture import AnnotationSegment, TrialAnnotation
-from exoload.qp import QPResult, solve_ls_qp
+from exoload.qp import QPResult, solve_hierarchy, solve_ls_qp
 from exoload.retarget import (
     CapturedTrajectory,
     FrameDiagnostics,
@@ -349,7 +349,7 @@ LAEVO_PARAMS = {"k_loss": 10.0, "theta_min": 20.0, "theta_max": 50.0, "tau_max":
 
 def write_every_input_session(tmp_path):
     """A session config naming every kind of input file; returns the config
-    path and the files by kind."""
+    as a dict and the files by kind, the config's path as ``files["config"]``."""
     config_path = write_bend_session(tmp_path, duration_s=0.25)
     files = {
         "config": config_path,
@@ -779,8 +779,8 @@ def reference_two_level_step(
     ``EPSILON`` and ``VELOCITY_BOUND``, read when called: level 1 under the
     velocity bounds, then level 2 with the level-1 task velocities held by
     an equality constraint, started from level 1's solution. Iterations
-    add up and the active bounds are the union of both levels'. The oracle
-    for ``qp.solve_hierarchy``."""
+    add up and the saturated coordinates are the union of both levels'.
+    The oracle for ``qp.solve_hierarchy``."""
     n, eps = J1.shape[1], retarget.EPSILON
     lb, ub = -np.full(n, retarget.VELOCITY_BOUND), np.full(n, retarget.VELOCITY_BOUND)
     r1 = solve_ls_qp(J1, v1, eps, lb, ub)
@@ -790,8 +790,7 @@ def reference_two_level_step(
     return QPResult(
         x=r2.x,
         iterations=r1.iterations + r2.iterations,
-        active_lower=sorted(set(r1.active_lower) | set(r2.active_lower)),
-        active_upper=sorted(set(r1.active_upper) | set(r2.active_upper)),
+        saturated=sorted(set(r1.saturated) | set(r2.saturated)),
     )
 
 
@@ -824,12 +823,7 @@ def reference_retarget(
     for refs in reference_frame_references(model, captured, tasks):
         state = KinematicState(model, q)
         J1, v1, J2, v2 = reference_task_rows(state, tasks, refs, retarget.GAIN, KinematicState.jacobian)
-        try:
-            r = reference_two_level_step(J1, v1, J2, v2)
-        except InfeasibleBoundsError as exc:
-            diagnostics.append(FrameDiagnostics(skipped=True, message=str(exc)))
-            configurations.append(q)
-            continue
+        r = reference_two_level_step(J1, v1, J2, v2)
         diagnostics.append(FrameDiagnostics(r.iterations, r.saturated))
         q = integrate_configuration(model, q, r.x, dt)
         configurations.append(q)
@@ -843,11 +837,8 @@ def reference_allocating_retarget(
     afresh, at the retargeter's constants: each
     frame builds a ``KinematicState`` of its configuration, writes the
     plan's rows from its frames, solves both levels with bounds made by
-    ``np.full`` and integrates into a new ``JointConfiguration``; a frame
-    whose bounds are empty holds the configuration. The level solver is
-    ``retarget.solve_hierarchy`` as bound when the frame runs, so a patched
-    one reaches this loop too. The bit-for-bit oracle of
-    ``retarget_trajectory``."""
+    ``np.full`` and integrates into a new ``JointConfiguration``. The
+    bit-for-bit oracle of ``retarget_trajectory``."""
     tasks = default_task_stack()
     plan = _Plan(model, tasks)
     dt = 1.0 / captured.sample_rate
@@ -858,21 +849,11 @@ def reference_allocating_retarget(
     configurations, diagnostics = [], []
     for k in range(n):
         J, v = plan.rows(KinematicState(model, q).frames, refs, k)
-        try:
-            result = retarget.solve_hierarchy(
-                J[:m1],
-                v[:m1],
-                J[m1:],
-                v[m1:],
-                retarget.EPSILON,
-                -np.full(nv, bound),
-                np.full(nv, bound),
-            )
-        except InfeasibleBoundsError as exc:
-            diagnostics.append(FrameDiagnostics(skipped=True, message=str(exc)))
-        else:
-            diagnostics.append(FrameDiagnostics(result.iterations, result.saturated))
-            q = integrate_configuration(model, q, result.x, dt)
+        result = solve_hierarchy(
+            J[:m1], v[:m1], J[m1:], v[m1:], retarget.EPSILON, -np.full(nv, bound), np.full(nv, bound)
+        )
+        diagnostics.append(FrameDiagnostics(result.iterations, result.saturated))
+        q = integrate_configuration(model, q, result.x, dt)
         configurations.append(q)
     stacked = JointConfiguration(
         np.array([c.base_position for c in configurations]),

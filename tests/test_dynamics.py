@@ -21,7 +21,6 @@ from exoload.dynamics import (
     LUMBAR_LOAD_SIGN,
     RATE_TOLERANCE,
     LaevoModel,
-    TorqueSeries,
     decompose_torque,
     estimate_derivatives,
     inverse_dynamics,
@@ -394,6 +393,8 @@ def test_decompose_examples():
     assert np.array_equal(ts.tau_human, ts.tau_net)
     with pytest.raises(ValidationError, match="mismatch"):
         decompose_torque(t, np.zeros(3), np.zeros(4), theta, theta)
+    with pytest.raises(ValidationError, match="theta_dot_deg_s=2"):
+        decompose_torque(t, np.zeros(3), np.zeros(3), theta, np.zeros(2))
 
 
 @given(
@@ -404,12 +405,6 @@ def test_decomposition_identity_elementwise(net, exo):
     n = len(net)
     ts = decompose_torque(np.arange(float(n)), np.array(net), np.full(n, exo), np.zeros(n), np.zeros(n))
     assert np.array_equal(ts.tau_human, ts.tau_net - ts.tau_exo)
-
-
-def test_torque_series_rejects_broken_identity():
-    t = np.arange(2.0)
-    with pytest.raises(ValidationError, match="exactly"):
-        TorqueSeries(t, np.ones(2), np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
 
 
 def test_static_hold_reduction_ratio(model):
@@ -446,7 +441,7 @@ def test_lumbar_effort_report_reduction():
     annotation = TrialAnnotation("x", (AnnotationSegment("PS", 0.0, 1.0),))
     net = np.full(10, 30.0)
     human = np.full(10, 26.61)
-    series = TorqueSeries(t, net, net - human, human, np.zeros(10), np.zeros(10))
+    series = decompose_torque(t, net, net - human, np.zeros(10), np.zeros(10))
     rows, median_reduction_pct = lumbar_effort_report(series, annotation)
     assert median_reduction_pct["PS"] == pytest.approx(11.3, abs=1e-9)
     channels = {(label, channel) for label, channel, _ in rows}
@@ -459,7 +454,7 @@ def test_lumbar_effort_report_zero_reduction_and_degenerate():
         "x", (AnnotationSegment("PS", 0.0, 0.25), AnnotationSegment("SP", 0.25, 1.0))
     )
     net = np.array([30.0, 25.0, 20.0, 22.0])
-    series = TorqueSeries(t, net, np.zeros(4), net, np.zeros(4), np.zeros(4))
+    series = decompose_torque(t, net, np.zeros(4), np.zeros(4), np.zeros(4))
     rows, median_reduction_pct = lumbar_effort_report(series, annotation)
     assert median_reduction_pct["PS"] == 0.0
     single = [s for label, channel, s in rows if label == "PS" and channel == "tau_net"][0]

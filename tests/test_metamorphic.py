@@ -63,7 +63,7 @@ def replay(model, captured: CapturedTrajectory) -> tuple[np.ndarray, np.ndarray,
     result = retarget_trajectory(model, captured)
     kinematics = KinematicState(model, result.configurations)
     tau_net = net_lumbar_series(kinematics, 1.0 / captured.sample_rate)
-    saturated = sum(1 for d in result.diagnostics if d.active_constraints or d.skipped)
+    saturated = sum(1 for d in result.diagnostics if d.active_constraints)
     return tau_net, np.degrees(result.configurations.joint_angles), saturated
 
 

@@ -597,6 +597,53 @@ def test_a_bundle_file_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys
         assert {"joints.csv", "torque_series.csv", "angle_summaries.csv", "boxplot_data.json"} <= written
 
 
+def file_bytes(directory: Path) -> dict[Path, bytes]:
+    return {path: path.read_bytes() for path in directory.iterdir() if path.is_file()}
+
+
+@pytest.mark.parametrize("override", [False, True])
+def test_a_bundle_file_that_is_an_input_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, override):
+    """An ECG recording named ``heart_rate.csv`` in the output directory,
+    set by the config or by a relative ``--output-dir``, is an input the
+    heart-rate table would write over: the run exits 2 naming both paths,
+    and every file there keeps its bytes."""
+    config, files = write_every_input_session(tmp_path)
+    recording = tmp_path / "heart_rate.csv"
+    files["ecg"].rename(recording)
+    files["ecg_sidecar"].rename(tmp_path / "heart_rate.csv.meta.json")
+    config["ecg"] = {"files": {"head": "heart_rate.csv"}}
+    args = ["pipeline", "--config", str(files["config"])]
+    if override:
+        monkeypatch.chdir(tmp_path)
+        args += ["--output-dir", "."]
+    else:
+        config["output_dir"] = "."
+    files["config"].write_text(json.dumps(config))
+    before = file_bytes(tmp_path)
+    assert cli.main(args) == 2
+    output = "heart_rate.csv" if override else recording
+    assert capsys.readouterr().err == (
+        f"error: stage report: output {output} would overwrite the input {recording}\n"
+    )
+    assert file_bytes(tmp_path) == before
+
+
+def test_a_config_named_manifest_in_its_output_dir_exits_2(tmp_path, capsys):
+    """A config file named ``manifest.json`` in its own output directory
+    would be overwritten by the manifest: the run exits 2 and writes no
+    file."""
+    config = json.loads(write_bend_session(tmp_path, duration_s=0.5).read_text())
+    config["output_dir"] = "."
+    config_path = tmp_path / "manifest.json"
+    config_path.write_text(json.dumps(config))
+    before = file_bytes(tmp_path)
+    assert cli.main(["pipeline", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: stage report: output {config_path} would overwrite the input {config_path}\n"
+    )
+    assert file_bytes(tmp_path) == before
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -1162,6 +1209,29 @@ def test_the_analysis_takes_only_what_a_run_varies():
     assert list(inspect.signature(biosignals.heart_rate_stats).parameters) == ["beat_times"]
     assert list(inspect.signature(surveys.borg_summary).parameters) == ["schema", "responses"]
     assert dynamics.DERIVATIVE_SMOOTHING_HZ == 5.0
+
+
+def test_result_records_hold_only_what_a_run_produces():
+    """The QP reports one sorted list of saturated coordinates, a frame has
+    no skip message, the heart rate is its beats per minute alone, the human
+    torque share is ``tau_net - tau_exo`` by definition, and no error class
+    names bounds that a constant velocity bound can never leave empty."""
+    from exoload import biosignals, dynamics, errors, qp, retarget
+
+    assert [f.name for f in dataclasses.fields(qp.QPResult)] == ["x", "iterations", "saturated"]
+    assert "message" not in {f.name for f in dataclasses.fields(retarget.FrameDiagnostics)}
+    assert [f.name for f in dataclasses.fields(biosignals.HeartRateSeries)] == ["bpm"]
+    assert "tau_human" not in {f.name for f in dataclasses.fields(dynamics.TorqueSeries)}
+    assert not hasattr(dynamics.TorqueSeries, "__post_init__")
+    assert not hasattr(errors, "InfeasibleBoundsError")
+
+
+def test_every_package_error_is_a_validation_or_numerical_error():
+    """``ExoloadError`` has exactly two direct subclasses, and ``prefixed``
+    keeps an error's type, so every package error exits 2 or 3."""
+    from exoload.errors import ExoloadError
+
+    assert set(ExoloadError.__subclasses__()) == {ValidationError, NumericalError}
 
 
 def test_config_env_var(tmp_path, monkeypatch, capsys):

@@ -5,7 +5,6 @@ from scipy.optimize import lsq_linear
 from helpers import reference_two_level_step
 
 from exoload import qp, retarget
-from exoload.errors import InfeasibleBoundsError
 from exoload.qp import solve_hierarchy, solve_ls_qp
 
 
@@ -77,7 +76,9 @@ def test_equality_rows_need_a_start():
 
 
 def test_infeasible_bounds_raise():
-    with pytest.raises(InfeasibleBoundsError, match="coordinates"):
+    """A lower bound above its upper bound is an argument error naming the
+    coordinate."""
+    with pytest.raises(ValueError, match=r"coordinates \[0\]"):
         solve_ls_qp(np.eye(2), np.ones(2), 1e-6, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
@@ -85,8 +86,7 @@ def test_saturated_coordinates_reported():
     A = np.eye(3)
     b = np.array([5.0, -5.0, 0.1])
     r = solve_ls_qp(A, b, 1e-9, -np.ones(3), np.ones(3))
-    assert r.active_upper == [0]
-    assert r.active_lower == [1]
+    assert r.saturated == [0, 1]
     assert np.allclose(r.x, [1.0, -1.0, 0.1], atol=1e-9)
     assert r.x[0] == 1.0 and r.x[1] == -1.0  # lands exactly on the bounds
 
@@ -111,8 +111,8 @@ def test_tolerance_sets_when_a_bound_is_released(monkeypatch):
     default = solve_ls_qp(A, b, 1e-6, lb, ub)
     monkeypatch.setattr(qp, "_RELEASE_TOL", 0.1)
     loose = solve_ls_qp(A, b, 1e-6, lb, ub)
-    assert default.active_lower == [] and default.active_upper == [1]
-    assert loose.active_lower == [2] and loose.active_upper == [1]
+    assert default.saturated == [1] and default.x[1] == 1.0
+    assert loose.saturated == [1, 2] and loose.x[1] == 1.0
     assert loose.x[2] == -1.0 < default.x[2]
     assert objective(A, b, 1e-6, default.x) < objective(A, b, 1e-6, loose.x)
 
@@ -148,12 +148,15 @@ def fixed_problem(name):
 def test_fixed_problems_keep_iterations_and_active_sets(name, iterations, active_lower, active_upper):
     """Iteration counts and working sets of the list-based active-set loop
     this solver replaced, on bounded problems with and without equality
-    constraints."""
-    r = solve_ls_qp(**fixed_problem(name))
+    constraints: each coordinate of the working set sits exactly on the
+    bound of its side."""
+    problem = fixed_problem(name)
+    r = solve_ls_qp(**problem)
     assert r.iterations == iterations
-    assert r.active_lower == active_lower
-    assert r.active_upper == active_upper
-    assert all(type(i) is int for i in r.active_lower + r.active_upper)
+    assert r.saturated == sorted(active_lower + active_upper)
+    assert all(type(i) is int for i in r.saturated)
+    assert np.array_equal(r.x[active_lower], problem["lb"][active_lower])
+    assert np.array_equal(r.x[active_upper], problem["ub"][active_upper])
 
 
 @pytest.fixture
@@ -172,8 +175,7 @@ def hierarchy(J1, v1, J2, v2):
 def assert_matches_oracle(got, want, tol):
     assert np.max(np.abs(got.x - want.x)) <= tol
     assert got.iterations == want.iterations
-    assert got.active_lower == want.active_lower
-    assert got.active_upper == want.active_upper
+    assert got.saturated == want.saturated
 
 
 def test_hierarchy_matches_two_call_oracle_on_random_problems(active_set_calls, wide):

@@ -20,7 +20,7 @@ from helpers import (
 import exoload
 import exoload.io as eio
 from exoload import retarget
-from exoload.errors import FrameError, InfeasibleBoundsError, ValidationError
+from exoload.errors import FrameError, ValidationError
 from exoload.geometry import (
     IDENTITY_QUAT,
     quat_multiply,
@@ -338,8 +338,8 @@ def test_plan_orders_levels_and_rejects_bad_stacks(model):
 
 def test_retarget_loop_matches_per_task_loop_when_saturating(model, monkeypatch):
     """A moving, yawing pelvis under a tight 0.6 rad/s velocity bound, which
-    saturates: the one-pass loop takes the per-task loop's QP iterations,
-    active sets and skips, and lands on its joint angles."""
+    saturates: the one-pass loop takes the per-task loop's QP iterations
+    and active sets, and lands on its joint angles."""
     configurations = moving_base_trajectory(model, 0.4)
     captured = capture_from_configurations(model, configurations, 240.0)
     monkeypatch.setattr(retarget, "VELOCITY_BOUND", 0.6)
@@ -347,9 +347,7 @@ def test_retarget_loop_matches_per_task_loop_when_saturating(model, monkeypatch)
     expected, diagnostics = reference_retarget(model, captured)
     assert sum(1 for d in diagnostics if d.active_constraints) >= 10
     assert max(d.iterations for d in diagnostics) > 2
-    for name in ("iterations", "active_constraints", "skipped"):
-        got = [getattr(d, name) for d in result.diagnostics]
-        assert got == [getattr(d, name) for d in diagnostics], name
+    assert result.diagnostics == diagnostics
     angles = np.array([c.joint_angles for c in result.configurations])
     oracle = np.array([c.joint_angles for c in expected])
     assert np.max(np.abs(angles - oracle)) <= 1e-9
@@ -380,9 +378,7 @@ def test_fused_step_matches_two_call_oracle_on_every_frame(model, trajectory):
         got = solve_hierarchy(*rows, retarget.EPSILON, -bound, bound)
         want = reference_two_level_step(*rows)
         assert np.max(np.abs(got.x - want.x)) <= 1e-9, k
-        assert (got.iterations, got.active_lower, got.active_upper) == (
-            want.iterations, want.active_lower, want.active_upper
-        ), k
+        assert (got.iterations, got.saturated) == (want.iterations, want.saturated), k
         assert result.diagnostics[k] == FrameDiagnostics(want.iterations, want.saturated), k
         q = result.configurations[k]
 
@@ -550,56 +546,13 @@ def test_integration_consistency(model):
         q = sol.next_configuration
 
 
-def skip_calls(monkeypatch, infeasible):
-    """Patch ``retarget.solve_hierarchy`` to report empty bounds on the calls
-    numbered in ``infeasible``; returns the call list, which a caller clears
-    to count again from zero."""
-    calls = []
-
-    def solve(*args, **kwargs):
-        calls.append(len(calls))
-        if calls[-1] in infeasible:
-            raise InfeasibleBoundsError(f"no room at frame {calls[-1]}")
-        return solve_hierarchy(*args, **kwargs)
-
-    monkeypatch.setattr("exoload.retarget.solve_hierarchy", solve)
-    return calls
-
-
-def test_infeasible_frames_skip_and_hold_the_configuration(model, monkeypatch):
-    """A frame whose QP reports empty bounds is skipped with that message and
-    holds the configuration it starts from; the other frames are solved."""
-    captured = capture_from_configurations(model, moving_base_trajectory(model, 0.03), 240.0)
-    infeasible = {0, 3, 4}
-    calls = skip_calls(monkeypatch, infeasible)
-    result = retarget_trajectory(model, captured)
-    n = result.n_frames
-    assert len(calls) == n >= 6
-    q = result.configurations
-    start = model.upright_configuration()
-    before = [
-        np.concatenate([q.base_position[k - 1], q.base_orientation[k - 1], q.joint_angles[k - 1]])
-        if k
-        else np.concatenate([start.base_position, start.base_orientation, start.joint_angles])
-        for k in range(n)
-    ]
-    for k, diagnostics in enumerate(result.diagnostics):
-        after = np.concatenate([q.base_position[k], q.base_orientation[k], q.joint_angles[k]])
-        if k in infeasible:
-            assert diagnostics.skipped and diagnostics.message == f"no room at frame {k}"
-            assert np.array_equal(after, before[k])
-        else:
-            assert not diagnostics.skipped and diagnostics.iterations >= 1
-            assert not np.array_equal(after, before[k])
-
-
-@pytest.mark.parametrize("case", ["sinusoid", "moving-base", "shifted-start", "saturating", "skipped-frames"])
+@pytest.mark.parametrize("case", ["sinusoid", "moving-base", "shifted-start", "saturating"])
 def test_retarget_matches_the_allocating_loop_bit_for_bit(model, monkeypatch, case):
     """The loop over one workspace gives the configurations and per-frame
     diagnostics of the loop that makes every per-frame object afresh, bit
     for bit: on the 1 s sinusoid, the moving base, the moving base starting
-    away from the upright base pose, the moving base saturating a 0.6 rad/s
-    bound, and a capture with skipped frames."""
+    away from the upright base pose, and the moving base saturating a
+    0.6 rad/s bound."""
 
     def shifted(q: JointConfiguration) -> JointConfiguration:
         return JointConfiguration(q.base_position + [2.0, -1.0, 0.0], q.base_orientation, q.joint_angles)
@@ -609,25 +562,18 @@ def test_retarget_matches_the_allocating_loop_bit_for_bit(model, monkeypatch, ca
         "moving-base": lambda: moving_base_trajectory(model, 1.0),
         "shifted-start": lambda: shifted(moving_base_trajectory(model, 0.25)),
         "saturating": lambda: moving_base_trajectory(model, 0.4),
-        "skipped-frames": lambda: moving_base_trajectory(model, 0.03),
     }[case]()
     captured = capture_from_configurations(model, trajectory, 240.0)
     if case == "saturating":
         monkeypatch.setattr(retarget, "VELOCITY_BOUND", 0.6)
-    calls = skip_calls(monkeypatch, {0, 3, 4} if case == "skipped-frames" else set())
     result = retarget_trajectory(model, captured)
-    calls.clear()
     expected, diagnostics = reference_allocating_retarget(model, captured)
     for name in ("base_position", "base_orientation", "joint_angles"):
         got, want = getattr(result.configurations, name), getattr(expected, name)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
-    for name in ("iterations", "active_constraints", "skipped", "message"):
-        got = [getattr(d, name) for d in result.diagnostics]
-        assert got == [getattr(d, name) for d in diagnostics], name
+    assert result.diagnostics == diagnostics
     if case == "saturating":
         assert sum(1 for d in diagnostics if d.active_constraints) >= 10
-    if case == "skipped-frames":
-        assert [k for k, d in enumerate(diagnostics) if d.skipped] == [0, 3, 4]
 
 
 def test_retarget_builds_its_per_frame_objects_once(model, monkeypatch):
