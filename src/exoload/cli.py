@@ -53,8 +53,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_session(args: argparse.Namespace) -> SessionConfig:
     if not args.config:
         raise ValidationError("no config given: pass --config")
+    if args.output_dir == "":
+        raise ValidationError("--output-dir is empty: name a directory or leave the option out")
     config = load_config(args.config)
-    if args.output_dir:
+    if args.output_dir is not None:
         return dataclasses.replace(config, output_dir=Path(args.output_dir))
     return config
 
@@ -77,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+    except np.linalg.LinAlgError as exc:
         # a numerical failure no stage turned into a NumericalError
         print(f"error: {args.command}: numerical failure: {exc!r}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -45,7 +45,7 @@ def inverse_dynamics(
     q: JointConfiguration,
     qd: np.ndarray,
     qdd: np.ndarray,
-    gravity: float | np.ndarray = GRAVITY_DEFAULT,
+    gravity: float = GRAVITY_DEFAULT,
 ) -> np.ndarray:
     """Generalized forces of the free-floating model at one configuration:
     the single-frame case of :func:`inverse_dynamics_series`.
@@ -67,12 +67,13 @@ def inverse_dynamics_series(
     kinematics: KinematicState,
     qd: np.ndarray,
     qdd: np.ndarray,
-    gravity: float | np.ndarray = GRAVITY_DEFAULT,
+    gravity: float = GRAVITY_DEFAULT,
 ) -> np.ndarray:
     """Generalized forces ``(T, n_velocity)`` of a whole trajectory via a
     recursive Newton-Euler sweep in world coordinates (Featherstone 2008,
-    ch. 5). The sweeps run once over the links; every link quantity is a
-    ``(T, 3)`` array, so each cross product covers all frames at once.
+    ch. 5), under ``gravity`` m/s^2 along -Z. The sweeps run once over the
+    links; every link quantity is a ``(T, 3)`` array, so each cross product
+    covers all frames at once.
     """
     model = kinematics.model
     T, nv = kinematics.n_frames, model.n_velocity
@@ -82,10 +83,6 @@ def inverse_dynamics_series(
     qdd = np.asarray(qdd, dtype=float)
     if qd.shape != (T, nv) or qdd.shape != (T, nv):
         raise ValidationError(f"expected velocity/acceleration of shape ({T}, {nv})")
-    if np.isscalar(gravity):
-        g_vec = np.array([0.0, 0.0, -float(gravity)])
-    else:
-        g_vec = np.asarray(gravity, dtype=float)
 
     n = model.n_joint_dofs
     frames = kinematics.frames
@@ -98,7 +95,7 @@ def inverse_dynamics_series(
     al = np.empty((1 + n, T, 3))
     acc = np.empty((1 + n, T, 3))
     w[0], al[0] = qd[:, 3:6], qdd[:, 3:6]
-    acc[0] = qdd[:, 0:3] - g_vec
+    acc[0] = qdd[:, 0:3] - (0.0, 0.0, -gravity)
     for i, p in enumerate(model._parent_row):
         row = 1 + i
         r = position[row] - position[p]

@@ -306,7 +306,7 @@ def read_motion_inputs(config: SessionConfig) -> MotionInputs:
         captured = eio.parse_motion_file(config.motion_file, aliases=aliases)
         # the rule estimate_derivatives applies, at the step the motion run takes
         with prefixed(config.motion_file):
-            check_sampling(captured.n_frames, 1.0 / captured.sample_rate)
+            check_sampling(captured.n_frames, captured.dt)
     with _stage("parse-annotation"):
         if config.annotation_file is not None:
             annotation = eio.parse_annotation_file(config.annotation_file)
@@ -315,7 +315,7 @@ def read_motion_inputs(config: SessionConfig) -> MotionInputs:
                 segment_series(captured.times, captured.times, annotation)
         else:
             times = captured.times
-            end = float(times[-1]) + 1.0 / captured.sample_rate
+            end = float(times[-1]) + captured.dt
             # a capture without an annotation is one control window
             annotation = TrialAnnotation("session", (AnnotationSegment("control", float(times[0]), end),))
     with _stage("parse-exoskeleton"):
@@ -335,17 +335,16 @@ def run_motion_analysis(config: SessionConfig, inputs: MotionInputs) -> tuple[Re
     # the capture's errors here name no file
     with _stage("retarget"), prefixed(config.motion_file):
         result = retarget_trajectory(model, captured)
-    dt = 1.0 / captured.sample_rate
     with _stage("dynamics"):
         kinematics = KinematicState(model, result.configurations)
-        tau_net = net_lumbar_series(kinematics, dt)
+        tau_net = net_lumbar_series(kinematics, captured.dt)
     with _stage("back-flexion"):
         theta = thorax_flexion_deg(kinematics.segment_rotation("thorax"))
-        theta_dot = time_derivative(theta, dt)
+        theta_dot = time_derivative(theta, captured.dt)
     with _stage("exoskeleton"):
         tau_exo = np.zeros_like(tau_net) if exo is None else laevo_torque_series(exo, theta, theta_dot)
     with _stage("decompose"):
-        torque = decompose_torque(result.times, tau_net, tau_exo, theta, theta_dot)
+        torque = decompose_torque(captured.times, tau_net, tau_exo, theta, theta_dot)
     return result, torque
 
 

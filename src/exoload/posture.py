@@ -90,7 +90,8 @@ def segment_series(
     Each sample represents one sampling interval, so the recorded range runs
     from the first timestamp to one ``sample_period`` past the last. A window
     may overrun that range by up to half a period on either side: it selects
-    the same samples, and rounded timestamps move the period far less."""
+    the same samples, and rounded timestamps move the period far less. A
+    window that selects no sample is an error: no summary can be made of it."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values)
     if times.shape[0] != values.shape[0]:
@@ -104,6 +105,8 @@ def segment_series(
                 f"recorded range [{times[0]}, {times[-1] + dt}]"
             )
         mask = (times >= seg.start) & (times < seg.end)
+        if not mask.any():
+            raise ValidationError(f"segment {seg.label!r} [{seg.start}, {seg.end}) selects no sample")
         out.append((seg.label, values[mask]))
     return out
 

@@ -94,19 +94,18 @@ class SegmentTrack:
 @dataclass
 class CapturedTrajectory:
     """Time-stamped world poses of body segments from motion capture, frames
-    as recorded. The sample rate is the inverse of ``uniform_spacing``: the
-    span over the number of spacings, each spacing within ``DT_JITTER_TOL``
-    of it. Every quaternion within ``QUAT_NORM_TOL`` of unit norm is
-    renormalized."""
+    as recorded. The period ``dt`` is ``uniform_spacing``'s: the span over
+    the number of spacings, each spacing within ``DT_JITTER_TOL`` of it.
+    Every quaternion within ``QUAT_NORM_TOL`` of unit norm is renormalized."""
 
     times: np.ndarray  # (n,)
     segments: dict[str, SegmentTrack]
-    sample_rate: float = field(init=False)
+    dt: float = field(init=False)  # s
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
         require_finite(self.times, "trajectory timestamps")
-        self.sample_rate = 1.0 / uniform_spacing(self.times, DT_JITTER_TOL)
+        self.dt = uniform_spacing(self.times, DT_JITTER_TOL)
         n, segments = len(self.times), {}
         for name, track in self.segments.items():
             if track.positions.shape != (n, 3) or track.quaternions.shape != (n, 4):
@@ -301,15 +300,15 @@ def solve_frame(
 
 @dataclass
 class RetargetResult:
-    """A retargeted trajectory: the captured times, configurations and frame diagnostics."""
+    """A retargeted trajectory: one configuration and one frame's
+    diagnostics for each captured frame, whose times the capture keeps."""
 
-    times: np.ndarray
     configurations: JointConfiguration  # (T,) trajectory
     diagnostics: list[FrameDiagnostics]
 
     @property
     def n_frames(self) -> int:
-        return len(self.times)
+        return len(self.configurations)
 
 
 def _reference_tracks(
@@ -380,15 +379,14 @@ def retarget_trajectory(model: SkeletonModel, captured: CapturedTrajectory) -> R
     the first captured pose of ``model.base_segment``, or at the upright
     base pose when the capture has no such track.
 
-    The captured frames are replayed as recorded, one ``1 / sample_rate``
-    step apart, so the frame count is preserved and the result carries the
-    captured timestamps. The velocity bounds are constant, so every frame
-    is solved; solver non-convergence aborts with the frame index.
+    The captured frames are replayed as recorded, one ``captured.dt`` step
+    apart, so the result holds one configuration per captured frame. The
+    velocity bounds are constant, so every frame is solved; solver
+    non-convergence aborts with the frame index.
     """
     tasks = default_task_stack()
     plan = _Plan(model, tasks)
-    dt = 1.0 / captured.sample_rate
-    n = captured.n_frames
+    dt, n = captured.dt, captured.n_frames
     references = _trajectory_references(plan, _reference_tracks(model, captured, tasks), n, dt)
 
     q = model.upright_configuration()
@@ -407,8 +405,4 @@ def retarget_trajectory(model: SkeletonModel, captured: CapturedTrajectory) -> R
         diagnostics.append(frame)
         current = row
 
-    return RetargetResult(
-        times=captured.times.copy(),
-        configurations=JointConfiguration(P, Q, A),
-        diagnostics=diagnostics,
-    )
+    return RetargetResult(JointConfiguration(P, Q, A), diagnostics)

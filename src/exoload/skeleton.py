@@ -200,7 +200,6 @@ class SkeletonModel:
         self._row_segment = np.full(1 + n, -1, dtype=int)  # segment carried by row
         self._row_segment[0] = self.segment_index[self.base_segment]
         self._segment_row: dict[str, int] = {self.base_segment: 0}
-        self.joint_dof_slices: dict[str, slice] = {}
 
         k = 0
         for joint in self.joints:
@@ -211,7 +210,6 @@ class SkeletonModel:
                 )
             if joint.child in self._segment_row:
                 raise ValidationError(f"segment {joint.child!r} attached twice")
-            start = k
             parent_row = self._segment_row[joint.parent]
             for i, dof in enumerate(joint.dofs):
                 self._parent_row.append(parent_row)
@@ -228,7 +226,6 @@ class SkeletonModel:
                 parent_row = k
             self._row_segment[k] = self.segment_index[joint.child]
             self._segment_row[joint.child] = k
-            self.joint_dof_slices[joint.name] = slice(start, k)
 
         self.dof_index = {name: i for i, name in enumerate(self.dof_names)}
         if len(self.dof_index) != n:
@@ -342,11 +339,10 @@ def _whole_body_com(model: SkeletonModel, segment_coms: np.ndarray) -> np.ndarra
 class KinematicState:
     """World frames of one configuration, or of every frame of a ``(T,)``
     trajectory, kept as ``configuration``: ``frames`` is the
-    ``(1 + n_links, *batch, 3, 5)`` array of :class:`FrameSweep`, and
-    ``link_rotation`` ``(n_links, *batch, 3, 3)``, ``link_position`` and
-    ``axis_world`` ``(n_links, *batch, 3)`` are views of its link rows.
-    ``n_frames`` is T, or None for one configuration. Pose, CoM and
-    Jacobian queries take a one-configuration state and reuse its frames.
+    ``(1 + n_links, *batch, 3, 5)`` array of :class:`FrameSweep`, the base
+    in row 0 and link i in row 1 + i. ``n_frames`` is T, or None for one
+    configuration. Pose, CoM and Jacobian queries take a one-configuration
+    state and compute from its frames on each call.
 
     Holds per-evaluation data only; the model stays immutable and shared."""
 
@@ -360,13 +356,8 @@ class KinematicState:
             )
         self.n_frames = len(q) if angles.ndim == 2 else None
         self.configuration = q
-        self.base_position = q.base_position
-        self.base_rotation = quat_to_matrix(q.base_orientation)
-        self.frames = FrameSweep(model, angles.shape[:-1])(q.base_position, self.base_rotation, angles)
-        self.link_rotation = self.frames[1:, ..., :3]
-        self.link_position = self.frames[1:, ..., 3]
-        self.axis_world = self.frames[1:, ..., 4]
-        self._coms: np.ndarray | None = None
+        base_rotation = quat_to_matrix(q.base_orientation)
+        self.frames = FrameSweep(model, angles.shape[:-1])(q.base_position, base_rotation, angles)
 
     def _require_one_frame(self, query: str) -> None:
         if self.n_frames is not None:
@@ -385,10 +376,8 @@ class KinematicState:
 
     def segment_coms(self) -> np.ndarray:
         """World CoM of every segment in model order, (n_segments, 3)."""
-        if self._coms is None:
-            self._require_one_frame("segment_coms")
-            self._coms = _segment_coms(self.model, self.frames)
-        return self._coms
+        self._require_one_frame("segment_coms")
+        return _segment_coms(self.model, self.frames)
 
     def com(self) -> np.ndarray:
         return _whole_body_com(self.model, self.segment_coms())

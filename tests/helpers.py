@@ -494,11 +494,13 @@ def reference_inverse_dynamics(
     q: JointConfiguration,
     qd: np.ndarray,
     qdd: np.ndarray,
-    gravity: float | np.ndarray = GRAVITY_DEFAULT,
+    gravity: float = GRAVITY_DEFAULT,
 ) -> np.ndarray:
     """Generalized forces of the free-floating model via a recursive
     Newton-Euler sweep in world coordinates, one frame at a time on single
-    3-vectors: the per-frame oracle for ``dynamics.inverse_dynamics_series``.
+    3-vectors over the link frames of ``reference_link_frames``, under
+    ``gravity`` along -Z: the per-frame oracle for
+    ``dynamics.inverse_dynamics_series``.
 
     ``qd``/``qdd`` follow the 49-coordinate velocity layout. The first six
     outputs are the base wrench (world force, world torque about the base
@@ -509,12 +511,10 @@ def reference_inverse_dynamics(
     nv = model.n_velocity
     if qd.shape != (nv,) or qdd.shape != (nv,):
         raise ValidationError(f"expected velocity/acceleration of shape ({nv},)")
-    if np.isscalar(gravity):
-        g_vec = np.array([0.0, 0.0, -float(gravity)])
-    else:
-        g_vec = np.asarray(gravity, dtype=float)
+    g_vec = np.array([0.0, 0.0, -gravity])
 
-    state = KinematicState(model, q)
+    base_rotation, base_position = quat_to_matrix(q.base_orientation), np.asarray(q.base_position)
+    link_rotation, link_position, axes = reference_link_frames(model, q)
     n = model.n_joint_dofs
     parent = [p - 1 for p in model._parent_row]  # link index, -1 for the base
 
@@ -526,14 +526,13 @@ def reference_inverse_dynamics(
     w0, a0 = qd[3:6], qdd[3:6]
     acc0 = qdd[0:3] - g_vec
 
-    axes = state.axis_world
     for i in range(n):
         p = parent[i]
         if p < 0:
-            wp, alp, accp, xp = w0, a0, acc0, state.base_position
+            wp, alp, accp, xp = w0, a0, acc0, base_position
         else:
-            wp, alp, accp, xp = w[p], al[p], acc[p], state.link_position[p]
-        r = state.link_position[i] - xp
+            wp, alp, accp, xp = w[p], al[p], acc[p], link_position[p]
+        r = link_position[i] - xp
         s = axes[i]
         w[i] = wp + s * qd[6 + i]
         al[i] = alp + s * qdd[6 + i] + np.cross(wp, s * qd[6 + i])
@@ -550,10 +549,10 @@ def reference_inverse_dynamics(
         if seg.mass == 0.0:
             return
         if link < 0:
-            R, x = state.base_rotation, state.base_position
+            R = base_rotation
             wi, ali, acci = w0, a0, acc0
         else:
-            R, x = state.link_rotation[link], state.link_position[link]
+            R = link_rotation[link]
             wi, ali, acci = w[link], al[link], acc[link]
         rc = R @ seg.com_offset
         a_com = acci + np.cross(ali, rc) + np.cross(wi, np.cross(wi, rc))
@@ -580,11 +579,11 @@ def reference_inverse_dynamics(
         tau[6 + i] = float(axes[i] @ n_acc[i])
         p = parent[i]
         if p < 0:
-            r = state.link_position[i] - state.base_position
+            r = link_position[i] - base_position
             f_base = f_base + f_acc[i]
             n_base = n_base + n_acc[i] + np.cross(r, f_acc[i])
         else:
-            r = state.link_position[i] - state.link_position[p]
+            r = link_position[i] - link_position[p]
             f_acc[p] += f_acc[i]
             n_acc[p] += n_acc[i] + np.cross(r, f_acc[i])
     tau[0:3] = f_base
@@ -601,15 +600,15 @@ def reference_point_jacobian_linear(
     model = state.model
     J = np.zeros((3, model.n_velocity))
     J[:, 0:3] = np.eye(3)
-    r = point - state.base_position
+    r = point - state.frames[0, :, 3]
     # omega x r = -[r]x omega
     J[:, 3:6] = np.array(
         [[0.0, r[2], -r[1]], [-r[2], 0.0, r[0]], [r[1], -r[0], 0.0]]
     )
     if link >= 0:
         mask = model._row_ancestors[1 + link]
-        axes = state.axis_world[mask]
-        arms = point - state.link_position[mask]
+        axes = state.frames[1:, :, 4][mask]
+        arms = point - state.frames[1:, :, 3][mask]
         J[:, 6:][:, mask] = np.cross(axes, arms).T
     return J
 
@@ -704,7 +703,7 @@ def reference_task_jacobian(state: KinematicState, frame: str, kind: str) -> np.
         J[:, 3:6] = np.eye(3)
         if link >= 0:
             mask = model._row_ancestors[1 + link]
-            J[:, 6:][:, mask] = state.axis_world[mask].T
+            J[:, 6:][:, mask] = state.frames[1:, :, 4][mask].T
         rows.append(J)
     return np.vstack(rows)
 
@@ -752,7 +751,7 @@ def reference_frame_references(
     """Per-frame ``Reference`` objects of every task, feedforward over the
     step landing on each frame."""
     tracks = _reference_tracks(model, captured, tasks)
-    dt = 1.0 / captured.sample_rate
+    dt = captured.dt
     prev = np.maximum(np.arange(captured.n_frames) - 1, 0)
     arrays = {
         frame: (
@@ -817,7 +816,7 @@ def reference_retarget(
     difference of the ``np.cross`` CoM oracle into joint-angle drift of
     order 1e-8 rad over a saturating trajectory. The Jacobian values are
     checked against that oracle on their own."""
-    tasks, dt = default_task_stack(), 1.0 / captured.sample_rate
+    tasks, dt = default_task_stack(), captured.dt
     q = reference_start(model, captured)
     configurations, diagnostics = [], []
     for refs in reference_frame_references(model, captured, tasks):
@@ -841,7 +840,7 @@ def reference_allocating_retarget(
     bit-for-bit oracle of ``retarget_trajectory``."""
     tasks = default_task_stack()
     plan = _Plan(model, tasks)
-    dt = 1.0 / captured.sample_rate
+    dt = captured.dt
     n = captured.n_frames
     refs = _trajectory_references(plan, _reference_tracks(model, captured, tasks), n, dt)
     m1, nv, bound = plan.n_level1_rows, model.n_velocity, retarget.VELOCITY_BOUND

@@ -37,7 +37,7 @@ def test_minimal_two_frame_file(tmp_path):
     trajectory = eio.parse_motion_file(path)
     assert trajectory.n_frames == 2
     assert set(trajectory.segments) == {"pelvis"}
-    assert trajectory.sample_rate == pytest.approx(240.0)
+    assert trajectory.dt == pytest.approx(1 / 240.0)
 
 
 def test_quaternion_renormalization_tolerance(tmp_path):

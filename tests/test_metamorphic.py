@@ -62,7 +62,7 @@ def replay(model, captured: CapturedTrajectory) -> tuple[np.ndarray, np.ndarray,
     with a bound active of a replayed capture."""
     result = retarget_trajectory(model, captured)
     kinematics = KinematicState(model, result.configurations)
-    tau_net = net_lumbar_series(kinematics, 1.0 / captured.sample_rate)
+    tau_net = net_lumbar_series(kinematics, captured.dt)
     saturated = sum(1 for d in result.diagnostics if d.active_constraints)
     return tau_net, np.degrees(result.configurations.joint_angles), saturated
 

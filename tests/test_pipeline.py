@@ -18,6 +18,7 @@ from helpers import (
     bent_configuration,
     capture_from_configurations,
     default_model,
+    moving_base_trajectory,
     reference_write_joint_trajectory,
     synthetic_ecg,
     write_bend_session,
@@ -1015,7 +1016,7 @@ def test_capture_just_above_twice_the_smoothing_cutoff_runs(tmp_path):
     config_path = write_bend_session(tmp_path, duration_s=0.25, with_annotation=False)
     write_static_capture(tmp_path / "motion.csv", 10.001)
     config = load_config(config_path)
-    assert 2 * DERIVATIVE_SMOOTHING_HZ < read_motion_inputs(config).captured.sample_rate < 10.01
+    assert 2 * DERIVATIVE_SMOOTHING_HZ < 1.0 / read_motion_inputs(config).captured.dt < 10.01
     assert "torque_series" in run_pipeline(config).files
 
 
@@ -1226,6 +1227,30 @@ def test_result_records_hold_only_what_a_run_produces():
     assert not hasattr(errors, "InfeasibleBoundsError")
 
 
+def test_motion_records_hold_each_fact_once(model):
+    """A capture keeps its period and no rate, a retargeted trajectory its
+    configurations and no copy of the captured times, a kinematic state its
+    frames and no views or cache of them, and the model no joint slices."""
+    from exoload import retarget
+    from exoload.skeleton import KinematicState
+
+    assert [f.name for f in dataclasses.fields(retarget.RetargetResult)] == ["configurations", "diagnostics"]
+    assert [f.name for f in dataclasses.fields(retarget.CapturedTrajectory)] == ["times", "segments", "dt"]
+    for q in (model.upright_configuration(), moving_base_trajectory(model, 0.1)):
+        assert set(vars(KinematicState(model, q))) == {"model", "configuration", "n_frames", "frames"}
+    assert not hasattr(model, "joint_dof_slices")
+
+
+def test_the_package_version_is_the_projects():
+    """The manifest's ``package_version`` equals ``pyproject.toml``'s."""
+    tomllib = pytest.importorskip("tomllib")
+    from exoload.pipeline import PACKAGE_VERSION
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == PACKAGE_VERSION
+
+
 def test_every_package_error_is_a_validation_or_numerical_error():
     """``ExoloadError`` has exactly two direct subclasses, and ``prefixed``
     keeps an error's type, so every package error exits 2 or 3."""
@@ -1241,6 +1266,15 @@ def test_config_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("EXOLOAD_CONFIG", str(config_path))
     assert cli.main(["pipeline"]) == 2
     assert capsys.readouterr().err == "error: no config given: pass --config\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_empty_output_dir_exits_2_before_any_file_is_written(tmp_path, capsys):
+    """``--output-dir ""`` names no directory: it is an error, not the
+    config's ``output_dir``."""
+    config_path = write_bend_session(tmp_path, duration_s=0.5, with_annotation=False)
+    assert cli.main(["pipeline", "--config", str(config_path), "--output-dir", ""]) == 2
+    assert capsys.readouterr().err.startswith("error: --output-dir is empty")
     assert not (tmp_path / "out").exists()
 
 
@@ -1299,6 +1333,15 @@ def window_past_the_capture(tmp_path, config):
     return path, "stage parse-annotation", "lies outside the recorded range"
 
 
+def window_between_two_frames(tmp_path, config):
+    path = tmp_path / "annotation.json"
+    payload = json.loads(path.read_text())
+    # inside the range, but no 1/240 s frame falls in it
+    payload["segments"].append({"label": "SP", "start": 0.20001, "end": 0.20002})
+    path.write_text(json.dumps(payload))
+    return path, "stage parse-annotation", "segment 'SP' [0.20001, 0.20002) selects no sample"
+
+
 def negative_tau_max(tmp_path, config):
     path = tmp_path / "laevo.json"
     path.write_text(json.dumps(dict(LAEVO_PARAMS, tau_max=-40.0)))
@@ -1327,6 +1370,7 @@ def capture_far_below_twice_the_cutoff(tmp_path, config):
     "edit",
     [
         window_past_the_capture,
+        window_between_two_frames,
         negative_tau_max,
         two_frame_capture,
         capture_at_twice_the_cutoff,
@@ -1334,10 +1378,10 @@ def capture_far_below_twice_the_cutoff(tmp_path, config):
     ],
 )
 def test_motion_inputs_are_checked_before_retargeting(tmp_path, capsys, monkeypatch, edit):
-    """A bad annotation window, exoskeleton parameter file, a capture too
-    short to differentiate or one sampled too slowly for the velocity
-    smoothing exits 2 naming the file, before retargeting starts and
-    without writing a file."""
+    """A bad annotation window (past the capture, or selecting no frame), an
+    exoskeleton parameter file, a capture too short to differentiate or one
+    sampled too slowly for the velocity smoothing exits 2 naming the file,
+    before retargeting starts and without writing a file."""
     from exoload import pipeline
 
     def not_reached(*args, **kwargs):

@@ -90,6 +90,10 @@ def test_segment_series_empty_annotation_and_out_of_range():
     assert segment_series(times, values, TrialAnnotation("t", ())) == []
     with pytest.raises(ValidationError, match="outside the recorded range"):
         segment_series(times, values, TrialAnnotation("t", (AnnotationSegment("PS", 0.0, 2.0),)))
+    # inside the range, but between two samples: a window that selects nothing
+    between = (AnnotationSegment("PS", 0.0, 0.2), AnnotationSegment("SP", 0.20001, 0.20002))
+    with pytest.raises(ValidationError, match=r"segment 'SP' \[0\.20001, 0\.20002\) selects no sample"):
+        segment_series(times, values, TrialAnnotation("t", between))
 
 
 @pytest.mark.parametrize("overrun, allowed", [(0.49, True), (0.51, False)])

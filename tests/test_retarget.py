@@ -368,7 +368,7 @@ def test_fused_step_matches_two_call_oracle_on_every_frame(model, trajectory):
     captured = capture_from_configurations(model, trajectory(model, 1.0), 240.0)
     tasks = default_task_stack()
     plan = _Plan(model, tasks)
-    n, dt = captured.n_frames, 1.0 / captured.sample_rate
+    n, dt = captured.n_frames, captured.dt
     refs = _trajectory_references(plan, _reference_tracks(model, captured, tasks), n, dt)
     result = retarget_trajectory(model, captured)
     bound = np.full(model.n_velocity, retarget.VELOCITY_BOUND)
@@ -451,9 +451,9 @@ def test_trajectory_invariants():
 
 def test_capture_rate_comes_from_its_timestamps():
     times = np.arange(6) / 240.0
-    assert CapturedTrajectory(times, {}).sample_rate == 1.0 / ((times[-1] - times[0]) / 5)
+    assert CapturedTrajectory(times, {}).dt == (times[-1] - times[0]) / 5
     with pytest.raises(TypeError):
-        CapturedTrajectory(250.0, times, {})  # a rate is not an argument
+        CapturedTrajectory(times, {}, 1 / 250.0)  # a period is not an argument
 
 
 def test_capture_renormalizes_quaternions_as_the_reader_does(tmp_path):
@@ -472,7 +472,7 @@ def test_capture_renormalizes_quaternions_as_the_reader_does(tmp_path):
     read = eio.parse_motion_file(tmp_path / "m.csv")
     assert np.array_equal(captured.segments["pelvis"].quaternions, read.segments["pelvis"].quaternions)
     assert np.abs(np.linalg.norm(read.segments["pelvis"].quaternions, axis=1) - 1.0).max() < 1e-15
-    assert captured.sample_rate == read.sample_rate
+    assert captured.dt == read.dt
 
 
 def test_capture_rejects_quaternions_off_by_more_than_1e_3():

@@ -67,9 +67,8 @@ def test_model_counts(model):
     assert model.n_joint_dofs == 43
     assert model.n_velocity == 49
 
-    def dofs(*joints):
-        slices = [model.joint_dof_slices[j] for j in joints]
-        return sum(s.stop - s.start for s in slices)
+    def dofs(*names):
+        return sum(len(joint.dofs) for joint in model.joints if joint.name in names)
 
     assert dofs("lumbar", "thoracic", "lower_neck", "upper_neck") == 11
     for side in ("left", "right"):
@@ -346,13 +345,10 @@ def test_trajectory_kinematics_equal_kinematic_state_bit_for_bit(model):
     configurations = moving_base_trajectory(model, 1.0)
     kinematics = KinematicState(model, configurations)
     assert kinematics.n_frames == 240 and kinematics.configuration is configurations
-    assert kinematics.link_rotation.shape == (model.n_joint_dofs, 240, 3, 3)
+    assert kinematics.frames.shape == (1 + model.n_joint_dofs, 240, 3, 5)
     for k, q in enumerate(configurations):
         state = KinematicState(model, q)
-        assert np.array_equal(kinematics.base_rotation[k], state.base_rotation)
-        assert np.array_equal(kinematics.link_rotation[:, k], state.link_rotation)
-        assert np.array_equal(kinematics.link_position[:, k], state.link_position)
-        assert np.array_equal(kinematics.axis_world[:, k], state.axis_world)
+        assert np.array_equal(kinematics.frames[:, k], state.frames)
         assert np.array_equal(
             kinematics.segment_rotation("thorax")[k], state.segment_pose("thorax").rotation
         )
@@ -368,10 +364,10 @@ def test_kinematic_state_matches_per_link_oracle_bit_for_bit(model):
     for q in configurations:
         state = KinematicState(model, q)
         rotation, position, axis = reference_link_frames(model, q)
-        assert np.array_equal(state.link_rotation, rotation)
-        assert np.array_equal(state.link_position, position)
-        assert np.array_equal(state.axis_world, axis)
-        assert np.array_equal(state.frames[0, :, :3], state.base_rotation)
+        assert np.array_equal(state.frames[1:, :, :3], rotation)
+        assert np.array_equal(state.frames[1:, :, 3], position)
+        assert np.array_equal(state.frames[1:, :, 4], axis)
+        assert np.array_equal(state.frames[0, :, :3], quat_to_matrix(q.base_orientation))
         assert np.array_equal(state.frames[0, :, 3], q.base_position)
 
 
@@ -381,9 +377,9 @@ def test_trajectory_kinematics_match_per_link_oracle_bit_for_bit(model):
     assert kinematics.frames.shape == (1 + model.n_joint_dofs, 240, 3, 5)
     for k, q in enumerate(configurations):
         rotation, position, axis = reference_link_frames(model, q)
-        assert np.array_equal(kinematics.link_rotation[:, k], rotation)
-        assert np.array_equal(kinematics.link_position[:, k], position)
-        assert np.array_equal(kinematics.axis_world[:, k], axis)
+        assert np.array_equal(kinematics.frames[1:, k, :, :3], rotation)
+        assert np.array_equal(kinematics.frames[1:, k, :, 3], position)
+        assert np.array_equal(kinematics.frames[1:, k, :, 4], axis)
         assert np.array_equal(kinematics.frames[0, k, :, 3], q.base_position)
 
 
